@@ -2,8 +2,9 @@
 
 Exit codes: 0 when a verdict holds or a construction succeeds, 1 when a
 verdict fails (the witness is emitted), 2 on usage or input errors, 3 when a
-resource guard trips.  All output is deterministic: JSON with sorted keys by
-default, a human rendering behind --plain.
+resource guard trips, 4 on an internal error (recursion or memory exhausted,
+or a witness that failed its own re-check).  All output is deterministic:
+JSON with sorted keys by default, a human rendering behind --plain.
 """
 
 from __future__ import annotations
@@ -288,18 +289,15 @@ def _build_parser() -> argparse.ArgumentParser:
             elif flag == "--budget":
                 p.add_argument("--budget", type=int, required=True,
                                help="co-enumeration stage budget")
-            elif flag == "--jobs":
-                p.add_argument("--jobs", type=int, default=1,
-                               help="worker cap (execution is deterministic)")
         p.add_argument("--plain", action="store_true", help="human-readable output")
         return p
 
     add("eval", _cmd_eval, "evaluate a formula at every world of a model",
-        ["--model", "--conclusion", "--jobs"])
+        ["--model", "--conclusion"])
     add("check", _cmd_check,
         "global-consequence verdict on a model, a frame, or all frames of a cardinality",
         ["--model", "--frame", "--cardinality", "--algebra", "--premises",
-         "--conclusion", "--jobs"])
+         "--conclusion"])
     add("pcp-encode", _cmd_pcp_encode, "encode an instance into premises and conclusion",
         ["--instance"])
     add("pcp-model", _cmd_pcp_model, "build the chain countermodel of a solution",
@@ -317,7 +315,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "from local consequence plus necessitation",
         ["--n", "--algebra"])
     add("coenum", _cmd_coenum, "co-enumerate refutable pairs from a seeded list",
-        ["--instance", "--budget", "--jobs"])
+        ["--instance", "--budget"])
     return parser
 
 
@@ -343,6 +341,10 @@ def run(argv: list[str]) -> int:
             json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except (RecursionError, MemoryError, RuntimeError) as exc:
+        # RuntimeError covers the failed witness re-checks
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 4
 
 
 def main() -> None:

@@ -229,8 +229,8 @@ def extract_solution(instance: PCPInstance, model: KripkeModel, top: str) -> lis
     Walking from the successor-free end upward, picks at each world the least
     disjunct of the big-disjunction premise that evaluates to 1 there.  The
     result is certified: the values of x and y must be the powers of the
-    constant z-value dictated by the chosen indices, and when additionally
-    x and y agree at the top, the indices verify as a solution.
+    constant z-value dictated by the chosen indices, and the indices must
+    verify as a solution, digit counts included.
     """
     gamma, phi = encode(instance)
     order = _chain_order(model, top)
@@ -275,6 +275,12 @@ def extract_solution(instance: PCPInstance, model: KripkeModel, top: str) -> lis
             raise ValueError(
                 f"world {w!r} carries powers ({got_x}, {got_y}), expected "
                 f"({expected_x}, {expected_y}) from indices {indices[:j]}")
+    # values do not fix digit counts: all-zero words of different lengths
+    # have equal powers
+    if not verify_solution(instance, indices):
+        raise ValueError(
+            f"indices {indices} spell x and y words whose values agree but "
+            f"whose lengths do not; not a solution")
     return indices
 
 

@@ -169,6 +169,33 @@ def test_usage_errors(files, capsys):
     assert run(["check", "--frame", files["frame"], "--weird"]) == 2
     assert run(["check", "--cardinality", "9", "--algebra", "std-mv",
                 "--conclusion", "p"]) == 3  # cardinality guard
+    assert run(["coenum", "--instance", files["p0"], "--budget", "1",
+                "--jobs", "2"]) == 2  # the flag is gone
+
+
+def test_internal_errors_exit_four(files, capsys, tmp_path, monkeypatch):
+    code, out = invoke(capsys, ["pcp-model", "--instance", files["p0"],
+                                "--solution", "1,2", "--algebra", "std-mv"])
+    assert code == 0
+    mfile = tmp_path / "m.json"
+    mfile.write_text(out)
+    # a formula deeper than the recursion limit is an internal failure, not
+    # a failed verdict
+    code = run(["eval", "--model", str(mfile), "--conclusion", "[]" * 1200 + "x"])
+    captured = capsys.readouterr()
+    assert code == 4
+    assert captured.out == ""
+    assert captured.err.startswith("internal error: RecursionError")
+    assert captured.err.count("\n") == 1
+
+    def failed_recheck(*args):
+        raise RuntimeError("countermodel failed premise re-check")
+    monkeypatch.setattr("mvmodal.cli.decide_on_frame", failed_recheck)
+    code = run(["check", "--frame", files["frame"], "--premises", "[]p",
+                "--conclusion", "p"])
+    assert code == 4
+    assert capsys.readouterr().err == \
+        "internal error: RuntimeError: countermodel failed premise re-check\n"
 
 
 def test_plain_output(files, capsys):

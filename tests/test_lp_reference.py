@@ -1,0 +1,121 @@
+"""Differential battery: the integer-row simplex against the dense oracle.
+
+Both solvers follow Bland's rule with the same tie-break, so they must make
+the same pivots and return exactly the same status, value and point,
+including which optimal vertex is returned.
+"""
+
+import random
+from fractions import Fraction as F
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import lp_reference
+from mvmodal import lp
+from mvmodal.lp import Constraint
+
+SENSES = ("<=", ">=", "==")
+
+
+def run_logged(module, objective, rows):
+    """The module's result and the (row, column) of each of its pivots."""
+    log = []
+    inner = module._pivot
+
+    def logged(tableau, obj, basis, row, col):
+        log.append((row, col))
+        inner(tableau, obj, basis, row, col)
+
+    module._pivot = logged
+    try:
+        res = module.solve_max(objective, rows)
+    finally:
+        module._pivot = inner
+    return res, log
+
+
+def assert_same(objective, rows):
+    got, got_pivots = run_logged(lp, objective, rows)
+    want, want_pivots = run_logged(lp_reference, objective, rows)
+    assert got_pivots == want_pivots
+    assert got.status == want.status
+    assert got.value == want.value
+    assert got.point == want.point
+    return got
+
+
+def random_system(rng, nvars, nrows, den, box, lo):
+    """Random rows with coefficients in [lo, 3] and rhs in [lo, 2]; lo = 0
+    with den = 1 makes ties in the ratio test common."""
+    names = [f"v{i}" for i in range(nvars)]
+
+    def number(lo, hi):
+        return F(rng.randint(lo * den, hi * den), rng.randint(1, den))
+
+    rows = []
+    if box:
+        rows += [Constraint({v: F(1)}, "<=", F(1)) for v in names]
+    for _ in range(nrows):
+        coeffs = {v: number(lo, 3) for v in rng.sample(names, rng.randint(1, nvars))}
+        rows.append(Constraint(coeffs, rng.choice(SENSES), number(lo, 2)))
+        r = rng.random()
+        if r < 0.15:
+            rows.append(rows[-1])  # duplicated row
+        elif r < 0.3:
+            # the same row again, times -k with the sense flipped
+            k = number(1, 3)
+            flip = {"<=": ">=", ">=": "<=", "==": "=="}[rows[-1].sense]
+            rows.append(Constraint({v: -k * a for v, a in rows[-1].coeffs.items()},
+                                   flip, -k * rows[-1].rhs))
+    objective = {v: number(-3, 3) for v in rng.sample(names, rng.randint(0, nvars))}
+    return objective, rows
+
+
+def test_random_battery_matches_reference():
+    rng = random.Random(20210121)
+    statuses = set()
+    for case in range(600):
+        ties = case % 2 == 0
+        objective, rows = random_system(
+            rng, nvars=rng.randint(1, 6), nrows=rng.randint(1, 7),
+            den=1 if ties else rng.choice((1, 2, 6)), box=case % 3 != 0,
+            lo=0 if ties else -3)
+        statuses.add(assert_same(objective, rows).status)
+    assert statuses == {"optimal", "infeasible", "unbounded"}
+
+
+def test_degenerate_vertices_match_reference():
+    # many constraints through the origin and through one corner: ties in
+    # the ratio test are decided by the smallest basic index
+    names = ["a", "b", "c"]
+    rows = [Constraint({"a": F(1), "b": F(-1)}, "<=", F(0)),
+            Constraint({"b": F(1), "c": F(-1)}, "<=", F(0)),
+            Constraint({"a": F(1), "c": F(-1)}, "<=", F(0)),
+            Constraint({"a": F(1), "b": F(1), "c": F(1)}, "<=", F(3)),
+            Constraint({"a": F(2), "b": F(1)}, "<=", F(3)),
+            Constraint({"c": F(1)}, "<=", F(1)),
+            Constraint({"c": F(1)}, "==", F(1)),
+            Constraint({"a": F(-1)}, ">=", F(-1))]
+    for obj in ({"a": F(1)}, {"a": F(1), "b": F(1)}, {"c": F(-1)},
+                {v: F(1) for v in names}, {}):
+        assert_same(obj, rows)
+
+
+exact = st.fractions(min_value=-4, max_value=4, max_denominator=5)
+
+
+@st.composite
+def systems(draw):
+    names = [f"x{i}" for i in range(draw(st.integers(1, 4)))]
+    coeffs = st.dictionaries(st.sampled_from(names), exact, min_size=1)
+    rows = draw(st.lists(st.builds(Constraint, coeffs, st.sampled_from(SENSES), exact),
+                         min_size=1, max_size=6))
+    objective = draw(st.dictionaries(st.sampled_from(names), exact))
+    return objective, rows
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(systems())
+def test_hypothesis_matches_reference(system):
+    assert_same(*system)

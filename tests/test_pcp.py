@@ -158,6 +158,19 @@ def test_extraction_preconditions():
         extract_solution(P0, bad, "v2")
 
 
+def test_extraction_rejects_equal_values_of_unequal_length():
+    # all-zero words: [1, 2] is a solution (5 digits each side), and every
+    # index sequence gives x and y the value 0, so value certificates alone
+    # would accept the least disjunct [1, 1] (4 digits against 6)
+    inst = PCPInstance(2, ((Numeral(0, 2), Numeral(0, 3)),
+                           (Numeral(0, 3), Numeral(0, 2))))
+    assert verify_solution(inst, [1, 2]) and not verify_solution(inst, [1, 1])
+    for alg in (StdMV(), ExpChain()):
+        m = build_countermodel(inst, [1, 2], alg)
+        with pytest.raises(ValueError, match="lengths do not"):
+            extract_solution(inst, m, "v2")
+
+
 def test_non_solution_chains_cannot_refute():
     gamma, phi = encode(P0)
     for k in range(1, 5):
