@@ -17,7 +17,7 @@ __all__ = [
     "Algebra", "StdMV", "StdGodel", "StdProduct", "MVn", "ExpChain",
     "FiniteTable", "Violation", "ValidationReport", "validate_finite_algebra",
     "mv_chain_tables", "op_apply", "power", "leq",
-    "rational_from_str", "rational_to_str",
+    "rational_to_str",
     "algebra_to_json", "algebra_from_json", "value_to_json", "value_from_json",
 ]
 
@@ -476,11 +476,6 @@ def leq(alg: Algebra, a: Value, b: Value) -> bool:
     return alg.leq(alg.require(a), alg.require(b))
 
 
-def rational_from_str(s: str) -> Fraction:
-    v = Fraction(s)
-    return v
-
-
 def rational_to_str(v: Fraction) -> str:
     return str(Fraction(v))
 
@@ -499,13 +494,13 @@ def value_from_json(alg: Algebra, obj) -> Value:
         if obj == "zero":
             return EXP_ZERO
         if isinstance(obj, dict) and set(obj) == {"pow"}:
-            return ExpValue(rational_from_str(obj["pow"]))
+            return ExpValue(Fraction(obj["pow"]))
         raise CarrierError(f"bad power-chain value: {obj!r}")
     if isinstance(alg, FiniteTable):
         return alg.require(obj)
     if not isinstance(obj, str):
         raise CarrierError(f"rational values are serialized as strings, got {obj!r}")
-    return alg.require(rational_from_str(obj))
+    return alg.require(Fraction(obj))
 
 
 def algebra_to_json(alg: Algebra) -> dict:

@@ -26,7 +26,8 @@ from .algebras import ExpChain, ExpValue, StdMV, Value
 from .formulas import (And, Box, Const0, Const1, Diamond, Formula, Implies,
                        Or, Times, Var, ZERO, box_prefix, iff, neg, render,
                        variables)
-from .kripke import KripkeModel, evaluate, globally_satisfies, heights
+from .kripke import (KripkeModel, evaluate, evaluate_all, globally_satisfies,
+                     heights)
 
 __all__ = [
     "constancy_premises", "chain_premise", "spread_disjunct", "finite_to_global",
@@ -264,14 +265,15 @@ def verify_exponent_identity(model: KripkeModel, formulas, x: str,
     non-empty report indicates an implementation bug.
     """
     prod = model_l2p(model, x)
+    formulas = list(formulas)
+    got = evaluate_all(prod, [translate(f, x) for f in formulas])
+    source = evaluate_all(model, formulas)
     violations = []
-    for f in formulas:
-        translated = translate(f, x)
-        for w in model.worlds:
-            got = evaluate(prod, w, translated)
-            expected = ExpValue(1 - evaluate(model, w, f))
-            if got != expected:
-                violations.append((f, w, got, expected))
+    for f, got_col, source_col in zip(formulas, got, source):
+        for w, g, v in zip(model.worlds, got_col, source_col):
+            expected = ExpValue(1 - v)
+            if g != expected:
+                violations.append((f, w, g, expected))
     return violations
 
 

@@ -20,7 +20,7 @@ from .bridges import (finite_to_global, luk2prod_formula, model_l2p,
 from .decision import (coenumerate_nonconsequences, decide_cardinality,
                        decide_on_frame)
 from .formulas import Formula, ParseError, parse, render, variables
-from .kripke import (KripkeModel, Verdict, consequence_witness, evaluate,
+from .kripke import (KripkeModel, Verdict, consequence_witness, evaluate_all,
                      frame_from_json, frame_to_json, load_model,
                      model_to_json)
 from .necessitation import verify_separation
@@ -52,6 +52,12 @@ def _parse_algebra(name: str) -> Algebra:
                      "std-product, exp-chain or mv-<n>)")
 
 
+def _parse_list(items, what: str) -> tuple[Formula, ...]:
+    if not isinstance(items, list) or not all(isinstance(s, str) for s in items):
+        raise ValueError(f"{what} must be a list of formula strings")
+    return tuple(parse(s) for s in items)
+
+
 def _parse_premises(spec: str | None) -> tuple[Formula, ...]:
     if not spec:
         return ()
@@ -60,10 +66,8 @@ def _parse_premises(spec: str | None) -> tuple[Formula, ...]:
             text = fh.read()
         stripped = text.lstrip()
         if stripped.startswith("["):
-            items = json.loads(text)
-        else:
-            items = [line for line in text.splitlines() if line.strip()]
-        return tuple(parse(s) for s in items)
+            return _parse_list(json.loads(text), "--premises JSON")
+        return tuple(parse(line) for line in text.splitlines() if line.strip())
     return tuple(parse(part) for part in spec.split(";") if part.strip())
 
 
@@ -93,8 +97,8 @@ def _witness_json(verdict: Verdict, alg: Algebra) -> dict:
 def _cmd_eval(args) -> int:
     model = load_model(args.model)
     f = parse(args.conclusion)
-    values = {w: value_to_json(model.algebra, evaluate(model, w, f))
-              for w in model.worlds}
+    (col,) = evaluate_all(model, [f])
+    values = {w: value_to_json(model.algebra, v) for w, v in zip(model.worlds, col)}
     plain = "\n".join(f"{w}: {values[w]}" for w in model.worlds)
     _emit({"formula": render(f), "values": values}, plain, args.plain)
     return 0
@@ -236,7 +240,12 @@ def _cmd_nec_demo(args) -> int:
 
 def _cmd_coenum(args) -> int:
     raw = _load_json(args.instance)
-    pairs = [(tuple(parse(s) for s in item.get("premises", [])),
+    if not isinstance(raw, list) or not all(
+            isinstance(item, dict) and isinstance(item.get("conclusion"), str)
+            for item in raw):
+        raise ValueError("coenum --instance must be a JSON list of objects, "
+                         "each with a string 'conclusion'")
+    pairs = [(_parse_list(item.get("premises", []), "'premises'"),
               parse(item["conclusion"])) for item in raw]
     emitted = coenumerate_nonconsequences(pairs, args.budget)
     alg = StdMV()

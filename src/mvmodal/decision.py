@@ -3,11 +3,16 @@
 Two propositional backends are provided: an exact case-splitting decision for
 the standard MV algebra (the connectives are piecewise linear, so each
 connective occurrence contributes two linear regimes and every branch is an
-exact rational LP), and a brute-force sweep for finite algebras.  On top of
-them sits the frame translation that turns global consequence over a fixed
-finite frame into a propositional consequence question, the cardinality-bound
-decision that conjoins it over all labeled frames of a given size, and the
-co-enumerator of non-consequences.
+exact rational LP), and a brute-force sweep for finite algebras over their
+index tables (an MVn chain sweeps the tables of ``mv_chain_tables``, index k
+standing for k/(n-1)).  On top of them sits the frame translation that turns
+global consequence over a fixed finite frame into a propositional consequence
+question, the cardinality-bound decision that conjoins it over all labeled
+frames of a given size, and the co-enumerator of non-consequences.
+
+Every countermodel is re-checked by the Kripke evaluator
+(:func:`mvmodal.kripke.evaluate_all`) before it is returned; a propositional
+one is evaluated as a one-world, edgeless model.
 """
 
 from __future__ import annotations
@@ -19,12 +24,12 @@ from typing import Iterable, Sequence
 
 from . import lp
 from .algebras import (Algebra, FiniteTable, MVn, ResourceLimitError, StdMV,
-                       Value)
+                       Value, mv_chain_tables)
 from .formulas import (And, Box, Const0, Const1, Diamond, Formula, Implies,
                        Or, Times, Var, iff, is_propositional, render,
                        subformulas, variables)
-from .kripke import (KripkeFrame, KripkeModel, Verdict, Witness, evaluate,
-                     globally_satisfies)
+from .kripke import (_OPERATION, KripkeFrame, KripkeModel, Verdict, Witness,
+                     evaluate_all)
 
 __all__ = [
     "BRANCH_GUARD_DEFAULT", "CARDINALITY_CAP_DEFAULT", "FINITE_SEARCH_GUARD",
@@ -319,25 +324,6 @@ class _LukSystem:
             self.base_rows.append(lp.Constraint({v: _F1}, "<=", _F1))
 
 
-def _luk_eval(f: Formula, val: dict) -> Fraction:
-    """Direct standard-MV evaluation, used to re-check LP countermodels."""
-    if isinstance(f, Const0):
-        return _F0
-    if isinstance(f, Const1):
-        return _F1
-    if isinstance(f, Var):
-        return val.get(f.name, _F0)
-    a = _luk_eval(f.left, val)
-    b = _luk_eval(f.right, val)
-    if isinstance(f, And):
-        return min(a, b)
-    if isinstance(f, Or):
-        return max(a, b)
-    if isinstance(f, Times):
-        return max(_F0, a + b - 1)
-    return min(_F1, 1 - a + b)
-
-
 def luk_consequence(gamma: Iterable[Formula], phi: Formula, *,
                     branch_guard: int = BRANCH_GUARD_DEFAULT,
                     _drop_regime: tuple[str, int] | None = None) -> Verdict:
@@ -388,71 +374,43 @@ def luk_consequence(gamma: Iterable[Formula], phi: Formula, *,
         return Verdict(True)
     valuation = {name: system.affine[Var(name)].value_at(point)
                  for name in sorted(variables(gamma + (phi,)))}
-    for g in gamma:
-        if _luk_eval(g, valuation) != 1:
-            raise RuntimeError("countermodel failed premise re-check")
-    conc = _luk_eval(phi, valuation)
-    if conc >= 1:
+    return _rechecked(StdMV(), gamma, phi, valuation)
+
+
+def _rechecked(alg: Algebra, gamma: tuple[Formula, ...], phi: Formula,
+               valuation: dict) -> Verdict:
+    """Failing verdict for a propositional countermodel, after re-evaluating
+    it as a one-world, edgeless model through the Kripke evaluator."""
+    model = KripkeModel(KripkeFrame(["w"], ()), alg, {"w": valuation})
+    *premises, (value,) = evaluate_all(model, gamma + (phi,))
+    if any(col[0] != alg.one for col in premises):
+        raise RuntimeError("countermodel failed premise re-check")
+    if value == alg.one:
         raise RuntimeError("countermodel failed conclusion re-check")
-    return Verdict(False, Witness(formula=phi, value=conc, valuation=valuation))
+    return Verdict(False, Witness(formula=phi, value=value, valuation=valuation))
 
 
-def _compile_finite(f: Formula, index: dict[str, int], alg: Algebra, memo: dict):
+def _compile_finite(f: Formula, index: dict[str, int], tables: dict, memo: dict):
+    """Closure from an assignment of element indices to the index of ``f``."""
     fn = memo.get(f)
     if fn is not None:
         return fn
-    if isinstance(alg, MVn):
-        m = alg.n - 1
-        if isinstance(f, Const0):
-            fn = lambda a: 0
-        elif isinstance(f, Const1):
-            fn = lambda a: m
-        elif isinstance(f, Var):
-            i = index[f.name]
-            fn = lambda a: a[i]
-        else:
-            lf = _compile_finite(f.left, index, alg, memo)
-            rf = _compile_finite(f.right, index, alg, memo)
-            if isinstance(f, And):
-                fn = lambda a: min(lf(a), rf(a))
-            elif isinstance(f, Or):
-                fn = lambda a: max(lf(a), rf(a))
-            elif isinstance(f, Times):
-                fn = lambda a: max(0, lf(a) + rf(a) - m)
-            else:
-                fn = lambda a: min(m, m - lf(a) + rf(a))
+    if isinstance(f, Const0):
+        z = tables["zero"]
+        fn = lambda a: z
+    elif isinstance(f, Const1):
+        o = tables["one"]
+        fn = lambda a: o
+    elif isinstance(f, Var):
+        i = index[f.name]
+        fn = lambda a: a[i]
     else:
-        if isinstance(f, Const0):
-            z = alg.zero
-            fn = lambda a: z
-        elif isinstance(f, Const1):
-            o = alg.one
-            fn = lambda a: o
-        elif isinstance(f, Var):
-            i = index[f.name]
-            fn = lambda a: a[i]
-        else:
-            lf = _compile_finite(f.left, index, alg, memo)
-            rf = _compile_finite(f.right, index, alg, memo)
-            table = {And: alg.meet_table, Or: alg.join_table,
-                     Times: alg.times_table, Implies: alg.residuum_table}[type(f)]
-            fn = lambda a: table[lf(a)][rf(a)]
+        lf = _compile_finite(f.left, index, tables, memo)
+        rf = _compile_finite(f.right, index, tables, memo)
+        table = tables[_OPERATION[type(f)]]
+        fn = lambda a: table[lf(a)][rf(a)]
     memo[f] = fn
     return fn
-
-
-def _eval_prop(f: Formula, alg: Algebra, val: dict) -> Value:
-    if isinstance(f, Const0):
-        return alg.zero
-    if isinstance(f, Const1):
-        return alg.one
-    if isinstance(f, Var):
-        return val[f.name]
-    a = _eval_prop(f.left, alg, val)
-    b = _eval_prop(f.right, alg, val)
-    op = {And: alg.meet, Or: alg.join, Times: alg.times,
-          Implies: alg.residuum}[type(f)]
-    return op(a, b)
 
 
 def finite_consequence(alg: Algebra, gamma: Iterable[Formula], phi: Formula, *,
@@ -465,15 +423,23 @@ def finite_consequence(alg: Algebra, gamma: Iterable[Formula], phi: Formula, *,
         if not is_propositional(f):
             raise ValueError(f"modal operator in propositional consequence: {render(f)}")
     names = sorted(variables(gamma + (phi,)))
-    size = alg.n if isinstance(alg, MVn) else alg.size
+    # MVn sweeps its index tables: index k stands for k/(n-1)
+    if isinstance(alg, MVn):
+        tables = mv_chain_tables(alg.n)
+    else:
+        tables = {"size": alg.size, "meet": alg.meet_table,
+                  "join": alg.join_table, "times": alg.times_table,
+                  "residuum": alg.residuum_table, "zero": alg.zero_index,
+                  "one": alg.one_index}
+    size = tables["size"]
     if size ** len(names) > guard:
         raise ResourceLimitError(
             f"{size}^{len(names)} valuations exceed the search guard {guard}")
     index = {p: i for i, p in enumerate(names)}
     memo: dict = {}
-    prem_fns = [_compile_finite(g, index, alg, memo) for g in gamma]
-    conc_fn = _compile_finite(phi, index, alg, memo)
-    one = (alg.n - 1) if isinstance(alg, MVn) else alg.one_index
+    prem_fns = [_compile_finite(g, index, tables, memo) for g in gamma]
+    conc_fn = _compile_finite(phi, index, tables, memo)
+    one = tables["one"]
     for assign in itertools.product(range(size), repeat=len(names)):
         if any(fn(assign) != one for fn in prem_fns):
             continue
@@ -483,15 +449,7 @@ def finite_consequence(alg: Algebra, gamma: Iterable[Formula], phi: Formula, *,
                              for p, i in index.items()}
             else:
                 valuation = {p: assign[i] for p, i in index.items()}
-            # re-check through the plain operation interface
-            for g in gamma:
-                if _eval_prop(g, alg, valuation) != alg.one:
-                    raise RuntimeError("countermodel failed premise re-check")
-            value = _eval_prop(phi, alg, valuation)
-            if value == alg.one:
-                raise RuntimeError("countermodel failed conclusion re-check")
-            return Verdict(False, Witness(formula=phi, value=value,
-                                          valuation=valuation))
+            return _rechecked(alg, gamma, phi, valuation)
     return Verdict(True)
 
 
@@ -620,10 +578,10 @@ def decide_on_frame(frame: KripkeFrame, gamma: Iterable[Formula], phi: Formula,
             _, p, w = entry
             valuation[w][p] = point.get(name, alg.zero)
     model = KripkeModel(frame, alg, valuation)
-    if not globally_satisfies(model, gamma).holds:
+    *premises, conclusion = evaluate_all(model, gamma + (phi,))
+    if any(v != alg.one for col in premises for v in col):
         raise RuntimeError("folded countermodel failed premise re-check")
-    for w in model.worlds:
-        value = evaluate(model, w, phi)
+    for w, value in zip(model.worlds, conclusion):
         if value != alg.one:
             return Verdict(False, Witness(world=w, formula=phi, value=value,
                                           model=model))

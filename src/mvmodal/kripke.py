@@ -3,6 +3,11 @@
 Models are finite by construction, so box/diamond meets and joins are always
 defined: an empty meet evaluates to 1 and an empty join to 0.  Models are
 treated as immutable after construction and all queries are pure.
+
+Every formula value in the package comes from one evaluator,
+:func:`evaluate_all`, keyed by the model's algebra: it walks the nodes of all
+its formulas once, iteratively, and computes each node at every world at
+once.  Propositional valuations are evaluated as one-world, edgeless models.
 """
 
 from __future__ import annotations
@@ -19,7 +24,7 @@ from .formulas import (And, Box, Const0, Const1, Diamond, Formula, Implies,
 
 __all__ = [
     "KripkeFrame", "KripkeModel", "Witness", "Verdict",
-    "evaluate", "globally_satisfies", "consequence_witness",
+    "evaluate", "evaluate_all", "globally_satisfies", "consequence_witness",
     "height", "heights", "unravel", "extract_chain", "generated_submodel",
     "is_transitive",
     "frame_to_json", "frame_from_json", "model_to_json", "model_from_json",
@@ -118,48 +123,79 @@ class Verdict:
             raise ValueError("failing verdicts need a witness")
 
 
-def evaluate(model: KripkeModel, world: str, f: Formula,
-             _memo: dict | None = None) -> Value:
-    """World-wise value of ``f``: connectives pointwise, box as the meet and
-    diamond as the join over the successor values (1 and 0 when empty)."""
+_OPERATION = {And: "meet", Or: "join", Times: "times", Implies: "residuum"}
+
+
+def _postorder(roots: list[Formula]) -> list[Formula]:
+    """Every node under ``roots`` once, children before parents.
+
+    Iterative, and nodes are told apart by ``id``: nothing is hashed, which
+    is safe because the roots keep every node alive for the whole call.
+    """
+    order: list[Formula] = []
+    seen: set[int] = set()
+    stack = [(f, False) for f in reversed(roots)]
+    while stack:
+        f, children_done = stack.pop()
+        if children_done:
+            order.append(f)
+            continue
+        if id(f) in seen:
+            continue
+        seen.add(id(f))
+        stack.append((f, True))
+        if isinstance(f, (And, Or, Times, Implies)):
+            stack.append((f.right, False))
+            stack.append((f.left, False))
+        elif isinstance(f, (Box, Diamond)):
+            stack.append((f.body, False))
+        elif not isinstance(f, (Const0, Const1, Var)):
+            raise TypeError(f"not a formula: {f!r}")
+    return order
+
+
+def evaluate_all(model: KripkeModel, formulas: Iterable[Formula]) -> list[list[Value]]:
+    """Values of each formula at every world, in ``model.worlds`` order.
+
+    Connectives apply the algebra's operations pointwise; box is the meet
+    and diamond the join over the successor values, starting from 1 and 0.
+    Each node is evaluated once, at all worlds together.
+    """
+    roots = list(formulas)
+    alg = model.algebra
+    worlds = model.worlds
+    pos = {w: i for i, w in enumerate(worlds)}
+    succ = [[pos[u] for u in model.frame.successors(w)] for w in worlds]
+    cols: dict[int, list[Value]] = {}
+    for f in _postorder(roots):
+        if isinstance(f, Var):
+            col = [model.value(w, f.name) for w in worlds]
+        elif isinstance(f, Const0):
+            col = [alg.zero] * len(worlds)
+        elif isinstance(f, Const1):
+            col = [alg.one] * len(worlds)
+        elif isinstance(f, (Box, Diamond)):
+            box = isinstance(f, Box)
+            op, out0 = (alg.meet, alg.one) if box else (alg.join, alg.zero)
+            body = cols[id(f.body)]
+            col = []
+            for js in succ:
+                out = out0
+                for j in js:
+                    out = op(out, body[j])
+                col.append(out)
+        else:
+            op = getattr(alg, _OPERATION[type(f)])
+            col = list(map(op, cols[id(f.left)], cols[id(f.right)]))
+        cols[id(f)] = col
+    return [cols[id(f)] for f in roots]
+
+
+def evaluate(model: KripkeModel, world: str, f: Formula) -> Value:
+    """Value of ``f`` at ``world``; see :func:`evaluate_all`."""
     if world not in model._val:
         raise KeyError(f"unknown world {world!r}")
-    memo = _memo if _memo is not None else {}
-    return _eval(model, world, f, memo)
-
-
-def _eval(model: KripkeModel, world: str, f: Formula, memo: dict) -> Value:
-    key = (world, f)
-    hit = memo.get(key)
-    if hit is not None:
-        return hit
-    alg = model.algebra
-    if isinstance(f, Const0):
-        out = alg.zero
-    elif isinstance(f, Const1):
-        out = alg.one
-    elif isinstance(f, Var):
-        out = model.value(world, f.name)
-    elif isinstance(f, And):
-        out = alg.meet(_eval(model, world, f.left, memo), _eval(model, world, f.right, memo))
-    elif isinstance(f, Or):
-        out = alg.join(_eval(model, world, f.left, memo), _eval(model, world, f.right, memo))
-    elif isinstance(f, Times):
-        out = alg.times(_eval(model, world, f.left, memo), _eval(model, world, f.right, memo))
-    elif isinstance(f, Implies):
-        out = alg.residuum(_eval(model, world, f.left, memo), _eval(model, world, f.right, memo))
-    elif isinstance(f, Box):
-        out = alg.one
-        for w in model.frame.successors(world):
-            out = alg.meet(out, _eval(model, w, f.body, memo))
-    elif isinstance(f, Diamond):
-        out = alg.zero
-        for w in model.frame.successors(world):
-            out = alg.join(out, _eval(model, w, f.body, memo))
-    else:
-        raise TypeError(f"not a formula: {f!r}")
-    memo[key] = out
-    return out
+    return evaluate_all(model, [f])[0][model.worlds.index(world)]
 
 
 def globally_satisfies(model: KripkeModel, gamma: Iterable[Formula]) -> Verdict:
@@ -168,13 +204,13 @@ def globally_satisfies(model: KripkeModel, gamma: Iterable[Formula]) -> Verdict:
     The witness is the first failure in (world id, formula order) scan order.
     """
     gamma = tuple(gamma)
-    memo: dict = {}
+    cols = evaluate_all(model, gamma)
     one = model.algebra.one
-    for w in model.worlds:
-        for g in gamma:
-            v = _eval(model, w, g, memo)
-            if v != one:
-                return Verdict(False, Witness(world=w, formula=g, value=v, model=model))
+    for i, w in enumerate(model.worlds):
+        for g, col in zip(gamma, cols):
+            if col[i] != one:
+                return Verdict(False, Witness(world=w, formula=g, value=col[i],
+                                              model=model))
     return Verdict(True)
 
 
@@ -184,13 +220,7 @@ def consequence_witness(model: KripkeModel, gamma: Iterable[Formula],
     ``phi`` must too; a failing verdict names a world where it does not."""
     if not globally_satisfies(model, gamma).holds:
         return Verdict(True)
-    memo: dict = {}
-    one = model.algebra.one
-    for w in model.worlds:
-        v = _eval(model, w, phi, memo)
-        if v != one:
-            return Verdict(False, Witness(world=w, formula=phi, value=v, model=model))
-    return Verdict(True)
+    return globally_satisfies(model, [phi])
 
 
 def heights(frame: KripkeFrame) -> dict[str, int | float]:

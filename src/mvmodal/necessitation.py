@@ -18,7 +18,7 @@ from .algebras import (Algebra, ExpChain, ExpValue, StdMV, Value,
                        algebra_to_json, value_to_json)
 from .formulas import (Box, Diamond, Formula, Implies, Times, Var, ZERO,
                        iff, neg)
-from .kripke import KripkeFrame, KripkeModel, evaluate
+from .kripke import KripkeFrame, KripkeModel, evaluate_all
 
 __all__ = ["separation_premises", "build_nec_model", "SeparationReport",
            "verify_separation", "build_premise_cycle_model"]
@@ -94,18 +94,16 @@ def verify_separation(n: int, alg: Algebra) -> SeparationReport:
     """Certify the chain model: every boxed copy of the premises up to depth n
     takes value 1 at the start world, while x -> x*y stays below 1 there."""
     model = build_nec_model(n, alg)
-    start = model.worlds[0]
-    premises = separation_premises()
-    memo: dict = {}
-    levels = []
-    for i in range(n + 1):
-        boxed = premises
-        for _ in range(i):
-            boxed = tuple(Box(f) for f in boxed)
-        ok = all(evaluate(model, start, f, _memo=memo) == alg.one for f in boxed)
-        levels.append((i, ok))
-    final = evaluate(model, start, Implies(X, Times(X, Y)), _memo=memo)
-    return SeparationReport(n, alg, tuple(levels), final, model)
+    boxed = [separation_premises()]
+    for _ in range(n):
+        boxed.append(tuple(Box(f) for f in boxed[-1]))
+    k = len(boxed[0])
+    *cols, final = evaluate_all(model, [f for level in boxed for f in level]
+                                + [Implies(X, Times(X, Y))])
+    # column entry 0 is the start world
+    levels = tuple((i, all(col[0] == alg.one for col in cols[i * k:(i + 1) * k]))
+                   for i in range(n + 1))
+    return SeparationReport(n, alg, levels, final[0], model)
 
 
 def build_premise_cycle_model(k: int, alpha: Value,

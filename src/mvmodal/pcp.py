@@ -22,7 +22,8 @@ from fractions import Fraction
 from .algebras import Algebra, ExpChain, ExpValue, StdMV, Value
 from .formulas import (And, Box, Diamond, Formula, Implies, Or, Times, Var,
                        ZERO, fpow, iff, neg)
-from .kripke import KripkeFrame, KripkeModel, evaluate, globally_satisfies
+from .kripke import (KripkeFrame, KripkeModel, evaluate, evaluate_all,
+                     globally_satisfies)
 
 __all__ = [
     "Numeral", "PCPInstance", "concat", "encode", "verify_solution",
@@ -256,10 +257,11 @@ def extract_solution(instance: PCPInstance, model: KripkeModel, top: str) -> lis
     disjuncts.reverse()
 
     indices: list[int] = []
-    memo: dict = {}
+    values = evaluate_all(model, disjuncts)
+    pos = {w: k for k, w in enumerate(model.worlds)}
     for w in reversed(order):  # successor-free end first
-        for i, d in enumerate(disjuncts, start=1):
-            if evaluate(model, w, d, _memo=memo) == alg.one:
+        for i, col in enumerate(values, start=1):
+            if col[pos[w]] == alg.one:
                 indices.append(i)
                 break
         else:

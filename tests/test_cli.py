@@ -171,6 +171,17 @@ def test_usage_errors(files, capsys):
                 "--conclusion", "p"]) == 3  # cardinality guard
     assert run(["coenum", "--instance", files["p0"], "--budget", "1",
                 "--jobs", "2"]) == 2  # the flag is gone
+    # --instance must be a list of objects with a string conclusion
+    bad = files["dir"] / "bad.json"
+    for blob in ([{"premises": ["p"]}], [{"conclusion": 1}], ["p"],
+                 [{"conclusion": "p", "premises": [1]}]):
+        bad.write_text(json.dumps(blob))
+        assert run(["coenum", "--instance", str(bad), "--budget", "1"]) == 2, blob
+    assert run(["coenum", "--instance", files["p0"], "--budget", "1"]) == 2
+    # JSON premise files hold formula strings only
+    bad.write_text("[1]")
+    assert run(["check", "--cardinality", "1", "--premises", f"@{bad}",
+                "--conclusion", "p"]) == 2
 
 
 def test_internal_errors_exit_four(files, capsys, tmp_path, monkeypatch):

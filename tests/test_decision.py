@@ -3,12 +3,16 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from mvmodal.algebras import ExpChain, MVn, ResourceLimitError, StdMV, StdProduct
+from mvmodal.algebras import (ExpChain, FiniteTable, MVn, ResourceLimitError,
+                              StdMV, StdProduct, mv_chain_tables)
 from mvmodal.decision import (coenumerate_nonconsequences, decide_cardinality,
                               decide_on_frame, finite_consequence,
                               luk_consequence, translate_on_frame)
-from mvmodal.formulas import Var, parse, render, variables
+from mvmodal.formulas import (ONE, ZERO, And, Implies, Or, Times, Var, parse,
+                              render, variables)
 from mvmodal.kripke import (KripkeFrame, KripkeModel, evaluate,
                             globally_satisfies)
 from helpers import MV3, luk_implies, luk_times, naive_eval
@@ -132,6 +136,28 @@ def test_finite_consequence_examples():
     with pytest.raises(ResourceLimitError):
         f = P(" /\\ ".join(f"v{i}" for i in range(20)))
         finite_consequence(MVn(5), [], f)
+
+
+_PROP = st.recursive(
+    st.sampled_from([Var("p"), Var("q"), Var("r"), ZERO, ONE]),
+    lambda sub: st.builds(lambda op, a, b: op(a, b),
+                          st.sampled_from([And, Or, Times, Implies]), sub, sub),
+    max_leaves=8)
+_CHAIN_PAIRS = {n: (MVn(n), FiniteTable(**mv_chain_tables(n))) for n in (3, 4)}
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.sampled_from(sorted(_CHAIN_PAIRS)), st.lists(_PROP, max_size=2), _PROP)
+def test_mvn_sweep_matches_table_sweep(n, gamma, phi):
+    chain, table = _CHAIN_PAIRS[n]
+    a = finite_consequence(chain, gamma, phi)
+    b = finite_consequence(table, gamma, phi)
+    assert a.holds == b.holds
+    if not a.holds:
+        # index k of the table stands for k/(n-1) in the chain
+        assert a.witness.valuation == {p: F(k, n - 1)
+                                       for p, k in b.witness.valuation.items()}
+        assert a.witness.value == F(b.witness.value, n - 1)
 
 
 def test_luk_agrees_with_mvn_chains():

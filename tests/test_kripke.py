@@ -5,7 +5,8 @@ from fractions import Fraction as F
 import pytest
 
 from mvmodal.algebras import ExpChain, ExpValue, MVn, StdMV
-from mvmodal.formulas import Box, Diamond, Var, box_prefix, parse
+from mvmodal.formulas import (ZERO, Box, Diamond, Implies, Var, box_prefix,
+                              parse)
 from mvmodal.kripke import (KripkeFrame, KripkeModel, consequence_witness,
                             evaluate, extract_chain, generated_submodel,
                             globally_satisfies, height, heights, is_transitive,
@@ -39,6 +40,23 @@ def test_evaluate_undeclared_variable():
         evaluate(m, "w", P("p -> zz"))
     with pytest.raises(KeyError):
         evaluate(m, "v", P("p"))
+
+
+def test_evaluate_deep_formulas():
+    # far past the recursion limit; built in code, as the parser recurses
+    m = KripkeModel(KripkeFrame(["a", "b"], [("a", "b"), ("b", "a")]), StdMV(),
+                    {"a": {"p": F(1)}, "b": {"p": F(1, 2)}})
+    boxes = Var("p")
+    for _ in range(20000):
+        boxes = Box(boxes)
+    assert evaluate(m, "a", boxes) == 1
+    assert evaluate(m, "b", boxes) == F(1, 2)
+    # p -> (p -> ... (p -> 0)): stays 0 where p = 1, reaches 1 where p < 1
+    chain = ZERO
+    for _ in range(20000):
+        chain = Implies(Var("p"), chain)
+    assert evaluate(m, "a", chain) == 0
+    assert evaluate(m, "b", chain) == 1
 
 
 def test_valuation_must_be_total():

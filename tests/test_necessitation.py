@@ -36,10 +36,11 @@ def test_build_nec_model_values():
 
 
 def test_verify_separation_sweep():
-    for n in range(6):
+    for n in [*range(6), 400]:  # 400 boxes deep: the evaluator must not recurse
         for alg in (StdMV(), ExpChain()):
             report = verify_separation(n, alg)
             assert report.passed, (n, alg.kind)
+            assert len(report.levels) == n + 1
             assert all(ok for _, ok in report.levels)
             assert report.final_value != alg.one
 
