@@ -525,6 +525,8 @@ def algebra_to_json(alg: Algebra) -> dict:
 
 
 def algebra_from_json(obj: dict) -> Algebra:
+    if not isinstance(obj, dict):
+        raise ValueError(f"an algebra must be a JSON object, got {obj!r}")
     kind = obj.get("kind")
     if kind == "std-mv":
         return StdMV()

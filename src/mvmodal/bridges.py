@@ -24,8 +24,8 @@ from fractions import Fraction
 
 from .algebras import ExpChain, ExpValue, StdMV, Value
 from .formulas import (And, Box, Const0, Const1, Diamond, Formula, Implies,
-                       Or, Times, Var, ZERO, box_prefix, iff, neg, render,
-                       variables)
+                       Or, Times, Var, ZERO, bottom_up, box_prefix, iff, neg,
+                       rebuild, render, variables)
 from .kripke import (KripkeModel, evaluate, evaluate_all, globally_satisfies,
                      heights)
 
@@ -145,48 +145,49 @@ def extend_model_pq(model: KripkeModel, world: str, p: str, q: str) -> KripkeMod
     return out
 
 
+def _fragment(f: Formula, *args: Formula) -> Formula:
+    if isinstance(f, Const1):
+        return Implies(ZERO, ZERO)
+    if isinstance(f, Diamond):
+        return neg(Box(neg(args[0])))
+    if isinstance(f, And):
+        left, right = args
+        return Times(left, Implies(left, right))
+    if isinstance(f, Or):
+        # both-sided maximum, then the And rule
+        left, right = args
+        a = Implies(Implies(left, right), right)
+        b = Implies(Implies(right, left), left)
+        return Times(a, Implies(a, b))
+    return rebuild(f, *args)
+
+
 def rewrite_to_fragment(f: Formula) -> Formula:
     """Eliminate /\\, \\/, <> and 1 using their MV definitions, leaving the
     fragment {0, var, *, ->, []}."""
-    if isinstance(f, (Const0, Var)):
-        return f
-    if isinstance(f, Const1):
-        return Implies(ZERO, ZERO)
-    if isinstance(f, Box):
-        return Box(rewrite_to_fragment(f.body))
-    if isinstance(f, Diamond):
-        return neg(Box(neg(rewrite_to_fragment(f.body))))
-    left = rewrite_to_fragment(f.left)
-    right = rewrite_to_fragment(f.right)
-    if isinstance(f, Times):
-        return Times(left, right)
-    if isinstance(f, Implies):
-        return Implies(left, right)
-    if isinstance(f, And):
-        return Times(left, Implies(left, right))
-    # Or: both-sided maximum, then the And rule
-    a = Implies(Implies(left, right), right)
-    b = Implies(Implies(right, left), left)
-    return Times(a, Implies(a, b))
+    return bottom_up([f], _fragment)[0]
+
+
+def _luk2prod(f: Formula, x: str, extended: bool) -> Formula:
+    def rule(g: Formula, *args: Formula) -> Formula:
+        if isinstance(g, Const0):
+            return Var(x)
+        if isinstance(g, Var):
+            if g.name == x:
+                raise ValueError(f"{x!r} must not occur in the formula")
+            return Or(g, Var(x))
+        if isinstance(g, Times) or extended and isinstance(g, Diamond):
+            return Or(Var(x), rebuild(g, *args))
+        if isinstance(g, (Implies, Box)) or extended:
+            return rebuild(g, *args)
+        raise ValueError(f"connective outside the fragment: {render(g)}")
+    return bottom_up([f], rule)[0]
 
 
 def luk2prod_formula(f: Formula, x: str) -> Formula:
     """Translate a fragment formula for evaluation over the product chain:
     0 becomes x, variables join x in, products re-join x, box passes through."""
-    if isinstance(f, Const0):
-        return Var(x)
-    if isinstance(f, Var):
-        if f.name == x:
-            raise ValueError(f"{x!r} must not occur in the formula")
-        return Or(f, Var(x))
-    if isinstance(f, Implies):
-        return Implies(luk2prod_formula(f.left, x), luk2prod_formula(f.right, x))
-    if isinstance(f, Times):
-        return Or(Var(x), Times(luk2prod_formula(f.left, x),
-                                luk2prod_formula(f.right, x)))
-    if isinstance(f, Box):
-        return Box(luk2prod_formula(f.body, x))
-    raise ValueError(f"connective outside the fragment: {render(f)}")
+    return _luk2prod(f, x, extended=False)
 
 
 def luk2prod_extended(f: Formula, x: str) -> Formula:
@@ -196,22 +197,7 @@ def luk2prod_extended(f: Formula, x: str) -> Formula:
     those clauses pass through; an empty diamond join falls to 0, so the
     diamond clause re-joins x exactly like the product clause does.
     """
-    if isinstance(f, Const1):
-        return f
-    if isinstance(f, And):
-        return And(luk2prod_extended(f.left, x), luk2prod_extended(f.right, x))
-    if isinstance(f, Or):
-        return Or(luk2prod_extended(f.left, x), luk2prod_extended(f.right, x))
-    if isinstance(f, Diamond):
-        return Or(Var(x), Diamond(luk2prod_extended(f.body, x)))
-    if isinstance(f, Times):
-        return Or(Var(x), Times(luk2prod_extended(f.left, x),
-                                luk2prod_extended(f.right, x)))
-    if isinstance(f, Implies):
-        return Implies(luk2prod_extended(f.left, x), luk2prod_extended(f.right, x))
-    if isinstance(f, Box):
-        return Box(luk2prod_extended(f.body, x))
-    return luk2prod_formula(f, x)
+    return _luk2prod(f, x, extended=True)
 
 
 def product_side_premises(x: str) -> tuple[Formula, Formula, Formula]:

@@ -3,9 +3,10 @@
 Two propositional backends are provided: an exact case-splitting decision for
 the standard MV algebra (the connectives are piecewise linear, so each
 connective occurrence contributes two linear regimes and every branch is an
-exact rational LP), and a brute-force sweep for finite algebras over their
-index tables (an MVn chain sweeps the tables of ``mv_chain_tables``, index k
-standing for k/(n-1)).  On top of them sits the frame translation that turns
+exact rational LP), and a brute-force sweep for finite algebras: one
+straight-line program over slot indices and the algebra's index tables (an
+MVn chain sweeps the tables of ``mv_chain_tables``, index k standing for
+k/(n-1)).  On top of them sits the frame translation that turns
 global consequence over a fixed finite frame into a propositional consequence
 question, the cardinality-bound decision that conjoins it over all labeled
 frames of a given size, and the co-enumerator of non-consequences.
@@ -18,6 +19,7 @@ one is evaluated as a one-world, edgeless model.
 from __future__ import annotations
 
 import itertools
+from functools import reduce
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -26,8 +28,8 @@ from . import lp
 from .algebras import (Algebra, FiniteTable, MVn, ResourceLimitError, StdMV,
                        Value, mv_chain_tables)
 from .formulas import (And, Box, Const0, Const1, Diamond, Formula, Implies,
-                       Or, Times, Var, iff, is_propositional, render,
-                       subformulas, variables)
+                       Or, Times, Var, bottom_up, iff, is_propositional,
+                       postorder, render)
 from .kripke import (_OPERATION, KripkeFrame, KripkeModel, Verdict, Witness,
                      evaluate_all)
 
@@ -130,7 +132,7 @@ class _LukSystem:
         self.phi = phi
         self.drop_regime = drop_regime
         self.propagate = drop_regime is None
-        self.nodes = self._postorder()
+        self.nodes = _propositional_nodes(self.gamma + (phi,))
         self.pinned: set[Formula] = set()
         self.affine: dict[Formula, _Affine] = {}
         self.forced_rows: list[lp.Constraint] = []
@@ -138,27 +140,6 @@ class _LukSystem:
         self._fresh = 0
         self._node_var: dict[Formula, str] = {}
         self._build()
-
-    def _postorder(self) -> list[Formula]:
-        order: list[Formula] = []
-        seen: set[Formula] = set()
-
-        def walk(f: Formula):
-            if f in seen:
-                return
-            seen.add(f)
-            if isinstance(f, (And, Or, Times, Implies)):
-                walk(f.left)
-                walk(f.right)
-            elif isinstance(f, (Box, Diamond)):
-                raise ValueError(
-                    f"modal operator in propositional consequence: {render(f)}")
-            order.append(f)
-
-        for g in self.gamma:
-            walk(g)
-        walk(self.phi)
-        return order
 
     def _var_for(self, f: Formula) -> str:
         name = self._node_var.get(f)
@@ -225,58 +206,28 @@ class _LukSystem:
                 aff[f] = self._binary(f, a, b)
 
     def _binary(self, f: Formula, a: _Affine, b: _Affine) -> _Affine:
+        """Value form of a connective: each is ``low`` while its switch
+        expression is <= 0 and ``high`` while it is >= 0."""
         if isinstance(f, Times):
-            s = a.add(b).shift(-1)
-            lo, hi = s.bounds01() if self.propagate else (None, None)
-            if self.propagate and hi <= 0:
-                return _ZERO_AFF
-            if self.propagate and lo >= 0:
-                return s
-            t = _Affine.of_var(self._var_for(f))
-            self._add_split(f, [
-                [_row(s, "<="), _row(t, "==")],
-                [_row(s, ">="), _row(t.sub(s), "==")],
-            ])
-            return t
-        if isinstance(f, Implies):
-            d = a.sub(b)
-            lo, hi = d.bounds01() if self.propagate else (None, None)
-            if self.propagate and hi <= 0:
-                return _ONE_AFF
-            if self.propagate and lo >= 0:
-                return _ONE_AFF.sub(a).add(b)
-            t = _Affine.of_var(self._var_for(f))
-            linear = _ONE_AFF.sub(a).add(b)
-            self._add_split(f, [
-                [_row(d, "<="), _row(t.sub(_ONE_AFF), "==")],
-                [_row(d, ">="), _row(t.sub(linear), "==")],
-            ])
-            return t
-        if isinstance(f, And):
-            d = a.sub(b)
-            lo, hi = d.bounds01() if self.propagate else (None, None)
-            if self.propagate and hi <= 0:
-                return a
-            if self.propagate and lo >= 0:
-                return b
-            t = _Affine.of_var(self._var_for(f))
-            self._add_split(f, [
-                [_row(d, "<="), _row(t.sub(a), "==")],
-                [_row(d, ">="), _row(t.sub(b), "==")],
-            ])
-            return t
-        # Or
-        d = a.sub(b)
-        lo, hi = d.bounds01() if self.propagate else (None, None)
-        if self.propagate and hi <= 0:
-            return b
-        if self.propagate and lo >= 0:
-            return a
+            switch = a.add(b).shift(-1)
+            low, high = _ZERO_AFF, switch
+        elif isinstance(f, Implies):
+            switch = a.sub(b)
+            low, high = _ONE_AFF, _ONE_AFF.sub(a).add(b)
+        else:
+            switch = a.sub(b)
+            low, high = (a, b) if isinstance(f, And) else (b, a)
+        if self.propagate:
+            lo, hi = switch.bounds01()
+            if hi <= 0:
+                return low
+            if lo >= 0:
+                return high
         t = _Affine.of_var(self._var_for(f))
-        self._add_split(f, [
-            [_row(d, ">="), _row(t.sub(a), "==")],
-            [_row(d, "<="), _row(t.sub(b), "==")],
-        ])
+        regimes = [[_row(switch, "<="), _row(t.sub(low), "==")],
+                   [_row(switch, ">="), _row(t.sub(high), "==")]]
+        # a join lists its >= regime first, which fixes the search order
+        self._add_split(f, regimes[::-1] if isinstance(f, Or) else regimes)
         return t
 
     def _add_split(self, f: Formula, regimes: list[list[lp.Constraint]]) -> None:
@@ -372,8 +323,8 @@ def luk_consequence(gamma: Iterable[Formula], phi: Formula, *,
     point = search(0, system.base_rows)
     if point is None:
         return Verdict(True)
-    valuation = {name: system.affine[Var(name)].value_at(point)
-                 for name in sorted(variables(gamma + (phi,)))}
+    names = sorted(f.name for f in system.nodes if isinstance(f, Var))
+    valuation = {name: system.affine[Var(name)].value_at(point) for name in names}
     return _rechecked(StdMV(), gamma, phi, valuation)
 
 
@@ -390,39 +341,29 @@ def _rechecked(alg: Algebra, gamma: tuple[Formula, ...], phi: Formula,
     return Verdict(False, Witness(formula=phi, value=value, valuation=valuation))
 
 
-def _compile_finite(f: Formula, index: dict[str, int], tables: dict, memo: dict):
-    """Closure from an assignment of element indices to the index of ``f``."""
-    fn = memo.get(f)
-    if fn is not None:
-        return fn
-    if isinstance(f, Const0):
-        z = tables["zero"]
-        fn = lambda a: z
-    elif isinstance(f, Const1):
-        o = tables["one"]
-        fn = lambda a: o
-    elif isinstance(f, Var):
-        i = index[f.name]
-        fn = lambda a: a[i]
-    else:
-        lf = _compile_finite(f.left, index, tables, memo)
-        rf = _compile_finite(f.right, index, tables, memo)
-        table = tables[_OPERATION[type(f)]]
-        fn = lambda a: table[lf(a)][rf(a)]
-    memo[f] = fn
-    return fn
+def _propositional_nodes(formulas: tuple[Formula, ...]) -> list[Formula]:
+    """The post-order of ``formulas``, which must have no modal operator."""
+    nodes = postorder(formulas)
+    if any(isinstance(f, (Box, Diamond)) for f in nodes):
+        bad = next(f for f in formulas if not is_propositional(f))
+        raise ValueError(f"modal operator in propositional consequence: {render(bad)}")
+    return nodes
 
 
 def finite_consequence(alg: Algebra, gamma: Iterable[Formula], phi: Formula, *,
                        guard: int = FINITE_SEARCH_GUARD) -> Verdict:
-    """Brute-force propositional consequence over a finite algebra."""
+    """Brute-force propositional consequence over a finite algebra.
+
+    The formulas become one straight-line program: slot k holds the k-th
+    node (the variables first), and each connective is one table lookup on
+    two earlier slots.  Per valuation, the premises run in order up to the
+    first that fails, and the conclusion runs only if none does.
+    """
     if not isinstance(alg, (MVn, FiniteTable)):
         raise ValueError("finite_consequence needs a finite algebra")
     gamma = tuple(gamma)
-    for f in gamma + (phi,):
-        if not is_propositional(f):
-            raise ValueError(f"modal operator in propositional consequence: {render(f)}")
-    names = sorted(variables(gamma + (phi,)))
+    nodes = _propositional_nodes(gamma + (phi,))
+    names = sorted(f.name for f in nodes if isinstance(f, Var))
     # MVn sweeps its index tables: index k stands for k/(n-1)
     if isinstance(alg, MVn):
         tables = mv_chain_tables(alg.n)
@@ -435,21 +376,44 @@ def finite_consequence(alg: Algebra, gamma: Iterable[Formula], phi: Formula, *,
     if size ** len(names) > guard:
         raise ResourceLimitError(
             f"{size}^{len(names)} valuations exceed the search guard {guard}")
-    index = {p: i for i, p in enumerate(names)}
-    memo: dict = {}
-    prem_fns = [_compile_finite(g, index, tables, memo) for g in gamma]
-    conc_fn = _compile_finite(phi, index, tables, memo)
-    one = tables["one"]
-    for assign in itertools.product(range(size), repeat=len(names)):
-        if any(fn(assign) != one for fn in prem_fns):
-            continue
-        if conc_fn(assign) != one:
-            if isinstance(alg, MVn):
-                valuation = {p: Fraction(assign[i], alg.n - 1)
-                             for p, i in index.items()}
+    nv = len(names)
+    slot = {id(Var(p)): k for k, p in enumerate(names)}
+    vals = [0] * nv
+    code: list[tuple] = []  # (slot, table, left slot, right slot) per connective
+    for f in nodes:
+        if id(f) not in slot:
+            slot[id(f)] = len(vals)
+            if isinstance(f, (Const0, Const1)):
+                vals.append(tables["zero" if isinstance(f, Const0) else "one"])
             else:
-                valuation = {p: assign[i] for p, i in index.items()}
-            return _rechecked(alg, gamma, phi, valuation)
+                vals.append(0)
+                code.append((slot[id(f)], tables[_OPERATION[type(f)]],
+                             slot[id(f.left)], slot[id(f.right)]))
+    # a root's new code ends with the root itself, and later roots' comes later
+    steps: list[tuple[list[tuple], int]] = []  # per root: its new code, its slot
+    k = 0
+    for f in gamma + (phi,):
+        start = k
+        while k < len(code) and code[k][0] <= slot[id(f)]:
+            k += 1
+        steps.append((code[start:k], slot[id(f)]))
+    *premises, (conc_code, conc) = steps
+    one = tables["one"]
+    for assign in itertools.product(range(size), repeat=nv):
+        vals[:nv] = assign
+        for step, root in premises:
+            for out, table, a, b in step:
+                vals[out] = table[vals[a]][vals[b]]
+            if vals[root] != one:
+                break
+        else:
+            for out, table, a, b in conc_code:
+                vals[out] = table[vals[a]][vals[b]]
+            if vals[conc] != one:
+                valuation = dict(zip(names, assign))
+                if isinstance(alg, MVn):
+                    valuation = {p: Fraction(k, alg.n - 1) for p, k in valuation.items()}
+                return _rechecked(alg, gamma, phi, valuation)
     return Verdict(True)
 
 
@@ -475,20 +439,12 @@ class FrameTranslation:
         return tuple(out)
 
 
-def _fold(cls, items: Sequence[Formula], empty: Formula) -> Formula:
-    if not items:
-        return empty
-    out = items[0]
-    for f in items[1:]:
-        out = cls(out, f)
-    return out
-
-
 def translate_on_frame(frame: KripkeFrame, gamma: Iterable[Formula],
                        phi: Formula) -> FrameTranslation:
     """Star translation of ``gamma |- phi`` over the given finite frame."""
     gamma = tuple(gamma)
-    source_vars = sorted(variables(gamma + (phi,)))
+    nodes = postorder(gamma + (phi,))
+    source_vars = sorted(f.name for f in nodes if isinstance(f, Var))
     taken = set(source_vars)
 
     def fresh(base: str) -> str:
@@ -497,56 +453,41 @@ def translate_on_frame(frame: KripkeFrame, gamma: Iterable[Formula],
         taken.add(base)
         return base
 
-    widx = {w: i for i, w in enumerate(frame.worlds)}
-    modal = sorted((f for f in subformulas(And(_fold(And, gamma, Const1()), phi))
-                    if isinstance(f, (Box, Diamond))), key=render)
+    worlds = frame.worlds
+    widx = {w: i for i, w in enumerate(worlds)}
+    modal = sorted((f for f in nodes if isinstance(f, (Box, Diamond))), key=render)
     legend: dict[str, tuple] = {}
-    var_name: dict[tuple[str, str], str] = {}
-    mod_name: dict[tuple[Formula, str], str] = {}
+    var_names: dict[str, list[str]] = {}
     for p in source_vars:
-        for w in frame.worlds:
-            name = fresh(f"{p}__w{widx[w]}")
-            var_name[(p, w)] = name
-            legend[name] = ("var", p, w)
+        var_names[p] = [fresh(f"{p}__w{i}") for i in range(len(worlds))]
+        legend.update((name, ("var", p, w)) for name, w in zip(var_names[p], worlds))
+    mod_names: dict[Formula, list[str]] = {}
     for k, mf in enumerate(modal):
         tag = "box" if isinstance(mf, Box) else "dia"
-        for w in frame.worlds:
-            name = fresh(f"x{tag}{k}__w{widx[w]}")
-            mod_name[(mf, w)] = name
-            legend[name] = (tag, mf.body, w)
+        mod_names[mf] = [fresh(f"x{tag}{k}__w{i}") for i in range(len(worlds))]
+        legend.update((name, (tag, mf.body, w)) for name, w in zip(mod_names[mf], worlds))
 
-    star_memo: dict[tuple[Formula, str], Formula] = {}
+    def per_world(f: Formula, *images: tuple[Formula, ...]) -> tuple[Formula, ...]:
+        """The translation of ``f`` at every world."""
+        if isinstance(f, Var):
+            return tuple(map(Var, var_names[f.name]))
+        if isinstance(f, (Box, Diamond)):
+            return tuple(map(Var, mod_names[f]))
+        return tuple(map(type(f), *images)) if images else (f,) * len(worlds)
 
-    def star(f: Formula, w: str) -> Formula:
-        key = (f, w)
-        out = star_memo.get(key)
-        if out is not None:
-            return out
-        if isinstance(f, (Const0, Const1)):
-            out = f
-        elif isinstance(f, Var):
-            out = Var(var_name[(f.name, w)])
-        elif isinstance(f, (Box, Diamond)):
-            out = Var(mod_name[(f, w)])
-        else:
-            out = type(f)(star(f.left, w), star(f.right, w))
-        star_memo[key] = out
-        return out
-
+    images = bottom_up(gamma + (phi,) + tuple(mf.body for mf in modal), per_world)
     deltas: dict[str, tuple[Formula, ...]] = {}
-    for w in frame.worlds:
+    for i, w in enumerate(worlds):
         rows = []
-        for mf in modal:
-            succ = [star(mf.body, u) for u in frame.successors(w)]
-            if isinstance(mf, Box):
-                rhs = _fold(And, succ, Const1())
-            else:
-                rhs = _fold(Or, succ, Const0())
-            rows.append(iff(Var(mod_name[(mf, w)]), rhs))
+        for mf, body in zip(modal, images[len(gamma) + 1:]):
+            succ = [body[widx[u]] for u in frame.successors(w)]
+            box = isinstance(mf, Box)
+            rhs = reduce(And if box else Or, succ) if succ else Const1() if box else Const0()
+            rows.append(iff(Var(mod_names[mf][i]), rhs))
         deltas[w] = tuple(rows)
 
-    premises = tuple(star(g, w) for g in gamma for w in frame.worlds)
-    conclusion = _fold(And, [star(phi, w) for w in frame.worlds], Const1())
+    premises = tuple(g for image in images[:len(gamma)] for g in image)
+    conclusion = reduce(And, images[len(gamma)])
     return FrameTranslation(frame=frame, premises=premises, deltas=deltas,
                             conclusion=conclusion, legend=legend)
 

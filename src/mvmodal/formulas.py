@@ -9,20 +9,25 @@ eliminated while parsing:
     f <-> g   becomes  (f -> g) * (g -> f)
     f^n       becomes  the n-fold product f * (f * ... )
 
-Formulas are immutable and hashable; equality is structural.
+Formulas are immutable, hash-consed nodes: building a formula equal to a
+live one returns that very object, so identity and structural equality
+coincide and ``==`` is ``is``.  Each node caches its hash, the hash of its
+field tuple.  Nothing here recurses: every pass over the nodes of a formula
+runs on :func:`postorder`, and every bottom-up map on :func:`bottom_up`.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from typing import Iterable, Mapping
+import weakref
+from typing import Callable, Iterable, Mapping
 
 __all__ = [
     "Formula", "Const0", "Const1", "Var", "And", "Or", "Times", "Implies",
     "Box", "Diamond", "ZERO", "ONE", "ParseError",
     "neg", "iff", "fpow", "variables", "subformulas", "prop_subformulas",
     "substitute", "box_prefix", "render", "parse", "is_propositional",
+    "postorder", "bottom_up", "rebuild",
 ]
 
 _IDENT_RE = re.compile(r"[a-zA-Z][a-zA-Z0-9_]*")
@@ -36,69 +41,209 @@ class ParseError(ValueError):
         self.position = position
 
 
-@dataclass(frozen=True)
+_set = object.__setattr__  # bypasses the immutability of Formula.__setattr__
+
+
 class Formula:
-    pass
+    """A hash-consed formula node; see the module docstring.
+
+    Each class keeps weak references to its live nodes in ``_live``, under a
+    key made from the fields: a variable's name, or the ids of the children
+    (a node keeps its children alive, so their ids are not reused while its
+    entry exists).  A node drops its entry when it is finalized.
+    """
+
+    __slots__ = ("_hash", "__weakref__")
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._live = {}
+
+    @classmethod
+    def _intern(cls, key, fields: tuple) -> "Formula":
+        ref = cls._live.get(key)
+        node = None if ref is None else ref()
+        if node is None:
+            cls._check(*fields)
+            node = object.__new__(cls)
+            _set(node, "_hash", hash(fields))
+            for name, value in zip(cls._fields, fields):
+                _set(node, name, value)
+            cls._live[key] = weakref.ref(node)
+        return node
+
+    def __del__(self):
+        key = self._key()
+        ref = self._live.get(key)
+        # a node freed by the cycle collector may find its entry taken over
+        if ref is not None and ref() in (None, self):
+            del self._live[key]
+
+    def _key(self):
+        return 0
+
+    @staticmethod
+    def _check(*children) -> None:
+        for child in children:
+            if not isinstance(child, Formula):
+                raise TypeError(f"not a formula: {child!r}")
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __setattr__(self, *args):
+        raise AttributeError("formulas are immutable")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, name) for name in self._fields)
+
+    def __repr__(self) -> str:
+        return _spell(self, _repr_parts)
 
 
-@dataclass(frozen=True)
-class Const0(Formula):
-    pass
+class _Const(Formula):
+    __slots__ = ()
+
+    def __new__(cls):
+        return cls._intern(0, ())
 
 
-@dataclass(frozen=True)
-class Const1(Formula):
-    pass
+class Const0(_Const):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
+class Const1(_Const):
+    __slots__ = ()
+
+
 class Var(Formula):
-    name: str
+    __slots__ = _fields = ("name",)
 
-    def __post_init__(self):
-        if not _IDENT_RE.fullmatch(self.name):
-            raise ValueError(f"invalid variable name: {self.name!r}")
+    def __new__(cls, name: str):
+        return cls._intern(name, (name,))
 
+    def _key(self):
+        return self.name
 
-@dataclass(frozen=True)
-class And(Formula):
-    left: Formula
-    right: Formula
-
-
-@dataclass(frozen=True)
-class Or(Formula):
-    left: Formula
-    right: Formula
+    @staticmethod
+    def _check(name) -> None:
+        if not _IDENT_RE.fullmatch(name):
+            raise ValueError(f"invalid variable name: {name!r}")
 
 
-@dataclass(frozen=True)
-class Times(Formula):
-    left: Formula
-    right: Formula
+class _Binary(Formula):
+    """The most numerous nodes: ``_intern`` and ``__del__`` written out."""
+
+    __slots__ = _fields = ("left", "right")
+
+    def __new__(cls, left: Formula, right: Formula):
+        key = id(left) << 64 | id(right)
+        ref = cls._live.get(key)
+        if ref is not None:
+            node = ref()
+            if node is not None:
+                return node
+        if not (isinstance(left, Formula) and isinstance(right, Formula)):
+            cls._check(left, right)
+        node = object.__new__(cls)
+        _set(node, "_hash", hash((left, right)))
+        _set(node, "left", left)
+        _set(node, "right", right)
+        cls._live[key] = weakref.ref(node)
+        return node
+
+    def __del__(self):
+        key = id(self.left) << 64 | id(self.right)
+        live = self._live
+        ref = live.get(key)
+        if ref is not None and ref() in (None, self):
+            del live[key]
 
 
-@dataclass(frozen=True)
-class Implies(Formula):
-    left: Formula
-    right: Formula
+class _Unary(Formula):
+    __slots__ = _fields = ("body",)
+
+    def __new__(cls, body: Formula):
+        return cls._intern(id(body), (body,))
+
+    def _key(self):
+        return id(self.body)
 
 
-@dataclass(frozen=True)
-class Box(Formula):
-    body: Formula
+class And(_Binary):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Diamond(Formula):
-    body: Formula
+class Or(_Binary):
+    __slots__ = ()
+
+
+class Times(_Binary):
+    __slots__ = ()
+
+
+class Implies(_Binary):
+    __slots__ = ()
+
+
+class Box(_Unary):
+    __slots__ = ()
+
+
+class Diamond(_Unary):
+    __slots__ = ()
 
 
 ZERO = Const0()
 ONE = Const1()
 
-_BINARY = (And, Or, Times, Implies)
-_MODAL = (Box, Diamond)
+_EMIT = object()  # stack marker: the node below it has all children listed
+
+
+def postorder(roots: Iterable[Formula]) -> list[Formula]:
+    """Every node under ``roots`` once, children before parents, left to
+    right.  Iterative; nodes are told apart by ``id``, which is identity of
+    structure for hash-consed nodes."""
+    order: list[Formula] = []
+    seen: set[int] = set()
+    stack = list(roots)[::-1]
+    while stack:
+        f = stack.pop()
+        if f is _EMIT:
+            order.append(stack.pop())
+        elif id(f) not in seen:
+            seen.add(id(f))
+            if isinstance(f, _Binary):
+                stack += (f, _EMIT, f.right, f.left)
+            elif isinstance(f, _Unary):
+                stack += (f, _EMIT, f.body)
+            else:
+                Formula._check(f)
+                order.append(f)
+    return order
+
+
+def bottom_up(roots: Iterable[Formula], rule: Callable) -> list:
+    """Images of ``roots`` under ``rule(f, *images of f's children)``, which
+    is applied once per node, children first."""
+    roots = list(roots)
+    images: dict[int, object] = {}
+    for f in postorder(roots):
+        if isinstance(f, _Binary):
+            images[id(f)] = rule(f, images[id(f.left)], images[id(f.right)])
+        elif isinstance(f, _Unary):
+            images[id(f)] = rule(f, images[id(f.body)])
+        else:
+            images[id(f)] = rule(f)
+    return [images[id(f)] for f in roots]
+
+
+def rebuild(f: Formula, *children: Formula) -> Formula:
+    """``f`` with its children replaced; a leaf is returned as it is."""
+    return type(f)(*children) if children else f
 
 
 def neg(f: Formula) -> Formula:
@@ -122,228 +267,160 @@ def fpow(f: Formula, n: int) -> Formula:
 
 
 def variables(f: Formula | Iterable[Formula]) -> frozenset[str]:
-    if isinstance(f, Formula):
-        f = (f,)
-    out: set[str] = set()
-    stack = list(f)
-    while stack:
-        g = stack.pop()
-        if isinstance(g, Var):
-            out.add(g.name)
-        elif isinstance(g, _BINARY):
-            stack.append(g.left)
-            stack.append(g.right)
-        elif isinstance(g, _MODAL):
-            stack.append(g.body)
-    return frozenset(out)
+    return frozenset(g.name for g in postorder([f] if isinstance(f, Formula) else f)
+                     if isinstance(g, Var))
 
 
 def subformulas(f: Formula) -> frozenset[Formula]:
     """All subformulas of ``f``, including ``f`` itself."""
-    out: set[Formula] = set()
-    stack = [f]
-    while stack:
-        g = stack.pop()
-        if g in out:
-            continue
-        out.add(g)
-        if isinstance(g, _BINARY):
-            stack.append(g.left)
-            stack.append(g.right)
-        elif isinstance(g, _MODAL):
-            stack.append(g.body)
-    return frozenset(out)
+    return frozenset(postorder([f]))
 
 
 def prop_subformulas(f: Formula) -> frozenset[Formula]:
     """Propositional subformulas: modal subformulas count as atoms."""
-    out: set[Formula] = set()
-    stack = [f]
-    while stack:
-        g = stack.pop()
-        if g in out:
-            continue
-        out.add(g)
-        if isinstance(g, _BINARY):
-            stack.append(g.left)
-            stack.append(g.right)
+    out = {f}
+    for g in reversed(postorder([f])):  # every parent before its children
+        if g in out and isinstance(g, _Binary):
+            out.update((g.left, g.right))
     return frozenset(out)
 
 
 def substitute(f: Formula, mapping: Mapping[str, Formula]) -> Formula:
-    if isinstance(f, Var):
-        return mapping.get(f.name, f)
-    if isinstance(f, _BINARY):
-        return type(f)(substitute(f.left, mapping), substitute(f.right, mapping))
-    if isinstance(f, _MODAL):
-        return type(f)(substitute(f.body, mapping))
-    return f
+    def rule(g: Formula, *children: Formula) -> Formula:
+        return mapping.get(g.name, g) if isinstance(g, Var) else rebuild(g, *children)
+    return bottom_up([f], rule)[0]
 
 
 def box_prefix(gamma: Iterable[Formula], k: int) -> tuple[Formula, ...]:
     """All prefixes ``[]^i g`` for ``g`` in ``gamma`` and ``0 <= i <= k``."""
     if k < 0:
         raise ValueError("negative box-prefix depth")
-    gamma = tuple(gamma)
-    out: list[Formula] = []
-    seen: set[Formula] = set()
-    layer = gamma
-    for _ in range(k + 1):
-        for g in layer:
-            if g not in seen:
-                seen.add(g)
-                out.append(g)
-        layer = tuple(Box(g) for g in layer)
-    return tuple(out)
+    layers = [tuple(gamma)]
+    for _ in range(k):
+        layers.append(tuple(map(Box, layers[-1])))
+    return tuple(dict.fromkeys(g for layer in layers for g in layer))
 
 
 def is_propositional(f: Formula) -> bool:
-    return not any(isinstance(g, _MODAL) for g in subformulas(f))
+    return not any(isinstance(g, _Unary) for g in postorder([f]))
+
+
+def _spell(f: Formula, parts: Callable) -> str:
+    """Join the text of ``f``, where ``parts(g)`` lists the strings and child
+    nodes that spell ``g``; one token list, so linear in the output."""
+    out: list[str] = []
+    stack: list = [f]
+    while stack:
+        g = stack.pop()
+        if isinstance(g, str):
+            out.append(g)
+        else:
+            stack.extend(reversed(parts(g)))
+    return "".join(out)
+
+
+_SYMBOL = {And: "/\\", Or: "\\/", Times: "*", Implies: "->", Box: "[]",
+           Diamond: "<>"}
+
+
+def _render_parts(f: Formula) -> list:
+    if isinstance(f, Var):
+        return [f.name]
+    if isinstance(f, _Binary):
+        return ["(", f.left, f" {_SYMBOL[type(f)]} ", f.right, ")"]
+    if isinstance(f, _Unary):
+        return [f"({_SYMBOL[type(f)]} ", f.body, ")"]
+    return ["0" if isinstance(f, Const0) else "1"]
+
+
+def _repr_parts(f: Formula) -> list:
+    out = [f"{type(f).__name__}("]
+    for k, name in enumerate(f._fields):
+        value = getattr(f, name)
+        out += [f"{', ' if k else ''}{name}=", repr(value) if isinstance(value, str) else value]
+    return out + [")"]
 
 
 def render(f: Formula) -> str:
-    """Fully parenthesized concrete syntax; ``parse(render(f)) == f``."""
-    if isinstance(f, Const0):
-        return "0"
-    if isinstance(f, Const1):
-        return "1"
-    if isinstance(f, Var):
-        return f.name
-    if isinstance(f, Box):
-        return f"([] {render(f.body)})"
-    if isinstance(f, Diamond):
-        return f"(<> {render(f.body)})"
-    op = {And: "/\\", Or: "\\/", Times: "*", Implies: "->"}[type(f)]
-    return f"({render(f.left)} {op} {render(f.right)})"
+    """Fully parenthesized concrete syntax; ``parse(render(f)) is f``."""
+    return _spell(f, _render_parts)
 
 
+# one match per token, after optional whitespace; a character that starts no
+# token is caught by the last group
 _TOKEN_RE = re.compile(
-    r"(<->)|(->)|(/\\)|(\\/)|(\[\])|(<>)|([*^~()])|([0-9]+)|([a-zA-Z][a-zA-Z0-9_]*)"
-)
+    r"\s*(?:(<->|->|/\\|\\/|\[\]|<>|[*^~()])|([0-9]+)|([a-zA-Z][a-zA-Z0-9_]*)|(\S))")
 
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
     tokens = []
-    pos = 0
-    while pos < len(text):
-        if text[pos].isspace():
-            pos += 1
-            continue
-        m = _TOKEN_RE.match(text, pos)
-        if not m:
-            raise ParseError(f"unexpected character {text[pos]!r}", pos)
-        tok = m.group(0)
-        if m.group(8):
-            kind = "num"
-        elif m.group(9):
-            kind = "ident"
-        else:
-            kind = tok
-        tokens.append((kind, tok, pos))
-        pos = m.end()
+    for m in _TOKEN_RE.finditer(text):
+        op, num, ident, bad = m.groups()
+        pos = m.start(m.lastindex)
+        if bad:
+            raise ParseError(f"unexpected character {bad!r}", pos)
+        tokens.append((op or ("num" if num else "ident"), op or num or ident, pos))
     tokens.append(("eof", "", len(text)))
     return tokens
 
 
-class _Parser:
-    def __init__(self, text: str):
-        self.tokens = _tokenize(text)
-        self.i = 0
-
-    def peek(self) -> str:
-        return self.tokens[self.i][0]
-
-    def next(self) -> tuple[str, str, int]:
-        tok = self.tokens[self.i]
-        self.i += 1
-        return tok
-
-    def expect(self, kind: str) -> tuple[str, str, int]:
-        if self.peek() != kind:
-            _, text, pos = self.tokens[self.i]
-            raise ParseError(f"expected {kind!r}, found {text!r}", pos)
-        return self.next()
-
-    def formula(self) -> Formula:
-        left = self.implication()
-        while self.peek() == "<->":
-            self.next()
-            left = iff(left, self.implication())
-        return left
-
-    def implication(self) -> Formula:
-        left = self.disjunction()
-        if self.peek() == "->":
-            self.next()
-            return Implies(left, self.implication())
-        return left
-
-    def disjunction(self) -> Formula:
-        left = self.conjunction()
-        while self.peek() == "\\/":
-            self.next()
-            left = Or(left, self.conjunction())
-        return left
-
-    def conjunction(self) -> Formula:
-        left = self.product()
-        while self.peek() == "/\\":
-            self.next()
-            left = And(left, self.product())
-        return left
-
-    def product(self) -> Formula:
-        left = self.postfix()
-        while self.peek() == "*":
-            self.next()
-            left = Times(left, self.postfix())
-        return left
-
-    def postfix(self) -> Formula:
-        f = self.unary()
-        while self.peek() == "^":
-            self.next()
-            _, text, pos = self.expect("num")
-            n = int(text)
-            if n == 0:
-                raise ParseError("power exponent must be positive", pos)
-            f = fpow(f, n)
-        return f
-
-    def unary(self) -> Formula:
-        kind = self.peek()
-        if kind == "~":
-            self.next()
-            return neg(self.unary())
-        if kind == "[]":
-            self.next()
-            return Box(self.unary())
-        if kind == "<>":
-            self.next()
-            return Diamond(self.unary())
-        return self.atom()
-
-    def atom(self) -> Formula:
-        kind, text, pos = self.next()
-        if kind == "(":
-            f = self.formula()
-            self.expect(")")
-            return f
-        if kind == "num":
-            if text == "0":
-                return ZERO
-            if text == "1":
-                return ONE
-            raise ParseError(f"unexpected number {text!r}", pos)
-        if kind == "ident":
-            return Var(text)
-        raise ParseError(f"unexpected token {text or kind!r}", pos)
+# binding strength of the binary connectives; "->" nests to the right
+_INFIX = {"<->": (1, iff), "->": (2, Implies), "\\/": (3, Or), "/\\": (4, And),
+          "*": (5, Times)}
+_PREFIX = {"~": neg, "[]": Box, "<>": Diamond}
 
 
 def parse(text: str) -> Formula:
-    parser = _Parser(text)
-    f = parser.formula()
-    if parser.peek() != "eof":
-        _, text_, pos = parser.tokens[parser.i]
-        raise ParseError(f"trailing input {text_!r}", pos)
-    return f
+    """Parse the concrete syntax.  From loosest to tightest: ``<->`` (left
+    associative), ``->`` (right associative), ``\\/``, ``/\\`` and ``*``
+    (left associative), the prefixes ``~ [] <>``, then postfix powers
+    ``^n``.  Operator precedence on explicit stacks: neither long operator
+    runs nor deep parentheses recurse."""
+    tokens = _tokenize(text)
+    i = 0
+    operands: list[Formula] = []  # left operands of the pending infixes
+    ops: list[str] = []           # pending infixes, prefixes and "("
+    while True:
+        kind, tok, pos = tokens[i]
+        i += 1
+        if kind in _PREFIX or kind == "(":
+            ops.append(kind)
+            continue
+        if kind == "ident":
+            f = Var(tok)
+        elif kind == "num" and tok in ("0", "1"):
+            f = ZERO if tok == "0" else ONE
+        elif kind == "num":
+            raise ParseError(f"unexpected number {tok!r}", pos)
+        else:
+            raise ParseError(f"unexpected token {tok or kind!r}", pos)
+        while True:  # f is a complete operand: close what it ends
+            while ops and ops[-1] in _PREFIX:
+                f = _PREFIX[ops.pop()](f)
+            while tokens[i][0] == "^":
+                kind, tok, pos = tokens[i + 1]
+                if kind != "num":
+                    raise ParseError(f"expected 'num', found {tok!r}", pos)
+                if int(tok) == 0:
+                    raise ParseError("power exponent must be positive", pos)
+                f = fpow(f, int(tok))
+                i += 2
+            kind, tok, pos = tokens[i]
+            rank = _INFIX[kind][0] if kind in _INFIX else 0
+            while ops and ops[-1] in _INFIX and (
+                    _INFIX[ops[-1]][0] > rank or _INFIX[ops[-1]][0] == rank and kind != "->"):
+                f = _INFIX[ops.pop()][1](operands.pop(), f)
+            if kind != ")" or not ops:
+                break
+            ops.pop()  # the matching "("
+            i += 1
+        if kind in _INFIX:
+            operands.append(f)
+            ops.append(kind)
+            i += 1
+        elif ops:
+            raise ParseError(f"expected ')', found {tok!r}", pos)
+        elif kind != "eof":
+            raise ParseError(f"trailing input {tok!r}", pos)
+        else:
+            return f

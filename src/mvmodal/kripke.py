@@ -5,8 +5,10 @@ defined: an empty meet evaluates to 1 and an empty join to 0.  Models are
 treated as immutable after construction and all queries are pure.
 
 Every formula value in the package comes from one evaluator,
-:func:`evaluate_all`, keyed by the model's algebra: it walks the nodes of all
-its formulas once, iteratively, and computes each node at every world at
+:func:`evaluate_all`, keyed by the model's algebra: one iterative
+:func:`~mvmodal.formulas.bottom_up` pass over the nodes of all its formulas
+computes each node once, at every world at once.  Formulas are hash-consed,
+so a subformula shared by several formulas is one node and is computed
 once.  Propositional valuations are evaluated as one-world, edgeless models.
 """
 
@@ -19,8 +21,8 @@ from typing import Iterable, Mapping
 
 from .algebras import (Algebra, Value, algebra_from_json, algebra_to_json,
                        value_from_json, value_to_json)
-from .formulas import (And, Box, Const0, Const1, Diamond, Formula, Implies,
-                       Or, Times, Var)
+from .formulas import (And, Box, Const0, Const1, Formula, Implies, Or, Times,
+                       Var, bottom_up)
 
 __all__ = [
     "KripkeFrame", "KripkeModel", "Witness", "Verdict",
@@ -126,69 +128,38 @@ class Verdict:
 _OPERATION = {And: "meet", Or: "join", Times: "times", Implies: "residuum"}
 
 
-def _postorder(roots: list[Formula]) -> list[Formula]:
-    """Every node under ``roots`` once, children before parents.
-
-    Iterative, and nodes are told apart by ``id``: nothing is hashed, which
-    is safe because the roots keep every node alive for the whole call.
-    """
-    order: list[Formula] = []
-    seen: set[int] = set()
-    stack = [(f, False) for f in reversed(roots)]
-    while stack:
-        f, children_done = stack.pop()
-        if children_done:
-            order.append(f)
-            continue
-        if id(f) in seen:
-            continue
-        seen.add(id(f))
-        stack.append((f, True))
-        if isinstance(f, (And, Or, Times, Implies)):
-            stack.append((f.right, False))
-            stack.append((f.left, False))
-        elif isinstance(f, (Box, Diamond)):
-            stack.append((f.body, False))
-        elif not isinstance(f, (Const0, Const1, Var)):
-            raise TypeError(f"not a formula: {f!r}")
-    return order
-
-
 def evaluate_all(model: KripkeModel, formulas: Iterable[Formula]) -> list[list[Value]]:
     """Values of each formula at every world, in ``model.worlds`` order.
 
     Connectives apply the algebra's operations pointwise; box is the meet
     and diamond the join over the successor values, starting from 1 and 0.
-    Each node is evaluated once, at all worlds together.
+    Each node is evaluated once, at all worlds together; nodes are told
+    apart by identity, which for hash-consed formulas is structure.
     """
-    roots = list(formulas)
     alg = model.algebra
     worlds = model.worlds
     pos = {w: i for i, w in enumerate(worlds)}
     succ = [[pos[u] for u in model.frame.successors(w)] for w in worlds]
-    cols: dict[int, list[Value]] = {}
-    for f in _postorder(roots):
+
+    def column(f: Formula, *cols: list[Value]) -> list[Value]:
         if isinstance(f, Var):
-            col = [model.value(w, f.name) for w in worlds]
-        elif isinstance(f, Const0):
-            col = [alg.zero] * len(worlds)
-        elif isinstance(f, Const1):
-            col = [alg.one] * len(worlds)
-        elif isinstance(f, (Box, Diamond)):
-            box = isinstance(f, Box)
-            op, out0 = (alg.meet, alg.one) if box else (alg.join, alg.zero)
-            body = cols[id(f.body)]
-            col = []
-            for js in succ:
-                out = out0
-                for j in js:
-                    out = op(out, body[j])
-                col.append(out)
-        else:
-            op = getattr(alg, _OPERATION[type(f)])
-            col = list(map(op, cols[id(f.left)], cols[id(f.right)]))
-        cols[id(f)] = col
-    return [cols[id(f)] for f in roots]
+            return [model.value(w, f.name) for w in worlds]
+        if isinstance(f, Const0):
+            return [alg.zero] * len(worlds)
+        if isinstance(f, Const1):
+            return [alg.one] * len(worlds)
+        if type(f) in _OPERATION:
+            return list(map(getattr(alg, _OPERATION[type(f)]), *cols))
+        op, out0 = (alg.meet, alg.one) if isinstance(f, Box) else (alg.join, alg.zero)
+        out = []
+        for js in succ:
+            value = out0
+            for j in js:
+                value = op(value, cols[0][j])
+            out.append(value)
+        return out
+
+    return bottom_up(formulas, column)
 
 
 def evaluate(model: KripkeModel, world: str, f: Formula) -> Value:
@@ -226,26 +197,31 @@ def consequence_witness(model: KripkeModel, gamma: Iterable[Formula],
 def heights(frame: KripkeFrame) -> dict[str, int | float]:
     """Height of every world: sup of outgoing path lengths, ``inf`` when a
     cycle is reachable."""
-    out: dict[str, int | float] = {}
-    color: dict[str, int] = {}  # 1 = on stack, 2 = done
-
-    def visit(w: str) -> int | float:
-        if color.get(w) == 2:
-            return out[w]
-        if color.get(w) == 1:
-            # back edge: w is an ancestor on the stack, so it lies on a cycle
-            return math.inf
-        color[w] = 1
-        h: int | float = 0
-        for v in frame.successors(w):
-            hv = visit(v)
-            h = max(h, hv + 1)
-        color[w] = 2
-        out[w] = h
-        return h
-
-    for w in frame.worlds:
-        visit(w)
+    out: dict[str, int | float] = {}  # final, or a lower bound while on the path
+    for root in frame.worlds:
+        if root in out:
+            continue
+        out[root] = 0
+        on_path = {root}
+        stack = [(root, iter(frame.successors(root)))]
+        while stack:
+            w, todo = stack[-1]
+            for v in todo:
+                if v in on_path:  # back edge: w lies on a cycle
+                    out[w] = math.inf
+                elif v in out:
+                    out[w] = max(out[w], out[v] + 1)
+                else:
+                    out[v] = 0
+                    on_path.add(v)
+                    stack.append((v, iter(frame.successors(v))))
+                    break
+            else:
+                stack.pop()
+                on_path.discard(w)
+                if stack:
+                    u = stack[-1][0]
+                    out[u] = max(out[u], out[w] + 1)
     return out
 
 
@@ -340,8 +316,16 @@ def frame_to_json(frame: KripkeFrame) -> dict:
             "edges": [list(e) for e in sorted(frame.edges)]}
 
 
+def _shaped(obj, kind: type, what: str):
+    if not isinstance(obj, kind):
+        raise ValueError(f"{what} must be a JSON {'object' if kind is dict else 'list'}")
+    return obj
+
+
 def frame_from_json(obj: dict) -> KripkeFrame:
-    return KripkeFrame(obj["worlds"], [tuple(e) for e in obj["edges"]])
+    obj = _shaped(obj, dict, "a frame or model")
+    edges = [tuple(_shaped(e, list, "an edge")) for e in _shaped(obj["edges"], list, "edges")]
+    return KripkeFrame(_shaped(obj["worlds"], list, "worlds"), edges)
 
 
 def model_to_json(model: KripkeModel) -> dict:
@@ -356,10 +340,12 @@ def model_to_json(model: KripkeModel) -> dict:
 
 
 def model_from_json(obj: dict) -> KripkeModel:
+    obj = _shaped(obj, dict, "a frame or model")
     algebra = algebra_from_json(obj["algebra"])
-    frame = KripkeFrame(obj["worlds"], [tuple(e) for e in obj["edges"]])
+    frame = frame_from_json(obj)
+    rows = _shaped(obj.get("valuation", {}), dict, "a valuation")
     valuation = {w: {p: value_from_json(algebra, raw)
-                     for p, raw in obj.get("valuation", {}).get(w, {}).items()}
+                     for p, raw in _shaped(rows.get(w, {}), dict, "a valuation row").items()}
                  for w in frame.worlds}
     return KripkeModel(frame, algebra, valuation)
 

@@ -305,6 +305,12 @@ def instance_to_json(instance: PCPInstance) -> dict:
 
 
 def instance_from_json(obj: dict) -> PCPInstance:
+    if not (isinstance(obj, dict) and isinstance(obj.get("pairs"), list) and all(
+            isinstance(pair, list) and len(pair) == 2
+            and all(isinstance(side, list) and len(side) == 2 for side in pair)
+            for pair in obj["pairs"])):
+        raise ValueError("an instance must be a JSON object whose 'pairs' list "
+                         "holds [[value, length], [value, length]] pairs")
     pairs = tuple(
         (Numeral(int(x[0]), int(x[1])), Numeral(int(y[0]), int(y[1])))
         for x, y in obj["pairs"])

@@ -182,6 +182,18 @@ def test_usage_errors(files, capsys):
     bad.write_text("[1]")
     assert run(["check", "--cardinality", "1", "--premises", f"@{bad}",
                 "--conclusion", "p"]) == 2
+    # frame, model and instance files of the wrong shape are input errors
+    bad.write_text("[1, 2]")
+    assert run(["check", "--frame", str(bad), "--conclusion", "p"]) == 2
+    assert run(["eval", "--model", str(bad), "--conclusion", "p"]) == 2
+    assert run(["pcp-encode", "--instance", str(bad)]) == 2
+    model = {"algebra": {"kind": "std-mv"}, "worlds": ["a"], "edges": [],
+             "valuation": {"a": {"p": "1"}}}
+    bad.write_text(json.dumps(model))
+    assert run(["eval", "--model", str(bad), "--conclusion", "p"]) == 0
+    for change in ({"valuation": {"a": 5}}, {"edges": [1]}, {"algebra": "std-mv"}):
+        bad.write_text(json.dumps({**model, **change}))
+        assert run(["eval", "--model", str(bad), "--conclusion", "p"]) == 2, change
 
 
 def test_internal_errors_exit_four(files, capsys, tmp_path, monkeypatch):
@@ -190,9 +202,12 @@ def test_internal_errors_exit_four(files, capsys, tmp_path, monkeypatch):
     assert code == 0
     mfile = tmp_path / "m.json"
     mfile.write_text(out)
-    # a formula deeper than the recursion limit is an internal failure, not
-    # a failed verdict
+    # parsing and evaluation do not recurse, so a 1200-deep formula evaluates
     code = run(["eval", "--model", str(mfile), "--conclusion", "[]" * 1200 + "x"])
+    assert code == 0 and json.loads(capsys.readouterr().out)["values"]
+    # the first-order translation still recurses: a formula deeper than the
+    # recursion limit is an internal failure there, not a failed verdict
+    code = run(["mod2fo", "--conclusion", "[]" * 1200 + "x"])
     captured = capsys.readouterr()
     assert code == 4
     assert captured.out == ""

@@ -11,8 +11,8 @@ from mvmodal.algebras import (ExpChain, FiniteTable, MVn, ResourceLimitError,
 from mvmodal.decision import (coenumerate_nonconsequences, decide_cardinality,
                               decide_on_frame, finite_consequence,
                               luk_consequence, translate_on_frame)
-from mvmodal.formulas import (ONE, ZERO, And, Implies, Or, Times, Var, parse,
-                              render, variables)
+from mvmodal.formulas import (ONE, ZERO, And, Box, Implies, Or, Times, Var,
+                              iff, parse, render, variables)
 from mvmodal.kripke import (KripkeFrame, KripkeModel, evaluate,
                             globally_satisfies)
 from helpers import MV3, luk_implies, luk_times, naive_eval
@@ -210,6 +210,39 @@ def test_translate_fresh_names_avoid_collisions():
     assert len(names) == len(set(names))
     srcs = {entry[1] for entry in tr.legend.values() if entry[0] == "var"}
     assert srcs == {"p__w0", "p"}
+
+
+def test_deep_implication_chains():
+    # p -> (p -> ... (p -> end)), 10^4 deep: with p pinned to 1 by the premise
+    # every link folds away, so the verdict turns on the end alone
+    p, q = Var("p"), Var("q")
+
+    def chain(end):
+        for _ in range(10 ** 4):
+            end = Implies(p, end)
+        return end
+
+    for decide in (lambda g, f: finite_consequence(MVn(3), g, f), luk_consequence):
+        assert decide([p], chain(p)).holds
+        verdict = decide([p], chain(q))
+        assert not verdict.holds
+        assert verdict.witness.valuation == {"p": 1, "q": 0}
+
+
+def test_translate_deep_box_chain():
+    fr = KripkeFrame(["w1", "w2"], [("w1", "w2")])
+    p = Var("p")
+    f = p
+    for _ in range(2000):
+        f = Box(f)
+    tr = translate_on_frame(fr, [f], p)
+    # modal subformulas sort by rendering, deepest first
+    assert tr.premises == (Var("xbox0__w0"), Var("xbox0__w1"))
+    assert tr.conclusion == And(Var("p__w0"), Var("p__w1"))
+    assert tr.deltas["w1"] == tuple(
+        iff(Var(f"xbox{k}__w0"), Var(f"xbox{k + 1}__w1")) for k in range(1999)
+    ) + (iff(Var("xbox1999__w0"), Var("p__w1")),)
+    assert tr.deltas["w2"] == tuple(iff(Var(f"xbox{k}__w1"), ONE) for k in range(2000))
 
 
 def test_decide_on_frame_examples():

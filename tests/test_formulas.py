@@ -1,11 +1,15 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from mvmodal.bridges import luk2prod_formula, rewrite_to_fragment
 from mvmodal.formulas import (And, Box, Const0, Const1, Diamond, Implies, ONE,
                               Or, ParseError, Times, Var, ZERO, box_prefix,
-                              fpow, iff, neg, parse, prop_subformulas, render,
-                              subformulas, substitute, variables)
+                              fpow, iff, is_propositional, neg, parse,
+                              prop_subformulas, render, subformulas,
+                              substitute, variables)
 from helpers import random_formula
 
 p, q, r = Var("p"), Var("q"), Var("r")
@@ -122,3 +126,78 @@ def test_variable_name_validation():
     with pytest.raises(ValueError):
         Var("")
     assert variables(parse("p -> ([] q12_x)")) == {"p", "q12_x"}
+
+
+_FIELDS = {Var: ("name",), Box: ("body",), Diamond: ("body",)}
+_SPEC = st.recursive(
+    st.sampled_from(["p", "q", "r", "0", "1"]),
+    lambda sub: st.one_of(
+        st.tuples(st.sampled_from([Box, Diamond]), sub),
+        st.tuples(st.sampled_from([And, Or, Times, Implies]), sub, sub)),
+    max_leaves=12)
+
+
+def _build(spec):
+    if spec == "0":
+        return Const0()
+    if spec == "1":
+        return Const1()
+    if isinstance(spec, str):
+        return Var(spec)
+    return spec[0](*map(_build, spec[1:]))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_SPEC)
+def test_formulas_are_hash_consed(spec):
+    f = _build(spec)
+    assert _build(spec) is f
+    assert parse(render(f)) is f
+    for g in subformulas(f):
+        fields = tuple(getattr(g, name)
+                       for name in _FIELDS.get(type(g), ("left", "right")
+                                               if isinstance(g, (And, Or, Times, Implies))
+                                               else ()))
+        # the hash of the field tuple, as a frozen dataclass had it: sets and
+        # dicts of formulas keep their iteration order, and witnesses with it
+        assert hash(g) == hash(fields)
+        assert type(g)(*fields) is g
+
+
+def test_formulas_are_immutable():
+    with pytest.raises(AttributeError):
+        p.name = "q"
+    with pytest.raises(TypeError):
+        Box("p")
+
+
+N_DEEP = 10 ** 5
+
+
+def test_deep_chains_through_formula_passes():
+    x = Var("x")
+    boxes, lifted, boxes_q = p, Or(p, x), q
+    for _ in range(N_DEEP):
+        boxes, lifted, boxes_q = Box(boxes), Box(lifted), Box(boxes_q)
+    text = render(boxes)
+    assert text == "([] " * N_DEEP + "p" + ")" * N_DEEP
+    assert parse(text) is boxes and parse("[]" * N_DEEP + "p") is boxes
+    assert substitute(boxes, {"p": q}) is boxes_q
+    assert variables(boxes) == {"p"}
+    assert len(subformulas(boxes)) == N_DEEP + 1
+    assert not is_propositional(boxes)
+    assert luk2prod_formula(rewrite_to_fragment(boxes), "x") is lifted
+
+    names = [Var(f"q{i % 7}") for i in range(N_DEEP)]
+    chain, chain_r, lifted = p, r, Or(p, x)
+    for v in reversed(names):
+        chain, chain_r = Implies(v, chain), Implies(v, chain_r)
+        lifted = Implies(Or(v, x), lifted)
+    text = render(chain)
+    assert parse(text) is chain and len(text) == 8 * N_DEEP + 1
+    assert parse(" -> ".join(g.name for g in names) + " -> p") is chain
+    assert substitute(chain, {"p": r}) is chain_r
+    assert variables(chain) == {"p"} | {f"q{i}" for i in range(7)}
+    assert len(subformulas(chain)) == N_DEEP + 8
+    assert is_propositional(chain)
+    assert luk2prod_formula(rewrite_to_fragment(chain), "x") is lifted

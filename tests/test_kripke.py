@@ -3,6 +3,8 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mvmodal.algebras import ExpChain, ExpValue, MVn, StdMV
 from mvmodal.formulas import (ZERO, Box, Diamond, Implies, Var, box_prefix,
@@ -100,6 +102,51 @@ def test_height():
     assert hs["a"] == hs["b"] == hs["c"] == math.inf
     with pytest.raises(KeyError):
         height(fr, "zz")
+
+
+def test_heights_long_chain():
+    n = 10 ** 4
+    worlds = [f"w{i:05d}" for i in range(n)]
+    chain = list(zip(worlds, worlds[1:]))
+    hs = heights(KripkeFrame(worlds, chain))
+    assert all(hs[w] == n - 1 - i for i, w in enumerate(worlds))
+    # a loop at the far end makes every world infinite
+    looped = KripkeFrame(worlds, chain + [(worlds[-1], worlds[-1])])
+    assert set(heights(looped).values()) == {math.inf}
+
+
+_FRAMES = st.integers(1, 6).flatmap(lambda n: st.tuples(
+    st.just(n), st.sets(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)))))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_FRAMES)
+def test_heights_match_definition(spec):
+    n, edges = spec
+    succ = {i: sorted(b for a, b in edges if a == i) for i in range(n)}
+
+    def reach(i):  # worlds reachable in one or more steps
+        seen, todo = set(), list(succ[i])
+        while todo:
+            j = todo.pop()
+            if j not in seen:
+                seen.add(j)
+                todo.extend(succ[j])
+        return seen
+
+    def longest(i):  # longest outgoing path, over every path (no cycle reachable)
+        best, todo = 0, [(i, 0)]
+        while todo:
+            j, length = todo.pop()
+            best = max(best, length)
+            todo.extend((k, length + 1) for k in succ[j])
+        return best
+
+    hs = heights(KripkeFrame([f"w{i}" for i in range(n)],
+                             [(f"w{a}", f"w{b}") for a, b in edges]))
+    for i in range(n):
+        on_cycle = any(j in reach(j) for j in reach(i) | {i})
+        assert hs[f"w{i}"] == (math.inf if on_cycle else longest(i))
 
 
 def test_unravel_reflexive_singleton():
