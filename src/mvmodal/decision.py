@@ -19,7 +19,6 @@ one is evaluated as a one-world, edgeless model.
 from __future__ import annotations
 
 import itertools
-from functools import reduce
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -206,28 +205,58 @@ class _LukSystem:
                 aff[f] = self._binary(f, a, b)
 
     def _binary(self, f: Formula, a: _Affine, b: _Affine) -> _Affine:
-        """Value form of a connective: each is ``low`` while its switch
-        expression is <= 0 and ``high`` while it is >= 0."""
         if isinstance(f, Times):
-            switch = a.add(b).shift(-1)
-            low, high = _ZERO_AFF, switch
-        elif isinstance(f, Implies):
-            switch = a.sub(b)
-            low, high = _ONE_AFF, _ONE_AFF.sub(a).add(b)
-        else:
-            switch = a.sub(b)
-            low, high = (a, b) if isinstance(f, And) else (b, a)
-        if self.propagate:
-            lo, hi = switch.bounds01()
-            if hi <= 0:
-                return low
-            if lo >= 0:
-                return high
+            s = a.add(b).shift(-1)
+            lo, hi = s.bounds01() if self.propagate else (None, None)
+            if self.propagate and hi <= 0:
+                return _ZERO_AFF
+            if self.propagate and lo >= 0:
+                return s
+            t = _Affine.of_var(self._var_for(f))
+            self._add_split(f, [
+                [_row(s, "<="), _row(t, "==")],
+                [_row(s, ">="), _row(t.sub(s), "==")],
+            ])
+            return t
+        if isinstance(f, Implies):
+            d = a.sub(b)
+            lo, hi = d.bounds01() if self.propagate else (None, None)
+            if self.propagate and hi <= 0:
+                return _ONE_AFF
+            if self.propagate and lo >= 0:
+                return _ONE_AFF.sub(a).add(b)
+            t = _Affine.of_var(self._var_for(f))
+            linear = _ONE_AFF.sub(a).add(b)
+            self._add_split(f, [
+                [_row(d, "<="), _row(t.sub(_ONE_AFF), "==")],
+                [_row(d, ">="), _row(t.sub(linear), "==")],
+            ])
+            return t
+        if isinstance(f, And):
+            d = a.sub(b)
+            lo, hi = d.bounds01() if self.propagate else (None, None)
+            if self.propagate and hi <= 0:
+                return a
+            if self.propagate and lo >= 0:
+                return b
+            t = _Affine.of_var(self._var_for(f))
+            self._add_split(f, [
+                [_row(d, "<="), _row(t.sub(a), "==")],
+                [_row(d, ">="), _row(t.sub(b), "==")],
+            ])
+            return t
+        # Or
+        d = a.sub(b)
+        lo, hi = d.bounds01() if self.propagate else (None, None)
+        if self.propagate and hi <= 0:
+            return b
+        if self.propagate and lo >= 0:
+            return a
         t = _Affine.of_var(self._var_for(f))
-        regimes = [[_row(switch, "<="), _row(t.sub(low), "==")],
-                   [_row(switch, ">="), _row(t.sub(high), "==")]]
-        # a join lists its >= regime first, which fixes the search order
-        self._add_split(f, regimes[::-1] if isinstance(f, Or) else regimes)
+        self._add_split(f, [
+            [_row(d, ">="), _row(t.sub(a), "==")],
+            [_row(d, "<="), _row(t.sub(b), "==")],
+        ])
         return t
 
     def _add_split(self, f: Formula, regimes: list[list[lp.Constraint]]) -> None:
@@ -362,7 +391,8 @@ def finite_consequence(alg: Algebra, gamma: Iterable[Formula], phi: Formula, *,
     if not isinstance(alg, (MVn, FiniteTable)):
         raise ValueError("finite_consequence needs a finite algebra")
     gamma = tuple(gamma)
-    nodes = _propositional_nodes(gamma + (phi,))
+    roots = gamma + (phi,)
+    nodes = _propositional_nodes(roots)
     names = sorted(f.name for f in nodes if isinstance(f, Var))
     # MVn sweeps its index tables: index k stands for k/(n-1)
     if isinstance(alg, MVn):
@@ -376,10 +406,10 @@ def finite_consequence(alg: Algebra, gamma: Iterable[Formula], phi: Formula, *,
     if size ** len(names) > guard:
         raise ResourceLimitError(
             f"{size}^{len(names)} valuations exceed the search guard {guard}")
-    nv = len(names)
     slot = {id(Var(p)): k for k, p in enumerate(names)}
-    vals = [0] * nv
+    vals = [0] * len(names)
     code: list[tuple] = []  # (slot, table, left slot, right slot) per connective
+    steps: list[tuple[list[tuple], int]] = []  # per root: the code it adds, its slot
     for f in nodes:
         if id(f) not in slot:
             slot[id(f)] = len(vals)
@@ -389,31 +419,24 @@ def finite_consequence(alg: Algebra, gamma: Iterable[Formula], phi: Formula, *,
                 vals.append(0)
                 code.append((slot[id(f)], tables[_OPERATION[type(f)]],
                              slot[id(f.left)], slot[id(f.right)]))
-    # a root's new code ends with the root itself, and later roots' comes later
-    steps: list[tuple[list[tuple], int]] = []  # per root: its new code, its slot
-    k = 0
-    for f in gamma + (phi,):
-        start = k
-        while k < len(code) and code[k][0] <= slot[id(f)]:
-            k += 1
-        steps.append((code[start:k], slot[id(f)]))
-    *premises, (conc_code, conc) = steps
+        # roots close in order, each as soon as it has a slot
+        while len(steps) < len(roots) and id(roots[len(steps)]) in slot:
+            steps.append((code, slot[id(roots[len(steps)])]))
+            code = []
     one = tables["one"]
-    for assign in itertools.product(range(size), repeat=nv):
-        vals[:nv] = assign
-        for step, root in premises:
+    conc_code = steps[-1][0]
+    for assign in itertools.product(range(size), repeat=len(names)):
+        vals[:len(names)] = assign
+        for step, root in steps:
             for out, table, a, b in step:
                 vals[out] = table[vals[a]][vals[b]]
             if vals[root] != one:
                 break
-        else:
-            for out, table, a, b in conc_code:
-                vals[out] = table[vals[a]][vals[b]]
-            if vals[conc] != one:
-                valuation = dict(zip(names, assign))
-                if isinstance(alg, MVn):
-                    valuation = {p: Fraction(k, alg.n - 1) for p, k in valuation.items()}
-                return _rechecked(alg, gamma, phi, valuation)
+        if step is conc_code and vals[root] != one:  # every premise holds
+            valuation = dict(zip(names, assign))
+            if isinstance(alg, MVn):
+                valuation = {p: Fraction(k, alg.n - 1) for p, k in valuation.items()}
+            return _rechecked(alg, gamma, phi, valuation)
     return Verdict(True)
 
 
@@ -437,6 +460,15 @@ class FrameTranslation:
         for w in self.frame.worlds:
             out.extend(self.deltas[w])
         return tuple(out)
+
+
+def _fold(cls, items: Sequence[Formula], empty: Formula) -> Formula:
+    if not items:
+        return empty
+    out = items[0]
+    for f in items[1:]:
+        out = cls(out, f)
+    return out
 
 
 def translate_on_frame(frame: KripkeFrame, gamma: Iterable[Formula],
@@ -481,13 +513,15 @@ def translate_on_frame(frame: KripkeFrame, gamma: Iterable[Formula],
         rows = []
         for mf, body in zip(modal, images[len(gamma) + 1:]):
             succ = [body[widx[u]] for u in frame.successors(w)]
-            box = isinstance(mf, Box)
-            rhs = reduce(And if box else Or, succ) if succ else Const1() if box else Const0()
+            if isinstance(mf, Box):
+                rhs = _fold(And, succ, Const1())
+            else:
+                rhs = _fold(Or, succ, Const0())
             rows.append(iff(Var(mod_names[mf][i]), rhs))
         deltas[w] = tuple(rows)
 
     premises = tuple(g for image in images[:len(gamma)] for g in image)
-    conclusion = reduce(And, images[len(gamma)])
+    conclusion = _fold(And, images[len(gamma)], Const1())
     return FrameTranslation(frame=frame, premises=premises, deltas=deltas,
                             conclusion=conclusion, legend=legend)
 

@@ -41,16 +41,18 @@ class ParseError(ValueError):
         self.position = position
 
 
-_set = object.__setattr__  # bypasses the immutability of Formula.__setattr__
+class _Ref(weakref.ref):
+    __slots__ = ("key",)
 
 
 class Formula:
     """A hash-consed formula node; see the module docstring.
 
-    Each class keeps weak references to its live nodes in ``_live``, under a
-    key made from the fields: a variable's name, or the ids of the children
-    (a node keeps its children alive, so their ids are not reused while its
-    entry exists).  A node drops its entry when it is finalized.
+    Each class holds weak references to its live nodes in ``_live``, under
+    a key made from the fields: a variable's name, or the ids of the
+    children (a node keeps its children alive, so their ids are not reused
+    while it lives).  When a node dies, its reference's callback drops the
+    entry, unless a newer node already holds the key.
     """
 
     __slots__ = ("_hash", "__weakref__")
@@ -58,7 +60,15 @@ class Formula:
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
-        cls._live = {}
+        live = cls._live = {}
+
+        def drop(ref: _Ref) -> None:
+            if live.get(ref.key) is ref:
+                del live[ref.key]
+        cls._drop = drop
+
+    def __new__(cls):  # the constants; the nodes with fields override this
+        return cls._intern(0, ())
 
     @classmethod
     def _intern(cls, key, fields: tuple) -> "Formula":
@@ -67,21 +77,12 @@ class Formula:
         if node is None:
             cls._check(*fields)
             node = object.__new__(cls)
-            _set(node, "_hash", hash(fields))
+            object.__setattr__(node, "_hash", hash(fields))
             for name, value in zip(cls._fields, fields):
-                _set(node, name, value)
-            cls._live[key] = weakref.ref(node)
+                object.__setattr__(node, name, value)
+            ref = cls._live[key] = _Ref(node, cls._drop)
+            ref.key = key
         return node
-
-    def __del__(self):
-        key = self._key()
-        ref = self._live.get(key)
-        # a node freed by the cycle collector may find its entry taken over
-        if ref is not None and ref() in (None, self):
-            del self._live[key]
-
-    def _key(self):
-        return 0
 
     @staticmethod
     def _check(*children) -> None:
@@ -104,18 +105,11 @@ class Formula:
         return _spell(self, _repr_parts)
 
 
-class _Const(Formula):
-    __slots__ = ()
-
-    def __new__(cls):
-        return cls._intern(0, ())
-
-
-class Const0(_Const):
+class Const0(Formula):
     __slots__ = ()
 
 
-class Const1(_Const):
+class Const1(Formula):
     __slots__ = ()
 
 
@@ -125,9 +119,6 @@ class Var(Formula):
     def __new__(cls, name: str):
         return cls._intern(name, (name,))
 
-    def _key(self):
-        return self.name
-
     @staticmethod
     def _check(name) -> None:
         if not _IDENT_RE.fullmatch(name):
@@ -135,32 +126,10 @@ class Var(Formula):
 
 
 class _Binary(Formula):
-    """The most numerous nodes: ``_intern`` and ``__del__`` written out."""
-
     __slots__ = _fields = ("left", "right")
 
     def __new__(cls, left: Formula, right: Formula):
-        key = id(left) << 64 | id(right)
-        ref = cls._live.get(key)
-        if ref is not None:
-            node = ref()
-            if node is not None:
-                return node
-        if not (isinstance(left, Formula) and isinstance(right, Formula)):
-            cls._check(left, right)
-        node = object.__new__(cls)
-        _set(node, "_hash", hash((left, right)))
-        _set(node, "left", left)
-        _set(node, "right", right)
-        cls._live[key] = weakref.ref(node)
-        return node
-
-    def __del__(self):
-        key = id(self.left) << 64 | id(self.right)
-        live = self._live
-        ref = live.get(key)
-        if ref is not None and ref() in (None, self):
-            del live[key]
+        return cls._intern(id(left) << 64 | id(right), (left, right))
 
 
 class _Unary(Formula):
@@ -168,9 +137,6 @@ class _Unary(Formula):
 
     def __new__(cls, body: Formula):
         return cls._intern(id(body), (body,))
-
-    def _key(self):
-        return id(self.body)
 
 
 class And(_Binary):
@@ -295,10 +261,17 @@ def box_prefix(gamma: Iterable[Formula], k: int) -> tuple[Formula, ...]:
     """All prefixes ``[]^i g`` for ``g`` in ``gamma`` and ``0 <= i <= k``."""
     if k < 0:
         raise ValueError("negative box-prefix depth")
-    layers = [tuple(gamma)]
-    for _ in range(k):
-        layers.append(tuple(map(Box, layers[-1])))
-    return tuple(dict.fromkeys(g for layer in layers for g in layer))
+    gamma = tuple(gamma)
+    out: list[Formula] = []
+    seen: set[Formula] = set()
+    layer = gamma
+    for _ in range(k + 1):
+        for g in layer:
+            if g not in seen:
+                seen.add(g)
+                out.append(g)
+        layer = tuple(Box(g) for g in layer)
+    return tuple(out)
 
 
 def is_propositional(f: Formula) -> bool:
@@ -346,20 +319,30 @@ def render(f: Formula) -> str:
     return _spell(f, _render_parts)
 
 
-# one match per token, after optional whitespace; a character that starts no
-# token is caught by the last group
 _TOKEN_RE = re.compile(
-    r"\s*(?:(<->|->|/\\|\\/|\[\]|<>|[*^~()])|([0-9]+)|([a-zA-Z][a-zA-Z0-9_]*)|(\S))")
+    r"(<->)|(->)|(/\\)|(\\/)|(\[\])|(<>)|([*^~()])|([0-9]+)|([a-zA-Z][a-zA-Z0-9_]*)"
+)
 
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
     tokens = []
-    for m in _TOKEN_RE.finditer(text):
-        op, num, ident, bad = m.groups()
-        pos = m.start(m.lastindex)
-        if bad:
-            raise ParseError(f"unexpected character {bad!r}", pos)
-        tokens.append((op or ("num" if num else "ident"), op or num or ident, pos))
+    pos = 0
+    while pos < len(text):
+        if text[pos].isspace():
+            pos += 1
+            continue
+        m = _TOKEN_RE.match(text, pos)
+        if not m:
+            raise ParseError(f"unexpected character {text[pos]!r}", pos)
+        tok = m.group(0)
+        if m.group(8):
+            kind = "num"
+        elif m.group(9):
+            kind = "ident"
+        else:
+            kind = tok
+        tokens.append((kind, tok, pos))
+        pos = m.end()
     tokens.append(("eof", "", len(text)))
     return tokens
 
@@ -388,12 +371,11 @@ def parse(text: str) -> Formula:
             continue
         if kind == "ident":
             f = Var(tok)
-        elif kind == "num" and tok in ("0", "1"):
+        elif tok in ("0", "1"):
             f = ZERO if tok == "0" else ONE
-        elif kind == "num":
-            raise ParseError(f"unexpected number {tok!r}", pos)
         else:
-            raise ParseError(f"unexpected token {tok or kind!r}", pos)
+            what = "number" if kind == "num" else "token"
+            raise ParseError(f"unexpected {what} {tok or kind!r}", pos)
         while True:  # f is a complete operand: close what it ends
             while ops and ops[-1] in _PREFIX:
                 f = _PREFIX[ops.pop()](f)

@@ -144,10 +144,8 @@ def evaluate_all(model: KripkeModel, formulas: Iterable[Formula]) -> list[list[V
     def column(f: Formula, *cols: list[Value]) -> list[Value]:
         if isinstance(f, Var):
             return [model.value(w, f.name) for w in worlds]
-        if isinstance(f, Const0):
-            return [alg.zero] * len(worlds)
-        if isinstance(f, Const1):
-            return [alg.one] * len(worlds)
+        if isinstance(f, (Const0, Const1)):
+            return [alg.zero if isinstance(f, Const0) else alg.one] * len(worlds)
         if type(f) in _OPERATION:
             return list(map(getattr(alg, _OPERATION[type(f)]), *cols))
         op, out0 = (alg.meet, alg.one) if isinstance(f, Box) else (alg.join, alg.zero)
@@ -197,31 +195,18 @@ def consequence_witness(model: KripkeModel, gamma: Iterable[Formula],
 def heights(frame: KripkeFrame) -> dict[str, int | float]:
     """Height of every world: sup of outgoing path lengths, ``inf`` when a
     cycle is reachable."""
-    out: dict[str, int | float] = {}  # final, or a lower bound while on the path
+    out: dict[str, int | float | None] = {}  # None while on the path
     for root in frame.worlds:
-        if root in out:
-            continue
-        out[root] = 0
-        on_path = {root}
-        stack = [(root, iter(frame.successors(root)))]
+        stack = [(root, False)]
         while stack:
-            w, todo = stack[-1]
-            for v in todo:
-                if v in on_path:  # back edge: w lies on a cycle
-                    out[w] = math.inf
-                elif v in out:
-                    out[w] = max(out[w], out[v] + 1)
-                else:
-                    out[v] = 0
-                    on_path.add(v)
-                    stack.append((v, iter(frame.successors(v))))
-                    break
-            else:
-                stack.pop()
-                on_path.discard(w)
-                if stack:
-                    u = stack[-1][0]
-                    out[u] = max(out[u], out[w] + 1)
+            w, expanded = stack.pop()
+            if expanded:  # a successor still on the path closes a cycle
+                out[w] = max((math.inf if out[v] is None else out[v] + 1
+                              for v in frame.successors(w)), default=0)
+            elif w not in out:
+                out[w] = None
+                stack.append((w, True))
+                stack.extend((v, False) for v in frame.successors(w))
     return out
 
 
@@ -340,9 +325,8 @@ def model_to_json(model: KripkeModel) -> dict:
 
 
 def model_from_json(obj: dict) -> KripkeModel:
-    obj = _shaped(obj, dict, "a frame or model")
-    algebra = algebra_from_json(obj["algebra"])
     frame = frame_from_json(obj)
+    algebra = algebra_from_json(obj["algebra"])
     rows = _shaped(obj.get("valuation", {}), dict, "a valuation")
     valuation = {w: {p: value_from_json(algebra, raw)
                      for p, raw in _shaped(rows.get(w, {}), dict, "a valuation row").items()}

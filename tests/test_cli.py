@@ -205,9 +205,11 @@ def test_internal_errors_exit_four(files, capsys, tmp_path, monkeypatch):
     # parsing and evaluation do not recurse, so a 1200-deep formula evaluates
     code = run(["eval", "--model", str(mfile), "--conclusion", "[]" * 1200 + "x"])
     assert code == 0 and json.loads(capsys.readouterr().out)["values"]
-    # the first-order translation still recurses: a formula deeper than the
-    # recursion limit is an internal failure there, not a failed verdict
-    code = run(["mod2fo", "--conclusion", "[]" * 1200 + "x"])
+    # running out of stack is an internal failure, not a failed verdict
+    def too_deep(*args):
+        raise RecursionError("maximum recursion depth exceeded")
+    monkeypatch.setattr("mvmodal.cli.evaluate_all", too_deep)
+    code = run(["eval", "--model", str(mfile), "--conclusion", "[]x"])
     captured = capsys.readouterr()
     assert code == 4
     assert captured.out == ""
