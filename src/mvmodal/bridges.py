@@ -25,7 +25,7 @@ from fractions import Fraction
 from .algebras import ExpChain, ExpValue, StdMV, Value
 from .formulas import (And, Box, Const0, Const1, Diamond, Formula, Implies,
                        Or, Times, Var, ZERO, bottom_up, box_prefix, iff, neg,
-                       rebuild, render, variables)
+                       _spell, rebuild, render, variables)
 from .kripke import (KripkeModel, evaluate, evaluate_all, globally_satisfies,
                      heights)
 
@@ -328,22 +328,43 @@ _FO_BINARY = {And: FOAnd, Or: FOOr, Times: FOTimes, Implies: FOImplies}
 def modal_to_fo(f: Formula, i: int = 0) -> FOFormula:
     """Standard translation at the world variable ``x_i``: box quantifies the
     next index universally behind an implication from accessibility, diamond
-    existentially behind a product with it."""
-    if isinstance(f, Const0):
-        return FOConst(0)
-    if isinstance(f, Const1):
-        return FOConst(1)
-    if isinstance(f, Var):
-        return FOPred(f"P_{f.name}", (f"x{i}",))
-    if isinstance(f, Box):
-        return FOForall(f"x{i + 1}",
-                        FOImplies(FOPred("R", (f"x{i}", f"x{i + 1}")),
-                                  modal_to_fo(f.body, i + 1)))
-    if isinstance(f, Diamond):
-        return FOExists(f"x{i + 1}",
-                        FOTimes(FOPred("R", (f"x{i}", f"x{i + 1}")),
-                                modal_to_fo(f.body, i + 1)))
-    return _FO_BINARY[type(f)](modal_to_fo(f.left, i), modal_to_fo(f.right, i))
+    existentially behind a product with it.  Iterative, one image per
+    (subformula, world index)."""
+    done: dict[tuple[Formula, int], FOFormula] = {}
+    stack = [(f, i)]
+    while stack:
+        g, k = key = stack[-1]
+        if key in done:
+            stack.pop()
+            continue
+        if isinstance(g, (Box, Diamond)):
+            kids = [(g.body, k + 1)]
+        elif isinstance(g, (Const0, Const1, Var)):
+            kids = []
+        else:
+            kids = [(g.left, k), (g.right, k)]
+        todo = [c for c in kids if c not in done]
+        if todo:
+            stack += todo
+            continue
+        stack.pop()
+        if isinstance(g, Const0):
+            done[key] = FOConst(0)
+        elif isinstance(g, Const1):
+            done[key] = FOConst(1)
+        elif isinstance(g, Var):
+            done[key] = FOPred(f"P_{g.name}", (f"x{k}",))
+        elif isinstance(g, Box):
+            done[key] = FOForall(f"x{k + 1}",
+                                 FOImplies(FOPred("R", (f"x{k}", f"x{k + 1}")),
+                                           done[kids[0]]))
+        elif isinstance(g, Diamond):
+            done[key] = FOExists(f"x{k + 1}",
+                                 FOTimes(FOPred("R", (f"x{k}", f"x{k + 1}")),
+                                         done[kids[0]]))
+        else:
+            done[key] = _FO_BINARY[type(g)](done[kids[0]], done[kids[1]])
+    return done[f, i]
 
 
 _FO_OPS = {FOAnd: "/\\", FOOr: "\\/", FOTimes: "*", FOImplies: "->"}
@@ -353,21 +374,18 @@ def render_fo(f: FOFormula, ascii_only: bool = False) -> str:
     forall = "forall " if ascii_only else "∀"
     exists = "exists " if ascii_only else "∃"
 
-    def operand(g: FOFormula) -> str:
-        s = walk(g)
-        if isinstance(g, (FOPred, FOConst)):
-            return s
-        return f"({s})"
+    def operand(g: FOFormula) -> list:
+        return [g] if isinstance(g, (FOPred, FOConst)) else ["(", g, ")"]
 
-    def walk(g: FOFormula) -> str:
+    def parts(g: FOFormula) -> list:
         if isinstance(g, FOPred):
-            return f"{g.name}({','.join(g.args)})"
+            return [f"{g.name}({','.join(g.args)})"]
         if isinstance(g, FOConst):
-            return str(g.value)
+            return [str(g.value)]
         if isinstance(g, FOForall):
-            return f"{forall}{g.var} ({walk(g.body)})"
+            return [f"{forall}{g.var} (", g.body, ")"]
         if isinstance(g, FOExists):
-            return f"{exists}{g.var} ({walk(g.body)})"
-        return f"{operand(g.left)} {_FO_OPS[type(g)]} {operand(g.right)}"
+            return [f"{exists}{g.var} (", g.body, ")"]
+        return [*operand(g.left), f" {_FO_OPS[type(g)]} ", *operand(g.right)]
 
-    return walk(f)
+    return _spell(f, parts)

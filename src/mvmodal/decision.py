@@ -113,46 +113,46 @@ def _row(expr: _Affine, sense: str, rhs: Fraction = _F0) -> lp.Constraint:
 _ONE_AFF = _Affine.of_const(1)
 _ZERO_AFF = _Affine.of_const(0)
 
-_REGIME_KIND = {Times: "times", Implies: "implies", And: "and", Or: "or"}
+# Hähnle's case split (AMAI 1994): operand forms (a, b) -> (e, low, high)
+_REGIMES = {
+    Times: lambda a, b: (s := a.add(b).shift(-1), _ZERO_AFF, s),
+    Implies: lambda a, b: (d := a.sub(b), _ONE_AFF, d.negate().shift(1)),
+    And: lambda a, b: (a.sub(b), a, b),
+    Or: lambda a, b: (a.sub(b), b, a),
+}
 
 
 class _LukSystem:
     """Case system for standard-MV consequence.
 
-    Every propositional subformula carries an affine value form when one is
-    derivable (premise pinning, partial evaluation over [0, 1] interval
-    bounds); the remaining connective occurrences become case-split nodes
-    with two linear regimes each.
+    Every propositional subformula carries an affine value form.  Premises
+    are pinned to 1 first.  A connective occurrence takes its form from
+    ``_REGIMES``: it folds to ``low`` when the [0, 1] bounds of ``e`` give
+    ``e <= 0``, to ``high`` when they give ``e >= 0``, and otherwise becomes
+    a case-split node ``t`` with the two regimes ``e <= 0, t == low`` and
+    ``e >= 0, t == high`` (in the other order for ``Or``).
     """
 
-    def __init__(self, gamma: Sequence[Formula], phi: Formula,
-                 drop_regime: tuple[str, int] | None = None):
+    def __init__(self, gamma: Sequence[Formula], phi: Formula):
         self.gamma = tuple(gamma)
         self.phi = phi
-        self.drop_regime = drop_regime
-        self.propagate = drop_regime is None
         self.nodes = _propositional_nodes(self.gamma + (phi,))
+        self.implications: dict[Formula, list[Formula]] = {}
+        for f in self.nodes:
+            if isinstance(f, Implies):
+                self.implications.setdefault(f.left, []).append(f)
         self.pinned: set[Formula] = set()
         self.affine: dict[Formula, _Affine] = {}
         self.forced_rows: list[lp.Constraint] = []
         self.splits: list[tuple[Formula, list[list[lp.Constraint]]]] = []
-        self._fresh = 0
         self._node_var: dict[Formula, str] = {}
         self._build()
-
-    def _var_for(self, f: Formula) -> str:
-        name = self._node_var.get(f)
-        if name is None:
-            name = f"n:{self._fresh}"
-            self._fresh += 1
-            self._node_var[f] = name
-        return name
 
     def _pin(self, roots: Iterable[Formula]) -> None:
         """Pin formulas to value 1, closing under the exact consequences:
         a product or meet equal to 1 forces both operands to 1, and a pinned
         implication with pinned antecedent forces its consequent."""
-        stack = [g for g in roots if g not in self.pinned]
+        stack = list(roots)
         while stack:
             f = stack.pop()
             if f in self.pinned:
@@ -160,19 +160,12 @@ class _LukSystem:
             if isinstance(f, Const0):
                 raise _Unsat
             self.pinned.add(f)
-            if self.propagate and isinstance(f, (Times, And)):
-                stack.append(f.left)
+            if isinstance(f, (Times, And)):
+                stack += (f.left, f.right)
+            elif isinstance(f, Implies) and f.left in self.pinned:
                 stack.append(f.right)
-        if not self.propagate:
-            return
-        changed = True
-        while changed:
-            changed = False
-            for f in list(self.pinned):
-                if isinstance(f, Implies) and f.left in self.pinned \
-                        and f.right not in self.pinned:
-                    self._pin([f.right])
-                    changed = True
+            stack += [g.right for g in self.implications.get(f, ())
+                      if g in self.pinned]
 
     def _affine_pass(self) -> None:
         self.affine.clear()
@@ -189,89 +182,35 @@ class _LukSystem:
                     aff[f] = _ONE_AFF
                 else:
                     aff[f] = _Affine.of_var("v:" + f.name)
+            elif isinstance(f, Implies) and f in self.pinned:
+                # a -> b = 1 is exactly a <= b; no case split needed
+                aff[f] = _ONE_AFF
+                d = aff[f.left].sub(aff[f.right])
+                if d.is_const:
+                    if d.const > 0:
+                        raise _Unsat
+                else:
+                    self.forced_rows.append(_row(d, "<="))
             else:
-                a = aff[f.left]
-                b = aff[f.right]
-                if self.propagate and isinstance(f, Implies) and f in self.pinned:
-                    # a -> b = 1 is exactly a <= b; no case split needed
-                    aff[f] = _ONE_AFF
-                    d = a.sub(b)
-                    if d.is_const:
-                        if d.const > 0:
-                            raise _Unsat
-                    else:
-                        self.forced_rows.append(_row(d, "<="))
-                    continue
-                aff[f] = self._binary(f, a, b)
-
-    def _binary(self, f: Formula, a: _Affine, b: _Affine) -> _Affine:
-        if isinstance(f, Times):
-            s = a.add(b).shift(-1)
-            lo, hi = s.bounds01() if self.propagate else (None, None)
-            if self.propagate and hi <= 0:
-                return _ZERO_AFF
-            if self.propagate and lo >= 0:
-                return s
-            t = _Affine.of_var(self._var_for(f))
-            self._add_split(f, [
-                [_row(s, "<="), _row(t, "==")],
-                [_row(s, ">="), _row(t.sub(s), "==")],
-            ])
-            return t
-        if isinstance(f, Implies):
-            d = a.sub(b)
-            lo, hi = d.bounds01() if self.propagate else (None, None)
-            if self.propagate and hi <= 0:
-                return _ONE_AFF
-            if self.propagate and lo >= 0:
-                return _ONE_AFF.sub(a).add(b)
-            t = _Affine.of_var(self._var_for(f))
-            linear = _ONE_AFF.sub(a).add(b)
-            self._add_split(f, [
-                [_row(d, "<="), _row(t.sub(_ONE_AFF), "==")],
-                [_row(d, ">="), _row(t.sub(linear), "==")],
-            ])
-            return t
-        if isinstance(f, And):
-            d = a.sub(b)
-            lo, hi = d.bounds01() if self.propagate else (None, None)
-            if self.propagate and hi <= 0:
-                return a
-            if self.propagate and lo >= 0:
-                return b
-            t = _Affine.of_var(self._var_for(f))
-            self._add_split(f, [
-                [_row(d, "<="), _row(t.sub(a), "==")],
-                [_row(d, ">="), _row(t.sub(b), "==")],
-            ])
-            return t
-        # Or
-        d = a.sub(b)
-        lo, hi = d.bounds01() if self.propagate else (None, None)
-        if self.propagate and hi <= 0:
-            return b
-        if self.propagate and lo >= 0:
-            return a
-        t = _Affine.of_var(self._var_for(f))
-        self._add_split(f, [
-            [_row(d, ">="), _row(t.sub(a), "==")],
-            [_row(d, "<="), _row(t.sub(b), "==")],
-        ])
-        return t
-
-    def _add_split(self, f: Formula, regimes: list[list[lp.Constraint]]) -> None:
-        if self.drop_regime is not None:
-            kind, idx = self.drop_regime
-            if _REGIME_KIND[type(f)] == kind:
-                regimes = [r for i, r in enumerate(regimes) if i != idx]
-        self.splits.append((f, regimes))
+                e, low, high = _REGIMES[type(f)](aff[f.left], aff[f.right])
+                lo, hi = e.bounds01()
+                if hi <= 0:
+                    aff[f] = low
+                elif lo >= 0:
+                    aff[f] = high
+                else:
+                    t = aff[f] = _Affine.of_var(self._node_var.setdefault(
+                        f, f"n:{len(self._node_var)}"))
+                    regimes = [[_row(e, "<="), _row(t.sub(low), "==")],
+                               [_row(e, ">="), _row(t.sub(high), "==")]]
+                    if isinstance(f, Or):
+                        regimes.reverse()
+                    self.splits.append((f, regimes))
 
     def _build(self) -> None:
         self._pin(self.gamma)
         while True:
             self._affine_pass()
-            if not self.propagate:
-                break
             # a pinned implication whose antecedent folded to the constant 1
             # pins its consequent; pinned only grows, so this terminates
             new = [f.right for f in self.pinned
@@ -305,8 +244,7 @@ class _LukSystem:
 
 
 def luk_consequence(gamma: Iterable[Formula], phi: Formula, *,
-                    branch_guard: int = BRANCH_GUARD_DEFAULT,
-                    _drop_regime: tuple[str, int] | None = None) -> Verdict:
+                    branch_guard: int = BRANCH_GUARD_DEFAULT) -> Verdict:
     """Does ``phi`` take value 1 under every [0,1]-MV valuation making all of
     ``gamma`` equal to 1?
 
@@ -319,7 +257,7 @@ def luk_consequence(gamma: Iterable[Formula], phi: Formula, *,
     """
     gamma = tuple(gamma)
     try:
-        system = _LukSystem(gamma, phi, drop_regime=_drop_regime)
+        system = _LukSystem(gamma, phi)
     except _Unsat:
         return Verdict(True)
 

@@ -30,7 +30,7 @@ __all__ = [
     "height", "heights", "unravel", "extract_chain", "generated_submodel",
     "is_transitive",
     "frame_to_json", "frame_from_json", "model_to_json", "model_from_json",
-    "load_model", "dump_model",
+    "load_model",
 ]
 
 
@@ -307,10 +307,18 @@ def _shaped(obj, kind: type, what: str):
     return obj
 
 
+def _world_names(items: list) -> list:
+    for w in items:
+        if not isinstance(w, str):
+            raise ValueError(f"world names must be JSON strings, not {w!r}")
+    return items
+
+
 def frame_from_json(obj: dict) -> KripkeFrame:
     obj = _shaped(obj, dict, "a frame or model")
-    edges = [tuple(_shaped(e, list, "an edge")) for e in _shaped(obj["edges"], list, "edges")]
-    return KripkeFrame(_shaped(obj["worlds"], list, "worlds"), edges)
+    edges = [tuple(_world_names(_shaped(e, list, "an edge")))
+             for e in _shaped(obj["edges"], list, "edges")]
+    return KripkeFrame(_world_names(_shaped(obj["worlds"], list, "worlds")), edges)
 
 
 def model_to_json(model: KripkeModel) -> dict:
@@ -337,9 +345,3 @@ def model_from_json(obj: dict) -> KripkeModel:
 def load_model(path: str) -> KripkeModel:
     with open(path, "r", encoding="utf-8") as fh:
         return model_from_json(json.load(fh))
-
-
-def dump_model(model: KripkeModel, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(model_to_json(model), fh, indent=2, sort_keys=True)
-        fh.write("\n")

@@ -142,6 +142,14 @@ def test_mod2fo(capsys):
     blob = json.loads(out)
     assert blob["fo"] == "∀x1 (R(x0,x1) -> P_p(x1))"
     assert blob["fo_ascii"] == "forall x1 (R(x0,x1) -> P_p(x1))"
+    # the translation and the printer do not recurse
+    n = 10 ** 4
+    code, out = invoke(capsys, ["mod2fo", "--conclusion", "[]" * n + "p"])
+    assert code == 0
+    fo = json.loads(out)["fo"]
+    assert fo.startswith("∀x1 (R(x0,x1) -> (∀x2 (R(x1,x2) -> (∀x3 ")
+    assert fo.endswith(f"(R(x{n - 1},x{n}) -> P_p(x{n}))" + "))" * (n - 1))
+    assert fo.count("∀") == n
 
 
 def test_reduce_and_l2p(capsys):
@@ -191,9 +199,15 @@ def test_usage_errors(files, capsys):
              "valuation": {"a": {"p": "1"}}}
     bad.write_text(json.dumps(model))
     assert run(["eval", "--model", str(bad), "--conclusion", "p"]) == 0
-    for change in ({"valuation": {"a": 5}}, {"edges": [1]}, {"algebra": "std-mv"}):
+    for change in ({"valuation": {"a": 5}}, {"edges": [1]}, {"algebra": "std-mv"},
+                   {"worlds": [["a"]]}):
         bad.write_text(json.dumps({**model, **change}))
         assert run(["eval", "--model", str(bad), "--conclusion", "p"]) == 2, change
+    # world names and edge endpoints are strings
+    bad.write_text(json.dumps({**model, "worlds": [1], "valuation": {}}))
+    assert run(["eval", "--model", str(bad), "--conclusion", "1"]) == 2
+    bad.write_text(json.dumps({"worlds": ["a", "b"], "edges": [["a", ["b"]]]}))
+    assert run(["check", "--frame", str(bad), "--conclusion", "p"]) == 2
 
 
 def test_internal_errors_exit_four(files, capsys, tmp_path, monkeypatch):

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mvmodal import decision
 from mvmodal.algebras import (ExpChain, FiniteTable, MVn, ResourceLimitError,
                               StdMV, StdProduct, mv_chain_tables)
 from mvmodal.decision import (coenumerate_nonconsequences, decide_cardinality,
@@ -110,7 +111,24 @@ _MUTATION_BATTERY = [
 ]
 
 
-def test_every_regime_is_load_bearing():
+def _drop_regime(monkeypatch, kind, idx):
+    """Make ``luk_consequence`` drop regime ``idx`` of every ``kind`` split and
+    stop folding connectives on interval bounds, so each connective splits."""
+    affine_pass = decision._LukSystem._affine_pass
+
+    def dropping_pass(system):
+        affine_pass(system)
+        system.splits = [(f, [r for i, r in enumerate(regimes)
+                              if (type(f).__name__.lower(), i) != (kind, idx)])
+                         for f, regimes in system.splits]
+
+    bounds01 = decision._Affine.bounds01
+    monkeypatch.setattr(decision._LukSystem, "_affine_pass", dropping_pass)
+    monkeypatch.setattr(decision._Affine, "bounds01", lambda a: bounds01(a)
+                        if a.is_const else (F(-1), F(1)))
+
+
+def test_every_regime_is_load_bearing(monkeypatch):
     regimes = [(k, i) for k in ("times", "implies", "and", "or") for i in (0, 1)]
     for dropped in regimes:
         flipped = 0
@@ -118,7 +136,9 @@ def test_every_regime_is_load_bearing():
             gamma = [P(s) for s in prem]
             phi = P(conc)
             base = luk_consequence(gamma, phi).holds
-            mutated = luk_consequence(gamma, phi, _drop_regime=dropped).holds
+            with monkeypatch.context() as patch:
+                _drop_regime(patch, *dropped)
+                mutated = luk_consequence(gamma, phi).holds
             if needs == dropped:
                 assert not base and mutated, (dropped, conc)
             if base != mutated:
@@ -176,6 +196,31 @@ def test_luk_agrees_with_mvn_chains():
                 assert fin, (prem, conc, n)
             if not fin:
                 assert not luk
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.lists(_PROP, max_size=2), _PROP)
+def test_luk_agrees_with_mvn_chains_on_random_premises(gamma, phi):
+    luk = luk_consequence(gamma, phi)
+    for n in range(2, 6):
+        fin = finite_consequence(MVn(n), gamma, phi)
+        if luk.holds:
+            assert fin.holds, n
+        if not fin.holds:
+            assert not luk.holds, n
+
+
+def test_long_premise_chains():
+    # q0; q0 -> q1; ...; q(n-1) -> qn: pinning walks the whole chain
+    n = 10 ** 4
+    q = [Var(f"q{i}") for i in range(n + 1)]
+    gamma = [q[0]] + [Implies(q[i], q[i + 1]) for i in range(n)]
+    assert luk_consequence(gamma, q[n]).holds
+    verdict = luk_consequence(gamma, Or(Var("r"), Implies(q[n], Var("s"))))
+    assert not verdict.holds
+    assert verdict.witness.value == 0
+    assert verdict.witness.valuation[f"q{n}"] == 1
+    assert verdict.witness.valuation["r"] == verdict.witness.valuation["s"] == 0
 
 
 def test_translate_on_frame_example():
