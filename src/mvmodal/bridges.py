@@ -270,53 +270,100 @@ def global_to_local_transitive(gamma, phi: Formula
     return box_prefix(tuple(gamma), 1), phi
 
 
-@dataclass(frozen=True)
 class FOFormula:
-    pass
+    """A first-order term of the standard translation.
+
+    The subclasses are frozen dataclasses.  Equality is structural, the hash
+    is computed once from the children's stored hashes, and ``repr`` spells
+    the dataclass form; none of the three recurses, so terms of any depth
+    compare, hash and print.
+    """
+
+    def __post_init__(self) -> None:
+        fields = (getattr(self, name) for name in self.__dataclass_fields__)
+        object.__setattr__(self, "_hash", hash((type(self).__name__, *fields)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, FOFormula):
+            return NotImplemented
+        pairs = [(self, other)]
+        seen: set[tuple[int, int]] = set()
+        while pairs:
+            a, b = pairs.pop()
+            if a is b or (id(a), id(b)) in seen:
+                continue
+            if type(a) is not type(b) or a._hash != b._hash:
+                return False
+            seen.add((id(a), id(b)))
+            for name in a.__dataclass_fields__:
+                x, y = getattr(a, name), getattr(b, name)
+                if isinstance(x, FOFormula):
+                    pairs.append((x, y))
+                elif x != y:
+                    return False
+        return True
+
+    def __repr__(self) -> str:
+        return _spell(self, _fo_repr_parts)
 
 
-@dataclass(frozen=True)
+def _fo_repr_parts(g: FOFormula) -> list:
+    out: list = [f"{type(g).__name__}("]
+    for k, name in enumerate(g.__dataclass_fields__):
+        value = getattr(g, name)
+        out += [f"{', ' if k else ''}{name}=",
+                value if isinstance(value, FOFormula) else repr(value)]
+    return out + [")"]
+
+
+_fo_term = dataclass(frozen=True, eq=False, repr=False)
+
+
+@_fo_term
 class FOPred(FOFormula):
     name: str
     args: tuple[str, ...]
 
 
-@dataclass(frozen=True)
+@_fo_term
 class FOConst(FOFormula):
     value: int
 
 
-@dataclass(frozen=True)
+@_fo_term
 class FOAnd(FOFormula):
     left: FOFormula
     right: FOFormula
 
 
-@dataclass(frozen=True)
+@_fo_term
 class FOOr(FOFormula):
     left: FOFormula
     right: FOFormula
 
 
-@dataclass(frozen=True)
+@_fo_term
 class FOTimes(FOFormula):
     left: FOFormula
     right: FOFormula
 
 
-@dataclass(frozen=True)
+@_fo_term
 class FOImplies(FOFormula):
     left: FOFormula
     right: FOFormula
 
 
-@dataclass(frozen=True)
+@_fo_term
 class FOForall(FOFormula):
     var: str
     body: FOFormula
 
 
-@dataclass(frozen=True)
+@_fo_term
 class FOExists(FOFormula):
     var: str
     body: FOFormula

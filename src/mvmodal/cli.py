@@ -350,8 +350,9 @@ def run(argv: list[str]) -> int:
             json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (RecursionError, MemoryError, RuntimeError) as exc:
-        # RuntimeError covers the failed witness re-checks
+    except Exception as exc:
+        # any other failure is the program's (a failed witness re-check is a
+        # RuntimeError), never a failed verdict
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 4
 

@@ -3,13 +3,15 @@
 Two propositional backends are provided: an exact case-splitting decision for
 the standard MV algebra (the connectives are piecewise linear, so each
 connective occurrence contributes two linear regimes and every branch is an
-exact rational LP), and a brute-force sweep for finite algebras: one
+exact rational LP), and a backtracking sweep for finite algebras: one
 straight-line program over slot indices and the algebra's index tables (an
 MVn chain sweeps the tables of ``mv_chain_tables``, index k standing for
-k/(n-1)).  On top of them sits the frame translation that turns
+k/(n-1)), run level by level as the variables are assigned in lexicographic
+order, with a subtree pruned as soon as a premise fails or the conclusion is
+already 1.  On top of them sits the frame translation that turns
 global consequence over a fixed finite frame into a propositional consequence
-question, the cardinality-bound decision that conjoins it over all labeled
-frames of a given size, and the co-enumerator of non-consequences.
+question, the cardinality-bound decision that conjoins it over one frame per
+isomorphism class of a given size, and the co-enumerator of non-consequences.
 
 Every countermodel is re-checked by the Kripke evaluator
 (:func:`mvmodal.kripke.evaluate_all`) before it is returned; a propositional
@@ -319,12 +321,23 @@ def _propositional_nodes(formulas: tuple[Formula, ...]) -> list[Formula]:
 
 def finite_consequence(alg: Algebra, gamma: Iterable[Formula], phi: Formula, *,
                        guard: int = FINITE_SEARCH_GUARD) -> Verdict:
-    """Brute-force propositional consequence over a finite algebra.
+    """Propositional consequence over a finite algebra by backtracking.
 
     The formulas become one straight-line program: slot k holds the k-th
-    node (the variables first), and each connective is one table lookup on
-    two earlier slots.  Per valuation, the premises run in order up to the
-    first that fails, and the conclusion runs only if none does.
+    node (the variables first, in sorted order), and each connective is one
+    table lookup on two earlier slots.  A slot's level is the number of
+    variables assigned before it is known: one more than the index of the
+    last variable it reads, or 0 for a constant.  The variables are assigned
+    depth first in lexicographic order; at depth d (d variables assigned)
+    only the instructions of level d run, and the roots of level d are
+    checked:
+
+    * a premise that is not 1 prunes the subtree;
+    * a conclusion that is already 1 prunes the subtree.
+
+    A pruned valuation is never a countermodel, so the first leaf that
+    passes every check is the lexicographically first countermodel.  The
+    guard bounds ``size ** variables``, the size of the full sweep.
     """
     if not isinstance(alg, (MVn, FiniteTable)):
         raise ValueError("finite_consequence needs a finite algebra")
@@ -341,41 +354,69 @@ def finite_consequence(alg: Algebra, gamma: Iterable[Formula], phi: Formula, *,
                   "residuum": alg.residuum_table, "zero": alg.zero_index,
                   "one": alg.one_index}
     size = tables["size"]
-    if size ** len(names) > guard:
+    depth = len(names)
+    if size ** depth > guard:
         raise ResourceLimitError(
-            f"{size}^{len(names)} valuations exceed the search guard {guard}")
+            f"{size}^{depth} valuations exceed the search guard {guard}")
     slot = {id(Var(p)): k for k, p in enumerate(names)}
-    vals = [0] * len(names)
-    code: list[tuple] = []  # (slot, table, left slot, right slot) per connective
-    steps: list[tuple[list[tuple], int]] = []  # per root: the code it adds, its slot
+    level = list(range(1, depth + 1))
+    vals = [0] * depth
+    # per level: the roots closing there, each after the code it needs, as
+    # (code, root slot, is conclusion), then the code only deeper roots need
+    steps: list[list[tuple]] = [[] for _ in range(depth + 1)]
+    code: list[list[tuple]] = [[] for _ in range(depth + 1)]
+    closed = 0
     for f in nodes:
         if id(f) not in slot:
-            slot[id(f)] = len(vals)
+            slot[id(f)] = k = len(vals)
             if isinstance(f, (Const0, Const1)):
                 vals.append(tables["zero" if isinstance(f, Const0) else "one"])
+                level.append(0)
             else:
+                a, b = slot[id(f.left)], slot[id(f.right)]
                 vals.append(0)
-                code.append((slot[id(f)], tables[_OPERATION[type(f)]],
-                             slot[id(f.left)], slot[id(f.right)]))
+                level.append(max(level[a], level[b]))
+                code[level[k]].append((k, tables[_OPERATION[type(f)]], a, b))
         # roots close in order, each as soon as it has a slot
-        while len(steps) < len(roots) and id(roots[len(steps)]) in slot:
-            steps.append((code, slot[id(roots[len(steps)])]))
-            code = []
+        while closed < len(roots) and id(roots[closed]) in slot:
+            k = slot[id(roots[closed])]
+            steps[level[k]].append((code[level[k]], k, closed == len(gamma)))
+            code[level[k]] = []
+            closed += 1
     one = tables["one"]
-    conc_code = steps[-1][0]
-    for assign in itertools.product(range(size), repeat=len(names)):
-        vals[:len(names)] = assign
-        for step, root in steps:
+    plan = list(zip(steps, code))
+
+    def passes(d: int) -> bool:
+        """Run level d's code and checks on the current partial valuation."""
+        level_steps, tail = plan[d]
+        for step, root, conclusion in level_steps:
             for out, table, a, b in step:
                 vals[out] = table[vals[a]][vals[b]]
-            if vals[root] != one:
-                break
-        if step is conc_code and vals[root] != one:  # every premise holds
-            valuation = dict(zip(names, assign))
-            if isinstance(alg, MVn):
-                valuation = {p: Fraction(k, alg.n - 1) for p, k in valuation.items()}
-            return _rechecked(alg, gamma, phi, valuation)
-    return Verdict(True)
+            if (vals[root] == one) is conclusion:
+                return False
+        for out, table, a, b in tail:
+            vals[out] = table[vals[a]][vals[b]]
+        return True
+
+    if not passes(0):
+        return Verdict(True)
+    i = 0  # the variable being assigned
+    if depth:
+        vals[0] = -1
+    while 0 <= i < depth:
+        vals[i] += 1
+        if vals[i] == size:
+            i -= 1
+        elif passes(i + 1):
+            i += 1
+            if i < depth:
+                vals[i] = -1
+    if i < 0:
+        return Verdict(True)
+    valuation = dict(zip(names, vals))
+    if isinstance(alg, MVn):
+        valuation = {p: Fraction(k, alg.n - 1) for p, k in valuation.items()}
+    return _rechecked(alg, gamma, phi, valuation)
 
 
 @dataclass(frozen=True, eq=False)
@@ -501,12 +542,36 @@ def decide_on_frame(frame: KripkeFrame, gamma: Iterable[Formula], phi: Formula,
     raise RuntimeError("folded countermodel failed conclusion re-check")
 
 
+def _least_masks(j: int) -> Iterable[int]:
+    """The edge masks of ``j``-world frames that no permutation of the worlds
+    maps to a smaller mask, in increasing order; bit ``i*j + k`` is the edge
+    from world i to world k."""
+    full = (1 << j) - 1
+    # per permutation and world i: the image of every set of edges out of i;
+    # the identity comes first and never lowers a mask
+    images = [[[sum(1 << (perm[i] * j + perm[k]) for k in range(j) if row >> k & 1)
+                for row in range(full + 1)] for i in range(j)]
+              for perm in itertools.permutations(range(j))][1:]
+    for mask in range(2 ** (j * j)):
+        rows = [mask >> (i * j) & full for i in range(j)]
+        if all(sum(t[row] for t, row in zip(image, rows)) >= mask
+               for image in images):
+            yield mask
+
+
 def decide_cardinality(j: int, gamma: Iterable[Formula], phi: Formula,
                        alg: Algebra, *, cap: int = CARDINALITY_CAP_DEFAULT,
                        branch_guard: int = BRANCH_GUARD_DEFAULT) -> Verdict:
     """Global consequence over all models of cardinality ``j``: conjunction of
-    the frame decision over all ``2^(j*j)`` labeled frames, first failure
-    returned."""
+    the frame decision over one frame per isomorphism class, first failure
+    returned.
+
+    Of the ``2^(j*j)`` labeled frames, only those whose edge mask is the least
+    of its class are decided, in increasing mask order.  Isomorphic frames
+    have the same verdict, so the first failing labeled mask is the least of
+    its class; it is visited, and the witness frame and model are those of
+    the sweep over every labeled frame.
+    """
     if j < 1:
         raise ValueError("cardinality must be at least 1")
     if j > cap:
@@ -514,7 +579,7 @@ def decide_cardinality(j: int, gamma: Iterable[Formula], phi: Formula,
     gamma = tuple(gamma)
     worlds = [f"w{i + 1}" for i in range(j)]
     pairs = [(a, b) for a in worlds for b in worlds]
-    for mask in range(2 ** (j * j)):
+    for mask in _least_masks(j):
         edges = [pairs[b] for b in range(j * j) if mask >> b & 1]
         verdict = decide_on_frame(KripkeFrame(worlds, edges), gamma, phi, alg,
                                   branch_guard=branch_guard)

@@ -225,3 +225,19 @@ def test_modal_to_fo_examples():
     nested = render_fo(modal_to_fo(P("[] <> p"), 0))
     assert "x2" in nested and nested.index("x1") < nested.index("x2")
     assert render_fo(modal_to_fo(P("0 -> 1"), 3)) == "0 -> 1"
+
+
+def test_deep_fo_terms_hash_compare_and_print():
+    n = 10 ** 4
+    f = P("[]" * n + "<> p")
+    a, b = modal_to_fo(f), modal_to_fo(f)
+    assert a is not b
+    assert a == b and hash(a) == hash(b)
+    assert len({a, b}) == 1
+    assert a != modal_to_fo(P("[]" * n + "<> q"))
+    assert a != modal_to_fo(P("[]" * (n - 1) + "<> p"))
+    text = repr(a)
+    assert text.startswith("FOForall(var='x1', body=FOImplies(left=FOPred("
+                           "name='R', args=('x0', 'x1')), right=FOForall(")
+    assert text.endswith("right=FOPred(name='P_p', args=('x10001',))))" + "))" * n)
+    assert render_fo(a).count("∀") == n

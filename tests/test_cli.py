@@ -239,6 +239,16 @@ def test_internal_errors_exit_four(files, capsys, tmp_path, monkeypatch):
     assert capsys.readouterr().err == \
         "internal error: RuntimeError: countermodel failed premise re-check\n"
 
+    def broken(*args):
+        raise TypeError("unsupported operand type(s)")
+    monkeypatch.setattr("mvmodal.cli.decide_on_frame", broken)
+    code = run(["check", "--frame", files["frame"], "--premises", "[]p",
+                "--conclusion", "p"])
+    captured = capsys.readouterr()
+    assert code == 4
+    assert captured.out == ""
+    assert captured.err == "internal error: TypeError: unsupported operand type(s)\n"
+
 
 def test_plain_output(files, capsys):
     code, out = invoke(capsys, ["check", "--frame", files["frame"],

@@ -1,0 +1,94 @@
+"""Differential battery: the pruned finite search against the full sweeps.
+
+The backtracking search in ``finite_consequence`` and the sweep in
+``finite_reference`` meet valuations in the same lexicographic order, and
+``decide_cardinality`` meets the least frame of each isomorphism class where
+the reference meets every labeled frame.  Both sides return the first
+countermodel, so their verdicts must be equal, witnesses included.
+"""
+
+import json
+
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+import finite_reference
+from mvmodal import decision
+from mvmodal.algebras import FiniteTable, MVn, StdMV
+from mvmodal.decision import decide_cardinality, finite_consequence
+from mvmodal.formulas import ONE, ZERO, And, Implies, Or, Times, Var, neg, parse
+from mvmodal.kripke import model_to_json
+
+P = parse
+
+G3 = FiniteTable(3, [[min(a, b) for b in range(3)] for a in range(3)],
+                 [[max(a, b) for b in range(3)] for a in range(3)],
+                 [[min(a, b) for b in range(3)] for a in range(3)],
+                 [[2 if a <= b else b for b in range(3)] for a in range(3)])
+ALGEBRAS = {f"mv-{n}": MVn(n) for n in range(2, 6)} | {"g3": G3}
+
+_PROP = st.recursive(
+    st.sampled_from([Var("p"), Var("q"), Var("r"), Var("s"), ZERO, ONE]),
+    lambda sub: st.builds(lambda op, a, b: op(a, b),
+                          st.sampled_from([And, Or, Times, Implies]), sub, sub),
+    max_leaves=8)
+
+_CONTRADICTION = And(Var("p"), neg(Var("p")))  # never 1 in MVn or G3
+
+
+@settings(max_examples=600, deadline=None, derandomize=True)
+@given(st.sampled_from(sorted(ALGEBRAS)), st.lists(_PROP, max_size=2), _PROP)
+@example("mv-3", [], Implies(ONE, ZERO))
+@example("g3", [], Implies(ZERO, ONE))
+@example("mv-2", [ZERO], Var("p"))
+@example("mv-4", [Or(ONE, ZERO)], And(ONE, ZERO))
+@example("mv-5", [_CONTRADICTION], Var("q"))
+@example("g3", [Var("q"), _CONTRADICTION], ZERO)
+def test_backtracking_matches_sweep(alg, gamma, phi):
+    alg = ALGEBRAS[alg]
+    want = finite_reference.finite_consequence(alg, gamma, phi)
+    assert repr(finite_consequence(alg, gamma, phi)) == repr(want)
+
+
+def test_one_frame_per_isomorphism_class(monkeypatch):
+    seen = []
+    decide = decision.decide_on_frame
+
+    def counted(frame, *args, **kwargs):
+        seen.append(frame)
+        return decide(frame, *args, **kwargs)
+
+    monkeypatch.setattr(decision, "decide_on_frame", counted)
+    # unlabeled digraphs with loops allowed on 1, 2 and 3 nodes
+    for j, classes in ((1, 2), (2, 10), (3, 104)):
+        seen.clear()
+        assert decide_cardinality(j, [P("p")], P("[] p"), MVn(3)).holds
+        assert len(seen) == classes
+        assert len({tuple(sorted(fr.edges)) for fr in seen}) == classes
+
+
+_FAILING = {"t": ((), "[] p -> p"), "four": ((), "[] p -> [] [] p"),
+            "up": ((), "p -> [] p"), "excluded middle": ((), "p \\/ ~p"),
+            "converse": ((), "[] [] p -> [] p")}
+
+
+@pytest.mark.parametrize("alg, j", [("mv-3", 1), ("mv-3", 2), ("mv-3", 3),
+                                    ("std-mv", 1), ("std-mv", 2)])
+def test_cardinality_witness_matches_labeled_sweep(alg, j):
+    alg = StdMV() if alg == "std-mv" else ALGEBRAS[alg]
+    for name, (prem, conc) in _FAILING.items():
+        gamma, phi = [P(s) for s in prem], P(conc)
+        got = decide_cardinality(j, gamma, phi, alg)
+        want = finite_reference.decide_cardinality(j, gamma, phi, alg)
+        assert got.holds == want.holds, name
+        if not want.holds:
+            assert got.witness.world == want.witness.world, name
+            assert got.witness.value == want.witness.value, name
+            assert json.dumps(model_to_json(got.witness.model)) == \
+                json.dumps(model_to_json(want.witness.model)), name
+
+
+def test_baseline_pair_at_three_worlds():
+    # holds, so each of the 104 frames is decided
+    assert decide_cardinality(3, [P("[] p -> p")], P("[] [] p -> p"), MVn(3)).holds
