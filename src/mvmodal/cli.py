@@ -19,7 +19,8 @@ from .bridges import (finite_to_global, luk2prod_formula, model_l2p,
                       modal_to_fo, render_fo, rewrite_to_fragment, product_side_premises)
 from .decision import (coenumerate_nonconsequences, decide_cardinality,
                        decide_on_frame)
-from .formulas import Formula, ParseError, parse, render, variables
+from .formulas import (Formula, ParseError, fresh_names, parse, render,
+                       variables)
 from .kripke import (KripkeModel, Verdict, consequence_witness, evaluate_all,
                      frame_from_json, frame_to_json, load_model,
                      model_to_json)
@@ -169,22 +170,10 @@ def _cmd_pcp_extract(args) -> int:
     return 0
 
 
-def _fresh_names(used, bases) -> list[str]:
-    out = []
-    for base in bases:
-        name = base
-        i = 0
-        while name in used or name in out:
-            name = f"{base}{i}"
-            i += 1
-        out.append(name)
-    return out
-
-
 def _cmd_reduce(args) -> int:
     gamma = _parse_premises(args.premises)
     phi = parse(args.conclusion)
-    p, q = _fresh_names(variables(gamma + (phi,)), ["p", "q"])
+    p, q = fresh_names(variables(gamma + (phi,)), ["p", "q"])
     new_gamma, new_phi = finite_to_global(gamma, phi, p, q)
     out = {"premises": [render(g) for g in new_gamma],
            "conclusion": render(new_phi), "p": p, "q": q}
@@ -205,7 +194,7 @@ def _cmd_l2p(args) -> int:
         used |= variables(phi)
     if model is not None:
         used |= set(model.variables)
-    (x,) = _fresh_names(used, ["t"])
+    (x,) = fresh_names(used, ["t"])
     out["x"] = x
     out["product_side_premises"] = [render(f) for f in product_side_premises(x)]
     if phi is not None:

@@ -29,8 +29,8 @@ from . import lp
 from .algebras import (Algebra, FiniteTable, MVn, ResourceLimitError, StdMV,
                        Value, mv_chain_tables)
 from .formulas import (And, Box, Const0, Const1, Diamond, Formula, Implies,
-                       Or, Times, Var, bottom_up, iff, is_propositional,
-                       postorder, render)
+                       Or, Times, Var, bottom_up, fresh_names, iff,
+                       is_propositional, postorder, render)
 from .kripke import (_OPERATION, KripkeFrame, KripkeModel, Verdict, Witness,
                      evaluate_all)
 
@@ -255,7 +255,11 @@ def luk_consequence(gamma: Iterable[Formula], phi: Formula, *,
     optimum yields a rational countermodel valuation, re-checked by direct
     evaluation before it is returned.  Branches whose relaxation already
     caps the objective at 0 are pruned, which does not change the verdict.
-    The guard bounds the number of explored search nodes.
+    A branch's rows are its parent's plus one regime, so each child LP is
+    warm-started from its parent's optimal tableau (``lp.solve_max``'s
+    ``start``): the same status and optimum as a solve from scratch, for
+    the cost of re-optimising a few appended rows.  The guard bounds the
+    number of explored search nodes.
     """
     gamma = tuple(gamma)
     try:
@@ -267,13 +271,14 @@ def luk_consequence(gamma: Iterable[Formula], phi: Formula, *,
     offset = 1 - system.affine[phi].const
     explored = 0
 
-    def search(i: int, rows: list[lp.Constraint]) -> dict | None:
+    def search(i: int, rows: list[lp.Constraint],
+               parent: lp.LPResult | None) -> dict | None:
         nonlocal explored
         explored += 1
         if explored > branch_guard:
             raise ResourceLimitError(
                 f"case-split guard exceeded ({branch_guard} branches)")
-        res = lp.solve_max(objective, rows)
+        res = lp.solve_max(objective, rows, start=parent)
         if res.status == "infeasible":
             return None
         if res.status != "optimal":
@@ -284,12 +289,12 @@ def luk_consequence(gamma: Iterable[Formula], phi: Formula, *,
             return res.point
         _, regimes = system.splits[i]
         for regime in regimes:
-            out = search(i + 1, rows + regime)
+            out = search(i + 1, rows + regime, res)
             if out is not None:
                 return out
         return None
 
-    point = search(0, system.base_rows)
+    point = search(0, system.base_rows, None)
     if point is None:
         return Verdict(True)
     names = sorted(f.name for f in system.nodes if isinstance(f, Var))
@@ -345,19 +350,23 @@ def finite_consequence(alg: Algebra, gamma: Iterable[Formula], phi: Formula, *,
     roots = gamma + (phi,)
     nodes = _propositional_nodes(roots)
     names = sorted(f.name for f in nodes if isinstance(f, Var))
+    size = alg.n if isinstance(alg, MVn) else alg.size
+    depth = len(names)
+    if size ** depth > guard:
+        raise ResourceLimitError(
+            f"{size}^{depth} valuations exceed the search guard {guard}")
     # MVn sweeps its index tables: index k stands for k/(n-1)
     if isinstance(alg, MVn):
+        if 4 * size * size > guard:
+            raise ResourceLimitError(
+                f"four {size}x{size} operation tables exceed the search "
+                f"guard {guard}")
         tables = mv_chain_tables(alg.n)
     else:
         tables = {"size": alg.size, "meet": alg.meet_table,
                   "join": alg.join_table, "times": alg.times_table,
                   "residuum": alg.residuum_table, "zero": alg.zero_index,
                   "one": alg.one_index}
-    size = tables["size"]
-    depth = len(names)
-    if size ** depth > guard:
-        raise ResourceLimitError(
-            f"{size}^{depth} valuations exceed the search guard {guard}")
     slot = {id(Var(p)): k for k, p in enumerate(names)}
     level = list(range(1, depth + 1))
     vals = [0] * depth
@@ -456,26 +465,22 @@ def translate_on_frame(frame: KripkeFrame, gamma: Iterable[Formula],
     gamma = tuple(gamma)
     nodes = postorder(gamma + (phi,))
     source_vars = sorted(f.name for f in nodes if isinstance(f, Var))
-    taken = set(source_vars)
-
-    def fresh(base: str) -> str:
-        while base in taken:
-            base += "_"
-        taken.add(base)
-        return base
-
     worlds = frame.worlds
     widx = {w: i for i, w in enumerate(worlds)}
     modal = sorted((f for f in nodes if isinstance(f, (Box, Diamond))), key=render)
+    tags = ["box" if isinstance(mf, Box) else "dia" for mf in modal]
+    fresh = iter(fresh_names(source_vars, [
+        *(f"{p}__w{i}" for p in source_vars for i in range(len(worlds))),
+        *(f"x{tag}{k}__w{i}" for k, tag in enumerate(tags)
+          for i in range(len(worlds)))]))
     legend: dict[str, tuple] = {}
     var_names: dict[str, list[str]] = {}
     for p in source_vars:
-        var_names[p] = [fresh(f"{p}__w{i}") for i in range(len(worlds))]
+        var_names[p] = [next(fresh) for _ in worlds]
         legend.update((name, ("var", p, w)) for name, w in zip(var_names[p], worlds))
     mod_names: dict[Formula, list[str]] = {}
-    for k, mf in enumerate(modal):
-        tag = "box" if isinstance(mf, Box) else "dia"
-        mod_names[mf] = [fresh(f"x{tag}{k}__w{i}") for i in range(len(worlds))]
+    for mf, tag in zip(modal, tags):
+        mod_names[mf] = [next(fresh) for _ in worlds]
         legend.update((name, (tag, mf.body, w)) for name, w in zip(mod_names[mf], worlds))
 
     def per_world(f: Formula, *images: tuple[Formula, ...]) -> tuple[Formula, ...]:

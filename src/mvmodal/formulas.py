@@ -27,7 +27,7 @@ __all__ = [
     "Box", "Diamond", "ZERO", "ONE", "ParseError",
     "neg", "iff", "fpow", "variables", "subformulas", "prop_subformulas",
     "substitute", "box_prefix", "render", "parse", "is_propositional",
-    "postorder", "bottom_up", "rebuild",
+    "postorder", "bottom_up", "rebuild", "fresh_names",
 ]
 
 _IDENT_RE = re.compile(r"[a-zA-Z][a-zA-Z0-9_]*")
@@ -235,6 +235,21 @@ def fpow(f: Formula, n: int) -> Formula:
 def variables(f: Formula | Iterable[Formula]) -> frozenset[str]:
     return frozenset(g.name for g in postorder([f] if isinstance(f, Formula) else f)
                      if isinstance(g, Var))
+
+
+def fresh_names(used: Iterable[str], bases: Iterable[str]) -> list[str]:
+    """One new name per base, avoiding ``used`` and each other: the base
+    itself if free, else the base followed by the least free of 0, 1, ..."""
+    taken = set(used)
+    out = []
+    for base in bases:
+        name, i = base, 0
+        while name in taken:
+            name = f"{base}{i}"
+            i += 1
+        taken.add(name)
+        out.append(name)
+    return out
 
 
 def subformulas(f: Formula) -> frozenset[Formula]:

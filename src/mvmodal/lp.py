@@ -19,15 +19,36 @@ exact, so the entering column (smallest index with a negative reduced
 cost), the leaving row (least ratio, ties to the smallest basic index) and
 hence the whole pivot sequence and the optimum are those of the dense
 Fraction tableau this replaces.
+
+Warm start.  An optimal result keeps its final tableau, and
+``solve_max(objective, constraints, start=parent)`` re-optimises it when
+``constraints`` extends the parent's constraints: each appended row (an
+``==`` row as two ``<=`` rows) gets its own slack, is reduced against the
+parent's basis and so keeps the tableau dual-feasible, and a dual simplex
+restores primal feasibility.  Its rule is Bland's dual rule: the leaving
+row has the smallest basic index among rows with negative rhs, the entering
+column has the least ratio ``obj_j / -a_j`` over the row's negative
+entries (ties to the smallest column), and a leaving row with no negative
+entry proves the system infeasible.  Artificial columns are dropped from a
+warm tableau, so they stay barred.  The status and value of a warm solve
+are those of the cold one, but its optimal vertex may differ: the
+pivot-for-pivot equality with the dense tableau covers cold solves only.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import compress
 from math import gcd, lcm
+from operator import is_
+from typing import NamedTuple
 
 __all__ = ["Constraint", "LPResult", "solve_max"]
+
+# Zero columns a copied warm tableau keeps, so that its descendants can
+# append rows and still share its rows.
+_SPARE = 24
 
 
 @dataclass(frozen=True)
@@ -37,15 +58,39 @@ class Constraint:
     rhs: Fraction
 
 
+class _Optimum(NamedTuple):
+    """The final tableau of an optimal solve, for warm starts.
+
+    The columns in use are those below ``width``.  The ``spare`` columns
+    after them are zero in every row; any others before the rhs are
+    artificial, and a row whose basic column is artificial is zero in every
+    column in use.  Rows are never changed in place, so a warm start shares
+    them.
+    """
+
+    objective: dict
+    constraints: tuple  # the constraints solved, a warm start's prefix
+    names: list[str]
+    index: dict  # variable name -> column
+    tableau: list[list[int]]
+    basis: list[int]
+    obj: list[int]
+    width: int
+    spare: int
+
+
 @dataclass(frozen=True)
 class LPResult:
     status: str  # "optimal" | "infeasible" | "unbounded"
     value: Fraction | None = None
     point: dict | None = None
+    optimum: _Optimum | None = field(default=None, repr=False, compare=False)
 
 
 def _exact(a) -> Fraction | int:
     """``a`` as an int or Fraction, so it has a numerator and denominator."""
+    if isinstance(a, float):
+        raise TypeError("floats are not exact; use Fraction")
     return a if isinstance(a, (int, Fraction)) else Fraction(a)
 
 
@@ -125,8 +170,140 @@ def _run_simplex(tableau: list[list[int]], obj: list[int],
         _pivot(tableau, obj, basis, row, col)
 
 
-def solve_max(objective: dict, constraints: list[Constraint]) -> LPResult:
-    """Maximize ``objective . x`` subject to the constraints, ``x >= 0``."""
+def _run_dual(tableau: list[list[int]], obj: list[int],
+              basis: list[int]) -> str:
+    """Pivot a dual-feasible tableau until its rhs is nonnegative, by
+    Bland's dual rule (see the module docstring)."""
+    while True:
+        rows = [i for i, r in enumerate(tableau) if r[-1] < 0]
+        if not rows:
+            return "optimal"
+        row = min(rows, key=basis.__getitem__)
+        r = tableau[row]
+        col = -1
+        best_o = best_a = 0
+        for j, a in enumerate(r[:-1]):
+            if a < 0:
+                # ratio obj[j] / -a against best_o / best_a, both divisors
+                # positive
+                if col < 0 or obj[j] * best_a < best_o * -a:
+                    best_o, best_a = obj[j], -a
+                    col = j
+        if col < 0:
+            return "infeasible"
+        _pivot(tableau, obj, basis, row, col)
+
+
+def _result(objective: dict, constraints, names: list[str], index: dict,
+            tableau: list[list[int]], basis: list[int], obj: list[int],
+            width: int, spare: int) -> LPResult:
+    """The optimal result read off a final tableau, which it keeps."""
+    at = {j: v for v, j in index.items()}
+    zero = Fraction(0)
+    point = {v: zero for v in names}
+    for r, b in zip(tableau, basis):
+        if b in at:
+            point[at[b]] = Fraction(r[-1], r[b])
+    value = sum((Fraction(a) * point[v] for v, a in objective.items()), zero)
+    return LPResult("optimal", value, point, _Optimum(
+        dict(objective), tuple(constraints), names, index, tableau, basis,
+        obj, width, spare))
+
+
+def _resolve(objective: dict, constraints: list[Constraint],
+             start: LPResult) -> LPResult:
+    """Re-optimise ``start``'s tableau with the rows appended since."""
+    opt = start.optimum
+    if (opt is None or objective != opt.objective
+            or len(constraints) < len(opt.constraints)
+            or not all(map(is_, opt.constraints, constraints))):
+        raise ValueError("start must be an optimal result on the same "
+                         "objective whose constraints are a prefix of these")
+    appended = constraints[len(opt.constraints):]
+    # the appended rows as (coefficients, rhs, sign) of <= rows
+    heads = []
+    for c in appended:
+        if c.sense not in ("<=", ">=", "=="):
+            raise ValueError(f"bad sense {c.sense!r}")
+        coeffs = [(v, _exact(a)) for v, a in c.coeffs.items() if a]
+        rhs = _exact(c.rhs)
+        if c.sense != ">=":
+            heads.append((coeffs, rhs, 1))
+        if c.sense != "<=":
+            heads.append((coeffs, rhs, -1))
+
+    # Column layout: the parent's columns in use, then the new variables,
+    # then one slack per new row.  They take the parent's spare columns if
+    # there are enough; otherwise the rows are copied without artificials
+    # and with _SPARE zero columns to spare.
+    width = opt.width
+    new = sorted({v for c in appended for v in c.coeffs} - opt.index.keys())
+    need = len(new) + len(heads)
+    if opt.spare >= need:
+        tableau = list(opt.tableau)
+        basis = list(opt.basis)
+        obj = opt.obj[:]
+        spare = opt.spare - need
+    else:
+        spare = _SPARE
+        pad = [0] * (need + spare)
+        tableau = []
+        basis = []
+        for r, b in zip(opt.tableau, opt.basis):
+            if b < width:
+                row = r[:width]
+                row += pad
+                row.append(r[-1])
+                tableau.append(row)
+                basis.append(b)
+        obj = opt.obj[:width] + pad + opt.obj[-1:]
+    index = opt.index
+    names = opt.names
+    if new:
+        index = {**index, **{v: width + j for j, v in enumerate(new)}}
+        names = sorted(index)
+    ncols = len(obj) - 1
+
+    where = {b: i for i, b in enumerate(basis)}
+    slack_col = width + len(new)
+    for coeffs, rhs, sign in heads:
+        scale = lcm(rhs.denominator, *(a.denominator for _, a in coeffs))
+        row = [0] * (ncols + 1)
+        for v, a in coeffs:
+            row[index[v]] = sign * a.numerator * (scale // a.denominator)
+        row[slack_col] = scale
+        row[-1] = sign * rhs.numerator * (scale // rhs.denominator)
+        # Eliminate the basic columns, so the slack is this row's basic.
+        # Only the coefficient columns can be basic: a basic row is zero in
+        # every other basic column.
+        for v, _ in coeffs:
+            i = where.get(index[v])
+            if i is not None:
+                r = tableau[i]
+                b = basis[i]
+                row = _eliminate(row, r, list(compress(range(len(r)), r)),
+                                 r[b], row[b])
+        tableau.append(row)
+        basis.append(slack_col)
+        slack_col += 1
+
+    if _run_dual(tableau, obj, basis) == "infeasible":
+        return LPResult("infeasible")
+    return _result(objective, constraints, names, index, tableau, basis, obj,
+                   width + need, spare)
+
+
+def solve_max(objective: dict, constraints: list[Constraint], *,
+              start: LPResult | None = None) -> LPResult:
+    """Maximize ``objective . x`` subject to the constraints, ``x >= 0``.
+
+    With ``start``, an optimal result of this objective whose constraints
+    are a prefix of ``constraints`` (the same objects), its tableau is
+    re-optimised with the appended rows instead of solving from scratch;
+    any other ``start`` raises ``ValueError``.
+    """
+    if start is not None:
+        return _resolve(objective, constraints, start)
     names = sorted(set(objective) | {v for c in constraints for v in c.coeffs})
     index = {v: j for j, v in enumerate(names)}
     n = len(names)
@@ -201,11 +378,5 @@ def solve_max(objective: dict, constraints: list[Constraint]) -> LPResult:
     status = _run_simplex(tableau, obj, basis, n + nslack)
     if status == "unbounded":
         return LPResult("unbounded")
-
-    zero = Fraction(0)
-    point = {v: zero for v in names}
-    for i, b in enumerate(basis):
-        if b < n:
-            point[names[b]] = Fraction(tableau[i][-1], tableau[i][b])
-    value = sum((Fraction(a) * point[v] for v, a in objective.items()), zero)
-    return LPResult(status, value, point)
+    return _result(objective, constraints, names, index, tableau, basis, obj,
+                   n + nslack, 0)

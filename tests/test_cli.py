@@ -177,6 +177,8 @@ def test_usage_errors(files, capsys):
     assert run(["check", "--frame", files["frame"], "--weird"]) == 2
     assert run(["check", "--cardinality", "9", "--algebra", "std-mv",
                 "--conclusion", "p"]) == 3  # cardinality guard
+    assert run(["check", "--algebra", "mv-1000000", "--cardinality", "1",
+                "--conclusion", "p \\/ ~p"]) == 3  # MV chain table guard
     assert run(["coenum", "--instance", files["p0"], "--budget", "1",
                 "--jobs", "2"]) == 2  # the flag is gone
     # --instance must be a list of objects with a string conclusion

@@ -158,6 +158,24 @@ def test_finite_consequence_examples():
         finite_consequence(MVn(5), [], f)
 
 
+def test_large_chain_guards_trip_before_tables(monkeypatch):
+    def no_tables(n):
+        raise AssertionError(f"built the tables of MVn({n})")
+
+    monkeypatch.setattr(decision, "mv_chain_tables", no_tables)
+    # 10^6 values but one variable: the four n x n tables trip the guard
+    with pytest.raises(ResourceLimitError, match="operation tables"):
+        finite_consequence(MVn(10 ** 6), [], P("p \\/ ~p"))
+    # two variables: 10^12 valuations trip it first
+    with pytest.raises(ResourceLimitError, match="valuations"):
+        finite_consequence(MVn(10 ** 6), [], P("p -> q"))
+    with pytest.raises(ResourceLimitError):
+        decide_cardinality(1, [], P("p \\/ ~p"), MVn(10 ** 6))
+    # a chain within both guards builds its tables
+    monkeypatch.undo()
+    assert not finite_consequence(MVn(41), [], P("p \\/ ~p")).holds
+
+
 _PROP = st.recursive(
     st.sampled_from([Var("p"), Var("q"), Var("r"), ZERO, ONE]),
     lambda sub: st.builds(lambda op, a, b: op(a, b),

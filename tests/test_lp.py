@@ -1,6 +1,8 @@
 import random
 from fractions import Fraction as F
 
+import pytest
+
 from mvmodal.lp import Constraint, solve_max
 
 
@@ -77,3 +79,15 @@ def test_random_solutions_are_feasible_and_dominant():
             if feasible(pt):
                 val = sum(a * pt[v] for v, a in obj.items())
                 assert val <= res.value
+
+
+def test_floats_are_rejected():
+    for objective, row in (({"x": 1}, Constraint({"x": 1}, "<=", 0.1)),
+                           ({"x": 1}, Constraint({"x": 0.5}, "<=", 1)),
+                           ({"x": 0.5}, Constraint({"x": 1}, "<=", 1))):
+        with pytest.raises(TypeError, match="floats are not exact"):
+            solve_max(objective, [row])
+    rows = [Constraint({"x": 1}, "<=", F(1, 10))]
+    res = solve_max({"x": 1}, rows)
+    with pytest.raises(TypeError, match="floats are not exact"):
+        solve_max({"x": 1}, rows + [Constraint({"x": 1}, "<=", 0.05)], start=res)

@@ -1,0 +1,163 @@
+"""Differential battery: warm-started solves against cold ones.
+
+Each system is solved cold, then extended over one to three generations of
+appended rows.  Every generation is solved twice, warm from the previous
+generation's result and cold from scratch: the status and value must agree,
+and the warm point must satisfy every constraint and attain the value.  The
+optimal vertex itself may differ.
+"""
+
+import random
+from fractions import Fraction as F
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from helpers import random_formula
+from mvmodal import lp
+from mvmodal.algebras import StdMV
+from mvmodal.decision import decide_cardinality, luk_consequence
+from mvmodal.formulas import parse as P
+from mvmodal.lp import Constraint, solve_max
+
+SENSES = ("<=", ">=", "==")
+FLIP = {"<=": ">=", ">=": "<=", "==": "=="}
+
+
+def attains(res, objective, rows):
+    pt = res.point
+    assert all(x >= 0 for x in pt.values())
+    assert sum(a * pt[v] for v, a in objective.items()) == res.value
+    for c in rows:
+        lhs = sum(a * pt[v] for v, a in c.coeffs.items())
+        assert {"<=": lhs <= c.rhs, ">=": lhs >= c.rhs, "==": lhs == c.rhs}[c.sense], c
+
+
+def check_generations(objective, base, generations):
+    """Solve ``base`` cold, then each generation of appended rows warm and
+    cold; returns the statuses of the warm solves."""
+    res = solve_max(objective, base)
+    rows = list(base)
+    statuses = []
+    for extra in generations:
+        if res.status != "optimal":
+            break
+        rows = rows + extra
+        warm = solve_max(objective, rows, start=res)
+        cold = solve_max(objective, rows)
+        assert (warm.status, warm.value) == (cold.status, cold.value)
+        if warm.status == "optimal":
+            attains(warm, objective, rows)
+        statuses.append(warm.status)
+        res = warm
+    return statuses
+
+
+def random_rows(rng, names, k, earlier):
+    """``k`` rows over ``names``; some repeat or negate an earlier row."""
+    rows = []
+    for _ in range(k):
+        r = rng.random()
+        if earlier and r < 0.15:
+            rows.append(rng.choice(earlier))
+        elif earlier and r < 0.3:
+            c = rng.choice(earlier)
+            m = F(rng.randint(1, 3), rng.randint(1, 2))
+            rows.append(Constraint({v: -m * a for v, a in c.coeffs.items()},
+                                   FLIP[c.sense], -m * c.rhs))
+        else:
+            coeffs = {v: F(rng.randint(-3, 3), rng.randint(1, 3))
+                      for v in rng.sample(names, rng.randint(1, len(names)))}
+            rows.append(Constraint(coeffs, rng.choice(SENSES),
+                                   F(rng.randint(-3, 3), rng.randint(1, 2))))
+        earlier = earlier + rows[-1:]
+    return rows
+
+
+def test_seeded_generations_match_cold():
+    rng = random.Random(4471)
+    seen = set()
+    for case in range(300):
+        names = [f"v{i}" for i in range(rng.randint(1, 5))]
+        base = [Constraint({v: F(1)}, "<=", F(1)) for v in names] if case % 4 else []
+        base += random_rows(rng, names, rng.randint(0, 3), base)
+        objective = {v: F(rng.randint(-3, 3)) for v in rng.sample(names, rng.randint(0, len(names)))}
+        generations = []
+        earlier = list(base)
+        for _ in range(rng.randint(1, 3)):
+            # now and then a variable the parent never saw
+            pool = names + ["fresh"] if rng.random() < 0.2 else names
+            extra = random_rows(rng, pool, rng.randint(1, 3), earlier)
+            generations.append(extra)
+            earlier += extra
+        seen.update(check_generations(objective, base, generations))
+    assert seen == {"optimal", "infeasible"}
+
+
+exact = st.fractions(min_value=-4, max_value=4, max_denominator=5)
+
+
+@st.composite
+def extended_systems(draw):
+    names = [f"x{i}" for i in range(draw(st.integers(1, 4)))]
+    coeffs = st.dictionaries(st.sampled_from(names), exact, min_size=1)
+    row = st.builds(Constraint, coeffs, st.sampled_from(SENSES), exact)
+    bounds = [Constraint({v: F(1)}, "<=", F(1)) for v in names]
+    base = bounds + draw(st.lists(row, max_size=4))
+    generations = draw(st.lists(st.lists(row, min_size=1, max_size=3),
+                                min_size=1, max_size=3))
+    objective = draw(st.dictionaries(st.sampled_from(names), exact))
+    return objective, base, generations
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(extended_systems())
+def test_hypothesis_generations_match_cold(system):
+    check_generations(*system)
+
+
+def test_start_must_be_an_optimal_prefix():
+    x = Constraint({"x": F(1)}, "<=", F(1))
+    y = Constraint({"x": F(1)}, ">=", F(1, 2))
+    res = solve_max({"x": F(1)}, [x])
+    assert solve_max({"x": F(1)}, [x, y], start=res).value == 1
+    bad = [
+        ({"x": F(1)}, [Constraint({"x": F(1)}, "<=", F(1)), y]),  # equal, not the same
+        ({"x": F(1)}, [y, x]),                                     # not a prefix
+        ({"x": F(1)}, []),                                         # shorter
+        ({"x": F(2)}, [x, y]),                                     # other objective
+    ]
+    for objective, rows in bad:
+        with pytest.raises(ValueError):
+            solve_max(objective, rows, start=res)
+    infeasible = solve_max({"x": F(1)}, [x, Constraint({"x": F(1)}, ">=", F(2))])
+    assert infeasible.status == "infeasible"
+    with pytest.raises(ValueError):
+        solve_max({"x": F(1)}, [x, y], start=infeasible)
+
+
+def test_luk_search_same_verdicts_without_start(monkeypatch):
+    rng = random.Random(902)
+    queries = [([], random_formula(rng, 4, modal=False)) for _ in range(60)]
+    queries += [([random_formula(rng, 3, modal=False)], random_formula(rng, 3, modal=False))
+                for _ in range(40)]
+    queries += [([P("p -> q"), P("q -> r")], P("p -> r")),
+                ([P("~(p * q)")], P("~p \\/ ~q"))]
+    frames = [([P("[]p -> p")], P("[][]p -> p")), ([P("p")], P("[]p")),
+              ([P("[]p")], P("p")), ([], P("<>p -> []p"))]
+    warm = [luk_consequence(g, f) for g, f in queries]
+    warm += [decide_cardinality(2, g, f, StdMV()) for g, f in frames]
+    cold_solve = lp.solve_max
+    starts = []
+
+    def cold(objective, constraints, *, start=None):
+        starts.append(start is not None)
+        return cold_solve(objective, constraints)
+
+    monkeypatch.setattr(lp, "solve_max", cold)
+    cold_verdicts = [luk_consequence(g, f) for g, f in queries]
+    cold_verdicts += [decide_cardinality(2, g, f, StdMV()) for g, f in frames]
+    assert any(starts) and not all(starts)
+    assert [repr(v) for v in warm] == [repr(v) for v in cold_verdicts]
+    assert {v.holds for v in warm} == {True, False}
