@@ -323,15 +323,19 @@ def validate_finite_algebra(size: int, meet, join, times, residuum,
     Tables are ``size x size`` nested sequences over indices ``0..size-1``;
     every violated law instance is reported.
     """
+    if not isinstance(size, int) or size < 1:
+        raise ValueError(f"size {size!r} is not a positive integer")
     for name, table in (("meet", meet), ("join", join),
                         ("times", times), ("residuum", residuum)):
-        if len(table) != size or any(len(row) != size for row in table):
+        if (not isinstance(table, (list, tuple)) or len(table) != size
+                or any(not isinstance(row, (list, tuple)) or len(row) != size
+                       for row in table)):
             raise ValueError(f"{name} table is not {size}x{size}")
         for row in table:
             for v in row:
                 if not isinstance(v, int) or not 0 <= v < size:
                     raise ValueError(f"{name} table entry {v!r} out of range")
-    if not (0 <= zero < size and 0 <= one < size):
+    if not all(isinstance(e, int) and 0 <= e < size for e in (zero, one)):
         raise ValueError("designated elements out of range")
 
     bad: list[Violation] = []
@@ -489,18 +493,40 @@ def value_to_json(alg: Algebra, v: Value):
     return rational_to_str(alg.require(v))
 
 
+def _fraction(obj) -> Fraction:
+    """A rational from JSON: a string such as ``"3/4"``, or an integer;
+    never a float, which is not exact."""
+    if isinstance(obj, (str, int)):
+        try:
+            return Fraction(obj)
+        except (ValueError, ZeroDivisionError):
+            pass
+    raise CarrierError(f"{obj!r} is not an exact rational")
+
+
+def int_from_json(obj, what: str) -> int:
+    """``obj`` as an int: a JSON integer or a decimal string, never a bool
+    or a float; anything else raises ``ValueError`` naming ``what``."""
+    if isinstance(obj, (int, str)) and not isinstance(obj, bool):
+        try:
+            return int(obj)
+        except ValueError:
+            pass
+    raise ValueError(f"{what} must be an integer, got {obj!r}")
+
+
 def value_from_json(alg: Algebra, obj) -> Value:
     if isinstance(alg, ExpChain):
         if obj == "zero":
             return EXP_ZERO
         if isinstance(obj, dict) and set(obj) == {"pow"}:
-            return ExpValue(Fraction(obj["pow"]))
+            return ExpValue(_fraction(obj["pow"]))
         raise CarrierError(f"bad power-chain value: {obj!r}")
     if isinstance(alg, FiniteTable):
         return alg.require(obj)
     if not isinstance(obj, str):
         raise CarrierError(f"rational values are serialized as strings, got {obj!r}")
-    return alg.require(Fraction(obj))
+    return alg.require(_fraction(obj))
 
 
 def algebra_to_json(alg: Algebra) -> dict:
@@ -537,10 +563,13 @@ def algebra_from_json(obj: dict) -> Algebra:
     if kind == "exp-chain":
         return ExpChain()
     if kind == "mv-n":
-        return MVn(int(obj["n"]))
+        return MVn(int_from_json(obj.get("n"), "mv-n's 'n'"))
     if kind == "finite-table":
-        t = obj["tables"]
-        return FiniteTable(t["size"], t["meet"], t["join"], t["times"],
-                           t["residuum"], t.get("zero", 0),
-                           t.get("one", t["size"] - 1))
+        t = obj.get("tables")
+        if not isinstance(t, dict):
+            raise ValueError("a finite-table algebra needs a 'tables' object")
+        size = int_from_json(t.get("size"), "the tables' 'size'")
+        return FiniteTable(size, t.get("meet"), t.get("join"), t.get("times"),
+                           t.get("residuum"), t.get("zero", 0),
+                           t.get("one", size - 1))
     raise ValueError(f"unknown algebra kind: {kind!r}")

@@ -13,8 +13,8 @@ import argparse
 import json
 import sys
 
-from .algebras import (Algebra, ExpChain, MVn, ResourceLimitError, StdGodel,
-                       StdMV, StdProduct, algebra_to_json, value_to_json)
+from .algebras import (Algebra, ResourceLimitError, StdMV, algebra_from_json,
+                       value_to_json)
 from .bridges import (finite_to_global, luk2prod_formula, model_l2p,
                       modal_to_fo, render_fo, rewrite_to_fragment, product_side_premises)
 from .decision import (coenumerate_nonconsequences, decide_cardinality,
@@ -36,21 +36,11 @@ def _load_json(path: str):
 
 
 def _parse_algebra(name: str) -> Algebra:
-    if name == "std-mv":
-        return StdMV()
-    if name == "std-godel":
-        return StdGodel()
-    if name == "std-product":
-        return StdProduct()
-    if name == "exp-chain":
-        return ExpChain()
+    """An ``algebra_from_json`` kind, with ``mv-<n>`` for the n-element MV
+    chain."""
     if name.startswith("mv-"):
-        try:
-            return MVn(int(name[3:]))
-        except ValueError:
-            pass
-    raise ValueError(f"unknown algebra {name!r} (use std-mv, std-godel, "
-                     "std-product, exp-chain or mv-<n>)")
+        return algebra_from_json({"kind": "mv-n", "n": name[3:]})
+    return algebra_from_json({"kind": name})
 
 
 def _parse_list(items, what: str) -> tuple[Formula, ...]:

@@ -1,8 +1,8 @@
 """Exact linear programming over the rationals.
 
-A two-phase tableau simplex with Bland's rule: termination is guaranteed and
-every reported optimum or infeasibility is exact.  All variables are
-implicitly nonnegative; upper bounds are ordinary rows.
+A tableau simplex with Bland's rules: termination is guaranteed and every
+reported optimum or infeasibility is exact.  All variables are implicitly
+nonnegative; upper bounds are ordinary rows.
 
 The tableau holds Python ints only.  A row is a list of integer numerators
 over one positive denominator, and that denominator is the row's own entry
@@ -12,27 +12,35 @@ the integers small.  The objective row is kept up to a positive factor
 only, because the simplex reads nothing from it but signs.
 
 A pivot eliminates only over the nonzero columns of the pivot row and skips
-every row that is zero in the pivot column.  The ratio test compares
-``rhs_i / a_i`` by cross-multiplication (the row denominators cancel), and
-Fractions appear only in the returned point and value.  Every comparison is
-exact, so the entering column (smallest index with a negative reduced
-cost), the leaving row (least ratio, ties to the smallest basic index) and
-hence the whole pivot sequence and the optimum are those of the dense
-Fraction tableau this replaces.
+every row that is zero in the pivot column.  The ratio tests compare
+ratios by cross-multiplication (the row denominators cancel), and
+Fractions appear only in the returned point and value.
+
+One path.  Every solve appends rows to an optimal tableau: each appended
+row (an ``==`` row as two ``<=`` rows) gets its own slack, is reduced
+against the basis and so keeps the tableau dual-feasible, and a dual
+simplex restores primal feasibility.  Its rule is Bland's dual rule: the
+leaving row has the smallest basic index among rows with negative rhs, the
+entering column has the least ratio ``obj_j / -a_j`` over the row's
+negative entries (ties to the smallest column), and a leaving row with no
+negative entry proves the system infeasible.
+
+A cold solve starts from the empty system: no rows, a column for every
+variable and the zero objective row.  A zero objective row is
+dual-feasible for every basis, so the dual simplex is its phase 1, and
+there are no artificial columns.  Phase 2 prices in the real objective and
+runs the primal simplex by Bland's rule: the entering column is the
+smallest with a negative reduced cost, the leaving row has the least ratio
+``rhs_i / a_i`` (ties to the smallest basic index).
 
 Warm start.  An optimal result keeps its final tableau, and
-``solve_max(objective, constraints, start=parent)`` re-optimises it when
-``constraints`` extends the parent's constraints: each appended row (an
-``==`` row as two ``<=`` rows) gets its own slack, is reduced against the
-parent's basis and so keeps the tableau dual-feasible, and a dual simplex
-restores primal feasibility.  Its rule is Bland's dual rule: the leaving
-row has the smallest basic index among rows with negative rhs, the entering
-column has the least ratio ``obj_j / -a_j`` over the row's negative
-entries (ties to the smallest column), and a leaving row with no negative
-entry proves the system infeasible.  Artificial columns are dropped from a
-warm tableau, so they stay barred.  The status and value of a warm solve
-are those of the cold one, but its optimal vertex may differ: the
-pivot-for-pivot equality with the dense tableau covers cold solves only.
+``solve_max(objective, constraints, start=parent)`` appends the rows of
+``constraints`` past the parent's to it; the parent's objective row is
+already optimal, so the dual simplex finishes the solve.  Status and value
+are those of any exact simplex, but the optimal vertex depends on the
+pivots: ``tests/test_lp_reference.py`` checks status and value against a
+dense two-phase tableau, and that every optimal point is nonnegative,
+satisfies every row and attains the value.
 """
 
 from __future__ import annotations
@@ -46,7 +54,7 @@ from typing import NamedTuple
 
 __all__ = ["Constraint", "LPResult", "solve_max"]
 
-# Zero columns a copied warm tableau keeps, so that its descendants can
+# Zero columns a copied tableau keeps, so that its descendants can
 # append rows and still share its rows.
 _SPARE = 24
 
@@ -61,11 +69,9 @@ class Constraint:
 class _Optimum(NamedTuple):
     """The final tableau of an optimal solve, for warm starts.
 
-    The columns in use are those below ``width``.  The ``spare`` columns
-    after them are zero in every row; any others before the rhs are
-    artificial, and a row whose basic column is artificial is zero in every
-    column in use.  Rows are never changed in place, so a warm start shares
-    them.
+    The columns in use are those below ``width``; the ``spare`` columns
+    after them, up to the rhs, are zero in every row and in the objective
+    row.  Rows are never changed in place, so a warm start shares them.
     """
 
     objective: dict
@@ -140,8 +146,8 @@ def _pivot(tableau: list[list[int]], obj: list[int], basis: list[int],
 
 
 def _run_simplex(tableau: list[list[int]], obj: list[int],
-                 basis: list[int], limit: int) -> str:
-    """Pivot until optimal, entering only columns below ``limit``.
+                 basis: list[int]) -> str:
+    """Pivot a feasible tableau until optimal.
 
     The objective row holds negated costs plus row combinations, so a column
     with a negative entry improves the maximum; Bland's rule (smallest
@@ -149,7 +155,7 @@ def _run_simplex(tableau: list[list[int]], obj: list[int],
     """
     while True:
         col = -1
-        for j in range(limit):
+        for j in range(len(obj) - 1):
             if obj[j] < 0:
                 col = j
                 break
@@ -194,31 +200,29 @@ def _run_dual(tableau: list[list[int]], obj: list[int],
         _pivot(tableau, obj, basis, row, col)
 
 
-def _result(objective: dict, constraints, names: list[str], index: dict,
-            tableau: list[list[int]], basis: list[int], obj: list[int],
-            width: int, spare: int) -> LPResult:
-    """The optimal result read off a final tableau, which it keeps."""
-    at = {j: v for v, j in index.items()}
-    zero = Fraction(0)
-    point = {v: zero for v in names}
-    for r, b in zip(tableau, basis):
-        if b in at:
-            point[at[b]] = Fraction(r[-1], r[b])
-    value = sum((Fraction(a) * point[v] for v, a in objective.items()), zero)
-    return LPResult("optimal", value, point, _Optimum(
-        dict(objective), tuple(constraints), names, index, tableau, basis,
-        obj, width, spare))
+def solve_max(objective: dict, constraints: list[Constraint], *,
+              start: LPResult | None = None) -> LPResult:
+    """Maximize ``objective . x`` subject to the constraints, ``x >= 0``.
 
-
-def _resolve(objective: dict, constraints: list[Constraint],
-             start: LPResult) -> LPResult:
-    """Re-optimise ``start``'s tableau with the rows appended since."""
-    opt = start.optimum
-    if (opt is None or objective != opt.objective
-            or len(constraints) < len(opt.constraints)
-            or not all(map(is_, opt.constraints, constraints))):
-        raise ValueError("start must be an optimal result on the same "
-                         "objective whose constraints are a prefix of these")
+    With ``start``, an optimal result of this objective whose constraints
+    are a prefix of ``constraints`` (the same objects), its tableau is
+    re-optimised with the appended rows instead of solving from scratch;
+    any other ``start`` raises ``ValueError``.
+    """
+    if start is None:
+        # the empty system, whose zero objective row is optimal
+        names = sorted(set(objective) | {v for c in constraints for v in c.coeffs})
+        opt = _Optimum(dict(objective), (), names,
+                       {v: j for j, v in enumerate(names)}, [], [],
+                       [0] * (len(names) + 1), len(names), 0)
+    else:
+        opt = start.optimum
+        if (opt is None or objective != opt.objective
+                or len(constraints) < len(opt.constraints)
+                or not all(map(is_, opt.constraints, constraints))):
+            raise ValueError("start must be an optimal result on the same "
+                             "objective whose constraints are a prefix of "
+                             "these")
     appended = constraints[len(opt.constraints):]
     # the appended rows as (coefficients, rhs, sign) of <= rows
     heads = []
@@ -234,29 +238,25 @@ def _resolve(objective: dict, constraints: list[Constraint],
 
     # Column layout: the parent's columns in use, then the new variables,
     # then one slack per new row.  They take the parent's spare columns if
-    # there are enough; otherwise the rows are copied without artificials
-    # and with _SPARE zero columns to spare.
+    # there are enough; otherwise the rows are copied with _SPARE zero
+    # columns to spare.
     width = opt.width
     new = sorted({v for c in appended for v in c.coeffs} - opt.index.keys())
     need = len(new) + len(heads)
     if opt.spare >= need:
         tableau = list(opt.tableau)
-        basis = list(opt.basis)
-        obj = opt.obj[:]
         spare = opt.spare - need
     else:
         spare = _SPARE
         pad = [0] * (need + spare)
         tableau = []
-        basis = []
-        for r, b in zip(opt.tableau, opt.basis):
-            if b < width:
-                row = r[:width]
-                row += pad
-                row.append(r[-1])
-                tableau.append(row)
-                basis.append(b)
-        obj = opt.obj[:width] + pad + opt.obj[-1:]
+        for r in opt.tableau:
+            row = r[:width]
+            row += pad
+            row.append(r[-1])
+            tableau.append(row)
+    basis = list(opt.basis)
+    obj = opt.obj[:width] + [0] * (need + spare) + opt.obj[-1:]
     index = opt.index
     names = opt.names
     if new:
@@ -289,94 +289,25 @@ def _resolve(objective: dict, constraints: list[Constraint],
 
     if _run_dual(tableau, obj, basis) == "infeasible":
         return LPResult("infeasible")
-    return _result(objective, constraints, names, index, tableau, basis, obj,
-                   width + need, spare)
-
-
-def solve_max(objective: dict, constraints: list[Constraint], *,
-              start: LPResult | None = None) -> LPResult:
-    """Maximize ``objective . x`` subject to the constraints, ``x >= 0``.
-
-    With ``start``, an optimal result of this objective whose constraints
-    are a prefix of ``constraints`` (the same objects), its tableau is
-    re-optimised with the appended rows instead of solving from scratch;
-    any other ``start`` raises ``ValueError``.
-    """
-    if start is not None:
-        return _resolve(objective, constraints, start)
-    names = sorted(set(objective) | {v for c in constraints for v in c.coeffs})
-    index = {v: j for j, v in enumerate(names)}
-    n = len(names)
-
-    # Rows become <= or == (negating >= rows), then get rhs >= 0 (negating
-    # rows with negative rhs).  Column layout: variables, then one slack per
-    # <= row, then one artificial per == row or per row with negative rhs.
-    heads = []
-    for c in constraints:
-        if c.sense not in ("<=", ">=", "=="):
-            raise ValueError(f"bad sense {c.sense!r}")
-        rhs = _exact(c.rhs)
-        heads.append((c.sense != "==", (-rhs if c.sense == ">=" else rhs) < 0, rhs))
-    nslack = sum(1 for slack, _, _ in heads if slack)
-    nart = sum(1 for slack, neg, _ in heads if neg or not slack)
-    ncols = n + nslack + nart
-
-    # Integer rows straight from the coefficients, scaled by the lcm of
-    # their denominators; the basic slack or artificial entry is that scale.
-    tableau: list[list[int]] = []
-    basis: list[int] = []
-    slack_col = n
-    art_col = n + nslack
-    for c, (slack, neg, rhs) in zip(constraints, heads):
-        coeffs = [(index[v], _exact(a)) for v, a in c.coeffs.items() if a]
-        scale = lcm(rhs.denominator, *(a.denominator for _, a in coeffs))
-        sign = -1 if (c.sense == ">=") != neg else 1
-        row = [0] * (ncols + 1)
-        for j, a in coeffs:
-            row[j] = sign * a.numerator * (scale // a.denominator)
-        row[-1] = abs(rhs.numerator) * (scale // rhs.denominator)
-        if slack:
-            row[slack_col] = -scale if neg else scale
-            basic = slack_col
-            slack_col += 1
-        if neg or not slack:
-            row[art_col] = scale
-            basic = art_col
-            art_col += 1
-        basis.append(basic)
-        tableau.append(row)
-
-    # Phase 1: minimize the sum of artificials.
-    if nart:
-        obj = [0] * (ncols + 1)
-        for c in range(n + nslack, ncols):
-            obj[c] = 1
+    if start is None:
+        # Phase 2: price the real objective into the still zero objective
+        # row.
+        costs = {index[v]: _exact(a) for v, a in objective.items()}
+        scale = lcm(1, *(a.denominator for a in costs.values()))
+        for j, a in costs.items():
+            obj[j] = -a.numerator * (scale // a.denominator)
         obj = _price_out(obj, tableau, basis)
-        status = _run_simplex(tableau, obj, basis, ncols)
-        if status != "optimal":
-            raise RuntimeError("phase 1 cannot be unbounded")
-        if obj[-1] != 0:
-            # obj[-1] is a positive multiple of minus the attained sum of
-            # artificials
-            return LPResult("infeasible")
-        # Drive any degenerate artificial out of the basis where possible.
-        for i, b in enumerate(basis):
-            if b >= n + nslack:
-                for j in range(n + nslack):
-                    if tableau[i][j] != 0:
-                        _pivot(tableau, obj, basis, i, j)
-                        break
+        if _run_simplex(tableau, obj, basis) == "unbounded":
+            return LPResult("unbounded")
 
-    # Phase 2: maximize the real objective (rows now describe a feasible basis).
-    costs = {index[v]: _exact(a) for v, a in objective.items()}
-    scale = lcm(1, *(a.denominator for a in costs.values()))
-    obj = [0] * (ncols + 1)
-    for j, a in costs.items():
-        obj[j] = -a.numerator * (scale // a.denominator)
-    obj = _price_out(obj, tableau, basis)
-    # Artificial columns are barred from re-entering the basis.
-    status = _run_simplex(tableau, obj, basis, n + nslack)
-    if status == "unbounded":
-        return LPResult("unbounded")
-    return _result(objective, constraints, names, index, tableau, basis, obj,
-                   n + nslack, 0)
+    # The optimal result read off the final tableau, which it keeps.
+    at = {j: v for v, j in index.items()}
+    zero = Fraction(0)
+    point = {v: zero for v in names}
+    for r, b in zip(tableau, basis):
+        if b in at:
+            point[at[b]] = Fraction(r[-1], r[b])
+    value = sum((Fraction(a) * point[v] for v, a in objective.items()), zero)
+    return LPResult("optimal", value, point, _Optimum(
+        dict(objective), tuple(constraints), names, index, tableau, basis,
+        obj, width + need, spare))

@@ -19,7 +19,8 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebras import Algebra, ExpChain, ExpValue, StdMV, Value
+from .algebras import (Algebra, ExpChain, ExpValue, StdMV, Value,
+                       int_from_json)
 from .formulas import (And, Box, Diamond, Formula, Implies, Or, Times, Var,
                        ZERO, fpow, iff, neg)
 from .kripke import (KripkeFrame, KripkeModel, evaluate, evaluate_all,
@@ -312,9 +313,11 @@ def instance_from_json(obj: dict) -> PCPInstance:
         raise ValueError("an instance must be a JSON object whose 'pairs' list "
                          "holds [[value, length], [value, length]] pairs")
     pairs = tuple(
-        (Numeral(int(x[0]), int(x[1])), Numeral(int(y[0]), int(y[1])))
-        for x, y in obj["pairs"])
-    return PCPInstance(int(obj["base"]), pairs)
+        tuple(Numeral(int_from_json(value, "a numeral's value"),
+                      int_from_json(length, "a numeral's length"))
+              for value, length in pair)
+        for pair in obj["pairs"])
+    return PCPInstance(int_from_json(obj.get("base"), "'base'"), pairs)
 
 
 def load_instance(path: str) -> PCPInstance:

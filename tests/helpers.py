@@ -1,4 +1,5 @@
-"""Shared test utilities: an independent reference evaluator and generators.
+"""Shared test utilities: an independent reference evaluator, generators and
+an LP feasibility check.
 
 The reference evaluator below works on raw dicts and spells out the
 operation tables inline, so it shares no code with the package's algebra or
@@ -91,6 +92,17 @@ def random_mv3_model_data(rng: random.Random, max_worlds: int = 4,
     edges = [(a, b) for a in worlds for b in worlds if rng.random() < 0.4]
     valuation = {w: {p: rng.choice(MV3) for p in names} for w in worlds}
     return worlds, edges, valuation
+
+
+def attains(res, objective, rows):
+    """Assert that an optimal LP result's point is nonnegative, satisfies
+    every row and attains the reported value."""
+    pt = res.point
+    assert all(x >= 0 for x in pt.values())
+    assert sum(a * pt[v] for v, a in objective.items()) == res.value
+    for c in rows:
+        lhs = sum(a * pt[v] for v, a in c.coeffs.items())
+        assert {"<=": lhs <= c.rhs, ">=": lhs >= c.rhs, "==": lhs == c.rhs}[c.sense], c
 
 
 def random_rational(rng: random.Random, max_den: int = 12) -> F:

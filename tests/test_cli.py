@@ -210,6 +210,34 @@ def test_usage_errors(files, capsys):
     assert run(["eval", "--model", str(bad), "--conclusion", "1"]) == 2
     bad.write_text(json.dumps({"worlds": ["a", "b"], "edges": [["a", ["b"]]]}))
     assert run(["check", "--frame", str(bad), "--conclusion", "p"]) == 2
+    capsys.readouterr()
+    # malformed values are input errors, not internal ones
+    g2 = {"size": 2, "meet": [[0, 0], [0, 1]], "join": [[0, 1], [1, 1]],
+          "times": [[0, 0], [0, 1]], "residuum": [[1, 1], [0, 1]], "one": "1"}
+    for change in ({"valuation": {"a": {"p": "1/0"}}},
+                   {"algebra": {"kind": "exp-chain"},
+                    "valuation": {"a": {"p": {"pow": "1/0"}}}},
+                   {"algebra": {"kind": "exp-chain"},
+                    "valuation": {"a": {"p": {"pow": 0.1}}}},  # not exact
+                   {"algebra": {"kind": "mv-n", "n": None}},
+                   {"algebra": {"kind": "finite-table", "tables": g2},
+                    "valuation": {"a": {"p": 1}}}):
+        bad.write_text(json.dumps({**model, **change}))
+        assert run(["eval", "--model", str(bad), "--conclusion", "p"]) == 2, change
+        assert capsys.readouterr().out == ""
+    for instance in ({**P0_JSON, "pairs": [[[None, 1], ["3", 2]]]},
+                     {**P0_JSON, "base": []}):
+        bad.write_text(json.dumps(instance))
+        for argv in (["pcp-encode"], ["pcp-model", "--solution", "1"]):
+            assert run([*argv, "--instance", str(bad)]) == 2, (argv, instance)
+            assert capsys.readouterr().out == ""
+    # --algebra names go through the model files' algebra decoder
+    for name in ("mv-1", "mv-p", "finite-table", "std-nope"):
+        assert run(["check", "--cardinality", "1", "--algebra", name,
+                    "--conclusion", "p"]) == 2, name
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
 def test_internal_errors_exit_four(files, capsys, tmp_path, monkeypatch):

@@ -34,6 +34,9 @@ def test_infeasible_and_unbounded():
     assert res.status == "infeasible"
     res = solve_max({"x": F(1)}, [Constraint({"y": F(1)}, "<=", F(1))])
     assert res.status == "unbounded"
+    assert solve_max({"x": F(1)}, []).status == "unbounded"
+    # a row with no nonzero coefficient
+    assert solve_max({"x": F(1)}, [Constraint({}, "<=", F(-1))]).status == "infeasible"
 
 
 def test_redundant_rows_and_degeneracy():
@@ -43,6 +46,17 @@ def test_redundant_rows_and_degeneracy():
         Constraint({"x": F(1), "y": F(1)}, "<=", F(1)),
     ])
     assert res.status == "optimal" and res.value == 1 and res.point["y"] == 0
+    res = solve_max({"x": F(1)}, [
+        Constraint({"x": F(1)}, "<=", F(1)),
+        Constraint({}, "==", F(0)),
+        Constraint({"x": F(1), "y": F(1)}, ">=", F(1, 2)),
+    ])
+    assert res.status == "optimal" and res.value == 1 and res.point["y"] == 0
+    # no constraints at all
+    res = solve_max({}, [])
+    assert res.status == "optimal" and res.value == 0 and res.point == {}
+    res = solve_max({"x": F(-1)}, [])
+    assert res.status == "optimal" and res.value == 0 and res.point == {"x": 0}
 
 
 def test_random_solutions_are_feasible_and_dominant():

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import random_formula
+from helpers import attains, random_formula
 from mvmodal import lp
 from mvmodal.algebras import StdMV
 from mvmodal.decision import decide_cardinality, luk_consequence
@@ -23,15 +23,6 @@ from mvmodal.lp import Constraint, solve_max
 
 SENSES = ("<=", ">=", "==")
 FLIP = {"<=": ">=", ">=": "<=", "==": "=="}
-
-
-def attains(res, objective, rows):
-    pt = res.point
-    assert all(x >= 0 for x in pt.values())
-    assert sum(a * pt[v] for v, a in objective.items()) == res.value
-    for c in rows:
-        lhs = sum(a * pt[v] for v, a in c.coeffs.items())
-        assert {"<=": lhs <= c.rhs, ">=": lhs >= c.rhs, "==": lhs == c.rhs}[c.sense], c
 
 
 def check_generations(objective, base, generations):
