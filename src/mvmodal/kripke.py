@@ -74,6 +74,9 @@ class KripkeModel:
 
     def __init__(self, frame: KripkeFrame, algebra: Algebra,
                  valuation: Mapping[str, Mapping[str, Value]]):
+        for w in valuation:
+            if w not in frame._succ:
+                raise ValueError(f"valuation row for unknown world {w!r}")
         vars_per_world = [frozenset(valuation.get(w, {})) for w in frame.worlds]
         declared = frozenset().union(*vars_per_world) if vars_per_world else frozenset()
         for w, vs in zip(frame.worlds, vars_per_world):
@@ -131,15 +134,22 @@ _OPERATION = {And: "meet", Or: "join", Times: "times", Implies: "residuum"}
 def evaluate_all(model: KripkeModel, formulas: Iterable[Formula]) -> list[list[Value]]:
     """Values of each formula at every world, in ``model.worlds`` order.
 
-    Connectives apply the algebra's operations pointwise; box is the meet
-    and diamond the join over the successor values, starting from 1 and 0.
-    Each node is evaluated once, at all worlds together; nodes are told
-    apart by identity, which for hash-consed formulas is structure.
+    Connectives apply the algebra's operations pointwise.  Box is the meet
+    and diamond the join over the successor values: a modal column gathers
+    each world's first successor value, or the empty meet 1 and empty join
+    0 at a world without successors, then folds meet or join over the
+    further successors of the worlds that have them.  As ``meet(1, v) = v``
+    and ``join(0, v) = v``, this is the fold starting from 1 and 0.  Each
+    node is evaluated once, at all worlds together; nodes are told apart by
+    identity, which for hash-consed formulas is structure.
     """
     alg = model.algebra
     worlds = model.worlds
     pos = {w: i for i, w in enumerate(worlds)}
     succ = [[pos[u] for u in model.frame.successors(w)] for w in worlds]
+    # index len(worlds) is the unit appended to the body column
+    first = [js[0] if js else len(worlds) for js in succ]
+    further = [(i, js[1:]) for i, js in enumerate(succ) if len(js) > 1]
 
     def column(f: Formula, *cols: list[Value]) -> list[Value]:
         if isinstance(f, Var):
@@ -148,13 +158,15 @@ def evaluate_all(model: KripkeModel, formulas: Iterable[Formula]) -> list[list[V
             return [alg.zero if isinstance(f, Const0) else alg.one] * len(worlds)
         if type(f) in _OPERATION:
             return list(map(getattr(alg, _OPERATION[type(f)]), *cols))
-        op, out0 = (alg.meet, alg.one) if isinstance(f, Box) else (alg.join, alg.zero)
-        out = []
-        for js in succ:
-            value = out0
+        body = cols[0]
+        op, unit = (alg.meet, alg.one) if isinstance(f, Box) else (alg.join, alg.zero)
+        ext = body + [unit]
+        out = [ext[j] for j in first]
+        for i, js in further:
+            value = out[i]
             for j in js:
-                value = op(value, cols[0][j])
-            out.append(value)
+                value = op(value, body[j])
+            out[i] = value
         return out
 
     return bottom_up(formulas, column)
@@ -337,8 +349,8 @@ def model_from_json(obj: dict) -> KripkeModel:
     algebra = algebra_from_json(obj["algebra"])
     rows = _shaped(obj.get("valuation", {}), dict, "a valuation")
     valuation = {w: {p: value_from_json(algebra, raw)
-                     for p, raw in _shaped(rows.get(w, {}), dict, "a valuation row").items()}
-                 for w in frame.worlds}
+                     for p, raw in _shaped(row, dict, "a valuation row").items()}
+                 for w, row in rows.items()}
     return KripkeModel(frame, algebra, valuation)
 
 

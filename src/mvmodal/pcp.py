@@ -23,8 +23,7 @@ from .algebras import (Algebra, ExpChain, ExpValue, StdMV, Value,
                        int_from_json)
 from .formulas import (And, Box, Diamond, Formula, Implies, Or, Times, Var,
                        ZERO, fpow, iff, neg)
-from .kripke import (KripkeFrame, KripkeModel, evaluate, evaluate_all,
-                     globally_satisfies)
+from .kripke import KripkeFrame, KripkeModel, evaluate, evaluate_all
 
 __all__ = [
     "Numeral", "PCPInstance", "concat", "encode", "verify_solution",
@@ -236,32 +235,31 @@ def extract_solution(instance: PCPInstance, model: KripkeModel, top: str) -> lis
     """
     gamma, phi = encode(instance)
     order = _chain_order(model, top)
-    verdict = globally_satisfies(model, gamma)
-    if not verdict.holds:
-        w = verdict.witness
-        raise ValueError(
-            f"model does not satisfy the encoding premises "
-            f"(world {w.world!r}, value {w.value!r})")
-    alg = model.algebra
-    if evaluate(model, top, phi) == alg.one:
-        raise ValueError("conclusion is not refuted at the top world")
-
-    s = instance.base
-    alpha = model.value(top, "z")
-    big_or = gamma[-1]
     disjuncts = []
-    cursor = big_or
+    cursor = gamma[-1]
     while isinstance(cursor, Or):
         disjuncts.append(cursor.right)
         cursor = cursor.left
     disjuncts.append(cursor)
     disjuncts.reverse()
+    # the disjuncts are subformulas of the last premise: one pass, no new nodes
+    cols = evaluate_all(model, gamma + tuple(disjuncts))
+    premise_cols, disjunct_cols = cols[:len(gamma)], cols[len(gamma):]
+    alg = model.algebra
+    for k, w in enumerate(model.worlds):  # globally_satisfies' scan order
+        for col in premise_cols:
+            if col[k] != alg.one:
+                raise ValueError(
+                    f"model does not satisfy the encoding premises "
+                    f"(world {w!r}, value {col[k]!r})")
+    if evaluate(model, top, phi) == alg.one:
+        raise ValueError("conclusion is not refuted at the top world")
 
+    alpha = model.value(top, "z")
     indices: list[int] = []
-    values = evaluate_all(model, disjuncts)
     pos = {w: k for k, w in enumerate(model.worlds)}
     for w in reversed(order):  # successor-free end first
-        for i, col in enumerate(values, start=1):
+        for i, col in enumerate(disjunct_cols, start=1):
             if col[pos[w]] == alg.one:
                 indices.append(i)
                 break

@@ -1,5 +1,5 @@
-"""Shared test utilities: an independent reference evaluator, generators and
-an LP feasibility check.
+"""Shared test utilities: an independent reference evaluator, generators, the
+Gödel 3-chain table and an LP feasibility check.
 
 The reference evaluator below works on raw dicts and spells out the
 operation tables inline, so it shares no code with the package's algebra or
@@ -11,10 +11,16 @@ from __future__ import annotations
 import random
 from fractions import Fraction as F
 
+from mvmodal.algebras import FiniteTable
 from mvmodal.formulas import (And, Box, Const0, Const1, Diamond, Formula,
                               Implies, Or, Times, Var)
 
 MV3 = (F(0), F(1, 2), F(1))
+# the Gödel 3-chain as a table algebra: min, max, min and the Gödel residuum
+G3 = FiniteTable(3, [[min(a, b) for b in range(3)] for a in range(3)],
+                 [[max(a, b) for b in range(3)] for a in range(3)],
+                 [[min(a, b) for b in range(3)] for a in range(3)],
+                 [[2 if a <= b else b for b in range(3)] for a in range(3)])
 
 
 def luk_times(a, b):

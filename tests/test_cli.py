@@ -211,6 +211,11 @@ def test_usage_errors(files, capsys):
     bad.write_text(json.dumps({"worlds": ["a", "b"], "edges": [["a", ["b"]]]}))
     assert run(["check", "--frame", str(bad), "--conclusion", "p"]) == 2
     capsys.readouterr()
+    # a valuation row for a world the model does not have
+    bad.write_text(json.dumps({**model, "valuation": {"a": {"p": "1/2"},
+                                                      "b": {"p": "1"}}}))
+    assert run(["eval", "--model", str(bad), "--conclusion", "p"]) == 2
+    assert capsys.readouterr().out == ""
     # malformed values are input errors, not internal ones
     g2 = {"size": 2, "meet": [[0, 0], [0, 1]], "join": [[0, 1], [1, 1]],
           "times": [[0, 0], [0, 1]], "residuum": [[1, 1], [0, 1]], "one": "1"}

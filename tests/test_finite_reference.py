@@ -14,18 +14,15 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import finite_reference
+from helpers import G3
 from mvmodal import decision
-from mvmodal.algebras import FiniteTable, MVn, StdMV
+from mvmodal.algebras import MVn, StdMV
 from mvmodal.decision import decide_cardinality, finite_consequence
 from mvmodal.formulas import ONE, ZERO, And, Implies, Or, Times, Var, neg, parse
 from mvmodal.kripke import model_to_json
 
 P = parse
 
-G3 = FiniteTable(3, [[min(a, b) for b in range(3)] for a in range(3)],
-                 [[max(a, b) for b in range(3)] for a in range(3)],
-                 [[min(a, b) for b in range(3)] for a in range(3)],
-                 [[2 if a <= b else b for b in range(3)] for a in range(3)])
 ALGEBRAS = {f"mv-{n}": MVn(n) for n in range(2, 6)} | {"g3": G3}
 
 _PROP = st.recursive(

@@ -3,17 +3,19 @@ import random
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from mvmodal.algebras import ExpChain, ExpValue, MVn, StdMV
-from mvmodal.formulas import (ZERO, Box, Diamond, Implies, Var, box_prefix,
-                              parse)
+from mvmodal.algebras import (EXP_ZERO, ExpChain, ExpValue, MVn, StdGodel,
+                              StdMV, StdProduct)
+from mvmodal.formulas import (ONE, ZERO, And, Box, Diamond, Implies, Or,
+                              Times, Var, box_prefix, parse)
 from mvmodal.kripke import (KripkeFrame, KripkeModel, consequence_witness,
-                            evaluate, extract_chain, generated_submodel,
-                            globally_satisfies, height, heights, is_transitive,
-                            model_from_json, model_to_json, unravel)
-from helpers import (modal_depth, naive_eval, random_formula,
+                            evaluate, evaluate_all, extract_chain,
+                            generated_submodel, globally_satisfies, height,
+                            heights, is_transitive, model_from_json,
+                            model_to_json, unravel)
+from helpers import (G3, modal_depth, naive_eval, random_formula,
                      random_mv3_model_data)
 
 P = parse
@@ -65,6 +67,16 @@ def test_valuation_must_be_total():
     fr = KripkeFrame(["a", "b"], [])
     with pytest.raises(ValueError):
         KripkeModel(fr, StdMV(), {"a": {"p": F(1)}, "b": {}})
+
+
+def test_valuation_rows_name_frame_worlds():
+    fr = KripkeFrame(["a"], [])
+    with pytest.raises(ValueError, match="unknown world 'b'"):
+        KripkeModel(fr, StdMV(), {"a": {"p": F(1, 2)}, "b": {"p": F(1)}})
+    blob = {"algebra": {"kind": "std-mv"}, "worlds": ["a"], "edges": [],
+            "valuation": {"a": {"p": "1/2"}, "b": {"p": "1"}}}
+    with pytest.raises(ValueError, match="unknown world 'b'"):
+        model_from_json(blob)
 
 
 def test_globally_satisfies():
@@ -147,6 +159,64 @@ def test_heights_match_definition(spec):
     for i in range(n):
         on_cycle = any(j in reach(j) for j in reach(i) | {i})
         assert hs[f"w{i}"] == (math.inf if on_cycle else longest(i))
+
+
+_RATIONALS = [F(0), F(1, 4), F(1, 3), F(1, 2), F(2, 3), F(1)]
+# each algebra with a pool of carrier values that valuations index into
+_CARRIERS = {
+    "std-mv": (StdMV(), _RATIONALS),
+    "std-godel": (StdGodel(), _RATIONALS),
+    "std-product": (StdProduct(), _RATIONALS),
+    "mv-3": (MVn(3), [F(0), F(1, 2), F(1)]),
+    "exp-chain": (ExpChain(),
+                  [EXP_ZERO] + [ExpValue(F(t)) for t in ("0", "1/2", "1", "3")]),
+    "g3": (G3, [0, 1, 2]),
+}
+_BINARY = {And: "meet", Or: "join", Times: "times", Implies: "residuum"}
+_SMALL_FRAMES = st.integers(1, 5).flatmap(lambda n: st.tuples(
+    st.just(n), st.sets(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)))))
+_MODAL = st.recursive(
+    st.sampled_from([Var("p"), Var("q"), ZERO, ONE]),
+    lambda sub: st.one_of(st.builds(Box, sub), st.builds(Diamond, sub),
+                          *(st.builds(op, sub, sub) for op in _BINARY)),
+    max_leaves=10)
+# successor-free (0), one successor (1), three successors (2), a self-loop
+# alone (3) and two successors with a self-loop (4)
+_MIXED = (5, {(1, 0), (2, 0), (2, 1), (2, 3), (3, 3), (4, 3), (4, 4)})
+
+
+def fold_eval(model, w, f):
+    """Per-world value with box and diamond folded from 1 and 0."""
+    alg = model.algebra
+    if isinstance(f, Var):
+        return model.value(w, f.name)
+    if isinstance(f, (Box, Diamond)):
+        op, value = (alg.meet, alg.one) if isinstance(f, Box) else (alg.join, alg.zero)
+        for u in model.frame.successors(w):
+            value = op(value, fold_eval(model, u, f.body))
+        return value
+    if type(f) in _BINARY:
+        return getattr(alg, _BINARY[type(f)])(fold_eval(model, w, f.left),
+                                               fold_eval(model, w, f.right))
+    return alg.one if f == ONE else alg.zero
+
+
+@pytest.mark.parametrize("kind", sorted(_CARRIERS))
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(spec=_SMALL_FRAMES, formula=_MODAL,
+       picks=st.lists(st.tuples(st.integers(0, 5), st.integers(0, 5)),
+                      min_size=5, max_size=5))
+@example(spec=_MIXED, formula=parse("[] (p -> <> q) * <> [] p"),
+         picks=[(0, 5), (5, 1), (2, 3), (4, 0), (1, 2)])
+def test_evaluate_all_matches_fold(kind, spec, formula, picks):
+    alg, pool = _CARRIERS[kind]
+    n, edges = spec
+    worlds = [f"w{i}" for i in range(n)]
+    valuation = {w: {"p": pool[i % len(pool)], "q": pool[j % len(pool)]}
+                 for w, (i, j) in zip(worlds, picks)}
+    m = KripkeModel(KripkeFrame(worlds, [(worlds[a], worlds[b]) for a, b in edges]),
+                    alg, valuation)
+    assert evaluate_all(m, [formula])[0] == [fold_eval(m, w, formula) for w in m.worlds]
 
 
 def test_unravel_reflexive_singleton():

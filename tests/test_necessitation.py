@@ -36,7 +36,9 @@ def test_build_nec_model_values():
 
 
 def test_verify_separation_sweep():
-    for n in [*range(6), 400]:  # 400 boxes deep: the evaluator must not recurse
+    # 400 and 1000 boxes deep: the evaluator must not recurse, and the boxed
+    # premises stay cheap on a chain
+    for n in [*range(6), 400, 1000]:
         for alg in (StdMV(), ExpChain()):
             report = verify_separation(n, alg)
             assert report.passed, (n, alg.kind)

@@ -4,10 +4,11 @@ from fractions import Fraction as F
 
 import pytest
 
-from mvmodal.algebras import ExpChain, ExpValue, MVn, StdMV
+from mvmodal.algebras import ExpChain, ExpValue, FiniteTable, MVn, StdMV
 from mvmodal.formulas import (And, Box, Or, Times, Var, parse, render,
                               variables)
-from mvmodal.kripke import evaluate, globally_satisfies, heights
+from mvmodal.kripke import (KripkeFrame, KripkeModel, evaluate,
+                            globally_satisfies, heights)
 from mvmodal.pcp import (Numeral, PCPInstance, build_chain_model,
                          build_countermodel, concat, encode, extract_solution,
                          find_solutions, instance_from_json, instance_to_json,
@@ -149,13 +150,38 @@ def test_extraction_preconditions():
     # wrong top world: not a chain downward from v1
     with pytest.raises(ValueError):
         extract_solution(P0, m, "v1")
-    # break a premise: constant z perturbed at one world
+    # break a premise: constant z perturbed at one world.  The last premise
+    # fails at v1 (3/8) and the z-stability premise at v2 (11/24); the first
+    # failure in (world, premise) scan order is reported
     bad_val = m.valuation_dict()
     bad_val["v1"]["z"] = F(1, 3)
-    from mvmodal.kripke import KripkeModel
     bad = KripkeModel(m.frame, m.algebra, bad_val)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"premises \(world 'v1', value "
+                                         r"Fraction\(3, 8\)\)"):
         extract_solution(P0, bad, "v2")
+    # a non-solution chain satisfies the premises but not the refutation
+    for alg in (StdMV(), ExpChain()):
+        with pytest.raises(ValueError, match="conclusion is not refuted"):
+            extract_solution(P0, build_chain_model(P0, [1], alg), "v1")
+
+
+def test_extraction_needs_a_disjunct_at_one():
+    # in the four-element Boolean algebra 0 < a, b < 1, the join of the two
+    # disjuncts is 1 while neither is: the premises hold, x -> x*z is the
+    # complement of x, and no pair can be picked
+    meet = [[i & j for j in range(4)] for i in range(4)]
+    join = [[i | j for j in range(4)] for i in range(4)]
+    residuum = [[(3 & ~i) | j for j in range(4)] for i in range(4)]
+    boolean = FiniteTable(4, meet, join, meet, residuum, 0, 3)
+    inst = PCPInstance(2, ((Numeral(1, 1), Numeral(1, 1)),
+                           (Numeral(0, 1), Numeral(0, 1))))
+    m = KripkeModel(KripkeFrame(["w"], []), boolean,
+                    {"w": {"x": 1, "y": 1, "z": 0}})
+    gamma, phi = encode(inst)
+    assert globally_satisfies(m, gamma).holds
+    assert evaluate(m, "w", phi) == 2
+    with pytest.raises(ValueError, match="no disjunct holds at world 'w'"):
+        extract_solution(inst, m, "w")
 
 
 def test_extraction_rejects_equal_values_of_unequal_length():
