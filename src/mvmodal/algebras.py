@@ -23,6 +23,10 @@ __all__ = [
 
 Value = Any  # Fraction | ExpValue | int, depending on the algebra
 
+# the rational bounds, shared: a Fraction is immutable
+_Q0 = Fraction(0)
+_Q1 = Fraction(1)
+
 
 class CarrierError(ValueError):
     """Value does not belong to the algebra's carrier."""
@@ -125,11 +129,11 @@ class _RationalAlgebra(Algebra):
 
     @property
     def zero(self) -> Fraction:
-        return Fraction(0)
+        return _Q0
 
     @property
     def one(self) -> Fraction:
-        return Fraction(1)
+        return _Q1
 
     def require(self, v: Value) -> Fraction:
         if isinstance(v, float):
@@ -155,17 +159,18 @@ class StdMV(_RationalAlgebra):
     kind = "std-mv"
 
     def times(self, a, b):
-        return max(Fraction(0), a + b - 1)
+        s = a + b
+        return s - 1 if s > 1 else _Q0
 
     def residuum(self, a, b):
-        return min(Fraction(1), 1 - a + b)
+        return 1 - a + b if a > b else _Q1
 
     def power(self, a, n):
         if n < 0:
             raise ValueError("negative power")
         if n == 0:
-            return Fraction(1)
-        return max(Fraction(0), 1 - n * (1 - a))
+            return _Q1
+        return max(_Q0, 1 - n * (1 - a))
 
 
 class StdGodel(_RationalAlgebra):
@@ -177,12 +182,12 @@ class StdGodel(_RationalAlgebra):
         return min(a, b)
 
     def residuum(self, a, b):
-        return Fraction(1) if a <= b else b
+        return _Q1 if a <= b else b
 
     def power(self, a, n):
         if n < 0:
             raise ValueError("negative power")
-        return Fraction(1) if n == 0 else a
+        return _Q1 if n == 0 else a
 
 
 class StdProduct(_RationalAlgebra):
@@ -201,7 +206,7 @@ class StdProduct(_RationalAlgebra):
         return a * b
 
     def residuum(self, a, b):
-        return Fraction(1) if a <= b else b / a
+        return _Q1 if a <= b else b / a
 
     def power(self, a, n):
         if n < 0:
@@ -211,7 +216,7 @@ class StdProduct(_RationalAlgebra):
                 f"product power {n} above cap {self.power_cap}; "
                 "use the power-chain algebra for large exponents"
             )
-        return a ** n if n else Fraction(1)
+        return a ** n if n else _Q1
 
 
 class MVn(_RationalAlgebra):
@@ -233,11 +238,8 @@ class MVn(_RationalAlgebra):
     def carrier(self) -> tuple[Fraction, ...]:
         return tuple(Fraction(k, self.n - 1) for k in range(self.n))
 
-    def times(self, a, b):
-        return max(Fraction(0), a + b - 1)
-
-    def residuum(self, a, b):
-        return min(Fraction(1), 1 - a + b)
+    times = StdMV.times
+    residuum = StdMV.residuum
 
     def __repr__(self):
         return f"MVn({self.n})"

@@ -45,35 +45,32 @@ BRANCH_GUARD_DEFAULT = 2 ** 24
 CARDINALITY_CAP_DEFAULT = 3
 FINITE_SEARCH_GUARD = 10 ** 7
 
-_F0 = Fraction(0)
-_F1 = Fraction(1)
-
-
 class _Unsat(Exception):
     """Premises force a contradiction; the consequence holds vacuously."""
 
 
 class _Affine:
-    """Linear expression c0 + sum(ci * vi) over variables ranging in [0, 1]."""
+    """Linear expression c0 + sum(ci * vi) over variables ranging in [0, 1].
+
+    The coefficients and the constant are ints: variables and constants
+    have integer forms, and every regime of ``_REGIMES`` maps integer forms
+    to integer forms.
+    """
 
     __slots__ = ("coeffs", "const")
 
-    def __init__(self, coeffs: dict | None = None, const: Fraction = _F0):
+    def __init__(self, coeffs: dict | None = None, const: int = 0):
         self.coeffs = coeffs or {}
         self.const = const
 
     @classmethod
-    def of_const(cls, c) -> "_Affine":
-        return cls({}, Fraction(c))
-
-    @classmethod
     def of_var(cls, name: str) -> "_Affine":
-        return cls({name: _F1})
+        return cls({name: 1})
 
     def add(self, other: "_Affine") -> "_Affine":
         coeffs = dict(self.coeffs)
         for v, a in other.coeffs.items():
-            c = coeffs.get(v, _F0) + a
+            c = coeffs.get(v, 0) + a
             if c:
                 coeffs[v] = c
             else:
@@ -93,7 +90,7 @@ class _Affine:
     def is_const(self) -> bool:
         return not self.coeffs
 
-    def bounds01(self) -> tuple[Fraction, Fraction]:
+    def bounds01(self) -> tuple[int, int]:
         """Range of the expression when every variable ranges over [0, 1]."""
         lo = hi = self.const
         for a in self.coeffs.values():
@@ -104,16 +101,16 @@ class _Affine:
         return lo, hi
 
     def value_at(self, point: dict) -> Fraction:
-        return self.const + sum((a * point.get(v, _F0)
-                                 for v, a in self.coeffs.items()), _F0)
+        return sum((a * point.get(v, 0) for v, a in self.coeffs.items()),
+                   Fraction(self.const))
 
 
-def _row(expr: _Affine, sense: str, rhs: Fraction = _F0) -> lp.Constraint:
+def _row(expr: _Affine, sense: str, rhs: int = 0) -> lp.Constraint:
     return lp.Constraint(expr.coeffs, sense, rhs - expr.const)
 
 
-_ONE_AFF = _Affine.of_const(1)
-_ZERO_AFF = _Affine.of_const(0)
+_ONE_AFF = _Affine({}, 1)
+_ZERO_AFF = _Affine()
 
 # Hähnle's case split (AMAI 1994): operand forms (a, b) -> (e, low, high)
 _REGIMES = {
@@ -229,7 +226,7 @@ class _LukSystem:
                 if a.const != 1:
                     raise _Unsat
             else:
-                self.base_rows.append(_row(a, "==", _F1))
+                self.base_rows.append(_row(a, "==", 1))
         # upper bounds for every variable in play (lower bounds are implicit)
         used: set[str] = set()
         for a in self.affine.values():
@@ -242,7 +239,7 @@ class _LukSystem:
                     used.update(row.coeffs)
         self.var_names = sorted(used)
         for v in self.var_names:
-            self.base_rows.append(lp.Constraint({v: _F1}, "<=", _F1))
+            self.base_rows.append(lp.Constraint({v: 1}, "<=", 1))
 
 
 def luk_consequence(gamma: Iterable[Formula], phi: Formula, *,
@@ -283,7 +280,7 @@ def luk_consequence(gamma: Iterable[Formula], phi: Formula, *,
             return None
         if res.status != "optimal":
             raise RuntimeError("bounded system reported unbounded")
-        if offset + res.value <= 0:
+        if res.value <= -offset:
             return None
         if i == len(system.splits):
             return res.point

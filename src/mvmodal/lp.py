@@ -14,7 +14,11 @@ only, because the simplex reads nothing from it but signs.
 A pivot eliminates only over the nonzero columns of the pivot row and skips
 every row that is zero in the pivot column.  The ratio tests compare
 ratios by cross-multiplication (the row denominators cancel), and
-Fractions appear only in the returned point and value.
+Fractions appear only in the returned value and point.  Each constraint
+builds its scaled integer rows once, the first time it is solved, and a
+solve only places them at their columns.  An optimal result computes its
+value from the basic objective columns and reads its point from the kept
+tableau on demand, the first time ``point`` is read.
 
 One path.  Every solve appends rows to an optimal tableau: each appended
 row (an ``==`` row as two ``<=`` rows) gets its own slack, is reduced
@@ -45,8 +49,9 @@ satisfies every row and attains the value.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import compress
 from math import gcd, lcm
 from operator import is_
@@ -61,9 +66,31 @@ _SPARE = 24
 
 @dataclass(frozen=True)
 class Constraint:
+    """``coeffs . x  sense  rhs``.  The coefficients are read once, when the
+    constraint is first solved, so they must not change after that."""
+
     coeffs: dict
     sense: str  # "<=", ">=", "=="
-    rhs: Fraction
+    rhs: int | Fraction
+
+    @cached_property
+    def _rows(self) -> tuple[tuple[list[tuple[str, int]], int, int], ...]:
+        """The constraint as integer ``<=`` rows (an ``==`` as two), each
+        ``(coefficients, slack entry, rhs)``: the row scaled by the lcm of
+        its denominators, which is the slack's positive entry."""
+        if self.sense not in ("<=", ">=", "=="):
+            raise ValueError(f"bad sense {self.sense!r}")
+        coeffs = [(v, _exact(a)) for v, a in self.coeffs.items() if a]
+        rhs = _exact(self.rhs)
+        scale = lcm(rhs.denominator, *(a.denominator for _, a in coeffs))
+        ints = [(v, a.numerator * (scale // a.denominator)) for v, a in coeffs]
+        b = rhs.numerator * (scale // rhs.denominator)
+        rows = []
+        if self.sense != ">=":
+            rows.append((ints, scale, b))
+        if self.sense != "<=":
+            rows.append(([(v, -a) for v, a in ints], scale, -b))
+        return tuple(rows)
 
 
 class _Optimum(NamedTuple):
@@ -75,6 +102,7 @@ class _Optimum(NamedTuple):
     """
 
     objective: dict
+    costs: dict  # objective column -> (numerator, denominator) of its cost
     constraints: tuple  # the constraints solved, a warm start's prefix
     names: list[str]
     index: dict  # variable name -> column
@@ -85,12 +113,47 @@ class _Optimum(NamedTuple):
     spare: int
 
 
-@dataclass(frozen=True)
 class LPResult:
-    status: str  # "optimal" | "infeasible" | "unbounded"
-    value: Fraction | None = None
-    point: dict | None = None
-    optimum: _Optimum | None = field(default=None, repr=False, compare=False)
+    """Status, optimal value and optimal point of a solve.
+
+    An optimal result of ``solve_max`` keeps its final tableau in
+    ``optimum`` and builds ``point`` from it the first time it is read,
+    which warm starts from it cannot disturb: they never change its rows
+    in place.  ``repr`` and ``==`` see status, value and point only.
+    """
+
+    __slots__ = ("status", "value", "optimum", "_point")
+
+    def __init__(self, status: str, value: Fraction | None = None,
+                 point: dict | None = None, optimum: _Optimum | None = None):
+        self.status = status  # "optimal" | "infeasible" | "unbounded"
+        self.value = value
+        self.optimum = optimum
+        self._point = point
+
+    @property
+    def point(self) -> dict | None:
+        """Every variable's value; the basic ones are their row's rhs over
+        its basic entry."""
+        opt = self.optimum
+        if self._point is None and opt is not None:
+            at = {j: v for v, j in opt.index.items()}
+            point = dict.fromkeys(opt.names, Fraction(0))
+            for r, b in zip(opt.tableau, opt.basis):
+                if b in at:
+                    point[at[b]] = Fraction(r[-1], r[b])
+            self._point = point
+        return self._point
+
+    def __eq__(self, other):
+        if not isinstance(other, LPResult):
+            return NotImplemented
+        return ((self.status, self.value, self.point)
+                == (other.status, other.value, other.point))
+
+    def __repr__(self):
+        return (f"LPResult(status={self.status!r}, value={self.value!r}, "
+                f"point={self.point!r})")
 
 
 def _exact(a) -> Fraction | int:
@@ -212,7 +275,7 @@ def solve_max(objective: dict, constraints: list[Constraint], *,
     if start is None:
         # the empty system, whose zero objective row is optimal
         names = sorted(set(objective) | {v for c in constraints for v in c.coeffs})
-        opt = _Optimum(dict(objective), (), names,
+        opt = _Optimum(dict(objective), {}, (), names,
                        {v: j for j, v in enumerate(names)}, [], [],
                        [0] * (len(names) + 1), len(names), 0)
     else:
@@ -224,17 +287,7 @@ def solve_max(objective: dict, constraints: list[Constraint], *,
                              "objective whose constraints are a prefix of "
                              "these")
     appended = constraints[len(opt.constraints):]
-    # the appended rows as (coefficients, rhs, sign) of <= rows
-    heads = []
-    for c in appended:
-        if c.sense not in ("<=", ">=", "=="):
-            raise ValueError(f"bad sense {c.sense!r}")
-        coeffs = [(v, _exact(a)) for v, a in c.coeffs.items() if a]
-        rhs = _exact(c.rhs)
-        if c.sense != ">=":
-            heads.append((coeffs, rhs, 1))
-        if c.sense != "<=":
-            heads.append((coeffs, rhs, -1))
+    heads = [row for c in appended for row in c._rows]
 
     # Column layout: the parent's columns in use, then the new variables,
     # then one slack per new row.  They take the parent's spare columns if
@@ -266,13 +319,12 @@ def solve_max(objective: dict, constraints: list[Constraint], *,
 
     where = {b: i for i, b in enumerate(basis)}
     slack_col = width + len(new)
-    for coeffs, rhs, sign in heads:
-        scale = lcm(rhs.denominator, *(a.denominator for _, a in coeffs))
+    for coeffs, scale, rhs in heads:
         row = [0] * (ncols + 1)
         for v, a in coeffs:
-            row[index[v]] = sign * a.numerator * (scale // a.denominator)
+            row[index[v]] = a
         row[slack_col] = scale
-        row[-1] = sign * rhs.numerator * (scale // rhs.denominator)
+        row[-1] = rhs
         # Eliminate the basic columns, so the slack is this row's basic.
         # Only the coefficient columns can be basic: a basic row is zero in
         # every other basic column.
@@ -289,25 +341,30 @@ def solve_max(objective: dict, constraints: list[Constraint], *,
 
     if _run_dual(tableau, obj, basis) == "infeasible":
         return LPResult("infeasible")
+    costs = opt.costs
     if start is None:
         # Phase 2: price the real objective into the still zero objective
         # row.
-        costs = {index[v]: _exact(a) for v, a in objective.items()}
-        scale = lcm(1, *(a.denominator for a in costs.values()))
-        for j, a in costs.items():
-            obj[j] = -a.numerator * (scale // a.denominator)
+        costs = {}
+        for v, a in objective.items():
+            a = _exact(a)
+            if a:
+                costs[index[v]] = (a.numerator, a.denominator)
+        scale = lcm(1, *(d for _, d in costs.values()))
+        for j, (n, d) in costs.items():
+            obj[j] = -n * (scale // d)
         obj = _price_out(obj, tableau, basis)
         if _run_simplex(tableau, obj, basis) == "unbounded":
             return LPResult("unbounded")
 
-    # The optimal result read off the final tableau, which it keeps.
-    at = {j: v for v, j in index.items()}
-    zero = Fraction(0)
-    point = {v: zero for v in names}
+    # The value, summed over the basic objective columns; the point is read
+    # from the kept tableau only when asked for.
+    num, den = 0, 1
     for r, b in zip(tableau, basis):
-        if b in at:
-            point[at[b]] = Fraction(r[-1], r[b])
-    value = sum((Fraction(a) * point[v] for v, a in objective.items()), zero)
-    return LPResult("optimal", value, point, _Optimum(
-        dict(objective), tuple(constraints), names, index, tableau, basis,
-        obj, width + need, spare))
+        c = costs.get(b)
+        if c is not None and r[-1]:
+            n, d = c[0] * r[-1], c[1] * r[b]
+            num, den = num * d + n * den, den * d
+    return LPResult("optimal", Fraction(num, den), optimum=_Optimum(
+        dict(objective), costs, tuple(constraints), names, index, tableau,
+        basis, obj, width + need, spare))

@@ -16,7 +16,7 @@ from mvmodal.formulas import (ONE, ZERO, And, Box, Implies, Or, Times, Var,
                               iff, parse, render, variables)
 from mvmodal.kripke import (KripkeFrame, KripkeModel, evaluate,
                             globally_satisfies)
-from helpers import MV3, luk_implies, luk_times, naive_eval
+from helpers import MV3, luk_implies, luk_times, naive_eval, random_formula
 
 P = parse
 
@@ -226,6 +226,30 @@ def test_luk_agrees_with_mvn_chains_on_random_premises(gamma, phi):
             assert fin.holds, n
         if not fin.holds:
             assert not luk.holds, n
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.randoms(use_true_random=False), st.integers(0, 2))
+def test_luk_rows_are_integer(rng, premises):
+    """The case split's affine forms stay integer, so every LP row it builds
+    has int coefficients and rhs; a witness valuation is still exact
+    Fractions."""
+    gamma = [random_formula(rng, 3, ("p", "q", "r"), modal=False)
+             for _ in range(premises)]
+    phi = random_formula(rng, 4, ("p", "q", "r"), modal=False)
+    try:
+        system = decision._LukSystem(gamma, phi)
+    except decision._Unsat:
+        pass  # the premises are contradictory: no rows
+    else:
+        rows = system.base_rows + [row for _, regimes in system.splits
+                                   for regime in regimes for row in regime]
+        for row in rows:
+            assert type(row.rhs) is int, row
+            assert all(type(a) is int for a in row.coeffs.values()), row
+    verdict = luk_consequence(gamma, phi)
+    if not verdict.holds:
+        assert all(type(x) is F for x in verdict.witness.valuation.values())
 
 
 def test_long_premise_chains():

@@ -19,7 +19,7 @@ from mvmodal import lp
 from mvmodal.algebras import StdMV
 from mvmodal.decision import decide_cardinality, luk_consequence
 from mvmodal.formulas import parse as P
-from mvmodal.lp import Constraint, solve_max
+from mvmodal.lp import Constraint, LPResult, solve_max
 
 SENSES = ("<=", ">=", "==")
 FLIP = {"<=": ">=", ">=": "<=", "==": "=="}
@@ -126,6 +126,78 @@ def test_start_must_be_an_optimal_prefix():
     assert infeasible.status == "infeasible"
     with pytest.raises(ValueError):
         solve_max({"x": F(1)}, [x, y], start=infeasible)
+
+
+def test_lazy_point_survives_children():
+    """A result's point is read from its kept tableau on demand; solving
+    warm children from it first must not change what is read."""
+    rng = random.Random(5519)
+    read = 0
+    for _ in range(120):
+        names = [f"v{i}" for i in range(rng.randint(1, 4))]
+        base = [Constraint({v: F(1)}, "<=", F(1)) for v in names]
+        base += random_rows(rng, names, rng.randint(0, 3), base)
+        objective = {v: F(rng.randint(-3, 3)) for v in names}
+        generations = []
+        earlier = list(base)
+        for _ in range(3):
+            extra = random_rows(rng, names + ["fresh"], rng.randint(1, 3), earlier)
+            generations.append(extra)
+            earlier += extra
+        # a twin of the parent whose point is read before any child exists
+        eager = solve_max(objective, base)
+        if eager.status != "optimal":
+            continue
+        before = eager.point
+        parent = solve_max(objective, base)
+        chain = [parent]
+        rows = list(base)
+        for extra in generations:
+            if chain[-1].status != "optimal":
+                break
+            rows = rows + extra
+            # two siblings, so the parent's spare columns are shared
+            solve_max(objective, rows, start=chain[-1])
+            chain.append(solve_max(objective, rows, start=chain[-1]))
+        assert parent.point == before
+        read += len(chain) == 4
+        rows = list(base)
+        for res, extra in zip(chain[1:], generations):
+            rows = rows + extra
+            if res.status == "optimal":
+                attains(res, objective, rows)
+    assert read > 20
+
+
+def test_lazy_point_repr_and_eq_match_an_eager_result():
+    rows = [Constraint({"x": F(1)}, "<=", F(3, 2)),
+            Constraint({"x": F(1), "y": F(2)}, "<=", F(4)),
+            Constraint({"y": F(1)}, "==", F(1, 3))]
+    objective = {"x": F(2), "y": F(1)}
+    res = solve_max(objective, rows)
+    eager = LPResult(res.status, res.value, dict(res.point))
+    assert eager == LPResult("optimal", F(10, 3),
+                             {"x": F(3, 2), "y": F(1, 3)})
+    assert repr(solve_max(objective, rows)) == repr(eager)
+    assert solve_max(objective, rows) == eager
+    assert eager == solve_max(objective, rows)
+    grown = rows + [Constraint({"x": F(1)}, "<=", F(1))]
+    warm = solve_max(objective, grown, start=solve_max(objective, rows))
+    assert warm == LPResult("optimal", F(7, 3), {"x": F(1), "y": F(1, 3)})
+    infeasible = solve_max(objective, rows + [Constraint({"y": F(1)}, ">=", F(1))])
+    assert infeasible == LPResult("infeasible")
+    assert repr(infeasible) == repr(LPResult("infeasible"))
+    assert infeasible.point is None and infeasible != eager
+
+
+def test_bad_sense_is_rejected():
+    x = Constraint({"x": F(1)}, "<=", F(1))
+    with pytest.raises(ValueError, match="bad sense"):
+        solve_max({"x": F(1)}, [x, Constraint({"x": F(1)}, "<", F(1))])
+    res = solve_max({"x": F(1)}, [x])
+    with pytest.raises(ValueError, match="bad sense"):
+        solve_max({"x": F(1)}, [x, Constraint({"x": F(1)}, "=", F(0))],
+                  start=res)
 
 
 def test_luk_search_same_verdicts_without_start(monkeypatch):
