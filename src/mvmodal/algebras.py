@@ -17,7 +17,6 @@ __all__ = [
     "Algebra", "StdMV", "StdGodel", "StdProduct", "MVn", "ExpChain",
     "FiniteTable", "Violation", "ValidationReport", "validate_finite_algebra",
     "mv_chain_tables", "op_apply", "power", "leq",
-    "rational_to_str",
     "algebra_to_json", "algebra_from_json", "value_to_json", "value_from_json",
 ]
 
@@ -482,17 +481,13 @@ def leq(alg: Algebra, a: Value, b: Value) -> bool:
     return alg.leq(alg.require(a), alg.require(b))
 
 
-def rational_to_str(v: Fraction) -> str:
-    return str(Fraction(v))
-
-
 def value_to_json(alg: Algebra, v: Value):
     if isinstance(alg, ExpChain):
         v = alg.require(v)
-        return "zero" if v.is_zero else {"pow": rational_to_str(v.exponent)}
+        return "zero" if v.is_zero else {"pow": str(v.exponent)}
     if isinstance(alg, FiniteTable):
         return alg.require(v)
-    return rational_to_str(alg.require(v))
+    return str(alg.require(v))
 
 
 def _fraction(obj) -> Fraction:

@@ -19,13 +19,12 @@ Implemented here:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebras import ExpChain, ExpValue, StdMV, Value
 from .formulas import (And, Box, Const0, Const1, Diamond, Formula, Implies,
                        Or, Times, Var, ZERO, bottom_up, box_prefix, iff, neg,
-                       _spell, rebuild, render, variables)
+                       _Node, _spell, rebuild, render, variables)
 from .kripke import (KripkeModel, evaluate, evaluate_all, globally_satisfies,
                      heights)
 
@@ -270,103 +269,63 @@ def global_to_local_transitive(gamma, phi: Formula
     return box_prefix(tuple(gamma), 1), phi
 
 
-class FOFormula:
-    """A first-order term of the standard translation.
+class FOFormula(_Node):
+    """A first-order term of the standard translation, hash-consed like the
+    modal formulas: ``==`` is ``is``, and hash and ``repr`` do not recurse."""
 
-    The subclasses are frozen dataclasses.  Equality is structural, the hash
-    is computed once from the children's stored hashes, and ``repr`` spells
-    the dataclass form; none of the three recurses, so terms of any depth
-    compare, hash and print.
-    """
-
-    def __post_init__(self) -> None:
-        fields = (getattr(self, name) for name in self.__dataclass_fields__)
-        object.__setattr__(self, "_hash", hash((type(self).__name__, *fields)))
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, FOFormula):
-            return NotImplemented
-        pairs = [(self, other)]
-        seen: set[tuple[int, int]] = set()
-        while pairs:
-            a, b = pairs.pop()
-            if a is b or (id(a), id(b)) in seen:
-                continue
-            if type(a) is not type(b) or a._hash != b._hash:
-                return False
-            seen.add((id(a), id(b)))
-            for name in a.__dataclass_fields__:
-                x, y = getattr(a, name), getattr(b, name)
-                if isinstance(x, FOFormula):
-                    pairs.append((x, y))
-                elif x != y:
-                    return False
-        return True
-
-    def __repr__(self) -> str:
-        return _spell(self, _fo_repr_parts)
+    __slots__ = ()
 
 
-def _fo_repr_parts(g: FOFormula) -> list:
-    out: list = [f"{type(g).__name__}("]
-    for k, name in enumerate(g.__dataclass_fields__):
-        value = getattr(g, name)
-        out += [f"{', ' if k else ''}{name}=",
-                value if isinstance(value, FOFormula) else repr(value)]
-    return out + [")"]
-
-
-_fo_term = dataclass(frozen=True, eq=False, repr=False)
-
-
-@_fo_term
 class FOPred(FOFormula):
-    name: str
-    args: tuple[str, ...]
+    __slots__ = _fields = ("name", "args")
+
+    def __new__(cls, name: str, args: tuple[str, ...]):
+        return cls._intern((name, args), (name, args))
 
 
-@_fo_term
 class FOConst(FOFormula):
-    value: int
+    __slots__ = _fields = ("value",)
+
+    def __new__(cls, value: int):
+        return cls._intern(value, (value,))
 
 
-@_fo_term
-class FOAnd(FOFormula):
-    left: FOFormula
-    right: FOFormula
+class _FOBinary(FOFormula):
+    __slots__ = _fields = ("left", "right")
+
+    def __new__(cls, left: FOFormula, right: FOFormula):
+        return cls._intern(id(left) << 64 | id(right), (left, right))
 
 
-@_fo_term
-class FOOr(FOFormula):
-    left: FOFormula
-    right: FOFormula
+class _FOQuantifier(FOFormula):
+    __slots__ = _fields = ("var", "body")
+
+    def __new__(cls, var: str, body: FOFormula):
+        return cls._intern((var, id(body)), (var, body))
 
 
-@_fo_term
-class FOTimes(FOFormula):
-    left: FOFormula
-    right: FOFormula
+class FOAnd(_FOBinary):
+    __slots__ = ()
 
 
-@_fo_term
-class FOImplies(FOFormula):
-    left: FOFormula
-    right: FOFormula
+class FOOr(_FOBinary):
+    __slots__ = ()
 
 
-@_fo_term
-class FOForall(FOFormula):
-    var: str
-    body: FOFormula
+class FOTimes(_FOBinary):
+    __slots__ = ()
 
 
-@_fo_term
-class FOExists(FOFormula):
-    var: str
-    body: FOFormula
+class FOImplies(_FOBinary):
+    __slots__ = ()
+
+
+class FOForall(_FOQuantifier):
+    __slots__ = ()
+
+
+class FOExists(_FOQuantifier):
+    __slots__ = ()
 
 
 _FO_BINARY = {And: FOAnd, Or: FOOr, Times: FOTimes, Implies: FOImplies}

@@ -227,17 +227,9 @@ class _LukSystem:
                     raise _Unsat
             else:
                 self.base_rows.append(_row(a, "==", 1))
-        # upper bounds for every variable in play (lower bounds are implicit)
-        used: set[str] = set()
-        for a in self.affine.values():
-            used.update(a.coeffs)
-        for row in self.base_rows:
-            used.update(row.coeffs)
-        for _, regimes in self.splits:
-            for regime in regimes:
-                for row in regime:
-                    used.update(row.coeffs)
-        self.var_names = sorted(used)
+        # upper bounds for every variable in play (lower bounds are implicit);
+        # every row is built from the affine forms, so they name them all
+        self.var_names = sorted({v for a in self.affine.values() for v in a.coeffs})
         for v in self.var_names:
             self.base_rows.append(lp.Constraint({v: 1}, "<=", 1))
 
@@ -606,28 +598,24 @@ def coenumerate_nonconsequences(pairs: Sequence[tuple[Sequence[Formula], Formula
     """Dovetailed co-enumeration of refutable pairs at desk scale.
 
     The finite input list stands in for the enumeration of all pairs, so all
-    of it is stored up front; stage ``i <= budget`` checks every stored pair
-    against every cardinality ``j <= min(i, cap)`` and emits newly refuted
-    pairs with their witnesses.  Budget exhaustion is normal termination.
+    of it is stored up front.  Stage ``j <= min(budget, cap)`` checks every
+    pair not yet refuted at cardinality ``j`` and emits the newly refuted
+    pairs with their witnesses.  Each earlier cardinality of such a pair
+    held (a failing one refutes it), and stages past ``cap`` decide nothing
+    new, so this is the full dovetail over stages ``1..budget``.  Budget
+    exhaustion is normal termination.
     """
     if alg is None:
         alg = StdMV()
     emitted: list[EmittedNonConsequence] = []
     done: set[int] = set()
-    cache: dict[tuple[int, int], Verdict] = {}
-    for stage in range(1, budget + 1):
+    for j in range(1, min(budget, cap) + 1):
         for idx, (gamma, phi) in enumerate(pairs):
             if idx in done:
                 continue
-            for j in range(1, min(stage, cap) + 1):
-                key = (idx, j)
-                verdict = cache.get(key)
-                if verdict is None:
-                    verdict = decide_cardinality(j, tuple(gamma), phi, alg, cap=cap)
-                    cache[key] = verdict
-                if not verdict.holds:
-                    emitted.append(EmittedNonConsequence(
-                        idx, tuple(gamma), phi, j, verdict))
-                    done.add(idx)
-                    break
+            verdict = decide_cardinality(j, tuple(gamma), phi, alg, cap=cap)
+            if not verdict.holds:
+                emitted.append(EmittedNonConsequence(
+                    idx, tuple(gamma), phi, j, verdict))
+                done.add(idx)
     return tuple(emitted)

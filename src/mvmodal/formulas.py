@@ -45,14 +45,15 @@ class _Ref(weakref.ref):
     __slots__ = ("key",)
 
 
-class Formula:
-    """A hash-consed formula node; see the module docstring.
+class _Node:
+    """A hash-consed node: formulas here, first-order terms in ``bridges``.
 
     Each class holds weak references to its live nodes in ``_live``, under
     a key made from the fields: a variable's name, or the ids of the
     children (a node keeps its children alive, so their ids are not reused
     while it lives).  When a node dies, its reference's callback drops the
-    entry, unless a newer node already holds the key.
+    entry, unless a newer node already holds the key.  Each node caches the
+    hash of its field tuple, and ``repr`` spells the keyword form.
     """
 
     __slots__ = ("_hash", "__weakref__")
@@ -71,7 +72,7 @@ class Formula:
         return cls._intern(0, ())
 
     @classmethod
-    def _intern(cls, key, fields: tuple) -> "Formula":
+    def _intern(cls, key, fields: tuple) -> "_Node":
         ref = cls._live.get(key)
         node = None if ref is None else ref()
         if node is None:
@@ -85,10 +86,8 @@ class Formula:
         return node
 
     @staticmethod
-    def _check(*children) -> None:
-        for child in children:
-            if not isinstance(child, Formula):
-                raise TypeError(f"not a formula: {child!r}")
+    def _check(*fields) -> None:
+        pass
 
     def __hash__(self) -> int:
         return self._hash
@@ -103,6 +102,18 @@ class Formula:
 
     def __repr__(self) -> str:
         return _spell(self, _repr_parts)
+
+
+class Formula(_Node):
+    """A modal formula node; see the module docstring."""
+
+    __slots__ = ()
+
+    @staticmethod
+    def _check(*children) -> None:
+        for child in children:
+            if not isinstance(child, Formula):
+                raise TypeError(f"not a formula: {child!r}")
 
 
 class Const0(Formula):
@@ -293,7 +304,7 @@ def is_propositional(f: Formula) -> bool:
     return not any(isinstance(g, _Unary) for g in postorder([f]))
 
 
-def _spell(f: Formula, parts: Callable) -> str:
+def _spell(f: _Node, parts: Callable) -> str:
     """Join the text of ``f``, where ``parts(g)`` lists the strings and child
     nodes that spell ``g``; one token list, so linear in the output."""
     out: list[str] = []
@@ -321,11 +332,12 @@ def _render_parts(f: Formula) -> list:
     return ["0" if isinstance(f, Const0) else "1"]
 
 
-def _repr_parts(f: Formula) -> list:
+def _repr_parts(f: _Node) -> list:
     out = [f"{type(f).__name__}("]
     for k, name in enumerate(f._fields):
         value = getattr(f, name)
-        out += [f"{', ' if k else ''}{name}=", repr(value) if isinstance(value, str) else value]
+        out += [f"{', ' if k else ''}{name}=",
+                value if isinstance(value, _Node) else repr(value)]
     return out + [")"]
 
 

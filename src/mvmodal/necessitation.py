@@ -12,13 +12,13 @@ x -> x*y below 1 there.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .algebras import (Algebra, ExpChain, ExpValue, StdMV, Value,
                        algebra_to_json, value_to_json)
 from .formulas import (Box, Diamond, Formula, Implies, Times, Var, ZERO,
                        iff, neg)
 from .kripke import KripkeFrame, KripkeModel, evaluate_all
+from .pcp import _chain_base
 
 __all__ = ["separation_premises", "build_nec_model", "SeparationReport",
            "verify_separation", "build_premise_cycle_model"]
@@ -34,23 +34,13 @@ def separation_premises() -> tuple[Formula, ...]:
             neg(Box(ZERO)))
 
 
-def _nec_base(alg: Algebra, n: int) -> Value:
-    """An element a with a^(n+2) < a^(n+1): the smallest-denominator rational
-    above (n+1)/(n+2) in standard MV, the formal generator in the chain."""
-    if isinstance(alg, StdMV):
-        return Fraction(n + 2, n + 3)
-    if isinstance(alg, ExpChain):
-        return ExpValue(Fraction(1))
-    raise ValueError(f"unsupported algebra {alg.kind!r}")
-
-
 def build_nec_model(n: int, alg: Algebra) -> KripkeModel:
     """Chain 0 -> 1 -> ... -> n+1 with y constantly a, x = 1 at the end and
     x = a^(n+1-i) below it; the start world carries the forced values
     x = a^(n+1), y = a."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    a = _nec_base(alg, n)
+    a = _chain_base(alg, n + 2)  # 1 > a > a^2 > ... > a^(n+2)
     width = len(str(n + 1))
     names = [f"{i:0{width}d}" for i in range(n + 2)]
     edges = [(names[i], names[i + 1]) for i in range(n + 1)]

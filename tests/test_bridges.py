@@ -1,10 +1,11 @@
+import pickle
 import random
 from fractions import Fraction as F
 
 import pytest
 
 from mvmodal.algebras import ExpChain, ExpValue, StdMV
-from mvmodal.bridges import (chain_premise, extend_model_pq, finite_to_global,
+from mvmodal.bridges import (FOPred, chain_premise, extend_model_pq, finite_to_global,
                              global_to_local_transitive, luk2prod_extended,
                              luk2prod_formula, modal_to_fo, model_l2p,
                              model_p2l, recognize_finite_to_global, render_fo,
@@ -225,13 +226,18 @@ def test_modal_to_fo_examples():
     nested = render_fo(modal_to_fo(P("[] <> p"), 0))
     assert "x2" in nested and nested.index("x1") < nested.index("x2")
     assert render_fo(modal_to_fo(P("0 -> 1"), 3)) == "0 -> 1"
+    # terms are hash-consed: pickling and either constructor form give the
+    # live node back
+    t = modal_to_fo(P("[] (p /\\ <> 1) \\/ ~q"), 2)
+    assert pickle.loads(pickle.dumps(t)) is t
+    assert FOPred(name="R", args=("x0", "x1")) is FOPred("R", ("x0", "x1"))
 
 
 def test_deep_fo_terms_hash_compare_and_print():
     n = 10 ** 4
     f = P("[]" * n + "<> p")
     a, b = modal_to_fo(f), modal_to_fo(f)
-    assert a is not b
+    assert a is b
     assert a == b and hash(a) == hash(b)
     assert len({a, b}) == 1
     assert a != modal_to_fo(P("[]" * n + "<> q"))
