@@ -234,8 +234,17 @@ class MVn(_RationalAlgebra):
             raise CarrierError(f"{v} is not a multiple of 1/{self.n - 1}")
         return v
 
+    @property
+    def size(self) -> int:
+        return self.n
+
     def carrier(self) -> tuple[Fraction, ...]:
         return tuple(Fraction(k, self.n - 1) for k in range(self.n))
+
+    def tables(self) -> dict:
+        """Operation tables over element indices, index k standing for
+        ``carrier()[k]``."""
+        return mv_chain_tables(self.n)
 
     times = StdMV.times
     residuum = StdMV.residuum
@@ -424,6 +433,14 @@ class FiniteTable(Algebra):
     def carrier(self) -> tuple[int, ...]:
         return tuple(range(self.size))
 
+    def tables(self) -> dict:
+        """Operation tables in the ``mv_chain_tables`` shape."""
+        return {"size": self.size, "meet": [list(r) for r in self.meet_table],
+                "join": [list(r) for r in self.join_table],
+                "times": [list(r) for r in self.times_table],
+                "residuum": [list(r) for r in self.residuum_table],
+                "zero": self.zero_index, "one": self.one_index}
+
     def leq(self, a, b):
         return self.meet_table[a][b] == a
 
@@ -532,18 +549,7 @@ def algebra_to_json(alg: Algebra) -> dict:
     if isinstance(alg, StdProduct):
         return {"kind": "std-product"}
     if isinstance(alg, FiniteTable):
-        return {
-            "kind": "finite-table",
-            "tables": {
-                "size": alg.size,
-                "meet": [list(r) for r in alg.meet_table],
-                "join": [list(r) for r in alg.join_table],
-                "times": [list(r) for r in alg.times_table],
-                "residuum": [list(r) for r in alg.residuum_table],
-                "zero": alg.zero_index,
-                "one": alg.one_index,
-            },
-        }
+        return {"kind": "finite-table", "tables": alg.tables()}
     return {"kind": alg.kind}
 
 

@@ -27,7 +27,7 @@ from typing import Iterable, Sequence
 
 from . import lp
 from .algebras import (Algebra, FiniteTable, MVn, ResourceLimitError, StdMV,
-                       Value, mv_chain_tables)
+                       Value)
 from .formulas import (And, Box, Const0, Const1, Diamond, Formula, Implies,
                        Or, Times, Var, bottom_up, fresh_names, iff,
                        is_propositional, postorder, render)
@@ -339,23 +339,16 @@ def finite_consequence(alg: Algebra, gamma: Iterable[Formula], phi: Formula, *,
     roots = gamma + (phi,)
     nodes = _propositional_nodes(roots)
     names = sorted(f.name for f in nodes if isinstance(f, Var))
-    size = alg.n if isinstance(alg, MVn) else alg.size
+    size = alg.size
     depth = len(names)
     if size ** depth > guard:
         raise ResourceLimitError(
             f"{size}^{depth} valuations exceed the search guard {guard}")
-    # MVn sweeps its index tables: index k stands for k/(n-1)
-    if isinstance(alg, MVn):
-        if 4 * size * size > guard:
-            raise ResourceLimitError(
-                f"four {size}x{size} operation tables exceed the search "
-                f"guard {guard}")
-        tables = mv_chain_tables(alg.n)
-    else:
-        tables = {"size": alg.size, "meet": alg.meet_table,
-                  "join": alg.join_table, "times": alg.times_table,
-                  "residuum": alg.residuum_table, "zero": alg.zero_index,
-                  "one": alg.one_index}
+    if 4 * size * size > guard:
+        raise ResourceLimitError(
+            f"four {size}x{size} operation tables exceed the search "
+            f"guard {guard}")
+    tables = alg.tables()  # over element indices, mapped back by carrier()
     slot = {id(Var(p)): k for k, p in enumerate(names)}
     level = list(range(1, depth + 1))
     vals = [0] * depth
@@ -411,9 +404,8 @@ def finite_consequence(alg: Algebra, gamma: Iterable[Formula], phi: Formula, *,
                 vals[i] = -1
     if i < 0:
         return Verdict(True)
-    valuation = dict(zip(names, vals))
-    if isinstance(alg, MVn):
-        valuation = {p: Fraction(k, alg.n - 1) for p, k in valuation.items()}
+    carrier = alg.carrier()
+    valuation = {p: carrier[k] for p, k in zip(names, vals)}
     return _rechecked(alg, gamma, phi, valuation)
 
 
@@ -450,53 +442,52 @@ def _fold(cls, items: Sequence[Formula], empty: Formula) -> Formula:
 
 def translate_on_frame(frame: KripkeFrame, gamma: Iterable[Formula],
                        phi: Formula) -> FrameTranslation:
-    """Star translation of ``gamma |- phi`` over the given finite frame."""
+    """Star translation of ``gamma |- phi`` over the given finite frame.
+
+    One bottom-up pass: the modal subformulas are numbered in post-order,
+    innermost first, and each gets its per-world names, legend entries and
+    delta rows when the pass reaches it.
+    """
     gamma = tuple(gamma)
     nodes = postorder(gamma + (phi,))
     source_vars = sorted(f.name for f in nodes if isinstance(f, Var))
     worlds = frame.worlds
     widx = {w: i for i, w in enumerate(worlds)}
-    modal = sorted((f for f in nodes if isinstance(f, (Box, Diamond))), key=render)
-    tags = ["box" if isinstance(mf, Box) else "dia" for mf in modal]
+    tag = {Box: "box", Diamond: "dia"}
+    modal = [f for f in nodes if isinstance(f, (Box, Diamond))]
     fresh = iter(fresh_names(source_vars, [
         *(f"{p}__w{i}" for p in source_vars for i in range(len(worlds))),
-        *(f"x{tag}{k}__w{i}" for k, tag in enumerate(tags)
+        *(f"x{tag[type(mf)]}{k}__w{i}" for k, mf in enumerate(modal)
           for i in range(len(worlds)))]))
     legend: dict[str, tuple] = {}
     var_names: dict[str, list[str]] = {}
     for p in source_vars:
         var_names[p] = [next(fresh) for _ in worlds]
         legend.update((name, ("var", p, w)) for name, w in zip(var_names[p], worlds))
-    mod_names: dict[Formula, list[str]] = {}
-    for mf, tag in zip(modal, tags):
-        mod_names[mf] = [next(fresh) for _ in worlds]
-        legend.update((name, (tag, mf.body, w)) for name, w in zip(mod_names[mf], worlds))
+    deltas: dict[str, list[Formula]] = {w: [] for w in worlds}
 
     def per_world(f: Formula, *images: tuple[Formula, ...]) -> tuple[Formula, ...]:
         """The translation of ``f`` at every world."""
         if isinstance(f, Var):
             return tuple(map(Var, var_names[f.name]))
         if isinstance(f, (Box, Diamond)):
-            return tuple(map(Var, mod_names[f]))
+            (body,) = images
+            names = [next(fresh) for _ in worlds]
+            for name, w in zip(names, worlds):
+                legend[name] = (tag[type(f)], f.body, w)
+                succ = [body[widx[u]] for u in frame.successors(w)]
+                rhs = (_fold(And, succ, Const1()) if isinstance(f, Box)
+                       else _fold(Or, succ, Const0()))
+                deltas[w].append(iff(Var(name), rhs))
+            return tuple(map(Var, names))
         return tuple(map(type(f), *images)) if images else (f,) * len(worlds)
 
-    images = bottom_up(gamma + (phi,) + tuple(mf.body for mf in modal), per_world)
-    deltas: dict[str, tuple[Formula, ...]] = {}
-    for i, w in enumerate(worlds):
-        rows = []
-        for mf, body in zip(modal, images[len(gamma) + 1:]):
-            succ = [body[widx[u]] for u in frame.successors(w)]
-            if isinstance(mf, Box):
-                rhs = _fold(And, succ, Const1())
-            else:
-                rhs = _fold(Or, succ, Const0())
-            rows.append(iff(Var(mod_names[mf][i]), rhs))
-        deltas[w] = tuple(rows)
-
-    premises = tuple(g for image in images[:len(gamma)] for g in image)
-    conclusion = _fold(And, images[len(gamma)], Const1())
-    return FrameTranslation(frame=frame, premises=premises, deltas=deltas,
-                            conclusion=conclusion, legend=legend)
+    images = bottom_up(gamma + (phi,), per_world)
+    premises = tuple(g for image in images[:-1] for g in image)
+    return FrameTranslation(frame=frame, premises=premises,
+                            deltas={w: tuple(rows) for w, rows in deltas.items()},
+                            conclusion=_fold(And, images[-1], Const1()),
+                            legend=legend)
 
 
 def decide_on_frame(frame: KripkeFrame, gamma: Iterable[Formula], phi: Formula,

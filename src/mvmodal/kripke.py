@@ -257,6 +257,19 @@ def unravel(model: KripkeModel, root: str, depth: int) -> KripkeModel:
     return KripkeModel(frame, model.algebra, valuation)
 
 
+def _successor_path(frame: KripkeFrame, root: str) -> list[str]:
+    """``root``, then each world's least successor, up to a world without
+    successors or the first repeat (left out)."""
+    path = [root]
+    seen = {root}
+    while True:
+        succ = frame.successors(path[-1])
+        if not succ or succ[0] in seen:
+            return path
+        path.append(succ[0])
+        seen.add(succ[0])
+
+
 def extract_chain(model: KripkeModel, root: str) -> KripkeModel:
     """Submodel on one successor chain from ``root`` down to a successor-free
     world, taking the least-id successor at every step.
@@ -267,14 +280,7 @@ def extract_chain(model: KripkeModel, root: str) -> KripkeModel:
         raise KeyError(f"unknown world {root!r}")
     if height(model.frame, root) == math.inf:
         raise ValueError(f"world {root!r} has infinite height (reachable cycle)")
-    chain = [root]
-    cur = root
-    while True:
-        succ = model.frame.successors(cur)
-        if not succ:
-            break
-        cur = succ[0]
-        chain.append(cur)
+    chain = _successor_path(model.frame, root)
     keep = set(chain)
     edges = [(a, b) for a, b in model.frame.edges if a in keep and b in keep]
     frame = KripkeFrame(chain, edges)

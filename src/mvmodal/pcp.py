@@ -23,7 +23,8 @@ from .algebras import (Algebra, ExpChain, ExpValue, StdMV, Value,
                        int_from_json)
 from .formulas import (And, Box, Diamond, Formula, Implies, Or, Times, Var,
                        ZERO, fpow, iff, neg)
-from .kripke import KripkeFrame, KripkeModel, evaluate, evaluate_all
+from .kripke import (KripkeFrame, KripkeModel, _successor_path, evaluate,
+                     evaluate_all)
 
 __all__ = [
     "Numeral", "PCPInstance", "concat", "encode", "verify_solution",
@@ -175,29 +176,10 @@ def build_countermodel(instance: PCPInstance, indices, alg: Algebra) -> KripkeMo
 def _chain_order(model: KripkeModel, top: str) -> list[str]:
     """Worlds from ``top`` down to the successor-free end; error when the
     model is not a successor chain through all of its worlds."""
-    if top not in model.worlds:
-        raise KeyError(f"unknown world {top!r}")
-    order = [top]
-    seen = {top}
-    cur = top
-    while True:
-        succ = model.frame.successors(cur)
-        if not succ:
-            break
-        if len(succ) > 1:
-            raise ValueError(f"world {cur!r} has {len(succ)} successors; not a chain")
-        nxt = succ[0]
-        if nxt in seen:
-            raise ValueError("cycle detected; not a chain")
-        order.append(nxt)
-        seen.add(nxt)
-        cur = nxt
-    if len(order) != len(model.worlds):
-        raise ValueError("model is not a single chain from the given top world")
-    chain_edges = set(zip(order, order[1:]))
-    for edge in model.frame.edges:
-        if edge not in chain_edges:
-            raise ValueError("extra accessibility edges; not a chain")
+    order = _successor_path(model.frame, top)
+    if model.frame != KripkeFrame(order, zip(order, order[1:])):
+        raise ValueError("model is not a single successor chain from the "
+                         "given top world")
     return order
 
 

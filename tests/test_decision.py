@@ -3,17 +3,18 @@ import random
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from mvmodal import decision
+from mvmodal import algebras, decision
 from mvmodal.algebras import (ExpChain, FiniteTable, MVn, ResourceLimitError,
                               StdMV, StdProduct, mv_chain_tables)
 from mvmodal.decision import (coenumerate_nonconsequences, decide_cardinality,
                               decide_on_frame, finite_consequence,
                               luk_consequence, translate_on_frame)
-from mvmodal.formulas import (ONE, ZERO, And, Box, Implies, Or, Times, Var,
-                              iff, parse, render, variables)
+from mvmodal.formulas import (ONE, ZERO, And, Box, Diamond, Implies, Or,
+                              Times, Var, iff, parse, render, subformulas,
+                              variables)
 from mvmodal.kripke import (KripkeFrame, KripkeModel, evaluate,
                             globally_satisfies)
 from helpers import MV3, luk_implies, luk_times, naive_eval, random_formula
@@ -162,7 +163,7 @@ def test_large_chain_guards_trip_before_tables(monkeypatch):
     def no_tables(n):
         raise AssertionError(f"built the tables of MVn({n})")
 
-    monkeypatch.setattr(decision, "mv_chain_tables", no_tables)
+    monkeypatch.setattr(algebras, "mv_chain_tables", no_tables)
     # 10^6 values but one variable: the four n x n tables trip the guard
     with pytest.raises(ResourceLimitError, match="operation tables"):
         finite_consequence(MVn(10 ** 6), [], P("p \\/ ~p"))
@@ -323,13 +324,36 @@ def test_translate_deep_box_chain():
     for _ in range(2000):
         f = Box(f)
     tr = translate_on_frame(fr, [f], p)
-    # modal subformulas sort by rendering, deepest first
-    assert tr.premises == (Var("xbox0__w0"), Var("xbox0__w1"))
+    # modal subformulas are numbered in post-order, innermost first
+    assert tr.premises == (Var("xbox1999__w0"), Var("xbox1999__w1"))
     assert tr.conclusion == And(Var("p__w0"), Var("p__w1"))
-    assert tr.deltas["w1"] == tuple(
-        iff(Var(f"xbox{k}__w0"), Var(f"xbox{k + 1}__w1")) for k in range(1999)
-    ) + (iff(Var("xbox1999__w0"), Var("p__w1")),)
+    assert tr.deltas["w1"] == (iff(Var("xbox0__w0"), Var("p__w1")),) + tuple(
+        iff(Var(f"xbox{k}__w0"), Var(f"xbox{k - 1}__w1")) for k in range(1, 2000))
     assert tr.deltas["w2"] == tuple(iff(Var(f"xbox{k}__w1"), ONE) for k in range(2000))
+
+
+def _one_modal_kind(op):
+    return st.recursive(
+        st.sampled_from([Var("p"), Var("q"), ZERO, ONE]),
+        lambda sub: st.one_of(sub.map(op), st.builds(
+            lambda c, a, b: c(a, b), st.sampled_from([And, Or, Times, Implies]),
+            sub, sub)),
+        max_leaves=8)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.sampled_from([Box, Diamond]).flatmap(_one_modal_kind))
+def test_translate_deltas_read_only_earlier_names(f):
+    # inner-first numbering: with one modal kind and single-digit indices,
+    # every variable a delta reads sorts before the name it defines, so the
+    # lexicographic search checks the delta as soon as that name is assigned
+    assume(sum(isinstance(g, (Box, Diamond)) for g in subformulas(f)) < 10)
+    fr = KripkeFrame(["w1", "w2"], [(a, b) for a in ("w1", "w2")
+                                    for b in ("w1", "w2")])
+    for rows in translate_on_frame(fr, [], f).deltas.values():
+        for row in rows:
+            name, rhs = row.left.left.name, row.left.right
+            assert all(v < name for v in variables(rhs))
 
 
 def test_decide_on_frame_examples():
