@@ -10,6 +10,7 @@ JSON with sorted keys by default, a human rendering behind --plain.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -98,16 +99,13 @@ def _cmd_eval(args) -> int:
 def _cmd_check(args) -> int:
     gamma = _parse_premises(args.premises)
     phi = parse(args.conclusion)
-    modes = [m for m in (args.model, args.frame, args.cardinality) if m is not None]
-    if len(modes) != 1:
-        raise ValueError("check needs exactly one of --model, --frame, --cardinality")
-    if args.model:
+    if args.model is not None:
         model = load_model(args.model)
         alg = model.algebra
         verdict = consequence_witness(model, gamma, phi)
     else:
         alg = _parse_algebra(args.algebra)
-        if args.frame:
+        if args.frame is not None:
             frame = frame_from_json(_load_json(args.frame))
             verdict = decide_on_frame(frame, gamma, phi, alg)
         else:
@@ -122,13 +120,16 @@ def _cmd_check(args) -> int:
     return 1
 
 
-def _cmd_pcp_encode(args) -> int:
-    instance = load_instance(args.instance)
-    gamma, phi = encode(instance)
-    out = {"premises": [render(g) for g in gamma], "conclusion": render(phi)}
-    plain = "\n".join([*out["premises"], "|-", out["conclusion"]])
-    _emit(out, plain, args.plain)
+def _emit_consequence(gamma, phi, use_plain: bool, **extra) -> int:
+    """Emit a consequence pair; ``--plain`` prints the premises, ``|-`` and
+    the conclusion one a line."""
+    out = {"premises": [render(g) for g in gamma], "conclusion": render(phi), **extra}
+    _emit(out, "\n".join([*out["premises"], "|-", out["conclusion"]]), use_plain)
     return 0
+
+
+def _cmd_pcp_encode(args) -> int:
+    return _emit_consequence(*encode(load_instance(args.instance)), args.plain)
 
 
 def _parse_solution(spec: str) -> list[int]:
@@ -164,12 +165,7 @@ def _cmd_reduce(args) -> int:
     gamma = _parse_premises(args.premises)
     phi = parse(args.conclusion)
     p, q = fresh_names(variables(gamma + (phi,)), ["p", "q"])
-    new_gamma, new_phi = finite_to_global(gamma, phi, p, q)
-    out = {"premises": [render(g) for g in new_gamma],
-           "conclusion": render(new_phi), "p": p, "q": q}
-    plain = "\n".join([*out["premises"], "|-", out["conclusion"]])
-    _emit(out, plain, args.plain)
-    return 0
+    return _emit_consequence(*finite_to_global(gamma, phi, p, q), args.plain, p=p, q=q)
 
 
 def _cmd_l2p(args) -> int:
@@ -244,83 +240,77 @@ def _cmd_coenum(args) -> int:
     return 0
 
 
-def _build_parser() -> argparse.ArgumentParser:
+# flag -> argparse keyword arguments
+_FLAGS = {
+    "--algebra": {"default": "std-mv",
+                  "help": "std-mv | std-godel | std-product | exp-chain | mv-<n>"},
+    "--model": {"help": "model file (JSON)"},
+    "--frame": {"help": "frame file (JSON)"},
+    "--cardinality": {"type": int, "help": "model cardinality bound"},
+    "--premises": {"default": "", "help": "semicolon-separated formulas, or @FILE"},
+    "--conclusion": {"help": "formula"},
+    "--instance": {"help": "instance file (JSON)"},
+    "--solution": {"help": "indices i1,i2,..."},
+    "--n": {"type": int, "help": "box-prefix depth"},
+    "--budget": {"type": int, "help": "co-enumeration stage budget"},
+}
+
+# name, handler, help, flags: a trailing "!" marks a required flag, and
+# "a|b|c" a required choice of exactly one of a, b and c
+_COMMANDS = (
+    ("eval", _cmd_eval, "evaluate a formula at every world of a model",
+     ("--model!", "--conclusion!")),
+    ("check", _cmd_check,
+     "global-consequence verdict on a model, a frame, or all frames of a cardinality",
+     ("--model|--frame|--cardinality", "--algebra", "--premises", "--conclusion!")),
+    ("pcp-encode", _cmd_pcp_encode, "encode an instance into premises and conclusion",
+     ("--instance!",)),
+    ("pcp-model", _cmd_pcp_model, "build the chain countermodel of a solution",
+     ("--instance!", "--solution!", "--algebra")),
+    ("pcp-extract", _cmd_pcp_extract, "extract the solution spelled by a chain model",
+     ("--instance!", "--model!")),
+    ("reduce-fin2glob", _cmd_reduce,
+     "reduce finite-model consequence to unrestricted global consequence",
+     ("--premises", "--conclusion!")),
+    ("l2p", _cmd_l2p, "translate a formula and/or model to the product side",
+     ("--conclusion", "--model")),
+    ("mod2fo", _cmd_mod2fo, "standard first-order translation of a modal formula",
+     ("--conclusion!",)),
+    ("nec-demo", _cmd_nec_demo, "chain countermodel separating global consequence "
+     "from local consequence plus necessitation", ("--n!", "--algebra")),
+    ("coenum", _cmd_coenum, "co-enumerate refutable pairs from a seeded list",
+     ("--instance!", "--budget!")),
+)
+
+
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The one parser of ``_COMMANDS``, built on first use."""
     parser = argparse.ArgumentParser(
         prog="mvmodal",
         description="workbench for many-valued modal logics over residuated lattices")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name, fn, help_, flags):
+    for name, fn, help_, flags in _COMMANDS:
         p = sub.add_parser(name, help=help_)
         p.set_defaults(fn=fn)
-        for flag in flags:
-            if flag == "--algebra":
-                p.add_argument("--algebra", default="std-mv",
-                               help="std-mv | std-godel | std-product | exp-chain | mv-<n>")
-            elif flag == "--model":
-                p.add_argument("--model", help="model file (JSON)")
-            elif flag == "--frame":
-                p.add_argument("--frame", help="frame file (JSON)")
-            elif flag == "--cardinality":
-                p.add_argument("--cardinality", type=int, help="model cardinality bound")
-            elif flag == "--premises":
-                p.add_argument("--premises", default="",
-                               help="semicolon-separated formulas, or @FILE")
-            elif flag == "--conclusion":
-                p.add_argument("--conclusion", help="formula")
-            elif flag == "--instance":
-                p.add_argument("--instance", required=True, help="instance file (JSON)")
-            elif flag == "--solution":
-                p.add_argument("--solution", required=True, help="indices i1,i2,...")
-            elif flag == "--n":
-                p.add_argument("--n", type=int, required=True, help="box-prefix depth")
-            elif flag == "--budget":
-                p.add_argument("--budget", type=int, required=True,
-                               help="co-enumeration stage budget")
+        for spec in flags:
+            if "|" in spec:
+                group = p.add_mutually_exclusive_group(required=True)
+                for flag in spec.split("|"):
+                    group.add_argument(flag, **_FLAGS[flag])
+            else:
+                flag = spec.rstrip("!")
+                p.add_argument(flag, required=spec.endswith("!"), **_FLAGS[flag])
         p.add_argument("--plain", action="store_true", help="human-readable output")
-        return p
-
-    add("eval", _cmd_eval, "evaluate a formula at every world of a model",
-        ["--model", "--conclusion"])
-    add("check", _cmd_check,
-        "global-consequence verdict on a model, a frame, or all frames of a cardinality",
-        ["--model", "--frame", "--cardinality", "--algebra", "--premises",
-         "--conclusion"])
-    add("pcp-encode", _cmd_pcp_encode, "encode an instance into premises and conclusion",
-        ["--instance"])
-    add("pcp-model", _cmd_pcp_model, "build the chain countermodel of a solution",
-        ["--instance", "--solution", "--algebra"])
-    add("pcp-extract", _cmd_pcp_extract, "extract the solution spelled by a chain model",
-        ["--instance", "--model"])
-    add("reduce-fin2glob", _cmd_reduce,
-        "reduce finite-model consequence to unrestricted global consequence",
-        ["--premises", "--conclusion"])
-    add("l2p", _cmd_l2p, "translate a formula and/or model to the product side",
-        ["--conclusion", "--model"])
-    add("mod2fo", _cmd_mod2fo, "standard first-order translation of a modal formula",
-        ["--conclusion"])
-    add("nec-demo", _cmd_nec_demo, "chain countermodel separating global consequence "
-        "from local consequence plus necessitation",
-        ["--n", "--algebra"])
-    add("coenum", _cmd_coenum, "co-enumerate refutable pairs from a seeded list",
-        ["--instance", "--budget"])
     return parser
 
 
 def run(argv: list[str]) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
     try:
-        required = {"eval": ["model", "conclusion"],
-                    "check": ["conclusion"],
-                    "mod2fo": ["conclusion"],
-                    "reduce-fin2glob": ["conclusion"]}
-        for attr in required.get(args.command, []):
-            if getattr(args, attr, None) in (None, ""):
-                raise ValueError(f"{args.command} requires --{attr}")
         return args.fn(args)
     except ResourceLimitError as exc:
         print(f"resource guard: {exc}", file=sys.stderr)

@@ -212,15 +212,17 @@ class _LukSystem:
             self._affine_pass()
             # a pinned implication whose antecedent folded to the constant 1
             # pins its consequent; pinned only grows, so this terminates
-            new = [f.right for f in self.pinned
-                   if isinstance(f, Implies) and f.right not in self.pinned
+            new = [f.right for f in self.nodes
+                   if isinstance(f, Implies) and f in self.pinned
+                   and f.right not in self.pinned
                    and self.affine[f.left].is_const
                    and self.affine[f.left].const == 1]
             if not new:
                 break
             self._pin(new)
+        # rows in node order, not set order, so they do not follow string hashes
         self.base_rows = list(self.forced_rows)
-        for f in self.pinned:
+        for f in filter(self.pinned.__contains__, self.nodes):
             a = self.affine[f]
             if a.is_const:
                 if a.const != 1:

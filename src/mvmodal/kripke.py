@@ -280,12 +280,7 @@ def extract_chain(model: KripkeModel, root: str) -> KripkeModel:
         raise KeyError(f"unknown world {root!r}")
     if height(model.frame, root) == math.inf:
         raise ValueError(f"world {root!r} has infinite height (reachable cycle)")
-    chain = _successor_path(model.frame, root)
-    keep = set(chain)
-    edges = [(a, b) for a, b in model.frame.edges if a in keep and b in keep]
-    frame = KripkeFrame(chain, edges)
-    valuation = {w: {v: model.value(w, v) for v in model.variables} for w in chain}
-    return KripkeModel(frame, model.algebra, valuation)
+    return _restrict(model, _successor_path(model.frame, root))
 
 
 def generated_submodel(model: KripkeModel, w: str) -> KripkeModel:
@@ -300,10 +295,15 @@ def generated_submodel(model: KripkeModel, w: str) -> KripkeModel:
             if v not in seen:
                 seen.add(v)
                 stack.append(v)
-    edges = [(a, b) for a, b in model.frame.edges if a in seen and b in seen]
-    frame = KripkeFrame(seen, edges)
-    valuation = {u: {v: model.value(u, v) for v in model.variables} for u in seen}
-    return KripkeModel(frame, model.algebra, valuation)
+    return _restrict(model, seen)
+
+
+def _restrict(model: KripkeModel, worlds: Iterable[str]) -> KripkeModel:
+    """Submodel on ``worlds``: the edges between them and their valuation."""
+    keep = set(worlds)
+    edges = [(a, b) for a, b in model.frame.edges if a in keep and b in keep]
+    valuation = {w: {v: model.value(w, v) for v in model.variables} for w in keep}
+    return KripkeModel(KripkeFrame(keep, edges), model.algebra, valuation)
 
 
 def is_transitive(frame: KripkeFrame) -> bool:

@@ -173,6 +173,9 @@ def test_usage_errors(files, capsys):
     assert run(["check", "--frame", files["frame"], "--cardinality", "1",
                 "--conclusion", "p"]) == 2  # two modes at once
     assert run(["eval", "--conclusion", "p"]) == 2  # missing model
+    # an empty mode value is a file name that does not exist
+    assert run(["check", "--model", "", "--conclusion", "p"]) == 2
+    assert run(["check", "--frame", "", "--conclusion", "p"]) == 2
     assert run(["nope"]) == 2
     assert run(["check", "--frame", files["frame"], "--weird"]) == 2
     assert run(["check", "--cardinality", "9", "--algebra", "std-mv",
@@ -243,6 +246,62 @@ def test_usage_errors(files, capsys):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+# each subcommand with its required flags (check with one of its three modes);
+# every one of these runs, and a copy without any one of its flags, or check
+# with two modes, is a usage error
+COMPLETE = [
+    ["eval", "--model", "{model}", "--conclusion", "x"],
+    ["check", "--frame", "{frame}", "--conclusion", "p"],
+    ["pcp-encode", "--instance", "{p0}"],
+    ["pcp-model", "--instance", "{p0}", "--solution", "1,2"],
+    ["pcp-extract", "--instance", "{p0}", "--model", "{model}"],
+    ["reduce-fin2glob", "--conclusion", "p"],
+    ["mod2fo", "--conclusion", "p"],
+    ["nec-demo", "--n", "1"],
+    ["coenum", "--instance", "{pairs}", "--budget", "1"],
+]
+
+
+def _without(argv, flag):
+    i = argv.index(flag)
+    return argv[:i] + argv[i + 2:]
+
+
+USAGE = [(argv, _without(argv, flag)) for argv in COMPLETE for flag in argv[1::2]]
+USAGE += [(COMPLETE[1], COMPLETE[1] + extra)
+          for extra in (["--model", "{model}"], ["--cardinality", "1"])]
+
+
+@pytest.fixture
+def complete_files(files, capsys, tmp_path):
+    assert run(["pcp-model", "--instance", files["p0"], "--solution", "1,2"]) == 0
+    model = tmp_path / "chain.json"
+    model.write_text(capsys.readouterr().out)
+    pairs = tmp_path / "pairs.json"
+    pairs.write_text(json.dumps([{"conclusion": "p"}]))
+    return {**files, "model": str(model), "pairs": str(pairs)}
+
+
+@pytest.mark.parametrize("complete, broken", USAGE, ids=[" ".join(b) for _, b in USAGE])
+def test_missing_or_conflicting_flags(complete_files, capsys, complete, broken):
+    assert run([a.format(**complete_files) for a in complete]) in (0, 1)
+    capsys.readouterr()
+    assert run([a.format(**complete_files) for a in broken]) == 2
+    assert capsys.readouterr().out == ""
+
+
+def test_one_parser_serves_every_run(files, capsys):
+    a = ["check", "--frame", files["frame"], "--premises", "[]p", "--conclusion", "p"]
+    b = ["check", "--cardinality", "1", "--algebra", "mv-3", "--premises", "q",
+         "--conclusion", "[]q", "--plain"]
+    first = invoke(capsys, a)
+    assert first[0] == 1
+    assert invoke(capsys, b) == (0, "holds\n")
+    assert run(["--help"]) == 0
+    assert "pcp-extract" in capsys.readouterr().out
+    assert invoke(capsys, a) == first
 
 
 def test_internal_errors_exit_four(files, capsys, tmp_path, monkeypatch):

@@ -1,5 +1,8 @@
 import itertools
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction as F
 
 import pytest
@@ -251,6 +254,22 @@ def test_luk_rows_are_integer(rng, premises):
     verdict = luk_consequence(gamma, phi)
     if not verdict.holds:
         assert all(type(x) is F for x in verdict.witness.valuation.values())
+
+
+def test_luk_rows_do_not_follow_string_hashes():
+    """The root LP's rows come out in the same order under every hash seed."""
+    script = ("from mvmodal.decision import _LukSystem\n"
+              "from mvmodal.formulas import parse\n"
+              "s = _LukSystem([parse(t) for t in ('p \\/ q', 'r \\/ s', 'u \\/ v',"
+              " '~p \\/ ~u')], parse('q * s'))\n"
+              "print([(sorted(r.coeffs.items()), r.sense, r.rhs) for r in s.base_rows])")
+    src = os.path.dirname(os.path.dirname(decision.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    rows = [subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                           check=True, timeout=60,
+                           env={**os.environ, "PYTHONPATH": path, "PYTHONHASHSEED": seed}
+                           ).stdout for seed in ("0", "1")]
+    assert rows[0] and rows[0] == rows[1]
 
 
 def test_long_premise_chains():
