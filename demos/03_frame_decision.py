@@ -5,7 +5,7 @@ fresh variables stand for each source variable at each world and for each
 boxed/diamonded subformula at each world, and delta premises tie the modal
 variables to meets/joins over successors.  Over the standard MV algebra the
 propositional question is settled by exact case-split linear programming;
-over finite chains by brute force.
+over finite chains by lexicographic backtracking.
 """
 
 from mvmodal import (KripkeFrame, MVn, StdMV, decide_cardinality,

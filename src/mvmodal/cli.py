@@ -36,9 +36,11 @@ def _load_json(path: str):
         return json.load(fh)
 
 
-def _parse_algebra(name: str) -> Algebra:
+def _parse_algebra(name: str | None) -> Algebra:
     """An ``algebra_from_json`` kind, with ``mv-<n>`` for the n-element MV
-    chain."""
+    chain; no name is the standard MV algebra."""
+    if name is None:
+        return StdMV()
     if name.startswith("mv-"):
         return algebra_from_json({"kind": "mv-n", "n": name[3:]})
     return algebra_from_json({"kind": name})
@@ -100,6 +102,9 @@ def _cmd_check(args) -> int:
     gamma = _parse_premises(args.premises)
     phi = parse(args.conclusion)
     if args.model is not None:
+        if args.algebra is not None:
+            raise ValueError("--algebra does not apply to --model: "
+                             "the model file names its algebra")
         model = load_model(args.model)
         alg = model.algebra
         verdict = consequence_witness(model, gamma, phi)
@@ -242,8 +247,7 @@ def _cmd_coenum(args) -> int:
 
 # flag -> argparse keyword arguments
 _FLAGS = {
-    "--algebra": {"default": "std-mv",
-                  "help": "std-mv | std-godel | std-product | exp-chain | mv-<n>"},
+    "--algebra": {"help": "std-mv | std-godel | std-product | exp-chain | mv-<n>"},
     "--model": {"help": "model file (JSON)"},
     "--frame": {"help": "frame file (JSON)"},
     "--cardinality": {"type": int, "help": "model cardinality bound"},

@@ -261,32 +261,29 @@ def luk_consequence(gamma: Iterable[Formula], phi: Formula, *,
     objective = {v: -a for v, a in system.affine[phi].coeffs.items()}
     offset = 1 - system.affine[phi].const
     explored = 0
-
-    def search(i: int, rows: list[lp.Constraint],
-               parent: lp.LPResult | None) -> dict | None:
-        nonlocal explored
+    # depth first: each entry is (split index, rows, parent result), and the
+    # regimes go on in reverse so the first one is explored first
+    stack: list[tuple[int, list[lp.Constraint], lp.LPResult | None]] = [
+        (0, system.base_rows, None)]
+    while stack:
+        i, rows, parent = stack.pop()
         explored += 1
         if explored > branch_guard:
             raise ResourceLimitError(
                 f"case-split guard exceeded ({branch_guard} branches)")
         res = lp.solve_max(objective, rows, start=parent)
         if res.status == "infeasible":
-            return None
+            continue
         if res.status != "optimal":
             raise RuntimeError("bounded system reported unbounded")
         if res.value <= -offset:
-            return None
+            continue
         if i == len(system.splits):
-            return res.point
+            point = res.point
+            break
         _, regimes = system.splits[i]
-        for regime in regimes:
-            out = search(i + 1, rows + regime, res)
-            if out is not None:
-                return out
-        return None
-
-    point = search(0, system.base_rows, None)
-    if point is None:
+        stack += [(i + 1, rows + regime, res) for regime in reversed(regimes)]
+    else:
         return Verdict(True)
     names = sorted(f.name for f in system.nodes if isinstance(f, Var))
     valuation = {name: system.affine[Var(name)].value_at(point) for name in names}

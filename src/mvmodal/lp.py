@@ -7,9 +7,12 @@ nonnegative; upper bounds are ordinary rows.
 The tableau holds Python ints only.  A row is a list of integer numerators
 over one positive denominator, and that denominator is the row's own entry
 in its basic column (whose true value is 1), so it needs no separate slot.
-After every update a row is divided by the gcd of its entries, which keeps
-the integers small.  The objective row is kept up to a positive factor
-only, because the simplex reads nothing from it but signs.
+The rhs sits at position 0 and column ``j`` at position ``j``, so a row
+needs no entry past its last nonzero column: a row shorter than the
+tableau is zero past its end.  After every update a row is divided by the
+gcd of its entries, which keeps the integers small.  The objective row is
+kept at the tableau's full width, and up to a positive factor only,
+because the simplex reads nothing from it but signs.
 
 A pivot eliminates only over the nonzero columns of the pivot row and skips
 every row that is zero in the pivot column.  The ratio tests compare
@@ -40,11 +43,13 @@ smallest with a negative reduced cost, the leaving row has the least ratio
 Warm start.  An optimal result keeps its final tableau, and
 ``solve_max(objective, constraints, start=parent)`` appends the rows of
 ``constraints`` past the parent's to it; the parent's objective row is
-already optimal, so the dual simplex finishes the solve.  Status and value
-are those of any exact simplex, but the optimal vertex depends on the
-pivots: ``tests/test_lp_reference.py`` checks status and value against a
-dense two-phase tableau, and that every optimal point is nonnegative,
-satisfies every row and attains the value.
+already optimal, so the dual simplex finishes the solve.  The new columns
+and rows go past the parent's, which stay shared: a warm solve copies only
+the rows that its pivots change.  Status and value are those of any exact
+simplex, but the optimal vertex depends on the pivots:
+``tests/test_lp_reference.py`` checks status and value against a dense
+two-phase tableau, and that every optimal point is nonnegative, satisfies
+every row and attains the value.
 """
 
 from __future__ import annotations
@@ -58,10 +63,6 @@ from operator import is_
 from typing import NamedTuple
 
 __all__ = ["Constraint", "LPResult", "solve_max"]
-
-# Zero columns a copied tableau keeps, so that its descendants can
-# append rows and still share its rows.
-_SPARE = 24
 
 
 @dataclass(frozen=True)
@@ -96,9 +97,9 @@ class Constraint:
 class _Optimum(NamedTuple):
     """The final tableau of an optimal solve, for warm starts.
 
-    The columns in use are those below ``width``; the ``spare`` columns
-    after them, up to the rhs, are zero in every row and in the objective
-    row.  Rows are never changed in place, so a warm start shares them.
+    Every row holds its rhs at position 0 and is zero past its end; ``obj``
+    spans every column in use.  Rows are never changed in place, so a warm
+    start shares them.
     """
 
     objective: dict
@@ -109,8 +110,6 @@ class _Optimum(NamedTuple):
     tableau: list[list[int]]
     basis: list[int]
     obj: list[int]
-    width: int
-    spare: int
 
 
 class LPResult:
@@ -141,7 +140,7 @@ class LPResult:
             point = dict.fromkeys(opt.names, Fraction(0))
             for r, b in zip(opt.tableau, opt.basis):
                 if b in at:
-                    point[at[b]] = Fraction(r[-1], r[b])
+                    point[at[b]] = Fraction(r[0], r[b])
             self._point = point
         return self._point
 
@@ -167,12 +166,15 @@ def _eliminate(r: list[int], prow: list[int], nz: list[int], p: int,
                f: int) -> list[int]:
     """``r - (f / p) * prow`` times the positive factor ``p / gcd(p, f)``
     (``p > 0``), updated only over ``nz``, the nonzero columns of ``prow``,
-    then divided by the gcd of its entries."""
+    then divided by the gcd of its entries.  A shorter ``r`` is padded with
+    zeros to the length of ``prow``."""
     g = gcd(p, f)
     if g != 1:
         p //= g
         f //= g
     out = r[:] if p == 1 else [x * p for x in r]
+    if len(out) < len(prow):
+        out += [0] * (len(prow) - len(out))
     for j in nz:
         out[j] -= f * prow[j]
     g = gcd(*out)
@@ -201,7 +203,7 @@ def _pivot(tableau: list[list[int]], obj: list[int], basis: list[int],
         p = -p
     nz = [j for j, b in enumerate(prow) if b]
     for i, r in enumerate(tableau):
-        if i != row and r[col]:
+        if i != row and col < len(r) and r[col]:
             tableau[i] = _eliminate(r, prow, nz, p, r[col])
     if obj[col]:
         obj[:] = _eliminate(obj, prow, nz, p, obj[col])
@@ -218,7 +220,7 @@ def _run_simplex(tableau: list[list[int]], obj: list[int],
     """
     while True:
         col = -1
-        for j in range(len(obj) - 1):
+        for j in range(1, len(obj)):
             if obj[j] < 0:
                 col = j
                 break
@@ -227,12 +229,12 @@ def _run_simplex(tableau: list[list[int]], obj: list[int],
         row = -1
         best_b = best_a = 0
         for i, r in enumerate(tableau):
-            a = r[col]
-            if a > 0:
-                # ratio r[-1] / a against best_b / best_a, both a's positive
-                d = r[-1] * best_a - best_b * a
+            if col < len(r) and r[col] > 0:
+                a = r[col]
+                # ratio r[0] / a against best_b / best_a, both a's positive
+                d = r[0] * best_a - best_b * a
                 if row < 0 or d < 0 or (d == 0 and basis[i] < basis[row]):
-                    best_b, best_a = r[-1], a
+                    best_b, best_a = r[0], a
                     row = i
         if row < 0:
             return "unbounded"
@@ -244,14 +246,15 @@ def _run_dual(tableau: list[list[int]], obj: list[int],
     """Pivot a dual-feasible tableau until its rhs is nonnegative, by
     Bland's dual rule (see the module docstring)."""
     while True:
-        rows = [i for i, r in enumerate(tableau) if r[-1] < 0]
+        rows = [i for i, r in enumerate(tableau) if r[0] < 0]
         if not rows:
             return "optimal"
         row = min(rows, key=basis.__getitem__)
         r = tableau[row]
         col = -1
         best_o = best_a = 0
-        for j, a in enumerate(r[:-1]):
+        for j in range(1, len(r)):
+            a = r[j]
             if a < 0:
                 # ratio obj[j] / -a against best_o / best_a, both divisors
                 # positive
@@ -276,8 +279,8 @@ def solve_max(objective: dict, constraints: list[Constraint], *,
         # the empty system, whose zero objective row is optimal
         names = sorted(set(objective) | {v for c in constraints for v in c.coeffs})
         opt = _Optimum(dict(objective), {}, (), names,
-                       {v: j for j, v in enumerate(names)}, [], [],
-                       [0] * (len(names) + 1), len(names), 0)
+                       {v: j for j, v in enumerate(names, 1)}, [], [],
+                       [0] * (len(names) + 1))
     else:
         opt = start.optimum
         if (opt is None or objective != opt.objective
@@ -289,42 +292,27 @@ def solve_max(objective: dict, constraints: list[Constraint], *,
     appended = constraints[len(opt.constraints):]
     heads = [row for c in appended for row in c._rows]
 
-    # Column layout: the parent's columns in use, then the new variables,
-    # then one slack per new row.  They take the parent's spare columns if
-    # there are enough; otherwise the rows are copied with _SPARE zero
-    # columns to spare.
-    width = opt.width
+    # Column layout: the parent's columns, then the new variables, then one
+    # slack per new row.  The parent's rows are shared as they are.
+    width = len(opt.obj)
     new = sorted({v for c in appended for v in c.coeffs} - opt.index.keys())
-    need = len(new) + len(heads)
-    if opt.spare >= need:
-        tableau = list(opt.tableau)
-        spare = opt.spare - need
-    else:
-        spare = _SPARE
-        pad = [0] * (need + spare)
-        tableau = []
-        for r in opt.tableau:
-            row = r[:width]
-            row += pad
-            row.append(r[-1])
-            tableau.append(row)
+    tableau = list(opt.tableau)
     basis = list(opt.basis)
-    obj = opt.obj[:width] + [0] * (need + spare) + opt.obj[-1:]
+    obj = opt.obj + [0] * (len(new) + len(heads))
     index = opt.index
     names = opt.names
     if new:
-        index = {**index, **{v: width + j for j, v in enumerate(new)}}
+        index = {**index, **{v: j for j, v in enumerate(new, width)}}
         names = sorted(index)
-    ncols = len(obj) - 1
 
     where = {b: i for i, b in enumerate(basis)}
     slack_col = width + len(new)
     for coeffs, scale, rhs in heads:
-        row = [0] * (ncols + 1)
+        row = [0] * (slack_col + 1)
+        row[0] = rhs
         for v, a in coeffs:
             row[index[v]] = a
         row[slack_col] = scale
-        row[-1] = rhs
         # Eliminate the basic columns, so the slack is this row's basic.
         # Only the coefficient columns can be basic: a basic row is zero in
         # every other basic column.
@@ -362,9 +350,9 @@ def solve_max(objective: dict, constraints: list[Constraint], *,
     num, den = 0, 1
     for r, b in zip(tableau, basis):
         c = costs.get(b)
-        if c is not None and r[-1]:
-            n, d = c[0] * r[-1], c[1] * r[b]
+        if c is not None and r[0]:
+            n, d = c[0] * r[0], c[1] * r[b]
             num, den = num * d + n * den, den * d
     return LPResult("optimal", Fraction(num, den), optimum=_Optimum(
         dict(objective), costs, tuple(constraints), names, index, tableau,
-        basis, obj, width + need, spare))
+        basis, obj))

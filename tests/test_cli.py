@@ -204,6 +204,15 @@ def test_usage_errors(files, capsys):
              "valuation": {"a": {"p": "1"}}}
     bad.write_text(json.dumps(model))
     assert run(["eval", "--model", str(bad), "--conclusion", "p"]) == 0
+    # a model file names its own algebra, so --algebra beside --model is an
+    # error, even when it names the model's algebra
+    assert run(["check", "--model", str(bad), "--conclusion", "p"]) == 0
+    capsys.readouterr()
+    for name in ("nonsense", "std-mv"):
+        assert run(["check", "--model", str(bad), "--algebra", name,
+                    "--conclusion", "p"]) == 2, name
+        out, err = capsys.readouterr()
+        assert out == "" and "--algebra" in err, name
     for change in ({"valuation": {"a": 5}}, {"edges": [1]}, {"algebra": "std-mv"},
                    {"worlds": [["a"]]}):
         bad.write_text(json.dumps({**model, **change}))

@@ -3,6 +3,7 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction as F
 
 import pytest
@@ -283,6 +284,38 @@ def test_long_premise_chains():
     assert verdict.witness.value == 0
     assert verdict.witness.valuation[f"q{n}"] == 1
     assert verdict.witness.valuation["r"] == verdict.witness.valuation["s"] == 0
+
+
+def _nested_disjunction(n):
+    """``p0 \\/ (p1 \\/ (... \\/ p(n-1)))``, built without recursion."""
+    f = Var(f"p{n - 1}")
+    for i in range(n - 2, -1, -1):
+        f = Or(Var(f"p{i}"), f)
+    return f
+
+
+def test_deep_case_split_fails_without_backtracking():
+    # one split per disjunction, each first regime feasible: the search
+    # walks straight down 1,099 splits to the all-zero countermodel
+    n = 1100
+    verdict = luk_consequence([], _nested_disjunction(n))
+    assert not verdict.holds
+    assert verdict.witness.value == 0
+    assert verdict.witness.valuation == {f"p{i}": 0 for i in range(n)}
+
+
+def test_deep_case_split_memory():
+    # warm solves share their parent's rows, so memory grows with the
+    # tableau, not with one copy of it per split
+    f = _nested_disjunction(300)
+    tracemalloc.start()
+    try:
+        verdict = luk_consequence([], f)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert not verdict.holds
+    assert peak < 128 * 2 ** 20
 
 
 def test_translate_on_frame_example():

@@ -9,6 +9,7 @@ optimal vertex itself may differ.
 
 import random
 from fractions import Fraction as F
+from operator import is_
 
 import pytest
 from hypothesis import given, settings
@@ -128,6 +129,26 @@ def test_start_must_be_an_optimal_prefix():
         solve_max({"x": F(1)}, [x, y], start=infeasible)
 
 
+def test_warm_solves_share_the_parent_rows():
+    """Rows that no pivot touches stay the parent's own list objects, however
+    many columns the descendants append."""
+    objective = {"x": F(1)}
+    rows = [Constraint({"x": F(1)}, "<=", F(1))]
+    res = solve_max(objective, rows)
+    for k in range(12):
+        # new variables with slack rows that are already feasible: no pivot
+        rows = rows + [Constraint({f"y_{k}_{i}": F(1)}, "<=", F(1))
+                       for i in range(3)]
+        child = solve_max(objective, rows, start=res)
+        assert child.value == 1
+        parent_rows, child_rows = res.optimum.tableau, child.optimum.tableau
+        assert len(child_rows) == len(parent_rows) + 3
+        assert all(map(is_, parent_rows, child_rows)), k
+        res = child
+    assert child.point == {"x": 1, **{f"y_{k}_{i}": 0 for k in range(12)
+                                      for i in range(3)}}
+
+
 def test_lazy_point_survives_children():
     """A result's point is read from its kept tableau on demand; solving
     warm children from it first must not change what is read."""
@@ -156,7 +177,7 @@ def test_lazy_point_survives_children():
             if chain[-1].status != "optimal":
                 break
             rows = rows + extra
-            # two siblings, so the parent's spare columns are shared
+            # two siblings, so the parent's rows are shared
             solve_max(objective, rows, start=chain[-1])
             chain.append(solve_max(objective, rows, start=chain[-1]))
         assert parent.point == before
