@@ -3,7 +3,9 @@
 Two propositional backends are provided: an exact case-splitting decision for
 the standard MV algebra (the connectives are piecewise linear, so each
 connective occurrence contributes two linear regimes and every branch is an
-exact rational LP), and a backtracking sweep for finite algebras: one
+exact rational LP; a branch splits only on a connective whose value its LP
+point gets wrong, and the first point that gets none wrong is a
+countermodel), and a backtracking sweep for finite algebras: one
 straight-line program over slot indices and the algebra's index tables (an
 MVn chain sweeps the tables of ``mv_chain_tables``, index k standing for
 k/(n-1)), run level by level as the variables are assigned in lexicographic
@@ -100,9 +102,11 @@ class _Affine:
                 lo += a
         return lo, hi
 
-    def value_at(self, point: dict) -> Fraction:
-        return sum((a * point.get(v, 0) for v, a in self.coeffs.items()),
-                   Fraction(self.const))
+    def scaled_at(self, den: int, nums: dict) -> int:
+        """``den`` times the value at the point ``nums / den`` (a variable
+        missing from ``nums`` is 0)."""
+        return sum((a * nums.get(v, 0) for v, a in self.coeffs.items()),
+                   self.const * den)
 
 
 def _row(expr: _Affine, sense: str, rhs: int = 0) -> lp.Constraint:
@@ -144,6 +148,8 @@ class _LukSystem:
         self.affine: dict[Formula, _Affine] = {}
         self.forced_rows: list[lp.Constraint] = []
         self.splits: list[tuple[Formula, list[list[lp.Constraint]]]] = []
+        # per split: its variable and its ``_REGIMES`` forms (e, low, high)
+        self.split_forms: list[tuple[str, _Affine, _Affine, _Affine]] = []
         self._node_var: dict[Formula, str] = {}
         self._build()
 
@@ -170,6 +176,7 @@ class _LukSystem:
         self.affine.clear()
         self.forced_rows = []
         self.splits = []
+        self.split_forms = []
         aff = self.affine
         for f in self.nodes:
             if isinstance(f, Const0):
@@ -198,13 +205,14 @@ class _LukSystem:
                 elif lo >= 0:
                     aff[f] = high
                 else:
-                    t = aff[f] = _Affine.of_var(self._node_var.setdefault(
-                        f, f"n:{len(self._node_var)}"))
+                    var = self._node_var.setdefault(f, f"n:{len(self._node_var)}")
+                    t = aff[f] = _Affine.of_var(var)
                     regimes = [[_row(e, "<="), _row(t.sub(low), "==")],
                                [_row(e, ">="), _row(t.sub(high), "==")]]
                     if isinstance(f, Or):
                         regimes.reverse()
                     self.splits.append((f, regimes))
+                    self.split_forms.append((var, e, low, high))
 
     def _build(self) -> None:
         self._pin(self.gamma)
@@ -235,22 +243,43 @@ class _LukSystem:
         for v in self.var_names:
             self.base_rows.append(lp.Constraint({v: 1}, "<=", 1))
 
+    def violated(self, den: int, nums: dict, branched: int) -> int:
+        """The index of the split, last first, that is not in ``branched``
+        (a set of split indices as bits) and whose variable the point ``nums
+        / den`` does not give its connective's value; -1 if there is none.
+        The value is ``low`` where ``e <= 0`` and ``high`` where ``e >= 0``
+        (the two agree where ``e == 0``)."""
+        for k in range(len(self.splits) - 1, -1, -1):
+            if not branched >> k & 1:
+                var, e, low, high = self.split_forms[k]
+                want = low if e.scaled_at(den, nums) <= 0 else high
+                if nums.get(var, 0) != want.scaled_at(den, nums):
+                    return k
+        return -1
+
 
 def luk_consequence(gamma: Iterable[Formula], phi: Formula, *,
                     branch_guard: int = BRANCH_GUARD_DEFAULT) -> Verdict:
     """Does ``phi`` take value 1 under every [0,1]-MV valuation making all of
     ``gamma`` equal to 1?
 
-    Decided exactly: connective regimes are enumerated depth-first and each
-    branch maximizes ``1 - value(phi)`` by exact rational LP; a positive
-    optimum yields a rational countermodel valuation, re-checked by direct
-    evaluation before it is returned.  Branches whose relaxation already
-    caps the objective at 0 are pruned, which does not change the verdict.
-    A branch's rows are its parent's plus one regime, so each child LP is
-    warm-started from its parent's optimal tableau (``lp.solve_max``'s
-    ``start``): the same status and optimum as a solve from scratch, for
-    the cost of re-optimising a few appended rows.  The guard bounds the
-    number of explored search nodes.
+    Decided exactly by a depth-first case split over exact rational LPs.
+    Each search node maximizes ``1 - value(phi)`` over the rows of the
+    regimes chosen on its path, where every split not yet branched on is a
+    free ``t`` in [0, 1].  A node whose optimum is not positive is pruned.
+    Otherwise its optimal point is read: if it gives every split's ``t``
+    its connective's value, it is a countermodel, re-checked by direct
+    evaluation before it is returned.  If not, the node branches on the
+    first such split in reverse post-order (nearest the conclusion first)
+    into its two regimes; a path never branches twice on one split, so the
+    search ends.  This is the MILP rule of branching only on a disjunction
+    the relaxation violates (Achterberg, Koch and Martin, Oper. Res. Lett.
+    33, 2005).  A child's rows are its parent's plus one regime, so each
+    child LP is warm-started from its parent's optimal tableau
+    (``lp.solve_max``'s ``start``): the same status and optimum as a solve
+    from scratch, for the cost of re-optimising a few appended rows.  The
+    point is read as ints over one denominator; Fractions are built only
+    for the witness.  The guard bounds the number of explored search nodes.
     """
     gamma = tuple(gamma)
     try:
@@ -261,12 +290,13 @@ def luk_consequence(gamma: Iterable[Formula], phi: Formula, *,
     objective = {v: -a for v, a in system.affine[phi].coeffs.items()}
     offset = 1 - system.affine[phi].const
     explored = 0
-    # depth first: each entry is (split index, rows, parent result), and the
-    # regimes go on in reverse so the first one is explored first
+    # depth first: each entry is (splits branched on its path as bits, rows,
+    # parent result), and the regimes go on in reverse so the first one is
+    # explored first
     stack: list[tuple[int, list[lp.Constraint], lp.LPResult | None]] = [
         (0, system.base_rows, None)]
     while stack:
-        i, rows, parent = stack.pop()
+        branched, rows, parent = stack.pop()
         explored += 1
         if explored > branch_guard:
             raise ResourceLimitError(
@@ -278,15 +308,18 @@ def luk_consequence(gamma: Iterable[Formula], phi: Formula, *,
             raise RuntimeError("bounded system reported unbounded")
         if res.value <= -offset:
             continue
-        if i == len(system.splits):
-            point = res.point
+        den, nums = res.scaled_point()
+        k = system.violated(den, nums, branched)
+        if k < 0:
             break
-        _, regimes = system.splits[i]
-        stack += [(i + 1, rows + regime, res) for regime in reversed(regimes)]
+        _, regimes = system.splits[k]
+        stack += [(branched | 1 << k, rows + regime, res)
+                  for regime in reversed(regimes)]
     else:
         return Verdict(True)
     names = sorted(f.name for f in system.nodes if isinstance(f, Var))
-    valuation = {name: system.affine[Var(name)].value_at(point) for name in names}
+    valuation = {name: Fraction(system.affine[Var(name)].scaled_at(den, nums), den)
+                 for name in names}
     return _rechecked(StdMV(), gamma, phi, valuation)
 
 

@@ -21,7 +21,8 @@ Fractions appear only in the returned value and point.  Each constraint
 builds its scaled integer rows once, the first time it is solved, and a
 solve only places them at their columns.  An optimal result computes its
 value from the basic objective columns and reads its point from the kept
-tableau on demand, the first time ``point`` is read.
+tableau on demand: as Fractions the first time ``point`` is read, or as
+ints over one common denominator by ``scaled_point``.
 
 One path.  Every solve appends rows to an optimal tableau: each appended
 row (an ``==`` row as two ``<=`` rows) gets its own slack, is reduced
@@ -132,17 +133,24 @@ class LPResult:
 
     @property
     def point(self) -> dict | None:
-        """Every variable's value; the basic ones are their row's rhs over
-        its basic entry."""
-        opt = self.optimum
-        if self._point is None and opt is not None:
-            at = {j: v for v, j in opt.index.items()}
-            point = dict.fromkeys(opt.names, Fraction(0))
-            for r, b in zip(opt.tableau, opt.basis):
-                if b in at:
-                    point[at[b]] = Fraction(r[0], r[b])
-            self._point = point
+        """Every variable's value, as a Fraction."""
+        if self._point is None and self.optimum is not None:
+            den, nums = self.scaled_point()
+            self._point = {v: Fraction(nums.get(v, 0), den)
+                           for v in self.optimum.names}
         return self._point
+
+    def scaled_point(self) -> tuple[int, dict]:
+        """The optimal point as ints over one common denominator: ``(den,
+        nums)``, where a variable's value is ``nums[name] / den``, or 0 when
+        ``nums`` lacks it.  A basic variable's value is its row's rhs over
+        its basic entry, so ``den`` is the lcm of those entries."""
+        opt = self.optimum
+        at = {j: v for v, j in opt.index.items()}
+        rows = [(at[b], r[0], r[b]) for r, b in zip(opt.tableau, opt.basis)
+                if r[0] and b in at]
+        den = lcm(1, *(d for _, _, d in rows))
+        return den, {v: n * (den // d) for v, n, d in rows}
 
     def __eq__(self, other):
         if not isinstance(other, LPResult):
@@ -241,14 +249,13 @@ def _run_simplex(tableau: list[list[int]], obj: list[int],
         _pivot(tableau, obj, basis, row, col)
 
 
-def _run_dual(tableau: list[list[int]], obj: list[int],
-              basis: list[int]) -> str:
+def _run_dual(tableau: list[list[int]], obj: list[int], basis: list[int],
+              first: int) -> str:
     """Pivot a dual-feasible tableau until its rhs is nonnegative, by
-    Bland's dual rule (see the module docstring)."""
-    while True:
-        rows = [i for i, r in enumerate(tableau) if r[0] < 0]
-        if not rows:
-            return "optimal"
+    Bland's dual rule (see the module docstring).  The rows before
+    ``first`` have a nonnegative rhs, so the first scan starts there."""
+    rows = [i for i in range(first, len(tableau)) if tableau[i][0] < 0]
+    while rows:
         row = min(rows, key=basis.__getitem__)
         r = tableau[row]
         col = -1
@@ -264,6 +271,8 @@ def _run_dual(tableau: list[list[int]], obj: list[int],
         if col < 0:
             return "infeasible"
         _pivot(tableau, obj, basis, row, col)
+        rows = [i for i, r in enumerate(tableau) if r[0] < 0]
+    return "optimal"
 
 
 def solve_max(objective: dict, constraints: list[Constraint], *,
@@ -327,7 +336,8 @@ def solve_max(objective: dict, constraints: list[Constraint], *,
         basis.append(slack_col)
         slack_col += 1
 
-    if _run_dual(tableau, obj, basis) == "infeasible":
+    # the parent's rows are optimal, so only the appended ones can be negative
+    if _run_dual(tableau, obj, basis, len(opt.tableau)) == "infeasible":
         return LPResult("infeasible")
     costs = opt.costs
     if start is None:

@@ -1,5 +1,6 @@
 """Shared test utilities: an independent reference evaluator, generators, the
-Gödel 3-chain table and an LP feasibility check.
+Gödel 3-chain table, an LP feasibility check and a leaf-by-leaf oracle for
+the Łukasiewicz case split.
 
 The reference evaluator below works on raw dicts and spells out the
 operation tables inline, so it shares no code with the package's algebra or
@@ -8,9 +9,11 @@ evaluation paths.
 
 from __future__ import annotations
 
+import itertools
 import random
 from fractions import Fraction as F
 
+from mvmodal import decision, lp
 from mvmodal.algebras import FiniteTable
 from mvmodal.formulas import (And, Box, Const0, Const1, Diamond, Formula,
                               Implies, Or, Times, Var)
@@ -114,3 +117,26 @@ def attains(res, objective, rows):
 def random_rational(rng: random.Random, max_den: int = 12) -> F:
     den = rng.randint(1, max_den)
     return F(rng.randint(0, den), den)
+
+
+def luk_leaf_oracle(gamma, phi, max_splits: int = 10) -> bool | None:
+    """Does ``phi`` follow from ``gamma`` over standard MV?  Decided from
+    ``_LukSystem``'s rows alone: every leaf of the case split (one regime per
+    split) is solved cold, with no pruning, branching rule or warm start,
+    and the consequence fails when some leaf's optimum of ``1 - value(phi)``
+    is positive.  None, with nothing solved, when there are more than
+    ``max_splits`` splits, so more than ``2 ** max_splits`` leaves."""
+    try:
+        system = decision._LukSystem(gamma, phi)
+    except decision._Unsat:
+        return True
+    if len(system.splits) > max_splits:
+        return None
+    objective = {v: -a for v, a in system.affine[phi].coeffs.items()}
+    offset = 1 - system.affine[phi].const
+    for leaf in itertools.product(*(regimes for _, regimes in system.splits)):
+        res = lp.solve_max(objective, system.base_rows + [
+            row for regime in leaf for row in regime])
+        if res.status == "optimal" and res.value > -offset:
+            return False
+    return True

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from mvmodal import algebras, decision
+from mvmodal import algebras, decision, lp
 from mvmodal.algebras import (ExpChain, FiniteTable, MVn, ResourceLimitError,
                               StdMV, StdProduct, mv_chain_tables)
 from mvmodal.decision import (coenumerate_nonconsequences, decide_cardinality,
@@ -19,9 +19,11 @@ from mvmodal.decision import (coenumerate_nonconsequences, decide_cardinality,
 from mvmodal.formulas import (ONE, ZERO, And, Box, Diamond, Implies, Or,
                               Times, Var, iff, parse, render, subformulas,
                               variables)
-from mvmodal.kripke import (KripkeFrame, KripkeModel, evaluate,
+from mvmodal.kripke import (KripkeFrame, KripkeModel, evaluate, evaluate_all,
                             globally_satisfies)
-from helpers import MV3, luk_implies, luk_times, naive_eval, random_formula
+from mvmodal.pcp import Numeral, PCPInstance, encode
+from helpers import (MV3, luk_implies, luk_leaf_oracle, luk_times, naive_eval,
+                     random_formula)
 
 P = parse
 
@@ -98,6 +100,56 @@ def test_luk_matches_grid_oracle():
         assert luk_consequence([], f).holds == (not grid_refutes(f)), s
 
 
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.integers(0, 2 ** 32), st.integers(0, 2))
+def test_luk_matches_leaf_oracle(seed, premises):
+    """The search agrees with solving every leaf of the case split cold, and
+    every failing witness passes the evaluator."""
+    rng = random.Random(seed)
+    gamma = [random_formula(rng, 4, ("p", "q", "r"), modal=False)
+             for _ in range(premises)]
+    phi = random_formula(rng, 4, ("p", "q", "r"), modal=False)
+    expected = luk_leaf_oracle(gamma, phi)
+    assume(expected is not None)
+    verdict = luk_consequence(gamma, phi)
+    assert verdict.holds == expected
+    if not verdict.holds:
+        model = KripkeModel(KripkeFrame(["w"], ()), StdMV(),
+                            {"w": verdict.witness.valuation})
+        *columns, (value,) = evaluate_all(model, tuple(gamma) + (phi,))
+        assert all(col == [1] for col in columns)
+        assert value == verdict.witness.value < 1
+
+
+def _count_solves(monkeypatch):
+    """Count the calls of ``lp.solve_max`` from here on."""
+    calls = [0]
+    solve_max = lp.solve_max
+
+    def counting(*args, **kwargs):
+        calls[0] += 1
+        return solve_max(*args, **kwargs)
+
+    monkeypatch.setattr(lp, "solve_max", counting)
+    return calls
+
+
+def test_baseline_pair_stdmv_solve_count(monkeypatch):
+    # branching only on violated splits: 104,928 solves when every split
+    # was branched on in a fixed order
+    calls = _count_solves(monkeypatch)
+    assert decide_cardinality(3, [P("[]p -> p")], P("[][]p -> p"), StdMV()).holds
+    assert calls[0] <= 10_000
+
+
+def test_unsolvable_pcp_one_chain_solve_count(monkeypatch):
+    # "1" against "11" has no solution, so the encoding holds on every chain
+    gamma, phi = encode(PCPInstance(2, ((Numeral(1, 1), Numeral(3, 2)),)))
+    calls = _count_solves(monkeypatch)
+    assert decide_on_frame(KripkeFrame(["v1"], []), gamma, phi, StdMV()).holds
+    assert calls[0] <= 60
+
+
 def test_luk_branch_guard():
     with pytest.raises(ResourceLimitError):
         luk_consequence([], P("p \\/ ~p"), branch_guard=0)
@@ -116,9 +168,24 @@ _MUTATION_BATTERY = [
 ]
 
 
+def _satisfies(point, regime):
+    """Does the point (a dict of Fractions, 0 where missing) satisfy every
+    row of the regime?"""
+    for c in regime:
+        lhs = sum(a * point.get(v, 0) for v, a in c.coeffs.items())
+        if not {"<=": lhs <= c.rhs, ">=": lhs >= c.rhs, "==": lhs == c.rhs}[c.sense]:
+            return False
+    return True
+
+
 def _drop_regime(monkeypatch, kind, idx):
     """Make ``luk_consequence`` drop regime ``idx`` of every ``kind`` split and
-    stop folding connectives on interval bounds, so each connective splits."""
+    stop folding connectives on interval bounds, so each connective splits.
+
+    The search may accept a point at a split it never branched on, so the
+    mutant also refuses a point at such a split unless one of the split's
+    kept regimes holds there: a point that only the dropped regime explains
+    makes the search branch on that split, into the kept regime alone."""
     affine_pass = decision._LukSystem._affine_pass
 
     def dropping_pass(system):
@@ -127,8 +194,17 @@ def _drop_regime(monkeypatch, kind, idx):
                               if (type(f).__name__.lower(), i) != (kind, idx)])
                          for f, regimes in system.splits]
 
+    def violated(system, den, nums, branched):
+        point = {v: F(n, den) for v, n in nums.items()}
+        for k in range(len(system.splits) - 1, -1, -1):
+            if not branched >> k & 1 and not any(
+                    _satisfies(point, r) for r in system.splits[k][1]):
+                return k
+        return -1
+
     bounds01 = decision._Affine.bounds01
     monkeypatch.setattr(decision._LukSystem, "_affine_pass", dropping_pass)
+    monkeypatch.setattr(decision._LukSystem, "violated", violated)
     monkeypatch.setattr(decision._Affine, "bounds01", lambda a: bounds01(a)
                         if a.is_const else (F(-1), F(1)))
 
