@@ -82,9 +82,6 @@ def _witness_json(verdict: Verdict, alg: Algebra) -> dict:
     if w.model is not None:
         out["model"] = model_to_json(w.model)
         out["frame"] = frame_to_json(w.model.frame)
-    if w.valuation is not None:
-        out["valuation"] = {k: value_to_json(alg, v)
-                            for k, v in sorted(w.valuation.items())}
     return out
 
 

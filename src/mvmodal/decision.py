@@ -243,18 +243,18 @@ class _LukSystem:
         for v in self.var_names:
             self.base_rows.append(lp.Constraint({v: 1}, "<=", 1))
 
-    def violated(self, den: int, nums: dict, branched: int) -> int:
-        """The index of the split, last first, that is not in ``branched``
-        (a set of split indices as bits) and whose variable the point ``nums
-        / den`` does not give its connective's value; -1 if there is none.
-        The value is ``low`` where ``e <= 0`` and ``high`` where ``e >= 0``
-        (the two agree where ``e == 0``)."""
+    def violated(self, den: int, nums: dict) -> int:
+        """The index of the split, last first, whose variable the point
+        ``nums / den`` does not give its connective's value; -1 if there is
+        none.  The value is ``low`` where ``e <= 0`` and ``high`` where ``e
+        >= 0`` (the two agree where ``e == 0``), so a point that satisfies
+        either regime of a split gives it its value: a split whose regime is
+        among the rows solved is never returned."""
         for k in range(len(self.splits) - 1, -1, -1):
-            if not branched >> k & 1:
-                var, e, low, high = self.split_forms[k]
-                want = low if e.scaled_at(den, nums) <= 0 else high
-                if nums.get(var, 0) != want.scaled_at(den, nums):
-                    return k
+            var, e, low, high = self.split_forms[k]
+            want = low if e.scaled_at(den, nums) <= 0 else high
+            if nums.get(var, 0) != want.scaled_at(den, nums):
+                return k
         return -1
 
 
@@ -271,15 +271,16 @@ def luk_consequence(gamma: Iterable[Formula], phi: Formula, *,
     its connective's value, it is a countermodel, re-checked by direct
     evaluation before it is returned.  If not, the node branches on the
     first such split in reverse post-order (nearest the conclusion first)
-    into its two regimes; a path never branches twice on one split, so the
-    search ends.  This is the MILP rule of branching only on a disjunction
-    the relaxation violates (Achterberg, Koch and Martin, Oper. Res. Lett.
-    33, 2005).  A child's rows are its parent's plus one regime, so each
-    child LP is warm-started from its parent's optimal tableau
-    (``lp.solve_max``'s ``start``): the same status and optimum as a solve
-    from scratch, for the cost of re-optimising a few appended rows.  The
-    point is read as ints over one denominator; Fractions are built only
-    for the witness.  The guard bounds the number of explored search nodes.
+    into its two regimes.  Every point of a child satisfies the regime
+    rows it was given, and those rows give the split's ``t`` its value, so
+    no path branches twice on one split and the search ends.  This is the
+    MILP rule of branching only on a disjunction the relaxation violates
+    (Achterberg, Koch and Martin, Oper. Res. Lett. 33, 2005).  A child's
+    rows are its parent's plus one regime, so each child LP is warm-started
+    from its parent's optimal tableau (``lp.solve_max``'s ``start``): the
+    same status and optimum as a solve from scratch, for the cost of
+    re-optimising a few appended rows.  The point is read as ints over one
+    denominator; Fractions are built only for the witness.  The guard bounds the number of explored search nodes.
     """
     gamma = tuple(gamma)
     try:
@@ -290,13 +291,12 @@ def luk_consequence(gamma: Iterable[Formula], phi: Formula, *,
     objective = {v: -a for v, a in system.affine[phi].coeffs.items()}
     offset = 1 - system.affine[phi].const
     explored = 0
-    # depth first: each entry is (splits branched on its path as bits, rows,
-    # parent result), and the regimes go on in reverse so the first one is
-    # explored first
-    stack: list[tuple[int, list[lp.Constraint], lp.LPResult | None]] = [
-        (0, system.base_rows, None)]
+    # depth first: each entry is (rows, parent result), and the regimes go
+    # on in reverse so the first one is explored first
+    stack: list[tuple[list[lp.Constraint], lp.LPResult | None]] = [
+        (system.base_rows, None)]
     while stack:
-        branched, rows, parent = stack.pop()
+        rows, parent = stack.pop()
         explored += 1
         if explored > branch_guard:
             raise ResourceLimitError(
@@ -309,12 +309,11 @@ def luk_consequence(gamma: Iterable[Formula], phi: Formula, *,
         if res.value <= -offset:
             continue
         den, nums = res.scaled_point()
-        k = system.violated(den, nums, branched)
+        k = system.violated(den, nums)
         if k < 0:
             break
         _, regimes = system.splits[k]
-        stack += [(branched | 1 << k, rows + regime, res)
-                  for regime in reversed(regimes)]
+        stack += [(rows + regime, res) for regime in reversed(regimes)]
     else:
         return Verdict(True)
     names = sorted(f.name for f in system.nodes if isinstance(f, Var))
@@ -384,11 +383,10 @@ def finite_consequence(alg: Algebra, gamma: Iterable[Formula], phi: Formula, *,
     slot = {id(Var(p)): k for k, p in enumerate(names)}
     level = list(range(1, depth + 1))
     vals = [0] * depth
-    # per level: the roots closing there, each after the code it needs, as
-    # (code, root slot, is conclusion), then the code only deeper roots need
-    steps: list[list[tuple]] = [[] for _ in range(depth + 1)]
+    # per level: the instructions of that level, then the roots known there
+    # as (root slot, is conclusion)
     code: list[list[tuple]] = [[] for _ in range(depth + 1)]
-    closed = 0
+    checks: list[list[tuple]] = [[] for _ in range(depth + 1)]
     for f in nodes:
         if id(f) not in slot:
             slot[id(f)] = k = len(vals)
@@ -400,25 +398,20 @@ def finite_consequence(alg: Algebra, gamma: Iterable[Formula], phi: Formula, *,
                 vals.append(0)
                 level.append(max(level[a], level[b]))
                 code[level[k]].append((k, tables[_OPERATION[type(f)]], a, b))
-        # roots close in order, each as soon as it has a slot
-        while closed < len(roots) and id(roots[closed]) in slot:
-            k = slot[id(roots[closed])]
-            steps[level[k]].append((code[level[k]], k, closed == len(gamma)))
-            code[level[k]] = []
-            closed += 1
+    for i, f in enumerate(roots):
+        k = slot[id(f)]
+        checks[level[k]].append((k, i == len(gamma)))
     one = tables["one"]
-    plan = list(zip(steps, code))
+    plan = list(zip(code, checks))
 
     def passes(d: int) -> bool:
         """Run level d's code and checks on the current partial valuation."""
-        level_steps, tail = plan[d]
-        for step, root, conclusion in level_steps:
-            for out, table, a, b in step:
-                vals[out] = table[vals[a]][vals[b]]
+        level_code, level_checks = plan[d]
+        for out, table, a, b in level_code:
+            vals[out] = table[vals[a]][vals[b]]
+        for root, conclusion in level_checks:
             if (vals[root] == one) is conclusion:
                 return False
-        for out, table, a, b in tail:
-            vals[out] = table[vals[a]][vals[b]]
         return True
 
     if not passes(0):

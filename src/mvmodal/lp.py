@@ -106,7 +106,6 @@ class _Optimum(NamedTuple):
     objective: dict
     costs: dict  # objective column -> (numerator, denominator) of its cost
     constraints: tuple  # the constraints solved, a warm start's prefix
-    names: list[str]
     index: dict  # variable name -> column
     tableau: list[list[int]]
     basis: list[int]
@@ -137,7 +136,7 @@ class LPResult:
         if self._point is None and self.optimum is not None:
             den, nums = self.scaled_point()
             self._point = {v: Fraction(nums.get(v, 0), den)
-                           for v in self.optimum.names}
+                           for v in sorted(self.optimum.index)}
         return self._point
 
     def scaled_point(self) -> tuple[int, dict]:
@@ -287,7 +286,7 @@ def solve_max(objective: dict, constraints: list[Constraint], *,
     if start is None:
         # the empty system, whose zero objective row is optimal
         names = sorted(set(objective) | {v for c in constraints for v in c.coeffs})
-        opt = _Optimum(dict(objective), {}, (), names,
+        opt = _Optimum(dict(objective), {}, (),
                        {v: j for j, v in enumerate(names, 1)}, [], [],
                        [0] * (len(names) + 1))
     else:
@@ -309,10 +308,8 @@ def solve_max(objective: dict, constraints: list[Constraint], *,
     basis = list(opt.basis)
     obj = opt.obj + [0] * (len(new) + len(heads))
     index = opt.index
-    names = opt.names
     if new:
         index = {**index, **{v: j for j, v in enumerate(new, width)}}
-        names = sorted(index)
 
     where = {b: i for i, b in enumerate(basis)}
     slack_col = width + len(new)
@@ -364,5 +361,5 @@ def solve_max(objective: dict, constraints: list[Constraint], *,
             n, d = c[0] * r[0], c[1] * r[b]
             num, den = num * d + n * den, den * d
     return LPResult("optimal", Fraction(num, den), optimum=_Optimum(
-        dict(objective), costs, tuple(constraints), names, index, tableau,
-        basis, obj))
+        dict(objective), costs, tuple(constraints), index, tableau, basis,
+        obj))

@@ -160,6 +160,30 @@ def test_validate_finite_algebra():
     assert trivial.ok
 
 
+@pytest.mark.parametrize("law, table, a, b, value", [
+    ("meet-idempotent", "meet", 1, 1, 0),
+    ("join-idempotent", "join", 1, 1, 0),
+    ("unit", "times", 1, 2, 0),
+    ("bottom", "meet", 0, 1, 1),
+    ("top", "meet", 1, 2, 2),
+    ("meet-commutative", "meet", 1, 0, 1),
+    ("join-commutative", "join", 0, 1, 0),
+    ("times-commutative", "times", 2, 1, 0),
+    ("absorption", "join", 1, 0, 0),
+    ("meet-associative", "meet", 2, 0, 1),
+    ("join-associative", "join", 0, 1, 2),
+    ("times-associative", "times", 0, 0, 1),
+])
+def test_validate_finite_algebra_names_the_broken_law(law, table, a, b, value):
+    rows = [list(row) for row in mv_chain_tables(3)[table]]
+    rows[a][b] = value
+    t = {**mv_chain_tables(3), table: rows}
+    report = validate_finite_algebra(t["size"], t["meet"], t["join"], t["times"],
+                                     t["residuum"], t["zero"], t["one"])
+    assert law in {v.law for v in report.violations}
+    assert law in str(report)
+
+
 def test_finite_table_constructor_validates():
     t = mv_chain_tables(4)
     alg = FiniteTable(t["size"], t["meet"], t["join"], t["times"],

@@ -49,6 +49,20 @@ def test_recognize_round_trip():
     assert recognize_finite_to_global(bad, phi) is None
 
 
+@pytest.mark.parametrize("tail", [
+    "p",                              # not a disjunction
+    "(p \\/ q) \\/ ~q",               # the p part is not a disjunction
+    "((p \\/ ~q) \\/ q) \\/ ~q",      # p's disjunct is not ~p
+    "((~p \\/ ~~p) \\/ q) \\/ ~q",    # p is not a variable
+    "((p \\/ ~p) \\/ ~q) \\/ ~q",     # q is not a variable
+    "((p \\/ ~p) \\/ q) \\/ ~p",      # q's disjunct is not ~q
+    "((p \\/ ~p) \\/ p) \\/ ~p",      # p and q coincide
+])
+def test_recognize_rejects_malformed_tails(tail):
+    gamma, _ = finite_to_global((P("r"),), P("r"), "p", "q")
+    assert recognize_finite_to_global(gamma, P(f"r \\/ ({tail})")) is None
+
+
 def test_extend_model_pq_chain():
     fr = KripkeFrame(["a", "b"], [("a", "b")])
     m = KripkeModel(fr, StdMV(), {"a": {"r": F(1)}, "b": {"r": F(1)}})

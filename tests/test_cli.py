@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -59,6 +63,13 @@ def test_check_cardinality(files, capsys):
                               "--algebra", "mv-3",
                               "--premises", "p", "--conclusion", "[]p"])
     assert code == 0
+    # a premise file that is not JSON holds one formula a line
+    pfile = files["dir"] / "premises.txt"
+    pfile.write_text("<>r\n\n[](p -> q)\n")
+    argv = ["check", "--cardinality", "2", "--conclusion", "[]q \\/ (r * ~p)"]
+    from_file = invoke(capsys, argv + ["--premises", f"@{pfile}"])
+    assert from_file[0] == 1
+    assert from_file == invoke(capsys, argv + ["--premises", "<>r; [](p -> q)"])
 
 
 def test_check_model_mode(files, capsys, tmp_path):
@@ -109,6 +120,29 @@ def test_determinism(files, capsys):
     assert out1 == out2
 
 
+def test_output_does_not_depend_on_hash_seed(files):
+    # every process draws a fresh string hash seed, so iteration over sets
+    # and dicts of names must never reach the output
+    root = Path(__file__).resolve().parent.parent
+    path = os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))
+    frame = files["dir"] / "frame.json"
+    frame.write_text(json.dumps({"worlds": ["b", "a", "c"],
+                                 "edges": [["a", "a"], ["b", "a"], ["c", "b"]]}))
+    query = ["--premises", "[](p -> q); <>r", "--conclusion", "[]q \\/ (r * ~p)"]
+    for mode in (["--cardinality", "2", "--algebra", "std-mv"],
+                 ["--cardinality", "2", "--algebra", "mv-3"],
+                 ["--frame", str(frame)]):
+        outs = []
+        for seed in ("0", "1"):
+            done = subprocess.run(
+                [sys.executable, "-m", "mvmodal.cli", "check", *mode, *query],
+                capture_output=True, text=True, timeout=120,
+                env={**os.environ, "PYTHONPATH": path, "PYTHONHASHSEED": seed})
+            assert done.returncode == 1, (mode, done.stderr)
+            outs.append(done.stdout)
+        assert outs[0] == outs[1], mode
+
+
 def test_nec_demo(capsys):
     code, out = invoke(capsys, ["nec-demo", "--n", "2"])
     assert code == 0
@@ -152,7 +186,7 @@ def test_mod2fo(capsys):
     assert fo.count("∀") == n
 
 
-def test_reduce_and_l2p(capsys):
+def test_reduce_and_l2p(capsys, tmp_path):
     code, out = invoke(capsys, ["reduce-fin2glob", "--premises", "r",
                                 "--conclusion", "r"])
     assert code == 0
@@ -166,6 +200,17 @@ def test_reduce_and_l2p(capsys):
     assert blob["x"] == "t"
     assert blob["formula"] == "((p \\/ t) -> t)"
     assert len(blob["product_side_premises"]) == 3
+
+    # each value v becomes a^(1-v), and the fresh variable the base a
+    model = {"algebra": {"kind": "std-mv"}, "worlds": ["a"], "edges": [],
+             "valuation": {"a": {"p": "1/4"}}}
+    mfile = tmp_path / "m.json"
+    mfile.write_text(json.dumps(model))
+    code, out = invoke(capsys, ["l2p", "--model", str(mfile)])
+    assert code == 0
+    blob = json.loads(out)
+    assert blob["model"]["algebra"] == {"kind": "exp-chain"}
+    assert blob["model"]["valuation"]["a"] == {"p": {"pow": "3/4"}, "t": {"pow": "1"}}
 
 
 def test_usage_errors(files, capsys):
@@ -228,6 +273,13 @@ def test_usage_errors(files, capsys):
                                                       "b": {"p": "1"}}}))
     assert run(["eval", "--model", str(bad), "--conclusion", "p"]) == 2
     assert capsys.readouterr().out == ""
+    # a chain model has exactly one world without a predecessor
+    bad.write_text(json.dumps({**model, "worlds": ["a", "b"],
+                               "valuation": {"a": {"p": "1"}, "b": {"p": "1"}}}))
+    assert run(["pcp-extract", "--instance", files["p0"], "--model", str(bad)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: model does not have a unique top world\n"
     # malformed values are input errors, not internal ones
     g2 = {"size": 2, "meet": [[0, 0], [0, 1]], "join": [[0, 1], [1, 1]],
           "times": [[0, 0], [0, 1]], "residuum": [[1, 1], [0, 1]], "one": "1"}
@@ -267,6 +319,7 @@ COMPLETE = [
     ["pcp-model", "--instance", "{p0}", "--solution", "1,2"],
     ["pcp-extract", "--instance", "{p0}", "--model", "{model}"],
     ["reduce-fin2glob", "--conclusion", "p"],
+    ["l2p", "--conclusion", "p"],
     ["mod2fo", "--conclusion", "p"],
     ["nec-demo", "--n", "1"],
     ["coenum", "--instance", "{pairs}", "--budget", "1"],

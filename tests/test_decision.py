@@ -182,10 +182,10 @@ def _drop_regime(monkeypatch, kind, idx):
     """Make ``luk_consequence`` drop regime ``idx`` of every ``kind`` split and
     stop folding connectives on interval bounds, so each connective splits.
 
-    The search may accept a point at a split it never branched on, so the
-    mutant also refuses a point at such a split unless one of the split's
+    The mutant also refuses a point at a split unless one of the split's
     kept regimes holds there: a point that only the dropped regime explains
-    makes the search branch on that split, into the kept regime alone."""
+    makes the search branch on that split, into the kept regime alone, whose
+    rows then hold at every point below."""
     affine_pass = decision._LukSystem._affine_pass
 
     def dropping_pass(system):
@@ -194,11 +194,10 @@ def _drop_regime(monkeypatch, kind, idx):
                               if (type(f).__name__.lower(), i) != (kind, idx)])
                          for f, regimes in system.splits]
 
-    def violated(system, den, nums, branched):
+    def violated(system, den, nums):
         point = {v: F(n, den) for v, n in nums.items()}
         for k in range(len(system.splits) - 1, -1, -1):
-            if not branched >> k & 1 and not any(
-                    _satisfies(point, r) for r in system.splits[k][1]):
+            if not any(_satisfies(point, r) for r in system.splits[k][1]):
                 return k
         return -1
 

@@ -279,6 +279,25 @@ def test_generated_submodel():
     assert set(generated_submodel(cyc, "a").worlds) == {"a", "b"}
 
 
+_CHAIN2 = KripkeModel(KripkeFrame(["0", "1"], [("0", "1")]), StdMV(),
+                      {"0": {"p": F(1)}, "1": {"p": F(0)}})
+
+
+@pytest.mark.parametrize("call, error", [
+    (lambda: KripkeFrame([], []), ValueError),
+    (lambda: KripkeFrame(["a"], [("a", "b")]), ValueError),
+    (lambda: unravel(_CHAIN2, "0", -1), ValueError),
+    (lambda: unravel(_CHAIN2, "zz", 1), KeyError),
+    (lambda: extract_chain(_CHAIN2, "zz"), KeyError),
+    (lambda: generated_submodel(_CHAIN2, "zz"), KeyError),
+], ids=["no-worlds", "edge-to-unknown-world", "unravel-negative-depth",
+        "unravel-unknown-world", "extract-chain-unknown-world",
+        "generated-submodel-unknown-world"])
+def test_frame_and_model_operations_reject_bad_input(call, error):
+    with pytest.raises(error):
+        call()
+
+
 def test_is_transitive():
     assert is_transitive(KripkeFrame(["a", "b", "c"],
                                      [("a", "b"), ("b", "c"), ("a", "c")]))
