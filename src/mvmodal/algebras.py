@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Any
 
 __all__ = [
@@ -25,6 +26,10 @@ Value = Any  # Fraction | ExpValue | int, depending on the algebra
 # the rational bounds, shared: a Fraction is immutable
 _Q0 = Fraction(0)
 _Q1 = Fraction(1)
+
+
+def _same(v):
+    return v
 
 
 class CarrierError(ValueError):
@@ -48,7 +53,8 @@ class ExpValue:
 
     def __post_init__(self):
         if self.exponent is not None:
-            object.__setattr__(self, "exponent", Fraction(self.exponent))
+            if not isinstance(self.exponent, Fraction):
+                object.__setattr__(self, "exponent", Fraction(self.exponent))
             if self.exponent < 0:
                 raise CarrierError("power-chain exponent must be nonnegative")
 
@@ -113,6 +119,12 @@ class Algebra:
             out = nxt
         return out
 
+    def _carrier(self, values):
+        """``encode, decode, meet, join, times, residuum, zero, one`` that
+        ``kripke.evaluate_all`` computes with: here the algebra's own."""
+        return (_same, _same, self.meet, self.join, self.times, self.residuum,
+                self.zero, self.one)
+
     def __eq__(self, other):
         return type(self) is type(other) and self.__dict__ == other.__dict__
 
@@ -170,6 +182,13 @@ class StdMV(_RationalAlgebra):
         if n == 0:
             return _Q1
         return max(_Q0, 1 - n * (1 - a))
+
+    def _carrier(self, values):
+        # ints n for n/d: ``values`` generate the chain {0, 1/d, ..., 1}
+        d = lcm(*(v.denominator for v in values))
+        return (lambda v: int(v * d), lambda n: Fraction(n, d), min, max,
+                lambda a, b: a + b - d if a + b > d else 0,
+                lambda a, b: d - a + b if a > b else d, 0, d)
 
 
 class StdGodel(_RationalAlgebra):
@@ -248,6 +267,7 @@ class MVn(_RationalAlgebra):
 
     times = StdMV.times
     residuum = StdMV.residuum
+    _carrier = StdMV._carrier
 
     def __repr__(self):
         return f"MVn({self.n})"
@@ -302,6 +322,18 @@ class ExpChain(Algebra):
         if a.is_zero:
             return EXP_ZERO
         return ExpValue(n * a.exponent)
+
+    def _carrier(self, values):
+        # ints n for a^(n/d), in reverse order, and None for the bottom
+        d = lcm(*(v.exponent.denominator for v in values if not v.is_zero))
+        return (lambda v: None if v.is_zero else int(v.exponent * d),
+                lambda n: EXP_ZERO if n is None else ExpValue(Fraction(n, d)),
+                lambda a, b: None if a is None or b is None else max(a, b),
+                lambda a, b: b if a is None else a if b is None else min(a, b),
+                lambda a, b: None if a is None or b is None else a + b,
+                lambda a, b: (None if b is None and a is not None
+                              else 0 if a is None or a >= b else b - a),
+                None, 0)
 
 
 @dataclass(frozen=True)

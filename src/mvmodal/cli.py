@@ -58,9 +58,12 @@ def _parse_premises(spec: str | None) -> tuple[Formula, ...]:
     if spec.startswith("@"):
         with open(spec[1:], "r", encoding="utf-8") as fh:
             text = fh.read()
-        stripped = text.lstrip()
-        if stripped.startswith("["):
-            return _parse_list(json.loads(text), "--premises JSON")
+        try:  # a box also starts with "[", so only a JSON list is one
+            items = json.loads(text)
+        except json.JSONDecodeError:
+            items = None
+        if isinstance(items, list):
+            return _parse_list(items, "--premises JSON")
         return tuple(parse(line) for line in text.splitlines() if line.strip())
     return tuple(parse(part) for part in spec.split(";") if part.strip())
 

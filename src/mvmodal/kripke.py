@@ -10,6 +10,8 @@ Every formula value in the package comes from one evaluator,
 computes each node once, at every world at once.  Formulas are hash-consed,
 so a subformula shared by several formulas is one node and is computed
 once.  Propositional valuations are evaluated as one-world, edgeless models.
+Over StdMV, MVn and ExpChain it runs on ints scaled to one common denominator,
+exact because the values generate a finite chain; other algebras use their own.
 """
 
 from __future__ import annotations
@@ -142,24 +144,33 @@ def evaluate_all(model: KripkeModel, formulas: Iterable[Formula]) -> list[list[V
     and ``join(0, v) = v``, this is the fold starting from 1 and 0.  Each
     node is evaluated once, at all worlds together; nodes are told apart by
     identity, which for hash-consed formulas is structure.
+
+    Over StdMV and MVn the columns hold ints n for n/d, d the lcm of the
+    valuation's denominators; over ExpChain, ints n for a^(n/d) and None for
+    the bottom.  Both sets are closed under the operations, so the ints are
+    exact; each distinct root value is turned back once.  StdGodel,
+    StdProduct and finite tables keep their own values and operations.
     """
-    alg = model.algebra
     worlds = model.worlds
+    encode, decode, meet, join, times, residuum, zero, one = model.algebra._carrier(
+        {v for row in model._val.values() for v in row.values()})
+    operation = {And: meet, Or: join, Times: times, Implies: residuum}
     pos = {w: i for i, w in enumerate(worlds)}
     succ = [[pos[u] for u in model.frame.successors(w)] for w in worlds]
     # index len(worlds) is the unit appended to the body column
     first = [js[0] if js else len(worlds) for js in succ]
     further = [(i, js[1:]) for i, js in enumerate(succ) if len(js) > 1]
 
-    def column(f: Formula, *cols: list[Value]) -> list[Value]:
+    def column(f: Formula, *cols: list) -> list:
+        op = operation.get(type(f))
+        if op:
+            return list(map(op, *cols))
         if isinstance(f, Var):
-            return [model.value(w, f.name) for w in worlds]
+            return [encode(model.value(w, f.name)) for w in worlds]
         if isinstance(f, (Const0, Const1)):
-            return [alg.zero if isinstance(f, Const0) else alg.one] * len(worlds)
-        if type(f) in _OPERATION:
-            return list(map(getattr(alg, _OPERATION[type(f)]), *cols))
+            return [zero if isinstance(f, Const0) else one] * len(worlds)
         body = cols[0]
-        op, unit = (alg.meet, alg.one) if isinstance(f, Box) else (alg.join, alg.zero)
+        op, unit = (meet, one) if isinstance(f, Box) else (join, zero)
         ext = body + [unit]
         out = [ext[j] for j in first]
         for i, js in further:
@@ -169,7 +180,9 @@ def evaluate_all(model: KripkeModel, formulas: Iterable[Formula]) -> list[list[V
             out[i] = value
         return out
 
-    return bottom_up(formulas, column)
+    cols = bottom_up(formulas, column)
+    table = {n: decode(n) for n in set().union(*cols)}
+    return [list(map(table.__getitem__, col)) for col in cols]
 
 
 def evaluate(model: KripkeModel, world: str, f: Formula) -> Value:

@@ -102,6 +102,13 @@ def test_exp_chain_operations():
         ExpValue(F(-1))
 
 
+def test_exp_value_exponent_is_a_fraction():
+    assert type(ExpValue(3).exponent) is F and ExpValue(3).exponent == F(3)
+    assert ExpValue(F(3, 2)).exponent == F(3, 2)
+    with pytest.raises(CarrierError):
+        ExpValue(-1)
+
+
 def _laws(alg, triples):
     for a, b, c in triples:
         assert alg.times(a, b) == alg.times(b, a)

@@ -70,6 +70,12 @@ def test_check_cardinality(files, capsys):
     from_file = invoke(capsys, argv + ["--premises", f"@{pfile}"])
     assert from_file[0] == 1
     assert from_file == invoke(capsys, argv + ["--premises", "<>r; [](p -> q)"])
+    # a first formula that starts with a box does not make the file JSON
+    pfile.write_text("[](p -> q)\n<>r\n")
+    argv[3:3] = ["--algebra", "std-mv"]
+    from_file = invoke(capsys, argv + ["--premises", f"@{pfile}"])
+    assert from_file[0] == 1
+    assert from_file == invoke(capsys, argv + ["--premises", "[](p -> q); <>r"])
 
 
 def test_check_model_mode(files, capsys, tmp_path):

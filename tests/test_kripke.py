@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from mvmodal import pcp
 from mvmodal.algebras import (EXP_ZERO, ExpChain, ExpValue, MVn, StdGodel,
                               StdMV, StdProduct)
 from mvmodal.formulas import (ONE, ZERO, And, Box, Diamond, Implies, Or,
@@ -164,12 +165,13 @@ def test_heights_match_definition(spec):
 _RATIONALS = [F(0), F(1, 4), F(1, 3), F(1, 2), F(2, 3), F(1)]
 # each algebra with a pool of carrier values that valuations index into
 _CARRIERS = {
-    "std-mv": (StdMV(), _RATIONALS),
+    # denominators that differ, up to 2^16, scale to one common denominator
+    "std-mv": (StdMV(), _RATIONALS + [F(3, 4), F(5, 7), F(65535, 65536)]),
     "std-godel": (StdGodel(), _RATIONALS),
     "std-product": (StdProduct(), _RATIONALS),
     "mv-3": (MVn(3), [F(0), F(1, 2), F(1)]),
-    "exp-chain": (ExpChain(),
-                  [EXP_ZERO] + [ExpValue(F(t)) for t in ("0", "1/2", "1", "3")]),
+    "exp-chain": (ExpChain(), [EXP_ZERO] + [ExpValue(F(t)) for t in (
+        "0", "1/2", "1", "3", "1/3", "5/6", "7/4")]),
     "g3": (G3, [0, 1, 2]),
 }
 _BINARY = {And: "meet", Or: "join", Times: "times", Implies: "residuum"}
@@ -204,7 +206,7 @@ def fold_eval(model, w, f):
 @pytest.mark.parametrize("kind", sorted(_CARRIERS))
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(spec=_SMALL_FRAMES, formula=_MODAL,
-       picks=st.lists(st.tuples(st.integers(0, 5), st.integers(0, 5)),
+       picks=st.lists(st.tuples(st.integers(0, 8), st.integers(0, 8)),
                       min_size=5, max_size=5))
 @example(spec=_MIXED, formula=parse("[] (p -> <> q) * <> [] p"),
          picks=[(0, 5), (5, 1), (2, 3), (4, 0), (1, 2)])
@@ -217,6 +219,38 @@ def test_evaluate_all_matches_fold(kind, spec, formula, picks):
     m = KripkeModel(KripkeFrame(worlds, [(worlds[a], worlds[b]) for a, b in edges]),
                     alg, valuation)
     assert evaluate_all(m, [formula])[0] == [fold_eval(m, w, formula) for w in m.worlds]
+
+
+def test_evaluate_all_returns_carrier_values():
+    fr = KripkeFrame(["a", "b"], [("a", "b")])  # b has no successors
+    f = P("(p -> q) * <>p \\/ []q")
+    for alg, kind, vals in ((StdMV(), F, (F(1, 3), F(3, 4), F(5, 6), F(1, 4))),
+                            (MVn(3), F, (F(0), F(1, 2), F(1), F(1, 2))),
+                            (ExpChain(), ExpValue,
+                             (EXP_ZERO, ExpValue(F(1, 3)), ExpValue(F(5, 6)),
+                              ExpValue(F(7, 4))))):
+        m = KripkeModel(fr, alg, {"a": {"p": vals[0], "q": vals[1]},
+                                  "b": {"p": vals[2], "q": vals[3]}})
+        got = evaluate_all(m, [f, P("p"), P("[]0"), P("<>1")])
+        assert all(type(v) is kind for col in got for v in col), alg
+        assert got[0] == [fold_eval(m, w, f) for w in m.worlds]
+        # no variables at all: the constants and the empty box and diamond
+        bare = KripkeModel(fr, alg, {})
+        assert evaluate_all(bare, [P("[]0 -> <>1"), P("<>1"), ONE, ZERO]) == [
+            [alg.one, alg.zero], [alg.one, alg.zero], [alg.one] * 2,
+            [alg.zero] * 2]
+        assert all(type(v) is kind for v in evaluate_all(bare, [P("[]0")])[0])
+
+
+def test_evaluate_all_matches_fold_on_pcp_countermodels():
+    x = pcp.Numeral(0b10110111, 8)
+    instance = pcp.PCPInstance(2, ((x, x), (pcp.Numeral(1, 1), pcp.Numeral(3, 2))))
+    gamma, phi = pcp.encode(instance)
+    for alg in (StdMV(), ExpChain()):
+        m = pcp.build_countermodel(instance, [1, 1], alg)
+        cols = evaluate_all(m, gamma + (phi,))
+        assert cols == [[fold_eval(m, w, f) for w in m.worlds] for f in gamma + (phi,)]
+        assert not globally_satisfies(m, [phi]).holds
 
 
 def test_unravel_reflexive_singleton():
