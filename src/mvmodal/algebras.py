@@ -262,8 +262,11 @@ class MVn(_RationalAlgebra):
 
     def tables(self) -> dict:
         """Operation tables over element indices, index k standing for
-        ``carrier()[k]``."""
-        return mv_chain_tables(self.n)
+        ``carrier()[k]``; built on the first call, with tuple rows."""
+        if "_tables" not in self.__dict__:
+            t = mv_chain_tables(self.n)
+            self._tables = t | {op: tuple(map(tuple, t[op])) for op in _OPS}
+        return dict(self._tables)
 
     times = StdMV.times
     residuum = StdMV.residuum
@@ -271,6 +274,9 @@ class MVn(_RationalAlgebra):
 
     def __repr__(self):
         return f"MVn({self.n})"
+
+    def __eq__(self, other):
+        return type(self) is type(other) and self.n == other.n
 
     def __hash__(self):
         return hash((self.kind, self.n))
@@ -466,11 +472,10 @@ class FiniteTable(Algebra):
         return tuple(range(self.size))
 
     def tables(self) -> dict:
-        """Operation tables in the ``mv_chain_tables`` shape."""
-        return {"size": self.size, "meet": [list(r) for r in self.meet_table],
-                "join": [list(r) for r in self.join_table],
-                "times": [list(r) for r in self.times_table],
-                "residuum": [list(r) for r in self.residuum_table],
+        """Operation tables in the ``mv_chain_tables`` shape, with tuple rows."""
+        return {"size": self.size, "meet": self.meet_table,
+                "join": self.join_table, "times": self.times_table,
+                "residuum": self.residuum_table,
                 "zero": self.zero_index, "one": self.one_index}
 
     def leq(self, a, b):

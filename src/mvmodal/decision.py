@@ -14,6 +14,8 @@ already 1.  On top of them sits the frame translation that turns
 global consequence over a fixed finite frame into a propositional consequence
 question, the cardinality-bound decision that conjoins it over one frame per
 isomorphism class of a given size, and the co-enumerator of non-consequences.
+A cardinality sweep translates once and builds only each frame's deltas
+anew, so its verdicts are those of deciding every frame from scratch.
 
 Every countermodel is re-checked by the Kripke evaluator
 (:func:`mvmodal.kripke.evaluate_all`) before it is returned; a propositional
@@ -22,6 +24,7 @@ one is evaluated as a one-world, edgeless model.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
@@ -465,19 +468,15 @@ def _fold(cls, items: Sequence[Formula], empty: Formula) -> Formula:
     return out
 
 
-def translate_on_frame(frame: KripkeFrame, gamma: Iterable[Formula],
-                       phi: Formula) -> FrameTranslation:
-    """Star translation of ``gamma |- phi`` over the given finite frame.
-
-    One bottom-up pass: the modal subformulas are numbered in post-order,
-    innermost first, and each gets its per-world names, legend entries and
-    delta rows when the pass reaches it.
-    """
-    gamma = tuple(gamma)
+@functools.lru_cache(maxsize=1)
+def _star(gamma: tuple[Formula, ...], phi: Formula, worlds: tuple[str, ...]):
+    """The edge-independent part of the star translation, in one bottom-up
+    pass: premises, conclusion, legend and, per modal subformula in
+    post-order (innermost first), whether it is a box, its per-world names
+    and its body's per-world images.  Formulas are hash-consed, so the memo
+    serves every frame of a cardinality sweep after the first."""
     nodes = postorder(gamma + (phi,))
     source_vars = sorted(f.name for f in nodes if isinstance(f, Var))
-    worlds = frame.worlds
-    widx = {w: i for i, w in enumerate(worlds)}
     tag = {Box: "box", Diamond: "dia"}
     modal = [f for f in nodes if isinstance(f, (Box, Diamond))]
     fresh = iter(fresh_names(source_vars, [
@@ -489,30 +488,46 @@ def translate_on_frame(frame: KripkeFrame, gamma: Iterable[Formula],
     for p in source_vars:
         var_names[p] = [next(fresh) for _ in worlds]
         legend.update((name, ("var", p, w)) for name, w in zip(var_names[p], worlds))
-    deltas: dict[str, list[Formula]] = {w: [] for w in worlds}
+    steps: list[tuple[bool, tuple[Formula, ...], tuple[Formula, ...]]] = []
 
     def per_world(f: Formula, *images: tuple[Formula, ...]) -> tuple[Formula, ...]:
         """The translation of ``f`` at every world."""
         if isinstance(f, Var):
             return tuple(map(Var, var_names[f.name]))
         if isinstance(f, (Box, Diamond)):
-            (body,) = images
             names = [next(fresh) for _ in worlds]
-            for name, w in zip(names, worlds):
-                legend[name] = (tag[type(f)], f.body, w)
-                succ = [body[widx[u]] for u in frame.successors(w)]
-                rhs = (_fold(And, succ, Const1()) if isinstance(f, Box)
-                       else _fold(Or, succ, Const0()))
-                deltas[w].append(iff(Var(name), rhs))
-            return tuple(map(Var, names))
+            legend.update((name, (tag[type(f)], f.body, w))
+                          for name, w in zip(names, worlds))
+            steps.append((isinstance(f, Box), tuple(map(Var, names)), images[0]))
+            return steps[-1][1]
         return tuple(map(type(f), *images)) if images else (f,) * len(worlds)
 
     images = bottom_up(gamma + (phi,), per_world)
     premises = tuple(g for image in images[:-1] for g in image)
+    return premises, _fold(And, images[-1], Const1()), legend, tuple(steps)
+
+
+def translate_on_frame(frame: KripkeFrame, gamma: Iterable[Formula],
+                       phi: Formula) -> FrameTranslation:
+    """Star translation of ``gamma |- phi`` over the given finite frame.
+
+    Everything but the deltas comes from :func:`_star`, which reads only the
+    worlds; the deltas tie each modal subformula's name at a world to the
+    meet (box) or join (diamond) of its body's images at the successors, in
+    the post-order of the modal subformulas.
+    """
+    worlds = frame.worlds
+    premises, conclusion, legend, steps = _star(tuple(gamma), phi, worlds)
+    widx = {w: i for i, w in enumerate(worlds)}
+    deltas: dict[str, list[Formula]] = {w: [] for w in worlds}
+    for is_box, names, body in steps:
+        for name, w in zip(names, worlds):
+            succ = [body[widx[u]] for u in frame.successors(w)]
+            rhs = _fold(And, succ, Const1()) if is_box else _fold(Or, succ, Const0())
+            deltas[w].append(iff(name, rhs))
     return FrameTranslation(frame=frame, premises=premises,
                             deltas={w: tuple(rows) for w, rows in deltas.items()},
-                            conclusion=_fold(And, images[-1], Const1()),
-                            legend=legend)
+                            conclusion=conclusion, legend=dict(legend))
 
 
 def decide_on_frame(frame: KripkeFrame, gamma: Iterable[Formula], phi: Formula,
@@ -552,21 +567,24 @@ def decide_on_frame(frame: KripkeFrame, gamma: Iterable[Formula], phi: Formula,
     raise RuntimeError("folded countermodel failed conclusion re-check")
 
 
-def _least_masks(j: int) -> Iterable[int]:
+@functools.cache
+def _least_masks(j: int) -> tuple[int, ...]:
     """The edge masks of ``j``-world frames that no permutation of the worlds
     maps to a smaller mask, in increasing order; bit ``i*j + k`` is the edge
-    from world i to world k."""
+    from world i to world k.  Computed once per ``j``."""
     full = (1 << j) - 1
     # per permutation and world i: the image of every set of edges out of i;
     # the identity comes first and never lowers a mask
     images = [[[sum(1 << (perm[i] * j + perm[k]) for k in range(j) if row >> k & 1)
                 for row in range(full + 1)] for i in range(j)]
               for perm in itertools.permutations(range(j))][1:]
+    least = []
     for mask in range(2 ** (j * j)):
         rows = [mask >> (i * j) & full for i in range(j)]
         if all(sum(t[row] for t, row in zip(image, rows)) >= mask
                for image in images):
-            yield mask
+            least.append(mask)
+    return tuple(least)
 
 
 def decide_cardinality(j: int, gamma: Iterable[Formula], phi: Formula,
@@ -581,6 +599,11 @@ def decide_cardinality(j: int, gamma: Iterable[Formula], phi: Formula,
     have the same verdict, so the first failing labeled mask is the least of
     its class; it is visited, and the witness frame and model are those of
     the sweep over every labeled frame.
+
+    The frame classes (once per ``j``), the edge-independent translation
+    (memo of ``_star``) and a finite algebra's tables are built once; each
+    frame gets its own deltas and decision, as its edges pick the body
+    images the deltas read, and with them the variables and the witness.
     """
     if j < 1:
         raise ValueError("cardinality must be at least 1")

@@ -151,6 +151,14 @@ def evaluate_all(model: KripkeModel, formulas: Iterable[Formula]) -> list[list[V
     exact; each distinct root value is turned back once.  StdGodel,
     StdProduct and finite tables keep their own values and operations.
     """
+    cols, decode = _encoded_columns(model, formulas)
+    table = {n: decode(n) for n in set().union(*cols)}
+    return [list(map(table.__getitem__, col)) for col in cols]
+
+
+def _encoded_columns(model: KripkeModel, formulas: Iterable[Formula]):
+    """The columns of :func:`evaluate_all` before they are turned back, and
+    the carrier's decoder, for a caller that reads only a few entries."""
     worlds = model.worlds
     encode, decode, meet, join, times, residuum, zero, one = model.algebra._carrier(
         {v for row in model._val.values() for v in row.values()})
@@ -180,9 +188,7 @@ def evaluate_all(model: KripkeModel, formulas: Iterable[Formula]) -> list[list[V
             out[i] = value
         return out
 
-    cols = bottom_up(formulas, column)
-    table = {n: decode(n) for n in set().union(*cols)}
-    return [list(map(table.__getitem__, col)) for col in cols]
+    return bottom_up(formulas, column), decode
 
 
 def evaluate(model: KripkeModel, world: str, f: Formula) -> Value:

@@ -17,7 +17,7 @@ from .algebras import (Algebra, ExpChain, ExpValue, StdMV, Value,
                        algebra_to_json, value_to_json)
 from .formulas import (Box, Diamond, Formula, Implies, Times, Var, ZERO,
                        iff, neg)
-from .kripke import KripkeFrame, KripkeModel, evaluate_all
+from .kripke import KripkeFrame, KripkeModel, _encoded_columns
 from .pcp import _chain_base
 
 __all__ = ["separation_premises", "build_nec_model", "SeparationReport",
@@ -88,12 +88,13 @@ def verify_separation(n: int, alg: Algebra) -> SeparationReport:
     for _ in range(n):
         boxed.append(tuple(Box(f) for f in boxed[-1]))
     k = len(boxed[0])
-    *cols, final = evaluate_all(model, [f for level in boxed for f in level]
-                                + [Implies(X, Times(X, Y))])
-    # column entry 0 is the start world
-    levels = tuple((i, all(col[0] == alg.one for col in cols[i * k:(i + 1) * k]))
+    cols, decode = _encoded_columns(model, [f for level in boxed for f in level]
+                                    + [Implies(X, Times(X, Y))])
+    # column entry 0 is the start world, the only one decoded
+    *start, final = [decode(col[0]) for col in cols]
+    levels = tuple((i, all(v == alg.one for v in start[i * k:(i + 1) * k]))
                    for i in range(n + 1))
-    return SeparationReport(n, alg, levels, final[0], model)
+    return SeparationReport(n, alg, levels, final, model)
 
 
 def build_premise_cycle_model(k: int, alpha: Value,

@@ -1,15 +1,17 @@
+import json
 import random
 from fractions import Fraction as F
 
 import pytest
 
+from mvmodal import algebras
 from mvmodal.algebras import (CarrierError, EXP_ONE, EXP_ZERO, ExpChain,
                               ExpValue, FiniteTable, MVn, ResourceLimitError,
                               StdGodel, StdMV, StdProduct, algebra_from_json,
                               algebra_to_json, leq, mv_chain_tables, op_apply,
                               power, validate_finite_algebra, value_from_json,
                               value_to_json)
-from helpers import random_rational
+from helpers import G3, random_rational
 
 INFINITE = [StdMV(), StdGodel(), StdProduct(), ExpChain()]
 
@@ -208,6 +210,33 @@ def test_mvn_carrier_check():
         alg.require(F(1, 3))
     assert alg.require(F(1, 2)) == F(1, 2)
     assert alg.carrier() == (F(0), F(1, 2), F(1))
+
+
+def test_tables_are_built_once_and_shared_read_only(monkeypatch):
+    chain = MVn(3)
+    tables = chain.tables()
+    assert chain == MVn(3) and MVn(3) == chain and hash(chain) == hash(MVn(3))
+    assert MVn(3) != MVn(4)
+    assert {k: list(map(list, v)) if isinstance(v, tuple) else v
+            for k, v in tables.items()} == mv_chain_tables(3)
+    tables["one"] = 0  # each call hands out its own dict over the same rows
+    monkeypatch.setattr(algebras, "mv_chain_tables", None)
+    assert chain.tables()["one"] == 2
+    monkeypatch.undo()
+    for alg in (chain, MVn(4), G3):
+        t = alg.tables()
+        for op in ("meet", "join", "times", "residuum"):
+            assert isinstance(t[op], tuple)
+            assert all(isinstance(row, tuple) for row in t[op])
+
+
+def test_finite_table_json_text():
+    assert json.dumps(algebra_to_json(G3)) == (
+        '{"kind": "finite-table", "tables": {"size": 3, '
+        '"meet": [[0, 0, 0], [0, 1, 1], [0, 1, 2]], '
+        '"join": [[0, 1, 2], [1, 1, 2], [2, 2, 2]], '
+        '"times": [[0, 0, 0], [0, 1, 1], [0, 1, 2]], '
+        '"residuum": [[2, 2, 2], [0, 2, 2], [0, 1, 2]], "zero": 0, "one": 2}}')
 
 
 def test_json_round_trips():

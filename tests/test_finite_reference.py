@@ -16,10 +16,11 @@ from hypothesis import strategies as st
 import finite_reference
 from helpers import G3
 from mvmodal import decision
-from mvmodal.algebras import MVn, StdMV
-from mvmodal.decision import decide_cardinality, finite_consequence
+from mvmodal.algebras import MVn, ResourceLimitError, StdMV
+from mvmodal.decision import (decide_cardinality, finite_consequence,
+                              translate_on_frame)
 from mvmodal.formulas import ONE, ZERO, And, Implies, Or, Times, Var, neg, parse
-from mvmodal.kripke import model_to_json
+from mvmodal.kripke import KripkeFrame, Verdict, model_to_json
 
 P = parse
 
@@ -89,3 +90,67 @@ def test_cardinality_witness_matches_labeled_sweep(alg, j):
 def test_baseline_pair_at_three_worlds():
     # holds, so each of the 104 frames is decided
     assert decide_cardinality(3, [P("[] p -> p")], P("[] [] p -> p"), MVn(3)).holds
+
+
+# holding and failing pairs; in the last four a variable occurs only under a
+# modality, so the frames whose deltas never read it have fewer variables
+_SWEEP_PAIRS = [((), "[] p -> p"), (("[] p -> p",), "[] [] p -> p"),
+                (("p",), "[] p"), ((), "[] (p -> q) -> ([] p -> [] q)"),
+                ((), "<> p -> [] p"), (("[] q",), "p -> <> q"),
+                ((), "[] q -> p"), (("<> q",), "[] <> q"), ((), "<> [] q -> p")]
+
+
+def _frame_by_frame(j, gamma, phi, alg):
+    """``decide_cardinality`` as a loop over the least frames, each with a
+    translation built from scratch."""
+    worlds = [f"w{i + 1}" for i in range(j)]
+    pairs = [(a, b) for a in worlds for b in worlds]
+    for mask in decision._least_masks(j):
+        decision._star.cache_clear()
+        frame = KripkeFrame(worlds, [pairs[b] for b in range(j * j) if mask >> b & 1])
+        verdict = decision.decide_on_frame(frame, gamma, phi, alg)
+        if not verdict.holds:
+            return verdict
+    return Verdict(True)
+
+
+def _outcome(decide, *args):
+    """The verdict and its witness model as text, or the guard's message."""
+    try:
+        verdict = decide(*args)
+    except ResourceLimitError as exc:
+        return str(exc)
+    model = verdict.witness.model if verdict.witness else None
+    return repr(verdict), model and json.dumps(model_to_json(model))
+
+
+@pytest.mark.parametrize("alg, j", [("mv-3", 1), ("mv-3", 2), ("mv-3", 3),
+                                    ("mv-4", 1), ("mv-4", 2), ("g3", 1),
+                                    ("g3", 2), ("std-mv", 1), ("std-mv", 2)])
+def test_sweep_equals_fresh_translation_per_frame(alg, j):
+    alg = StdMV() if alg == "std-mv" else ALGEBRAS[alg]
+    outcomes = set()
+    for prem, conc in _SWEEP_PAIRS:
+        gamma, phi = [P(s) for s in prem], P(conc)
+        got = _outcome(decide_cardinality, j, gamma, phi, alg)
+        assert got == _outcome(_frame_by_frame, j, gamma, phi, alg), (prem, conc)
+        if isinstance(got, tuple):
+            outcomes.add(got[0].split(",")[0])
+    assert outcomes == {"Verdict(holds=True", "Verdict(holds=False"}
+
+
+def test_translation_legend_is_a_fresh_copy():
+    frame = KripkeFrame(["w1", "w2"], [("w1", "w2")])
+    gamma, phi = [P("[] q")], P("p -> <> q")
+    first = translate_on_frame(frame, gamma, phi)
+    legend = dict(first.legend)
+    first.legend.clear()
+    first.legend["p__w0"] = ("var", "r", "w1")
+    again = translate_on_frame(frame, gamma, phi)
+    assert again.legend == legend
+    assert again.premises == first.premises and again.deltas == first.deltas
+
+
+def test_frame_classes_are_built_once():
+    assert len(decision._least_masks(4)) == 3044  # OEIS A000595
+    assert decision._least_masks(3) is decision._least_masks(3)
