@@ -4,31 +4,33 @@ A tableau simplex with Bland's rules: termination is guaranteed and every
 reported optimum or infeasibility is exact.  All variables are implicitly
 nonnegative; upper bounds are ordinary rows.
 
-The tableau holds Python ints only.  A row is a list of integer numerators
-over one positive denominator, and that denominator is the row's own entry
-in its basic column (whose true value is 1), so it needs no separate slot.
-The rhs sits at position 0 and column ``j`` at position ``j``, so a row
-needs no entry past its last nonzero column: a row shorter than the
-tableau is zero past its end.  After every update a row is divided by the
-gcd of its entries, which keeps the integers small.  The objective row is
-kept at the tableau's full width, and up to a positive factor only,
-because the simplex reads nothing from it but signs.
+The tableau holds Python ints only.  A row is a dict of its nonzero
+entries: column ``j`` under key ``j``, and the rhs, when nonzero, under
+key 0.  The entries are numerators over one positive denominator, the
+row's own entry in its basic column (whose true value is 1), so the
+denominator needs no slot.  After every update a row is divided by the gcd
+of its entries, which keeps the integers small.  The objective row is a
+dict of the same kind, kept up to a positive factor only, because the
+simplex reads nothing from it but signs.
 
-A pivot eliminates only over the nonzero columns of the pivot row and skips
-every row that is zero in the pivot column.  The ratio tests compare
-ratios by cross-multiplication (the row denominators cancel), and
-Fractions appear only in the returned value and point.  Each constraint
-builds its scaled integer rows once, the first time it is solved, and a
-solve only places them at their columns.  An optimal result computes its
-value from the basic objective columns and reads its point from the kept
-tableau on demand: as Fractions the first time ``point`` is read, or as
-ints over one common denominator by ``scaled_point``.
+A pivot walks only the pivot row's entries, skips every row without an
+entry in the pivot column and drops the entries that cancel.  Dict order
+is not column order, so every tie-break names its column or basic index.
+The ratio tests compare ratios by cross-multiplication (the row
+denominators cancel), and Fractions appear only in the returned value and
+point.  Each constraint builds its scaled integer rows once, the first
+time it is solved, and a solve only places them at their columns.  An
+optimal result computes its value from the basic objective columns and
+reads its point from the kept tableau on demand: as Fractions the first
+time ``point`` is read, or as ints over one common denominator by
+``scaled_point``.
 
 One path.  Every solve appends rows to an optimal tableau: each appended
 row (an ``==`` row as two ``<=`` rows) gets its own slack, is reduced
 against the basis and so keeps the tableau dual-feasible, and a dual
 simplex restores primal feasibility.  Its rule is Bland's dual rule: the
-leaving row has the smallest basic index among rows with negative rhs, the
+leaving row has the smallest basic index among rows with negative rhs
+(kept as a set that each pivot updates from the rows it rewrote), the
 entering column has the least ratio ``obj_j / -a_j`` over the row's
 negative entries (ties to the smallest column), and a leaving row with no
 negative entry proves the system infeasible.
@@ -58,7 +60,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import compress
 from math import gcd, lcm
 from operator import is_
 from typing import NamedTuple
@@ -98,18 +99,17 @@ class Constraint:
 class _Optimum(NamedTuple):
     """The final tableau of an optimal solve, for warm starts.
 
-    Every row holds its rhs at position 0 and is zero past its end; ``obj``
-    spans every column in use.  Rows are never changed in place, so a warm
-    start shares them.
+    Rows are never changed in place, so a warm start shares them.
     """
 
     objective: dict
     costs: dict  # objective column -> (numerator, denominator) of its cost
     constraints: tuple  # the constraints solved, a warm start's prefix
     index: dict  # variable name -> column
-    tableau: list[list[int]]
+    tableau: list[dict]
     basis: list[int]
-    obj: list[int]
+    obj: dict
+    width: int  # the next free column
 
 
 class LPResult:
@@ -147,7 +147,7 @@ class LPResult:
         opt = self.optimum
         at = {j: v for v, j in opt.index.items()}
         rows = [(at[b], r[0], r[b]) for r, b in zip(opt.tableau, opt.basis)
-                if r[0] and b in at]
+                if 0 in r and b in at]
         den = lcm(1, *(d for _, _, d in rows))
         return den, {v: n * (den // d) for v, n, d in rows}
 
@@ -169,56 +169,52 @@ def _exact(a) -> Fraction | int:
     return a if isinstance(a, (int, Fraction)) else Fraction(a)
 
 
-def _eliminate(r: list[int], prow: list[int], nz: list[int], p: int,
-               f: int) -> list[int]:
+def _eliminate(r: dict, prow: dict, p: int, f: int) -> dict:
     """``r - (f / p) * prow`` times the positive factor ``p / gcd(p, f)``
-    (``p > 0``), updated only over ``nz``, the nonzero columns of ``prow``,
-    then divided by the gcd of its entries.  A shorter ``r`` is padded with
-    zeros to the length of ``prow``."""
+    (``p > 0``, ``f != 0``), divided by the gcd of its entries, without the
+    entries that cancel."""
     g = gcd(p, f)
     if g != 1:
         p //= g
         f //= g
-    out = r[:] if p == 1 else [x * p for x in r]
-    if len(out) < len(prow):
-        out += [0] * (len(prow) - len(out))
-    for j in nz:
-        out[j] -= f * prow[j]
-    g = gcd(*out)
+    out = dict(r) if p == 1 else {j: x * p for j, x in r.items()}
+    for j, a in prow.items():
+        x = out.get(j, 0) - f * a
+        if x:
+            out[j] = x
+        else:
+            del out[j]
+    g = gcd(*out.values())
     if g > 1:
-        out = [x // g for x in out]
+        out = {j: x // g for j, x in out.items()}
     return out
 
 
-def _price_out(obj: list[int], tableau: list[list[int]],
-               basis: list[int]) -> list[int]:
-    """The objective row with every basic column eliminated from it."""
-    for i, b in enumerate(basis):
-        if obj[b]:
-            r = tableau[i]
-            obj = _eliminate(obj, r, [j for j, x in enumerate(r) if x],
-                             r[b], obj[b])
-    return obj
-
-
-def _pivot(tableau: list[list[int]], obj: list[int], basis: list[int],
-           row: int, col: int) -> None:
+def _pivot(tableau: list[dict], obj: dict, basis: list[int], row: int,
+           col: int) -> list[int]:
+    """Pivot on ``(row, col)``, updating ``obj`` in place; returns the
+    indices of the rows it rewrote."""
     prow = tableau[row]
     p = prow[col]
     if p < 0:
-        prow = tableau[row] = [-x for x in prow]
+        prow = tableau[row] = {j: -x for j, x in prow.items()}
         p = -p
-    nz = [j for j, b in enumerate(prow) if b]
+    rewrote = [row]
     for i, r in enumerate(tableau):
-        if i != row and col < len(r) and r[col]:
-            tableau[i] = _eliminate(r, prow, nz, p, r[col])
-    if obj[col]:
-        obj[:] = _eliminate(obj, prow, nz, p, obj[col])
+        f = r.get(col)
+        if f and i != row:
+            tableau[i] = _eliminate(r, prow, p, f)
+            rewrote.append(i)
+    f = obj.get(col)
+    if f:
+        priced = _eliminate(obj, prow, p, f)
+        obj.clear()
+        obj.update(priced)
     basis[row] = col
+    return rewrote
 
 
-def _run_simplex(tableau: list[list[int]], obj: list[int],
-                 basis: list[int]) -> str:
+def _run_simplex(tableau: list[dict], obj: dict, basis: list[int]) -> str:
     """Pivot a feasible tableau until optimal.
 
     The objective row holds negated costs plus row combinations, so a column
@@ -226,51 +222,50 @@ def _run_simplex(tableau: list[list[int]], obj: list[int],
     entering index, smallest basic index on ratio ties) prevents cycling.
     """
     while True:
-        col = -1
-        for j in range(1, len(obj)):
-            if obj[j] < 0:
-                col = j
-                break
-        if col < 0:
+        col = min((j for j, x in obj.items() if x < 0 < j), default=0)
+        if not col:
             return "optimal"
         row = -1
         best_b = best_a = 0
         for i, r in enumerate(tableau):
-            if col < len(r) and r[col] > 0:
-                a = r[col]
-                # ratio r[0] / a against best_b / best_a, both a's positive
-                d = r[0] * best_a - best_b * a
+            a = r.get(col, 0)
+            if a > 0:
+                b = r.get(0, 0)
+                # ratio b / a against best_b / best_a, both a's positive
+                d = b * best_a - best_b * a
                 if row < 0 or d < 0 or (d == 0 and basis[i] < basis[row]):
-                    best_b, best_a = r[0], a
+                    best_b, best_a = b, a
                     row = i
         if row < 0:
             return "unbounded"
         _pivot(tableau, obj, basis, row, col)
 
 
-def _run_dual(tableau: list[list[int]], obj: list[int], basis: list[int],
+def _run_dual(tableau: list[dict], obj: dict, basis: list[int],
               first: int) -> str:
     """Pivot a dual-feasible tableau until its rhs is nonnegative, by
     Bland's dual rule (see the module docstring).  The rows before
-    ``first`` have a nonnegative rhs, so the first scan starts there."""
-    rows = [i for i in range(first, len(tableau)) if tableau[i][0] < 0]
-    while rows:
-        row = min(rows, key=basis.__getitem__)
-        r = tableau[row]
+    ``first`` have a nonnegative rhs; after that, only the rows a pivot
+    rewrites can change sign."""
+    negative = {i for i in range(first, len(tableau)) if tableau[i].get(0, 0) < 0}
+    while negative:
+        row = min(negative, key=basis.__getitem__)
         col = -1
         best_o = best_a = 0
-        for j in range(1, len(r)):
-            a = r[j]
-            if a < 0:
-                # ratio obj[j] / -a against best_o / best_a, both divisors
-                # positive
-                if col < 0 or obj[j] * best_a < best_o * -a:
-                    best_o, best_a = obj[j], -a
+        for j, a in tableau[row].items():
+            if a < 0 < j:
+                o = obj.get(j, 0)
+                # ratio o / -a against best_o / best_a, both divisors
+                # positive; a tie goes to the smaller column
+                d = o * best_a + best_o * a
+                if col < 0 or d < 0 or (d == 0 and j < col):
+                    best_o, best_a = o, -a
                     col = j
         if col < 0:
             return "infeasible"
-        _pivot(tableau, obj, basis, row, col)
-        rows = [i for i, r in enumerate(tableau) if r[0] < 0]
+        rewrote = _pivot(tableau, obj, basis, row, col)
+        negative.difference_update(rewrote)
+        negative.update(i for i in rewrote if tableau[i].get(0, 0) < 0)
     return "optimal"
 
 
@@ -287,8 +282,8 @@ def solve_max(objective: dict, constraints: list[Constraint], *,
         # the empty system, whose zero objective row is optimal
         names = sorted(set(objective) | {v for c in constraints for v in c.coeffs})
         opt = _Optimum(dict(objective), {}, (),
-                       {v: j for j, v in enumerate(names, 1)}, [], [],
-                       [0] * (len(names) + 1))
+                       {v: j for j, v in enumerate(names, 1)}, [], [], {},
+                       len(names) + 1)
     else:
         opt = start.optimum
         if (opt is None or objective != opt.objective
@@ -302,11 +297,11 @@ def solve_max(objective: dict, constraints: list[Constraint], *,
 
     # Column layout: the parent's columns, then the new variables, then one
     # slack per new row.  The parent's rows are shared as they are.
-    width = len(opt.obj)
+    width = opt.width
     new = sorted({v for c in appended for v in c.coeffs} - opt.index.keys())
     tableau = list(opt.tableau)
     basis = list(opt.basis)
-    obj = opt.obj + [0] * (len(new) + len(heads))
+    obj = dict(opt.obj)
     index = opt.index
     if new:
         index = {**index, **{v: j for j, v in enumerate(new, width)}}
@@ -314,11 +309,10 @@ def solve_max(objective: dict, constraints: list[Constraint], *,
     where = {b: i for i, b in enumerate(basis)}
     slack_col = width + len(new)
     for coeffs, scale, rhs in heads:
-        row = [0] * (slack_col + 1)
-        row[0] = rhs
-        for v, a in coeffs:
-            row[index[v]] = a
+        row = {index[v]: a for v, a in coeffs}
         row[slack_col] = scale
+        if rhs:
+            row[0] = rhs
         # Eliminate the basic columns, so the slack is this row's basic.
         # Only the coefficient columns can be basic: a basic row is zero in
         # every other basic column.
@@ -327,8 +321,7 @@ def solve_max(objective: dict, constraints: list[Constraint], *,
             if i is not None:
                 r = tableau[i]
                 b = basis[i]
-                row = _eliminate(row, r, list(compress(range(len(r)), r)),
-                                 r[b], row[b])
+                row = _eliminate(row, r, r[b], row[b])
         tableau.append(row)
         basis.append(slack_col)
         slack_col += 1
@@ -346,9 +339,10 @@ def solve_max(objective: dict, constraints: list[Constraint], *,
             if a:
                 costs[index[v]] = (a.numerator, a.denominator)
         scale = lcm(1, *(d for _, d in costs.values()))
-        for j, (n, d) in costs.items():
-            obj[j] = -n * (scale // d)
-        obj = _price_out(obj, tableau, basis)
+        obj = {j: -n * (scale // d) for j, (n, d) in costs.items()}
+        for r, b in zip(tableau, basis):
+            if b in obj:
+                obj = _eliminate(obj, r, r[b], obj[b])
         if _run_simplex(tableau, obj, basis) == "unbounded":
             return LPResult("unbounded")
 
@@ -357,9 +351,9 @@ def solve_max(objective: dict, constraints: list[Constraint], *,
     num, den = 0, 1
     for r, b in zip(tableau, basis):
         c = costs.get(b)
-        if c is not None and r[0]:
+        if c is not None and 0 in r:
             n, d = c[0] * r[0], c[1] * r[b]
             num, den = num * d + n * den, den * d
     return LPResult("optimal", Fraction(num, den), optimum=_Optimum(
         dict(objective), costs, tuple(constraints), index, tableau, basis,
-        obj))
+        obj, slack_col))

@@ -14,6 +14,7 @@ below realize both directions of that correspondence on concrete models.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 from dataclasses import dataclass
@@ -102,6 +103,7 @@ def verify_solution(instance: PCPInstance, indices) -> bool:
     return _concat_all(instance, indices, 0) == _concat_all(instance, indices, 1)
 
 
+@functools.lru_cache(maxsize=1)
 def encode(instance: PCPInstance) -> tuple[tuple[Formula, ...], Formula]:
     """Premise set and conclusion of the reduction, in variables x, y, z.
 
@@ -109,7 +111,8 @@ def encode(instance: PCPInstance) -> tuple[tuple[Formula, ...], Formula]:
     and diamond of p the same value"; "a world with successors keeps z stable
     under box"; and one big disjunction tying x and y at a world to the
     values one step up, shifted by each pair of the instance.  The conclusion
-    is refutable exactly on chain models that spell out a solution.
+    is refutable exactly on chain models that spell out a solution.  The
+    last encoding is kept, so a round trip builds it once.
     """
     s = instance.base
     not_box_zero = neg(Box(ZERO))

@@ -121,31 +121,39 @@ def test_luk_matches_leaf_oracle(seed, premises):
         assert value == verdict.witness.value < 1
 
 
-def _count_solves(monkeypatch):
-    """Count the calls of ``lp.solve_max`` from here on."""
+def _count_calls(monkeypatch, name="solve_max"):
+    """Count the calls of the ``lp`` function ``name`` from here on."""
     calls = [0]
-    solve_max = lp.solve_max
+    fn = getattr(lp, name)
 
     def counting(*args, **kwargs):
         calls[0] += 1
-        return solve_max(*args, **kwargs)
+        return fn(*args, **kwargs)
 
-    monkeypatch.setattr(lp, "solve_max", counting)
+    monkeypatch.setattr(lp, name, counting)
     return calls
 
 
 def test_baseline_pair_stdmv_solve_count(monkeypatch):
     # branching only on violated splits: 104,928 solves when every split
     # was branched on in a fixed order
-    calls = _count_solves(monkeypatch)
+    calls = _count_calls(monkeypatch)
     assert decide_cardinality(3, [P("[]p -> p")], P("[][]p -> p"), StdMV()).holds
     assert calls[0] <= 10_000
+
+
+def test_baseline_pair_stdmv_pivot_count(monkeypatch):
+    # pinned: a change to the row format must make the very same pivots,
+    # so every tie-break has to stay as Bland's rules say
+    pivots = _count_calls(monkeypatch, "_pivot")
+    assert decide_cardinality(3, [P("[]p -> p")], P("[][]p -> p"), StdMV()).holds
+    assert pivots[0] == 16_113
 
 
 def test_unsolvable_pcp_one_chain_solve_count(monkeypatch):
     # "1" against "11" has no solution, so the encoding holds on every chain
     gamma, phi = encode(PCPInstance(2, ((Numeral(1, 1), Numeral(3, 2)),)))
-    calls = _count_solves(monkeypatch)
+    calls = _count_calls(monkeypatch)
     assert decide_on_frame(KripkeFrame(["v1"], []), gamma, phi, StdMV()).holds
     assert calls[0] <= 60
 
@@ -391,6 +399,20 @@ def test_deep_case_split_memory():
         tracemalloc.stop()
     assert not verdict.holds
     assert peak < 128 * 2 ** 20
+
+
+def test_deep_case_split_memory_1000():
+    # an appended row holds only its nonzero entries, so the leaf's
+    # tableau does not grow with its width
+    f = _nested_disjunction(1000)
+    tracemalloc.start()
+    try:
+        verdict = luk_consequence([], f)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert not verdict.holds
+    assert peak < 16 * 2 ** 20
 
 
 def test_translate_on_frame_example():

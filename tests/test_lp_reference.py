@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 import lp_reference
 from helpers import attains
+from mvmodal import lp
 from mvmodal.lp import Constraint, solve_max
 
 SENSES = ("<=", ">=", "==")
@@ -86,6 +87,28 @@ def test_degenerate_vertices_match_reference():
     for obj in ({"a": F(1)}, {"a": F(1), "b": F(1)}, {"c": F(-1)},
                 {v: F(1) for v in names}, {}):
         assert_same(obj, rows)
+
+
+def test_primal_ratio_tie_goes_to_least_basic_index(monkeypatch):
+    # the rows of basic columns 7 and 1 tie in phase 2's ratio test; the
+    # row of column 7 comes first in the tableau, but column 1 leaves
+    pivots = []
+    pivot = lp._pivot
+
+    def recording(tableau, obj, basis, row, col):
+        pivots.append((basis[row], col))
+        return pivot(tableau, obj, basis, row, col)
+
+    monkeypatch.setattr(lp, "_pivot", recording)
+    rows = [Constraint({"v0": F(1)}, "<=", F(1)),
+            Constraint({"v1": F(1)}, "<=", F(1)),
+            Constraint({"v2": F(1)}, "<=", F(1)),
+            Constraint({"v2": F(-1, 3), "v0": F(3, 2)}, ">=", F(0)),
+            Constraint({"v2": F(-1), "v1": F(3), "v0": F(2, 3)}, "==", F(1, 2)),
+            Constraint({"v2": F(1, 2), "v0": F(-9, 4)}, "<=", F(0))]
+    res = assert_same({"v0": F(-1), "v1": F(-1), "v2": F(-2)}, rows)
+    assert res.value == F(-1, 6)
+    assert pivots == [(9, 1), (1, 2)]
 
 
 exact = st.fractions(min_value=-4, max_value=4, max_denominator=5)

@@ -26,10 +26,23 @@ SENSES = ("<=", ">=", "==")
 FLIP = {"<=": ">=", ">=": "<=", "==": "=="}
 
 
+def check_sparse(res):
+    """An optimal result stores no zero entry, in a row or in the objective
+    row; each row's entry in its basic column is positive, and every column
+    is below ``width``."""
+    if res.status == "optimal":
+        opt = res.optimum
+        for r, b in zip(opt.tableau, opt.basis):
+            assert 0 not in r.values() and r[b] > 0
+            assert all(0 <= j < opt.width for j in r)
+        assert 0 not in opt.obj.values()
+
+
 def check_generations(objective, base, generations):
     """Solve ``base`` cold, then each generation of appended rows warm and
     cold; returns the statuses of the warm solves."""
     res = solve_max(objective, base)
+    check_sparse(res)
     rows = list(base)
     statuses = []
     for extra in generations:
@@ -38,6 +51,8 @@ def check_generations(objective, base, generations):
         rows = rows + extra
         warm = solve_max(objective, rows, start=res)
         cold = solve_max(objective, rows)
+        check_sparse(warm)
+        check_sparse(cold)
         assert (warm.status, warm.value) == (cold.status, cold.value)
         if warm.status == "optimal":
             attains(warm, objective, rows)
@@ -130,7 +145,7 @@ def test_start_must_be_an_optimal_prefix():
 
 
 def test_warm_solves_share_the_parent_rows():
-    """Rows that no pivot touches stay the parent's own list objects, however
+    """Rows that no pivot touches stay the parent's own row objects, however
     many columns the descendants append."""
     objective = {"x": F(1)}
     rows = [Constraint({"x": F(1)}, "<=", F(1))]

@@ -88,6 +88,16 @@ def test_encode_shape():
     assert phi == parse("(x <-> y)^2 -> (x -> x * z) \\/ z")
 
 
+def test_round_trip_encodes_once():
+    # the last encoding is kept, so extracting after encoding reuses it
+    pair = encode(P0)
+    m = build_countermodel(P0, [1, 2], StdMV())
+    hits = encode.cache_info().hits
+    assert extract_solution(P0, m, m.worlds[-1]) == [1, 2]
+    assert encode.cache_info().hits == hits + 1
+    assert encode(PCPInstance(P0.base, P0.pairs)) is pair
+
+
 def test_encode_zero_valued_numeral():
     inst = PCPInstance(2, ((Numeral(0, 1), Numeral(0, 2)),))
     gamma, phi = encode(inst)
