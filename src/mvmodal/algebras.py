@@ -9,6 +9,7 @@ and returns exact results; there is no floating point anywhere.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from fractions import Fraction
 from math import lcm
 from typing import Any
@@ -109,8 +110,10 @@ class Algebra:
         """``a^n`` for unbounded ``n >= 0``; ``a^0`` is the unit."""
         if n < 0:
             raise ValueError("negative power")
-        if n == 0:
-            return self.one
+        return self._power(a, n) if n else self.one
+
+    def _power(self, a: Value, n: int) -> Value:
+        """``a^n`` for ``n >= 1``: here repeated ``times``."""
         out = a
         for _ in range(n - 1):
             nxt = self.times(out, a)
@@ -176,11 +179,7 @@ class StdMV(_RationalAlgebra):
     def residuum(self, a, b):
         return 1 - a + b if a > b else _Q1
 
-    def power(self, a, n):
-        if n < 0:
-            raise ValueError("negative power")
-        if n == 0:
-            return _Q1
+    def _power(self, a, n):
         return max(_Q0, 1 - n * (1 - a))
 
     def _carrier(self, values):
@@ -202,10 +201,8 @@ class StdGodel(_RationalAlgebra):
     def residuum(self, a, b):
         return _Q1 if a <= b else b
 
-    def power(self, a, n):
-        if n < 0:
-            raise ValueError("negative power")
-        return _Q1 if n == 0 else a
+    def _power(self, a, n):
+        return a
 
 
 class StdProduct(_RationalAlgebra):
@@ -226,15 +223,13 @@ class StdProduct(_RationalAlgebra):
     def residuum(self, a, b):
         return _Q1 if a <= b else b / a
 
-    def power(self, a, n):
-        if n < 0:
-            raise ValueError("negative power")
+    def _power(self, a, n):
         if n > self.power_cap:
             raise ResourceLimitError(
                 f"product power {n} above cap {self.power_cap}; "
                 "use the power-chain algebra for large exponents"
             )
-        return a ** n if n else _Q1
+        return a ** n
 
 
 class MVn(_RationalAlgebra):
@@ -262,11 +257,8 @@ class MVn(_RationalAlgebra):
 
     def tables(self) -> dict:
         """Operation tables over element indices, index k standing for
-        ``carrier()[k]``; built on the first call, with tuple rows."""
-        if "_tables" not in self.__dict__:
-            t = mv_chain_tables(self.n)
-            self._tables = t | {op: tuple(map(tuple, t[op])) for op in _OPS}
-        return dict(self._tables)
+        ``carrier()[k]``, with tuple rows; built once for each n."""
+        return dict(_mv_tables(self.n))
 
     times = StdMV.times
     residuum = StdMV.residuum
@@ -274,9 +266,6 @@ class MVn(_RationalAlgebra):
 
     def __repr__(self):
         return f"MVn({self.n})"
-
-    def __eq__(self, other):
-        return type(self) is type(other) and self.n == other.n
 
     def __hash__(self):
         return hash((self.kind, self.n))
@@ -320,14 +309,8 @@ class ExpChain(Algebra):
             return EXP_ZERO
         return ExpValue(b.exponent - a.exponent)
 
-    def power(self, a, n):
-        if n < 0:
-            raise ValueError("negative power")
-        if n == 0:
-            return EXP_ONE
-        if a.is_zero:
-            return EXP_ZERO
-        return ExpValue(n * a.exponent)
+    def _power(self, a, n):
+        return EXP_ZERO if a.is_zero else ExpValue(n * a.exponent)
 
     def _carrier(self, values):
         # ints n for a^(n/d), in reverse order, and None for the bottom
@@ -513,6 +496,12 @@ def mv_chain_tables(n: int) -> dict:
         "zero": 0,
         "one": m,
     }
+
+
+@cache
+def _mv_tables(n: int) -> dict:
+    t = mv_chain_tables(n)
+    return t | {op: tuple(map(tuple, t[op])) for op in _OPS}
 
 
 _OPS = ("meet", "join", "times", "residuum")

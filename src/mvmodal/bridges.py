@@ -25,8 +25,7 @@ from .algebras import ExpChain, ExpValue, StdMV, Value
 from .formulas import (And, Box, Const0, Const1, Diamond, Formula, Implies,
                        Or, Times, Var, ZERO, bottom_up, box_prefix, iff, neg,
                        _Node, _spell, rebuild, render, variables)
-from .kripke import (KripkeModel, evaluate, evaluate_all, globally_satisfies,
-                     heights)
+from .kripke import KripkeModel, evaluate_all, heights
 
 __all__ = [
     "constancy_premises", "chain_premise", "spread_disjunct", "finite_to_global",
@@ -136,10 +135,11 @@ def extend_model_pq(model: KripkeModel, world: str, p: str, q: str) -> KripkeMod
         valuation[w][p] = a
         valuation[w][q] = qval[w]
     out = KripkeModel(model.frame, alg, valuation)
-    added = constancy_premises(p) + (chain_premise(p, q),)
-    if not globally_satisfies(out, added).holds:
+    *premises, spread = evaluate_all(out, constancy_premises(p)
+                                     + (chain_premise(p, q), spread_disjunct(p, q)))
+    if any(v != alg.one for col in premises for v in col):
         raise RuntimeError("extension failed its premise certificate")
-    if evaluate(out, world, spread_disjunct(p, q)) == alg.one:
+    if spread[out.worlds.index(world)] == alg.one:
         raise RuntimeError("extension failed to keep the spread disjunct below 1")
     return out
 

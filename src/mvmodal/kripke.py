@@ -151,14 +151,6 @@ def evaluate_all(model: KripkeModel, formulas: Iterable[Formula]) -> list[list[V
     exact; each distinct root value is turned back once.  StdGodel,
     StdProduct and finite tables keep their own values and operations.
     """
-    cols, decode = _encoded_columns(model, formulas)
-    table = {n: decode(n) for n in set().union(*cols)}
-    return [list(map(table.__getitem__, col)) for col in cols]
-
-
-def _encoded_columns(model: KripkeModel, formulas: Iterable[Formula]):
-    """The columns of :func:`evaluate_all` before they are turned back, and
-    the carrier's decoder, for a caller that reads only a few entries."""
     worlds = model.worlds
     encode, decode, meet, join, times, residuum, zero, one = model.algebra._carrier(
         {v for row in model._val.values() for v in row.values()})
@@ -188,7 +180,9 @@ def _encoded_columns(model: KripkeModel, formulas: Iterable[Formula]):
             out[i] = value
         return out
 
-    return bottom_up(formulas, column), decode
+    cols = bottom_up(formulas, column)
+    table = {n: decode(n) for n in set().union(*cols)}
+    return [list(map(table.__getitem__, col)) for col in cols]
 
 
 def evaluate(model: KripkeModel, world: str, f: Formula) -> Value:

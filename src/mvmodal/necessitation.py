@@ -11,13 +11,14 @@ x -> x*y below 1 there.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 from .algebras import (Algebra, ExpChain, ExpValue, StdMV, Value,
                        algebra_to_json, value_to_json)
-from .formulas import (Box, Diamond, Formula, Implies, Times, Var, ZERO,
+from .formulas import (And, Box, Diamond, Formula, Implies, Times, Var, ZERO,
                        iff, neg)
-from .kripke import KripkeFrame, KripkeModel, _encoded_columns
+from .kripke import KripkeFrame, KripkeModel, evaluate_all
 from .pcp import _chain_base
 
 __all__ = ["separation_premises", "build_nec_model", "SeparationReport",
@@ -84,16 +85,15 @@ def verify_separation(n: int, alg: Algebra) -> SeparationReport:
     """Certify the chain model: every boxed copy of the premises up to depth n
     takes value 1 at the start world, while x -> x*y stays below 1 there."""
     model = build_nec_model(n, alg)
-    boxed = [separation_premises()]
+    # box is a meet over successors and so commutes with meets: box^i of
+    # the premises' conjunction is 1 at a world exactly when box^i of each
+    # premise is, so one root per level does; entry 0 is the start world
+    boxed = [functools.reduce(And, separation_premises())]
     for _ in range(n):
-        boxed.append(tuple(Box(f) for f in boxed[-1]))
-    k = len(boxed[0])
-    cols, decode = _encoded_columns(model, [f for level in boxed for f in level]
-                                    + [Implies(X, Times(X, Y))])
-    # column entry 0 is the start world, the only one decoded
-    *start, final = [decode(col[0]) for col in cols]
-    levels = tuple((i, all(v == alg.one for v in start[i * k:(i + 1) * k]))
-                   for i in range(n + 1))
+        boxed.append(Box(boxed[-1]))
+    *start, final = [col[0] for col in evaluate_all(
+        model, boxed + [Implies(X, Times(X, Y))])]
+    levels = tuple((i, v == alg.one) for i, v in enumerate(start))
     return SeparationReport(n, alg, levels, final, model)
 
 

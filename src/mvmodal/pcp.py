@@ -84,12 +84,18 @@ def concat(x: Numeral, y: Numeral, base: int) -> Numeral:
     return Numeral(x.value * base ** y.length + y.value, x.length + y.length)
 
 
-def _concat_all(instance: PCPInstance, indices, side: int) -> Numeral:
-    out = None
+def _prefixes(instance: PCPInstance, indices: list[int]
+              ) -> list[tuple[Numeral, Numeral]]:
+    """The x-side and y-side concatenations of the first 1, 2, ..., k
+    indexed pairs, in one pass; an index outside 1..size is an error."""
     for i in indices:
-        num = instance.pairs[i - 1][side]
-        out = num if out is None else concat(out, num, instance.base)
-    return out
+        if not 1 <= i <= instance.size:
+            raise ValueError(f"index {i} out of range 1..{instance.size}")
+    base = instance.base
+    return list(itertools.accumulate(
+        (instance.pairs[i - 1] for i in indices),
+        lambda acc, pair: (concat(acc[0], pair[0], base),
+                           concat(acc[1], pair[1], base))))
 
 
 def verify_solution(instance: PCPInstance, indices) -> bool:
@@ -97,10 +103,8 @@ def verify_solution(instance: PCPInstance, indices) -> bool:
     indices = list(indices)
     if not indices:
         raise ValueError("a solution is a nonempty index sequence")
-    for i in indices:
-        if not 1 <= i <= instance.size:
-            raise ValueError(f"index {i} out of range 1..{instance.size}")
-    return _concat_all(instance, indices, 0) == _concat_all(instance, indices, 1)
+    x, y = _prefixes(instance, indices)[-1]
+    return x == y
 
 
 @functools.lru_cache(maxsize=1)
@@ -154,18 +158,14 @@ def build_chain_model(instance: PCPInstance, indices, alg: Algebra) -> KripkeMod
     indices = list(indices)
     if not indices:
         raise ValueError("need a nonempty index sequence")
+    prefixes = _prefixes(instance, indices)
     k = len(indices)
-    xc = [_concat_all(instance, indices[:j], 0).value for j in range(1, k + 1)]
-    yc = [_concat_all(instance, indices[:j], 1).value for j in range(1, k + 1)]
-    r = max(xc[-1], yc[-1])
-    a = _chain_base(alg, r)
+    a = _chain_base(alg, max(n.value for n in prefixes[-1]))
     width = len(str(k))
     worlds = [f"v{j:0{width}d}" for j in range(1, k + 1)]
     edges = [(worlds[j], worlds[j - 1]) for j in range(1, k)]
-    valuation = {
-        worlds[j]: {"x": alg.power(a, xc[j]), "y": alg.power(a, yc[j]), "z": a}
-        for j in range(k)
-    }
+    valuation = {w: {"x": alg.power(a, x.value), "y": alg.power(a, y.value), "z": a}
+                 for w, (x, y) in zip(worlds, prefixes)}
     return KripkeModel(KripkeFrame(worlds, edges), alg, valuation)
 
 
@@ -252,15 +252,14 @@ def extract_solution(instance: PCPInstance, model: KripkeModel, top: str) -> lis
             raise ValueError(f"no disjunct holds at world {w!r}")
 
     # certify by exponent recovery against the concatenation values
-    for j, w in enumerate(reversed(order), start=1):
-        expected_x = _concat_all(instance, indices[:j], 0).value
-        expected_y = _concat_all(instance, indices[:j], 1).value
+    for j, (w, (x, y)) in enumerate(zip(reversed(order), _prefixes(instance, indices)),
+                                    start=1):
         got_x = _exponent_of(alg, alpha, model.value(w, "x"))
         got_y = _exponent_of(alg, alpha, model.value(w, "y"))
-        if (got_x, got_y) != (expected_x, expected_y):
+        if (got_x, got_y) != (x.value, y.value):
             raise ValueError(
                 f"world {w!r} carries powers ({got_x}, {got_y}), expected "
-                f"({expected_x}, {expected_y}) from indices {indices[:j]}")
+                f"({x.value}, {y.value}) from indices {indices[:j]}")
     # values do not fix digit counts: all-zero words of different lengths
     # have equal powers
     if not verify_solution(instance, indices):

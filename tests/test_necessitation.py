@@ -1,14 +1,19 @@
+import functools
 import random
 from fractions import Fraction as F
 
 import pytest
 
-from mvmodal.algebras import ExpChain, ExpValue, StdMV
-from mvmodal.formulas import Box, parse, variables
-from mvmodal.kripke import KripkeModel, evaluate, globally_satisfies
-from mvmodal.necessitation import (build_premise_cycle_model, build_nec_model,
-                                   separation_premises, verify_separation)
-from helpers import random_rational
+from mvmodal import necessitation
+from mvmodal.algebras import (EXP_ZERO, ExpChain, ExpValue, MVn, StdGodel,
+                              StdMV, StdProduct)
+from mvmodal.formulas import And, Box, parse, variables
+from mvmodal.kripke import (KripkeFrame, KripkeModel, evaluate, evaluate_all,
+                            globally_satisfies)
+from mvmodal.necessitation import (SeparationReport, build_premise_cycle_model,
+                                   build_nec_model, separation_premises,
+                                   verify_separation)
+from helpers import G3, random_formula, random_rational
 
 P = parse
 
@@ -47,6 +52,60 @@ def test_verify_separation_sweep():
             assert report.final_value != alg.one
 
 
+def per_premise_levels(model, n):
+    """(i, every box^i premise is 1 at the start world), one premise at a
+    time: the definition that verify_separation's conjunction stands for."""
+    start, one = model.worlds[0], model.algebra.one
+    boxed, levels = separation_premises(), []
+    for i in range(n + 1):
+        levels.append((i, all(evaluate(model, start, f) == one for f in boxed)))
+        boxed = tuple(Box(f) for f in boxed)
+    return tuple(levels)
+
+
+def test_boxed_conjunction_is_one_exactly_when_each_boxed_conjunct_is():
+    rng = random.Random(23)
+    # the top twice in each pool, so that conjuncts often take value 1
+    pools = [(StdMV(), [F(0), F(1, 3), F(1, 2), F(1), F(1)]),
+             (StdGodel(), [F(0), F(1, 2), F(3, 4), F(1), F(1)]),
+             (StdProduct(), [F(0), F(1, 2), F(2, 3), F(1), F(1)]),
+             (MVn(3), [F(0), F(1, 2), F(1), F(1)]),
+             (ExpChain(), [EXP_ZERO, ExpValue(F(1, 2)), ExpValue(F(2)),
+                           ExpValue(F(0)), ExpValue(F(0))]),
+             (G3, [0, 1, 2, 2])]
+    seen = set()
+    for alg, pool in pools:
+        for _ in range(40):
+            k = rng.randint(1, 4)
+            worlds = [f"w{i}" for i in range(k)]
+            edges = [(a, b) for a in worlds for b in worlds if rng.random() < 0.4]
+            m = KripkeModel(KripkeFrame(worlds, edges), alg,
+                            {w: {v: rng.choice(pool) for v in "xy"} for w in worlds})
+            conjuncts = [random_formula(rng, 2, ("x", "y"))
+                         for _ in range(rng.randint(2, 4))]
+            if rng.random() < 0.3:
+                conjuncts = list(separation_premises())
+            boxed = [[functools.reduce(And, conjuncts)] + conjuncts]
+            for _ in range(3):
+                boxed.append([Box(f) for f in boxed[-1]])
+            for level in boxed:
+                conj, *each = evaluate_all(m, level)
+                for w, v, vs in zip(worlds, conj, zip(*each)):
+                    holds = v == alg.one
+                    assert holds == all(u == alg.one for u in vs), (alg, w, level[0])
+                    seen.add(holds)
+    assert seen == {True, False}
+
+
+def test_verify_separation_equals_per_premise_report():
+    for n in [*range(6), 50]:
+        for alg in (StdMV(), ExpChain()):
+            m = build_nec_model(n, alg)
+            expected = SeparationReport(n, alg, per_premise_levels(m, n),
+                                        evaluate(m, m.worlds[0], parse("x -> x * y")), m)
+            assert verify_separation(n, alg).to_json() == expected.to_json(), (n, alg)
+
+
 def test_verify_separation_expchain_value():
     report = verify_separation(2, ExpChain())
     assert report.final_value == ExpValue(F(1))
@@ -68,6 +127,19 @@ def test_mutation_breaks_premises():
         if any(evaluate(bad, "0", f) != 1 for f in boxed):
             broken = True
     assert broken
+
+
+def test_mutated_model_levels_match_per_premise_levels(monkeypatch):
+    # verify_separation's conjunction rule on the model of the test above
+    alg = StdMV()
+    m = build_nec_model(2, alg)
+    val = m.valuation_dict()
+    val["3"]["x"] = val["3"]["y"]
+    bad = KripkeModel(m.frame, alg, val)
+    monkeypatch.setattr(necessitation, "build_nec_model", lambda n, alg: bad)
+    report = verify_separation(2, alg)
+    assert report.levels == per_premise_levels(bad, 2)
+    assert (2, False) in report.levels and not report.passed
 
 
 def test_tightness_one_level_deeper():

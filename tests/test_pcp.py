@@ -74,6 +74,13 @@ def test_verify_solution():
         verify_solution(P0, [3])
 
 
+def test_build_chain_model_rejects_indices_outside_range():
+    # index 0 must not wrap around to the last pair, as pairs[-1] would
+    for seq in ([0], [3], [1, -1]):
+        with pytest.raises(ValueError, match=r"out of range 1\.\.2"):
+            build_chain_model(P0, seq, StdMV())
+
+
 def test_encode_shape():
     gamma, phi = encode(P0)
     assert len(gamma) == 5
