@@ -24,7 +24,7 @@ from fractions import Fraction
 from .algebras import ExpChain, ExpValue, StdMV, Value
 from .formulas import (And, Box, Const0, Const1, Diamond, Formula, Implies,
                        Or, Times, Var, ZERO, bottom_up, box_prefix, iff, neg,
-                       _Node, _spell, rebuild, render, variables)
+                       postorder, _Node, _spell, rebuild, render, variables)
 from .kripke import KripkeModel, evaluate_all, heights
 
 __all__ = [
@@ -81,18 +81,14 @@ def recognize_finite_to_global(premises, conclusion: Formula
     if not isinstance(conclusion, Or):
         return None
     phi0, tail = conclusion.left, conclusion.right
-    # tail must be ((p \/ ~p) \/ q) \/ ~q
-    if not (isinstance(tail, Or) and isinstance(tail.left, Or)
-            and isinstance(tail.left.left, Or)):
+    # formulas are hash-consed, so the spread disjunct rebuilt from the
+    # names at p's and q's positions is ``tail`` itself exactly when
+    # ``tail`` has its whole shape ((p \/ ~p) \/ q) \/ ~q
+    try:
+        p, q = tail.left.left.left.name, tail.left.right.name
+    except AttributeError:
         return None
-    p_part = tail.left.left
-    if not (isinstance(p_part.left, Var) and p_part.right == neg(p_part.left)):
-        return None
-    p = p_part.left.name
-    if not (isinstance(tail.left.right, Var) and tail.right == neg(tail.left.right)):
-        return None
-    q = tail.left.right.name
-    if p == q:
+    if p == q or tail is not spread_disjunct(p, q):
         return None
     marker = constancy_premises(p) + (chain_premise(p, q),)
     if any(m not in premises for m in marker):
@@ -334,43 +330,35 @@ _FO_BINARY = {And: FOAnd, Or: FOOr, Times: FOTimes, Implies: FOImplies}
 def modal_to_fo(f: Formula, i: int = 0) -> FOFormula:
     """Standard translation at the world variable ``x_i``: box quantifies the
     next index universally behind an implication from accessibility, diamond
-    existentially behind a product with it.  Iterative, one image per
-    (subformula, world index)."""
-    done: dict[tuple[Formula, int], FOFormula] = {}
-    stack = [(f, i)]
-    while stack:
-        g, k = key = stack[-1]
-        if key in done:
-            stack.pop()
-            continue
+    existentially behind a product with it.  Two passes over the post-order:
+    parents first, the world indices each subformula is needed at (a modal
+    body one past its parent's); then children first, one image per
+    (subformula, index)."""
+    nodes = postorder([f])
+    need: dict[Formula, set[int]] = {g: set() for g in nodes}
+    need[f].add(i)
+    for g in reversed(nodes):
         if isinstance(g, (Box, Diamond)):
-            kids = [(g.body, k + 1)]
-        elif isinstance(g, (Const0, Const1, Var)):
-            kids = []
-        else:
-            kids = [(g.left, k), (g.right, k)]
-        todo = [c for c in kids if c not in done]
-        if todo:
-            stack += todo
-            continue
-        stack.pop()
-        if isinstance(g, Const0):
-            done[key] = FOConst(0)
-        elif isinstance(g, Const1):
-            done[key] = FOConst(1)
-        elif isinstance(g, Var):
-            done[key] = FOPred(f"P_{g.name}", (f"x{k}",))
-        elif isinstance(g, Box):
-            done[key] = FOForall(f"x{k + 1}",
-                                 FOImplies(FOPred("R", (f"x{k}", f"x{k + 1}")),
-                                           done[kids[0]]))
-        elif isinstance(g, Diamond):
-            done[key] = FOExists(f"x{k + 1}",
-                                 FOTimes(FOPred("R", (f"x{k}", f"x{k + 1}")),
-                                         done[kids[0]]))
-        else:
-            done[key] = _FO_BINARY[type(g)](done[kids[0]], done[kids[1]])
-    return done[f, i]
+            need[g.body].update(k + 1 for k in need[g])
+        elif type(g) in _FO_BINARY:
+            need[g.left] |= need[g]
+            need[g.right] |= need[g]
+    image: dict[tuple[Formula, int], FOFormula] = {}
+    for g in nodes:
+        for k in need[g]:
+            if isinstance(g, Var):
+                image[g, k] = FOPred(f"P_{g.name}", (f"x{k}",))
+            elif isinstance(g, (Box, Diamond)):
+                step = FOPred("R", (f"x{k}", f"x{k + 1}"))
+                body = image[g.body, k + 1]
+                image[g, k] = (FOForall(f"x{k + 1}", FOImplies(step, body))
+                               if isinstance(g, Box) else
+                               FOExists(f"x{k + 1}", FOTimes(step, body)))
+            elif type(g) in _FO_BINARY:
+                image[g, k] = _FO_BINARY[type(g)](image[g.left, k], image[g.right, k])
+            else:
+                image[g, k] = FOConst(0 if isinstance(g, Const0) else 1)
+    return image[f, i]
 
 
 _FO_OPS = {FOAnd: "/\\", FOOr: "\\/", FOTimes: "*", FOImplies: "->"}

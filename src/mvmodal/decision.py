@@ -34,8 +34,8 @@ from . import lp
 from .algebras import (Algebra, FiniteTable, MVn, ResourceLimitError, StdMV,
                        Value)
 from .formulas import (And, Box, Const0, Const1, Diamond, Formula, Implies,
-                       Or, Times, Var, bottom_up, fresh_names, iff,
-                       is_propositional, postorder, render)
+                       ONE, Or, Times, Var, ZERO, bottom_up, fresh_names,
+                       iff, is_propositional, postorder, render)
 from .kripke import (_OPERATION, KripkeFrame, KripkeModel, Verdict, Witness,
                      evaluate_all)
 
@@ -72,24 +72,18 @@ class _Affine:
     def of_var(cls, name: str) -> "_Affine":
         return cls({name: 1})
 
-    def add(self, other: "_Affine") -> "_Affine":
+    def add(self, other: "_Affine", sign: int = 1) -> "_Affine":
         coeffs = dict(self.coeffs)
         for v, a in other.coeffs.items():
-            c = coeffs.get(v, 0) + a
+            c = coeffs.get(v, 0) + sign * a
             if c:
                 coeffs[v] = c
             else:
                 coeffs.pop(v, None)
-        return _Affine(coeffs, self.const + other.const)
+        return _Affine(coeffs, self.const + sign * other.const)
 
     def sub(self, other: "_Affine") -> "_Affine":
-        return self.add(other.negate())
-
-    def negate(self) -> "_Affine":
-        return _Affine({v: -a for v, a in self.coeffs.items()}, -self.const)
-
-    def shift(self, c) -> "_Affine":
-        return _Affine(dict(self.coeffs), self.const + c)
+        return self.add(other, -1)
 
     @property
     def is_const(self) -> bool:
@@ -119,12 +113,13 @@ def _row(expr: _Affine, sense: str, rhs: int = 0) -> lp.Constraint:
 _ONE_AFF = _Affine({}, 1)
 _ZERO_AFF = _Affine()
 
-# Hähnle's case split (AMAI 1994): operand forms (a, b) -> (e, low, high)
+# Hähnle's case split (AMAI 1994): operand forms (a, b) -> (e, low, high),
+# where the regime ``e <= 0`` is explored first
 _REGIMES = {
-    Times: lambda a, b: (s := a.add(b).shift(-1), _ZERO_AFF, s),
-    Implies: lambda a, b: (d := a.sub(b), _ONE_AFF, d.negate().shift(1)),
+    Times: lambda a, b: (s := a.add(b).sub(_ONE_AFF), _ZERO_AFF, s),
+    Implies: lambda a, b: (d := a.sub(b), _ONE_AFF, _ONE_AFF.sub(d)),
     And: lambda a, b: (a.sub(b), a, b),
-    Or: lambda a, b: (a.sub(b), b, a),
+    Or: lambda a, b: (b.sub(a), a, b),
 }
 
 
@@ -136,7 +131,7 @@ class _LukSystem:
     ``_REGIMES``: it folds to ``low`` when the [0, 1] bounds of ``e`` give
     ``e <= 0``, to ``high`` when they give ``e >= 0``, and otherwise becomes
     a case-split node ``t`` with the two regimes ``e <= 0, t == low`` and
-    ``e >= 0, t == high`` (in the other order for ``Or``).
+    ``e >= 0, t == high``, explored in that order.
     """
 
     def __init__(self, gamma: Sequence[Formula], phi: Formula):
@@ -210,11 +205,8 @@ class _LukSystem:
                 else:
                     var = self._node_var.setdefault(f, f"n:{len(self._node_var)}")
                     t = aff[f] = _Affine.of_var(var)
-                    regimes = [[_row(e, "<="), _row(t.sub(low), "==")],
-                               [_row(e, ">="), _row(t.sub(high), "==")]]
-                    if isinstance(f, Or):
-                        regimes.reverse()
-                    self.splits.append((f, regimes))
+                    self.splits.append((f, [[_row(e, "<="), _row(t.sub(low), "==")],
+                                            [_row(e, ">="), _row(t.sub(high), "==")]]))
                     self.split_forms.append((var, e, low, high))
 
     def _build(self) -> None:
@@ -283,7 +275,8 @@ def luk_consequence(gamma: Iterable[Formula], phi: Formula, *,
     from its parent's optimal tableau (``lp.solve_max``'s ``start``): the
     same status and optimum as a solve from scratch, for the cost of
     re-optimising a few appended rows.  The point is read as ints over one
-    denominator; Fractions are built only for the witness.  The guard bounds the number of explored search nodes.
+    denominator; Fractions are built only for the witness.  The guard
+    bounds the number of explored search nodes.
     """
     gamma = tuple(gamma)
     try:
@@ -459,15 +452,6 @@ class FrameTranslation:
         return tuple(out)
 
 
-def _fold(cls, items: Sequence[Formula], empty: Formula) -> Formula:
-    if not items:
-        return empty
-    out = items[0]
-    for f in items[1:]:
-        out = cls(out, f)
-    return out
-
-
 @functools.lru_cache(maxsize=1)
 def _star(gamma: tuple[Formula, ...], phi: Formula, worlds: tuple[str, ...]):
     """The edge-independent part of the star translation, in one bottom-up
@@ -504,7 +488,7 @@ def _star(gamma: tuple[Formula, ...], phi: Formula, worlds: tuple[str, ...]):
 
     images = bottom_up(gamma + (phi,), per_world)
     premises = tuple(g for image in images[:-1] for g in image)
-    return premises, _fold(And, images[-1], Const1()), legend, tuple(steps)
+    return premises, functools.reduce(And, images[-1]), legend, tuple(steps)
 
 
 def translate_on_frame(frame: KripkeFrame, gamma: Iterable[Formula],
@@ -521,10 +505,10 @@ def translate_on_frame(frame: KripkeFrame, gamma: Iterable[Formula],
     widx = {w: i for i, w in enumerate(worlds)}
     deltas: dict[str, list[Formula]] = {w: [] for w in worlds}
     for is_box, names, body in steps:
+        op, unit = (And, ONE) if is_box else (Or, ZERO)
         for name, w in zip(names, worlds):
             succ = [body[widx[u]] for u in frame.successors(w)]
-            rhs = _fold(And, succ, Const1()) if is_box else _fold(Or, succ, Const0())
-            deltas[w].append(iff(name, rhs))
+            deltas[w].append(iff(name, functools.reduce(op, succ) if succ else unit))
     return FrameTranslation(frame=frame, premises=premises,
                             deltas={w: tuple(rows) for w, rows in deltas.items()},
                             conclusion=conclusion, legend=dict(legend))

@@ -246,28 +246,29 @@ def unravel(model: KripkeModel, root: str, depth: int) -> KripkeModel:
 
     Each path copy inherits the valuation of its final source world; for any
     formula of modal depth at most ``depth`` the root evaluates as in the
-    source model.
+    source model.  The root keeps its name, and a copy is named by its
+    parent's copy, ``/`` and its source world's name with ``\\`` and ``/``
+    escaped by a backslash, so distinct paths have distinct names.
     """
     if depth < 0:
         raise ValueError("negative depth")
     if root not in model._val:
         raise KeyError(f"unknown world {root!r}")
-    paths = [(root,)]
+    source = {root: root}  # copy -> its final source world
     edges: list[tuple[str, str]] = []
-    frontier = [(root,)]
+    frontier = [root]
     for _ in range(depth):
         nxt = []
-        for path in frontier:
-            for w in model.frame.successors(path[-1]):
-                child = path + (w,)
-                paths.append(child)
-                edges.append(("/".join(path), "/".join(child)))
+        for copy in frontier:
+            for w in model.frame.successors(source[copy]):
+                child = copy + "/" + w.replace("\\", "\\\\").replace("/", "\\/")
+                source[child] = w
+                edges.append((copy, child))
                 nxt.append(child)
         frontier = nxt
-    valuation = {"/".join(p): {v: model.value(p[-1], v) for v in model.variables}
-                 for p in paths}
-    frame = KripkeFrame(["/".join(p) for p in paths], edges)
-    return KripkeModel(frame, model.algebra, valuation)
+    valuation = {copy: {v: model.value(w, v) for v in model.variables}
+                 for copy, w in source.items()}
+    return KripkeModel(KripkeFrame(source, edges), model.algebra, valuation)
 
 
 def _successor_path(frame: KripkeFrame, root: str) -> list[str]:

@@ -129,10 +129,7 @@ def encode(instance: PCPInstance) -> tuple[tuple[Formula, ...], Formula]:
         dx = iff(X, Times(fpow(Box(X), s ** xn.length), fpow(Z, xn.value)))
         dy = iff(Y, Times(fpow(Box(Y), s ** yn.length), fpow(Z, yn.value)))
         disjuncts.append(And(dx, dy))
-    big_or = disjuncts[0]
-    for d in disjuncts[1:]:
-        big_or = Or(big_or, d)
-    premises.append(big_or)
+    premises.append(functools.reduce(Or, disjuncts))
     conclusion = Implies(fpow(iff(X, Y), 2), Or(Implies(X, Times(X, Z)), Z))
     return tuple(premises), conclusion
 

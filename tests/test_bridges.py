@@ -247,6 +247,31 @@ def test_modal_to_fo_examples():
     assert FOPred(name="R", args=("x0", "x1")) is FOPred("R", ("x0", "x1"))
 
 
+@pytest.mark.parametrize("text, i, unicode, ascii_", [
+    ("p /\\ p", 0, "P_p(x0) /\\ P_p(x0)", "P_p(x0) /\\ P_p(x0)"),
+    ("p /\\ p", 2, "P_p(x2) /\\ P_p(x2)", "P_p(x2) /\\ P_p(x2)"),
+    ("[]q * []q", 0, "(∀x1 (R(x0,x1) -> P_q(x1))) * (∀x1 (R(x0,x1) -> P_q(x1)))",
+     "(forall x1 (R(x0,x1) -> P_q(x1))) * (forall x1 (R(x0,x1) -> P_q(x1)))"),
+    ("[]q * []q", 2, "(∀x3 (R(x2,x3) -> P_q(x3))) * (∀x3 (R(x2,x3) -> P_q(x3)))",
+     "(forall x3 (R(x2,x3) -> P_q(x3))) * (forall x3 (R(x2,x3) -> P_q(x3)))"),
+    # the shared []p -> p is needed at two world indices
+    ("([]p -> p) /\\ <>([]p -> p)", 0,
+     "((∀x1 (R(x0,x1) -> P_p(x1))) -> P_p(x0)) /\\ "
+     "(∃x1 (R(x0,x1) * ((∀x2 (R(x1,x2) -> P_p(x2))) -> P_p(x1))))",
+     "((forall x1 (R(x0,x1) -> P_p(x1))) -> P_p(x0)) /\\ "
+     "(exists x1 (R(x0,x1) * ((forall x2 (R(x1,x2) -> P_p(x2))) -> P_p(x1))))"),
+    ("([]p -> p) /\\ <>([]p -> p)", 2,
+     "((∀x3 (R(x2,x3) -> P_p(x3))) -> P_p(x2)) /\\ "
+     "(∃x3 (R(x2,x3) * ((∀x4 (R(x3,x4) -> P_p(x4))) -> P_p(x3))))",
+     "((forall x3 (R(x2,x3) -> P_p(x3))) -> P_p(x2)) /\\ "
+     "(exists x3 (R(x2,x3) * ((forall x4 (R(x3,x4) -> P_p(x4))) -> P_p(x3))))"),
+])
+def test_modal_to_fo_shared_subformulas(text, i, unicode, ascii_):
+    t = modal_to_fo(P(text), i)
+    assert render_fo(t) == unicode
+    assert render_fo(t, ascii_only=True) == ascii_
+
+
 def test_deep_fo_terms_hash_compare_and_print():
     n = 10 ** 4
     f = P("[]" * n + "<> p")

@@ -19,8 +19,9 @@ from mvmodal.decision import (coenumerate_nonconsequences, decide_cardinality,
 from mvmodal.formulas import (ONE, ZERO, And, Box, Diamond, Implies, Or,
                               Times, Var, iff, parse, render, subformulas,
                               variables)
-from mvmodal.kripke import (KripkeFrame, KripkeModel, evaluate, evaluate_all,
-                            globally_satisfies)
+from mvmodal.cli import run
+from mvmodal.kripke import (KripkeFrame, KripkeModel, Verdict, Witness, evaluate,
+                            evaluate_all, globally_satisfies)
 from mvmodal.pcp import Numeral, PCPInstance, encode
 from helpers import (MV3, luk_implies, luk_leaf_oracle, luk_times, naive_eval,
                      random_formula)
@@ -583,3 +584,34 @@ def test_coenumerate_examples():
     out = coenumerate_nonconsequences(
         [((), P("[] p -> p")), ((P("p"),), P("[] p"))], 3)
     assert [e.index for e in out] == [0]
+
+
+def test_luk_recheck_catches_a_point_that_is_no_countermodel(monkeypatch):
+    # accepting the first LP point, with every split's t left free, must
+    # trip the re-check rather than return a false witness
+    monkeypatch.setattr(decision._LukSystem, "violated", lambda self, den, nums: -1)
+    with pytest.raises(RuntimeError, match="^countermodel failed conclusion re-check$"):
+        luk_consequence([], P("(p -> q) \\/ (q -> p)"))
+    with pytest.raises(RuntimeError, match="^countermodel failed premise re-check$"):
+        luk_consequence([P("p \\/ q")], P("p"))
+
+
+def test_frame_recheck_catches_a_backend_that_is_wrong(monkeypatch, tmp_path, capsys):
+    # a backend answer of all zeros, whatever the query
+    monkeypatch.setattr(decision, "luk_consequence",
+                        lambda *args, **kwargs: Verdict(False, Witness(valuation={})))
+    frame = KripkeFrame(["a", "b"], [("a", "b")])
+    with pytest.raises(RuntimeError, match="^folded countermodel failed premise re-check$"):
+        decide_on_frame(frame, [P("p")], P("q"), StdMV())
+    with pytest.raises(RuntimeError,
+                       match="^folded countermodel failed conclusion re-check$"):
+        decide_on_frame(frame, [], P("[]p -> []p"), StdMV())
+    # the CLI reports it as an internal error, not as a failed verdict
+    path = tmp_path / "frame.json"
+    path.write_text('{"worlds": ["a", "b"], "edges": [["a", "b"]]}')
+    code = run(["check", "--frame", str(path), "--algebra", "std-mv",
+                "--premises", "p", "--conclusion", "q"])
+    captured = capsys.readouterr()
+    assert code == 4 and captured.out == ""
+    assert captured.err == ("internal error: RuntimeError: folded countermodel "
+                            "failed premise re-check\n")

@@ -271,6 +271,22 @@ def test_unravel_tree_copy():
     assert len(t.frame.edges) == 2
 
 
+def test_unravel_keeps_paths_apart_when_names_hold_slashes():
+    # the paths r, a/b and r, a, b once shared the copy name "r/a/b"
+    fr = KripkeFrame(["r", "a", "b", "a/b"], [("r", "a/b"), ("r", "a"), ("a", "b")])
+    m = KripkeModel(fr, StdMV(), {w: {"p": F(int(w == "b"))} for w in fr.worlds})
+    t = unravel(m, "r", 2)
+    assert len(t.worlds) == 4 and len(t.frame.edges) == 3
+    assert evaluate(t, "r", parse("<>p")) == evaluate(m, "r", parse("<>p")) == 0
+    assert evaluate(t, "r", parse("<><>p")) == 1
+    # a backslash is escaped too: escaping only "/" would name both the
+    # path r, a\, b and the path r, a/b "r/a\/b"
+    fr = KripkeFrame(["r", "a\\", "b", "a/b"],
+                     [("r", "a\\"), ("a\\", "b"), ("r", "a/b")])
+    t = unravel(KripkeModel(fr, StdMV(), {w: {} for w in fr.worlds}), "r", 2)
+    assert len(t.worlds) == 4 and "r" in t.worlds
+
+
 def test_unravel_evaluation_agreement():
     rng = random.Random(42)
     for _ in range(100):

@@ -1,0 +1,60 @@
+"""The correspondence-problem reduction through the decision procedure.
+
+On the one-world frame over standard MV, ``decide_on_frame`` must refute
+the encoding of an instance exactly when the instance has a solution of
+length 1, and every refutation's generated submodel must extract to
+indices that ``verify_solution`` accepts.  The instances are the base-2
+ones with one or two pairs over the numerals 1, 10 and 11: 9 and 81.
+
+The tests skip the 30 unsolvable instances with two distinct pairs, whose
+case split must be exhausted (up to about 3 s each).  Run this file as a
+script to check all 90:
+
+    PYTHONPATH=src:tests python tests/test_pcp_reduction.py
+"""
+
+import itertools
+
+import pytest
+
+from mvmodal.algebras import StdMV
+from mvmodal.decision import decide_on_frame
+from mvmodal.kripke import KripkeFrame, generated_submodel
+from mvmodal.pcp import (Numeral, PCPInstance, encode, extract_solution,
+                         find_solutions, verify_solution)
+
+NUMERALS = (Numeral(1, 1), Numeral(2, 2), Numeral(3, 2))  # 1, 10 and 11
+PAIRS = list(itertools.product(NUMERALS, NUMERALS))
+INSTANCES = [PCPInstance(2, pairs) for pairs in
+             [(pair,) for pair in PAIRS] + list(itertools.product(PAIRS, PAIRS))]
+
+
+def slow(instance: PCPInstance) -> bool:
+    return len(set(instance.pairs)) > 1 and not find_solutions(instance, 1)
+
+
+def spelled(instance: PCPInstance) -> str:
+    return ",".join(f"{x.value:0{x.length}b}/{y.value:0{y.length}b}"
+                    for x, y in instance.pairs)
+
+
+def check_on_one_world(instance: PCPInstance) -> None:
+    verdict = decide_on_frame(KripkeFrame(["v1"], []), *encode(instance), StdMV())
+    assert verdict.holds != bool(find_solutions(instance, 1)), spelled(instance)
+    if not verdict.holds:
+        w = verdict.witness
+        indices = extract_solution(instance, generated_submodel(w.model, w.world),
+                                   w.world)
+        assert verify_solution(instance, indices), (spelled(instance), indices)
+
+
+@pytest.mark.parametrize("instance", [i for i in INSTANCES if not slow(i)],
+                         ids=spelled)
+def test_pcp_reduction_on_one_world(instance):
+    check_on_one_world(instance)
+
+
+if __name__ == "__main__":
+    for instance in INSTANCES:
+        check_on_one_world(instance)
+    print(f"all {len(INSTANCES)} instances agree")
