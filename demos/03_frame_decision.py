@@ -2,10 +2,12 @@
 
 The decision translates the question into pure propositional consequence:
 fresh variables stand for each source variable at each world and for each
-boxed/diamonded subformula at each world, and delta premises tie the modal
-variables to meets/joins over successors.  Over the standard MV algebra the
-propositional question is settled by exact case-split linear programming;
-over finite chains by lexicographic backtracking.
+boxed/diamonded subformula at each world, and each modal variable is defined
+as the meet/join of its body over the successors.  Over the standard MV
+algebra the definitions are inlined, so only the source variables remain,
+and the question is settled by exact case-split linear programming; over
+finite chains the definitions become delta premises, and lexicographic
+backtracking settles it.
 """
 
 from mvmodal import (KripkeFrame, MVn, StdMV, decide_cardinality,
@@ -23,6 +25,8 @@ print("starred premises:", [render(f) for f in tr.premises])
 for w in frame.worlds:
     print(f"deltas at {w}:", [render(f) for f in tr.deltas[w]])
 print("conclusion:", render(tr.conclusion))
+premises, conclusion = tr.inlined()
+print("inlined for the LP:", [render(f) for f in premises], "|-", render(conclusion))
 
 print("\n== the verdict ==")
 verdict = decide_on_frame(frame, gamma, phi, StdMV())

@@ -14,8 +14,12 @@ already 1.  On top of them sits the frame translation that turns
 global consequence over a fixed finite frame into a propositional consequence
 question, the cardinality-bound decision that conjoins it over one frame per
 isomorphism class of a given size, and the co-enumerator of non-consequences.
-A cardinality sweep translates once and builds only each frame's deltas
-anew, so its verdicts are those of deciding every frame from scratch.
+Each modal name of the translation has a definition, the meet or join of its
+body's images at the successors.  The LP reads the definitions inlined, so
+its only variables are the source variables at each world; the finite sweep
+reads them as delta premises.  A cardinality sweep translates once and builds
+only each frame's definitions anew, so its verdicts are those of deciding
+every frame from scratch.
 
 Every countermodel is re-checked by the Kripke evaluator
 (:func:`mvmodal.kripke.evaluate_all`) before it is returned; a propositional
@@ -35,7 +39,7 @@ from .algebras import (Algebra, FiniteTable, MVn, ResourceLimitError, StdMV,
                        Value)
 from .formulas import (And, Box, Const0, Const1, Diamond, Formula, Implies,
                        ONE, Or, Times, Var, ZERO, bottom_up, fresh_names,
-                       iff, is_propositional, postorder, render)
+                       iff, is_propositional, postorder, rebuild, render)
 from .kripke import (_OPERATION, KripkeFrame, KripkeModel, Verdict, Witness,
                      evaluate_all)
 
@@ -435,8 +439,13 @@ class FrameTranslation:
     """Propositional rendering of global consequence over a fixed frame.
 
     Fresh variables stand for the source variables at each world and for each
-    boxed/diamonded subformula at each world; the deltas tie the latter to
-    the meet/join of their successor translations.
+    boxed/diamonded subformula at each world.  Each modal name's definition
+    is the meet (box) or join (diamond) of its body's images at the world's
+    successors, ``ONE``/``ZERO`` at a world with none, listed in the
+    post-order of the modal subformulas; the deltas pin each name to its
+    definition by ``iff``.  The finite sweep reads the deltas as premises
+    (:meth:`all_premises`); the standard-MV LP reads the definitions
+    inlined (:meth:`inlined`).
     """
 
     frame: KripkeFrame
@@ -444,12 +453,37 @@ class FrameTranslation:
     deltas: dict[str, tuple[Formula, ...]]
     conclusion: Formula
     legend: dict[str, tuple]
+    definitions: dict[str, Formula]
 
     def all_premises(self) -> tuple[Formula, ...]:
         out = list(self.premises)
         for w in self.frame.worlds:
             out.extend(self.deltas[w])
         return tuple(out)
+
+    def inlined(self) -> tuple[tuple[Formula, ...], Formula]:
+        """Premises and conclusion with each modal name replaced by its
+        definition, itself inlined, so only source variables are left and no
+        delta is needed.  One bottom-up pass over the definitions, inner
+        first, then the premises and the conclusion: a name is only read by
+        the definitions of modal subformulas around it, so its image is known
+        before it is reached.  Shared subformulas stay shared, so the result
+        is a DAG linear in the translation."""
+        names_of: dict[int, list[str]] = {}
+        for name, definition in self.definitions.items():
+            names_of.setdefault(id(definition), []).append(name)
+        image: dict[str, Formula] = {}
+
+        def rule(f: Formula, *children: Formula) -> Formula:
+            g = image.get(f.name, f) if isinstance(f, Var) else rebuild(f, *children)
+            for name in names_of.get(id(f), ()):
+                image[name] = g
+            return g
+
+        *premises, conclusion = bottom_up(
+            [*self.definitions.values(), *self.premises, self.conclusion],
+            rule)[len(self.definitions):]
+        return tuple(premises), conclusion
 
 
 @functools.lru_cache(maxsize=1)
@@ -495,23 +529,28 @@ def translate_on_frame(frame: KripkeFrame, gamma: Iterable[Formula],
                        phi: Formula) -> FrameTranslation:
     """Star translation of ``gamma |- phi`` over the given finite frame.
 
-    Everything but the deltas comes from :func:`_star`, which reads only the
-    worlds; the deltas tie each modal subformula's name at a world to the
-    meet (box) or join (diamond) of its body's images at the successors, in
-    the post-order of the modal subformulas.
+    Everything but the definitions and the deltas comes from :func:`_star`,
+    which reads only the worlds.  Each modal subformula's name at a world is
+    defined, in the post-order of the modal subformulas, as the meet (box)
+    or join (diamond) of its body's images at the successors, and its delta
+    is ``iff(name, definition)``.
     """
     worlds = frame.worlds
     premises, conclusion, legend, steps = _star(tuple(gamma), phi, worlds)
     widx = {w: i for i, w in enumerate(worlds)}
+    succ = [[widx[u] for u in frame.successors(w)] for w in worlds]
+    definitions: dict[str, Formula] = {}
     deltas: dict[str, list[Formula]] = {w: [] for w in worlds}
     for is_box, names, body in steps:
         op, unit = (And, ONE) if is_box else (Or, ZERO)
-        for name, w in zip(names, worlds):
-            succ = [body[widx[u]] for u in frame.successors(w)]
-            deltas[w].append(iff(name, functools.reduce(op, succ) if succ else unit))
+        for name, w, s in zip(names, worlds, succ):
+            definition = functools.reduce(op, [body[i] for i in s]) if s else unit
+            definitions[name.name] = definition
+            deltas[w].append(iff(name, definition))
     return FrameTranslation(frame=frame, premises=premises,
                             deltas={w: tuple(rows) for w, rows in deltas.items()},
-                            conclusion=conclusion, legend=dict(legend))
+                            conclusion=conclusion, legend=dict(legend),
+                            definitions=definitions)
 
 
 def decide_on_frame(frame: KripkeFrame, gamma: Iterable[Formula], phi: Formula,
@@ -519,14 +558,16 @@ def decide_on_frame(frame: KripkeFrame, gamma: Iterable[Formula], phi: Formula,
                     branch_guard: int = BRANCH_GUARD_DEFAULT) -> Verdict:
     """Global consequence over all models on a fixed finite frame.
 
-    Fails with a concrete countermodel on the frame, re-checked by the
-    evaluator before being returned.
+    Over the standard MV algebra the LP decides the translation with every
+    modal name's definition inlined (:meth:`FrameTranslation.inlined`), so
+    pinning a premise reaches through the meets; a finite algebra's sweep
+    reads the delta premises.  Fails with a concrete countermodel on the
+    frame, re-checked by the evaluator before being returned.
     """
     gamma = tuple(gamma)
     tr = translate_on_frame(frame, gamma, phi)
     if isinstance(alg, StdMV):
-        res = luk_consequence(tr.all_premises(), tr.conclusion,
-                              branch_guard=branch_guard)
+        res = luk_consequence(*tr.inlined(), branch_guard=branch_guard)
     elif isinstance(alg, (MVn, FiniteTable)):
         res = finite_consequence(alg, tr.all_premises(), tr.conclusion)
     else:
@@ -586,8 +627,8 @@ def decide_cardinality(j: int, gamma: Iterable[Formula], phi: Formula,
 
     The frame classes (once per ``j``), the edge-independent translation
     (memo of ``_star``) and a finite algebra's tables are built once; each
-    frame gets its own deltas and decision, as its edges pick the body
-    images the deltas read, and with them the variables and the witness.
+    frame gets its own definitions and decision, as its edges pick the body
+    images the definitions read, and with them the variables and the witness.
     """
     if j < 1:
         raise ValueError("cardinality must be at least 1")

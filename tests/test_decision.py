@@ -17,8 +17,8 @@ from mvmodal.decision import (coenumerate_nonconsequences, decide_cardinality,
                               decide_on_frame, finite_consequence,
                               luk_consequence, translate_on_frame)
 from mvmodal.formulas import (ONE, ZERO, And, Box, Diamond, Implies, Or,
-                              Times, Var, iff, parse, render, subformulas,
-                              variables)
+                              Times, Var, iff, parse, postorder, render,
+                              subformulas, variables)
 from mvmodal.cli import run
 from mvmodal.kripke import (KripkeFrame, KripkeModel, Verdict, Witness, evaluate,
                             evaluate_all, globally_satisfies)
@@ -145,10 +145,18 @@ def test_baseline_pair_stdmv_solve_count(monkeypatch):
 
 def test_baseline_pair_stdmv_pivot_count(monkeypatch):
     # pinned: a change to the row format must make the very same pivots,
-    # so every tie-break has to stay as Bland's rules say
+    # so every tie-break has to stay as Bland's rules say; the LP reads each
+    # modal name's definition inlined, with no column or pinned rows for it
     pivots = _count_calls(monkeypatch, "_pivot")
     assert decide_cardinality(3, [P("[]p -> p")], P("[][]p -> p"), StdMV()).holds
-    assert pivots[0] == 16_113
+    assert pivots[0] == 8_772
+
+
+def test_k_axiom_stdmv_solve_count(monkeypatch):
+    # pinned: the case split branches the same way under every string hash
+    calls = _count_calls(monkeypatch)
+    assert decide_cardinality(2, [], P("[](p -> q) -> ([]p -> []q)"), StdMV()).holds
+    assert calls[0] == 274
 
 
 def test_unsolvable_pcp_one_chain_solve_count(monkeypatch):
@@ -480,6 +488,37 @@ def test_translate_deep_box_chain():
     assert tr.deltas["w1"] == (iff(Var("xbox0__w0"), Var("p__w1")),) + tuple(
         iff(Var(f"xbox{k}__w0"), Var(f"xbox{k - 1}__w1")) for k in range(1, 2000))
     assert tr.deltas["w2"] == tuple(iff(Var(f"xbox{k}__w1"), ONE) for k in range(2000))
+    # every name inlines to its successor's image: the chain ends at w2's ONE
+    assert tr.inlined() == ((ONE, ONE), And(Var("p__w0"), Var("p__w1")))
+
+
+def test_decide_on_frame_deep_box_chain():
+    p = Var("p")
+    f = p
+    for _ in range(2000):
+        f = Box(f)
+    chain = KripkeFrame(["w1", "w2"], [("w1", "w2")])
+    cycle = KripkeFrame(["w1", "w2"], [("w1", "w2"), ("w2", "w1")])
+    assert not decide_on_frame(chain, [f], p, StdMV()).holds
+    # an even number of boxes around the cycle comes back to p itself
+    assert decide_on_frame(cycle, [f], p, StdMV()).holds
+
+
+def test_translate_definitions_inline_to_successor_meets():
+    fr = KripkeFrame(["w1", "w2", "w3"], [("w1", "w2"), ("w1", "w3"), ("w2", "w3")])
+    tr = translate_on_frame(fr, [P("[]p"), P("[]<>q")], P("p"))
+    assert tr.definitions == {
+        "xbox0__w0": P("p__w1 /\\ p__w2"), "xbox0__w1": Var("p__w2"),
+        "xbox0__w2": ONE, "xdia1__w0": P("q__w1 \\/ q__w2"),
+        "xdia1__w1": Var("q__w2"), "xdia1__w2": ZERO,
+        "xbox2__w0": P("xdia1__w1 /\\ xdia1__w2"), "xbox2__w1": Var("xdia1__w2"),
+        "xbox2__w2": ONE}
+    assert sorted(map(render, tr.all_premises()[6:])) == sorted(
+        render(iff(Var(name), d)) for name, d in tr.definitions.items())
+    # a name inside a definition is replaced by its own inlined definition
+    assert tr.inlined() == ((P("p__w1 /\\ p__w2"), Var("p__w2"), ONE,
+                             P("q__w2 /\\ 0"), ZERO, ONE),
+                            P("p__w0 /\\ p__w1 /\\ p__w2"))
 
 
 def _one_modal_kind(op):
@@ -504,6 +543,45 @@ def test_translate_deltas_read_only_earlier_names(f):
         for row in rows:
             name, rhs = row.left.left.name, row.left.right
             assert all(v < name for v in variables(rhs))
+
+
+_FORMULA_PQ = st.recursive(
+    st.sampled_from([Var("p"), Var("q"), ZERO, ONE]),
+    lambda sub: st.one_of(
+        st.builds(lambda c, a: c(a), st.sampled_from([Box, Diamond]), sub),
+        st.builds(lambda c, a, b: c(a, b), st.sampled_from([And, Or, Times, Implies]),
+                  sub, sub)),
+    max_leaves=6)
+
+
+@st.composite
+def _pair_on_frame(draw):
+    gamma = draw(st.lists(_FORMULA_PQ, max_size=2))
+    phi = draw(_FORMULA_PQ)
+    assume(sum(isinstance(g, (Box, Diamond)) for f in (*gamma, phi)
+               for g in postorder([f])) <= 3)
+    j = draw(st.integers(1, 3))
+    ws = [f"w{i + 1}" for i in range(j)]
+    prs = [(a, b) for a in ws for b in ws]
+    mask = draw(st.integers(0, 2 ** (j * j) - 1))
+    return KripkeFrame(ws, [prs[b] for b in range(j * j) if mask >> b & 1]), gamma, phi
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_pair_on_frame())
+def test_inlined_definitions_decide_as_the_deltas(case):
+    # the LP reads the definitions inlined; the delta system is the same
+    # question with a pinned iff per modal name
+    frame, gamma, phi = case
+    verdict = decide_on_frame(frame, gamma, phi, StdMV())
+    tr = translate_on_frame(frame, gamma, phi)
+    assert verdict.holds == luk_consequence(tr.all_premises(), tr.conclusion).holds
+    # MV3 embeds in [0, 1], so an MV3 countermodel is a standard-MV one; the
+    # guard is raised because it counts the modal names too: 3 worlds x (2
+    # variables + 3 modal names)
+    if not finite_consequence(MVn(3), tr.all_premises(), tr.conclusion,
+                              guard=3 ** 15).holds:
+        assert not verdict.holds
 
 
 def test_decide_on_frame_examples():
