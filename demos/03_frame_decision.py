@@ -1,13 +1,14 @@
 """Deciding global consequence over a fixed finite frame.
 
-The decision translates the question into pure propositional consequence:
-fresh variables stand for each source variable at each world and for each
-boxed/diamonded subformula at each world, and each modal variable is defined
-as the meet/join of its body over the successors.  Over the standard MV
-algebra the definitions are inlined, so only the source variables remain,
-and the question is settled by exact case-split linear programming; over
-finite chains the definitions become delta premises, and lexicographic
-backtracking settles it.
+The decision translates the question into pure propositional consequence.
+The translation is the Kripke evaluator over formulas: with a fresh variable
+for each source variable at each world, a formula's image at a world is its
+value in the model whose values are formulas, so a box is the meet of its
+body's images at the successors.  Over the standard MV algebra exact
+case-split linear programming settles the images.  Over finite chains a
+named copy is read instead, a fresh variable for each boxed/diamonded
+subformula at each world pinned by a delta premise, and lexicographic
+backtracking settles it; the names and deltas are built on first read.
 """
 
 from mvmodal import (KripkeFrame, MVn, StdMV, decide_cardinality,

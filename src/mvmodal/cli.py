@@ -156,8 +156,8 @@ def _cmd_pcp_model(args) -> int:
 def _cmd_pcp_extract(args) -> int:
     instance = load_instance(args.instance)
     model = load_model(args.model)
-    targets = [w for w in model.worlds
-               if all(e[1] != w for e in model.frame.edges)]
+    entered = {b for _, b in model.frame.edges}
+    targets = [w for w in model.worlds if w not in entered]
     if len(targets) != 1:
         raise ValueError("model does not have a unique top world")
     solution = extract_solution(instance, model, targets[0])

@@ -14,12 +14,12 @@ already 1.  On top of them sits the frame translation that turns
 global consequence over a fixed finite frame into a propositional consequence
 question, the cardinality-bound decision that conjoins it over one frame per
 isomorphism class of a given size, and the co-enumerator of non-consequences.
-Each modal name of the translation has a definition, the meet or join of its
-body's images at the successors.  The LP reads the definitions inlined, so
-its only variables are the source variables at each world; the finite sweep
-reads them as delta premises.  A cardinality sweep translates once and builds
-only each frame's definitions anew, so its verdicts are those of deciding
-every frame from scratch.
+The translation is the evaluator over formulas: the LP reads each formula's
+value at each world in the frame's model whose values are formulas, so its
+only variables are the source variables at each world.  The finite sweep reads
+a named copy, one delta premise per modal subformula and world, built on first
+read.  A cardinality sweep names once and builds only each frame's images or
+deltas anew, so its verdicts are those of deciding every frame from scratch.
 
 Every countermodel is re-checked by the Kripke evaluator
 (:func:`mvmodal.kripke.evaluate_all`) before it is returned; a propositional
@@ -39,7 +39,7 @@ from .algebras import (Algebra, FiniteTable, MVn, ResourceLimitError, StdMV,
                        Value)
 from .formulas import (And, Box, Const0, Const1, Diamond, Formula, Implies,
                        ONE, Or, Times, Var, ZERO, bottom_up, fresh_names,
-                       iff, is_propositional, postorder, rebuild, render)
+                       iff, is_propositional, postorder, render)
 from .kripke import (_OPERATION, KripkeFrame, KripkeModel, Verdict, Witness,
                      evaluate_all)
 
@@ -434,65 +434,86 @@ def finite_consequence(alg: Algebra, gamma: Iterable[Formula], phi: Formula, *,
     return _rechecked(alg, gamma, phi, valuation)
 
 
-@dataclass(frozen=True, eq=False)
+class _Formulas(Algebra):
+    """The term carrier: values are formulas, and operations build them."""
+
+    kind = "formulas"
+
+    def require(self, v: Formula) -> Formula:
+        return v
+
+    def _carrier(self, values):
+        return (self.require, self.require, And, Or, Times, Implies, ZERO, ONE)
+
+
 class FrameTranslation:
     """Propositional rendering of global consequence over a fixed frame.
 
-    Fresh variables stand for the source variables at each world and for each
-    boxed/diamonded subformula at each world.  Each modal name's definition
-    is the meet (box) or join (diamond) of its body's images at the world's
-    successors, ``ONE``/``ZERO`` at a world with none, listed in the
-    post-order of the modal subformulas; the deltas pin each name to its
-    definition by ``iff``.  The finite sweep reads the deltas as premises
-    (:meth:`all_premises`); the standard-MV LP reads the definitions
-    inlined (:meth:`inlined`).
+    A formula's image at a world is its value in the frame's model whose
+    values are formulas, each source variable at each world valued by a
+    fresh variable: a box is the meet and a diamond the join of its body's
+    images at the successors, ``ONE``/``ZERO`` at a world with none.  The
+    standard-MV LP reads those images (:meth:`inlined`).  The named premises
+    and conclusion put a fresh name for each modal subformula at each world
+    instead, defined in post-order by the same fold and pinned by an ``iff``
+    delta.  The definitions and deltas are built together on first read;
+    only the finite sweep reads them (:meth:`all_premises`).
     """
 
-    frame: KripkeFrame
-    premises: tuple[Formula, ...]
-    deltas: dict[str, tuple[Formula, ...]]
-    conclusion: Formula
-    legend: dict[str, tuple]
-    definitions: dict[str, Formula]
+    def __init__(self, frame: KripkeFrame, gamma: tuple[Formula, ...],
+                 phi: Formula):
+        self.frame = frame
+        self._source = gamma + (phi,)
+        (self.premises, self.conclusion, legend, self._rows,
+         self._steps) = _star(gamma, phi, frame.worlds)
+        self.legend = dict(legend)
+
+    @functools.cached_property
+    def _named(self) -> tuple[dict[str, Formula], dict[str, tuple[Formula, ...]]]:
+        worlds = self.frame.worlds
+        widx = {w: i for i, w in enumerate(worlds)}
+        succ = [[widx[u] for u in self.frame.successors(w)] for w in worlds]
+        definitions: dict[str, Formula] = {}
+        deltas: dict[str, list[Formula]] = {w: [] for w in worlds}
+        for is_box, names, body in self._steps:
+            op, unit = (And, ONE) if is_box else (Or, ZERO)
+            for name, w, s in zip(names, worlds, succ):
+                definition = functools.reduce(op, [body[i] for i in s]) if s else unit
+                definitions[name.name] = definition
+                deltas[w].append(iff(name, definition))
+        return definitions, {w: tuple(rows) for w, rows in deltas.items()}
+
+    @property
+    def definitions(self) -> dict[str, Formula]:
+        return self._named[0]
+
+    @property
+    def deltas(self) -> dict[str, tuple[Formula, ...]]:
+        return self._named[1]
 
     def all_premises(self) -> tuple[Formula, ...]:
-        out = list(self.premises)
-        for w in self.frame.worlds:
-            out.extend(self.deltas[w])
-        return tuple(out)
+        return tuple(itertools.chain(self.premises, *self.deltas.values()))
 
     def inlined(self) -> tuple[tuple[Formula, ...], Formula]:
-        """Premises and conclusion with each modal name replaced by its
-        definition, itself inlined, so only source variables are left and no
-        delta is needed.  One bottom-up pass over the definitions, inner
-        first, then the premises and the conclusion: a name is only read by
-        the definitions of modal subformulas around it, so its image is known
-        before it is reached.  Shared subformulas stay shared, so the result
-        is a DAG linear in the translation."""
-        names_of: dict[int, list[str]] = {}
-        for name, definition in self.definitions.items():
-            names_of.setdefault(id(definition), []).append(name)
-        image: dict[str, Formula] = {}
-
-        def rule(f: Formula, *children: Formula) -> Formula:
-            g = image.get(f.name, f) if isinstance(f, Var) else rebuild(f, *children)
-            for name in names_of.get(id(f), ()):
-                image[name] = g
-            return g
-
-        *premises, conclusion = bottom_up(
-            [*self.definitions.values(), *self.premises, self.conclusion],
-            rule)[len(self.definitions):]
-        return tuple(premises), conclusion
+        """The images of the premises and the conclusion: one
+        :func:`evaluate_all` pass over the source formulas, so shared
+        subformulas stay shared and the result is linear in the translation."""
+        model = KripkeModel(self.frame, _Formulas(), {
+            w: {p: row[i] for p, row in self._rows.items()}
+            for i, w in enumerate(self.frame.worlds)})
+        *premises, conclusion = evaluate_all(model, self._source)
+        return (tuple(g for col in premises for g in col),
+                functools.reduce(And, conclusion))
 
 
 @functools.lru_cache(maxsize=1)
 def _star(gamma: tuple[Formula, ...], phi: Formula, worlds: tuple[str, ...]):
-    """The edge-independent part of the star translation, in one bottom-up
-    pass: premises, conclusion, legend and, per modal subformula in
-    post-order (innermost first), whether it is a box, its per-world names
-    and its body's per-world images.  Formulas are hash-consed, so the memo
-    serves every frame of a cardinality sweep after the first."""
+    """The edge-independent part of the named translation, in one bottom-up
+    pass: premises, conclusion, legend, each source variable's per-world
+    variables and, per modal subformula in post-order (innermost first),
+    whether it is a box, its per-world names and its body's per-world
+    images.  Formulas are hash-consed, so the memo serves every frame of a
+    cardinality sweep after the first."""
     nodes = postorder(gamma + (phi,))
     source_vars = sorted(f.name for f in nodes if isinstance(f, Var))
     tag = {Box: "box", Diamond: "dia"}
@@ -502,16 +523,16 @@ def _star(gamma: tuple[Formula, ...], phi: Formula, worlds: tuple[str, ...]):
         *(f"x{tag[type(mf)]}{k}__w{i}" for k, mf in enumerate(modal)
           for i in range(len(worlds)))]))
     legend: dict[str, tuple] = {}
-    var_names: dict[str, list[str]] = {}
+    rows: dict[str, tuple[Var, ...]] = {}
     for p in source_vars:
-        var_names[p] = [next(fresh) for _ in worlds]
-        legend.update((name, ("var", p, w)) for name, w in zip(var_names[p], worlds))
+        rows[p] = tuple(Var(next(fresh)) for _ in worlds)
+        legend.update((v.name, ("var", p, w)) for v, w in zip(rows[p], worlds))
     steps: list[tuple[bool, tuple[Formula, ...], tuple[Formula, ...]]] = []
 
     def per_world(f: Formula, *images: tuple[Formula, ...]) -> tuple[Formula, ...]:
-        """The translation of ``f`` at every world."""
+        """The named translation of ``f`` at every world."""
         if isinstance(f, Var):
-            return tuple(map(Var, var_names[f.name]))
+            return rows[f.name]
         if isinstance(f, (Box, Diamond)):
             names = [next(fresh) for _ in worlds]
             legend.update((name, (tag[type(f)], f.body, w))
@@ -522,35 +543,16 @@ def _star(gamma: tuple[Formula, ...], phi: Formula, worlds: tuple[str, ...]):
 
     images = bottom_up(gamma + (phi,), per_world)
     premises = tuple(g for image in images[:-1] for g in image)
-    return premises, functools.reduce(And, images[-1]), legend, tuple(steps)
+    return premises, functools.reduce(And, images[-1]), legend, rows, tuple(steps)
 
 
 def translate_on_frame(frame: KripkeFrame, gamma: Iterable[Formula],
                        phi: Formula) -> FrameTranslation:
-    """Star translation of ``gamma |- phi`` over the given finite frame.
-
-    Everything but the definitions and the deltas comes from :func:`_star`,
-    which reads only the worlds.  Each modal subformula's name at a world is
-    defined, in the post-order of the modal subformulas, as the meet (box)
-    or join (diamond) of its body's images at the successors, and its delta
-    is ``iff(name, definition)``.
-    """
-    worlds = frame.worlds
-    premises, conclusion, legend, steps = _star(tuple(gamma), phi, worlds)
-    widx = {w: i for i, w in enumerate(worlds)}
-    succ = [[widx[u] for u in frame.successors(w)] for w in worlds]
-    definitions: dict[str, Formula] = {}
-    deltas: dict[str, list[Formula]] = {w: [] for w in worlds}
-    for is_box, names, body in steps:
-        op, unit = (And, ONE) if is_box else (Or, ZERO)
-        for name, w, s in zip(names, worlds, succ):
-            definition = functools.reduce(op, [body[i] for i in s]) if s else unit
-            definitions[name.name] = definition
-            deltas[w].append(iff(name, definition))
-    return FrameTranslation(frame=frame, premises=premises,
-                            deltas={w: tuple(rows) for w, rows in deltas.items()},
-                            conclusion=conclusion, legend=dict(legend),
-                            definitions=definitions)
+    """Star translation of ``gamma |- phi`` over the given finite frame, as
+    the view :class:`FrameTranslation`: the named premises, conclusion and
+    legend come from :func:`_star`, which reads only the worlds; the images
+    and the deltas, which read the edges, are built when asked for."""
+    return FrameTranslation(frame, tuple(gamma), phi)
 
 
 def decide_on_frame(frame: KripkeFrame, gamma: Iterable[Formula], phi: Formula,
@@ -558,11 +560,11 @@ def decide_on_frame(frame: KripkeFrame, gamma: Iterable[Formula], phi: Formula,
                     branch_guard: int = BRANCH_GUARD_DEFAULT) -> Verdict:
     """Global consequence over all models on a fixed finite frame.
 
-    Over the standard MV algebra the LP decides the translation with every
-    modal name's definition inlined (:meth:`FrameTranslation.inlined`), so
-    pinning a premise reaches through the meets; a finite algebra's sweep
-    reads the delta premises.  Fails with a concrete countermodel on the
-    frame, re-checked by the evaluator before being returned.
+    Over the standard MV algebra the LP decides the evaluator's images
+    (:meth:`FrameTranslation.inlined`) and no name or delta is built; a
+    finite algebra's sweep reads the delta premises.  Fails with a concrete
+    countermodel on the frame, re-checked by the evaluator before being
+    returned.
     """
     gamma = tuple(gamma)
     tr = translate_on_frame(frame, gamma, phi)
@@ -576,11 +578,9 @@ def decide_on_frame(frame: KripkeFrame, gamma: Iterable[Formula], phi: Formula,
     if res.holds:
         return Verdict(True)
     point = res.witness.valuation
-    valuation: dict[str, dict[str, Value]] = {w: {} for w in frame.worlds}
-    for name, entry in tr.legend.items():
-        if entry[0] == "var":
-            _, p, w = entry
-            valuation[w][p] = point.get(name, alg.zero)
+    valuation: dict[str, dict[str, Value]] = {
+        w: {p: point.get(row[i].name, alg.zero) for p, row in tr._rows.items()}
+        for i, w in enumerate(frame.worlds)}
     model = KripkeModel(frame, alg, valuation)
     *premises, conclusion = evaluate_all(model, gamma + (phi,))
     if any(v != alg.one for col in premises for v in col):
@@ -627,8 +627,8 @@ def decide_cardinality(j: int, gamma: Iterable[Formula], phi: Formula,
 
     The frame classes (once per ``j``), the edge-independent translation
     (memo of ``_star``) and a finite algebra's tables are built once; each
-    frame gets its own definitions and decision, as its edges pick the body
-    images the definitions read, and with them the variables and the witness.
+    frame gets its own images or deltas and decision, as its edges pick the
+    body images a box or diamond reads, and with them the witness.
     """
     if j < 1:
         raise ValueError("cardinality must be at least 1")

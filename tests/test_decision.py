@@ -18,7 +18,7 @@ from mvmodal.decision import (coenumerate_nonconsequences, decide_cardinality,
                               luk_consequence, translate_on_frame)
 from mvmodal.formulas import (ONE, ZERO, And, Box, Diamond, Implies, Or,
                               Times, Var, iff, parse, postorder, render,
-                              subformulas, variables)
+                              subformulas, substitute, variables)
 from mvmodal.cli import run
 from mvmodal.kripke import (KripkeFrame, KripkeModel, Verdict, Witness, evaluate,
                             evaluate_all, globally_satisfies)
@@ -575,6 +575,15 @@ def test_inlined_definitions_decide_as_the_deltas(case):
     frame, gamma, phi = case
     verdict = decide_on_frame(frame, gamma, phi, StdMV())
     tr = translate_on_frame(frame, gamma, phi)
+    # the evaluator over formulas gives the named translation with each
+    # definition substituted, inner first, the very same nodes
+    image = {}
+    for name, definition in tr.definitions.items():
+        image[name] = substitute(definition, image)
+    premises, conclusion = tr.inlined()
+    assert len(premises) == len(tr.premises)
+    assert all(a is substitute(b, image) for a, b in zip(premises, tr.premises))
+    assert conclusion is substitute(tr.conclusion, image)
     assert verdict.holds == luk_consequence(tr.all_premises(), tr.conclusion).holds
     # MV3 embeds in [0, 1], so an MV3 countermodel is a standard-MV one; the
     # guard is raised because it counts the modal names too: 3 worlds x (2
@@ -582,6 +591,24 @@ def test_inlined_definitions_decide_as_the_deltas(case):
     if not finite_consequence(MVn(3), tr.all_premises(), tr.conclusion,
                               guard=3 ** 15).holds:
         assert not verdict.holds
+
+
+def test_stdmv_frame_decision_builds_no_deltas(monkeypatch):
+    # the LP reads the evaluator's images; only the finite sweep reads the
+    # deltas, one iff per modal name per world
+    calls = []
+
+    def counted(a, b):
+        calls.append(a)
+        return iff(a, b)
+
+    monkeypatch.setattr(decision, "iff", counted)
+    fr = KripkeFrame(["w1", "w2"], [("w1", "w2"), ("w2", "w2")])
+    gamma, phi = [P("[](p -> q)"), P("[]p")], P("[]q \\/ <>p")
+    decide_on_frame(fr, gamma, phi, StdMV())
+    assert len(calls) == 0
+    decide_on_frame(fr, gamma, phi, MVn(3))
+    assert len(calls) == 8
 
 
 def test_decide_on_frame_examples():
