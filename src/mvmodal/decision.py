@@ -135,7 +135,10 @@ class _LukSystem:
     ``_REGIMES``: it folds to ``low`` when the [0, 1] bounds of ``e`` give
     ``e <= 0``, to ``high`` when they give ``e >= 0``, and otherwise becomes
     a case-split node ``t`` with the two regimes ``e <= 0, t == low`` and
-    ``e >= 0, t == high``, explored in that order.
+    ``e >= 0, t == high``, explored in that order.  ``base_rows`` holds the
+    rows every search node shares: the pinned implications as ``<=`` rows
+    and the other pinned forms as ``== 1`` rows.  The [0, 1] box of every
+    variable is not a row but the LP's bounds, ``upper``.
     """
 
     def __init__(self, gamma: Sequence[Formula], phi: Formula):
@@ -236,11 +239,10 @@ class _LukSystem:
                     raise _Unsat
             else:
                 self.base_rows.append(_row(a, "==", 1))
-        # upper bounds for every variable in play (lower bounds are implicit);
-        # every row is built from the affine forms, so they name them all
-        self.var_names = sorted({v for a in self.affine.values() for v in a.coeffs})
-        for v in self.var_names:
-            self.base_rows.append(lp.Constraint({v: 1}, "<=", 1))
+        # the [0, 1] box of every variable in play, as the LP's bounds; every
+        # row is built from the affine forms, so they name them all
+        self.upper = dict.fromkeys(
+            sorted({v for a in self.affine.values() for v in a.coeffs}), 1)
 
     def violated(self, den: int, nums: dict) -> int:
         """The index of the split, last first, whose variable the point
@@ -263,8 +265,11 @@ def luk_consequence(gamma: Iterable[Formula], phi: Formula, *,
     ``gamma`` equal to 1?
 
     Decided exactly by a depth-first case split over exact rational LPs.
-    Each search node maximizes ``1 - value(phi)`` over the rows of the
-    regimes chosen on its path, where every split not yet branched on is a
+    When pinning and [0, 1] folding leave ``phi`` the constant 1, it holds
+    with no LP: both are exact at every valuation that satisfies the
+    premises.  Each search node maximizes ``1 - value(phi)`` over the rows
+    of the regimes chosen on its path, with every variable bounded to
+    [0, 1] (the LP's ``upper``), so every split not yet branched on is a
     free ``t`` in [0, 1].  A node whose optimum is not positive is pruned.
     Otherwise its optimal point is read: if it gives every split's ``t``
     its connective's value, it is a countermodel, re-checked by direct
@@ -287,9 +292,12 @@ def luk_consequence(gamma: Iterable[Formula], phi: Formula, *,
         system = _LukSystem(gamma, phi)
     except _Unsat:
         return Verdict(True)
+    conclusion = system.affine[phi]
+    if conclusion.is_const and conclusion.const == 1:
+        return Verdict(True)
 
-    objective = {v: -a for v, a in system.affine[phi].coeffs.items()}
-    offset = 1 - system.affine[phi].const
+    objective = {v: -a for v, a in conclusion.coeffs.items()}
+    offset = 1 - conclusion.const
     explored = 0
     # depth first: each entry is (rows, parent result), and the regimes go
     # on in reverse so the first one is explored first
@@ -301,7 +309,7 @@ def luk_consequence(gamma: Iterable[Formula], phi: Formula, *,
         if explored > branch_guard:
             raise ResourceLimitError(
                 f"case-split guard exceeded ({branch_guard} branches)")
-        res = lp.solve_max(objective, rows, start=parent)
+        res = lp.solve_max(objective, rows, upper=system.upper, start=parent)
         if res.status == "infeasible":
             continue
         if res.status != "optimal":

@@ -1,58 +1,45 @@
 """Exact linear programming over the rationals.
 
 A tableau simplex with Bland's rules: termination is guaranteed and every
-reported optimum or infeasibility is exact.  All variables are implicitly
-nonnegative; upper bounds are ordinary rows.
+reported optimum or infeasibility is exact.  Variables are nonnegative, and
+``upper`` bounds some of them by an integer.
 
 The tableau holds Python ints only.  A row is a dict of its nonzero
-entries: column ``j`` under key ``j``, and the rhs, when nonzero, under
-key 0.  The entries are numerators over one positive denominator, the
-row's own entry in its basic column (whose true value is 1), so the
-denominator needs no slot.  After every update a row is divided by the gcd
-of its entries, which keeps the integers small.  The objective row is a
-dict of the same kind, kept up to a positive factor only, because the
-simplex reads nothing from it but signs.
+entries, column ``j`` under key ``j`` and the rhs, when nonzero, under key
+0, all over the row's own entry in its basic column, and divided by their
+gcd after every update.  The objective row is kept up to a positive
+factor, because the simplex reads only its signs.  A pivot walks only the
+pivot row's entries and skips every row without an entry in its column.
+Dict order is not column order, so every tie-break names its column or
+basic index, and ratios are compared by cross-multiplication.
 
-A pivot walks only the pivot row's entries, skips every row without an
-entry in the pivot column and drops the entries that cancel.  Dict order
-is not column order, so every tie-break names its column or basic index.
-The ratio tests compare ratios by cross-multiplication (the row
-denominators cancel), and Fractions appear only in the returned value and
-point.  Each constraint builds its scaled integer rows once, the first
-time it is solved, and a solve only places them at their columns.  An
-optimal result computes its value from the basic objective columns and
-reads its point from the kept tableau on demand: as Fractions the first
-time ``point`` is read, or as ints over one common denominator by
-``scaled_point``.
+Bounds (Dantzig 1955; Chvátal, *Linear Programming*, ch. 8).  A bounded
+column may be complemented, ``x = u - x̄``, so a nonbasic column sits at 0
+or at its bound ``u``: the entry ``a`` becomes ``-a`` and the rhs ``rhs -
+a*u``, an integer row again.  Each constraint is one ``<=`` row (``>=``
+negated) with its own slack; an ``==`` row's slack has bound 0, and a
+nonbasic fixed column never enters.  The value and the point are read with
+the complemented columns, the point only when asked for.
 
-One path.  Every solve appends rows to an optimal tableau: each appended
-row (an ``==`` row as two ``<=`` rows) gets its own slack, is reduced
-against the basis and so keeps the tableau dual-feasible, and a dual
-simplex restores primal feasibility.  Its rule is Bland's dual rule: the
-leaving row has the smallest basic index among rows with negative rhs
-(kept as a set that each pivot updates from the rows it rewrote), the
-entering column has the least ratio ``obj_j / -a_j`` over the row's
-negative entries (ties to the smallest column), and a leaving row with no
-negative entry proves the system infeasible.
-
-A cold solve starts from the empty system: no rows, a column for every
-variable and the zero objective row.  A zero objective row is
-dual-feasible for every basis, so the dual simplex is its phase 1, and
-there are no artificial columns.  Phase 2 prices in the real objective and
-runs the primal simplex by Bland's rule: the entering column is the
-smallest with a negative reduced cost, the leaving row has the least ratio
-``rhs_i / a_i`` (ties to the smallest basic index).
-
-Warm start.  An optimal result keeps its final tableau, and
-``solve_max(objective, constraints, start=parent)`` appends the rows of
-``constraints`` past the parent's to it; the parent's objective row is
-already optimal, so the dual simplex finishes the solve.  The new columns
-and rows go past the parent's, which stay shared: a warm solve copies only
-the rows that its pivots change.  Status and value are those of any exact
-simplex, but the optimal vertex depends on the pivots:
+Every solve appends rows to an optimal tableau, written over its
+complemented columns and reduced against its basis, so the tableau stays
+dual-feasible; Bland's dual rule restores feasibility.  The leaving row has
+the least basic index among the rows whose basic value is negative or above
+its bound (a set that each pivot updates from the rows it rewrote); a row
+above its bound first complements its basic column, ``d*x̄_b - sum(a_j*x_j)
+= d*u - rhs < 0``.  The entering column has the least ratio ``obj_j /
+-a_j`` over the row's negative entries (ties to the least column); with
+none, the system is infeasible.  A cold solve appends to the empty system,
+whose bounded columns of positive cost start at their bounds.  That makes
+it dual-feasible unless a positive cost has no bound; only then does the
+dual rule run on a zero objective row, and phase 2 price in the objective
+for Bland's primal rule within the bounds: the least column of negative
+reduced cost rises to its own bound (a complement, no pivot) or until a
+basic value reaches 0 or its bound (the least ratio, ties to the least
+basic index).  A warm solve (``start``) shares the parent's rows and copies
+only those its pivots change.  The optimal vertex depends on the pivots;
 ``tests/test_lp_reference.py`` checks status and value against a dense
-two-phase tableau, and that every optimal point is nonnegative, satisfies
-every row and attains the value.
+tableau that has each bound as a row.
 """
 
 from __future__ import annotations
@@ -77,38 +64,36 @@ class Constraint:
     rhs: int | Fraction
 
     @cached_property
-    def _rows(self) -> tuple[tuple[list[tuple[str, int]], int, int], ...]:
-        """The constraint as integer ``<=`` rows (an ``==`` as two), each
-        ``(coefficients, slack entry, rhs)``: the row scaled by the lcm of
-        its denominators, which is the slack's positive entry."""
+    def _row(self) -> tuple[list[tuple[str, int]], int, int, bool]:
+        """The constraint as one integer ``<=`` row ``(coefficients, slack
+        entry, rhs, slack fixed at 0)``, scaled by the lcm of its
+        denominators (the slack's entry), negated for ``>=``."""
         if self.sense not in ("<=", ">=", "=="):
             raise ValueError(f"bad sense {self.sense!r}")
         coeffs = [(v, _exact(a)) for v, a in self.coeffs.items() if a]
         rhs = _exact(self.rhs)
         scale = lcm(rhs.denominator, *(a.denominator for _, a in coeffs))
-        ints = [(v, a.numerator * (scale // a.denominator)) for v, a in coeffs]
-        b = rhs.numerator * (scale // rhs.denominator)
-        rows = []
-        if self.sense != ">=":
-            rows.append((ints, scale, b))
-        if self.sense != "<=":
-            rows.append(([(v, -a) for v, a in ints], scale, -b))
-        return tuple(rows)
+        sign = -1 if self.sense == ">=" else 1
+        ints = [(v, sign * a.numerator * (scale // a.denominator)) for v, a in coeffs]
+        b = sign * rhs.numerator * (scale // rhs.denominator)
+        return ints, scale, b, self.sense == "=="
 
 
 class _Optimum(NamedTuple):
-    """The final tableau of an optimal solve, for warm starts.
-
-    Rows are never changed in place, so a warm start shares them.
-    """
+    """The final tableau of an optimal solve, for warm starts.  Rows are
+    never changed in place, so a warm start shares them."""
 
     objective: dict
-    costs: dict  # objective column -> (numerator, denominator) of its cost
+    upper: dict
+    costs: dict  # objective column -> its cost times ``scale``, an int
+    scale: int
     constraints: tuple  # the constraints solved, a warm start's prefix
     index: dict  # variable name -> column
     tableau: list[dict]
     basis: list[int]
     obj: dict
+    bounds: dict  # column -> its upper bound, 0 for an ``==`` row's slack
+    flipped: set  # the complemented columns
     width: int  # the next free column
 
 
@@ -142,14 +127,11 @@ class LPResult:
     def scaled_point(self) -> tuple[int, dict]:
         """The optimal point as ints over one common denominator: ``(den,
         nums)``, where a variable's value is ``nums[name] / den``, or 0 when
-        ``nums`` lacks it.  A basic variable's value is its row's rhs over
-        its basic entry, so ``den`` is the lcm of those entries."""
+        ``nums`` lacks it."""
         opt = self.optimum
         at = {j: v for v, j in opt.index.items()}
-        rows = [(at[b], r[0], r[b]) for r, b in zip(opt.tableau, opt.basis)
-                if 0 in r and b in at]
-        den = lcm(1, *(d for _, _, d in rows))
-        return den, {v: n * (den // d) for v, n, d in rows}
+        den, nums = _scaled(opt, at)
+        return den, {at[j]: n for j, n in nums.items()}
 
     def __eq__(self, other):
         if not isinstance(other, LPResult):
@@ -167,6 +149,30 @@ def _exact(a) -> Fraction | int:
     if isinstance(a, float):
         raise TypeError("floats are not exact; use Fraction")
     return a if isinstance(a, (int, Fraction)) else Fraction(a)
+
+
+def _bound(u) -> int:
+    """An upper bound as an int; it must be a nonnegative integer."""
+    u = _exact(u)
+    if u < 0 or u.denominator != 1:
+        raise ValueError(f"an upper bound must be a nonnegative integer, not {u!r}")
+    return int(u)
+
+
+def _scaled(opt: _Optimum, cols) -> tuple[int, dict]:
+    """The values of the columns ``cols`` as ints over one denominator, the
+    lcm of their rows' basic entries (a column missing from the result is
+    0).  A basic value is its row's rhs over its basic entry; a complemented
+    column's value is its bound minus that."""
+    flipped, bounds = opt.flipped, opt.bounds
+    rows = [(b, r.get(0, 0), r[b]) for r, b in zip(opt.tableau, opt.basis)
+            if b in cols and (0 in r or b in flipped)]
+    den = lcm(1, *(d for _, _, d in rows))
+    nums = {j: bounds[j] * den for j in flipped if j in cols}
+    for b, n, d in rows:
+        n *= den // d
+        nums[b] = bounds[b] * den - n if b in flipped else n
+    return den, nums
 
 
 def _eliminate(r: dict, prow: dict, p: int, f: int) -> dict:
@@ -188,6 +194,17 @@ def _eliminate(r: dict, prow: dict, p: int, f: int) -> dict:
     if g > 1:
         out = {j: x // g for j, x in out.items()}
     return out
+
+
+def _complement(r: dict, col: int, u: int, basic: bool = False) -> dict:
+    """Row ``r`` with column ``col`` complemented (bound ``u``), negated too
+    when ``col`` is its basic column, so the basic entry stays positive."""
+    out = dict(r)
+    out[col] = -r[col]
+    out.pop(0, None)
+    if x := r.get(0, 0) - r[col] * u:
+        out[0] = x
+    return {j: -a for j, a in out.items()} if basic else out
 
 
 def _pivot(tableau: list[dict], obj: dict, basis: list[int], row: int,
@@ -214,46 +231,67 @@ def _pivot(tableau: list[dict], obj: dict, basis: list[int], row: int,
     return rewrote
 
 
-def _run_simplex(tableau: list[dict], obj: dict, basis: list[int]) -> str:
-    """Pivot a feasible tableau until optimal.
-
-    The objective row holds negated costs plus row combinations, so a column
-    with a negative entry improves the maximum; Bland's rule (smallest
-    entering index, smallest basic index on ratio ties) prevents cycling.
-    """
-    while True:
-        col = min((j for j, x in obj.items() if x < 0 < j), default=0)
-        if not col:
-            return "optimal"
-        row = -1
-        best_b = best_a = 0
+def _run_simplex(tableau: list[dict], obj: dict, basis: list[int],
+                 bounds: dict, flipped: set) -> str:
+    """Pivot a feasible tableau until optimal, by Bland's rule within the
+    bounds (see the module docstring).  A negative objective entry is a
+    column that improves the maximum."""
+    while col := min((j for j, x in obj.items() if x < 0 < j and bounds.get(j) != 0),
+                     default=0):
+        # the least step best_x / best_a; row -1 is the column's own bound
+        row, best_x, best_a = -1, bounds.get(col), 1
         for i, r in enumerate(tableau):
-            a = r.get(col, 0)
-            if a > 0:
-                b = r.get(0, 0)
-                # ratio b / a against best_b / best_a, both a's positive
-                d = b * best_a - best_b * a
-                if row < 0 or d < 0 or (d == 0 and basis[i] < basis[row]):
-                    best_b, best_a = b, a
-                    row = i
-        if row < 0:
+            a, b = r.get(col, 0), basis[i]
+            if a > 0:  # the basic value falls to 0
+                x = r.get(0, 0)
+            elif a < 0 and b in bounds:  # it rises to its bound
+                x, a = bounds[b] * r[b] - r.get(0, 0), -a
+            else:
+                continue
+            d = 0 if best_x is None else x * best_a - best_x * a
+            if best_x is None or d < 0 or (d == 0 <= row and b < basis[row]):
+                row, best_x, best_a = i, x, a
+        if best_x is None:
             return "unbounded"
+        if row < 0:
+            tableau[:] = [_complement(r, col, bounds[col]) if col in r else r
+                          for r in tableau]
+            obj[col] = -obj[col]
+            flipped ^= {col}
+            continue
+        if tableau[row][col] < 0:
+            b = basis[row]
+            tableau[row] = _complement(tableau[row], b, bounds[b], basic=True)
+            flipped ^= {b}
         _pivot(tableau, obj, basis, row, col)
+    return "optimal"
 
 
-def _run_dual(tableau: list[dict], obj: dict, basis: list[int],
-              first: int) -> str:
-    """Pivot a dual-feasible tableau until its rhs is nonnegative, by
-    Bland's dual rule (see the module docstring).  The rows before
-    ``first`` have a nonnegative rhs; after that, only the rows a pivot
-    rewrites can change sign."""
-    negative = {i for i in range(first, len(tableau)) if tableau[i].get(0, 0) < 0}
-    while negative:
-        row = min(negative, key=basis.__getitem__)
+def _infeasible(r: dict, b: int, bounds: dict) -> bool:
+    """Is the basic value of row ``r`` negative or above its bound?"""
+    x = r.get(0, 0)
+    return x < 0 or (x > 0 and b in bounds and x > bounds[b] * r[b])
+
+
+def _run_dual(tableau: list[dict], obj: dict, basis: list[int], bounds: dict,
+              flipped: set, first: int) -> str:
+    """Pivot a dual-feasible tableau until every basic value lies in its
+    bounds, by Bland's dual rule (see the module docstring).  The rows
+    before ``first`` are feasible; after that, only the rows a pivot
+    rewrites can change."""
+    bad = {i for i in range(first, len(tableau))
+           if _infeasible(tableau[i], basis[i], bounds)}
+    while bad:
+        row = min(bad, key=basis.__getitem__)
+        r = tableau[row]
+        if r.get(0, 0) > 0:
+            b = basis[row]
+            r = tableau[row] = _complement(r, b, bounds[b], basic=True)
+            flipped ^= {b}
         col = -1
         best_o = best_a = 0
-        for j, a in tableau[row].items():
-            if a < 0 < j:
+        for j, a in r.items():
+            if a < 0 < j and bounds.get(j) != 0:
                 o = obj.get(j, 0)
                 # ratio o / -a against best_o / best_a, both divisors
                 # positive; a tie goes to the smaller column
@@ -264,96 +302,100 @@ def _run_dual(tableau: list[dict], obj: dict, basis: list[int],
         if col < 0:
             return "infeasible"
         rewrote = _pivot(tableau, obj, basis, row, col)
-        negative.difference_update(rewrote)
-        negative.update(i for i in rewrote if tableau[i].get(0, 0) < 0)
+        bad.difference_update(rewrote)
+        bad.update(i for i in rewrote if _infeasible(tableau[i], basis[i], bounds))
     return "optimal"
 
 
-def solve_max(objective: dict, constraints: list[Constraint], *,
-              start: LPResult | None = None) -> LPResult:
-    """Maximize ``objective . x`` subject to the constraints, ``x >= 0``.
+def _priced(costs: dict, flipped: set, tableau: list[dict], basis: list[int]) -> dict:
+    """The objective row of ``costs`` over the complemented columns, reduced
+    against the basis."""
+    obj = {j: c if j in flipped else -c for j, c in costs.items()}
+    for r, b in zip(tableau, basis):
+        if b in obj:
+            obj = _eliminate(obj, r, r[b], obj[b])
+    return obj
 
-    With ``start``, an optimal result of this objective whose constraints
-    are a prefix of ``constraints`` (the same objects), its tableau is
-    re-optimised with the appended rows instead of solving from scratch;
-    any other ``start`` raises ``ValueError``.
+
+def solve_max(objective: dict, constraints: list[Constraint], *,
+              upper: dict | None = None, start: LPResult | None = None) -> LPResult:
+    """Maximize ``objective . x`` subject to the constraints, ``x >= 0`` and
+    ``x <= upper[x]`` for each variable in ``upper`` (nonnegative ints).
+    The point names every variable of the objective, rows and ``upper``.
+
+    With ``start``, an optimal result of this objective and these bounds
+    whose constraints are a prefix of ``constraints`` (the same objects),
+    its tableau is re-optimised with the appended rows instead of solving
+    from scratch; any other ``start`` raises ``ValueError``.
     """
+    upper = {} if upper is None else upper
     if start is None:
-        # the empty system, whose zero objective row is optimal
-        names = sorted(set(objective) | {v for c in constraints for v in c.coeffs})
-        opt = _Optimum(dict(objective), {}, (),
-                       {v: j for j, v in enumerate(names, 1)}, [], [], {},
-                       len(names) + 1)
+        # the empty system, with each bounded column of positive cost at its bound
+        names = sorted({*objective, *upper, *(v for c in constraints for v in c.coeffs)})
+        index = {v: j for j, v in enumerate(names, 1)}
+        costs = {index[v]: e for v, a in objective.items() if (e := _exact(a))}
+        scale = lcm(1, *(a.denominator for a in costs.values()))
+        costs = {j: a.numerator * (scale // a.denominator) for j, a in costs.items()}
+        bounds = {j: _bound(upper[v]) for v, j in index.items() if v in upper}
+        flipped = {j for j, c in costs.items() if c > 0 and j in bounds}
+        primal = any(c > 0 and j not in bounds for j, c in costs.items())
+        opt = _Optimum(dict(objective), upper, costs, scale, (), index, [], [],
+                       {} if primal else _priced(costs, flipped, [], []),
+                       bounds, flipped, len(names) + 1)
     else:
         opt = start.optimum
         if (opt is None or objective != opt.objective
+                or (upper is not opt.upper and upper != opt.upper)
                 or len(constraints) < len(opt.constraints)
                 or not all(map(is_, opt.constraints, constraints))):
             raise ValueError("start must be an optimal result on the same "
-                             "objective whose constraints are a prefix of "
-                             "these")
+                             "objective and bounds whose constraints are a "
+                             "prefix of these")
     appended = constraints[len(opt.constraints):]
-    heads = [row for c in appended for row in c._rows]
 
     # Column layout: the parent's columns, then the new variables, then one
     # slack per new row.  The parent's rows are shared as they are.
-    width = opt.width
     new = sorted({v for c in appended for v in c.coeffs} - opt.index.keys())
-    tableau = list(opt.tableau)
-    basis = list(opt.basis)
-    obj = dict(opt.obj)
-    index = opt.index
+    tableau, basis, obj = list(opt.tableau), list(opt.basis), dict(opt.obj)
+    index, bounds, flipped = opt.index, dict(opt.bounds), set(opt.flipped)
     if new:
-        index = {**index, **{v: j for j, v in enumerate(new, width)}}
-
+        index = {**index, **{v: j for j, v in enumerate(new, opt.width)}}
+        bounds.update((index[v], _bound(upper[v])) for v in new if v in upper)
     where = {b: i for i, b in enumerate(basis)}
-    slack_col = width + len(new)
-    for coeffs, scale, rhs in heads:
-        row = {index[v]: a for v, a in coeffs}
-        row[slack_col] = scale
+    slack = opt.width + len(new)
+    for coeffs, scale, rhs, fixed in [c._row for c in appended]:
+        row = {slack: scale}
+        for v, a in coeffs:
+            j = index[v]
+            if j in flipped:
+                a = -a
+                rhs += a * bounds[j]
+            row[j] = a
         if rhs:
             row[0] = rhs
+        if fixed:
+            bounds[slack] = 0
         # Eliminate the basic columns, so the slack is this row's basic.
         # Only the coefficient columns can be basic: a basic row is zero in
         # every other basic column.
         for v, _ in coeffs:
             i = where.get(index[v])
             if i is not None:
-                r = tableau[i]
-                b = basis[i]
+                r, b = tableau[i], basis[i]
                 row = _eliminate(row, r, r[b], row[b])
         tableau.append(row)
-        basis.append(slack_col)
-        slack_col += 1
+        basis.append(slack)
+        slack += 1
 
-    # the parent's rows are optimal, so only the appended ones can be negative
-    if _run_dual(tableau, obj, basis, len(opt.tableau)) == "infeasible":
+    # the parent's rows are optimal, so only the appended ones can be infeasible
+    if _run_dual(tableau, obj, basis, bounds, flipped, len(opt.tableau)) == "infeasible":
         return LPResult("infeasible")
-    costs = opt.costs
-    if start is None:
-        # Phase 2: price the real objective into the still zero objective
-        # row.
-        costs = {}
-        for v, a in objective.items():
-            a = _exact(a)
-            if a:
-                costs[index[v]] = (a.numerator, a.denominator)
-        scale = lcm(1, *(d for _, d in costs.values()))
-        obj = {j: -n * (scale // d) for j, (n, d) in costs.items()}
-        for r, b in zip(tableau, basis):
-            if b in obj:
-                obj = _eliminate(obj, r, r[b], obj[b])
-        if _run_simplex(tableau, obj, basis) == "unbounded":
+    if start is None and primal:
+        obj = _priced(opt.costs, flipped, tableau, basis)
+        if _run_simplex(tableau, obj, basis, bounds, flipped) == "unbounded":
             return LPResult("unbounded")
-
-    # The value, summed over the basic objective columns; the point is read
-    # from the kept tableau only when asked for.
-    num, den = 0, 1
-    for r, b in zip(tableau, basis):
-        c = costs.get(b)
-        if c is not None and 0 in r:
-            n, d = c[0] * r[0], c[1] * r[b]
-            num, den = num * d + n * den, den * d
-    return LPResult("optimal", Fraction(num, den), optimum=_Optimum(
-        dict(objective), costs, tuple(constraints), index, tableau, basis,
-        obj, slack_col))
+    opt = _Optimum(opt.objective, upper, opt.costs, opt.scale, tuple(constraints),
+                   index, tableau, basis, obj, bounds, flipped, slack)
+    den, nums = _scaled(opt, opt.costs)
+    return LPResult("optimal", Fraction(sum(c * nums.get(j, 0) for j, c in opt.costs.items()),
+                                        den * opt.scale), optimum=opt)

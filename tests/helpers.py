@@ -103,11 +103,12 @@ def random_mv3_model_data(rng: random.Random, max_worlds: int = 4,
     return worlds, edges, valuation
 
 
-def attains(res, objective, rows):
-    """Assert that an optimal LP result's point is nonnegative, satisfies
-    every row and attains the reported value."""
+def attains(res, objective, rows, upper=None):
+    """Assert that an optimal LP result's point is nonnegative and within
+    ``upper``, satisfies every row and attains the reported value."""
     pt = res.point
     assert all(x >= 0 for x in pt.values())
+    assert all(pt[v] <= u for v, u in (upper or {}).items() if v in pt)
     assert sum(a * pt[v] for v, a in objective.items()) == res.value
     for c in rows:
         lhs = sum(a * pt[v] for v, a in c.coeffs.items())
@@ -121,8 +122,9 @@ def random_rational(rng: random.Random, max_den: int = 12) -> F:
 
 def luk_leaf_oracle(gamma, phi, max_splits: int = 10) -> bool | None:
     """Does ``phi`` follow from ``gamma`` over standard MV?  Decided from
-    ``_LukSystem``'s rows alone: every leaf of the case split (one regime per
-    split) is solved cold, with no pruning, branching rule or warm start,
+    ``_LukSystem``'s rows and [0, 1] bounds alone: every leaf of the case
+    split (one regime per split) is solved cold with those bounds, with no
+    pruning, branching rule or warm start,
     and the consequence fails when some leaf's optimum of ``1 - value(phi)``
     is positive.  None, with nothing solved, when there are more than
     ``max_splits`` splits, so more than ``2 ** max_splits`` leaves."""
@@ -136,7 +138,7 @@ def luk_leaf_oracle(gamma, phi, max_splits: int = 10) -> bool | None:
     offset = 1 - system.affine[phi].const
     for leaf in itertools.product(*(regimes for _, regimes in system.splits)):
         res = lp.solve_max(objective, system.base_rows + [
-            row for regime in leaf for row in regime])
+            row for regime in leaf for row in regime], upper=system.upper)
         if res.status == "optimal" and res.value > -offset:
             return False
     return True

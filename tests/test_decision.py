@@ -146,17 +146,33 @@ def test_baseline_pair_stdmv_solve_count(monkeypatch):
 def test_baseline_pair_stdmv_pivot_count(monkeypatch):
     # pinned: a change to the row format must make the very same pivots,
     # so every tie-break has to stay as Bland's rules say; the LP reads each
-    # modal name's definition inlined, with no column or pinned rows for it
+    # modal name's definition inlined, with no column or pinned rows for it.
+    # 8,772 with a ``v <= 1`` row per variable and two rows per ``==``; with
+    # the box as bounds and one slack fixed at 0 per ``==`` row, a complemented
+    # column keeps its variable's index in Bland's rules, where the row
+    # ``v <= 1`` put its slack after every variable, so a few ties go the
+    # other way
     pivots = _count_calls(monkeypatch, "_pivot")
     assert decide_cardinality(3, [P("[]p -> p")], P("[][]p -> p"), StdMV()).holds
-    assert pivots[0] == 8_772
+    assert pivots[0] == 8_778
 
 
 def test_k_axiom_stdmv_solve_count(monkeypatch):
-    # pinned: the case split branches the same way under every string hash
+    # pinned: the case split branches the same way under every string hash.
+    # 274 while every query solved an LP: the frames where the K image folds
+    # to the constant 1 now make no solve
     calls = _count_calls(monkeypatch)
     assert decide_cardinality(2, [], P("[](p -> q) -> ([]p -> []q)"), StdMV()).holds
-    assert calls[0] == 274
+    assert calls[0] == 268
+
+
+def test_pinning_decided_queries_make_no_solve(monkeypatch):
+    # after pinning and [0, 1] folding the conclusion is the constant 1,
+    # which holds at every valuation that satisfies the premises
+    calls = _count_calls(monkeypatch)
+    assert luk_consequence([P("p"), P("p -> q")], P("q")).holds
+    assert decide_cardinality(2, [P("p")], P("[]p"), StdMV()).holds
+    assert calls[0] == 0
 
 
 def test_unsolvable_pcp_one_chain_solve_count(monkeypatch):

@@ -105,3 +105,24 @@ def test_floats_are_rejected():
     res = solve_max({"x": 1}, rows)
     with pytest.raises(TypeError, match="floats are not exact"):
         solve_max({"x": 1}, rows + [Constraint({"x": 1}, "<=", 0.05)], start=res)
+
+
+def test_bounds_are_data():
+    # a bounded column of positive cost starts at its bound: no row needed
+    res = solve_max({"x": F(1), "y": F(-1)}, [], upper={"x": 2, "y": 1, "z": 1})
+    assert res.value == 2 and res.point == {"x": 2, "y": 0, "z": 0}
+    # a bound of 0 fixes the variable, and a bound that cuts off every row
+    # point makes the system infeasible
+    res = solve_max({"x": F(1), "y": F(1)}, [Constraint({"x": 1, "y": 1}, "<=", 3)],
+                    upper={"x": 0})
+    assert res.value == 3 and res.point == {"x": 0, "y": 3}
+    rows = [Constraint({"x": 1}, ">=", F(3, 2))]
+    assert solve_max({"x": F(-1)}, rows, upper={"x": 1}).status == "infeasible"
+    for bad in (F(1, 2), -1):
+        with pytest.raises(ValueError, match="upper bound"):
+            solve_max({"x": 1}, [], upper={"x": bad})
+    # a warm start must keep the parent's bounds
+    res = solve_max({"x": 1}, [], upper={"x": 1})
+    assert solve_max({"x": 1}, [], upper={"x": 1}, start=res).value == 1
+    with pytest.raises(ValueError):
+        solve_max({"x": 1}, [], upper={"x": 2}, start=res)

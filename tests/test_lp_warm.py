@@ -250,9 +250,9 @@ def test_luk_search_same_verdicts_without_start(monkeypatch):
     cold_solve = lp.solve_max
     starts = []
 
-    def cold(objective, constraints, *, start=None):
+    def cold(objective, constraints, *, upper=None, start=None):
         starts.append(start is not None)
-        return cold_solve(objective, constraints)
+        return cold_solve(objective, constraints, upper=upper)
 
     monkeypatch.setattr(lp, "solve_max", cold)
     cold_verdicts = [luk_consequence(g, f) for g, f in queries]
