@@ -10,6 +10,7 @@ from mvmodal import (ExpChain, Numeral, PCPInstance, StdMV,
                      build_chain_model, build_countermodel, encode, evaluate,
                      extract_solution, find_solutions, globally_satisfies,
                      render, verify_solution)
+from mvmodal.formulas import postorder
 
 # pairs ("1", "11") and ("11", "1") in base 2
 instance = PCPInstance(2, ((Numeral(1, 1), Numeral(3, 2)),
@@ -47,3 +48,13 @@ for seq in ([1], [2, 2], [1, 1, 2]):
     top = mm.worlds[-1]
     print(f"  {seq}: premises hold: {globally_satisfies(mm, gamma).holds}, "
           f"conclusion at top = {evaluate(mm, top, phi)}")
+
+print("\n== the encoding grows with the digit count, not with 2^digits ==")
+v = 2 ** 31 + 1  # one pair of equal 32-digit numerals: [1] is a solution
+big = PCPInstance(2, ((Numeral(v, 32), Numeral(v, 32)),))
+gamma, phi = encode(big)
+print(f"32 digits: {len(postorder(gamma + (phi,)))} nodes, "
+      f"{sum(len(render(f)) for f in gamma + (phi,))} characters printed")
+print("  ", render(gamma[-1].left.left))
+mb = build_countermodel(big, [1], ExpChain())
+print("round trip:", extract_solution(big, mb, mb.worlds[-1]))

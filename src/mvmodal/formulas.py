@@ -7,7 +7,10 @@ eliminated while parsing:
 
     ~f        becomes  f -> 0
     f <-> g   becomes  (f -> g) * (g -> f)
-    f^n       becomes  the n-fold product f * (f * ... )
+    f^n       becomes  the n-fold product, by square and multiply
+
+``f^n`` has O(log n) nodes (see :func:`fpow`), and :func:`render` prints
+such a power back as ``(g^n)``.
 
 Formulas are immutable, hash-consed nodes: building a formula equal to a
 live one returns that very object, so identity and structural equality
@@ -231,16 +234,65 @@ def iff(a: Formula, b: Formula) -> Formula:
     return Times(Implies(a, b), Implies(b, a))
 
 
+# fpow squares even powers from here on; below, powers nest to the right
+_SQUARE_FROM = 6
+
+
 def fpow(f: Formula, n: int) -> Formula:
-    """n-fold product of ``f`` with itself, right-nested; ``f^0`` is ``1``."""
+    """n-fold product of ``f`` with itself by square and multiply: an even
+    ``n >= 6`` gives ``h * h`` with ``h = f^(n/2)``, any other ``n >= 1``
+    gives ``f * f^(n-1)``.  Hash-consing makes ``h`` one node, so ``f^n``
+    has O(log n) nodes.  ``f^0`` is ``1``, and powers up to ``f^5`` are the
+    right-nested products ``f * (f * ...)``: text of fewer than three levels
+    of nesting is never a squared power."""
     if n < 0:
         raise ValueError("negative power")
     if n == 0:
         return ONE
+    odd_steps = []  # from n down to a right-nested power
+    while n >= _SQUARE_FROM:
+        odd_steps.append(n % 2)
+        n = n - 1 if n % 2 else n // 2
     out = f
     for _ in range(n - 1):
         out = Times(f, out)
+    for odd in reversed(odd_steps):
+        out = Times(f, out) if odd else Times(out, out)
     return out
+
+
+def _exponent(g: Formula, f: Formula) -> int:
+    """The n that ``fpow(g, n)`` would have, read from ``f`` down to ``g``
+    through squarings ``h * h`` and steps ``g * h``; 0 when ``f`` is no such
+    chain, or has a longer run of steps ``g * h`` than ``fpow`` makes."""
+    scale, extra, run = 1, 0, 0  # f is g^(scale * m + extra) for the m below
+    while f is not g:
+        if not isinstance(f, Times) or run == _SQUARE_FROM:
+            return 0
+        if f.left is f.right:
+            f, scale, run = f.left, 2 * scale, 0
+        elif f.left is g:
+            f, extra, run = f.right, extra + scale, run + 1
+        else:
+            return 0
+    return scale + extra
+
+
+def _as_power(f: Times) -> tuple[Formula, int] | None:
+    """``(g, n)`` with ``n >= 4`` and ``fpow(g, n) is f``, for the least such
+    ``g``; ``None`` when there is none.  Below the leading squarings of
+    ``f`` the base is that node's left factor or the node itself."""
+    r = f.right
+    if f.left is not r and not (isinstance(r, Times) and r.left in (f.left, r.right)):
+        return None  # neither a squaring nor a step g * g^m with m >= 2
+    u = f
+    while isinstance(u, Times) and u.left is u.right:
+        u = u.left
+    for g in (u.left, u) if isinstance(u, Times) else (u,):
+        n = _exponent(g, f)
+        if n >= 4 and fpow(g, n) is f:
+            return g, n
+    return None
 
 
 def variables(f: Formula | Iterable[Formula]) -> frozenset[str]:
@@ -325,6 +377,9 @@ _SYMBOL = {And: "/\\", Or: "\\/", Times: "*", Implies: "->", Box: "[]",
 def _render_parts(f: Formula) -> list:
     if isinstance(f, Var):
         return [f.name]
+    power = _as_power(f) if isinstance(f, Times) else None
+    if power:
+        return ["(", power[0], f"^{power[1]})"]
     if isinstance(f, _Binary):
         return ["(", f.left, f" {_SYMBOL[type(f)]} ", f.right, ")"]
     if isinstance(f, _Unary):
@@ -342,7 +397,8 @@ def _repr_parts(f: _Node) -> list:
 
 
 def render(f: Formula) -> str:
-    """Fully parenthesized concrete syntax; ``parse(render(f)) is f``."""
+    """Fully parenthesized concrete syntax; ``parse(render(f)) is f``.  A
+    product that is ``fpow(g, n)`` with ``n >= 4`` prints as ``(g^n)``."""
     return _spell(f, _render_parts)
 
 

@@ -115,8 +115,10 @@ def encode(instance: PCPInstance) -> tuple[tuple[Formula, ...], Formula]:
     and diamond of p the same value"; "a world with successors keeps z stable
     under box"; and one big disjunction tying x and y at a world to the
     values one step up, shifted by each pair of the instance.  The conclusion
-    is refutable exactly on chain models that spell out a solution.  The
-    last encoding is kept, so a round trip builds it once.
+    is refutable exactly on chain models that spell out a solution.  Its
+    powers are square-and-multiply products, so it has O(L) nodes for
+    numerals of L digits.  The last encoding is kept, so a round trip builds
+    it once.
     """
     s = instance.base
     not_box_zero = neg(Box(ZERO))

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -116,6 +117,30 @@ def test_pcp_pipeline(files, capsys, tmp_path):
                                 "--model", str(mfile)])
     assert code == 0
     assert json.loads(out)["solution"] == [1, 2]
+
+
+@pytest.mark.parametrize("alg, values, expected", [
+    ("std-mv", {"a": "1/2", "b": "1"}, {"a": "0", "b": "1"}),
+    ("exp-chain", {"a": {"pow": "1/3"}, "b": {"pow": "0"}},
+     {"a": {"pow": "1000000000000/3"}, "b": {"pow": "0"}}),
+])
+def test_huge_powers_stay_small(tmp_path, capsys, alg, values, expected):
+    # p^(10^12) has 52 nodes; built as a linear product it would exhaust memory
+    power = "p^1000000000000"
+    model = tmp_path / "m.json"
+    model.write_text(json.dumps({"algebra": {"kind": alg}, "worlds": ["a", "b"],
+                                 "edges": [["a", "b"]],
+                                 "valuation": {w: {"p": v} for w, v in values.items()}}))
+    start = time.perf_counter()
+    code, out = invoke(capsys, ["eval", "--model", str(model), "--conclusion", power])
+    assert code == 0
+    assert json.loads(out) == {"formula": f"({power})", "values": expected}
+    # no propositional decision runs over exp-chain, so its check is on the model
+    where = (["--cardinality", "1", "--algebra", alg] if alg == "std-mv"
+             else ["--model", str(model)])
+    code, out = invoke(capsys, ["check", *where, "--conclusion", f"[]{power} -> []p"])
+    assert code == 0 and json.loads(out) == {"holds": True}
+    assert time.perf_counter() - start < 5
 
 
 def test_determinism(files, capsys):

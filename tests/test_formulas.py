@@ -52,10 +52,47 @@ def test_render_examples():
 
 
 def test_parse_render_round_trip_random():
-    rng = random.Random(20240311)
+    rng, powers = random.Random(20240311), random.Random(5)
     for _ in range(1000):
         f = random_formula(rng, rng.randint(0, 8))
-        assert parse(render(f)) == f
+        g = fpow(random_formula(powers, powers.randint(0, 3)), powers.randint(0, 300))
+        for h in (f, g, Times(f, g), Box(g), fpow(Or(g, f), powers.randint(4, 40))):
+            assert parse(render(h)) is h
+
+
+@pytest.mark.parametrize("base", [p, Box(p), iff(p, q), Times(p, q), ONE],
+                         ids=["p", "box", "iff", "product", "one"])
+def test_powers_print_as_powers_and_round_trip(base):
+    for n in range(201):
+        f = fpow(base, n)
+        assert parse(render(f)) is f, n
+        if n >= 4:
+            assert render(f) == f"({render(base)}^{n})"
+
+
+def test_powers_square_and_multiply():
+    assert fpow(p, 5) is parse("p * (p * (p * (p * p)))")  # right-nested below 6
+    assert fpow(p, 6) is Times(fpow(p, 3), fpow(p, 3))
+    assert fpow(p, 13) is Times(p, Times(fpow(p, 6), fpow(p, 6)))
+    for n in range(1, 1000):
+        assert len(subformulas(fpow(p, n))) <= 2 * n.bit_length(), n
+    huge = fpow(Box(p), 2 ** 64)
+    assert len(subformulas(huge)) <= 2 * 65
+    assert len(render(huge)) < 40 and parse(render(huge)) is huge
+    assert parse("[]p^1000000000000") is fpow(Box(p), 10 ** 12)
+
+
+def test_typed_products_print_as_powers_only_in_fpow_shape():
+    # fpow squares from six factors up, so no product typed with fewer than
+    # three levels of nesting prints as a power
+    for text in ("((p * p) * (p * p))", "((p * (p * p)) * p)",
+                 "(((p * p) * (p * p)) * ((p * p) * (p * p)))"):
+        assert render(parse(text)) == text
+    # below six factors fpow nests to the right, as typed here
+    assert render(parse("p * (p * (p * p))")) == "(p^4)"
+    assert render(parse("p * (p * (p * (p * (p * (p * p)))))")) == "(p * (p * (p^5)))"
+    assert render(Box(fpow(p, 4))) == "([] (p^4))"
+    assert render(fpow(fpow(p, 4), 5)) == "((p^4)^5)"
 
 
 def test_subformulas_examples():

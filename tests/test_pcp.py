@@ -1,12 +1,13 @@
 import itertools
 import random
+import time
 from fractions import Fraction as F
 
 import pytest
 
 from mvmodal.algebras import ExpChain, ExpValue, FiniteTable, MVn, StdMV
-from mvmodal.formulas import (And, Box, Or, Times, Var, parse, render,
-                              variables)
+from mvmodal.formulas import (And, Box, Or, Times, Var, parse, postorder,
+                              render, variables)
 from mvmodal.kripke import (KripkeFrame, KripkeModel, evaluate,
                             globally_satisfies, heights)
 from mvmodal.pcp import (Numeral, PCPInstance, build_chain_model,
@@ -103,6 +104,39 @@ def test_round_trip_encodes_once():
     assert extract_solution(P0, m, m.worlds[-1]) == [1, 2]
     assert encode.cache_info().hits == hits + 1
     assert encode(PCPInstance(P0.base, P0.pairs)) is pair
+
+
+def _timed_round_trip(inst, solution, alg):
+    encode.cache_clear()
+    start = time.perf_counter()
+    gamma, phi = encode(inst)
+    m = build_countermodel(inst, solution, alg)
+    assert globally_satisfies(m, gamma).holds
+    assert extract_solution(inst, m, m.worlds[-1]) == solution
+    return time.perf_counter() - start, len(postorder(gamma + (phi,)))
+
+
+@pytest.mark.parametrize("L", [32, 64])
+@pytest.mark.parametrize("alg", [ExpChain(), StdMV()], ids=lambda a: a.kind)
+def test_round_trip_at_scale(L, alg):
+    # fpow squares, so the encoding has O(L) nodes, not O(2^L)
+    v = 2 ** (L - 1) + 1
+    seconds, nodes = _timed_round_trip(
+        PCPInstance(2, ((Numeral(v, L), Numeral(v, L)),)), [1], alg)
+    assert seconds < 1.0 and nodes < 400
+
+
+@pytest.mark.parametrize("alg", [ExpChain(), StdMV()], ids=lambda a: a.kind)
+def test_two_pair_round_trip_at_scale(alg):
+    # a 48-digit word cut as 32 + 16 digits on the x side, 16 + 32 on the y
+    # side: the only solution up to length 2 is [1, 2]
+    word = random.Random(32).getrandbits(48) | 1 << 47 | 1 << 31 | 1 << 15
+    x1, x2 = Numeral(word >> 16, 32), Numeral(word % 2 ** 16, 16)
+    y1, y2 = Numeral(word >> 32, 16), Numeral(word % 2 ** 32, 32)
+    inst = PCPInstance(2, ((x1, y1), (x2, y2)))
+    assert find_solutions(inst, 2) == [[1, 2]]
+    seconds, _ = _timed_round_trip(inst, [1, 2], alg)
+    assert seconds < 1.0
 
 
 def test_encode_zero_valued_numeral():
