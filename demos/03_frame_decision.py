@@ -5,10 +5,11 @@ The translation is the Kripke evaluator over formulas: with a fresh variable
 for each source variable at each world, a formula's image at a world is its
 value in the model whose values are formulas, so a box is the meet of its
 body's images at the successors.  Over the standard MV algebra exact
-case-split linear programming settles the images.  Over finite chains a
-named copy is read instead, a fresh variable for each boxed/diamonded
-subformula at each world pinned by a delta premise, and lexicographic
-backtracking settles it; the names and deltas are built on first read.
+case-split linear programming settles the images; over finite chains
+lexicographic backtracking settles the same images.  The named copy printed
+below, a fresh variable for each boxed/diamonded subformula at each world
+pinned by a delta premise, is built on first read: no backend reads it, and
+the finite search guard counts its variables.
 """
 
 from mvmodal import (KripkeFrame, MVn, StdMV, decide_cardinality,

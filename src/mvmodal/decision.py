@@ -14,12 +14,14 @@ already 1.  On top of them sits the frame translation that turns
 global consequence over a fixed finite frame into a propositional consequence
 question, the cardinality-bound decision that conjoins it over one frame per
 isomorphism class of a given size, and the co-enumerator of non-consequences.
-The translation is the evaluator over formulas: the LP reads each formula's
-value at each world in the frame's model whose values are formulas, so its
-only variables are the source variables at each world.  The finite sweep reads
-a named copy, one delta premise per modal subformula and world, built on first
-read.  A cardinality sweep names once and builds only each frame's images or
-deltas anew, so its verdicts are those of deciding every frame from scratch.
+The translation is the evaluator over formulas: both backends read each
+formula's value at each world in the frame's model whose values are formulas,
+so their only variables are the source variables at each world.  The finite
+sweep's guard still counts a named copy's variables, one per modal subformula
+and world included, and builds that copy only when a cheap bound cannot clear
+it.  A cardinality sweep builds the edge-independent part once and only each
+frame's images anew, so its verdicts are those of deciding every frame from
+scratch.
 
 Every countermodel is re-checked by the Kripke evaluator
 (:func:`mvmodal.kripke.evaluate_all`) before it is returned; a propositional
@@ -39,7 +41,7 @@ from .algebras import (Algebra, FiniteTable, MVn, ResourceLimitError, StdMV,
                        Value)
 from .formulas import (And, Box, Const0, Const1, Diamond, Formula, Implies,
                        ONE, Or, Times, Var, ZERO, bottom_up, fresh_names,
-                       iff, is_propositional, postorder, render)
+                       iff, is_propositional, postorder, render, variables)
 from .kripke import (_OPERATION, KripkeFrame, KripkeModel, Verdict, Witness,
                      evaluate_all)
 
@@ -352,6 +354,12 @@ def _propositional_nodes(formulas: tuple[Formula, ...]) -> list[Formula]:
     return nodes
 
 
+def _check_sweep_size(size: int, depth: int, guard: int) -> None:
+    if size ** depth > guard:
+        raise ResourceLimitError(
+            f"{size}^{depth} valuations exceed the search guard {guard}")
+
+
 def finite_consequence(alg: Algebra, gamma: Iterable[Formula], phi: Formula, *,
                        guard: int = FINITE_SEARCH_GUARD) -> Verdict:
     """Propositional consequence over a finite algebra by backtracking.
@@ -380,9 +388,7 @@ def finite_consequence(alg: Algebra, gamma: Iterable[Formula], phi: Formula, *,
     names = sorted(f.name for f in nodes if isinstance(f, Var))
     size = alg.size
     depth = len(names)
-    if size ** depth > guard:
-        raise ResourceLimitError(
-            f"{size}^{depth} valuations exceed the search guard {guard}")
+    _check_sweep_size(size, depth, guard)
     if 4 * size * size > guard:
         raise ResourceLimitError(
             f"four {size}x{size} operation tables exceed the search "
@@ -460,12 +466,13 @@ class FrameTranslation:
     A formula's image at a world is its value in the frame's model whose
     values are formulas, each source variable at each world valued by a
     fresh variable: a box is the meet and a diamond the join of its body's
-    images at the successors, ``ONE``/``ZERO`` at a world with none.  The
-    standard-MV LP reads those images (:meth:`inlined`).  The named premises
-    and conclusion put a fresh name for each modal subformula at each world
+    images at the successors, ``ONE``/``ZERO`` at a world with none.  Both
+    backends read those images (:meth:`inlined`).  The named premises and
+    conclusion put a fresh name for each modal subformula at each world
     instead, defined in post-order by the same fold and pinned by an ``iff``
-    delta.  The definitions and deltas are built together on first read;
-    only the finite sweep reads them (:meth:`all_premises`).
+    delta.  The definitions and deltas are built together on first read.
+    The named view stays public (demo 3 prints it); internally only the
+    finite guard's exact count reads it (:meth:`all_premises`).
     """
 
     def __init__(self, frame: KripkeFrame, gamma: tuple[Formula, ...],
@@ -568,18 +575,26 @@ def decide_on_frame(frame: KripkeFrame, gamma: Iterable[Formula], phi: Formula,
                     branch_guard: int = BRANCH_GUARD_DEFAULT) -> Verdict:
     """Global consequence over all models on a fixed finite frame.
 
-    Over the standard MV algebra the LP decides the evaluator's images
-    (:meth:`FrameTranslation.inlined`) and no name or delta is built; a
-    finite algebra's sweep reads the delta premises.  Fails with a concrete
-    countermodel on the frame, re-checked by the evaluator before being
-    returned.
+    Both backends decide the evaluator's images
+    (:meth:`FrameTranslation.inlined`): the LP over the standard MV algebra,
+    and the sweep over a finite one, which then searches only the source
+    variables at each world.  The sweep's guard still counts the named
+    translation's variables, one per modal subformula and world included
+    (README, "Guard rails").  The legend bounds that count, so the names,
+    definitions and deltas are built only when ``size ** len(legend)``
+    exceeds the guard.  Fails with a concrete countermodel on the frame,
+    re-checked by the evaluator before being returned.
     """
     gamma = tuple(gamma)
     tr = translate_on_frame(frame, gamma, phi)
     if isinstance(alg, StdMV):
         res = luk_consequence(*tr.inlined(), branch_guard=branch_guard)
     elif isinstance(alg, (MVn, FiniteTable)):
-        res = finite_consequence(alg, tr.all_premises(), tr.conclusion)
+        guard = FINITE_SEARCH_GUARD
+        if alg.size ** len(tr.legend) > guard:
+            named = variables(tr.all_premises() + (tr.conclusion,))
+            _check_sweep_size(alg.size, len(named), guard)
+        res = finite_consequence(alg, *tr.inlined(), guard=guard)
     else:
         raise ValueError(
             f"no propositional decision for {alg.kind}: out of scope")
@@ -635,8 +650,8 @@ def decide_cardinality(j: int, gamma: Iterable[Formula], phi: Formula,
 
     The frame classes (once per ``j``), the edge-independent translation
     (memo of ``_star``) and a finite algebra's tables are built once; each
-    frame gets its own images or deltas and decision, as its edges pick the
-    body images a box or diamond reads, and with them the witness.
+    frame gets its own images and decision, as its edges pick the body
+    images a box or diamond reads, and with them the witness.
     """
     if j < 1:
         raise ValueError("cardinality must be at least 1")

@@ -244,6 +244,27 @@ def test_reduce_and_l2p(capsys, tmp_path):
     assert blob["model"]["valuation"]["a"] == {"p": {"pow": "3/4"}, "t": {"pow": "1"}}
 
 
+def test_documented_frame_guards_exit_3(files, capsys):
+    # README, "Guard rails": the finite guard counts one name per modal
+    # subformula and world, so both trip although few variables are free
+    assert run(["check", "--cardinality", "3", "--algebra", "mv-3",
+                "--premises", "[](p -> q); []p", "--conclusion", "[]q"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("resource guard: 3^15 valuations exceed the "
+                            "search guard 10000000\n")
+    worlds = ["w1", "w2", "w3"]
+    complete = files["dir"] / "complete3.json"
+    complete.write_text(json.dumps(
+        {"worlds": worlds, "edges": [[a, b] for a in worlds for b in worlds]}))
+    assert run(["check", "--frame", str(complete), "--algebra", "mv-4",
+                "--conclusion", "[](p -> q) -> ([]p -> []q)"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("resource guard: 4^15 valuations exceed the "
+                            "search guard 10000000\n")
+
+
 def test_usage_errors(files, capsys):
     assert run(["check", "--conclusion", "p -> ("]) == 2
     assert run(["check", "--frame", files["frame"], "--cardinality", "1",

@@ -1,4 +1,5 @@
 import itertools
+import json
 import os
 import random
 import subprocess
@@ -7,7 +8,7 @@ import tracemalloc
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from mvmodal import algebras, decision, lp
@@ -21,10 +22,10 @@ from mvmodal.formulas import (ONE, ZERO, And, Box, Diamond, Implies, Or,
                               subformulas, substitute, variables)
 from mvmodal.cli import run
 from mvmodal.kripke import (KripkeFrame, KripkeModel, Verdict, Witness, evaluate,
-                            evaluate_all, globally_satisfies)
+                            evaluate_all, globally_satisfies, model_to_json)
 from mvmodal.pcp import Numeral, PCPInstance, encode
-from helpers import (MV3, luk_implies, luk_leaf_oracle, luk_times, naive_eval,
-                     random_formula)
+from helpers import (G3, MV3, luk_implies, luk_leaf_oracle, luk_times,
+                     naive_eval, random_formula)
 
 P = parse
 
@@ -609,9 +610,9 @@ def test_inlined_definitions_decide_as_the_deltas(case):
         assert not verdict.holds
 
 
-def test_stdmv_frame_decision_builds_no_deltas(monkeypatch):
-    # the LP reads the evaluator's images; only the finite sweep reads the
-    # deltas, one iff per modal name per world
+def test_frame_decisions_build_no_deltas(monkeypatch):
+    # both backends read the evaluator's images; within the guard's legend
+    # bound no name, definition or iff delta is built
     calls = []
 
     def counted(a, b):
@@ -624,7 +625,87 @@ def test_stdmv_frame_decision_builds_no_deltas(monkeypatch):
     decide_on_frame(fr, gamma, phi, StdMV())
     assert len(calls) == 0
     decide_on_frame(fr, gamma, phi, MVn(3))
-    assert len(calls) == 8
+    assert len(calls) == 0
+
+
+def _named_sweep(frame, gamma, phi, alg, guard=decision.FINITE_SEARCH_GUARD):
+    """The frame decision as the finite sweep made it over the names and
+    deltas: the first countermodel in the sorted order of the named
+    variables, folded onto the frame."""
+    tr = translate_on_frame(frame, gamma, phi)
+    res = finite_consequence(alg, tr.all_premises(), tr.conclusion, guard=guard)
+    if res.holds:
+        return res
+    point = res.witness.valuation
+    valuation = {w: {} for w in frame.worlds}
+    for name, (kind, p, w) in tr.legend.items():
+        if kind == "var":
+            valuation[w][p] = point.get(name, alg.zero)
+    model = KripkeModel(frame, alg, valuation)
+    world = next(w for w in frame.worlds if evaluate(model, w, phi) != alg.one)
+    return Verdict(False, Witness(world=world, formula=phi, model=model))
+
+
+def _frame_outcome(decide):
+    try:
+        v = decide()
+    except ResourceLimitError as e:
+        return str(e)
+    if v.holds:
+        return True
+    return json.dumps(model_to_json(v.witness.model)), v.witness.world
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_pair_on_frame(), st.sampled_from([MVn(3), MVn(4), G3]),
+       st.integers(2, 8), st.integers(-1, 0))
+@example(case=(KripkeFrame(["w1", "w2"], [("w1", "w2")]), [], P("[] q")),
+         alg=MVn(3), exponent=3, offset=0)
+def test_frame_guard_counts_the_named_translation(case, alg, exponent, offset):
+    # the sweep reads the images, but the guard still counts the named
+    # translation's variables: with the guard lowered, the frame decision
+    # trips exactly when the sweep over the names and deltas does, with the
+    # same message, and otherwise gives the same verdict and witness.  In
+    # the example, w1 has no predecessor, so q at w1 is in the legend but
+    # not in the translation: 3^4 exceeds the guard, the exact 3^3 does not
+    frame, gamma, phi = case
+    guard = alg.size ** exponent + offset
+    named = _frame_outcome(lambda: _named_sweep(frame, gamma, phi, alg, guard))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(decision, "FINITE_SEARCH_GUARD", guard)
+        assert _frame_outcome(lambda: decide_on_frame(frame, gamma, phi, alg)) == named
+
+
+def test_image_sweep_matches_named_sweep():
+    # every name sorts after p, q and r and is a function of them, so the
+    # lexicographically first countermodel is the same in both sweeps
+    rng = random.Random(29)
+    tally = {"holds": 0, "fails": 0, "guard": 0}
+    for _ in range(600):
+        gamma = [random_formula(rng, 3, ("p", "q", "r"))
+                 for _ in range(rng.randint(0, 2))]
+        phi = random_formula(rng, 3, ("p", "q", "r"))
+        ws = [f"w{i + 1}" for i in range(rng.randint(1, 2))]
+        prs = [(a, b) for a in ws for b in ws]
+        frame = KripkeFrame(ws, [e for e in prs if rng.random() < 0.5])
+        alg = rng.choice([MVn(3), MVn(4), G3])
+        named = _frame_outcome(lambda: _named_sweep(frame, gamma, phi, alg))
+        assert _frame_outcome(lambda: decide_on_frame(frame, gamma, phi, alg)) == named
+        tally["holds" if named is True else "guard" if isinstance(named, str)
+              else "fails"] += 1
+    assert min(tally.values()) > 10, tally
+
+
+def test_image_sweep_witness_can_change_after_the_names():
+    # y sorts after the name xdia0__w0, which the named sweep tried first at
+    # 0, forcing y to 1; the image sweep tries y first and stops at 1/2
+    frame = KripkeFrame(["w1"], [("w1", "w1")])
+    phi = P("<> ~y")
+    named = _named_sweep(frame, [], phi, MVn(3))
+    v = decide_on_frame(frame, [], phi, MVn(3))
+    assert named.witness.model.value("w1", "y") == 1
+    assert v.witness.model.value("w1", "y") == F(1, 2)
+    assert evaluate(v.witness.model, v.witness.world, phi) != 1
 
 
 def test_decide_on_frame_examples():
