@@ -20,8 +20,8 @@ from .bridges import (finite_to_global, luk2prod_formula, model_l2p,
                       modal_to_fo, render_fo, rewrite_to_fragment, product_side_premises)
 from .decision import (coenumerate_nonconsequences, decide_cardinality,
                        decide_on_frame)
-from .formulas import (Formula, ParseError, fresh_names, parse, render,
-                       variables)
+from .formulas import (Formula, ParseError, bottom_up, fresh_names, parse,
+                       render, variables)
 from .kripke import (KripkeModel, Verdict, consequence_witness, evaluate_all,
                      frame_from_json, frame_to_json, load_model,
                      model_to_json)
@@ -29,6 +29,9 @@ from .necessitation import verify_separation
 from .pcp import (build_countermodel, encode, extract_solution, load_instance)
 
 __all__ = ["run", "main"]
+
+# the most nodes the printed tree of an l2p or mod2fo formula may have
+_PRINT_GUARD = 10 ** 6
 
 
 def _load_json(path: str):
@@ -66,6 +69,16 @@ def _parse_premises(spec: str | None) -> tuple[Formula, ...]:
             return _parse_list(items, "--premises JSON")
         return tuple(parse(line) for line in text.splitlines() if line.strip())
     return tuple(parse(part) for part in spec.split(";") if part.strip())
+
+
+def _guard_print(f: Formula) -> None:
+    """Refuse to print ``f`` when its tree, the interned DAG expanded as the
+    printers spell it, has more than ``_PRINT_GUARD`` nodes; one pass over
+    the DAG, with the count capped so it stays a small int."""
+    size = bottom_up([f], lambda g, *sizes: min(1 + sum(sizes), _PRINT_GUARD + 1))[0]
+    if size > _PRINT_GUARD:
+        raise ResourceLimitError(
+            f"formula to print exceeds the print guard ({_PRINT_GUARD} nodes)")
 
 
 def _emit(obj, plain: str | None, use_plain: bool) -> None:
@@ -190,6 +203,7 @@ def _cmd_l2p(args) -> int:
     out["product_side_premises"] = [render(f) for f in product_side_premises(x)]
     if phi is not None:
         translated = luk2prod_formula(rewrite_to_fragment(phi), x)
+        _guard_print(translated)
         out["formula"] = render(translated)
         plain_lines.append(out["formula"])
     if model is not None:
@@ -201,6 +215,7 @@ def _cmd_l2p(args) -> int:
 
 def _cmd_mod2fo(args) -> int:
     f = parse(args.conclusion)
+    _guard_print(f)  # the first-order tree grows linearly with f's
     fo = modal_to_fo(f, 0)
     out = {"fo": render_fo(fo), "fo_ascii": render_fo(fo, ascii_only=True)}
     _emit(out, out["fo"], args.plain)

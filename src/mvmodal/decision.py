@@ -312,11 +312,7 @@ def luk_consequence(gamma: Iterable[Formula], phi: Formula, *,
             raise ResourceLimitError(
                 f"case-split guard exceeded ({branch_guard} branches)")
         res = lp.solve_max(objective, rows, upper=system.upper, start=parent)
-        if res.status == "infeasible":
-            continue
-        if res.status != "optimal":
-            raise RuntimeError("bounded system reported unbounded")
-        if res.value <= -offset:
+        if res.status == "infeasible" or res.value <= -offset:
             continue
         den, nums = res.scaled_point()
         k = system.violated(den, nums)

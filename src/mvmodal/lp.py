@@ -1,8 +1,9 @@
 """Exact linear programming over the rationals.
 
-A tableau simplex with Bland's rules: termination is guaranteed and every
+A dual simplex with Bland's rule: termination is guaranteed and every
 reported optimum or infeasibility is exact.  Variables are nonnegative, and
-``upper`` bounds some of them by an integer.
+``upper`` bounds some of them by an integer; every variable of positive
+cost must have a bound, so the maximum is finite.
 
 The tableau holds Python ints only.  A row is a dict of its nonzero
 entries, column ``j`` under key ``j`` and the rhs, when nonzero, under key
@@ -21,25 +22,20 @@ negated) with its own slack; an ``==`` row's slack has bound 0, and a
 nonbasic fixed column never enters.  The value and the point are read with
 the complemented columns, the point only when asked for.
 
-Every solve appends rows to an optimal tableau, written over its
-complemented columns and reduced against its basis, so the tableau stays
-dual-feasible; Bland's dual rule restores feasibility.  The leaving row has
-the least basic index among the rows whose basic value is negative or above
-its bound (a set that each pivot updates from the rows it rewrote); a row
-above its bound first complements its basic column, ``d*x̄_b - sum(a_j*x_j)
-= d*u - rhs < 0``.  The entering column has the least ratio ``obj_j /
--a_j`` over the row's negative entries (ties to the least column); with
-none, the system is infeasible.  A cold solve appends to the empty system,
-whose bounded columns of positive cost start at their bounds.  That makes
-it dual-feasible unless a positive cost has no bound; only then does the
-dual rule run on a zero objective row, and phase 2 price in the objective
-for Bland's primal rule within the bounds: the least column of negative
-reduced cost rises to its own bound (a complement, no pivot) or until a
-basic value reaches 0 or its bound (the least ratio, ties to the least
-basic index).  A warm solve (``start``) shares the parent's rows and copies
-only those its pivots change.  The optimal vertex depends on the pivots;
-``tests/test_lp_reference.py`` checks status and value against a dense
-tableau that has each bound as a row.
+A cold solve starts from the empty system with every column of positive
+cost at its bound, so it is dual-feasible (Koberstein, *The dual simplex
+method*, PhD thesis, Paderborn, 2005).  Every solve appends rows to a
+dual-feasible tableau, written over its complemented columns and reduced
+against its basis, and Bland's dual rule restores feasibility.  The
+leaving row has the least basic index among the rows whose basic value is
+negative or above its bound (a set that each pivot updates from the rows
+it rewrote); a row above its bound first complements its basic column,
+``d*x̄_b - sum(a_j*x_j) = d*u - rhs < 0``.  The entering column has the
+least ratio ``obj_j / -a_j`` over the row's negative entries (ties to the
+least column); with none, the system is infeasible.  A warm solve
+(``start``) shares the parent's rows and copies only those its pivots
+change.  ``tests/test_lp_reference.py`` checks status and value against a
+dense tableau that has each bound as a row.
 """
 
 from __future__ import annotations
@@ -110,7 +106,7 @@ class LPResult:
 
     def __init__(self, status: str, value: Fraction | None = None,
                  point: dict | None = None, optimum: _Optimum | None = None):
-        self.status = status  # "optimal" | "infeasible" | "unbounded"
+        self.status = status  # "optimal" | "infeasible"
         self.value = value
         self.optimum = optimum
         self._point = point
@@ -196,15 +192,14 @@ def _eliminate(r: dict, prow: dict, p: int, f: int) -> dict:
     return out
 
 
-def _complement(r: dict, col: int, u: int, basic: bool = False) -> dict:
-    """Row ``r`` with column ``col`` complemented (bound ``u``), negated too
-    when ``col`` is its basic column, so the basic entry stays positive."""
-    out = dict(r)
-    out[col] = -r[col]
-    out.pop(0, None)
-    if x := r.get(0, 0) - r[col] * u:
+def _complement(r: dict, col: int, u: int) -> dict:
+    """Row ``r`` with its basic column ``col`` complemented (bound ``u``)
+    and negated, so the basic entry stays positive."""
+    out = {j: -a for j, a in r.items() if j}
+    out[col] = r[col]
+    if x := r[col] * u - r.get(0, 0):
         out[0] = x
-    return {j: -a for j, a in out.items()} if basic else out
+    return out
 
 
 def _pivot(tableau: list[dict], obj: dict, basis: list[int], row: int,
@@ -231,42 +226,6 @@ def _pivot(tableau: list[dict], obj: dict, basis: list[int], row: int,
     return rewrote
 
 
-def _run_simplex(tableau: list[dict], obj: dict, basis: list[int],
-                 bounds: dict, flipped: set) -> str:
-    """Pivot a feasible tableau until optimal, by Bland's rule within the
-    bounds (see the module docstring).  A negative objective entry is a
-    column that improves the maximum."""
-    while col := min((j for j, x in obj.items() if x < 0 < j and bounds.get(j) != 0),
-                     default=0):
-        # the least step best_x / best_a; row -1 is the column's own bound
-        row, best_x, best_a = -1, bounds.get(col), 1
-        for i, r in enumerate(tableau):
-            a, b = r.get(col, 0), basis[i]
-            if a > 0:  # the basic value falls to 0
-                x = r.get(0, 0)
-            elif a < 0 and b in bounds:  # it rises to its bound
-                x, a = bounds[b] * r[b] - r.get(0, 0), -a
-            else:
-                continue
-            d = 0 if best_x is None else x * best_a - best_x * a
-            if best_x is None or d < 0 or (d == 0 <= row and b < basis[row]):
-                row, best_x, best_a = i, x, a
-        if best_x is None:
-            return "unbounded"
-        if row < 0:
-            tableau[:] = [_complement(r, col, bounds[col]) if col in r else r
-                          for r in tableau]
-            obj[col] = -obj[col]
-            flipped ^= {col}
-            continue
-        if tableau[row][col] < 0:
-            b = basis[row]
-            tableau[row] = _complement(tableau[row], b, bounds[b], basic=True)
-            flipped ^= {b}
-        _pivot(tableau, obj, basis, row, col)
-    return "optimal"
-
-
 def _infeasible(r: dict, b: int, bounds: dict) -> bool:
     """Is the basic value of row ``r`` negative or above its bound?"""
     x = r.get(0, 0)
@@ -286,7 +245,7 @@ def _run_dual(tableau: list[dict], obj: dict, basis: list[int], bounds: dict,
         r = tableau[row]
         if r.get(0, 0) > 0:
             b = basis[row]
-            r = tableau[row] = _complement(r, b, bounds[b], basic=True)
+            r = tableau[row] = _complement(r, b, bounds[b])
             flipped ^= {b}
         col = -1
         best_o = best_a = 0
@@ -307,21 +266,13 @@ def _run_dual(tableau: list[dict], obj: dict, basis: list[int], bounds: dict,
     return "optimal"
 
 
-def _priced(costs: dict, flipped: set, tableau: list[dict], basis: list[int]) -> dict:
-    """The objective row of ``costs`` over the complemented columns, reduced
-    against the basis."""
-    obj = {j: c if j in flipped else -c for j, c in costs.items()}
-    for r, b in zip(tableau, basis):
-        if b in obj:
-            obj = _eliminate(obj, r, r[b], obj[b])
-    return obj
-
-
 def solve_max(objective: dict, constraints: list[Constraint], *,
               upper: dict | None = None, start: LPResult | None = None) -> LPResult:
     """Maximize ``objective . x`` subject to the constraints, ``x >= 0`` and
     ``x <= upper[x]`` for each variable in ``upper`` (nonnegative ints).
-    The point names every variable of the objective, rows and ``upper``.
+    Every variable of positive cost must be in ``upper``; a cold solve
+    raises ``ValueError`` naming those that are not.  The point names every
+    variable of the objective, rows and ``upper``.
 
     With ``start``, an optimal result of this objective and these bounds
     whose constraints are a prefix of ``constraints`` (the same objects),
@@ -330,17 +281,19 @@ def solve_max(objective: dict, constraints: list[Constraint], *,
     """
     upper = {} if upper is None else upper
     if start is None:
-        # the empty system, with each bounded column of positive cost at its bound
+        # the empty system, with each column of positive cost at its bound
         names = sorted({*objective, *upper, *(v for c in constraints for v in c.coeffs)})
         index = {v: j for j, v in enumerate(names, 1)}
         costs = {index[v]: e for v, a in objective.items() if (e := _exact(a))}
         scale = lcm(1, *(a.denominator for a in costs.values()))
         costs = {j: a.numerator * (scale // a.denominator) for j, a in costs.items()}
         bounds = {j: _bound(upper[v]) for v, j in index.items() if v in upper}
-        flipped = {j for j, c in costs.items() if c > 0 and j in bounds}
-        primal = any(c > 0 and j not in bounds for j, c in costs.items())
+        flipped = {j for j, c in costs.items() if c > 0}
+        if free := sorted(flipped - bounds.keys()):
+            raise ValueError("a variable of positive cost needs an upper bound: "
+                             + ", ".join(repr(names[j - 1]) for j in free))
         opt = _Optimum(dict(objective), upper, costs, scale, (), index, [], [],
-                       {} if primal else _priced(costs, flipped, [], []),
+                       {j: c if j in flipped else -c for j, c in costs.items()},
                        bounds, flipped, len(names) + 1)
     else:
         opt = start.optimum
@@ -390,10 +343,6 @@ def solve_max(objective: dict, constraints: list[Constraint], *,
     # the parent's rows are optimal, so only the appended ones can be infeasible
     if _run_dual(tableau, obj, basis, bounds, flipped, len(opt.tableau)) == "infeasible":
         return LPResult("infeasible")
-    if start is None and primal:
-        obj = _priced(opt.costs, flipped, tableau, basis)
-        if _run_simplex(tableau, obj, basis, bounds, flipped) == "unbounded":
-            return LPResult("unbounded")
     opt = _Optimum(opt.objective, upper, opt.costs, opt.scale, tuple(constraints),
                    index, tableau, basis, obj, bounds, flipped, slack)
     den, nums = _scaled(opt, opt.costs)

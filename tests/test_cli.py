@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -7,7 +8,9 @@ from pathlib import Path
 
 import pytest
 
+from mvmodal.bridges import luk2prod_formula, rewrite_to_fragment
 from mvmodal.cli import run
+from mvmodal.formulas import bottom_up, parse
 from mvmodal.kripke import model_from_json
 
 P0_JSON = {"base": 2, "pairs": [[["1", 1], ["3", 2]], [["3", 2], ["1", 1]]]}
@@ -242,6 +245,38 @@ def test_reduce_and_l2p(capsys, tmp_path):
     blob = json.loads(out)
     assert blob["model"]["algebra"] == {"kind": "exp-chain"}
     assert blob["model"]["valuation"]["a"] == {"p": {"pow": "3/4"}, "t": {"pow": "1"}}
+
+
+def conjunction(k, v):
+    return "(" + " /\\ ".join(f"{v}{i}" for i in range(k)) + ")"
+
+
+def test_print_guard_exits_3(capsys):
+    # README, "Guard rails": the /\ rewrite doubles its left operand, so
+    # the printed tree of 24 nested conjunctions has 83,886,073 nodes; and
+    # p^(10^12) is a small DAG whose first-order tree is not
+    for argv in (["l2p", "--conclusion", conjunction(24, "p")],
+                 ["mod2fo", "--conclusion", "p^1000000000000"]):
+        start = time.perf_counter()
+        assert run(argv) == 3
+        assert time.perf_counter() - start < 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("resource guard: formula to print exceeds "
+                                "the print guard (1000000 nodes)\n")
+
+
+def test_print_guard_passes_a_formula_just_under_it(capsys):
+    text = (f"{conjunction(17, 'p')} -> ({conjunction(15, 'q')} -> "
+            f"({conjunction(14, 'r')} -> {conjunction(13, 's')}))")
+    translated = luk2prod_formula(rewrite_to_fragment(parse(text)), "t")
+    assert bottom_up([translated], lambda g, *sizes: 1 + sum(sizes)) == [942_055]
+    code, out = invoke(capsys, ["l2p", "--conclusion", text])
+    assert code == 0
+    # the bytes printed before the guard existed
+    assert len(out.encode()) == 3_674_370
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "c095bab65bbe8c8e7b2d85de74a3deedf7eaa349b6017a8a78e4065b3982a41f")
 
 
 def test_documented_frame_guards_exit_3(files, capsys):

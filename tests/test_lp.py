@@ -10,7 +10,7 @@ def test_textbook_maximum():
     res = solve_max({"x": F(1), "y": F(1)}, [
         Constraint({"x": F(1), "y": F(2)}, "<=", F(4)),
         Constraint({"x": F(3), "y": F(1)}, "<=", F(6)),
-    ])
+    ], upper={"x": 2, "y": 2})
     assert res.status == "optimal"
     assert res.value == F(14, 5)
     assert res.point == {"x": F(8, 5), "y": F(6, 5)}
@@ -30,13 +30,16 @@ def test_infeasible_and_unbounded():
     res = solve_max({"x": F(1)}, [
         Constraint({"x": F(1)}, "<=", F(1)),
         Constraint({"x": F(1)}, ">=", F(2)),
-    ])
+    ], upper={"x": 1})
     assert res.status == "infeasible"
-    res = solve_max({"x": F(1)}, [Constraint({"y": F(1)}, "<=", F(1))])
-    assert res.status == "unbounded"
-    assert solve_max({"x": F(1)}, []).status == "unbounded"
+    # a positive cost needs a bound, so no maximum is unbounded
+    with pytest.raises(ValueError, match="upper bound: 'x'$"):
+        solve_max({"x": F(1)}, [Constraint({"y": F(1)}, "<=", F(1))])
+    with pytest.raises(ValueError, match="upper bound: 'x', 'z'$"):
+        solve_max({"z": F(1, 2), "y": F(-1), "x": F(1)}, [], upper={"y": 1})
     # a row with no nonzero coefficient
-    assert solve_max({"x": F(1)}, [Constraint({}, "<=", F(-1))]).status == "infeasible"
+    res = solve_max({"x": F(1)}, [Constraint({}, "<=", F(-1))], upper={"x": 1})
+    assert res.status == "infeasible"
 
 
 def test_redundant_rows_and_degeneracy():
@@ -44,13 +47,13 @@ def test_redundant_rows_and_degeneracy():
         Constraint({"x": F(1)}, "==", F(1)),
         Constraint({"x": F(1)}, "==", F(1)),
         Constraint({"x": F(1), "y": F(1)}, "<=", F(1)),
-    ])
+    ], upper={"x": 1})
     assert res.status == "optimal" and res.value == 1 and res.point["y"] == 0
     res = solve_max({"x": F(1)}, [
         Constraint({"x": F(1)}, "<=", F(1)),
         Constraint({}, "==", F(0)),
         Constraint({"x": F(1), "y": F(1)}, ">=", F(1, 2)),
-    ])
+    ], upper={"x": 1})
     assert res.status == "optimal" and res.value == 1 and res.point["y"] == 0
     # no constraints at all
     res = solve_max({}, [])
@@ -70,7 +73,8 @@ def test_random_solutions_are_feasible_and_dominant():
             rows.append(Constraint(coeffs, rng.choice(["<=", ">=", "=="]),
                                    F(rng.randint(-2, 3))))
         obj = {v: F(rng.randint(-3, 3)) for v in names}
-        res = solve_max(obj, rows)
+        upper = {v: rng.randint(1, 4) for v, a in obj.items() if a > 0}
+        res = solve_max(obj, rows, upper=upper)
         if res.status != "optimal":
             continue
 
@@ -87,6 +91,7 @@ def test_random_solutions_are_feasible_and_dominant():
 
         assert feasible(res.point)
         assert all(v >= 0 for v in res.point.values())
+        assert all(res.point[v] <= u for v, u in upper.items())
         # random feasible points never beat the reported optimum
         for _ in range(30):
             pt = {v: F(rng.randint(0, 4), 4) for v in names}
@@ -100,11 +105,12 @@ def test_floats_are_rejected():
                            ({"x": 1}, Constraint({"x": 0.5}, "<=", 1)),
                            ({"x": 0.5}, Constraint({"x": 1}, "<=", 1))):
         with pytest.raises(TypeError, match="floats are not exact"):
-            solve_max(objective, [row])
+            solve_max(objective, [row], upper={"x": 1})
     rows = [Constraint({"x": 1}, "<=", F(1, 10))]
-    res = solve_max({"x": 1}, rows)
+    res = solve_max({"x": 1}, rows, upper={"x": 1})
     with pytest.raises(TypeError, match="floats are not exact"):
-        solve_max({"x": 1}, rows + [Constraint({"x": 1}, "<=", 0.05)], start=res)
+        solve_max({"x": 1}, rows + [Constraint({"x": 1}, "<=", 0.05)],
+                  upper={"x": 1}, start=res)
 
 
 def test_bounds_are_data():
@@ -114,12 +120,12 @@ def test_bounds_are_data():
     # a bound of 0 fixes the variable, and a bound that cuts off every row
     # point makes the system infeasible
     res = solve_max({"x": F(1), "y": F(1)}, [Constraint({"x": 1, "y": 1}, "<=", 3)],
-                    upper={"x": 0})
+                    upper={"x": 0, "y": 3})
     assert res.value == 3 and res.point == {"x": 0, "y": 3}
     rows = [Constraint({"x": 1}, ">=", F(3, 2))]
     assert solve_max({"x": F(-1)}, rows, upper={"x": 1}).status == "infeasible"
     for bad in (F(1, 2), -1):
-        with pytest.raises(ValueError, match="upper bound"):
+        with pytest.raises(ValueError, match="upper bound must be"):
             solve_max({"x": 1}, [], upper={"x": bad})
     # a warm start must keep the parent's bounds
     res = solve_max({"x": 1}, [], upper={"x": 1})

@@ -3,9 +3,11 @@
 The oracle is a dense two-phase Fraction tableau with artificial columns;
 the package reaches feasibility by a dual simplex instead, so the two pivot
 differently and may stop at different optimal vertices.  The oracle reads
-each upper bound as a ``<=`` row.  They must return the same status and
-value, and an optimal point must cover the same variables, be nonnegative
-and within its bounds, satisfy every row and attain the value.
+each upper bound as a ``<=`` row.  Every variable of positive cost has a
+bound, drawn from 1 to 4 where the rows do not already imply one, so no
+system is unbounded.  The two must return the same status and value, and
+an optimal point must cover the same variables, be nonnegative and within
+its bounds, satisfy every row and attain the value.
 """
 
 import random
@@ -37,8 +39,9 @@ def assert_same(objective, rows, upper=None, start=None):
 
 
 def random_system(rng, nvars, nrows, den, box, lo):
-    """Random rows with coefficients in [lo, 3] and rhs in [lo, 2]; lo = 0
-    with den = 1 makes ties in the ratio test common."""
+    """Random rows with coefficients in [lo, 3] and rhs in [lo, 2], and a
+    bound in 1..4 on each variable of positive cost; lo = 0 with den = 1
+    makes ties in the ratio test common."""
     names = [f"v{i}" for i in range(nvars)]
 
     def number(lo, hi):
@@ -60,7 +63,8 @@ def random_system(rng, nvars, nrows, den, box, lo):
             rows.append(Constraint({v: -k * a for v, a in rows[-1].coeffs.items()},
                                    flip, -k * rows[-1].rhs))
     objective = {v: number(-3, 3) for v in rng.sample(names, rng.randint(0, nvars))}
-    return objective, rows
+    upper = {v: rng.randint(1, 4) for v, a in objective.items() if a > 0}
+    return objective, rows, upper
 
 
 def test_random_battery_matches_reference():
@@ -68,17 +72,18 @@ def test_random_battery_matches_reference():
     statuses = set()
     for case in range(600):
         ties = case % 2 == 0
-        objective, rows = random_system(
+        objective, rows, upper = random_system(
             rng, nvars=rng.randint(1, 6), nrows=rng.randint(1, 7),
             den=1 if ties else rng.choice((1, 2, 6)), box=case % 3 != 0,
             lo=0 if ties else -3)
-        statuses.add(assert_same(objective, rows).status)
-    assert statuses == {"optimal", "infeasible", "unbounded"}
+        statuses.add(assert_same(objective, rows, upper).status)
+    assert statuses == {"optimal", "infeasible"}
 
 
 def test_degenerate_vertices_match_reference():
     # many constraints through the origin and through one corner: ties in
-    # the ratio test are decided by the smallest basic index
+    # the ratio test are decided by the smallest basic index.  The rows give
+    # a <= b <= c <= 1, so a bound of 1 on each positive cost cuts nothing
     names = ["a", "b", "c"]
     rows = [Constraint({"a": F(1), "b": F(-1)}, "<=", F(0)),
             Constraint({"b": F(1), "c": F(-1)}, "<=", F(0)),
@@ -90,30 +95,7 @@ def test_degenerate_vertices_match_reference():
             Constraint({"a": F(-1)}, ">=", F(-1))]
     for obj in ({"a": F(1)}, {"a": F(1), "b": F(1)}, {"c": F(-1)},
                 {v: F(1) for v in names}, {}):
-        assert_same(obj, rows)
-
-
-def test_primal_ratio_tie_goes_to_least_basic_index(monkeypatch):
-    # v1 has a positive cost and no bound, so the cold solve runs the dual
-    # simplex on a zero objective and then the primal simplex.  There v1
-    # (column 2) enters and the rows of basic columns 4 and 1 tie at ratio
-    # 0; the row of column 4 comes first in the tableau, but column 1 leaves
-    pivots = []
-    pivot = lp._pivot
-
-    def recording(tableau, obj, basis, row, col):
-        pivots.append((basis[row], col))
-        return pivot(tableau, obj, basis, row, col)
-
-    monkeypatch.setattr(lp, "_pivot", recording)
-    rows = [Constraint({"v0": F(-3)}, "<=", F(0)),
-            Constraint({"v1": F(-3)}, "==", F(0)),
-            Constraint({"v1": F(-1), "v0": F(-2)}, ">=", F(0)),
-            Constraint({"v2": F(3, 2), "v0": F(-1), "v1": F(3, 2)}, "==", F(1))]
-    res = assert_same({"v0": F(-1), "v1": F(1), "v2": F(1)}, rows,
-                      {"v0": 1, "v2": 1})
-    assert res.value == F(2, 3)
-    assert pivots == [(7, 1), (6, 3), (1, 2)]
+        assert_same(obj, rows, {v: 1 for v, a in obj.items() if a > 0})
 
 
 exact = st.fractions(min_value=-4, max_value=4, max_denominator=5)
@@ -126,7 +108,8 @@ def systems(draw):
     rows = draw(st.lists(st.builds(Constraint, coeffs, st.sampled_from(SENSES), exact),
                          min_size=1, max_size=6))
     objective = draw(st.dictionaries(st.sampled_from(names), exact))
-    return objective, rows
+    upper = {v: draw(st.integers(1, 4)) for v, a in objective.items() if a > 0}
+    return objective, rows, upper
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
@@ -138,8 +121,9 @@ def test_hypothesis_matches_reference(system):
 @st.composite
 def bounded_generations(draw):
     """A system with bounds and one to three generations of appended rows.
-    One variable ``v`` has a positive cost and a bound, so a cold solve
-    starts with its column complemented; the first generation tightens it
+    Every variable of positive cost has a bound, so a cold solve starts
+    with its column complemented.  One variable ``v`` has a positive cost
+    for sure; the first generation tightens it
     by the single-variable row ``2v <= 1`` (what ``p * p`` produces) and
     appends an ``==`` row."""
     names = [f"x{i}" for i in range(draw(st.integers(1, 4)))]
@@ -148,6 +132,9 @@ def bounded_generations(draw):
     upper = draw(st.dictionaries(st.sampled_from(names),
                                  st.sampled_from((0, 1, 1, 1, 2, 3))))
     objective = draw(st.dictionaries(st.sampled_from(names), exact))
+    for x, a in objective.items():
+        if a > 0 and x not in upper:
+            upper[x] = draw(st.integers(1, 4))
     v = draw(st.sampled_from(names))
     upper[v] = draw(st.integers(1, 3))
     objective[v] = draw(st.fractions(min_value=F(1, 5), max_value=4, max_denominator=5))
@@ -173,30 +160,20 @@ def test_bounded_generations_match_reference(system):
         res = assert_same(objective, rows, upper, start=res)
 
 
-def test_primal_within_bounds_matches_reference(monkeypatch):
-    """Packing systems where every other variable is bounded, so a cold
-    solve whose positive costs include an unbounded column runs the primal
-    phase: an entering column that reaches its own bound first is
-    complemented, and a basic column that rises to its bound is complemented
-    before it leaves."""
-    steps = {"own bound": 0, "basic bound": 0}
-    in_primal = [False]
-    complement, run_simplex = lp._complement, lp._run_simplex
+def test_above_bound_complements_match_reference(monkeypatch):
+    """Packing systems with every other variable bounded, and every
+    variable of positive cost: a cold solve starts those columns at their
+    bounds, which pushes basic values above theirs, so the dual simplex
+    complements a basic column before it leaves."""
+    complements = 0
+    complement = lp._complement
 
-    def counting(r, col, u, basic=False):
-        if in_primal[0]:
-            steps["basic bound" if basic else "own bound"] += 1
-        return complement(r, col, u, basic)
-
-    def primal(*args):
-        in_primal[0] = True
-        try:
-            return run_simplex(*args)
-        finally:
-            in_primal[0] = False
+    def counting(*args):
+        nonlocal complements
+        complements += 1
+        return complement(*args)
 
     monkeypatch.setattr(lp, "_complement", counting)
-    monkeypatch.setattr(lp, "_run_simplex", primal)
     rng = random.Random(5)
     for _ in range(300):
         names = [f"x{i}" for i in range(rng.randint(2, 4))]
@@ -204,5 +181,8 @@ def test_primal_within_bounds_matches_reference(monkeypatch):
                            rng.choice(("<=", "<=", "==")), rng.randint(1, 4))
                 for _ in range(rng.randint(1, 3))]
         objective = {v: rng.randint(-1, 3) for v in names}
-        assert_same(objective, rows, {v: rng.randint(1, 2) for v in names[::2]})
-    assert min(steps.values()) >= 10, steps
+        upper = {v: rng.randint(1, 2) for v in names[::2]}
+        upper |= {v: rng.randint(1, 4) for v, a in objective.items()
+                  if a > 0 and v not in upper}
+        assert_same(objective, rows, upper)
+    assert complements >= 10, complements

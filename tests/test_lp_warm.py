@@ -4,7 +4,8 @@ Each system is solved cold, then extended over one to three generations of
 appended rows.  Every generation is solved twice, warm from the previous
 generation's result and cold from scratch: the status and value must agree,
 and the warm point must satisfy every constraint and attain the value.  The
-optimal vertex itself may differ.
+optimal vertex itself may differ.  Every variable of positive cost has a
+bound, drawn from 1 to 4 where the rows do not already imply one.
 """
 
 import random
@@ -38,10 +39,10 @@ def check_sparse(res):
         assert 0 not in opt.obj.values()
 
 
-def check_generations(objective, base, generations):
+def check_generations(objective, upper, base, generations):
     """Solve ``base`` cold, then each generation of appended rows warm and
     cold; returns the statuses of the warm solves."""
-    res = solve_max(objective, base)
+    res = solve_max(objective, base, upper=upper)
     check_sparse(res)
     rows = list(base)
     statuses = []
@@ -49,13 +50,13 @@ def check_generations(objective, base, generations):
         if res.status != "optimal":
             break
         rows = rows + extra
-        warm = solve_max(objective, rows, start=res)
-        cold = solve_max(objective, rows)
+        warm = solve_max(objective, rows, upper=upper, start=res)
+        cold = solve_max(objective, rows, upper=upper)
         check_sparse(warm)
         check_sparse(cold)
         assert (warm.status, warm.value) == (cold.status, cold.value)
         if warm.status == "optimal":
-            attains(warm, objective, rows)
+            attains(warm, objective, rows, upper)
         statuses.append(warm.status)
         res = warm
     return statuses
@@ -90,6 +91,7 @@ def test_seeded_generations_match_cold():
         base = [Constraint({v: F(1)}, "<=", F(1)) for v in names] if case % 4 else []
         base += random_rows(rng, names, rng.randint(0, 3), base)
         objective = {v: F(rng.randint(-3, 3)) for v in rng.sample(names, rng.randint(0, len(names)))}
+        upper = {v: rng.randint(1, 4) for v, a in objective.items() if a > 0}
         generations = []
         earlier = list(base)
         for _ in range(rng.randint(1, 3)):
@@ -98,7 +100,7 @@ def test_seeded_generations_match_cold():
             extra = random_rows(rng, pool, rng.randint(1, 3), earlier)
             generations.append(extra)
             earlier += extra
-        seen.update(check_generations(objective, base, generations))
+        seen.update(check_generations(objective, upper, base, generations))
     assert seen == {"optimal", "infeasible"}
 
 
@@ -115,7 +117,8 @@ def extended_systems(draw):
     generations = draw(st.lists(st.lists(row, min_size=1, max_size=3),
                                 min_size=1, max_size=3))
     objective = draw(st.dictionaries(st.sampled_from(names), exact))
-    return objective, base, generations
+    upper = {v: draw(st.integers(1, 4)) for v, a in objective.items() if a > 0}
+    return objective, upper, base, generations
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
@@ -127,8 +130,9 @@ def test_hypothesis_generations_match_cold(system):
 def test_start_must_be_an_optimal_prefix():
     x = Constraint({"x": F(1)}, "<=", F(1))
     y = Constraint({"x": F(1)}, ">=", F(1, 2))
-    res = solve_max({"x": F(1)}, [x])
-    assert solve_max({"x": F(1)}, [x, y], start=res).value == 1
+    upper = {"x": 1}
+    res = solve_max({"x": F(1)}, [x], upper=upper)
+    assert solve_max({"x": F(1)}, [x, y], upper=upper, start=res).value == 1
     bad = [
         ({"x": F(1)}, [Constraint({"x": F(1)}, "<=", F(1)), y]),  # equal, not the same
         ({"x": F(1)}, [y, x]),                                     # not a prefix
@@ -137,24 +141,25 @@ def test_start_must_be_an_optimal_prefix():
     ]
     for objective, rows in bad:
         with pytest.raises(ValueError):
-            solve_max(objective, rows, start=res)
-    infeasible = solve_max({"x": F(1)}, [x, Constraint({"x": F(1)}, ">=", F(2))])
+            solve_max(objective, rows, upper=upper, start=res)
+    infeasible = solve_max({"x": F(1)}, [x, Constraint({"x": F(1)}, ">=", F(2))],
+                           upper=upper)
     assert infeasible.status == "infeasible"
     with pytest.raises(ValueError):
-        solve_max({"x": F(1)}, [x, y], start=infeasible)
+        solve_max({"x": F(1)}, [x, y], upper=upper, start=infeasible)
 
 
 def test_warm_solves_share_the_parent_rows():
     """Rows that no pivot touches stay the parent's own row objects, however
     many columns the descendants append."""
-    objective = {"x": F(1)}
+    objective, upper = {"x": F(1)}, {"x": 1}
     rows = [Constraint({"x": F(1)}, "<=", F(1))]
-    res = solve_max(objective, rows)
+    res = solve_max(objective, rows, upper=upper)
     for k in range(12):
         # new variables with slack rows that are already feasible: no pivot
         rows = rows + [Constraint({f"y_{k}_{i}": F(1)}, "<=", F(1))
                        for i in range(3)]
-        child = solve_max(objective, rows, start=res)
+        child = solve_max(objective, rows, upper=upper, start=res)
         assert child.value == 1
         parent_rows, child_rows = res.optimum.tableau, child.optimum.tableau
         assert len(child_rows) == len(parent_rows) + 3
@@ -174,6 +179,7 @@ def test_lazy_point_survives_children():
         base = [Constraint({v: F(1)}, "<=", F(1)) for v in names]
         base += random_rows(rng, names, rng.randint(0, 3), base)
         objective = {v: F(rng.randint(-3, 3)) for v in names}
+        upper = {v: rng.randint(1, 4) for v, a in objective.items() if a > 0}
         generations = []
         earlier = list(base)
         for _ in range(3):
@@ -181,11 +187,11 @@ def test_lazy_point_survives_children():
             generations.append(extra)
             earlier += extra
         # a twin of the parent whose point is read before any child exists
-        eager = solve_max(objective, base)
+        eager = solve_max(objective, base, upper=upper)
         if eager.status != "optimal":
             continue
         before = eager.point
-        parent = solve_max(objective, base)
+        parent = solve_max(objective, base, upper=upper)
         chain = [parent]
         rows = list(base)
         for extra in generations:
@@ -193,15 +199,15 @@ def test_lazy_point_survives_children():
                 break
             rows = rows + extra
             # two siblings, so the parent's rows are shared
-            solve_max(objective, rows, start=chain[-1])
-            chain.append(solve_max(objective, rows, start=chain[-1]))
+            solve_max(objective, rows, upper=upper, start=chain[-1])
+            chain.append(solve_max(objective, rows, upper=upper, start=chain[-1]))
         assert parent.point == before
         read += len(chain) == 4
         rows = list(base)
         for res, extra in zip(chain[1:], generations):
             rows = rows + extra
             if res.status == "optimal":
-                attains(res, objective, rows)
+                attains(res, objective, rows, upper)
     assert read > 20
 
 
@@ -209,18 +215,21 @@ def test_lazy_point_repr_and_eq_match_an_eager_result():
     rows = [Constraint({"x": F(1)}, "<=", F(3, 2)),
             Constraint({"x": F(1), "y": F(2)}, "<=", F(4)),
             Constraint({"y": F(1)}, "==", F(1, 3))]
-    objective = {"x": F(2), "y": F(1)}
-    res = solve_max(objective, rows)
+    # the rows give x <= 3/2 and y == 1/3, so these bounds cut nothing
+    objective, upper = {"x": F(2), "y": F(1)}, {"x": 2, "y": 1}
+    res = solve_max(objective, rows, upper=upper)
     eager = LPResult(res.status, res.value, dict(res.point))
     assert eager == LPResult("optimal", F(10, 3),
                              {"x": F(3, 2), "y": F(1, 3)})
-    assert repr(solve_max(objective, rows)) == repr(eager)
-    assert solve_max(objective, rows) == eager
-    assert eager == solve_max(objective, rows)
+    assert repr(solve_max(objective, rows, upper=upper)) == repr(eager)
+    assert solve_max(objective, rows, upper=upper) == eager
+    assert eager == solve_max(objective, rows, upper=upper)
     grown = rows + [Constraint({"x": F(1)}, "<=", F(1))]
-    warm = solve_max(objective, grown, start=solve_max(objective, rows))
+    warm = solve_max(objective, grown, upper=upper,
+                     start=solve_max(objective, rows, upper=upper))
     assert warm == LPResult("optimal", F(7, 3), {"x": F(1), "y": F(1, 3)})
-    infeasible = solve_max(objective, rows + [Constraint({"y": F(1)}, ">=", F(1))])
+    infeasible = solve_max(objective, rows + [Constraint({"y": F(1)}, ">=", F(1))],
+                           upper=upper)
     assert infeasible == LPResult("infeasible")
     assert repr(infeasible) == repr(LPResult("infeasible"))
     assert infeasible.point is None and infeasible != eager
@@ -228,12 +237,13 @@ def test_lazy_point_repr_and_eq_match_an_eager_result():
 
 def test_bad_sense_is_rejected():
     x = Constraint({"x": F(1)}, "<=", F(1))
+    upper = {"x": 1}
     with pytest.raises(ValueError, match="bad sense"):
-        solve_max({"x": F(1)}, [x, Constraint({"x": F(1)}, "<", F(1))])
-    res = solve_max({"x": F(1)}, [x])
+        solve_max({"x": F(1)}, [x, Constraint({"x": F(1)}, "<", F(1))], upper=upper)
+    res = solve_max({"x": F(1)}, [x], upper=upper)
     with pytest.raises(ValueError, match="bad sense"):
         solve_max({"x": F(1)}, [x, Constraint({"x": F(1)}, "=", F(0))],
-                  start=res)
+                  upper=upper, start=res)
 
 
 def test_luk_search_same_verdicts_without_start(monkeypatch):
