@@ -53,11 +53,16 @@ class ExpValue:
     exponent: Fraction | None
 
     def __post_init__(self):
-        if self.exponent is not None:
-            if not isinstance(self.exponent, Fraction):
-                object.__setattr__(self, "exponent", Fraction(self.exponent))
-            if self.exponent < 0:
-                raise CarrierError("power-chain exponent must be nonnegative")
+        e = self.exponent
+        if e is None:
+            return
+        if type(e) is not Fraction:
+            if isinstance(e, (float, bool)):
+                raise CarrierError(f"power-chain exponent {e!r} is not an exact rational")
+            e = Fraction(e)
+            object.__setattr__(self, "exponent", e)
+        if e.numerator < 0:
+            raise CarrierError("power-chain exponent must be nonnegative")
 
     @property
     def is_zero(self) -> bool:
@@ -150,10 +155,11 @@ class _RationalAlgebra(Algebra):
         return _Q1
 
     def require(self, v: Value) -> Fraction:
-        if isinstance(v, float):
-            raise CarrierError("floats are not exact; use Fraction")
-        v = Fraction(v)
-        if not 0 <= v <= 1:
+        if type(v) is not Fraction:
+            if isinstance(v, float):
+                raise CarrierError("floats are not exact; use Fraction")
+            v = Fraction(v)
+        if not 0 <= v.numerator <= v.denominator:
             raise CarrierError(f"value {v} outside [0, 1]")
         return v
 
@@ -180,12 +186,14 @@ class StdMV(_RationalAlgebra):
         return 1 - a + b if a > b else _Q1
 
     def _power(self, a, n):
-        return max(_Q0, 1 - n * (1 - a))
+        a, d = a.numerator, a.denominator
+        return Fraction(max(0, d - n * (d - a)), d)
 
     def _carrier(self, values):
         # ints n for n/d: ``values`` generate the chain {0, 1/d, ..., 1}
-        d = lcm(*(v.denominator for v in values))
-        return (lambda v: int(v * d), lambda n: Fraction(n, d), min, max,
+        d = lcm(*{v.denominator for v in values})
+        return (lambda v: v.numerator * (d // v.denominator),
+                lambda n: Fraction(n, d), min, max,
                 lambda a, b: a + b - d if a + b > d else 0,
                 lambda a, b: d - a + b if a > b else d, 0, d)
 
@@ -244,7 +252,7 @@ class MVn(_RationalAlgebra):
 
     def require(self, v):
         v = super().require(v)
-        if (v * (self.n - 1)).denominator != 1:
+        if (self.n - 1) % v.denominator:
             raise CarrierError(f"{v} is not a multiple of 1/{self.n - 1}")
         return v
 
@@ -314,8 +322,12 @@ class ExpChain(Algebra):
 
     def _carrier(self, values):
         # ints n for a^(n/d), in reverse order, and None for the bottom
-        d = lcm(*(v.exponent.denominator for v in values if not v.is_zero))
-        return (lambda v: None if v.is_zero else int(v.exponent * d),
+        d = lcm(*{v.exponent.denominator for v in values if not v.is_zero})
+
+        def encode(v):
+            e = v.exponent
+            return None if e is None else e.numerator * (d // e.denominator)
+        return (encode,
                 lambda n: EXP_ZERO if n is None else ExpValue(Fraction(n, d)),
                 lambda a, b: None if a is None or b is None else max(a, b),
                 lambda a, b: b if a is None else a if b is None else min(a, b),
@@ -347,6 +359,11 @@ class ValidationReport:
         return "\n".join(lines)
 
 
+def _is_index(v, size: int) -> bool:
+    """Is ``v`` an element index below ``size``?  A bool is not one."""
+    return isinstance(v, int) and not isinstance(v, bool) and 0 <= v < size
+
+
 def validate_finite_algebra(size: int, meet, join, times, residuum,
                             zero: int, one: int) -> ValidationReport:
     """Exhaustively check the bounded-lattice, monoid and residuation laws.
@@ -364,9 +381,9 @@ def validate_finite_algebra(size: int, meet, join, times, residuum,
             raise ValueError(f"{name} table is not {size}x{size}")
         for row in table:
             for v in row:
-                if not isinstance(v, int) or not 0 <= v < size:
+                if not _is_index(v, size):
                     raise ValueError(f"{name} table entry {v!r} out of range")
-    if not all(isinstance(e, int) and 0 <= e < size for e in (zero, one)):
+    if not all(_is_index(e, size) for e in (zero, one)):
         raise ValueError("designated elements out of range")
 
     bad: list[Violation] = []
@@ -447,7 +464,7 @@ class FiniteTable(Algebra):
         return self.one_index
 
     def require(self, v):
-        if not isinstance(v, int) or not 0 <= v < self.size:
+        if not _is_index(v, self.size):
             raise CarrierError(f"{v!r} is not an element index below {self.size}")
         return v
 
@@ -535,8 +552,8 @@ def value_to_json(alg: Algebra, v: Value):
 
 def _fraction(obj) -> Fraction:
     """A rational from JSON: a string such as ``"3/4"``, or an integer;
-    never a float, which is not exact."""
-    if isinstance(obj, (str, int)):
+    never a float, which is not exact, nor a bool."""
+    if isinstance(obj, (str, int)) and not isinstance(obj, bool):
         try:
             return Fraction(obj)
         except (ValueError, ZeroDivisionError):

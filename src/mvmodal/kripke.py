@@ -10,8 +10,12 @@ Every formula value in the package comes from one evaluator,
 computes each node once, at every world at once.  Formulas are hash-consed,
 so a subformula shared by several formulas is one node and is computed
 once.  Propositional valuations are evaluated as one-world, edgeless models.
-Over StdMV, MVn and ExpChain it runs on ints scaled to one common denominator,
-exact because the values generate a finite chain; other algebras use their own.
+Over StdMV, MVn and ExpChain it runs on ints scaled to one common denominator
+d, the lcm of the valuation's distinct denominators, exact because the values
+generate a finite chain; other algebras use their own.  A value p/q enters as
+the int p * (d // q), with no rational arithmetic, and a result is turned
+back once per distinct value; a caller that reads one world, as
+:func:`evaluate` does, turns back only that world.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Callable, Iterable, Mapping
 
 from .algebras import (Algebra, Value, algebra_from_json, algebra_to_json,
                        value_from_json, value_to_json)
@@ -133,27 +137,12 @@ class Verdict:
 _OPERATION = {And: "meet", Or: "join", Times: "times", Implies: "residuum"}
 
 
-def evaluate_all(model: KripkeModel, formulas: Iterable[Formula]) -> list[list[Value]]:
-    """Values of each formula at every world, in ``model.worlds`` order.
-
-    Connectives apply the algebra's operations pointwise.  Box is the meet
-    and diamond the join over the successor values: a modal column gathers
-    each world's first successor value, or the empty meet 1 and empty join
-    0 at a world without successors, then folds meet or join over the
-    further successors of the worlds that have them.  As ``meet(1, v) = v``
-    and ``join(0, v) = v``, this is the fold starting from 1 and 0.  Each
-    node is evaluated once, at all worlds together; nodes are told apart by
-    identity, which for hash-consed formulas is structure.
-
-    Over StdMV and MVn the columns hold ints n for n/d, d the lcm of the
-    valuation's denominators; over ExpChain, ints n for a^(n/d) and None for
-    the bottom.  Both sets are closed under the operations, so the ints are
-    exact; each distinct root value is turned back once.  StdGodel,
-    StdProduct and finite tables keep their own values and operations.
-    """
+def _columns(model: KripkeModel, formulas: Iterable[Formula]) -> tuple[list, Callable]:
+    """The columns of :func:`evaluate_all` on the algebra's carrier, and its
+    ``decode``, which turns a cell back into a value."""
     worlds = model.worlds
     encode, decode, meet, join, times, residuum, zero, one = model.algebra._carrier(
-        {v for row in model._val.values() for v in row.values()})
+        v for row in model._val.values() for v in row.values())
     operation = {And: meet, Or: join, Times: times, Implies: residuum}
     pos = {w: i for i, w in enumerate(worlds)}
     succ = [[pos[u] for u in model.frame.successors(w)] for w in worlds]
@@ -180,7 +169,31 @@ def evaluate_all(model: KripkeModel, formulas: Iterable[Formula]) -> list[list[V
             out[i] = value
         return out
 
-    cols = bottom_up(formulas, column)
+    return bottom_up(formulas, column), decode
+
+
+def evaluate_all(model: KripkeModel, formulas: Iterable[Formula]) -> list[list[Value]]:
+    """Values of each formula at every world, in ``model.worlds`` order.
+
+    Connectives apply the algebra's operations pointwise.  Box is the meet
+    and diamond the join over the successor values: a modal column gathers
+    each world's first successor value, or the empty meet 1 and empty join
+    0 at a world without successors, then folds meet or join over the
+    further successors of the worlds that have them.  As ``meet(1, v) = v``
+    and ``join(0, v) = v``, this is the fold starting from 1 and 0.  Each
+    node is evaluated once, at all worlds together; nodes are told apart by
+    identity, which for hash-consed formulas is structure.
+
+    Over StdMV and MVn the columns hold ints n for n/d, d the lcm of the
+    valuation's distinct denominators, and a value p/q enters as p * (d//q);
+    over ExpChain, ints n for a^(n/d), entered the same way from the
+    exponent, and None for the bottom.  Both sets are closed under the
+    operations, so the ints are exact; each distinct root value is turned
+    back once.  A caller that reads one world, as :func:`evaluate` does,
+    turns back only that world's cells.  StdGodel, StdProduct and finite
+    tables keep their own values and operations.
+    """
+    cols, decode = _columns(model, formulas)
     table = {n: decode(n) for n in set().union(*cols)}
     return [list(map(table.__getitem__, col)) for col in cols]
 
@@ -189,7 +202,8 @@ def evaluate(model: KripkeModel, world: str, f: Formula) -> Value:
     """Value of ``f`` at ``world``; see :func:`evaluate_all`."""
     if world not in model._val:
         raise KeyError(f"unknown world {world!r}")
-    return evaluate_all(model, [f])[0][model.worlds.index(world)]
+    (col,), decode = _columns(model, [f])
+    return decode(col[model.worlds.index(world)])
 
 
 def globally_satisfies(model: KripkeModel, gamma: Iterable[Formula]) -> Verdict:

@@ -18,7 +18,7 @@ from .algebras import (Algebra, ExpChain, ExpValue, StdMV, Value,
                        algebra_to_json, value_to_json)
 from .formulas import (And, Box, Diamond, Formula, Implies, Times, Var, ZERO,
                        iff, neg)
-from .kripke import KripkeFrame, KripkeModel, evaluate_all
+from .kripke import KripkeFrame, KripkeModel, _columns
 from .pcp import _chain_base
 
 __all__ = ["separation_premises", "build_nec_model", "SeparationReport",
@@ -91,8 +91,8 @@ def verify_separation(n: int, alg: Algebra) -> SeparationReport:
     boxed = [functools.reduce(And, separation_premises())]
     for _ in range(n):
         boxed.append(Box(boxed[-1]))
-    *start, final = [col[0] for col in evaluate_all(
-        model, boxed + [Implies(X, Times(X, Y))])]
+    cols, decode = _columns(model, boxed + [Implies(X, Times(X, Y))])
+    *start, final = [decode(col[0]) for col in cols]
     levels = tuple((i, v == alg.one) for i, v in enumerate(start))
     return SeparationReport(n, alg, levels, final, model)
 

@@ -3,6 +3,8 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from mvmodal import algebras
 from mvmodal.algebras import (CarrierError, EXP_ONE, EXP_ZERO, ExpChain,
@@ -237,6 +239,111 @@ def test_finite_table_json_text():
         '"join": [[0, 1, 2], [1, 1, 2], [2, 2, 2]], '
         '"times": [[0, 0, 0], [0, 1, 1], [0, 1, 2]], '
         '"residuum": [[2, 2, 2], [0, 2, 2], [0, 1, 2]], "zero": 0, "one": 2}}')
+
+
+class _FractionSub(F):
+    pass
+
+
+_BIG = 2 ** 70
+_DENOMINATORS = st.one_of(st.integers(1, 12), st.integers(1, _BIG))
+# exact rationals near [0, 1] and far from it, on and off every MVn grid
+_EXACT = st.one_of(
+    st.builds(F, st.integers(-3, 14), st.integers(1, 12)),
+    _DENOMINATORS.flatmap(lambda d: st.builds(F, st.integers(-d, 2 * d), st.just(d))),
+    st.builds(F, st.integers(-_BIG, _BIG), _DENOMINATORS))
+_INPUTS = st.one_of(
+    _EXACT, st.integers(-_BIG, _BIG), st.integers(-2, 3), st.booleans(),
+    st.floats(), _EXACT.map(str),
+    st.decimals(allow_nan=False, allow_infinity=False).map(str),
+    st.builds(_FractionSub, st.integers(-_BIG, _BIG), _DENOMINATORS),
+    st.sampled_from(["", "abc", "1/0", "0.5", "-0", "2/4"]))
+_REQUIRING = [StdMV(), StdGodel(), StdProduct()] + [MVn(n) for n in range(2, 13)]
+
+
+def _outcome(call, v):
+    """What ``call(v)`` does: its value and type, or its error type."""
+    try:
+        out = call(v)
+    except Exception as exc:  # the type is what is compared
+        return "raises", type(exc)
+    return out, type(out)
+
+
+def _old_require(alg, v):
+    """The rational ``require`` on Fraction arithmetic, as it was written
+    before it read numerators and denominators."""
+    if isinstance(v, float):
+        raise CarrierError("float")
+    v = F(v)
+    if not 0 <= v <= 1:
+        raise CarrierError("outside [0, 1]")
+    if isinstance(alg, MVn) and (v * (alg.n - 1)).denominator != 1:
+        raise CarrierError("off the grid")
+    return v
+
+
+def _old_exponent(v):
+    """A power-chain exponent on Fraction arithmetic; floats and bools are
+    refused, as nothing else is exact."""
+    if isinstance(v, (float, bool)):
+        raise CarrierError("not exact")
+    v = F(v)
+    if v < 0:
+        raise CarrierError("negative")
+    return v
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(v=_INPUTS)
+@example(v=True)
+@example(v=0.5)
+@example(v=_FractionSub(1, 2))
+@example(v=F(2 ** 70 + 1, 2 ** 70))
+def test_require_accepts_and_refuses_as_fraction_arithmetic_did(v):
+    for alg in _REQUIRING:
+        assert _outcome(alg.require, v) == _outcome(
+            lambda v: _old_require(alg, v), v), alg
+    assert (_outcome(lambda v: ExpValue(v).exponent, v)
+            == _outcome(_old_exponent, v))
+
+
+_COPRIME = (2 ** 61 - 1, 2 ** 64 + 1, 3 ** 40)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(picks=st.lists(st.tuples(st.sampled_from(_COPRIME), st.integers(0, _BIG)),
+                      min_size=1, max_size=6))
+def test_carriers_round_trip_over_large_coprime_denominators(picks):
+    rationals = [F(n % (d + 1), d) for d, n in picks]
+    exponents = [ExpValue(F(n, d)) for d, n in picks] + [EXP_ZERO]
+    grid = [F(n % 12, 11) for _, n in picks]
+    for alg, values in ((StdMV(), rationals), (StdGodel(), rationals),
+                        (ExpChain(), exponents), (MVn(12), grid)):
+        encode, decode = alg._carrier(iter(values))[:2]
+        for v in values:
+            back = decode(encode(v))
+            assert back == v and type(back) is type(v), (alg, v)
+
+
+def test_floats_and_bools_are_not_exact_values():
+    for bad in (0.1, 1.0, True, False):
+        with pytest.raises(CarrierError):
+            ExpValue(bad)
+    for bad in (True, False):
+        with pytest.raises(CarrierError):
+            G3.require(bad)
+        with pytest.raises(CarrierError):
+            value_from_json(ExpChain(), {"pow": bad})
+        with pytest.raises(CarrierError):
+            value_from_json(G3, bad)
+    assert ExpValue(3).exponent == 3 and G3.require(1) == 1
+    t = mv_chain_tables(2)
+    with pytest.raises(ValueError, match="designated"):
+        FiniteTable(2, t["meet"], t["join"], t["times"], t["residuum"], False, True)
+    t["times"][0][0] = False
+    with pytest.raises(ValueError, match="times table entry False"):
+        FiniteTable(2, t["meet"], t["join"], t["times"], t["residuum"])
 
 
 def test_json_round_trips():

@@ -96,6 +96,21 @@ def test_check_model_mode(files, capsys, tmp_path):
     assert code == 1
 
 
+@pytest.mark.parametrize("algebra, value", [
+    ({"kind": "exp-chain"}, {"pow": True}),
+    ({"kind": "exp-chain"}, {"pow": 0.5}),
+    ({"kind": "finite-table", "tables": {"size": 2, "meet": [[0, 0], [0, 1]],
+                                         "join": [[0, 1], [1, 1]],
+                                         "times": [[0, 0], [0, 1]],
+                                         "residuum": [[1, 1], [0, 1]]}}, True),
+])
+def test_check_model_refuses_float_and_bool_values(capsys, tmp_path, algebra, value):
+    mfile = tmp_path / "m.json"
+    mfile.write_text(json.dumps({"algebra": algebra, "worlds": ["a"], "edges": [],
+                                 "valuation": {"a": {"p": value}}}))
+    assert invoke(capsys, ["check", "--model", str(mfile), "--conclusion", "p"]) == (2, "")
+
+
 def test_pcp_pipeline(files, capsys, tmp_path):
     code, out = invoke(capsys, ["pcp-encode", "--instance", files["p0"]])
     assert code == 0

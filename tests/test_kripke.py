@@ -1,3 +1,4 @@
+import json
 import math
 import random
 from fractions import Fraction as F
@@ -7,8 +8,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mvmodal import pcp
-from mvmodal.algebras import (EXP_ZERO, ExpChain, ExpValue, MVn, StdGodel,
-                              StdMV, StdProduct)
+from mvmodal.algebras import (EXP_ZERO, CarrierError, ExpChain, ExpValue, MVn,
+                              StdGodel, StdMV, StdProduct)
 from mvmodal.formulas import (ONE, ZERO, And, Box, Diamond, Implies, Or,
                               Times, Var, box_prefix, parse)
 from mvmodal.kripke import (KripkeFrame, KripkeModel, consequence_witness,
@@ -242,6 +243,39 @@ def test_evaluate_all_returns_carrier_values():
         assert all(type(v) is kind for v in evaluate_all(bare, [P("[]0")])[0])
 
 
+def test_evaluate_all_matches_fold_over_large_coprime_denominators():
+    # the common denominator is a product of three coprime ones near 2^64
+    dens = (2 ** 61 - 1, 2 ** 64 + 1, 3 ** 40)
+    rng = random.Random(31)
+    worlds = [f"w{i}" for i in range(6)]
+    chain = KripkeFrame(worlds, list(zip(worlds, worlds[1:])))
+    for alg, value in ((StdMV(), lambda d: F(rng.randint(0, d), d)),
+                       (ExpChain(), lambda d: ExpValue(F(rng.randint(0, 3 * d), d)))):
+        m = KripkeModel(chain, alg, {w: {"p": value(dens[i % 3]),
+                                         "q": value(dens[(i + 1) % 3])}
+                                     for i, w in enumerate(worlds)})
+        formulas = [random_formula(rng, 5) for _ in range(40)]
+        cols = evaluate_all(m, formulas)
+        assert cols == [[fold_eval(m, w, f) for w in worlds] for f in formulas]
+
+
+@pytest.mark.parametrize("kind", sorted(_CARRIERS))
+def test_evaluate_reads_one_world_of_the_full_column(kind):
+    alg, pool = _CARRIERS[kind]
+    n, edges = _MIXED
+    worlds = [f"w{i}" for i in range(n)]
+    rng = random.Random(kind)
+    m = KripkeModel(KripkeFrame(worlds, [(worlds[a], worlds[b]) for a, b in edges]),
+                    alg, {w: {"p": rng.choice(pool), "q": rng.choice(pool)}
+                          for w in worlds})
+    for _ in range(30):
+        f = random_formula(rng, 4)
+        (col,) = evaluate_all(m, [f])
+        for w, v in zip(worlds, col):
+            got = evaluate(m, w, f)
+            assert got == v and type(got) is type(v), (f, w)
+
+
 def test_evaluate_all_matches_fold_on_pcp_countermodels():
     x = pcp.Numeral(0b10110111, 8)
     instance = pcp.PCPInstance(2, ((x, x), (pcp.Numeral(1, 1), pcp.Numeral(3, 2))))
@@ -391,6 +425,20 @@ def test_global_to_local_on_transitive_models():
         glob = globally_satisfies(generated_submodel(m, v), gamma).holds
         assert local == glob
         checked += 1
+
+
+@pytest.mark.parametrize("algebra, value", [
+    ({"kind": "exp-chain"}, {"pow": True}),
+    ({"kind": "exp-chain"}, {"pow": 0.5}),
+    ({"kind": "std-mv"}, True),
+    ({"kind": "std-mv"}, 0.5),
+    ({"kind": "finite-table", "tables": G3.tables()}, True),
+])
+def test_model_from_json_refuses_floats_and_bools(algebra, value):
+    blob = {"algebra": algebra, "worlds": ["a"], "edges": [],
+            "valuation": {"a": {"p": value}}}
+    with pytest.raises(CarrierError):
+        model_from_json(json.loads(json.dumps(blob)))
 
 
 def test_model_json_round_trip():

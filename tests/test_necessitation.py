@@ -52,6 +52,19 @@ def test_verify_separation_sweep():
             assert report.final_value != alg.one
 
 
+@pytest.mark.parametrize("n", [0, 1, 7, 40])
+@pytest.mark.parametrize("alg", [StdMV(), ExpChain()], ids=["std-mv", "exp-chain"])
+def test_verify_separation_reads_the_start_world_of_the_full_columns(n, alg):
+    report = verify_separation(n, alg)
+    boxed = [functools.reduce(And, separation_premises())]
+    for _ in range(n):
+        boxed.append(Box(boxed[-1]))
+    *start, final = evaluate_all(report.model, boxed + [parse("x -> x * y")])
+    assert report.levels == tuple((i, col[0] == alg.one) for i, col in enumerate(start))
+    assert report.final_value == final[0]
+    assert type(report.final_value) is type(final[0])
+
+
 def per_premise_levels(model, n):
     """(i, every box^i premise is 1 at the start world), one premise at a
     time: the definition that verify_separation's conjunction stands for."""
