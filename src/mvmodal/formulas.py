@@ -208,28 +208,16 @@ def postorder(roots: Iterable[Formula]) -> list[Formula]:
 
 def bottom_up(roots: Iterable[Formula], rule: Callable) -> list:
     """Images of ``roots`` under ``rule(f, *images of f's children)``, which
-    is applied once per node, children first, in :func:`postorder`'s order."""
+    is applied once per node, children first."""
     roots = list(roots)
     images: dict[int, object] = {}
-    seen: set[int] = set()
-    stack = roots[::-1]
-    while stack:
-        f = stack.pop()
-        if f is _EMIT:
-            f = stack.pop()
-            if isinstance(f, _Binary):
-                images[id(f)] = rule(f, images[id(f.left)], images[id(f.right)])
-            else:
-                images[id(f)] = rule(f, images[id(f.body)])
-        elif id(f) not in seen:
-            seen.add(id(f))
-            if isinstance(f, _Binary):
-                stack += (f, _EMIT, f.right, f.left)
-            elif isinstance(f, _Unary):
-                stack += (f, _EMIT, f.body)
-            else:
-                Formula._check(f)
-                images[id(f)] = rule(f)
+    for f in postorder(roots):
+        if isinstance(f, _Binary):
+            images[id(f)] = rule(f, images[id(f.left)], images[id(f.right)])
+        elif isinstance(f, _Unary):
+            images[id(f)] = rule(f, images[id(f.body)])
+        else:
+            images[id(f)] = rule(f)
     return [images[id(f)] for f in roots]
 
 

@@ -63,18 +63,13 @@ class Constraint:
     def _row(self) -> tuple[list[tuple[str, int]], int, int, bool]:
         """The constraint as one integer ``<=`` row ``(coefficients, slack
         entry, rhs, slack fixed at 0)``, scaled by the lcm of its
-        denominators (the slack's entry, 1 for an all-int row), negated for
-        ``>=``."""
+        denominators (the slack's entry), negated for ``>=``."""
         if self.sense not in ("<=", ">=", "=="):
             raise ValueError(f"bad sense {self.sense!r}")
-        coeffs = [(v, a) for v, a in self.coeffs.items() if a]
-        sign = -1 if self.sense == ">=" else 1
-        if type(self.rhs) is int and all(type(a) is int for _, a in coeffs):
-            return ([(v, sign * a) for v, a in coeffs], 1, sign * self.rhs,
-                    self.sense == "==")
-        coeffs = [(v, _exact(a)) for v, a in coeffs]
+        coeffs = [(v, _exact(a)) for v, a in self.coeffs.items() if a]
         rhs = _exact(self.rhs)
         scale = lcm(rhs.denominator, *(a.denominator for _, a in coeffs))
+        sign = -1 if self.sense == ">=" else 1
         ints = [(v, sign * a.numerator * (scale // a.denominator)) for v, a in coeffs]
         b = sign * rhs.numerator * (scale // rhs.denominator)
         return ints, scale, b, self.sense == "=="
