@@ -158,6 +158,8 @@ class _RationalAlgebra(Algebra):
         if type(v) is not Fraction:
             if isinstance(v, float):
                 raise CarrierError("floats are not exact; use Fraction")
+            if isinstance(v, bool):
+                raise CarrierError(f"{v!r} is not an exact rational; use 0 or 1")
             v = Fraction(v)
         if not 0 <= v.numerator <= v.denominator:
             raise CarrierError(f"value {v} outside [0, 1]")

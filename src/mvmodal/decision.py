@@ -16,16 +16,21 @@ question, the cardinality-bound decision that conjoins it over one frame per
 isomorphism class of a given size, and the co-enumerator of non-consequences.
 The translation is the evaluator over formulas: both backends read each
 formula's value at each world in the frame's model whose values are formulas,
-so their only variables are the source variables at each world.  The finite
-sweep's guard still counts a named copy's variables, one per modal subformula
-and world included, and builds that copy only when a cheap bound cannot clear
-it.  A cardinality sweep builds the edge-independent part once and only each
-frame's images anew, so its verdicts are those of deciding every frame from
-scratch.
+so their only variables are the source variables at each world.  Global
+consequence fails exactly when it fails at some world, so the LP decides a
+frame one world at a time over one case system: the premises' images are
+pinned and folded once, and each world's search reads only the splits under
+them and that world's image.  The finite sweep reads the conjunction of the
+conclusion's images; its guard still counts a named copy's variables, one
+per modal subformula and world included, and builds that copy only when a
+cheap bound cannot clear it.  A cardinality sweep builds the
+edge-independent part once and only each frame's images anew, so its
+verdicts are those of deciding every frame from scratch.
 
 Every countermodel is re-checked by the Kripke evaluator
-(:func:`mvmodal.kripke.evaluate_all`) before it is returned; a propositional
-one is evaluated as a one-world, edgeless model.
+(:func:`mvmodal.kripke.evaluate_all`) before it is returned: a frame's on
+the frame, and a propositional one as a one-world, edgeless model (a finite
+sweep's point on a frame is checked both ways).
 """
 
 from __future__ import annotations
@@ -130,7 +135,7 @@ _REGIMES = {
 
 
 class _LukSystem:
-    """Case system for standard-MV consequence.
+    """Case system for standard-MV consequence of one or more conclusions.
 
     Every propositional subformula carries an affine value form.  Premises
     are pinned to 1 first.  A connective occurrence takes its form from
@@ -140,13 +145,15 @@ class _LukSystem:
     ``e >= 0, t == high``, explored in that order.  ``base_rows`` holds the
     rows every search node shares: the pinned implications as ``<=`` rows
     and the other pinned forms as ``== 1`` rows.  The [0, 1] box of every
-    variable is not a row but the LP's bounds, ``upper``.
+    variable is not a row but the LP's bounds, ``upper``.  The premises,
+    pinning, folding and rows are shared by the conclusions; :meth:`scope`
+    gives what one conclusion's search reads of them.
     """
 
-    def __init__(self, gamma: Sequence[Formula], phi: Formula):
+    def __init__(self, gamma: Sequence[Formula], *phis: Formula):
         self.gamma = tuple(gamma)
-        self.phi = phi
-        self.nodes = _propositional_nodes(self.gamma + (phi,))
+        self.phis = phis
+        self.nodes = _propositional_nodes(self.gamma + phis)
         self.implications: dict[Formula, list[Formula]] = {}
         for f in self.nodes:
             if isinstance(f, Implies):
@@ -246,14 +253,27 @@ class _LukSystem:
         self.upper = dict.fromkeys(
             sorted({v for a in self.affine.values() for v in a.coeffs}), 1)
 
-    def violated(self, den: int, nums: dict) -> int:
-        """The index of the split, last first, whose variable the point
+    def scope(self, phi: Formula) -> tuple[Sequence[int], dict]:
+        """The indices of the splits under the premises or ``phi``, last
+        first, and the [0, 1] bounds of the variables that their forms read.
+        The rows and ``phi``'s form read no other split's ``t``, so a
+        search for ``phi`` need not branch on it."""
+        if len(self.phis) == 1:  # every node is under the premises or phi
+            return range(len(self.splits) - 1, -1, -1), self.upper
+        under = set(postorder(self.gamma + (phi,)))
+        order = [k for k in range(len(self.splits) - 1, -1, -1)
+                 if self.splits[k][0] in under]
+        return order, dict.fromkeys(
+            sorted({v for f in under for v in self.affine[f].coeffs}), 1)
+
+    def violated(self, den: int, nums: dict, order: Iterable[int]) -> int:
+        """The first split index in ``order`` whose variable the point
         ``nums / den`` does not give its connective's value; -1 if there is
         none.  The value is ``low`` where ``e <= 0`` and ``high`` where ``e
         >= 0`` (the two agree where ``e == 0``), so a point that satisfies
         either regime of a split gives it its value: a split whose regime is
         among the rows solved is never returned."""
-        for k in range(len(self.splits) - 1, -1, -1):
+        for k in order:
             var, e, low, high = self.split_forms[k]
             want = low if e.scaled_at(den, nums) <= 0 else high
             if nums.get(var, 0) != want.scaled_at(den, nums):
@@ -290,42 +310,58 @@ def luk_consequence(gamma: Iterable[Formula], phi: Formula, *,
     bounds the number of explored search nodes.
     """
     gamma = tuple(gamma)
-    try:
-        system = _LukSystem(gamma, phi)
-    except _Unsat:
+    found = _luk_countermodel(gamma, (phi,), branch_guard)
+    if found is None:
         return Verdict(True)
-    conclusion = system.affine[phi]
-    if conclusion.is_const and conclusion.const == 1:
-        return Verdict(True)
+    return _rechecked(StdMV(), gamma, phi, found[1])
 
-    objective = {v: -a for v, a in conclusion.coeffs.items()}
-    offset = 1 - conclusion.const
+
+def _luk_countermodel(gamma: tuple[Formula, ...], phis: tuple[Formula, ...],
+                      branch_guard: int) -> tuple[int, dict] | None:
+    """The index of the first of ``phis`` that some [0,1]-MV valuation
+    making all of ``gamma`` equal to 1 takes below 1, and that valuation,
+    not yet re-checked; None if there is none.
+
+    One case system serves every conclusion.  Each gets the search of
+    :func:`luk_consequence` in turn, over only the splits in its
+    :meth:`_LukSystem.scope`, unless it folds to the constant 1 or is the
+    same node as an earlier one.  The guard counts the search nodes of all
+    the conclusions.
+    """
+    try:
+        system = _LukSystem(gamma, *phis)
+    except _Unsat:
+        return None
     explored = 0
-    # depth first: each entry is (rows, parent result), and the regimes go
-    # on in reverse so the first one is explored first
-    stack: list[tuple[list[lp.Constraint], lp.LPResult | None]] = [
-        (system.base_rows, None)]
-    while stack:
-        rows, parent = stack.pop()
-        explored += 1
-        if explored > branch_guard:
-            raise ResourceLimitError(
-                f"case-split guard exceeded ({branch_guard} branches)")
-        res = lp.solve_max(objective, rows, upper=system.upper, start=parent)
-        if res.status == "infeasible" or res.value <= -offset:
+    for i, phi in enumerate(phis):
+        conclusion = system.affine[phi]
+        if (conclusion.is_const and conclusion.const == 1) or phi in phis[:i]:
             continue
-        den, nums = res.scaled_point()
-        k = system.violated(den, nums)
-        if k < 0:
-            break
-        _, regimes = system.splits[k]
-        stack += [(rows + regime, res) for regime in reversed(regimes)]
-    else:
-        return Verdict(True)
-    names = sorted(f.name for f in system.nodes if isinstance(f, Var))
-    valuation = {name: Fraction(system.affine[Var(name)].scaled_at(den, nums), den)
-                 for name in names}
-    return _rechecked(StdMV(), gamma, phi, valuation)
+        order, upper = system.scope(phi)
+        objective = {v: -a for v, a in conclusion.coeffs.items()}
+        offset = 1 - conclusion.const
+        # depth first: each entry is (rows, parent result), and the regimes
+        # go on in reverse so the first one is explored first
+        stack: list[tuple[list[lp.Constraint], lp.LPResult | None]] = [
+            (system.base_rows, None)]
+        while stack:
+            rows, parent = stack.pop()
+            explored += 1
+            if explored > branch_guard:
+                raise ResourceLimitError(
+                    f"case-split guard exceeded ({branch_guard} branches)")
+            res = lp.solve_max(objective, rows, upper=upper, start=parent)
+            if res.status == "infeasible" or res.value <= -offset:
+                continue
+            den, nums = res.scaled_point()
+            k = system.violated(den, nums, order)
+            if k < 0:
+                names = sorted(f.name for f in system.nodes if isinstance(f, Var))
+                return i, {p: Fraction(system.affine[Var(p)].scaled_at(den, nums), den)
+                           for p in names}
+            _, regimes = system.splits[k]
+            stack += [(rows + regime, res) for regime in reversed(regimes)]
+    return None
 
 
 def _rechecked(alg: Algebra, gamma: tuple[Formula, ...], phi: Formula,
@@ -506,15 +542,21 @@ class FrameTranslation:
         return tuple(itertools.chain(self.premises, *self.deltas.values()))
 
     def inlined(self) -> tuple[tuple[Formula, ...], Formula]:
-        """The images of the premises and the conclusion: one
-        :func:`evaluate_all` pass over the source formulas, so shared
-        subformulas stay shared and the result is linear in the translation."""
+        """The images of the premises and the conjunction of the
+        conclusion's images, which the finite sweep reads."""
+        premises, conclusions = self._images()
+        return premises, functools.reduce(And, conclusions)
+
+    def _images(self) -> tuple[tuple[Formula, ...], tuple[Formula, ...]]:
+        """The images of the premises, and the conclusion's image at each
+        world in ``frame.worlds`` order: one :func:`evaluate_all` pass over
+        the source formulas, so shared subformulas stay shared and the
+        result is linear in the translation."""
         model = KripkeModel(self.frame, _Formulas(), {
             w: {p: row[i] for p, row in self._rows.items()}
             for i, w in enumerate(self.frame.worlds)})
         *premises, conclusion = evaluate_all(model, self._source)
-        return (tuple(g for col in premises for g in col),
-                functools.reduce(And, conclusion))
+        return tuple(g for col in premises for g in col), tuple(conclusion)
 
 
 @functools.lru_cache(maxsize=1)
@@ -572,31 +614,40 @@ def decide_on_frame(frame: KripkeFrame, gamma: Iterable[Formula], phi: Formula,
     """Global consequence over all models on a fixed finite frame.
 
     Both backends decide the evaluator's images
-    (:meth:`FrameTranslation.inlined`): the LP over the standard MV algebra,
-    and the sweep over a finite one, which then searches only the source
-    variables at each world.  The sweep's guard still counts the named
-    translation's variables, one per modal subformula and world included
-    (README, "Guard rails").  The legend bounds that count, so the names,
-    definitions and deltas are built only when ``size ** len(legend)``
-    exceeds the guard.  Fails with a concrete countermodel on the frame,
-    re-checked by the evaluator before being returned.
+    (:meth:`FrameTranslation.inlined`).  Over the standard MV algebra, the
+    consequence fails exactly when it fails at some world, so one case
+    system holds the premises' images and the conclusion's image at each
+    world, and the LP searches one world at a time in ``frame.worlds``
+    order (:func:`_luk_countermodel`); the first world it refutes is the
+    witness world, and ``branch_guard`` counts the search nodes of all the
+    worlds.  The sweep over a finite algebra reads the conjunction of the
+    conclusion's images and searches only the source variables at each
+    world.  Its guard still counts the named translation's variables, one
+    per modal subformula and world included (README, "Guard rails").  The
+    legend bounds that count, so the names, definitions and deltas are
+    built only when ``size ** len(legend)`` exceeds the guard.  Fails with
+    a concrete countermodel on the frame, re-checked by the evaluator
+    before being returned; that re-check is the only one.
     """
     gamma = tuple(gamma)
     tr = translate_on_frame(frame, gamma, phi)
     if isinstance(alg, StdMV):
-        res = luk_consequence(*tr.inlined(), branch_guard=branch_guard)
+        found = _luk_countermodel(*tr._images(), branch_guard)
+        if found is None:
+            return Verdict(True)
+        at, point = found
     elif isinstance(alg, (MVn, FiniteTable)):
         guard = FINITE_SEARCH_GUARD
         if alg.size ** len(tr.legend) > guard:
             named = variables(tr.all_premises() + (tr.conclusion,))
             _check_sweep_size(alg.size, len(named), guard)
         res = finite_consequence(alg, *tr.inlined(), guard=guard)
+        if res.holds:
+            return Verdict(True)
+        at, point = None, res.witness.valuation
     else:
         raise ValueError(
             f"no propositional decision for {alg.kind}: out of scope")
-    if res.holds:
-        return Verdict(True)
-    point = res.witness.valuation
     valuation: dict[str, dict[str, Value]] = {
         w: {p: point.get(row[i].name, alg.zero) for p, row in tr._rows.items()}
         for i, w in enumerate(frame.worlds)}
@@ -604,11 +655,12 @@ def decide_on_frame(frame: KripkeFrame, gamma: Iterable[Formula], phi: Formula,
     *premises, conclusion = evaluate_all(model, gamma + (phi,))
     if any(v != alg.one for col in premises for v in col):
         raise RuntimeError("folded countermodel failed premise re-check")
-    for w, value in zip(model.worlds, conclusion):
-        if value != alg.one:
-            return Verdict(False, Witness(world=w, formula=phi, value=value,
-                                          model=model))
-    raise RuntimeError("folded countermodel failed conclusion re-check")
+    if at is None:  # the sweep refutes the conjunction: its first failing world
+        at = next((k for k, v in enumerate(conclusion) if v != alg.one), 0)
+    if conclusion[at] == alg.one:
+        raise RuntimeError("folded countermodel failed conclusion re-check")
+    return Verdict(False, Witness(world=model.worlds[at], formula=phi,
+                                  value=conclusion[at], model=model))
 
 
 @functools.cache

@@ -272,9 +272,10 @@ def _outcome(call, v):
 
 def _old_require(alg, v):
     """The rational ``require`` on Fraction arithmetic, as it was written
-    before it read numerators and denominators."""
-    if isinstance(v, float):
-        raise CarrierError("float")
+    before it read numerators and denominators, but refusing bools as every
+    carrier now does."""
+    if isinstance(v, (float, bool)):
+        raise CarrierError("not exact")
     v = F(v)
     if not 0 <= v <= 1:
         raise CarrierError("outside [0, 1]")

@@ -152,10 +152,11 @@ def test_baseline_pair_stdmv_pivot_count(monkeypatch):
     # the box as bounds and one slack fixed at 0 per ``==`` row, a complemented
     # column keeps its variable's index in Bland's rules, where the row
     # ``v <= 1`` put its slack after every variable, so a few ties go the
-    # other way
+    # other way; 8,778 while the LP searched the conjunction of the
+    # conclusion's images at once, not one world at a time
     pivots = _count_calls(monkeypatch, "_pivot")
     assert decide_cardinality(3, [P("[]p -> p")], P("[][]p -> p"), StdMV()).holds
-    assert pivots[0] == 8_778
+    assert pivots[0] == 1_364
 
 
 def test_k_axiom_stdmv_solve_count(monkeypatch):
@@ -165,6 +166,14 @@ def test_k_axiom_stdmv_solve_count(monkeypatch):
     calls = _count_calls(monkeypatch)
     assert decide_cardinality(2, [], P("[](p -> q) -> ([]p -> []q)"), StdMV()).holds
     assert calls[0] == 268
+
+
+def test_k_axiom_stdmv_cardinality_3_solve_bound(monkeypatch):
+    # one search per world of each frame: 802,892 solves while the LP
+    # searched the conjunction of the worlds' images at once
+    calls = _count_calls(monkeypatch)
+    assert decide_cardinality(3, [], P("[](p -> q) -> ([]p -> []q)"), StdMV()).holds
+    assert calls[0] <= 60_000
 
 
 def test_pinning_decided_queries_make_no_solve(monkeypatch):
@@ -228,9 +237,9 @@ def _drop_regime(monkeypatch, kind, idx):
                               if (type(f).__name__.lower(), i) != (kind, idx)])
                          for f, regimes in system.splits]
 
-    def violated(system, den, nums):
+    def violated(system, den, nums, order):
         point = {v: F(n, den) for v, n in nums.items()}
-        for k in range(len(system.splits) - 1, -1, -1):
+        for k in order:
             if not any(_satisfies(point, r) for r in system.splits[k][1]):
                 return k
         return -1
@@ -610,6 +619,32 @@ def test_inlined_definitions_decide_as_the_deltas(case):
         assert not verdict.holds
 
 
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(st.randoms(use_true_random=False), st.integers(1, 3), st.integers(0, 2))
+def test_frame_decision_per_world_agrees_with_the_conjunction(rng, j, premises):
+    """A standard-MV frame is decided one world at a time; the verdict is
+    that of the conjunction of the conclusion's images, and a failing
+    witness is refuted at its world, the first refutable one."""
+    worlds = [f"w{i + 1}" for i in range(j)]
+    frame = KripkeFrame(worlds, [(a, b) for a in worlds for b in worlds
+                                 if rng.random() < 0.4])
+    gamma = tuple(random_formula(rng, 3) for _ in range(premises))
+    phi = random_formula(rng, 3)
+    verdict = decide_on_frame(frame, gamma, phi, StdMV())
+    tr = translate_on_frame(frame, gamma, phi)
+    assert verdict.holds == luk_consequence(*tr.inlined()).holds
+    if verdict.holds:
+        return
+    w = verdict.witness
+    *cols, conclusion = evaluate_all(w.model, gamma + (phi,))
+    assert all(v == 1 for col in cols for v in col)
+    at = frame.worlds.index(w.world)
+    assert conclusion[at] < 1 and w.value == conclusion[at]
+    images, conclusions = tr._images()
+    for earlier in conclusions[:at]:
+        assert luk_consequence(images, earlier).holds
+
+
 def test_frame_decisions_build_no_deltas(monkeypatch):
     # both backends read the evaluator's images; within the guard's legend
     # bound no name, definition or iff delta is built
@@ -791,7 +826,8 @@ def test_coenumerate_examples():
 def test_luk_recheck_catches_a_point_that_is_no_countermodel(monkeypatch):
     # accepting the first LP point, with every split's t left free, must
     # trip the re-check rather than return a false witness
-    monkeypatch.setattr(decision._LukSystem, "violated", lambda self, den, nums: -1)
+    monkeypatch.setattr(decision._LukSystem, "violated",
+                        lambda self, den, nums, order: -1)
     with pytest.raises(RuntimeError, match="^countermodel failed conclusion re-check$"):
         luk_consequence([], P("(p -> q) \\/ (q -> p)"))
     with pytest.raises(RuntimeError, match="^countermodel failed premise re-check$"):
@@ -799,9 +835,8 @@ def test_luk_recheck_catches_a_point_that_is_no_countermodel(monkeypatch):
 
 
 def test_frame_recheck_catches_a_backend_that_is_wrong(monkeypatch, tmp_path, capsys):
-    # a backend answer of all zeros, whatever the query
-    monkeypatch.setattr(decision, "luk_consequence",
-                        lambda *args, **kwargs: Verdict(False, Witness(valuation={})))
+    # a backend answer of all zeros at the first world, whatever the query
+    monkeypatch.setattr(decision, "_luk_countermodel", lambda *args: (0, {}))
     frame = KripkeFrame(["a", "b"], [("a", "b")])
     with pytest.raises(RuntimeError, match="^folded countermodel failed premise re-check$"):
         decide_on_frame(frame, [P("p")], P("q"), StdMV())

@@ -4,7 +4,9 @@ On the one-world frame over standard MV, ``decide_on_frame`` must refute
 the encoding of an instance exactly when the instance has a solution of
 length 1, and every refutation's generated submodel must extract to
 indices that ``verify_solution`` accepts.  The instances are the base-2
-ones with one or two pairs over the numerals 1, 10 and 11: 9 and 81.
+ones with one or two pairs over the numerals 1, 10 and 11: 9 and 81.  The
+9 one-pair instances are also decided on both 2-chains, ``v1 -> v2`` and
+``v2 -> v1``, against the solutions of length at most 2.
 
 The tests skip the 30 unsolvable instances with two distinct pairs, whose
 case split must be exhausted (up to about 3 s each).  Run this file as a
@@ -39,8 +41,12 @@ def spelled(instance: PCPInstance) -> str:
 
 
 def check_on_one_world(instance: PCPInstance) -> None:
-    verdict = decide_on_frame(KripkeFrame(["v1"], []), *encode(instance), StdMV())
-    assert verdict.holds != bool(find_solutions(instance, 1)), spelled(instance)
+    check_on_frame(instance, KripkeFrame(["v1"], []), 1)
+
+
+def check_on_frame(instance: PCPInstance, frame: KripkeFrame, length: int) -> None:
+    verdict = decide_on_frame(frame, *encode(instance), StdMV())
+    assert verdict.holds != bool(find_solutions(instance, length)), spelled(instance)
     if not verdict.holds:
         w = verdict.witness
         indices = extract_solution(instance, generated_submodel(w.model, w.world),
@@ -52,6 +58,13 @@ def check_on_one_world(instance: PCPInstance) -> None:
                          ids=spelled)
 def test_pcp_reduction_on_one_world(instance):
     check_on_one_world(instance)
+
+
+@pytest.mark.parametrize("edge", [("v1", "v2"), ("v2", "v1")], ids="->".join)
+@pytest.mark.parametrize("instance", [i for i in INSTANCES if len(i.pairs) == 1],
+                         ids=spelled)
+def test_pcp_reduction_one_pair_on_two_chains(instance, edge):
+    check_on_frame(instance, KripkeFrame(["v1", "v2"], [edge]), 2)
 
 
 if __name__ == "__main__":
