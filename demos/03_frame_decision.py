@@ -8,8 +8,10 @@ body's images at the successors.  Over the standard MV algebra exact
 case-split linear programming settles the images; over finite chains
 lexicographic backtracking settles the same images.  The named copy printed
 below, a fresh variable for each boxed/diamonded subformula at each world
-pinned by a delta premise, is built on first read: no backend reads it, and
-the finite search guard counts its variables.
+pinned by a delta premise, is built whole, in one pass, on its first read:
+no backend reads it, and the finite search guard counts its variables
+without building it unless a cheap bound cannot clear the guard.  Only each
+source variable's per-world variables are kept between decisions.
 """
 
 from mvmodal import (KripkeFrame, MVn, StdMV, decide_cardinality,

@@ -21,11 +21,13 @@ consequence fails exactly when it fails at some world, so the LP decides a
 frame one world at a time over one case system: the premises' images are
 pinned and folded once, and each world's search reads only the splits under
 them and that world's image.  The finite sweep reads the conjunction of the
-conclusion's images; its guard still counts a named copy's variables, one
-per modal subformula and world included, and builds that copy only when a
-cheap bound cannot clear it.  A cardinality sweep builds the
-edge-independent part once and only each frame's images anew, so its
-verdicts are those of deciding every frame from scratch.
+conclusion's images; its guard still counts the variables of the named
+view (a fresh name per modal subformula and world, pinned by an ``iff``
+delta), built in one pass on first read, which a decision reads only when
+the legend's length cannot clear the guard.  The memo holds only what
+reads no edge, the per-world source variables and the modal subformulas,
+so a cardinality sweep builds them once and each frame's images anew, and
+its verdicts are those of deciding every frame from scratch.
 
 Every countermodel is re-checked by the Kripke evaluator
 (:func:`mvmodal.kripke.evaluate_all`) before it is returned: a frame's on
@@ -499,44 +501,62 @@ class FrameTranslation:
     values are formulas, each source variable at each world valued by a
     fresh variable: a box is the meet and a diamond the join of its body's
     images at the successors, ``ONE``/``ZERO`` at a world with none.  Both
-    backends read those images (:meth:`inlined`).  The named premises and
-    conclusion put a fresh name for each modal subformula at each world
-    instead, defined in post-order by the same fold and pinned by an ``iff``
-    delta.  The definitions and deltas are built together on first read.
-    The named view stays public (demo 3 prints it); internally only the
-    finite guard's exact count reads it (:meth:`all_premises`).
+    backends read those images (:meth:`inlined`).  The named view puts a
+    fresh name for each modal subformula at each world in the premises and
+    conclusion instead, defined in post-order by the same fold and pinned by
+    an ``iff`` delta.  Its five read-only attributes are built together, in
+    one pass, on first read; demo 3 prints them, and internally only the
+    finite guard's exact count reads them (:meth:`all_premises`).
     """
 
     def __init__(self, frame: KripkeFrame, gamma: tuple[Formula, ...],
                  phi: Formula):
         self.frame = frame
         self._source = gamma + (phi,)
-        (self.premises, self.conclusion, legend, self._rows,
-         self._steps) = _star(gamma, phi, frame.worlds)
-        self.legend = dict(legend)
+        self._rows, self._modal = _per_world_vars(self._source, len(frame.worlds))
+
+    premises = property(lambda self: self._named[0])
+    conclusion = property(lambda self: self._named[1])
+    legend = property(lambda self: self._named[2])
+    definitions = property(lambda self: self._named[3])
+    deltas = property(lambda self: self._named[4])
 
     @functools.cached_property
-    def _named(self) -> tuple[dict[str, Formula], dict[str, tuple[Formula, ...]]]:
-        worlds = self.frame.worlds
+    def _named(self):
+        """The five named attributes, in one bottom-up pass that makes each
+        modal node's names, legend entries, definitions and deltas."""
+        worlds, rows = self.frame.worlds, self._rows
         widx = {w: i for i, w in enumerate(worlds)}
         succ = [[widx[u] for u in self.frame.successors(w)] for w in worlds]
+        tag = {Box: "box", Diamond: "dia"}
+        fresh = iter(fresh_names(
+            [*rows, *(v.name for row in rows.values() for v in row)],
+            [f"x{tag[type(mf)]}{k}__w{i}" for k, mf in enumerate(self._modal)
+             for i in range(len(worlds))]))
+        legend = {v.name: ("var", p, w)
+                  for p, row in rows.items() for v, w in zip(row, worlds)}
         definitions: dict[str, Formula] = {}
         deltas: dict[str, list[Formula]] = {w: [] for w in worlds}
-        for is_box, names, body in self._steps:
-            op, unit = (And, ONE) if is_box else (Or, ZERO)
-            for name, w, s in zip(names, worlds, succ):
-                definition = functools.reduce(op, [body[i] for i in s]) if s else unit
-                definitions[name.name] = definition
-                deltas[w].append(iff(name, definition))
-        return definitions, {w: tuple(rows) for w, rows in deltas.items()}
 
-    @property
-    def definitions(self) -> dict[str, Formula]:
-        return self._named[0]
+        def per_world(f: Formula, *images: tuple[Formula, ...]) -> tuple[Formula, ...]:
+            """The named translation of ``f`` at every world."""
+            if isinstance(f, Var):
+                return rows[f.name]
+            if isinstance(f, (Box, Diamond)):
+                op, unit = (And, ONE) if isinstance(f, Box) else (Or, ZERO)
+                names = tuple(Var(next(fresh)) for _ in worlds)
+                for name, w, s in zip(names, worlds, succ):
+                    legend[name.name] = (tag[type(f)], f.body, w)
+                    definitions[name.name] = d = (
+                        functools.reduce(op, [images[0][i] for i in s]) if s else unit)
+                    deltas[w].append(iff(name, d))
+                return names
+            return tuple(map(type(f), *images)) if images else (f,) * len(worlds)
 
-    @property
-    def deltas(self) -> dict[str, tuple[Formula, ...]]:
-        return self._named[1]
+        *premises, conclusion = bottom_up(self._source, per_world)
+        return (tuple(g for image in premises for g in image),
+                functools.reduce(And, conclusion), legend, definitions,
+                {w: tuple(ds) for w, ds in deltas.items()})
 
     def all_premises(self) -> tuple[Formula, ...]:
         return tuple(itertools.chain(self.premises, *self.deltas.values()))
@@ -560,51 +580,24 @@ class FrameTranslation:
 
 
 @functools.lru_cache(maxsize=1)
-def _star(gamma: tuple[Formula, ...], phi: Formula, worlds: tuple[str, ...]):
-    """The edge-independent part of the named translation, in one bottom-up
-    pass: premises, conclusion, legend, each source variable's per-world
-    variables and, per modal subformula in post-order (innermost first),
-    whether it is a box, its per-world names and its body's per-world
-    images.  Formulas are hash-consed, so the memo serves every frame of a
-    cardinality sweep after the first."""
-    nodes = postorder(gamma + (phi,))
-    source_vars = sorted(f.name for f in nodes if isinstance(f, Var))
-    tag = {Box: "box", Diamond: "dia"}
-    modal = [f for f in nodes if isinstance(f, (Box, Diamond))]
-    fresh = iter(fresh_names(source_vars, [
-        *(f"{p}__w{i}" for p in source_vars for i in range(len(worlds))),
-        *(f"x{tag[type(mf)]}{k}__w{i}" for k, mf in enumerate(modal)
-          for i in range(len(worlds)))]))
-    legend: dict[str, tuple] = {}
-    rows: dict[str, tuple[Var, ...]] = {}
-    for p in source_vars:
-        rows[p] = tuple(Var(next(fresh)) for _ in worlds)
-        legend.update((v.name, ("var", p, w)) for v, w in zip(rows[p], worlds))
-    steps: list[tuple[bool, tuple[Formula, ...], tuple[Formula, ...]]] = []
-
-    def per_world(f: Formula, *images: tuple[Formula, ...]) -> tuple[Formula, ...]:
-        """The named translation of ``f`` at every world."""
-        if isinstance(f, Var):
-            return rows[f.name]
-        if isinstance(f, (Box, Diamond)):
-            names = [next(fresh) for _ in worlds]
-            legend.update((name, (tag[type(f)], f.body, w))
-                          for name, w in zip(names, worlds))
-            steps.append((isinstance(f, Box), tuple(map(Var, names)), images[0]))
-            return steps[-1][1]
-        return tuple(map(type(f), *images)) if images else (f,) * len(worlds)
-
-    images = bottom_up(gamma + (phi,), per_world)
-    premises = tuple(g for image in images[:-1] for g in image)
-    return premises, functools.reduce(And, images[-1]), legend, rows, tuple(steps)
+def _per_world_vars(source: tuple[Formula, ...], n: int):
+    """What of the translation reads no edge: each source variable's
+    variable at each of ``n`` worlds, and the modal subformulas in
+    post-order (innermost first).  Formulas are hash-consed, so the memo
+    serves every frame of a cardinality sweep after the first."""
+    nodes = postorder(source)
+    names = sorted(f.name for f in nodes if isinstance(f, Var))
+    fresh = iter(fresh_names(names, [f"{p}__w{i}" for p in names for i in range(n)]))
+    return ({p: tuple(Var(next(fresh)) for _ in range(n)) for p in names},
+            tuple(f for f in nodes if isinstance(f, (Box, Diamond))))
 
 
 def translate_on_frame(frame: KripkeFrame, gamma: Iterable[Formula],
                        phi: Formula) -> FrameTranslation:
     """Star translation of ``gamma |- phi`` over the given finite frame, as
-    the view :class:`FrameTranslation`: the named premises, conclusion and
-    legend come from :func:`_star`, which reads only the worlds; the images
-    and the deltas, which read the edges, are built when asked for."""
+    the view :class:`FrameTranslation`: only the per-world source variables
+    are built here (memo of :func:`_per_world_vars`); the images and the
+    named view, which read the edges, are built when asked for."""
     return FrameTranslation(frame, tuple(gamma), phi)
 
 
@@ -624,10 +617,13 @@ def decide_on_frame(frame: KripkeFrame, gamma: Iterable[Formula], phi: Formula,
     conclusion's images and searches only the source variables at each
     world.  Its guard still counts the named translation's variables, one
     per modal subformula and world included (README, "Guard rails").  The
-    legend bounds that count, so the names, definitions and deltas are
-    built only when ``size ** len(legend)`` exceeds the guard.  Fails with
-    a concrete countermodel on the frame, re-checked by the evaluator
-    before being returned; that re-check is the only one.
+    legend's length, read off the memo without building the legend, bounds
+    that count, so the named view is built only when ``size ** len(legend)``
+    exceeds the guard.  Fails with a concrete countermodel on the frame,
+    re-checked on the frame by the evaluator before being returned.  Over
+    the standard MV algebra that re-check is the only one; a finite sweep's
+    point has been re-checked once before, as a one-world, edgeless model,
+    by :func:`finite_consequence`.
     """
     gamma = tuple(gamma)
     tr = translate_on_frame(frame, gamma, phi)
@@ -638,7 +634,7 @@ def decide_on_frame(frame: KripkeFrame, gamma: Iterable[Formula], phi: Formula,
         at, point = found
     elif isinstance(alg, (MVn, FiniteTable)):
         guard = FINITE_SEARCH_GUARD
-        if alg.size ** len(tr.legend) > guard:
+        if alg.size ** ((len(tr._rows) + len(tr._modal)) * len(frame.worlds)) > guard:
             named = variables(tr.all_premises() + (tr.conclusion,))
             _check_sweep_size(alg.size, len(named), guard)
         res = finite_consequence(alg, *tr.inlined(), guard=guard)
@@ -696,10 +692,11 @@ def decide_cardinality(j: int, gamma: Iterable[Formula], phi: Formula,
     its class; it is visited, and the witness frame and model are those of
     the sweep over every labeled frame.
 
-    The frame classes (once per ``j``), the edge-independent translation
-    (memo of ``_star``) and a finite algebra's tables are built once; each
-    frame gets its own images and decision, as its edges pick the body
-    images a box or diamond reads, and with them the witness.
+    The frame classes (once per ``j``), the per-world source variables and
+    modal subformulas (memo of :func:`_per_world_vars`) and a finite
+    algebra's tables are built once; each frame gets its own images and
+    decision, as its edges pick the body images a box or diamond reads, and
+    with them the witness.
     """
     if j < 1:
         raise ValueError("cardinality must be at least 1")

@@ -18,8 +18,8 @@ from mvmodal.decision import (coenumerate_nonconsequences, decide_cardinality,
                               decide_on_frame, finite_consequence,
                               luk_consequence, translate_on_frame)
 from mvmodal.formulas import (ONE, ZERO, And, Box, Diamond, Implies, Or,
-                              Times, Var, iff, parse, postorder, render,
-                              subformulas, substitute, variables)
+                              Times, Var, fresh_names, iff, parse, postorder,
+                              render, subformulas, substitute, variables)
 from mvmodal.cli import run
 from mvmodal.kripke import (KripkeFrame, KripkeModel, Verdict, Witness, evaluate,
                             evaluate_all, globally_satisfies, model_to_json)
@@ -647,20 +647,28 @@ def test_frame_decision_per_world_agrees_with_the_conjunction(rng, j, premises):
 
 def test_frame_decisions_build_no_deltas(monkeypatch):
     # both backends read the evaluator's images; within the guard's legend
-    # bound no name, definition or iff delta is built
-    calls = []
+    # bound neither draws a name for a modal subformula nor builds a
+    # definition or iff delta: only the per-world source variables are named
+    calls, bases = [], []
 
     def counted(a, b):
         calls.append(a)
         return iff(a, b)
 
+    def recorded(used, names):
+        names = list(names)
+        bases.extend(names)
+        return fresh_names(used, names)
+
     monkeypatch.setattr(decision, "iff", counted)
+    monkeypatch.setattr(decision, "fresh_names", recorded)
     fr = KripkeFrame(["w1", "w2"], [("w1", "w2"), ("w2", "w2")])
     gamma, phi = [P("[](p -> q)"), P("[]p")], P("[]q \\/ <>p")
     decide_on_frame(fr, gamma, phi, StdMV())
     assert len(calls) == 0
     decide_on_frame(fr, gamma, phi, MVn(3))
     assert len(calls) == 0
+    assert not [b for b in bases if b.startswith(("xbox", "xdia"))], bases
 
 
 def _named_sweep(frame, gamma, phi, alg, guard=decision.FINITE_SEARCH_GUARD):
@@ -704,6 +712,9 @@ def test_frame_guard_counts_the_named_translation(case, alg, exponent, offset):
     # the example, w1 has no predecessor, so q at w1 is in the legend but
     # not in the translation: 3^4 exceeds the guard, the exact 3^3 does not
     frame, gamma, phi = case
+    # the guard's cheap bound is the legend's length, read without building it
+    tr = translate_on_frame(frame, gamma, phi)
+    assert (len(tr._rows) + len(tr._modal)) * len(frame.worlds) == len(tr.legend)
     guard = alg.size ** exponent + offset
     named = _frame_outcome(lambda: _named_sweep(frame, gamma, phi, alg, guard))
     with pytest.MonkeyPatch.context() as mp:

@@ -106,7 +106,7 @@ def _frame_by_frame(j, gamma, phi, alg):
     worlds = [f"w{i + 1}" for i in range(j)]
     pairs = [(a, b) for a in worlds for b in worlds]
     for mask in decision._least_masks(j):
-        decision._star.cache_clear()
+        decision._per_world_vars.cache_clear()
         frame = KripkeFrame(worlds, [pairs[b] for b in range(j * j) if mask >> b & 1])
         verdict = decision.decide_on_frame(frame, gamma, phi, alg)
         if not verdict.holds:
