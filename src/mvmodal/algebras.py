@@ -263,7 +263,8 @@ class MVn(_RationalAlgebra):
         return self.n
 
     def carrier(self) -> tuple[Fraction, ...]:
-        return tuple(Fraction(k, self.n - 1) for k in range(self.n))
+        """The elements k/(n-1) in index order; built once for each n."""
+        return _mv_carrier(self.n)
 
     def tables(self) -> dict:
         """Operation tables over element indices, index k standing for
@@ -515,6 +516,11 @@ def mv_chain_tables(n: int) -> dict:
         "zero": 0,
         "one": m,
     }
+
+
+@cache
+def _mv_carrier(n: int) -> tuple[Fraction, ...]:
+    return tuple(Fraction(k, n - 1) for k in range(n))
 
 
 @cache

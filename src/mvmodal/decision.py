@@ -10,29 +10,29 @@ straight-line program over slot indices and the algebra's index tables (an
 MVn chain sweeps the tables of ``mv_chain_tables``, index k standing for
 k/(n-1)), run level by level as the variables are assigned in lexicographic
 order, with a subtree pruned as soon as a premise fails or the conclusion is
-already 1.  On top of them sits the frame translation that turns
-global consequence over a fixed finite frame into a propositional consequence
-question, the cardinality-bound decision that conjoins it over one frame per
-isomorphism class of a given size, and the co-enumerator of non-consequences.
-The translation is the evaluator over formulas: both backends read each
-formula's value at each world in the frame's model whose values are formulas,
-so their only variables are the source variables at each world.  Global
-consequence fails exactly when it fails at some world, so the LP decides a
-frame one world at a time over one case system: the premises' images are
-pinned and folded once, and each world's search reads only the splits under
-them and that world's image.  The finite sweep reads the conjunction of the
-conclusion's images; its guard still counts the variables of the named
-view (a fresh name per modal subformula and world, pinned by an ``iff``
-delta), built in one pass on first read, which a decision reads only when
-the legend's length cannot clear the guard.  The memo holds only what
-reads no edge, the per-world source variables and the modal subformulas,
-so a cardinality sweep builds them once and each frame's images anew, and
-its verdicts are those of deciding every frame from scratch.
+already 1.  On top of them sit the frame decision, the cardinality-bound
+decision that conjoins it over one frame per isomorphism class of a given
+size, and the co-enumerator of non-consequences.  Global consequence over a
+fixed finite frame is propositional consequence over the source variables at
+each world.  The LP reads the frame translation, the evaluator over formulas:
+each formula's value at each world in the frame's model whose values are
+formulas.  Global consequence fails exactly when it fails at some world, so
+the LP decides a frame one world at a time over one case system: the
+premises' images are pinned and folded once, and each world's search reads
+only the splits under them and that world's image.  The finite sweep builds
+no image: it compiles its program from the source formulas on the frame, a
+slot per (node, world) pair that the roots read.  Its guard in a frame
+decision still counts the variables of the named view (a fresh name per
+modal subformula and world, pinned by an ``iff`` delta), built in one pass
+on first read, which a decision reads only when the legend's length cannot
+clear the guard.  The memo holds only what reads no edge, the per-world
+source variables, the modal subformulas and the post-order, so a
+cardinality sweep builds them once and each frame's images or program anew,
+and its verdicts are those of deciding every frame from scratch.
 
-Every countermodel is re-checked by the Kripke evaluator
+Every countermodel is re-checked once by the Kripke evaluator
 (:func:`mvmodal.kripke.evaluate_all`) before it is returned: a frame's on
-the frame, and a propositional one as a one-world, edgeless model (a finite
-sweep's point on a frame is checked both ways).
+the frame, and a propositional one as a one-world, edgeless model.
 """
 
 from __future__ import annotations
@@ -40,6 +40,7 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass
+from operator import attrgetter
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -62,6 +63,7 @@ __all__ = [
 BRANCH_GUARD_DEFAULT = 2 ** 24
 CARDINALITY_CAP_DEFAULT = 3
 FINITE_SEARCH_GUARD = 10 ** 7
+_NAME = attrgetter("name")
 
 class _Unsat(Exception):
     """Premises force a contradiction; the consequence holds vacuously."""
@@ -366,11 +368,14 @@ def _luk_countermodel(gamma: tuple[Formula, ...], phis: tuple[Formula, ...],
     return None
 
 
+_POINT = KripkeFrame(["w"], ())
+
+
 def _rechecked(alg: Algebra, gamma: tuple[Formula, ...], phi: Formula,
                valuation: dict) -> Verdict:
     """Failing verdict for a propositional countermodel, after re-evaluating
     it as a one-world, edgeless model through the Kripke evaluator."""
-    model = KripkeModel(KripkeFrame(["w"], ()), alg, {"w": valuation})
+    model = KripkeModel(_POINT, alg, {"w": valuation})
     *premises, (value,) = evaluate_all(model, gamma + (phi,))
     if any(col[0] != alg.one for col in premises):
         raise RuntimeError("countermodel failed premise re-check")
@@ -382,7 +387,7 @@ def _rechecked(alg: Algebra, gamma: tuple[Formula, ...], phi: Formula,
 def _propositional_nodes(formulas: tuple[Formula, ...]) -> list[Formula]:
     """The post-order of ``formulas``, which must have no modal operator."""
     nodes = postorder(formulas)
-    if any(isinstance(f, (Box, Diamond)) for f in nodes):
+    if not {Box, Diamond}.isdisjoint(map(type, nodes)):
         bad = next(f for f in formulas if not is_propositional(f))
         raise ValueError(f"modal operator in propositional consequence: {render(bad)}")
     return nodes
@@ -395,91 +400,168 @@ def _check_sweep_size(size: int, depth: int, guard: int) -> None:
 
 
 def finite_consequence(alg: Algebra, gamma: Iterable[Formula], phi: Formula, *,
-                       guard: int = FINITE_SEARCH_GUARD) -> Verdict:
-    """Propositional consequence over a finite algebra by backtracking.
+                       guard: int = FINITE_SEARCH_GUARD,
+                       frame: KripkeFrame | None = None) -> Verdict:
+    """Consequence over a finite algebra by backtracking: propositional, or
+    global over all models on ``frame``.
 
-    The formulas become one straight-line program: slot k holds the k-th
-    node (the variables first, in sorted order), and each connective is one
-    table lookup on two earlier slots.  A slot's level is the number of
-    variables assigned before it is known: one more than the index of the
-    last variable it reads, or 0 for a constant.  The variables are assigned
-    depth first in lexicographic order; at depth d (d variables assigned)
-    only the instructions of level d run, and the roots of level d are
-    checked:
-
-    * a premise that is not 1 prunes the subtree;
-    * a conclusion that is already 1 prunes the subtree.
-
-    A pruned valuation is never a countermodel, so the first leaf that
-    passes every check is the lexicographically first countermodel.  The
-    guard bounds ``size ** variables``, the size of the full sweep.
+    The formulas become one straight-line program (:func:`_sweep_program`),
+    each slot with a level: one more than the index of the last variable it
+    reads, or 0 for a constant.  The variables are assigned depth first in
+    lexicographic order of their names; at depth d only the instructions of
+    level d run, and the roots of level d are checked: a premise that is not
+    1, or a conclusion that is already 1, prunes the subtree.  So the first
+    leaf that passes every check is the lexicographically first
+    countermodel.  The guard bounds ``size ** variables`` and the four
+    operation tables, both before the tables are built.  Without ``frame`` a
+    modal operator is refused, and a countermodel is re-checked as a
+    one-world, edgeless model; on ``frame`` it is folded onto the frame and
+    re-checked there once (:func:`_folded`).
     """
     if not isinstance(alg, (MVn, FiniteTable)):
         raise ValueError("finite_consequence needs a finite algebra")
     gamma = tuple(gamma)
+    free, rows, vals, code, checks, one = _sweep_program(alg, gamma, phi, frame, guard)
+    depth, last = len(free), alg.size - 1
+    d = 0  # the variables assigned
+    while True:
+        # run level d's code and checks on the current partial valuation
+        for out, table, a, b in code[d]:
+            vals[out] = table[vals[a]][vals[b]]
+        for root, conclusion in checks[d]:
+            if (vals[root] == one) is conclusion:
+                break
+        else:
+            if d == depth:
+                break
+            vals[d] = 0
+            d += 1
+            continue
+        # pruned: the next value of the last variable that has one
+        while d and vals[d - 1] == last:
+            d -= 1
+        if not d:
+            return Verdict(True)
+        vals[d - 1] += 1
+    carrier = alg.carrier()
+    point = {v.name: carrier[k] for v, k in zip(free, vals)}
+    if frame is None:
+        return _rechecked(alg, gamma, phi, point)
+    return _folded(frame, alg, gamma, phi, rows, point)
+
+
+def _sweep_program(alg: Algebra, gamma: tuple[Formula, ...], phi: Formula,
+                   frame: KripkeFrame | None, guard: int):
+    """The sweep's program, compiled from the source formulas after both
+    guards: the live per-world variables in sorted order (slots 0, 1, ...),
+    ``rows`` (None without ``frame``), the slot values, and per level the
+    instructions ``(slot, table, a, b)`` and checks ``(slot, is
+    conclusion)``, and the index of 1.
+
+    Each (node, world) pair that the roots read gets a slot, value-numbered
+    on ``(operation, a, b)``, world by world within each piece of
+    :func:`_layout`: a connective is one table lookup, and a box or diamond
+    folds meet or join over its body's slots at the successors, the unit at
+    a world with none.  The roots are each premise at every world and the
+    meet of the conclusion's slots.
+    """
     roots = gamma + (phi,)
-    nodes = _propositional_nodes(roots)
-    names = sorted(f.name for f in nodes if isinstance(f, Var))
-    size = alg.size
-    depth = len(names)
+    if frame is None:
+        rows, modal, nodes, succ = None, (), _propositional_nodes(roots), [()]
+    else:
+        rows, modal, nodes = _per_world_vars(roots, len(frame.worlds))
+        pos = {w: i for i, w in enumerate(frame.worlds)}
+        succ = [[pos[u] for u in frame.successors(w)] for w in frame.worlds]
+    layout = _layout(nodes, roots, succ) if modal else [[nodes] * len(succ)]
+    free = [rows[f.name][w] if rows else f for piece in layout
+            for w, live in enumerate(piece) for f in live if isinstance(f, Var)]
+    free.sort(key=_NAME)
+    size, depth = alg.size, len(free)
     _check_sweep_size(size, depth, guard)
     if 4 * size * size > guard:
         raise ResourceLimitError(
             f"four {size}x{size} operation tables exceed the search "
             f"guard {guard}")
     tables = alg.tables()  # over element indices, mapped back by carrier()
-    slot = {id(Var(p)): k for k, p in enumerate(names)}
+    slots = {v: k for k, v in enumerate(free)}
+    add = slots.setdefault
     level = list(range(1, depth + 1))
     vals = [0] * depth
-    # per level: the instructions of that level, then the roots known there
-    # as (root slot, is conclusion)
     code: list[list[tuple]] = [[] for _ in range(depth + 1)]
     checks: list[list[tuple]] = [[] for _ in range(depth + 1)]
-    for f in nodes:
-        if id(f) not in slot:
-            slot[id(f)] = k = len(vals)
-            if isinstance(f, (Const0, Const1)):
-                vals.append(tables["zero" if isinstance(f, Const0) else "one"])
-                level.append(0)
-            else:
-                a, b = slot[id(f.left)], slot[id(f.right)]
+
+    def number(key) -> int:
+        """The slot of a constant or ``(operation, a, b)``, made on first use."""
+        k = add(key, len(vals))
+        if k == len(vals):
+            if isinstance(key, tuple):
+                op, a, b = key
                 vals.append(0)
                 level.append(max(level[a], level[b]))
-                code[level[k]].append((k, tables[_OPERATION[type(f)]], a, b))
-    for i, f in enumerate(roots):
-        k = slot[id(f)]
-        checks[level[k]].append((k, i == len(gamma)))
-    one = tables["one"]
-    plan = list(zip(code, checks))
+                code[level[k]].append((k, tables[op], a, b))
+            else:
+                vals.append(tables["zero" if key is ZERO else "one"])
+                level.append(0)
+        return k
 
-    def passes(d: int) -> bool:
-        """Run level d's code and checks on the current partial valuation."""
-        level_code, level_checks = plan[d]
-        for out, table, a, b in level_code:
-            vals[out] = table[vals[a]][vals[b]]
-        for root, conclusion in level_checks:
-            if (vals[root] == one) is conclusion:
-                return False
-        return True
+    at = [{} for _ in succ]  # per world: a node's id -> its slot there
+    for piece in layout:
+        for w, live in enumerate(piece):
+            slot = at[w]
+            for f in live:
+                op = _OPERATION.get(type(f))
+                if op:
+                    a, b = slot[id(f.left)], slot[id(f.right)]
+                    slot[id(f)] = k = add((op, a, b), len(vals))
+                    if k == len(vals):  # number((op, a, b)), inlined
+                        vals.append(0)
+                        level.append(lv := max(level[a], level[b]))
+                        code[lv].append((k, tables[op], a, b))
+                elif isinstance(f, Var):
+                    slot[id(f)] = slots[rows[f.name][w] if rows else f]
+                elif isinstance(f, (Const0, Const1)):
+                    slot[id(f)] = number(f)
+                else:
+                    op, unit = ("meet", ONE) if isinstance(f, Box) else ("join", ZERO)
+                    js = succ[w]
+                    k = at[js[0]][id(f.body)] if js else number(unit)
+                    for j in js[1:]:
+                        k = number((op, k, at[j][id(f.body)]))
+                    slot[id(f)] = k
+    for g in gamma:
+        for slot in at:
+            k = slot[id(g)]
+            checks[level[k]].append((k, False))
+    k = functools.reduce(lambda a, b: number(("meet", a, b)),
+                         [slot[id(phi)] for slot in at])
+    checks[level[k]].append((k, True))
+    return free, rows, vals, code, checks, tables["one"]
 
-    if not passes(0):
-        return Verdict(True)
-    i = 0  # the variable being assigned
-    if depth:
-        vals[0] = -1
-    while 0 <= i < depth:
-        vals[i] += 1
-        if vals[i] == size:
-            i -= 1
-        elif passes(i + 1):
-            i += 1
-            if i < depth:
-                vals[i] = -1
-    if i < 0:
-        return Verdict(True)
-    carrier = alg.carrier()
-    valuation = {p: carrier[k] for p, k in zip(names, vals)}
-    return _rechecked(alg, gamma, phi, valuation)
+
+def _layout(nodes: list[Formula], roots: tuple[Formula, ...],
+            succ: list[list[int]]) -> list[list[list[Formula]]]:
+    """The post-order ``nodes`` cut before each box or diamond, and per piece
+    and world (by index) the nodes that the roots read there: a root
+    everywhere, a connective's operands where it is read, and the body of a
+    box or diamond at the successors of the worlds where it is read.  Within
+    a piece only its first node reads other worlds, from earlier pieces."""
+    reads = dict.fromkeys(map(id, roots), (1 << len(succ)) - 1)  # world bits
+    for f in reversed(nodes):  # parents first
+        m = reads.get(id(f), 0)
+        if isinstance(f, (Box, Diamond)):
+            m, operands = sum({1 << j for w, js in enumerate(succ)
+                               if m >> w & 1 for j in js}), (f.body,)
+        else:
+            operands = () if isinstance(f, (Var, Const0, Const1)) else (f.left, f.right)
+        for g in operands:
+            reads[id(g)] = reads.get(id(g), 0) | m
+    pieces: list[list[Formula]] = []
+    for f in nodes:
+        if not pieces or isinstance(f, (Box, Diamond)):
+            pieces.append([])
+        pieces[-1].append(f)
+    return [[[f for f in piece if reads.get(id(f), 0) >> w & 1]
+             for w in range(len(succ))] for piece in pieces]
 
 
 class _Formulas(Algebra):
@@ -500,8 +582,9 @@ class FrameTranslation:
     A formula's image at a world is its value in the frame's model whose
     values are formulas, each source variable at each world valued by a
     fresh variable: a box is the meet and a diamond the join of its body's
-    images at the successors, ``ONE``/``ZERO`` at a world with none.  Both
-    backends read those images (:meth:`inlined`).  The named view puts a
+    images at the successors, ``ONE``/``ZERO`` at a world with none.  The
+    LP reads those images (:meth:`_images`); the finite sweep compiles the
+    same fold from the source formulas and reads none.  The named view puts a
     fresh name for each modal subformula at each world in the premises and
     conclusion instead, defined in post-order by the same fold and pinned by
     an ``iff`` delta.  Its five read-only attributes are built together, in
@@ -513,7 +596,7 @@ class FrameTranslation:
                  phi: Formula):
         self.frame = frame
         self._source = gamma + (phi,)
-        self._rows, self._modal = _per_world_vars(self._source, len(frame.worlds))
+        self._rows, self._modal, _ = _per_world_vars(self._source, len(frame.worlds))
 
     premises = property(lambda self: self._named[0])
     conclusion = property(lambda self: self._named[1])
@@ -563,7 +646,7 @@ class FrameTranslation:
 
     def inlined(self) -> tuple[tuple[Formula, ...], Formula]:
         """The images of the premises and the conjunction of the
-        conclusion's images, which the finite sweep reads."""
+        conclusion's images.  No backend reads it; demo 3 prints it."""
         premises, conclusions = self._images()
         return premises, functools.reduce(And, conclusions)
 
@@ -582,14 +665,14 @@ class FrameTranslation:
 @functools.lru_cache(maxsize=1)
 def _per_world_vars(source: tuple[Formula, ...], n: int):
     """What of the translation reads no edge: each source variable's
-    variable at each of ``n`` worlds, and the modal subformulas in
-    post-order (innermost first).  Formulas are hash-consed, so the memo
-    serves every frame of a cardinality sweep after the first."""
+    variable at each of ``n`` worlds, the modal subformulas in post-order
+    (innermost first) and the post-order.  Formulas are hash-consed, so the
+    memo serves every frame of a cardinality sweep after the first."""
     nodes = postorder(source)
     names = sorted(f.name for f in nodes if isinstance(f, Var))
     fresh = iter(fresh_names(names, [f"{p}__w{i}" for p in names for i in range(n)]))
     return ({p: tuple(Var(next(fresh)) for _ in range(n)) for p in names},
-            tuple(f for f in nodes if isinstance(f, (Box, Diamond))))
+            tuple(f for f in nodes if isinstance(f, (Box, Diamond))), nodes)
 
 
 def translate_on_frame(frame: KripkeFrame, gamma: Iterable[Formula],
@@ -606,24 +689,22 @@ def decide_on_frame(frame: KripkeFrame, gamma: Iterable[Formula], phi: Formula,
                     branch_guard: int = BRANCH_GUARD_DEFAULT) -> Verdict:
     """Global consequence over all models on a fixed finite frame.
 
-    Both backends decide the evaluator's images
-    (:meth:`FrameTranslation.inlined`).  Over the standard MV algebra, the
-    consequence fails exactly when it fails at some world, so one case
-    system holds the premises' images and the conclusion's image at each
-    world, and the LP searches one world at a time in ``frame.worlds``
-    order (:func:`_luk_countermodel`); the first world it refutes is the
-    witness world, and ``branch_guard`` counts the search nodes of all the
-    worlds.  The sweep over a finite algebra reads the conjunction of the
-    conclusion's images and searches only the source variables at each
-    world.  Its guard still counts the named translation's variables, one
-    per modal subformula and world included (README, "Guard rails").  The
-    legend's length, read off the memo without building the legend, bounds
-    that count, so the named view is built only when ``size ** len(legend)``
-    exceeds the guard.  Fails with a concrete countermodel on the frame,
-    re-checked on the frame by the evaluator before being returned.  Over
-    the standard MV algebra that re-check is the only one; a finite sweep's
-    point has been re-checked once before, as a one-world, edgeless model,
-    by :func:`finite_consequence`.
+    Over the standard MV algebra, the consequence fails exactly when it
+    fails at some world, so one case system holds the evaluator's images of
+    the premises and the conclusion's image at each world
+    (:meth:`FrameTranslation._images`), and the LP searches one world at a
+    time in ``frame.worlds`` order (:func:`_luk_countermodel`); the first
+    world it refutes is the witness world, and ``branch_guard`` counts the
+    search nodes of all the worlds.  Over a finite algebra the answer is
+    ``finite_consequence(..., frame=frame)``, which compiles its sweep from
+    the source formulas on the frame and searches only the source variables
+    at each world.  Its guard here still counts the named translation's
+    variables, one per modal subformula and world included (README, "Guard
+    rails").  The legend's length, read off the memo without building the
+    legend, bounds that count, so the named view is built only when ``size
+    ** len(legend)`` exceeds the guard.  Fails with a concrete countermodel
+    on the frame, re-checked once, on the frame, by the evaluator before
+    being returned (:func:`_folded`).
     """
     gamma = tuple(gamma)
     tr = translate_on_frame(frame, gamma, phi)
@@ -632,26 +713,30 @@ def decide_on_frame(frame: KripkeFrame, gamma: Iterable[Formula], phi: Formula,
         if found is None:
             return Verdict(True)
         at, point = found
-    elif isinstance(alg, (MVn, FiniteTable)):
+        return _folded(frame, alg, gamma, phi, tr._rows, point, at)
+    if isinstance(alg, (MVn, FiniteTable)):
         guard = FINITE_SEARCH_GUARD
         if alg.size ** ((len(tr._rows) + len(tr._modal)) * len(frame.worlds)) > guard:
             named = variables(tr.all_premises() + (tr.conclusion,))
             _check_sweep_size(alg.size, len(named), guard)
-        res = finite_consequence(alg, *tr.inlined(), guard=guard)
-        if res.holds:
-            return Verdict(True)
-        at, point = None, res.witness.valuation
-    else:
-        raise ValueError(
-            f"no propositional decision for {alg.kind}: out of scope")
+        return finite_consequence(alg, gamma, phi, guard=guard, frame=frame)
+    raise ValueError(f"no propositional decision for {alg.kind}: out of scope")
+
+
+def _folded(frame: KripkeFrame, alg: Algebra, gamma: tuple[Formula, ...],
+            phi: Formula, rows: dict, point: dict, at: int | None = None) -> Verdict:
+    """Failing verdict for a backend's point over the per-world variables
+    ``rows``, folded onto the frame (a variable the point lacks is 0) and
+    re-checked there through the evaluator; the witness world is ``at``, or
+    the first world where the conclusion is not 1."""
     valuation: dict[str, dict[str, Value]] = {
-        w: {p: point.get(row[i].name, alg.zero) for p, row in tr._rows.items()}
+        w: {p: point.get(row[i].name, alg.zero) for p, row in rows.items()}
         for i, w in enumerate(frame.worlds)}
     model = KripkeModel(frame, alg, valuation)
     *premises, conclusion = evaluate_all(model, gamma + (phi,))
     if any(v != alg.one for col in premises for v in col):
         raise RuntimeError("folded countermodel failed premise re-check")
-    if at is None:  # the sweep refutes the conjunction: its first failing world
+    if at is None:
         at = next((k for k, v in enumerate(conclusion) if v != alg.one), 0)
     if conclusion[at] == alg.one:
         raise RuntimeError("folded countermodel failed conclusion re-check")
@@ -692,11 +777,12 @@ def decide_cardinality(j: int, gamma: Iterable[Formula], phi: Formula,
     its class; it is visited, and the witness frame and model are those of
     the sweep over every labeled frame.
 
-    The frame classes (once per ``j``), the per-world source variables and
-    modal subformulas (memo of :func:`_per_world_vars`) and a finite
-    algebra's tables are built once; each frame gets its own images and
-    decision, as its edges pick the body images a box or diamond reads, and
-    with them the witness.
+    The frame classes (once per ``j``), the per-world source variables,
+    modal subformulas and post-order (memo of :func:`_per_world_vars`) and
+    a finite algebra's tables are built once; each frame gets its own
+    images (over StdMV) or sweep program (over a finite algebra) and
+    decision, as its edges pick what a box or diamond reads, and with them
+    the witness.
     """
     if j < 1:
         raise ValueError("cardinality must be at least 1")

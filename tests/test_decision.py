@@ -294,6 +294,16 @@ def test_large_chain_guards_trip_before_tables(monkeypatch):
         finite_consequence(MVn(10 ** 6), [], P("p -> q"))
     with pytest.raises(ResourceLimitError):
         decide_cardinality(1, [], P("p \\/ ~p"), MVn(10 ** 6))
+    # on a 2-world frame, p at both worlds: 10^12 valuations trip first;
+    # with no edge the box reads no p, and the tables trip the guard
+    fr = KripkeFrame(["w1", "w2"], [("w1", "w2")])
+    with pytest.raises(ResourceLimitError, match="valuations"):
+        finite_consequence(MVn(10 ** 6), [], P("p \\/ ~p"), frame=fr)
+    with pytest.raises(ResourceLimitError, match="valuations"):
+        decide_on_frame(fr, [], P("p \\/ ~p"), MVn(10 ** 6))
+    with pytest.raises(ResourceLimitError, match="operation tables"):
+        finite_consequence(MVn(10 ** 6), [], P("[] p"),
+                           frame=KripkeFrame(["w1", "w2"], []))
     # a chain within both guards builds its tables
     monkeypatch.undo()
     assert not finite_consequence(MVn(41), [], P("p \\/ ~p")).holds
@@ -646,9 +656,10 @@ def test_frame_decision_per_world_agrees_with_the_conjunction(rng, j, premises):
 
 
 def test_frame_decisions_build_no_deltas(monkeypatch):
-    # both backends read the evaluator's images; within the guard's legend
-    # bound neither draws a name for a modal subformula nor builds a
-    # definition or iff delta: only the per-world source variables are named
+    # the LP reads the evaluator's images and the finite sweep compiles from
+    # the source formulas; within the guard's legend bound neither draws a
+    # name for a modal subformula nor builds a definition or iff delta: only
+    # the per-world source variables are named
     calls, bases = [], []
 
     def counted(a, b):
@@ -705,12 +716,13 @@ def _frame_outcome(decide):
 @example(case=(KripkeFrame(["w1", "w2"], [("w1", "w2")]), [], P("[] q")),
          alg=MVn(3), exponent=3, offset=0)
 def test_frame_guard_counts_the_named_translation(case, alg, exponent, offset):
-    # the sweep reads the images, but the guard still counts the named
-    # translation's variables: with the guard lowered, the frame decision
-    # trips exactly when the sweep over the names and deltas does, with the
-    # same message, and otherwise gives the same verdict and witness.  In
-    # the example, w1 has no predecessor, so q at w1 is in the legend but
-    # not in the translation: 3^4 exceeds the guard, the exact 3^3 does not
+    # the sweep reads only the source variables at each world, but the guard
+    # still counts the named translation's variables: with the guard
+    # lowered, the frame decision trips exactly when the sweep over the
+    # names and deltas does, with the same message, and otherwise gives the
+    # same verdict and witness.  In the example, w1 has no predecessor, so q
+    # at w1 is in the legend but not in the translation: 3^4 exceeds the
+    # guard, the exact 3^3 does not
     frame, gamma, phi = case
     # the guard's cheap bound is the legend's length, read without building it
     tr = translate_on_frame(frame, gamma, phi)
@@ -744,7 +756,8 @@ def test_image_sweep_matches_named_sweep():
 
 def test_image_sweep_witness_can_change_after_the_names():
     # y sorts after the name xdia0__w0, which the named sweep tried first at
-    # 0, forcing y to 1; the image sweep tries y first and stops at 1/2
+    # 0, forcing y to 1; the sweep of the source variables tries y first and
+    # stops at 1/2
     frame = KripkeFrame(["w1"], [("w1", "w1")])
     phi = P("<> ~y")
     named = _named_sweep(frame, [], phi, MVn(3))
@@ -752,6 +765,137 @@ def test_image_sweep_witness_can_change_after_the_names():
     assert named.witness.model.value("w1", "y") == 1
     assert v.witness.model.value("w1", "y") == F(1, 2)
     assert evaluate(v.witness.model, v.witness.world, phi) != 1
+
+
+_FORMULA_NAMES = st.recursive(
+    st.sampled_from([Var("p"), Var("q"), Var("p__w0"), Var("xbox0__w0"), ZERO, ONE]),
+    lambda sub: st.one_of(
+        st.builds(lambda c, a: c(a), st.sampled_from([Box, Diamond]), sub),
+        st.builds(lambda c, a, b: c(a, b), st.sampled_from([And, Or, Times, Implies]),
+                  sub, sub)),
+    max_leaves=6)
+
+
+def _image_sweep(frame, gamma, phi, alg):
+    """The frame decision as the finite sweep made it over the evaluator's
+    images: the propositional sweep of the premises' images and the
+    conjunction of the conclusion's, its point folded onto the frame and
+    the witness at the first world where the conclusion is not 1."""
+    tr = translate_on_frame(frame, gamma, phi)
+    res = finite_consequence(alg, *tr.inlined())
+    if res.holds:
+        return res
+    point = res.witness.valuation
+    model = KripkeModel(frame, alg, {
+        w: {p: point.get(row[i].name, alg.zero) for p, row in tr._rows.items()}
+        for i, w in enumerate(frame.worlds)})
+    *_, conclusion = evaluate_all(model, tuple(gamma) + (phi,))
+    at = next(i for i, v in enumerate(conclusion) if v != alg.one)
+    return Verdict(False, Witness(world=frame.worlds[at], formula=phi,
+                                  value=conclusion[at], model=model))
+
+
+def _sweep_outcome(decide):
+    """The verdict, witness world, value and model as JSON, or the guard's
+    message."""
+    try:
+        v = decide()
+    except ResourceLimitError as e:
+        return str(e)
+    if v.holds:
+        return True
+    w = v.witness
+    return w.world, w.value, json.dumps(model_to_json(w.model))
+
+
+@st.composite
+def _names_on_frame(draw):
+    gamma = draw(st.lists(_FORMULA_NAMES, max_size=2))
+    phi = draw(_FORMULA_NAMES)
+    j = draw(st.integers(1, 3))
+    ws = [f"w{i + 1}" for i in range(j)]
+    prs = [(a, b) for a in ws for b in ws]
+    mask = draw(st.integers(0, 2 ** (j * j) - 1))
+    return KripkeFrame(ws, [prs[b] for b in range(j * j) if mask >> b & 1]), gamma, phi
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_names_on_frame(), st.sampled_from([MVn(3), MVn(4), G3]))
+@example(case=(KripkeFrame(["w1"], []), [P("[] xbox0__w0")], P("p__w0 -> [] q")),
+         alg=MVn(3))
+@example(case=(KripkeFrame(["w1", "w2", "w3"], []), [],
+               P("p * q -> p__w0 \\/ xbox0__w0")), alg=MVn(4))
+def test_frame_sweep_matches_the_image_sweep(case, alg):
+    # the sweep compiled on the frame from the source formulas and the
+    # propositional sweep of the images meet the same live per-world
+    # variables in the same sorted order, so they find the same first
+    # countermodel, and trip the same guard with the same message; source
+    # names that look like per-world or modal names get fresh per-world names
+    frame, gamma, phi = case
+    want = _sweep_outcome(lambda: _image_sweep(frame, gamma, phi, alg))
+    assert _sweep_outcome(
+        lambda: finite_consequence(alg, gamma, phi, frame=frame)) == want
+
+
+def test_finite_frame_path_builds_no_image_and_rechecks_once(monkeypatch):
+    def no_images(self):
+        raise AssertionError("built the images")
+
+    calls = {"evaluate_all": 0, "_rechecked": 0}
+
+    def counted(name):
+        original = getattr(decision, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(decision.FrameTranslation, "_images", no_images)
+    for name in calls:
+        monkeypatch.setattr(decision, name, counted(name))
+    fr = KripkeFrame(["w1", "w2"], [("w1", "w2"), ("w2", "w2")])
+    assert not decide_on_frame(fr, [P("[] p -> p")], P("<> ~p"), MVn(3)).holds
+    assert calls == {"evaluate_all": 1, "_rechecked": 0}
+    calls.update(dict.fromkeys(calls, 0))
+    assert decide_on_frame(fr, [P("[] (p -> q)"), P("[] p")], P("[] q"), MVn(3)).holds
+    assert calls == {"evaluate_all": 0, "_rechecked": 0}
+
+
+def test_refutations_and_holding_verdicts_transfer_between_algebras():
+    # MV3 is a subalgebra of MV5 ({0, 1/2, 1}) and of [0, 1]_MV, and MV5 of
+    # [0, 1]_MV, so on a fixed frame an MV3 countermodel is an MV5 and a
+    # StdMV one, and a StdMV holding verdict holds over MV3 and MV5; a
+    # guard trip skips the pair
+    rng = random.Random(34)
+    tally = {"refuted": 0, "holds": 0, "skipped": 0}
+    algebras = {"mv3": MVn(3), "mv5": MVn(5), "std": StdMV()}
+    for _ in range(300):
+        gamma = tuple(random_formula(rng, 2, ("p", "q"))
+                      for _ in range(rng.randint(0, 2)))
+        phi = random_formula(rng, 3, ("p", "q"))
+        ws = [f"w{i + 1}" for i in range(rng.randint(1, 2))]
+        frame = KripkeFrame(ws, [(a, b) for a in ws for b in ws if rng.random() < 0.5])
+        try:
+            got = {k: decide_on_frame(frame, gamma, phi, alg)
+                   for k, alg in algebras.items()}
+        except ResourceLimitError:
+            tally["skipped"] += 1
+            continue
+        if not got["mv3"].holds:
+            assert not got["mv5"].holds and not got["std"].holds
+            # and the MV3 witness itself refutes the pair over MV5 and StdMV
+            w = got["mv3"].witness
+            for alg in (MVn(5), StdMV()):
+                model = KripkeModel(frame, alg, w.model.valuation_dict())
+                *cols, conclusion = evaluate_all(model, gamma + (phi,))
+                assert all(v == 1 for col in cols for v in col)
+                assert conclusion[ws.index(w.world)] == w.value < 1
+            tally["refuted"] += 1
+        if got["std"].holds:
+            assert got["mv3"].holds and got["mv5"].holds
+            tally["holds"] += 1
+    assert tally["refuted"] >= 100 and tally["holds"] >= 100, tally
 
 
 def test_decide_on_frame_examples():
