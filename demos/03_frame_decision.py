@@ -1,12 +1,12 @@
 """Deciding global consequence over a fixed finite frame.
 
 The decision translates the question into pure propositional consequence.
-The translation is the Kripke evaluator over formulas: with a fresh variable
-for each source variable at each world, a formula's image at a world is its
-value in the model whose values are formulas, so a box is the meet of its
-body's images at the successors.  Over the standard MV algebra exact
-case-split linear programming settles the images; over finite chains
-lexicographic backtracking settles the same images.  The named copy printed
+With a fresh variable for each source variable at each world, a formula's
+image at a world is its value in the model whose values are formulas, so a
+box is the meet of its body's images at the successors.  Over the standard
+MV algebra exact case-split linear programming settles the images; over
+finite chains lexicographic backtracking settles the same fold, compiled to
+a program over the algebra's tables.  The named copy printed
 below, a fresh variable for each boxed/diamonded subformula at each world
 pinned by a delta premise, is built whole, in one pass, on its first read:
 no backend reads it, and the finite search guard counts its variables

@@ -14,21 +14,10 @@ already 1.  On top of them sit the frame decision, the cardinality-bound
 decision that conjoins it over one frame per isomorphism class of a given
 size, and the co-enumerator of non-consequences.  Global consequence over a
 fixed finite frame is propositional consequence over the source variables at
-each world.  The LP reads the frame translation, the evaluator over formulas:
-each formula's value at each world in the frame's model whose values are
-formulas.  Global consequence fails exactly when it fails at some world, so
-the LP decides a frame one world at a time over one case system: the
-premises' images are pinned and folded once, and each world's search reads
-only the splits under them and that world's image.  The finite sweep builds
-no image: it compiles its program from the source formulas on the frame, a
-slot per (node, world) pair that the roots read.  Its guard in a frame
-decision still counts the variables of the named view (a fresh name per
-modal subformula and world, pinned by an ``iff`` delta), built in one pass
-on first read, which a decision reads only when the legend's length cannot
-clear the guard.  The memo holds only what reads no edge, the per-world
-source variables, the modal subformulas and the post-order, so a
-cardinality sweep builds them once and each frame's images or program anew,
-and its verdicts are those of deciding every frame from scratch.
+each world.  Both backends read one fold of a template of the source
+formulas on the frame (:func:`_fold`): the LP the images it builds, and the
+sweep its value-numbered program.  What reads no edge is built once, so a
+frame of a cardinality sweep costs one fold and its search.
 
 Every countermodel is re-checked once by the Kripke evaluator
 (:func:`mvmodal.kripke.evaluate_all`) before it is returned: a frame's on
@@ -264,11 +253,18 @@ class _LukSystem:
         search for ``phi`` need not branch on it."""
         if len(self.phis) == 1:  # every node is under the premises or phi
             return range(len(self.splits) - 1, -1, -1), self.upper
-        under = set(postorder(self.gamma + (phi,)))
+        premises, names = self._premise_scope
+        own = set(postorder((phi,)))
         order = [k for k in range(len(self.splits) - 1, -1, -1)
-                 if self.splits[k][0] in under]
+                 if self.splits[k][0] in premises or self.splits[k][0] in own]
         return order, dict.fromkeys(
-            sorted({v for f in under for v in self.affine[f].coeffs}), 1)
+            sorted(names.union(*(self.affine[f].coeffs for f in own))), 1)
+
+    @functools.cached_property
+    def _premise_scope(self) -> tuple[set, set]:
+        """The premises' nodes and the variables of their forms, once."""
+        nodes = set(postorder(self.gamma))
+        return nodes, {v for f in nodes for v in self.affine[f].coeffs}
 
     def violated(self, den: int, nums: dict, order: Iterable[int]) -> int:
         """The first split index in ``order`` whose variable the point
@@ -415,8 +411,7 @@ def finite_consequence(alg: Algebra, gamma: Iterable[Formula], phi: Formula, *,
     countermodel.  The guard bounds ``size ** variables`` and the four
     operation tables, both before the tables are built.  Without ``frame`` a
     modal operator is refused, and a countermodel is re-checked as a
-    one-world, edgeless model; on ``frame`` it is folded onto the frame and
-    re-checked there once (:func:`_folded`).
+    one-world, edgeless model; on ``frame``, on the frame (:func:`_folded`).
     """
     if not isinstance(alg, (MVn, FiniteTable)):
         raise ValueError("finite_consequence needs a finite algebra")
@@ -452,30 +447,23 @@ def finite_consequence(alg: Algebra, gamma: Iterable[Formula], phi: Formula, *,
 
 def _sweep_program(alg: Algebra, gamma: tuple[Formula, ...], phi: Formula,
                    frame: KripkeFrame | None, guard: int):
-    """The sweep's program, compiled from the source formulas after both
-    guards: the live per-world variables in sorted order (slots 0, 1, ...),
-    ``rows`` (None without ``frame``), the slot values, and per level the
-    instructions ``(slot, table, a, b)`` and checks ``(slot, is
-    conclusion)``, and the index of 1.
-
-    Each (node, world) pair that the roots read gets a slot, value-numbered
-    on ``(operation, a, b)``, world by world within each piece of
-    :func:`_layout`: a connective is one table lookup, and a box or diamond
-    folds meet or join over its body's slots at the successors, the unit at
-    a world with none.  The roots are each premise at every world and the
-    meet of the conclusion's slots.
-    """
+    """The sweep's program, :func:`_fold` with value numbering on
+    ``(operation, a, b)`` after both guards: the live per-world variables in
+    sorted order (slots 0, 1, ...), ``rows`` (None without ``frame``), the
+    slot values, per level the instructions ``(slot, table, a, b)`` and
+    checks ``(slot, is conclusion)``, and the index of 1."""
     roots = gamma + (phi,)
     if frame is None:
-        rows, modal, nodes, succ = None, (), _propositional_nodes(roots), [()]
+        template, at, names, modal = _template(roots)
+        if modal:
+            _propositional_nodes(roots)  # raises, naming the modal formula
+        rows, succ, per_world = None, [()], {p: (Var(p),) for p in names}
     else:
-        rows, modal, nodes = _per_world_vars(roots, len(frame.worlds))
-        pos = {w: i for i, w in enumerate(frame.worlds)}
-        succ = [[pos[u] for u in frame.successors(w)] for w in frame.worlds]
-    layout = _layout(nodes, roots, succ) if modal else [[nodes] * len(succ)]
-    free = [rows[f.name][w] if rows else f for piece in layout
-            for w, live in enumerate(piece) for f in live if isinstance(f, Var)]
-    free.sort(key=_NAME)
+        rows, modal, (template, at) = _per_world_vars(roots, len(frame.worlds))
+        succ, per_world = _successors(frame), rows
+    reads = _reads(template, at, succ, modal)
+    free = sorted((per_world[x][w] for (kind, x, _), m in zip(template, reads)
+                   if kind is Var for w in range(len(succ)) if m >> w & 1), key=_NAME)
     size, depth = alg.size, len(free)
     _check_sweep_size(size, depth, guard)
     if 4 * size * size > guard:
@@ -484,96 +472,118 @@ def _sweep_program(alg: Algebra, gamma: tuple[Formula, ...], phi: Formula,
             f"guard {guard}")
     tables = alg.tables()  # over element indices, mapped back by carrier()
     slots = {v: k for k, v in enumerate(free)}
-    add = slots.setdefault
-    level = list(range(1, depth + 1))
-    vals = [0] * depth
+    leaves = {p: [slots.get(v) for v in row] for p, row in per_world.items()}
+    leaves |= {ZERO: [depth] * len(succ), ONE: [depth + 1] * len(succ)}
+    vals = [0] * depth + [tables["zero"], tables["one"]]
+    level = [*range(1, depth + 1), 0, 0]
     code: list[list[tuple]] = [[] for _ in range(depth + 1)]
     checks: list[list[tuple]] = [[] for _ in range(depth + 1)]
+    add = slots.setdefault
 
-    def number(key) -> int:
-        """The slot of a constant or ``(operation, a, b)``, made on first use."""
-        k = add(key, len(vals))
+    def apply(kind: type, a: int, b: int) -> int:
+        """The slot of ``(operation, a, b)``, made on first use."""
+        k = add((kind, a, b), len(vals))
         if k == len(vals):
-            if isinstance(key, tuple):
-                op, a, b = key
-                vals.append(0)
-                level.append(max(level[a], level[b]))
-                code[level[k]].append((k, tables[op], a, b))
-            else:
-                vals.append(tables["zero" if key is ZERO else "one"])
-                level.append(0)
+            vals.append(0)
+            level.append(lv := max(level[a], level[b]))
+            code[lv].append((k, tables[_OPERATION[kind]], a, b))
         return k
 
-    at = [{} for _ in succ]  # per world: a node's id -> its slot there
-    for piece in layout:
-        for w, live in enumerate(piece):
-            slot = at[w]
-            for f in live:
-                op = _OPERATION.get(type(f))
-                if op:
-                    a, b = slot[id(f.left)], slot[id(f.right)]
-                    slot[id(f)] = k = add((op, a, b), len(vals))
-                    if k == len(vals):  # number((op, a, b)), inlined
-                        vals.append(0)
-                        level.append(lv := max(level[a], level[b]))
-                        code[lv].append((k, tables[op], a, b))
-                elif isinstance(f, Var):
-                    slot[id(f)] = slots[rows[f.name][w] if rows else f]
-                elif isinstance(f, (Const0, Const1)):
-                    slot[id(f)] = number(f)
-                else:
-                    op, unit = ("meet", ONE) if isinstance(f, Box) else ("join", ZERO)
-                    js = succ[w]
-                    k = at[js[0]][id(f.body)] if js else number(unit)
-                    for j in js[1:]:
-                        k = number((op, k, at[j][id(f.body)]))
-                    slot[id(f)] = k
-    for g in gamma:
-        for slot in at:
-            k = slot[id(g)]
+    cols = _fold(template, reads, succ, leaves, apply)
+    for g in at[:-1]:
+        for k in cols[g]:
             checks[level[k]].append((k, False))
-    k = functools.reduce(lambda a, b: number(("meet", a, b)),
-                         [slot[id(phi)] for slot in at])
+    k = functools.reduce(lambda a, b: apply(And, a, b), cols[at[-1]])
     checks[level[k]].append((k, True))
     return free, rows, vals, code, checks, tables["one"]
 
 
-def _layout(nodes: list[Formula], roots: tuple[Formula, ...],
-            succ: list[list[int]]) -> list[list[list[Formula]]]:
-    """The post-order ``nodes`` cut before each box or diamond, and per piece
-    and world (by index) the nodes that the roots read there: a root
-    everywhere, a connective's operands where it is read, and the body of a
-    box or diamond at the successors of the worlds where it is read.  Within
-    a piece only its first node reads other worlds, from earlier pieces."""
-    reads = dict.fromkeys(map(id, roots), (1 << len(succ)) - 1)  # world bits
-    for f in reversed(nodes):  # parents first
-        m = reads.get(id(f), 0)
-        if isinstance(f, (Box, Diamond)):
-            m, operands = sum({1 << j for w, js in enumerate(succ)
-                               if m >> w & 1 for j in js}), (f.body,)
+def _template(formulas: tuple[Formula, ...]):
+    """One pass over the post-order: per node ``(class, x, y)``, with the
+    indices of a connective's operands or a modal node's body, or a leaf's
+    key in ``leaves`` (a name or a constant); each formula's index, the
+    sorted variable names and the modal nodes."""
+    index, template, names, modal = {}, [], set(), []
+    for f in postorder(formulas):
+        index[id(f)] = len(template)
+        kind = type(f)
+        if kind in _OPERATION:
+            template.append((kind, index[id(f.left)], index[id(f.right)]))
+        elif kind is Box or kind is Diamond:
+            modal.append(f)
+            template.append((kind, index[id(f.body)], None))
         else:
-            operands = () if isinstance(f, (Var, Const0, Const1)) else (f.left, f.right)
-        for g in operands:
-            reads[id(g)] = reads.get(id(g), 0) | m
-    pieces: list[list[Formula]] = []
-    for f in nodes:
-        if not pieces or isinstance(f, (Box, Diamond)):
-            pieces.append([])
-        pieces[-1].append(f)
-    return [[[f for f in piece if reads.get(id(f), 0) >> w & 1]
-             for w in range(len(succ))] for piece in pieces]
+            if kind is Var:
+                names.add(f.name)
+            template.append((kind, f.name if kind is Var else f, None))
+    return (tuple(template), tuple([index[id(f)] for f in formulas]),
+            sorted(names), tuple(modal))
 
 
-class _Formulas(Algebra):
-    """The term carrier: values are formulas, and operations build them."""
+def _successors(frame: KripkeFrame) -> list[list[int]]:
+    """Each world's successors, as indices into ``frame.worlds``."""
+    pos = {w: i for i, w in enumerate(frame.worlds)}
+    return [[pos[u] for u in frame.successors(w)] for w in frame.worlds]
 
-    kind = "formulas"
 
-    def require(self, v: Formula) -> Formula:
-        return v
+def _reads(template: tuple, roots: tuple[int, ...], succ: list[list[int]],
+           modal: tuple) -> list[int]:
+    """Per node, the worlds (bit w for world w) where the ``roots`` read it:
+    a root everywhere, a connective's operands where it is read, and a box's
+    or diamond's body at the successors of the worlds where it is read."""
+    everywhere = (1 << len(succ)) - 1
+    if not modal:
+        return [everywhere] * len(template)
+    below = [sum(1 << j for j in js) for js in succ]
+    reads = [0] * len(template)
+    for r in roots:
+        reads[r] = everywhere
+    for i in range(len(template) - 1, -1, -1):  # parents first
+        kind, x, y = template[i]
+        if y is not None:
+            reads[x] |= reads[i]
+            reads[y] |= reads[i]
+        elif kind is Box or kind is Diamond:
+            for w, s in enumerate(below):
+                if reads[i] >> w & 1:
+                    reads[x] |= s
+    return reads
 
-    def _carrier(self, values):
-        return (self.require, self.require, And, Or, Times, Implies, ZERO, ONE)
+
+def _fold(template: tuple, reads: list[int], succ: list[list[int]],
+          leaves: dict, apply) -> list:
+    """Each node's value at the worlds where ``reads`` has it, node by node:
+    a leaf's is ``leaves[x][w]``, a connective's ``apply(class, a, b)``, and
+    a box's (a diamond's) is ``apply(And, ...)`` (``apply(Or, ...)``) folded
+    over its body's values at the successors, or ``leaves[ONE][w]``
+    (``leaves[ZERO][w]``) at a world with none."""
+    n = len(succ)
+    cols: list = [None] * len(template)
+    worlds: dict[int, list[int]] = {}  # a mask's worlds
+    for i, (kind, x, y) in enumerate(template):
+        m = reads[i]
+        if not m:
+            continue
+        col = cols[i] = [None] * n
+        ws = worlds.get(m) or worlds.setdefault(m, [w for w in range(n) if m >> w & 1])
+        if y is not None:
+            a, b = cols[x], cols[y]
+            for w in ws:
+                col[w] = apply(kind, a[w], b[w])
+        elif kind is Box or kind is Diamond:
+            body = cols[x]
+            op, unit = (And, leaves[ONE]) if kind is Box else (Or, leaves[ZERO])
+            for w in ws:
+                js = succ[w]
+                v = body[js[0]] if js else unit[w]
+                for j in js[1:]:
+                    v = apply(op, v, body[j])
+                col[w] = v
+        else:
+            leaf = leaves[x]
+            for w in ws:
+                col[w] = leaf[w]
+    return cols
 
 
 class FrameTranslation:
@@ -582,21 +592,19 @@ class FrameTranslation:
     A formula's image at a world is its value in the frame's model whose
     values are formulas, each source variable at each world valued by a
     fresh variable: a box is the meet and a diamond the join of its body's
-    images at the successors, ``ONE``/``ZERO`` at a world with none.  The
-    LP reads those images (:meth:`_images`); the finite sweep compiles the
-    same fold from the source formulas and reads none.  The named view puts a
-    fresh name for each modal subformula at each world in the premises and
-    conclusion instead, defined in post-order by the same fold and pinned by
-    an ``iff`` delta.  Its five read-only attributes are built together, in
-    one pass, on first read; demo 3 prints them, and internally only the
-    finite guard's exact count reads them (:meth:`all_premises`).
+    images at the successors, ``ONE``/``ZERO`` at a world with none.  The LP
+    reads those images (:meth:`_images`).  The named view puts a fresh name
+    for each modal subformula at each world instead, pinned by an ``iff``
+    delta; its five read-only attributes are built in one pass on first
+    read, which only demo 3 and the finite guard's exact count make.
     """
 
     def __init__(self, frame: KripkeFrame, gamma: tuple[Formula, ...],
                  phi: Formula):
         self.frame = frame
         self._source = gamma + (phi,)
-        self._rows, self._modal, _ = _per_world_vars(self._source, len(frame.worlds))
+        self._rows, self._modal, self._template = _per_world_vars(
+            self._source, len(frame.worlds))
 
     premises = property(lambda self: self._named[0])
     conclusion = property(lambda self: self._named[1])
@@ -609,8 +617,7 @@ class FrameTranslation:
         """The five named attributes, in one bottom-up pass that makes each
         modal node's names, legend entries, definitions and deltas."""
         worlds, rows = self.frame.worlds, self._rows
-        widx = {w: i for i, w in enumerate(worlds)}
-        succ = [[widx[u] for u in self.frame.successors(w)] for w in worlds]
+        succ = _successors(self.frame)
         tag = {Box: "box", Diamond: "dia"}
         fresh = iter(fresh_names(
             [*rows, *(v.name for row in rows.values() for v in row)],
@@ -652,13 +659,14 @@ class FrameTranslation:
 
     def _images(self) -> tuple[tuple[Formula, ...], tuple[Formula, ...]]:
         """The images of the premises, and the conclusion's image at each
-        world in ``frame.worlds`` order: one :func:`evaluate_all` pass over
-        the source formulas, so shared subformulas stay shared and the
-        result is linear in the translation."""
-        model = KripkeModel(self.frame, _Formulas(), {
-            w: {p: row[i] for p, row in self._rows.items()}
-            for i, w in enumerate(self.frame.worlds)})
-        *premises, conclusion = evaluate_all(model, self._source)
+        world in ``frame.worlds`` order: :func:`_fold` with the formula
+        constructors, so the result is linear in the translation."""
+        template, roots = self._template
+        succ = _successors(self.frame)
+        leaves = {**self._rows, ZERO: (ZERO,) * len(succ), ONE: (ONE,) * len(succ)}
+        cols = _fold(template, _reads(template, roots, succ, self._modal), succ,
+                     leaves, type.__call__)  # apply builds the node
+        *premises, conclusion = (cols[r] for r in roots)
         return tuple(g for col in premises for g in col), tuple(conclusion)
 
 
@@ -666,21 +674,19 @@ class FrameTranslation:
 def _per_world_vars(source: tuple[Formula, ...], n: int):
     """What of the translation reads no edge: each source variable's
     variable at each of ``n`` worlds, the modal subformulas in post-order
-    (innermost first) and the post-order.  Formulas are hash-consed, so the
-    memo serves every frame of a cardinality sweep after the first."""
-    nodes = postorder(source)
-    names = sorted(f.name for f in nodes if isinstance(f, Var))
+    and the template with each source formula's index (:func:`_template`).
+    The memo serves every frame of a cardinality sweep after the first."""
+    template, roots, names, modal = _template(source)
     fresh = iter(fresh_names(names, [f"{p}__w{i}" for p in names for i in range(n)]))
     return ({p: tuple(Var(next(fresh)) for _ in range(n)) for p in names},
-            tuple(f for f in nodes if isinstance(f, (Box, Diamond))), nodes)
+            modal, (template, roots))
 
 
 def translate_on_frame(frame: KripkeFrame, gamma: Iterable[Formula],
                        phi: Formula) -> FrameTranslation:
     """Star translation of ``gamma |- phi`` over the given finite frame, as
-    the view :class:`FrameTranslation`: only the per-world source variables
-    are built here (memo of :func:`_per_world_vars`); the images and the
-    named view, which read the edges, are built when asked for."""
+    the view :class:`FrameTranslation`: what reads no edge comes from the
+    memo of :func:`_per_world_vars`, and the rest is built when asked for."""
     return FrameTranslation(frame, tuple(gamma), phi)
 
 
@@ -689,22 +695,16 @@ def decide_on_frame(frame: KripkeFrame, gamma: Iterable[Formula], phi: Formula,
                     branch_guard: int = BRANCH_GUARD_DEFAULT) -> Verdict:
     """Global consequence over all models on a fixed finite frame.
 
-    Over the standard MV algebra, the consequence fails exactly when it
-    fails at some world, so one case system holds the evaluator's images of
-    the premises and the conclusion's image at each world
-    (:meth:`FrameTranslation._images`), and the LP searches one world at a
-    time in ``frame.worlds`` order (:func:`_luk_countermodel`); the first
-    world it refutes is the witness world, and ``branch_guard`` counts the
-    search nodes of all the worlds.  Over a finite algebra the answer is
-    ``finite_consequence(..., frame=frame)``, which compiles its sweep from
-    the source formulas on the frame and searches only the source variables
-    at each world.  Its guard here still counts the named translation's
-    variables, one per modal subformula and world included (README, "Guard
-    rails").  The legend's length, read off the memo without building the
-    legend, bounds that count, so the named view is built only when ``size
-    ** len(legend)`` exceeds the guard.  Fails with a concrete countermodel
-    on the frame, re-checked once, on the frame, by the evaluator before
-    being returned (:func:`_folded`).
+    Over the standard MV algebra, it fails exactly when it fails at some
+    world, so one case system holds the premises' images and the
+    conclusion's image at each world (:meth:`FrameTranslation._images`),
+    and the LP searches the worlds in order (:func:`_luk_countermodel`);
+    the first one refuted is the witness world, and ``branch_guard`` counts
+    the search nodes of all the worlds.  Over a finite algebra it is
+    ``finite_consequence(..., frame=frame)``, with a guard that still counts
+    the named translation's variables (README, "Guard rails"), built only
+    when the legend's length cannot clear it.  A countermodel is re-checked
+    once, on the frame, before it is returned (:func:`_folded`).
     """
     gamma = tuple(gamma)
     tr = translate_on_frame(frame, gamma, phi)
@@ -764,6 +764,15 @@ def _least_masks(j: int) -> tuple[int, ...]:
     return tuple(least)
 
 
+@functools.cache
+def _least_frames(j: int) -> tuple[KripkeFrame, ...]:
+    """The frames of :func:`_least_masks` on ``w1``..``wj``, once per ``j``."""
+    worlds = [f"w{i + 1}" for i in range(j)]
+    pairs = [(a, b) for a in worlds for b in worlds]
+    return tuple(KripkeFrame(worlds, [pairs[b] for b in range(j * j) if mask >> b & 1])
+                 for mask in _least_masks(j))
+
+
 def decide_cardinality(j: int, gamma: Iterable[Formula], phi: Formula,
                        alg: Algebra, *, cap: int = CARDINALITY_CAP_DEFAULT,
                        branch_guard: int = BRANCH_GUARD_DEFAULT) -> Verdict:
@@ -775,26 +784,17 @@ def decide_cardinality(j: int, gamma: Iterable[Formula], phi: Formula,
     of its class are decided, in increasing mask order.  Isomorphic frames
     have the same verdict, so the first failing labeled mask is the least of
     its class; it is visited, and the witness frame and model are those of
-    the sweep over every labeled frame.
-
-    The frame classes (once per ``j``), the per-world source variables,
-    modal subformulas and post-order (memo of :func:`_per_world_vars`) and
-    a finite algebra's tables are built once; each frame gets its own
-    images (over StdMV) or sweep program (over a finite algebra) and
-    decision, as its edges pick what a box or diamond reads, and with them
-    the witness.
+    the sweep over every labeled frame.  The frames and the memo of
+    :func:`_per_world_vars` are built once; each frame costs one fold of
+    the template (:func:`_fold`) and its search.
     """
     if j < 1:
         raise ValueError("cardinality must be at least 1")
     if j > cap:
         raise ResourceLimitError(f"cardinality {j} above cap {cap}")
     gamma = tuple(gamma)
-    worlds = [f"w{i + 1}" for i in range(j)]
-    pairs = [(a, b) for a in worlds for b in worlds]
-    for mask in _least_masks(j):
-        edges = [pairs[b] for b in range(j * j) if mask >> b & 1]
-        verdict = decide_on_frame(KripkeFrame(worlds, edges), gamma, phi, alg,
-                                  branch_guard=branch_guard)
+    for frame in _least_frames(j):
+        verdict = decide_on_frame(frame, gamma, phi, alg, branch_guard=branch_guard)
         if not verdict.holds:
             return verdict
     return Verdict(True)

@@ -862,6 +862,97 @@ def test_finite_frame_path_builds_no_image_and_rechecks_once(monkeypatch):
     assert calls == {"evaluate_all": 0, "_rechecked": 0}
 
 
+def test_repeated_cardinality_sweep_builds_no_frame_and_evaluates_nothing():
+    # the frames and the template read no edge, so they are built once: a
+    # second sweep of a holding pair is one fold per frame and its search,
+    # with no frame built, no evaluator pass and the translation memo warm
+    calls = {"frames": 0, "evaluate_all": 0}
+    init, evaluate_all_ = KripkeFrame.__init__, decision.evaluate_all
+
+    def counted_init(self, *args, **kwargs):
+        calls["frames"] += 1
+        init(self, *args, **kwargs)
+
+    def counted_evaluate_all(*args, **kwargs):
+        calls["evaluate_all"] += 1
+        return evaluate_all_(*args, **kwargs)
+
+    gamma, phi = [P("[]p -> p")], P("[][]p -> p")
+    for alg in (StdMV(), MVn(3)):
+        assert decide_cardinality(2, gamma, phi, alg).holds
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(KripkeFrame, "__init__", counted_init)
+            mp.setattr(decision, "evaluate_all", counted_evaluate_all)
+            misses = decision._per_world_vars.cache_info().misses
+            assert decide_cardinality(2, gamma, phi, alg).holds
+            assert decision._per_world_vars.cache_info().misses - misses <= 1
+        assert calls == {"frames": 0, "evaluate_all": 0}, alg
+
+
+@st.composite
+def _relation_case(draw):
+    """A frame of at most 2 worlds, premises and two formulas over p and q."""
+    gamma = draw(st.lists(_FORMULA_PQ, max_size=2))
+    phi, psi = draw(_FORMULA_PQ), draw(_FORMULA_PQ)
+    assume(sum(isinstance(g, (Box, Diamond)) for g in postorder([*gamma, phi, psi])) <= 3)
+    j = draw(st.integers(1, 2))
+    ws = [f"w{i + 1}" for i in range(j)]
+    prs = [(a, b) for a in ws for b in ws]
+    mask = draw(st.integers(0, 2 ** (j * j) - 1))
+    frame = KripkeFrame(ws, [prs[b] for b in range(j * j) if mask >> b & 1])
+    return frame, gamma, phi, psi
+
+
+def _relation_holds(relation):
+    """Check ``relation(holds, gamma, phi, psi)`` on frames of at most 2
+    worlds over StdMV and MV3, where ``holds(gamma, phi)`` is the verdict on
+    the example's frame, or None after a guard trip, counted as a skip.
+    Prints and returns the tally of holding antecedents and skips."""
+    tally = {"antecedent holds": 0, "skipped": 0}
+
+    @settings(max_examples=400, deadline=None, derandomize=True, database=None)
+    @given(_relation_case(), st.sampled_from(["std-mv", "mv-3"]))
+    def check(case, alg):
+        frame, gamma, phi, psi = case
+        alg = StdMV() if alg == "std-mv" else MVn(3)
+
+        def holds(gamma, phi):
+            try:
+                return decide_on_frame(frame, gamma, phi, alg).holds
+            except ResourceLimitError:
+                tally["skipped"] += 1
+                return None
+
+        if relation(holds, gamma, phi, psi):
+            tally["antecedent holds"] += 1
+
+    check()
+    print(tally)
+    return tally
+
+
+def test_frame_consequence_is_closed_under_necessitation():
+    # if Gamma |- phi on F, every model on F that makes Gamma 1 everywhere
+    # makes phi 1 everywhere, so box phi is a meet of 1s everywhere
+    def necessitation(holds, gamma, phi, psi):
+        if holds(gamma, phi):
+            assert holds(gamma, Box(phi)) in (True, None)
+            return True
+
+    tally = _relation_holds(necessitation)
+    assert tally["antecedent holds"] >= 30, tally
+
+
+def test_frame_consequence_is_monotone_in_the_premises():
+    def monotonicity(holds, gamma, phi, psi):
+        if holds(gamma, phi):
+            assert holds([*gamma, psi], phi) in (True, None)
+            return True
+
+    tally = _relation_holds(monotonicity)
+    assert tally["antecedent holds"] >= 30, tally
+
+
 def test_refutations_and_holding_verdicts_transfer_between_algebras():
     # MV3 is a subalgebra of MV5 ({0, 1/2, 1}) and of [0, 1]_MV, and MV5 of
     # [0, 1]_MV, so on a fixed frame an MV3 countermodel is an MV5 and a

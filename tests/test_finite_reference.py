@@ -154,3 +154,9 @@ def test_translation_legend_is_a_fresh_copy():
 def test_frame_classes_are_built_once():
     assert len(decision._least_masks(4)) == 3044  # OEIS A000595
     assert decision._least_masks(3) is decision._least_masks(3)
+    worlds = ["w1", "w2", "w3"]
+    pairs = [(a, b) for a in worlds for b in worlds]
+    assert decision._least_frames(3) is decision._least_frames(3) and \
+        decision._least_frames(3) == tuple(
+            KripkeFrame(worlds, [pairs[b] for b in range(9) if mask >> b & 1])
+            for mask in decision._least_masks(3))
