@@ -1,23 +1,17 @@
 """Propositional consequence decisions and the finite-frame reduction.
 
-Two propositional backends are provided: an exact case-splitting decision for
-the standard MV algebra (the connectives are piecewise linear, so each
-connective occurrence contributes two linear regimes and every branch is an
-exact rational LP; a branch splits only on a connective whose value its LP
-point gets wrong, and the first point that gets none wrong is a
-countermodel), and a backtracking sweep for finite algebras: one
-straight-line program over slot indices and the algebra's index tables (an
-MVn chain sweeps the tables of ``mv_chain_tables``, index k standing for
-k/(n-1)), run level by level as the variables are assigned in lexicographic
-order, with a subtree pruned as soon as a premise fails or the conclusion is
-already 1.  On top of them sit the frame decision, the cardinality-bound
-decision that conjoins it over one frame per isomorphism class of a given
-size, and the co-enumerator of non-consequences.  Global consequence over a
-fixed finite frame is propositional consequence over the source variables at
-each world.  Both backends read one fold of a template of the source
-formulas on the frame (:func:`_fold`): the LP the images it builds, and the
-sweep its value-numbered program.  What reads no edge is built once, so a
-frame of a cardinality sweep costs one fold and its search.
+Two propositional backends are provided: an exact case split over rational
+LPs for the standard MV algebra (:func:`luk_consequence`), and a
+backtracking sweep of one straight-line program for finite algebras
+(:func:`finite_consequence`).  On top of them sit the frame decision, the
+cardinality-bound decision over one frame per isomorphism class, and the
+co-enumerator of non-consequences.  Global consequence over a finite frame
+is propositional consequence over the source variables at each world.  Both
+backends read one value-numbered fold of an integer template of the source
+formulas on the frame (:func:`_fold`, :func:`_numbering`), the LP as a node
+table and the sweep as a program; neither builds an image formula.  What
+reads no edge is built once, so a frame of a cardinality sweep costs one
+fold and its search.
 
 Every countermodel is re-checked once by the Kripke evaluator
 (:func:`mvmodal.kripke.evaluate_all`) before it is returned: a frame's on
@@ -38,7 +32,7 @@ from .algebras import (Algebra, FiniteTable, MVn, ResourceLimitError, StdMV,
                        Value)
 from .formulas import (And, Box, Const0, Const1, Diamond, Formula, Implies,
                        ONE, Or, Times, Var, ZERO, bottom_up, fresh_names,
-                       iff, is_propositional, postorder, render, variables)
+                       iff, is_propositional, render, variables)
 from .kripke import (_OPERATION, KripkeFrame, KripkeModel, Verdict, Witness,
                      evaluate_all)
 
@@ -59,22 +53,15 @@ class _Unsat(Exception):
 
 
 class _Affine:
-    """Linear expression c0 + sum(ci * vi) over variables ranging in [0, 1].
-
-    The coefficients and the constant are ints: variables and constants
-    have integer forms, and every regime of ``_REGIMES`` maps integer forms
-    to integer forms.
-    """
+    """Linear expression c0 + sum(ci * vi) over variables ranging in [0, 1],
+    with int coefficients and constant: variables and constants have integer
+    forms, and every regime of ``_REGIMES`` keeps forms integer."""
 
     __slots__ = ("coeffs", "const")
 
     def __init__(self, coeffs: dict | None = None, const: int = 0):
         self.coeffs = coeffs or {}
         self.const = const
-
-    @classmethod
-    def of_var(cls, name: str) -> "_Affine":
-        return cls({name: 1})
 
     def add(self, other: "_Affine", sign: int = 1) -> "_Affine":
         coeffs = dict(self.coeffs)
@@ -128,114 +115,105 @@ _REGIMES = {
 
 
 class _LukSystem:
-    """Case system for standard-MV consequence of one or more conclusions.
+    """Case system for standard-MV consequence of one or more conclusions,
+    on a node table in post-order: ``(class, x, y)`` per node, with a
+    connective's operand indices or a leaf's key (a name or a constant);
+    ``premises`` and ``conclusions`` are root indices.
 
-    Every propositional subformula carries an affine value form.  Premises
-    are pinned to 1 first.  A connective occurrence takes its form from
-    ``_REGIMES``: it folds to ``low`` when the [0, 1] bounds of ``e`` give
-    ``e <= 0``, to ``high`` when they give ``e >= 0``, and otherwise becomes
-    a case-split node ``t`` with the two regimes ``e <= 0, t == low`` and
-    ``e >= 0, t == high``, explored in that order.  ``base_rows`` holds the
-    rows every search node shares: the pinned implications as ``<=`` rows
-    and the other pinned forms as ``== 1`` rows.  The [0, 1] box of every
-    variable is not a row but the LP's bounds, ``upper``.  The premises,
-    pinning, folding and rows are shared by the conclusions; :meth:`scope`
-    gives what one conclusion's search reads of them.
+    Premises are pinned to 1 first.  A connective's affine form comes from
+    ``_REGIMES``: ``low`` when the [0, 1] bounds of ``e`` give ``e <= 0``,
+    ``high`` when they give ``e >= 0``, else a split variable ``t`` with the
+    regimes ``e <= 0, t == low`` and ``e >= 0, t == high``, in that order.
+    ``base_rows``, shared by every search node, are the pinned implications'
+    ``<=`` rows and the other pinned forms' ``== 1`` rows; the [0, 1] box of
+    every variable is the LP's bounds, ``upper``.
     """
 
-    def __init__(self, gamma: Sequence[Formula], *phis: Formula):
-        self.gamma = tuple(gamma)
-        self.phis = phis
-        self.nodes = _propositional_nodes(self.gamma + phis)
-        self.implications: dict[Formula, list[Formula]] = {}
-        for f in self.nodes:
-            if isinstance(f, Implies):
-                self.implications.setdefault(f.left, []).append(f)
-        self.pinned: set[Formula] = set()
-        self.affine: dict[Formula, _Affine] = {}
-        self.forced_rows: list[lp.Constraint] = []
-        self.splits: list[tuple[Formula, list[list[lp.Constraint]]]] = []
-        # per split: its variable and its ``_REGIMES`` forms (e, low, high)
-        self.split_forms: list[tuple[str, _Affine, _Affine, _Affine]] = []
-        self._node_var: dict[Formula, str] = {}
+    def __init__(self, table: Sequence[tuple], premises: Sequence[int],
+                 conclusions: Sequence[int]):
+        self.table, self.premises, self.conclusions = table, premises, conclusions
+        # per node, the implications whose antecedent it is
+        self.implications: dict[int, list[int]] = {}
+        for i, (kind, x, _) in enumerate(table):
+            if kind is Implies:
+                self.implications.setdefault(x, []).append(i)
+        self.pinned = bytearray(len(table))
+        self._node_var: dict[int, str] = {}
         self._build()
 
-    def _pin(self, roots: Iterable[Formula]) -> None:
-        """Pin formulas to value 1, closing under the exact consequences:
-        a product or meet equal to 1 forces both operands to 1, and a pinned
+    def _pin(self, roots: Iterable[int]) -> None:
+        """Pin nodes to value 1, closing under the exact consequences: a
+        product or meet equal to 1 forces both operands to 1, and a pinned
         implication with pinned antecedent forces its consequent."""
+        table, pinned = self.table, self.pinned
         stack = list(roots)
         while stack:
-            f = stack.pop()
-            if f in self.pinned:
+            i = stack.pop()
+            if pinned[i]:
                 continue
-            if isinstance(f, Const0):
+            kind, x, y = table[i]
+            if kind is Const0:
                 raise _Unsat
-            self.pinned.add(f)
-            if isinstance(f, (Times, And)):
-                stack += (f.left, f.right)
-            elif isinstance(f, Implies) and f.left in self.pinned:
-                stack.append(f.right)
-            stack += [g.right for g in self.implications.get(f, ())
-                      if g in self.pinned]
+            pinned[i] = 1
+            if kind is Times or kind is And:
+                stack += (x, y)
+            elif kind is Implies and pinned[x]:
+                stack.append(y)
+            stack += [table[g][2] for g in self.implications.get(i, ()) if pinned[g]]
 
     def _affine_pass(self) -> None:
-        self.affine.clear()
-        self.forced_rows = []
-        self.splits = []
-        self.split_forms = []
-        aff = self.affine
-        for f in self.nodes:
-            if isinstance(f, Const0):
-                aff[f] = _ZERO_AFF
-            elif isinstance(f, Const1):
-                aff[f] = _ONE_AFF
-            elif isinstance(f, Var):
-                if f in self.pinned:
-                    aff[f] = _ONE_AFF
-                else:
-                    aff[f] = _Affine.of_var("v:" + f.name)
-            elif isinstance(f, Implies) and f in self.pinned:
+        # per split: its node and regimes' rows, and its variable and forms
+        self.splits: list[tuple[int, list[list[lp.Constraint]]]] = []
+        self.split_forms: list[tuple[str, _Affine, _Affine, _Affine]] = []
+        self.forced_rows: list[lp.Constraint] = []
+        pinned, aff = self.pinned, []
+        self.affine: list[_Affine] = aff
+        for i, (kind, x, y) in enumerate(self.table):
+            if kind is Const0:
+                a = _ZERO_AFF
+            elif kind is Const1:
+                a = _ONE_AFF
+            elif kind is Var:
+                a = _ONE_AFF if pinned[i] else _Affine({"v:" + x: 1})
+            elif kind is Implies and pinned[i]:
                 # a -> b = 1 is exactly a <= b; no case split needed
-                aff[f] = _ONE_AFF
-                d = aff[f.left].sub(aff[f.right])
+                a = _ONE_AFF
+                d = aff[x].sub(aff[y])
                 if d.is_const:
                     if d.const > 0:
                         raise _Unsat
                 else:
                     self.forced_rows.append(_row(d, "<="))
             else:
-                e, low, high = _REGIMES[type(f)](aff[f.left], aff[f.right])
+                e, low, high = _REGIMES[kind](aff[x], aff[y])
                 lo, hi = e.bounds01()
                 if hi <= 0:
-                    aff[f] = low
+                    a = low
                 elif lo >= 0:
-                    aff[f] = high
+                    a = high
                 else:
-                    var = self._node_var.setdefault(f, f"n:{len(self._node_var)}")
-                    t = aff[f] = _Affine.of_var(var)
-                    self.splits.append((f, [[_row(e, "<="), _row(t.sub(low), "==")],
-                                            [_row(e, ">="), _row(t.sub(high), "==")]]))
+                    var = self._node_var.setdefault(i, f"n:{len(self._node_var)}")
+                    a = _Affine({var: 1})
+                    self.splits.append((i, [[_row(e, "<="), _row(a.sub(low), "==")],
+                                            [_row(e, ">="), _row(a.sub(high), "==")]]))
                     self.split_forms.append((var, e, low, high))
+            aff.append(a)
 
     def _build(self) -> None:
-        self._pin(self.gamma)
+        table, pinned = self.table, self.pinned
+        self._pin(self.premises)
         while True:
             self._affine_pass()
             # a pinned implication whose antecedent folded to the constant 1
             # pins its consequent; pinned only grows, so this terminates
-            new = [f.right for f in self.nodes
-                   if isinstance(f, Implies) and f in self.pinned
-                   and f.right not in self.pinned
-                   and self.affine[f.left].is_const
-                   and self.affine[f.left].const == 1]
+            new = [y for i, (kind, x, y) in enumerate(table)
+                   if kind is Implies and pinned[i] and not pinned[y]
+                   and self.affine[x].is_const and self.affine[x].const == 1]
             if not new:
                 break
             self._pin(new)
-        # rows in node order, not set order, so they do not follow string hashes
         self.base_rows = list(self.forced_rows)
-        for f in filter(self.pinned.__contains__, self.nodes):
-            a = self.affine[f]
+        for a in itertools.compress(self.affine, pinned):
             if a.is_const:
                 if a.const != 1:
                     raise _Unsat
@@ -244,35 +222,26 @@ class _LukSystem:
         # the [0, 1] box of every variable in play, as the LP's bounds; every
         # row is built from the affine forms, so they name them all
         self.upper = dict.fromkeys(
-            sorted({v for a in self.affine.values() for v in a.coeffs}), 1)
+            sorted({v for a in self.affine for v in a.coeffs}), 1)
 
-    def scope(self, phi: Formula) -> tuple[Sequence[int], dict]:
-        """The indices of the splits under the premises or ``phi``, last
-        first, and the [0, 1] bounds of the variables that their forms read.
-        The rows and ``phi``'s form read no other split's ``t``, so a
-        search for ``phi`` need not branch on it."""
-        if len(self.phis) == 1:  # every node is under the premises or phi
+    def scope(self, c: int) -> tuple[Sequence[int], dict]:
+        """The splits under the premises or the conclusion ``c``, last first,
+        and the [0, 1] bounds of the variables their forms read: the rows and
+        ``c``'s form read no other split's ``t``."""
+        if len(self.conclusions) == 1:  # every node is under the premises or c
             return range(len(self.splits) - 1, -1, -1), self.upper
-        premises, names = self._premise_scope
-        own = set(postorder((phi,)))
+        # on one world with no edge, a node is read where it is under the roots
+        under = _reads(self.table, (*self.premises, c), [()], modal=True)
         order = [k for k in range(len(self.splits) - 1, -1, -1)
-                 if self.splits[k][0] in premises or self.splits[k][0] in own]
-        return order, dict.fromkeys(
-            sorted(names.union(*(self.affine[f].coeffs for f in own))), 1)
-
-    @functools.cached_property
-    def _premise_scope(self) -> tuple[set, set]:
-        """The premises' nodes and the variables of their forms, once."""
-        nodes = set(postorder(self.gamma))
-        return nodes, {v for f in nodes for v in self.affine[f].coeffs}
+                 if under[self.splits[k][0]]]
+        return order, dict.fromkeys(sorted(
+            {v for a in itertools.compress(self.affine, under) for v in a.coeffs}), 1)
 
     def violated(self, den: int, nums: dict, order: Iterable[int]) -> int:
         """The first split index in ``order`` whose variable the point
-        ``nums / den`` does not give its connective's value; -1 if there is
-        none.  The value is ``low`` where ``e <= 0`` and ``high`` where ``e
-        >= 0`` (the two agree where ``e == 0``), so a point that satisfies
-        either regime of a split gives it its value: a split whose regime is
-        among the rows solved is never returned."""
+        ``nums / den`` does not give its connective's value, ``low`` where
+        ``e <= 0`` and ``high`` where ``e >= 0`` (equal where ``e == 0``), or
+        -1: a split with a regime among the rows solved is never returned."""
         for k in order:
             var, e, low, high = self.split_forms[k]
             want = low if e.scaled_at(den, nums) <= 0 else high
@@ -286,64 +255,56 @@ def luk_consequence(gamma: Iterable[Formula], phi: Formula, *,
     """Does ``phi`` take value 1 under every [0,1]-MV valuation making all of
     ``gamma`` equal to 1?
 
-    Decided exactly by a depth-first case split over exact rational LPs.
-    When pinning and [0, 1] folding leave ``phi`` the constant 1, it holds
-    with no LP: both are exact at every valuation that satisfies the
-    premises.  Each search node maximizes ``1 - value(phi)`` over the rows
-    of the regimes chosen on its path, with every variable bounded to
-    [0, 1] (the LP's ``upper``), so every split not yet branched on is a
-    free ``t`` in [0, 1].  A node whose optimum is not positive is pruned.
-    Otherwise its optimal point is read: if it gives every split's ``t``
-    its connective's value, it is a countermodel, re-checked by direct
-    evaluation before it is returned.  If not, the node branches on the
-    first such split in reverse post-order (nearest the conclusion first)
-    into its two regimes.  Every point of a child satisfies the regime
-    rows it was given, and those rows give the split's ``t`` its value, so
-    no path branches twice on one split and the search ends.  This is the
+    Decided exactly by a depth-first case split over rational LPs on the
+    node table of the formulas (:func:`_template`).  If pinning and [0, 1]
+    folding leave ``phi`` the constant 1, it holds with no LP: both are
+    exact wherever the premises hold.  Each search node maximizes ``1 -
+    value(phi)`` over its path's regime rows, every variable in [0, 1], so
+    a split not yet branched on is a free ``t``; an optimum that is not
+    positive prunes it.  A point that gives every split's ``t`` its
+    connective's value is a countermodel, re-checked by direct evaluation;
+    else the node branches on the first split it gets wrong in reverse
+    post-order (nearest the conclusion) into its two regimes, whose rows
+    give that ``t`` its value, so no path branches twice on one split: the
     MILP rule of branching only on a disjunction the relaxation violates
-    (Achterberg, Koch and Martin, Oper. Res. Lett. 33, 2005).  A child's
-    rows are its parent's plus one regime, so each child LP is warm-started
-    from its parent's optimal tableau (``lp.solve_max``'s ``start``): the
-    same status and optimum as a solve from scratch, for the cost of
-    re-optimising a few appended rows.  The point is read as ints over one
-    denominator; Fractions are built only for the witness.  The guard
-    bounds the number of explored search nodes.
+    (Achterberg, Koch and Martin, Oper. Res. Lett. 33, 2005).  A child LP
+    is warm-started from its parent's optimal tableau (``lp.solve_max``'s
+    ``start``), with a cold solve's status and optimum.  The point is read
+    as ints over one denominator; Fractions are built only for the
+    witness.  The guard bounds the number of explored search nodes.
     """
     gamma = tuple(gamma)
-    found = _luk_countermodel(gamma, (phi,), branch_guard)
+    template, at, _ = _propositional(gamma + (phi,))
+    found = _luk_countermodel(template, at[:-1], at[-1:], branch_guard)
     if found is None:
         return Verdict(True)
     return _rechecked(StdMV(), gamma, phi, found[1])
 
 
-def _luk_countermodel(gamma: tuple[Formula, ...], phis: tuple[Formula, ...],
+def _luk_countermodel(table: Sequence[tuple], premises: Sequence[int],
+                      conclusions: Sequence[int],
                       branch_guard: int) -> tuple[int, dict] | None:
-    """The index of the first of ``phis`` that some [0,1]-MV valuation
-    making all of ``gamma`` equal to 1 takes below 1, and that valuation,
-    not yet re-checked; None if there is none.
-
+    """The index of the first ``conclusions`` root that some [0,1]-MV
+    valuation making all ``premises`` roots of the node ``table`` equal to 1
+    takes below 1, and that valuation, not yet re-checked; None if none.
     One case system serves every conclusion.  Each gets the search of
-    :func:`luk_consequence` in turn, over only the splits in its
-    :meth:`_LukSystem.scope`, unless it folds to the constant 1 or is the
-    same node as an earlier one.  The guard counts the search nodes of all
-    the conclusions.
-    """
+    :func:`luk_consequence` in turn, over its :meth:`_LukSystem.scope`,
+    unless it folds to 1 or is an earlier one's node.  The guard counts the
+    search nodes of all the conclusions."""
     try:
-        system = _LukSystem(gamma, *phis)
+        system = _LukSystem(table, premises, conclusions)
     except _Unsat:
         return None
     explored = 0
-    for i, phi in enumerate(phis):
-        conclusion = system.affine[phi]
-        if (conclusion.is_const and conclusion.const == 1) or phi in phis[:i]:
+    for i, c in enumerate(conclusions):
+        conclusion = system.affine[c]
+        if (conclusion.is_const and conclusion.const == 1) or c in conclusions[:i]:
             continue
-        order, upper = system.scope(phi)
+        order, upper = system.scope(c)
         objective = {v: -a for v, a in conclusion.coeffs.items()}
         offset = 1 - conclusion.const
-        # depth first: each entry is (rows, parent result), and the regimes
-        # go on in reverse so the first one is explored first
-        stack: list[tuple[list[lp.Constraint], lp.LPResult | None]] = [
-            (system.base_rows, None)]
+        # depth first over (rows, parent result); the first regime goes on last
+        stack: list[tuple[list, lp.LPResult | None]] = [(system.base_rows, None)]
         while stack:
             rows, parent = stack.pop()
             explored += 1
@@ -356,9 +317,10 @@ def _luk_countermodel(gamma: tuple[Formula, ...], phis: tuple[Formula, ...],
             den, nums = res.scaled_point()
             k = system.violated(den, nums, order)
             if k < 0:
-                names = sorted(f.name for f in system.nodes if isinstance(f, Var))
-                return i, {p: Fraction(system.affine[Var(p)].scaled_at(den, nums), den)
-                           for p in names}
+                leaves = sorted((x, v) for v, (kind, x, _) in enumerate(table)
+                                if kind is Var)
+                return i, {x: Fraction(system.affine[v].scaled_at(den, nums), den)
+                           for x, v in leaves}
             _, regimes = system.splits[k]
             stack += [(rows + regime, res) for regime in reversed(regimes)]
     return None
@@ -380,13 +342,14 @@ def _rechecked(alg: Algebra, gamma: tuple[Formula, ...], phi: Formula,
     return Verdict(False, Witness(formula=phi, value=value, valuation=valuation))
 
 
-def _propositional_nodes(formulas: tuple[Formula, ...]) -> list[Formula]:
-    """The post-order of ``formulas``, which must have no modal operator."""
-    nodes = postorder(formulas)
-    if not {Box, Diamond}.isdisjoint(map(type, nodes)):
+def _propositional(formulas: tuple[Formula, ...]):
+    """:func:`_template` of ``formulas``, which must have no modal operator:
+    the template, each formula's index and the sorted variable names."""
+    template, at, names, modal = _template(formulas)
+    if modal:
         bad = next(f for f in formulas if not is_propositional(f))
         raise ValueError(f"modal operator in propositional consequence: {render(bad)}")
-    return nodes
+    return template, at, names
 
 
 def _check_sweep_size(size: int, depth: int, guard: int) -> None:
@@ -447,16 +410,14 @@ def finite_consequence(alg: Algebra, gamma: Iterable[Formula], phi: Formula, *,
 
 def _sweep_program(alg: Algebra, gamma: tuple[Formula, ...], phi: Formula,
                    frame: KripkeFrame | None, guard: int):
-    """The sweep's program, :func:`_fold` with value numbering on
-    ``(operation, a, b)`` after both guards: the live per-world variables in
-    sorted order (slots 0, 1, ...), ``rows`` (None without ``frame``), the
-    slot values, per level the instructions ``(slot, table, a, b)`` and
-    checks ``(slot, is conclusion)``, and the index of 1."""
+    """The sweep's program, :func:`_fold` with :func:`_numbering` after both
+    guards: the live per-world variables in sorted order (slots 0, 1, ...),
+    ``rows`` (None without ``frame``), the slot values, per level the
+    instructions ``(slot, table, a, b)`` and checks ``(slot, is
+    conclusion)``, and the index of 1."""
     roots = gamma + (phi,)
     if frame is None:
-        template, at, names, modal = _template(roots)
-        if modal:
-            _propositional_nodes(roots)  # raises, naming the modal formula
+        (template, at, names), modal = _propositional(roots), ()
         rows, succ, per_world = None, [()], {p: (Var(p),) for p in names}
     else:
         rows, modal, (template, at) = _per_world_vars(roots, len(frame.worlds))
@@ -474,50 +435,62 @@ def _sweep_program(alg: Algebra, gamma: tuple[Formula, ...], phi: Formula,
     slots = {v: k for k, v in enumerate(free)}
     leaves = {p: [slots.get(v) for v in row] for p, row in per_world.items()}
     leaves |= {ZERO: [depth] * len(succ), ONE: [depth + 1] * len(succ)}
-    vals = [0] * depth + [tables["zero"], tables["one"]]
+    numbers, apply = _numbering(depth + 2)
+    cols = _fold(template, reads, succ, leaves, apply)
+    top = functools.reduce(lambda a, b: apply(And, a, b), cols[at[-1]])
+    vals = [0] * depth + [tables["zero"], tables["one"]] + [0] * len(numbers)
     level = [*range(1, depth + 1), 0, 0]
     code: list[list[tuple]] = [[] for _ in range(depth + 1)]
+    for k, (kind, a, b) in enumerate(numbers, depth + 2):
+        level.append(lv := max(level[a], level[b]))
+        code[lv].append((k, tables[_OPERATION[kind]], a, b))
     checks: list[list[tuple]] = [[] for _ in range(depth + 1)]
-    add = slots.setdefault
-
-    def apply(kind: type, a: int, b: int) -> int:
-        """The slot of ``(operation, a, b)``, made on first use."""
-        k = add((kind, a, b), len(vals))
-        if k == len(vals):
-            vals.append(0)
-            level.append(lv := max(level[a], level[b]))
-            code[lv].append((k, tables[_OPERATION[kind]], a, b))
-        return k
-
-    cols = _fold(template, reads, succ, leaves, apply)
     for g in at[:-1]:
         for k in cols[g]:
             checks[level[k]].append((k, False))
-    k = functools.reduce(lambda a, b: apply(And, a, b), cols[at[-1]])
-    checks[level[k]].append((k, True))
+    checks[level[top]].append((top, True))
     return free, rows, vals, code, checks, tables["one"]
 
 
+def _numbering(first: int):
+    """The dict of the numbers, in order, and an ``apply`` for :func:`_fold`
+    that numbers each new ``(class, a, b)`` from ``first`` on: equal triples
+    share a number, as equal formulas share a node."""
+    numbers: dict[tuple, int] = {}
+    return numbers, lambda kind, a, b: numbers.setdefault((kind, a, b), first + len(numbers))
+
+
 def _template(formulas: tuple[Formula, ...]):
-    """One pass over the post-order: per node ``(class, x, y)``, with the
-    indices of a connective's operands or a modal node's body, or a leaf's
-    key in ``leaves`` (a name or a constant); each formula's index, the
-    sorted variable names and the modal nodes."""
-    index, template, names, modal = {}, [], set(), []
-    for f in postorder(formulas):
-        index[id(f)] = len(template)
-        kind = type(f)
-        if kind in _OPERATION:
-            template.append((kind, index[id(f.left)], index[id(f.right)]))
+    """One walk in the order of :func:`postorder`: per node ``(class, x,
+    y)``, with the indices of a connective's operands or a modal node's
+    body, or a leaf's key in ``leaves`` (a name or a constant); each
+    formula's index, the sorted variable names and the modal nodes."""
+    index, template, modal = {}, [], []
+    stack = list(formulas)[::-1]
+    while stack:
+        f = stack.pop()
+        if f is None:  # the node below has its children indexed
+            f = stack.pop()
+            if (kind := type(f)) is Box or kind is Diamond:
+                modal.append(f)
+                node = (kind, index[id(f.body)], None)
+            else:
+                node = (kind, index[id(f.left)], index[id(f.right)])
+        elif id(f) in index:
+            continue
+        elif (kind := type(f)) in _OPERATION:
+            stack += (f, None, f.right, f.left)
+            continue
         elif kind is Box or kind is Diamond:
-            modal.append(f)
-            template.append((kind, index[id(f.body)], None))
+            stack += (f, None, f.body)
+            continue
         else:
-            if kind is Var:
-                names.add(f.name)
-            template.append((kind, f.name if kind is Var else f, None))
+            Formula._check(f)
+            node = (kind, f.name if kind is Var else f, None)
+        index[id(f)] = len(template)
+        template.append(node)
     return (tuple(template), tuple([index[id(f)] for f in formulas]),
-            sorted(names), tuple(modal))
+            sorted({x for kind, x, _ in template if kind is Var}), tuple(modal))
 
 
 def _successors(frame: KripkeFrame) -> list[list[int]]:
@@ -527,7 +500,7 @@ def _successors(frame: KripkeFrame) -> list[list[int]]:
 
 
 def _reads(template: tuple, roots: tuple[int, ...], succ: list[list[int]],
-           modal: tuple) -> list[int]:
+           modal: Sequence | bool) -> list[int]:
     """Per node, the worlds (bit w for world w) where the ``roots`` read it:
     a root everywhere, a connective's operands where it is read, and a box's
     or diamond's body at the successors of the worlds where it is read."""
@@ -593,10 +566,10 @@ class FrameTranslation:
     values are formulas, each source variable at each world valued by a
     fresh variable: a box is the meet and a diamond the join of its body's
     images at the successors, ``ONE``/``ZERO`` at a world with none.  The LP
-    reads those images (:meth:`_images`).  The named view puts a fresh name
-    for each modal subformula at each world instead, pinned by an ``iff``
-    delta; its five read-only attributes are built in one pass on first
-    read, which only demo 3 and the finite guard's exact count make.
+    reads them as a node table (:meth:`_table`).  The named view puts a
+    fresh name for each modal subformula at each world instead, pinned by an
+    ``iff`` delta; its five attributes are built in one pass on first read,
+    which only demo 3 and the finite guard's exact count make.
     """
 
     def __init__(self, frame: KripkeFrame, gamma: tuple[Formula, ...],
@@ -653,14 +626,14 @@ class FrameTranslation:
 
     def inlined(self) -> tuple[tuple[Formula, ...], Formula]:
         """The images of the premises and the conjunction of the
-        conclusion's images.  No backend reads it; demo 3 prints it."""
+        conclusion's images, as formulas; demo 3 prints them."""
         premises, conclusions = self._images()
         return premises, functools.reduce(And, conclusions)
 
     def _images(self) -> tuple[tuple[Formula, ...], tuple[Formula, ...]]:
         """The images of the premises, and the conclusion's image at each
-        world in ``frame.worlds`` order: :func:`_fold` with the formula
-        constructors, so the result is linear in the translation."""
+        world in ``frame.worlds`` order, by :func:`_fold` with the formula
+        constructors."""
         template, roots = self._template
         succ = _successors(self.frame)
         leaves = {**self._rows, ZERO: (ZERO,) * len(succ), ONE: (ONE,) * len(succ)}
@@ -668,6 +641,34 @@ class FrameTranslation:
                      leaves, type.__call__)  # apply builds the node
         *premises, conclusion = (cols[r] for r in roots)
         return tuple(g for col in premises for g in col), tuple(conclusion)
+
+    def _table(self) -> tuple[list[tuple], list[int], list[int]]:
+        """``_template`` of :meth:`_images` and its roots' indices, built
+        with no formula: :func:`_fold` with :func:`_numbering`, renumbered
+        in post-order from the roots."""
+        template, roots = self._template
+        succ = _successors(self.frame)
+        numbers, apply = _numbering(0)
+        leaves = {p: [apply(Var, v.name, None) for v in row]
+                  for p, row in self._rows.items()}
+        leaves |= {c: [apply(type(c), c, None)] * len(succ) for c in (ZERO, ONE)}
+        cols = _fold(template, _reads(template, roots, succ, self._modal), succ,
+                     leaves, apply)
+        premises = [k for r in roots[:-1] for k in cols[r]]
+        conclusion, nodes, pos, table = cols[roots[-1]], list(numbers), {}, []
+        stack = (premises + conclusion)[::-1]
+        while stack:  # the walk of _template
+            if (i := stack.pop()) is None:
+                kind, x, y = nodes[i := stack.pop()]
+                node = (kind, pos[x], pos[y])
+            elif i in pos:
+                continue
+            elif (node := nodes[i])[2] is not None:
+                stack += (i, None, node[2], node[1])
+                continue
+            pos[i] = len(table)
+            table.append(node)
+        return table, [pos[r] for r in premises], [pos[r] for r in conclusion]
 
 
 @functools.lru_cache(maxsize=1)
@@ -696,11 +697,11 @@ def decide_on_frame(frame: KripkeFrame, gamma: Iterable[Formula], phi: Formula,
     """Global consequence over all models on a fixed finite frame.
 
     Over the standard MV algebra, it fails exactly when it fails at some
-    world, so one case system holds the premises' images and the
-    conclusion's image at each world (:meth:`FrameTranslation._images`),
-    and the LP searches the worlds in order (:func:`_luk_countermodel`);
-    the first one refuted is the witness world, and ``branch_guard`` counts
-    the search nodes of all the worlds.  Over a finite algebra it is
+    world, so one case system on :meth:`FrameTranslation._table` holds the
+    premises' images and the conclusion's image at each world, and the LP
+    searches the worlds in order (:func:`_luk_countermodel`); the first one
+    refuted is the witness world, and ``branch_guard`` counts the search
+    nodes of all the worlds.  Over a finite algebra it is
     ``finite_consequence(..., frame=frame)``, with a guard that still counts
     the named translation's variables (README, "Guard rails"), built only
     when the legend's length cannot clear it.  A countermodel is re-checked
@@ -709,7 +710,7 @@ def decide_on_frame(frame: KripkeFrame, gamma: Iterable[Formula], phi: Formula,
     gamma = tuple(gamma)
     tr = translate_on_frame(frame, gamma, phi)
     if isinstance(alg, StdMV):
-        found = _luk_countermodel(*tr._images(), branch_guard)
+        found = _luk_countermodel(*tr._table(), branch_guard)
         if found is None:
             return Verdict(True)
         at, point = found
@@ -784,9 +785,8 @@ def decide_cardinality(j: int, gamma: Iterable[Formula], phi: Formula,
     of its class are decided, in increasing mask order.  Isomorphic frames
     have the same verdict, so the first failing labeled mask is the least of
     its class; it is visited, and the witness frame and model are those of
-    the sweep over every labeled frame.  The frames and the memo of
-    :func:`_per_world_vars` are built once; each frame costs one fold of
-    the template (:func:`_fold`) and its search.
+    the sweep over every labeled frame.  The frames and the template are
+    built once; each frame costs one fold (:func:`_fold`) and its search.
     """
     if j < 1:
         raise ValueError("cardinality must be at least 1")

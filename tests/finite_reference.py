@@ -18,9 +18,9 @@ from typing import Iterable
 
 from mvmodal.algebras import (Algebra, FiniteTable, MVn, ResourceLimitError,
                               mv_chain_tables)
-from mvmodal.decision import (FINITE_SEARCH_GUARD, _propositional_nodes,
+from mvmodal.decision import (FINITE_SEARCH_GUARD, _propositional,
                               _rechecked, decide_on_frame)
-from mvmodal.formulas import Const0, Const1, Formula, Var
+from mvmodal.formulas import Const0, Const1, Formula, Var, postorder
 from mvmodal.kripke import _OPERATION, KripkeFrame, Verdict
 
 
@@ -37,7 +37,8 @@ def finite_consequence(alg: Algebra, gamma: Iterable[Formula], phi: Formula, *,
         raise ValueError("finite_consequence needs a finite algebra")
     gamma = tuple(gamma)
     roots = gamma + (phi,)
-    nodes = _propositional_nodes(roots)
+    _propositional(roots)  # refuses a modal operator
+    nodes = postorder(roots)
     names = sorted(f.name for f in nodes if isinstance(f, Var))
     # MVn sweeps its index tables: index k stands for k/(n-1)
     if isinstance(alg, MVn):

@@ -120,6 +120,15 @@ def random_rational(rng: random.Random, max_den: int = 12) -> F:
     return F(rng.randint(0, den), den)
 
 
+def luk_system(gamma, *phis):
+    """``_LukSystem`` of premises ``gamma`` and conclusions ``phis``, over
+    the node table that ``luk_consequence`` builds, ``_template`` of the
+    formulas."""
+    gamma = tuple(gamma)
+    table, at, _ = decision._propositional(gamma + phis)
+    return decision._LukSystem(table, at[:len(gamma)], at[len(gamma):])
+
+
 def luk_leaf_oracle(gamma, phi, max_splits: int = 10) -> bool | None:
     """Does ``phi`` follow from ``gamma`` over standard MV?  Decided from
     ``_LukSystem``'s rows and [0, 1] bounds alone: every leaf of the case
@@ -129,13 +138,14 @@ def luk_leaf_oracle(gamma, phi, max_splits: int = 10) -> bool | None:
     is positive.  None, with nothing solved, when there are more than
     ``max_splits`` splits, so more than ``2 ** max_splits`` leaves."""
     try:
-        system = decision._LukSystem(gamma, phi)
+        system = luk_system(gamma, phi)
     except decision._Unsat:
         return True
     if len(system.splits) > max_splits:
         return None
-    objective = {v: -a for v, a in system.affine[phi].coeffs.items()}
-    offset = 1 - system.affine[phi].const
+    conclusion = system.affine[system.conclusions[0]]
+    objective = {v: -a for v, a in conclusion.coeffs.items()}
+    offset = 1 - conclusion.const
     for leaf in itertools.product(*(regimes for _, regimes in system.splits)):
         res = lp.solve_max(objective, system.base_rows + [
             row for regime in leaf for row in regime], upper=system.upper)

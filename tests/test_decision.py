@@ -24,8 +24,8 @@ from mvmodal.cli import run
 from mvmodal.kripke import (KripkeFrame, KripkeModel, Verdict, Witness, evaluate,
                             evaluate_all, globally_satisfies, model_to_json)
 from mvmodal.pcp import Numeral, PCPInstance, encode
-from helpers import (G3, MV3, luk_implies, luk_leaf_oracle, luk_times,
-                     naive_eval, random_formula)
+from helpers import (G3, MV3, luk_implies, luk_leaf_oracle, luk_system,
+                     luk_times, naive_eval, random_formula)
 
 P = parse
 
@@ -234,7 +234,7 @@ def _drop_regime(monkeypatch, kind, idx):
     def dropping_pass(system):
         affine_pass(system)
         system.splits = [(f, [r for i, r in enumerate(regimes)
-                              if (type(f).__name__.lower(), i) != (kind, idx)])
+                              if (system.table[f][0].__name__.lower(), i) != (kind, idx)])
                          for f, regimes in system.splits]
 
     def violated(system, den, nums, order):
@@ -371,7 +371,7 @@ def test_luk_rows_are_integer(rng, premises):
              for _ in range(premises)]
     phi = random_formula(rng, 4, ("p", "q", "r"), modal=False)
     try:
-        system = decision._LukSystem(gamma, phi)
+        system = luk_system(gamma, phi)
     except decision._Unsat:
         pass  # the premises are contradictory: no rows
     else:
@@ -387,13 +387,14 @@ def test_luk_rows_are_integer(rng, premises):
 
 def test_luk_rows_do_not_follow_string_hashes():
     """The root LP's rows come out in the same order under every hash seed."""
-    script = ("from mvmodal.decision import _LukSystem\n"
+    script = ("from helpers import luk_system\n"
               "from mvmodal.formulas import parse\n"
-              "s = _LukSystem([parse(t) for t in ('p \\/ q', 'r \\/ s', 'u \\/ v',"
+              "s = luk_system([parse(t) for t in ('p \\/ q', 'r \\/ s', 'u \\/ v',"
               " '~p \\/ ~u')], parse('q * s'))\n"
               "print([(sorted(r.coeffs.items()), r.sense, r.rhs) for r in s.base_rows])")
     src = os.path.dirname(os.path.dirname(decision.__file__))
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    path = os.pathsep.join(filter(None, [src, os.path.dirname(__file__),
+                                         os.environ.get("PYTHONPATH")]))
     rows = [subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                            check=True, timeout=60,
                            env={**os.environ, "PYTHONPATH": path, "PYTHONHASHSEED": seed}
@@ -862,6 +863,55 @@ def test_finite_frame_path_builds_no_image_and_rechecks_once(monkeypatch):
     assert calls == {"evaluate_all": 0, "_rechecked": 0}
 
 
+def test_stdmv_frame_paths_build_no_image(monkeypatch):
+    # the LP reads the frame's node table, folded from the source template
+    # with no image formula
+    def no_images(self):
+        raise AssertionError("built the images")
+
+    monkeypatch.setattr(decision.FrameTranslation, "_images", no_images)
+    fr = KripkeFrame(["w1", "w2"], [("w1", "w2"), ("w2", "w2")])
+    assert decide_on_frame(fr, [P("[] (p -> q)"), P("[] p")], P("[] q"), StdMV()).holds
+    assert not decide_on_frame(fr, [P("[] p -> p")], P("<> ~p"), StdMV()).holds
+    assert decide_cardinality(2, [P("[]p -> p")], P("[][]p -> p"), StdMV()).holds
+    assert not decide_cardinality(2, [P("[](p -> q)"), P("<>r")],
+                                  P("[]q \\/ (r * ~p)"), StdMV()).holds
+
+
+def _system_rows(system):
+    """A case system's rows, split names and bounds, in order."""
+    def row(r):
+        return list(r.coeffs.items()), r.sense, r.rhs
+    return ([row(r) for r in system.base_rows],
+            [[[row(r) for r in regime] for regime in regimes]
+             for _, regimes in system.splits],
+            [var for var, *_ in system.split_forms], list(system.upper.items()))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_pair_on_frame())
+def test_frame_table_builds_the_system_of_the_images(case):
+    # the node table of a frame is _template of its image formulas, so the
+    # case system on it has the rows, splits, split names and bounds, in
+    # order, that the propositional constructor builds from the images
+    frame, gamma, phi = case
+    tr = translate_on_frame(frame, gamma, phi)
+    table, premises, conclusions = tr._table()
+    images, image_conclusions = tr._images()
+    template, at, _, _ = decision._template(images + image_conclusions)
+    assert table == list(template)
+    assert premises + conclusions == list(at)
+    try:
+        got = _system_rows(decision._LukSystem(table, premises, conclusions))
+    except decision._Unsat:
+        got = "unsat"
+    try:
+        want = _system_rows(luk_system(images, *image_conclusions))
+    except decision._Unsat:
+        want = "unsat"
+    assert got == want
+
+
 def test_repeated_cardinality_sweep_builds_no_frame_and_evaluates_nothing():
     # the frames and the template read no edge, so they are built once: a
     # second sweep of a holding pair is one fold per frame and its search,
@@ -951,6 +1001,29 @@ def test_frame_consequence_is_monotone_in_the_premises():
 
     tally = _relation_holds(monotonicity)
     assert tally["antecedent holds"] >= 30, tally
+
+
+def test_frame_consequence_is_reflexive():
+    # Gamma, phi |- phi: a model that makes phi 1 everywhere does
+    def reflexivity(holds, gamma, phi, psi):
+        verdict = holds([*gamma, phi], phi)
+        assert verdict in (True, None)
+        return verdict
+
+    tally = _relation_holds(reflexivity)
+    assert tally["antecedent holds"] >= 300, tally
+
+
+def test_frame_consequence_is_closed_under_cut():
+    # Gamma |- psi and Gamma, psi |- phi give Gamma |- phi: a model that
+    # makes Gamma 1 everywhere makes psi 1 everywhere, and then phi
+    def cut(holds, gamma, phi, psi):
+        if holds(gamma, psi) and holds([*gamma, psi], phi):
+            assert holds(gamma, phi) in (True, None)
+            return True
+
+    tally = _relation_holds(cut)
+    assert tally["antecedent holds"] >= 100, tally
 
 
 def test_refutations_and_holding_verdicts_transfer_between_algebras():
