@@ -7,7 +7,7 @@ import pytest
 from mvmodal import necessitation
 from mvmodal.algebras import (EXP_ZERO, ExpChain, ExpValue, MVn, StdGodel,
                               StdMV, StdProduct)
-from mvmodal.formulas import And, Box, parse, variables
+from mvmodal.formulas import And, Box, parse, postorder, variables
 from mvmodal.kripke import (KripkeFrame, KripkeModel, evaluate, evaluate_all,
                             globally_satisfies)
 from mvmodal.necessitation import (SeparationReport, build_premise_cycle_model,
@@ -41,8 +41,8 @@ def test_build_nec_model_values():
 
 
 def test_verify_separation_sweep():
-    # 400 and 1000 boxes deep: the evaluator must not recurse, and the boxed
-    # premises stay cheap on a chain
+    # 400 and 1000 boxes deep: nothing may recurse on the depth, and the
+    # frontier walk reads one premise column, so depth costs linear time
     for n in [*range(6), 400, 1000]:
         for alg in (StdMV(), ExpChain()):
             report = verify_separation(n, alg)
@@ -107,6 +107,15 @@ def test_boxed_conjunction_is_one_exactly_when_each_boxed_conjunct_is():
                     holds = v == alg.one
                     assert holds == all(u == alg.one for u in vs), (alg, w, level[0])
                     seen.add(holds)
+            # box^i f is the meet of f over the worlds exactly i steps away
+            (base,) = evaluate_all(m, boxed[0][:1])
+            value = dict(zip(worlds, base))
+            for w in worlds:
+                frontier = {w}
+                for level in boxed:
+                    meet = functools.reduce(alg.meet, (value[u] for u in frontier), alg.one)
+                    assert evaluate(m, w, level[0]) == meet, (alg, w, level[0])
+                    frontier = {v for u in frontier for v in m.frame.successors(u)}
     assert seen == {True, False}
 
 
@@ -142,17 +151,73 @@ def test_mutation_breaks_premises():
     assert broken
 
 
+def _off_chain_models(alg, a):
+    """(depth, model) pairs off the chain of ``build_nec_model(depth)``, each
+    started at its first world: branching frames, frames with cycles, and
+    dead ends before the depth.  y is the constant a and x is 0 unless set,
+    so the premises hold on the cycles until a set value or a dead end
+    breaks them."""
+    zero = alg.zero
+
+    def model(edges, x, depth):
+        worlds = sorted({w for e in edges for w in e})
+        return depth, KripkeModel(KripkeFrame(worlds, edges), alg,
+                                  {w: {"x": x.get(w, zero), "y": a} for w in worlds})
+
+    two_cycles = [("a", "b"), ("a", "c"), ("b", "b"), ("c", "d"), ("d", "e"), ("e", "c")]
+    diamond = [("a", "b"), ("a", "c"), ("b", "d"), ("c", "d"), ("d", "e"), ("e", "d")]
+    return [
+        model(two_cycles, {}, 8),
+        model(two_cycles, {"d": a}, 8),
+        model(diamond, {}, 6),
+        model(diamond, {"e": alg.one}, 6),
+        # a dead end at depth 2 of one branch, so at level 2 ~[]0 fails there
+        model([("a", "b"), ("a", "c"), ("b", "d"), ("c", "c")], {}, 5),
+        # a 2-cycle through the start, with a 3-step tail to a dead end
+        model([("a", "b"), ("b", "a"), ("b", "c"), ("c", "d"), ("d", "e")], {}, 7),
+        # a dead end before depth n on a chain: the empty meets after it are 1
+        (6, build_nec_model(2, alg)),
+    ]
+
+
 def test_mutated_model_levels_match_per_premise_levels(monkeypatch):
-    # verify_separation's conjunction rule on the model of the test above
+    # verify_separation's frontier rule against box^i of each premise at the
+    # start world, on the mutated chain of the test above and off the chain
     alg = StdMV()
     m = build_nec_model(2, alg)
     val = m.valuation_dict()
     val["3"]["x"] = val["3"]["y"]
-    bad = KripkeModel(m.frame, alg, val)
-    monkeypatch.setattr(necessitation, "build_nec_model", lambda n, alg: bad)
-    report = verify_separation(2, alg)
-    assert report.levels == per_premise_levels(bad, 2)
-    assert (2, False) in report.levels and not report.passed
+    cases = [(alg, 2, KripkeModel(m.frame, alg, val))]
+    cases += [(alg, n, model) for alg, a in ((StdMV(), F(3, 4)), (ExpChain(), ExpValue(F(1, 2))))
+              for n, model in _off_chain_models(alg, a)]
+    reports = []
+    for alg, n, model in cases:
+        monkeypatch.setattr(necessitation, "build_nec_model", lambda n, alg: model)
+        report = verify_separation(n, alg)
+        assert report.levels == per_premise_levels(model, n), (alg, model)
+        assert report.final_value == evaluate(model, model.worlds[0], parse("x -> x * y"))
+        reports.append(report)
+    assert (2, False) in reports[0].levels and not reports[0].passed
+    assert {ok for r in reports[1:] for _, ok in r.levels} == {True, False}
+
+
+def test_separation_roots_do_not_grow_with_depth(monkeypatch):
+    # the boxes are read off successor frontiers: the evaluated formulas are
+    # the same few nodes at every depth
+    roots, columns = [], necessitation._columns
+
+    def recording(model, formulas):
+        roots.append(list(formulas))
+        return columns(model, roots[-1])
+
+    monkeypatch.setattr(necessitation, "_columns", recording)
+    sizes = []
+    for n in (10, 1000):
+        roots.clear()
+        assert verify_separation(n, StdMV()).passed
+        (formulas,) = roots
+        sizes.append(len(postorder(formulas)))
+    assert sizes[0] == sizes[1]
 
 
 def test_tightness_one_level_deeper():
