@@ -336,7 +336,9 @@ def run(argv: list[str]) -> int:
         return 3
     except (ParseError, ValueError, KeyError, OSError,
             json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        # str() of a KeyError quotes its message
+        message = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
+        print(f"error: {message}", file=sys.stderr)
         return 2
     except Exception as exc:
         # any other failure is the program's (a failed witness re-check is a

@@ -8,14 +8,16 @@ cardinality-bound decision over one frame per isomorphism class, and the
 co-enumerator of non-consequences.  Global consequence over a finite frame
 is propositional consequence over the source variables at each world.  Both
 backends read one value-numbered fold of an integer template of the source
-formulas on the frame (:func:`_fold`, :func:`_numbering`), the LP as a node
-table and the sweep as a program; neither builds an image formula.  What
-reads no edge is built once, so a frame of a cardinality sweep costs one
-fold and its search.
+formulas on the frame (:func:`mvmodal.kripke._fold`, :func:`_numbering`),
+the LP as a node table and the sweep as a program; neither builds an image
+formula.  What reads no edge is built once, so a frame of a cardinality
+sweep costs one fold and its search.
 
-Every countermodel is re-checked once by the Kripke evaluator
-(:func:`mvmodal.kripke.evaluate_all`) before it is returned: a frame's on
-the frame, and a propositional one as a one-world, edgeless model.
+Every countermodel is re-checked once before it is returned
+(:func:`_folded`): the backend's point is folded over the template the
+decision holds, on the algebra's carrier, as
+:func:`mvmodal.kripke.evaluate_all` folds; a frame's on the frame, and a
+propositional one on one world with no edge.
 """
 
 from __future__ import annotations
@@ -28,13 +30,12 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from . import lp
-from .algebras import (Algebra, FiniteTable, MVn, ResourceLimitError, StdMV,
-                       Value)
+from .algebras import Algebra, FiniteTable, MVn, ResourceLimitError, StdMV
 from .formulas import (And, Box, Const0, Const1, Diamond, Formula, Implies,
                        ONE, Or, Times, Var, ZERO, bottom_up, fresh_names,
                        iff, is_propositional, render, variables)
 from .kripke import (_OPERATION, KripkeFrame, KripkeModel, Verdict, Witness,
-                     evaluate_all)
+                     _POINT, _carrier_columns, _fold, _reads, _template)
 
 __all__ = [
     "BRANCH_GUARD_DEFAULT", "CARDINALITY_CAP_DEFAULT", "FINITE_SEARCH_GUARD",
@@ -231,7 +232,7 @@ class _LukSystem:
         if len(self.conclusions) == 1:  # every node is under the premises or c
             return range(len(self.splits) - 1, -1, -1), self.upper
         # on one world with no edge, a node is read where it is under the roots
-        under = _reads(self.table, (*self.premises, c), [()], modal=True)
+        under = _reads(self.table, (*self.premises, c), _POINT, modal=True)
         order = [k for k in range(len(self.splits) - 1, -1, -1)
                  if under[self.splits[k][0]]]
         return order, dict.fromkeys(sorted(
@@ -262,7 +263,7 @@ def luk_consequence(gamma: Iterable[Formula], phi: Formula, *,
     value(phi)`` over its path's regime rows, every variable in [0, 1], so
     a split not yet branched on is a free ``t``; an optimum that is not
     positive prunes it.  A point that gives every split's ``t`` its
-    connective's value is a countermodel, re-checked by direct evaluation;
+    connective's value is a countermodel, re-checked by :func:`_folded`;
     else the node branches on the first split it gets wrong in reverse
     post-order (nearest the conclusion) into its two regimes, whose rows
     give that ``t`` its value, so no path branches twice on one split: the
@@ -273,12 +274,12 @@ def luk_consequence(gamma: Iterable[Formula], phi: Formula, *,
     as ints over one denominator; Fractions are built only for the
     witness.  The guard bounds the number of explored search nodes.
     """
-    gamma = tuple(gamma)
-    template, at, _ = _propositional(gamma + (phi,))
+    held = _propositional(tuple(gamma) + (phi,))
+    _, _, (template, at) = held
     found = _luk_countermodel(template, at[:-1], at[-1:], branch_guard)
     if found is None:
         return Verdict(True)
-    return _rechecked(StdMV(), gamma, phi, found[1])
+    return _folded(None, StdMV(), held, phi, found[1])
 
 
 def _luk_countermodel(table: Sequence[tuple], premises: Sequence[int],
@@ -326,30 +327,15 @@ def _luk_countermodel(table: Sequence[tuple], premises: Sequence[int],
     return None
 
 
-_POINT = KripkeFrame(["w"], ())
-
-
-def _rechecked(alg: Algebra, gamma: tuple[Formula, ...], phi: Formula,
-               valuation: dict) -> Verdict:
-    """Failing verdict for a propositional countermodel, after re-evaluating
-    it as a one-world, edgeless model through the Kripke evaluator."""
-    model = KripkeModel(_POINT, alg, {"w": valuation})
-    *premises, (value,) = evaluate_all(model, gamma + (phi,))
-    if any(col[0] != alg.one for col in premises):
-        raise RuntimeError("countermodel failed premise re-check")
-    if value == alg.one:
-        raise RuntimeError("countermodel failed conclusion re-check")
-    return Verdict(False, Witness(formula=phi, value=value, valuation=valuation))
-
-
 def _propositional(formulas: tuple[Formula, ...]):
-    """:func:`_template` of ``formulas``, which must have no modal operator:
-    the template, each formula's index and the sorted variable names."""
+    """What :func:`_per_world_vars` holds, on one world, for ``formulas``,
+    which must have no modal operator: each variable's one-world row, no
+    modal node, and the template with each formula's index."""
     template, at, names, modal = _template(formulas)
     if modal:
         bad = next(f for f in formulas if not is_propositional(f))
         raise ValueError(f"modal operator in propositional consequence: {render(bad)}")
-    return template, at, names
+    return {p: (Var(p),) for p in names}, (), (template, at)
 
 
 def _check_sweep_size(size: int, depth: int, guard: int) -> None:
@@ -373,13 +359,13 @@ def finite_consequence(alg: Algebra, gamma: Iterable[Formula], phi: Formula, *,
     leaf that passes every check is the lexicographically first
     countermodel.  The guard bounds ``size ** variables`` and the four
     operation tables, both before the tables are built.  Without ``frame`` a
-    modal operator is refused, and a countermodel is re-checked as a
-    one-world, edgeless model; on ``frame``, on the frame (:func:`_folded`).
+    modal operator is refused.  A countermodel is re-checked by
+    :func:`_folded`.
     """
     if not isinstance(alg, (MVn, FiniteTable)):
         raise ValueError("finite_consequence needs a finite algebra")
-    gamma = tuple(gamma)
-    free, rows, vals, code, checks, one = _sweep_program(alg, gamma, phi, frame, guard)
+    held, free, vals, code, checks, one = _sweep_program(
+        alg, tuple(gamma) + (phi,), frame, guard)
     depth, last = len(free), alg.size - 1
     d = 0  # the variables assigned
     while True:
@@ -403,28 +389,24 @@ def finite_consequence(alg: Algebra, gamma: Iterable[Formula], phi: Formula, *,
         vals[d - 1] += 1
     carrier = alg.carrier()
     point = {v.name: carrier[k] for v, k in zip(free, vals)}
-    if frame is None:
-        return _rechecked(alg, gamma, phi, point)
-    return _folded(frame, alg, gamma, phi, rows, point)
+    return _folded(frame, alg, held, phi, point)
 
 
-def _sweep_program(alg: Algebra, gamma: tuple[Formula, ...], phi: Formula,
+def _sweep_program(alg: Algebra, roots: tuple[Formula, ...],
                    frame: KripkeFrame | None, guard: int):
     """The sweep's program, :func:`_fold` with :func:`_numbering` after both
-    guards: the live per-world variables in sorted order (slots 0, 1, ...),
-    ``rows`` (None without ``frame``), the slot values, per level the
-    instructions ``(slot, table, a, b)`` and checks ``(slot, is
+    guards: what is held of the ``roots`` (:func:`_propositional` without
+    ``frame``, :func:`_per_world_vars` with it), the live per-world
+    variables in sorted order (slots 0, 1, ...), the slot values, per level
+    the instructions ``(slot, table, a, b)`` and checks ``(slot, is
     conclusion)``, and the index of 1."""
-    roots = gamma + (phi,)
-    if frame is None:
-        (template, at, names), modal = _propositional(roots), ()
-        rows, succ, per_world = None, [()], {p: (Var(p),) for p in names}
-    else:
-        rows, modal, (template, at) = _per_world_vars(roots, len(frame.worlds))
-        succ, per_world = _successors(frame), rows
-    reads = _reads(template, at, succ, modal)
-    free = sorted((per_world[x][w] for (kind, x, _), m in zip(template, reads)
-                   if kind is Var for w in range(len(succ)) if m >> w & 1), key=_NAME)
+    held = (_propositional(roots) if frame is None
+            else _per_world_vars(roots, len(frame.worlds)))
+    rows, modal, (template, at) = held
+    frame = frame or _POINT
+    reads = _reads(template, at, frame, modal)
+    free = sorted((v for (kind, x, _), m in zip(template, reads) if kind is Var
+                   for w, v in enumerate(rows[x]) if m >> w & 1), key=_NAME)
     size, depth = alg.size, len(free)
     _check_sweep_size(size, depth, guard)
     if 4 * size * size > guard:
@@ -433,11 +415,10 @@ def _sweep_program(alg: Algebra, gamma: tuple[Formula, ...], phi: Formula,
             f"guard {guard}")
     tables = alg.tables()  # over element indices, mapped back by carrier()
     slots = {v: k for k, v in enumerate(free)}
-    leaves = {p: [slots.get(v) for v in row] for p, row in per_world.items()}
-    leaves |= {ZERO: [depth] * len(succ), ONE: [depth + 1] * len(succ)}
-    numbers, apply = _numbering(depth + 2)
-    cols = _fold(template, reads, succ, leaves, apply)
-    top = functools.reduce(lambda a, b: apply(And, a, b), cols[at[-1]])
+    leaves = {p: [slots.get(v) for v in row] for p, row in rows.items()}
+    numbers, _, ops = _numbering(depth + 2)
+    cols = _fold(template, reads, frame, leaves, ops | {ZERO: depth, ONE: depth + 1})
+    top = functools.reduce(ops[And], cols[at[-1]])
     vals = [0] * depth + [tables["zero"], tables["one"]] + [0] * len(numbers)
     level = [*range(1, depth + 1), 0, 0]
     code: list[list[tuple]] = [[] for _ in range(depth + 1)]
@@ -449,114 +430,18 @@ def _sweep_program(alg: Algebra, gamma: tuple[Formula, ...], phi: Formula,
         for k in cols[g]:
             checks[level[k]].append((k, False))
     checks[level[top]].append((top, True))
-    return free, rows, vals, code, checks, tables["one"]
+    return held, free, vals, code, checks, tables["one"]
 
 
 def _numbering(first: int):
-    """The dict of the numbers, in order, and an ``apply`` for :func:`_fold`
-    that numbers each new ``(class, a, b)`` from ``first`` on: equal triples
-    share a number, as equal formulas share a node."""
+    """The dict of the numbers, in order, ``number(class, x, y)``, which
+    numbers each new triple from ``first`` on (equal triples share a number,
+    as equal formulas share a node), and the ``ops`` of :func:`_fold` by it."""
     numbers: dict[tuple, int] = {}
-    return numbers, lambda kind, a, b: numbers.setdefault((kind, a, b), first + len(numbers))
 
-
-def _template(formulas: tuple[Formula, ...]):
-    """One walk in the order of :func:`postorder`: per node ``(class, x,
-    y)``, with the indices of a connective's operands or a modal node's
-    body, or a leaf's key in ``leaves`` (a name or a constant); each
-    formula's index, the sorted variable names and the modal nodes."""
-    index, template, modal = {}, [], []
-    stack = list(formulas)[::-1]
-    while stack:
-        f = stack.pop()
-        if f is None:  # the node below has its children indexed
-            f = stack.pop()
-            if (kind := type(f)) is Box or kind is Diamond:
-                modal.append(f)
-                node = (kind, index[id(f.body)], None)
-            else:
-                node = (kind, index[id(f.left)], index[id(f.right)])
-        elif id(f) in index:
-            continue
-        elif (kind := type(f)) in _OPERATION:
-            stack += (f, None, f.right, f.left)
-            continue
-        elif kind is Box or kind is Diamond:
-            stack += (f, None, f.body)
-            continue
-        else:
-            Formula._check(f)
-            node = (kind, f.name if kind is Var else f, None)
-        index[id(f)] = len(template)
-        template.append(node)
-    return (tuple(template), tuple([index[id(f)] for f in formulas]),
-            sorted({x for kind, x, _ in template if kind is Var}), tuple(modal))
-
-
-def _successors(frame: KripkeFrame) -> list[list[int]]:
-    """Each world's successors, as indices into ``frame.worlds``."""
-    pos = {w: i for i, w in enumerate(frame.worlds)}
-    return [[pos[u] for u in frame.successors(w)] for w in frame.worlds]
-
-
-def _reads(template: tuple, roots: tuple[int, ...], succ: list[list[int]],
-           modal: Sequence | bool) -> list[int]:
-    """Per node, the worlds (bit w for world w) where the ``roots`` read it:
-    a root everywhere, a connective's operands where it is read, and a box's
-    or diamond's body at the successors of the worlds where it is read."""
-    everywhere = (1 << len(succ)) - 1
-    if not modal:
-        return [everywhere] * len(template)
-    below = [sum(1 << j for j in js) for js in succ]
-    reads = [0] * len(template)
-    for r in roots:
-        reads[r] = everywhere
-    for i in range(len(template) - 1, -1, -1):  # parents first
-        kind, x, y = template[i]
-        if y is not None:
-            reads[x] |= reads[i]
-            reads[y] |= reads[i]
-        elif kind is Box or kind is Diamond:
-            for w, s in enumerate(below):
-                if reads[i] >> w & 1:
-                    reads[x] |= s
-    return reads
-
-
-def _fold(template: tuple, reads: list[int], succ: list[list[int]],
-          leaves: dict, apply) -> list:
-    """Each node's value at the worlds where ``reads`` has it, node by node:
-    a leaf's is ``leaves[x][w]``, a connective's ``apply(class, a, b)``, and
-    a box's (a diamond's) is ``apply(And, ...)`` (``apply(Or, ...)``) folded
-    over its body's values at the successors, or ``leaves[ONE][w]``
-    (``leaves[ZERO][w]``) at a world with none."""
-    n = len(succ)
-    cols: list = [None] * len(template)
-    worlds: dict[int, list[int]] = {}  # a mask's worlds
-    for i, (kind, x, y) in enumerate(template):
-        m = reads[i]
-        if not m:
-            continue
-        col = cols[i] = [None] * n
-        ws = worlds.get(m) or worlds.setdefault(m, [w for w in range(n) if m >> w & 1])
-        if y is not None:
-            a, b = cols[x], cols[y]
-            for w in ws:
-                col[w] = apply(kind, a[w], b[w])
-        elif kind is Box or kind is Diamond:
-            body = cols[x]
-            op, unit = (And, leaves[ONE]) if kind is Box else (Or, leaves[ZERO])
-            for w in ws:
-                js = succ[w]
-                v = body[js[0]] if js else unit[w]
-                for j in js[1:]:
-                    v = apply(op, v, body[j])
-                col[w] = v
-        else:
-            leaf = leaves[x]
-            for w in ws:
-                col[w] = leaf[w]
-    return cols
+    def number(*node):
+        return numbers.setdefault(node, first + len(numbers))
+    return numbers, number, {kind: functools.partial(number, kind) for kind in _OPERATION}
 
 
 class FrameTranslation:
@@ -590,7 +475,7 @@ class FrameTranslation:
         """The five named attributes, in one bottom-up pass that makes each
         modal node's names, legend entries, definitions and deltas."""
         worlds, rows = self.frame.worlds, self._rows
-        succ = _successors(self.frame)
+        succ = self.frame._index[0]
         tag = {Box: "box", Diamond: "dia"}
         fresh = iter(fresh_names(
             [*rows, *(v.name for row in rows.values() for v in row)],
@@ -635,10 +520,8 @@ class FrameTranslation:
         world in ``frame.worlds`` order, by :func:`_fold` with the formula
         constructors."""
         template, roots = self._template
-        succ = _successors(self.frame)
-        leaves = {**self._rows, ZERO: (ZERO,) * len(succ), ONE: (ONE,) * len(succ)}
-        cols = _fold(template, _reads(template, roots, succ, self._modal), succ,
-                     leaves, type.__call__)  # apply builds the node
+        cols = _fold(template, _reads(template, roots, self.frame, self._modal), self.frame,
+                     self._rows, {c: c for c in (*_OPERATION, ZERO, ONE)})  # ops build nodes
         *premises, conclusion = (cols[r] for r in roots)
         return tuple(g for col in premises for g in col), tuple(conclusion)
 
@@ -647,13 +530,12 @@ class FrameTranslation:
         with no formula: :func:`_fold` with :func:`_numbering`, renumbered
         in post-order from the roots."""
         template, roots = self._template
-        succ = _successors(self.frame)
-        numbers, apply = _numbering(0)
-        leaves = {p: [apply(Var, v.name, None) for v in row]
+        numbers, number, ops = _numbering(0)
+        leaves = {p: [number(Var, v.name, None) for v in row]
                   for p, row in self._rows.items()}
-        leaves |= {c: [apply(type(c), c, None)] * len(succ) for c in (ZERO, ONE)}
-        cols = _fold(template, _reads(template, roots, succ, self._modal), succ,
-                     leaves, apply)
+        ops |= {c: number(type(c), c, None) for c in (ZERO, ONE)}
+        cols = _fold(template, _reads(template, roots, self.frame, self._modal), self.frame,
+                     leaves, ops)
         premises = [k for r in roots[:-1] for k in cols[r]]
         conclusion, nodes, pos, table = cols[roots[-1]], list(numbers), {}, []
         stack = (premises + conclusion)[::-1]
@@ -714,7 +596,7 @@ def decide_on_frame(frame: KripkeFrame, gamma: Iterable[Formula], phi: Formula,
         if found is None:
             return Verdict(True)
         at, point = found
-        return _folded(frame, alg, gamma, phi, tr._rows, point, at)
+        return _folded(frame, alg, (tr._rows, tr._modal, tr._template), phi, point, at)
     if isinstance(alg, (MVn, FiniteTable)):
         guard = FINITE_SEARCH_GUARD
         if alg.size ** ((len(tr._rows) + len(tr._modal)) * len(frame.worlds)) > guard:
@@ -724,25 +606,33 @@ def decide_on_frame(frame: KripkeFrame, gamma: Iterable[Formula], phi: Formula,
     raise ValueError(f"no propositional decision for {alg.kind}: out of scope")
 
 
-def _folded(frame: KripkeFrame, alg: Algebra, gamma: tuple[Formula, ...],
-            phi: Formula, rows: dict, point: dict, at: int | None = None) -> Verdict:
-    """Failing verdict for a backend's point over the per-world variables
-    ``rows``, folded onto the frame (a variable the point lacks is 0) and
-    re-checked there through the evaluator; the witness world is ``at``, or
-    the first world where the conclusion is not 1."""
-    valuation: dict[str, dict[str, Value]] = {
-        w: {p: point.get(row[i].name, alg.zero) for p, row in rows.items()}
-        for i, w in enumerate(frame.worlds)}
-    model = KripkeModel(frame, alg, valuation)
-    *premises, conclusion = evaluate_all(model, gamma + (phi,))
-    if any(v != alg.one for col in premises for v in col):
-        raise RuntimeError("folded countermodel failed premise re-check")
+def _folded(frame: KripkeFrame | None, alg: Algebra, held: tuple, phi: Formula,
+            point: dict, at: int | None = None) -> Verdict:
+    """Failing verdict for a backend's point over the per-world variables of
+    ``held`` (:func:`_per_world_vars` on ``frame``, :func:`_propositional`
+    without one), re-checked by folding the held template on the algebra's
+    carrier (a variable the point lacks is 0): every premise 1 everywhere,
+    the conclusion not 1 at ``at``, or else at the first world where it is
+    not.  The witness is the point, or the model on ``frame`` built after."""
+    rows, _, (template, roots) = held
+    columns = {p: [alg.require(point.get(v.name, alg.zero)) for v in row]
+               for p, row in rows.items()}
+    (*premises, conclusion), decode, one = _carrier_columns(
+        alg, template, roots, frame or _POINT, columns)
+    what = "countermodel" if frame is None else "folded countermodel"
+    if any(c != one for col in premises for c in col):
+        raise RuntimeError(f"{what} failed premise re-check")
     if at is None:
-        at = next((k for k, v in enumerate(conclusion) if v != alg.one), 0)
-    if conclusion[at] == alg.one:
-        raise RuntimeError("folded countermodel failed conclusion re-check")
-    return Verdict(False, Witness(world=model.worlds[at], formula=phi,
-                                  value=conclusion[at], model=model))
+        at = next((k for k, c in enumerate(conclusion) if c != one), 0)
+    if conclusion[at] == one:
+        raise RuntimeError(f"{what} failed conclusion re-check")
+    value = decode(conclusion[at])
+    if frame is None:
+        return Verdict(False, Witness(formula=phi, value=value, valuation=point))
+    model = KripkeModel(frame, alg, {w: {p: col[i] for p, col in columns.items()}
+                                     for i, w in enumerate(frame.worlds)})
+    return Verdict(False, Witness(world=frame.worlds[at], formula=phi,
+                                  value=value, model=model))
 
 
 @functools.cache

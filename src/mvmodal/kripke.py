@@ -4,17 +4,19 @@ Models are finite by construction, so box/diamond meets and joins are always
 defined: an empty meet evaluates to 1 and an empty join to 0.  Models are
 treated as immutable after construction and all queries are pure.
 
-Every formula value in the package comes from one evaluator,
-:func:`evaluate_all`, keyed by the model's algebra: one iterative
-:func:`~mvmodal.formulas.bottom_up` pass over the nodes of all its formulas
-computes each node once, at every world at once.  Formulas are hash-consed,
-so a subformula shared by several formulas is one node and is computed
-once.  Propositional valuations are evaluated as one-world, edgeless models.
-Over StdMV, MVn and ExpChain it runs on ints scaled to one common denominator
-d, the lcm of the valuation's distinct denominators, exact because the values
-generate a finite chain; other algebras use their own.  A value p/q enters as
-the int p * (d // q), with no rational arithmetic, and a result is turned
-back once per distinct value; a caller that reads one world, as
+The package has one evaluation core, :func:`_fold`, a walk over an integer
+template of the formulas (:func:`_template`) that computes each node once,
+at the worlds that read it (:func:`_reads`), with a table of operations per
+connective.  Formulas are hash-consed, so a subformula shared by several
+formulas is one node.  :func:`evaluate_all` is the fold over the model's
+algebra; the decision procedures fold the same template to number an LP
+node table or a sweep program and to re-check each countermodel, a
+propositional one on the one-world, edgeless frame.  Over StdMV, MVn and
+ExpChain the algebra's fold runs on ints scaled to one common denominator
+d, the lcm of the valuation's distinct denominators, exact because the
+values generate a finite chain; other algebras use their own.  A value p/q
+enters as the int p * (d // q), with no rational arithmetic, and a result
+is turned back once per distinct value; a caller that reads one world, as
 :func:`evaluate` does, turns back only that world.
 """
 
@@ -23,12 +25,12 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .algebras import (Algebra, Value, algebra_from_json, algebra_to_json,
                        value_from_json, value_to_json)
-from .formulas import (And, Box, Const0, Const1, Formula, Implies, Or, Times,
-                       Var, bottom_up)
+from .formulas import (And, Box, Diamond, Formula, Implies, ONE, Or, Times,
+                       Var, ZERO)
 
 __all__ = [
     "KripkeFrame", "KripkeModel", "Witness", "Verdict",
@@ -58,11 +60,24 @@ class KripkeFrame:
         for a, b in es:
             succ[a].append(b)
         self._succ = {w: tuple(sorted(vs)) for w, vs in succ.items()}
+        self._indexed = None
 
     def successors(self, w: str) -> tuple[str, ...]:
         if w not in self._succ:
             raise KeyError(f"unknown world {w!r}")
         return self._succ[w]
+
+    @property
+    def _index(self) -> tuple[list[list[int]], list[int], list[tuple]]:
+        """For :func:`_fold`, built on first use: each world's successors as
+        indices into ``worlds``, each world's first successor (``len(worlds)``
+        for none), and the further successors of the worlds that have them."""
+        if self._indexed is None:  # no lock, unlike functools.cached_property
+            pos = {w: i for i, w in enumerate(self.worlds)}
+            succ = [[pos[u] for u in self._succ[w]] for w in self.worlds]
+            self._indexed = (succ, [js[0] if js else len(succ) for js in succ],
+                             [(w, js[1:]) for w, js in enumerate(succ) if len(js) > 1])
+        return self._indexed
 
     def __eq__(self, other):
         return (isinstance(other, KripkeFrame)
@@ -73,6 +88,9 @@ class KripkeFrame:
 
     def __repr__(self):
         return f"KripkeFrame(worlds={self.worlds}, edges={sorted(self.edges)})"
+
+
+_POINT = KripkeFrame(["w"], ())  # a propositional valuation's frame
 
 
 class KripkeModel:
@@ -137,52 +155,141 @@ class Verdict:
 _OPERATION = {And: "meet", Or: "join", Times: "times", Implies: "residuum"}
 
 
-def _columns(model: KripkeModel, formulas: Iterable[Formula]) -> tuple[list, Callable]:
-    """The columns of :func:`evaluate_all` on the algebra's carrier, and its
-    ``decode``, which turns a cell back into a value."""
-    worlds = model.worlds
-    encode, decode, meet, join, times, residuum, zero, one = model.algebra._carrier(
-        v for row in model._val.values() for v in row.values())
-    operation = {And: meet, Or: join, Times: times, Implies: residuum}
-    pos = {w: i for i, w in enumerate(worlds)}
-    succ = [[pos[u] for u in model.frame.successors(w)] for w in worlds]
-    # index len(worlds) is the unit appended to the body column
-    first = [js[0] if js else len(worlds) for js in succ]
-    further = [(i, js[1:]) for i, js in enumerate(succ) if len(js) > 1]
+def _template(formulas: tuple[Formula, ...]):
+    """One walk in the order of :func:`~mvmodal.formulas.postorder`: per
+    node ``(class, x, y)``, with the indices of a connective's operands or a
+    modal node's body, or a variable's name or the constant itself, its key
+    in :func:`_fold`'s ``leaves`` or ``ops``; each formula's index, the
+    sorted variable names and the modal nodes."""
+    index, template, modal = {}, [], []
+    stack = list(formulas)[::-1]
+    while stack:
+        f = stack.pop()
+        if f is None:  # the node below has its children indexed
+            f = stack.pop()
+            if (kind := type(f)) is Box or kind is Diamond:
+                modal.append(f)
+                node = (kind, index[id(f.body)], None)
+            else:
+                node = (kind, index[id(f.left)], index[id(f.right)])
+        elif id(f) in index:
+            continue
+        elif (kind := type(f)) in _OPERATION:
+            stack += (f, None, f.right, f.left)
+            continue
+        elif kind is Box or kind is Diamond:
+            stack += (f, None, f.body)
+            continue
+        else:
+            Formula._check(f)
+            node = (kind, f.name if kind is Var else f, None)
+        index[id(f)] = len(template)
+        template.append(node)
+    return (tuple(template), tuple([index[id(f)] for f in formulas]),
+            sorted({x for kind, x, _ in template if kind is Var}), tuple(modal))
 
-    def column(f: Formula, *cols: list) -> list:
-        op = operation.get(type(f))
-        if op:
-            return list(map(op, *cols))
-        if isinstance(f, Var):
-            return [encode(model.value(w, f.name)) for w in worlds]
-        if isinstance(f, (Const0, Const1)):
-            return [zero if isinstance(f, Const0) else one] * len(worlds)
-        body = cols[0]
-        op, unit = (meet, one) if isinstance(f, Box) else (join, zero)
-        ext = body + [unit]
-        out = [ext[j] for j in first]
-        for i, js in further:
-            value = out[i]
-            for j in js:
-                value = op(value, body[j])
-            out[i] = value
-        return out
 
-    return bottom_up(formulas, column), decode
+def _reads(template: tuple, roots: tuple[int, ...], frame: KripkeFrame,
+           modal: Sequence | bool) -> list[int]:
+    """Per node, the worlds (bit w for world w) where the ``roots`` read it:
+    a root everywhere, a connective's operands where it is read, and a box's
+    or diamond's body at the successors of the worlds where it is read.
+    Without ``modal`` nodes, every node is read everywhere."""
+    everywhere = (1 << len(frame.worlds)) - 1
+    if not modal:
+        return [everywhere] * len(template)
+    below = [sum(1 << j for j in js) for js in frame._index[0]]
+    reads = [0] * len(template)
+    for r in roots:
+        reads[r] = everywhere
+    for i in range(len(template) - 1, -1, -1):  # parents first
+        kind, x, y = template[i]
+        if y is not None:
+            reads[x] |= reads[i]
+            reads[y] |= reads[i]
+        elif kind is Box or kind is Diamond:
+            for w, s in enumerate(below):
+                if reads[i] >> w & 1:
+                    reads[x] |= s
+    return reads
+
+
+def _fold(template: tuple, reads: list[int], frame: KripkeFrame,
+          leaves: dict, ops: dict) -> list:
+    """Each node's values, in worlds order, at the worlds where ``reads``
+    has it, from each variable's values ``leaves[name]`` and ``ops``, each
+    connective's operation and each constant's value: a box's (a diamond's)
+    is ``ops[And]`` (``ops[Or]``) folded over its body's values at the
+    successors, ``ops[ONE]`` (``ops[ZERO]``) at a world with none.  A
+    connective read at every world is one ``map`` over whole columns.  A
+    modal column gathers every world's first successor value, or the unit,
+    and folds in the further successors of the worlds that read it; as
+    ``meet(1, v) = v`` and ``join(0, v) = v``, this is the fold from 1 and
+    0.  A cell where the node is not read is never read."""
+    n = len(frame.worlds)
+    everywhere = (1 << n) - 1
+    cols: list = [None] * len(template)
+    for i, (kind, x, y) in enumerate(template):
+        m = reads[i]
+        if not m:
+            continue
+        if y is not None:
+            a, b, op = cols[x], cols[y], ops[kind]
+            if m == everywhere:
+                cols[i] = list(map(op, a, b))
+            else:
+                cols[i] = [op(a[w], b[w]) if m >> w & 1 else None for w in range(n)]
+        elif kind is Box or kind is Diamond:
+            _, first, further = frame._index
+            body = cols[x]
+            op, unit = (ops[And], ops[ONE]) if kind is Box else (ops[Or], ops[ZERO])
+            # the body is read nowhere only if no world that reads this node
+            # has a successor
+            col = cols[i] = list(map([*(body or [unit] * n), unit].__getitem__, first))
+            for w, js in further:
+                if m >> w & 1:
+                    v = col[w]
+                    for j in js:
+                        v = op(v, body[j])
+                    col[w] = v
+        else:
+            cols[i] = leaves[x] if kind is Var else [ops[x]] * n
+    return cols
+
+
+def _carrier_columns(alg: Algebra, template: tuple, roots: tuple[int, ...],
+                     frame: KripkeFrame, columns: dict) -> tuple[list, Callable, object]:
+    """The ``roots``' columns of :func:`_fold` over ``template`` on the
+    algebra's carrier, every node at every world, from each variable's
+    values in ``columns``; with the carrier's ``decode`` and its 1."""
+    encode, decode, meet, join, times, residuum, zero, one = alg._carrier(
+        v for col in columns.values() for v in col)
+    leaves = {p: list(map(encode, col)) for p, col in columns.items()}
+    cols = _fold(template, _reads(template, roots, frame, ()), frame, leaves,
+                 {And: meet, Or: join, Times: times, Implies: residuum,
+                  ZERO: zero, ONE: one})
+    return [cols[r] for r in roots], decode, one
+
+
+def _columns(model: KripkeModel,
+             formulas: Iterable[Formula]) -> tuple[list, Callable, object]:
+    """The columns of :func:`evaluate_all` on the algebra's carrier, its
+    ``decode``, which turns a cell back into a value, and its 1."""
+    template, roots, _, _ = _template(tuple(formulas))
+    columns = {x: [model.value(w, x) for w in model.worlds]
+               for kind, x, _ in template if kind is Var}
+    return _carrier_columns(model.algebra, template, roots, model.frame, columns)
 
 
 def evaluate_all(model: KripkeModel, formulas: Iterable[Formula]) -> list[list[Value]]:
     """Values of each formula at every world, in ``model.worlds`` order.
 
-    Connectives apply the algebra's operations pointwise.  Box is the meet
-    and diamond the join over the successor values: a modal column gathers
-    each world's first successor value, or the empty meet 1 and empty join
-    0 at a world without successors, then folds meet or join over the
-    further successors of the worlds that have them.  As ``meet(1, v) = v``
-    and ``join(0, v) = v``, this is the fold starting from 1 and 0.  Each
-    node is evaluated once, at all worlds together; nodes are told apart by
-    identity, which for hash-consed formulas is structure.
+    :func:`_fold` over the algebra's carrier, every node at every world:
+    connectives apply the algebra's operations pointwise, and box is the
+    meet and diamond the join over the successor values, 1 and 0 at a world
+    without successors.  Each node is evaluated once, at all worlds
+    together; nodes are told apart by identity, which for hash-consed
+    formulas is structure.
 
     Over StdMV and MVn the columns hold ints n for n/d, d the lcm of the
     valuation's distinct denominators, and a value p/q enters as p * (d//q);
@@ -193,7 +300,7 @@ def evaluate_all(model: KripkeModel, formulas: Iterable[Formula]) -> list[list[V
     turns back only that world's cells.  StdGodel, StdProduct and finite
     tables keep their own values and operations.
     """
-    cols, decode = _columns(model, formulas)
+    cols, decode, _ = _columns(model, formulas)
     table = {n: decode(n) for n in set().union(*cols)}
     return [list(map(table.__getitem__, col)) for col in cols]
 
@@ -202,7 +309,7 @@ def evaluate(model: KripkeModel, world: str, f: Formula) -> Value:
     """Value of ``f`` at ``world``; see :func:`evaluate_all`."""
     if world not in model._val:
         raise KeyError(f"unknown world {world!r}")
-    (col,), decode = _columns(model, [f])
+    (col,), decode, _ = _columns(model, [f])
     return decode(col[model.worlds.index(world)])
 
 
@@ -363,8 +470,8 @@ def _world_names(items: list) -> list:
 def frame_from_json(obj: dict) -> KripkeFrame:
     obj = _shaped(obj, dict, "a frame or model")
     edges = [tuple(_world_names(_shaped(e, list, "an edge")))
-             for e in _shaped(obj["edges"], list, "edges")]
-    return KripkeFrame(_world_names(_shaped(obj["worlds"], list, "worlds")), edges)
+             for e in _shaped(obj.get("edges"), list, "edges")]
+    return KripkeFrame(_world_names(_shaped(obj.get("worlds"), list, "worlds")), edges)
 
 
 def model_to_json(model: KripkeModel) -> dict:
@@ -380,7 +487,7 @@ def model_to_json(model: KripkeModel) -> dict:
 
 def model_from_json(obj: dict) -> KripkeModel:
     frame = frame_from_json(obj)
-    algebra = algebra_from_json(obj["algebra"])
+    algebra = algebra_from_json(obj.get("algebra"))
     rows = _shaped(obj.get("valuation", {}), dict, "a valuation")
     valuation = {w: {p: value_from_json(algebra, raw)
                      for p, raw in _shaped(row, dict, "a valuation row").items()}

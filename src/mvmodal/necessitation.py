@@ -99,10 +99,9 @@ def verify_separation(n: int, alg: Algebra) -> SeparationReport:
     frontier is one world.
     """
     model = build_nec_model(n, alg)
-    (sigma, final), decode = _columns(
+    (sigma, final), decode, one = _columns(
         model, [functools.reduce(And, separation_premises()), Implies(X, Times(X, Y))])
-    ones = {c for c in set(sigma) if decode(c) == alg.one}
-    good = {w for w, c in zip(model.worlds, sigma) if c in ones}
+    good = {w for w, c in zip(model.worlds, sigma) if c == one}
     levels, frontier = [], {model.worlds[0]}
     for i in range(n + 1):
         levels.append((i, frontier <= good))

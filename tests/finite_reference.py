@@ -18,8 +18,8 @@ from typing import Iterable
 
 from mvmodal.algebras import (Algebra, FiniteTable, MVn, ResourceLimitError,
                               mv_chain_tables)
-from mvmodal.decision import (FINITE_SEARCH_GUARD, _propositional,
-                              _rechecked, decide_on_frame)
+from mvmodal.decision import (FINITE_SEARCH_GUARD, _folded, _propositional,
+                              decide_on_frame)
 from mvmodal.formulas import Const0, Const1, Formula, Var, postorder
 from mvmodal.kripke import _OPERATION, KripkeFrame, Verdict
 
@@ -37,7 +37,7 @@ def finite_consequence(alg: Algebra, gamma: Iterable[Formula], phi: Formula, *,
         raise ValueError("finite_consequence needs a finite algebra")
     gamma = tuple(gamma)
     roots = gamma + (phi,)
-    _propositional(roots)  # refuses a modal operator
+    held = _propositional(roots)  # refuses a modal operator
     nodes = postorder(roots)
     names = sorted(f.name for f in nodes if isinstance(f, Var))
     # MVn sweeps its index tables: index k stands for k/(n-1)
@@ -82,7 +82,7 @@ def finite_consequence(alg: Algebra, gamma: Iterable[Formula], phi: Formula, *,
             valuation = dict(zip(names, assign))
             if isinstance(alg, MVn):
                 valuation = {p: Fraction(k, alg.n - 1) for p, k in valuation.items()}
-            return _rechecked(alg, gamma, phi, valuation)
+            return _folded(None, alg, held, phi, valuation)
     return Verdict(True)
 
 

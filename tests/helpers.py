@@ -125,7 +125,7 @@ def luk_system(gamma, *phis):
     the node table that ``luk_consequence`` builds, ``_template`` of the
     formulas."""
     gamma = tuple(gamma)
-    table, at, _ = decision._propositional(gamma + phis)
+    _, _, (table, at) = decision._propositional(gamma + phis)
     return decision._LukSystem(table, at[:len(gamma)], at[len(gamma):])
 
 

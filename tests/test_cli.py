@@ -111,6 +111,33 @@ def test_check_model_refuses_float_and_bool_values(capsys, tmp_path, algebra, va
     assert invoke(capsys, ["check", "--model", str(mfile), "--conclusion", "p"]) == (2, "")
 
 
+@pytest.mark.parametrize("argv", [["eval"], ["check"], ["check", "--premises", "p"]])
+def test_missing_variable_is_an_input_error(capsys, tmp_path, argv):
+    # the evaluator's KeyError is printed as its message, without the quotes
+    # that str() of a KeyError adds
+    mfile = tmp_path / "m.json"
+    mfile.write_text(json.dumps({"algebra": {"kind": "std-mv"}, "worlds": ["a"],
+                                 "edges": [], "valuation": {"a": {"p": "1"}}}))
+    code = run([*argv, "--model", str(mfile), "--conclusion", "[]q"])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err == "error: no value for variable 'q' at world 'a'\n"
+
+
+@pytest.mark.parametrize("field, message", [
+    ("worlds", "worlds must be a JSON list"), ("edges", "edges must be a JSON list"),
+    ("algebra", "an algebra must be a JSON object, got None")])
+def test_model_file_without_a_field_names_it(capsys, tmp_path, field, message):
+    # a missing field is named in the message, not printed as a bare key
+    model = {"algebra": {"kind": "std-mv"}, "worlds": ["a"], "edges": [],
+             "valuation": {"a": {"p": "1"}}}
+    del model[field]
+    mfile = tmp_path / "m.json"
+    mfile.write_text(json.dumps(model))
+    assert run(["eval", "--model", str(mfile), "--conclusion", "p"]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_pcp_pipeline(files, capsys, tmp_path):
     code, out = invoke(capsys, ["pcp-encode", "--instance", files["p0"]])
     assert code == 0

@@ -842,25 +842,23 @@ def test_finite_frame_path_builds_no_image_and_rechecks_once(monkeypatch):
     def no_images(self):
         raise AssertionError("built the images")
 
-    calls = {"evaluate_all": 0, "_rechecked": 0}
+    # the one re-check, _folded, runs once on a failing decision, on the
+    # frame, and never on a holding one
+    calls = []
+    folded = decision._folded
 
-    def counted(name):
-        original = getattr(decision, name)
-
-        def wrapper(*args, **kwargs):
-            calls[name] += 1
-            return original(*args, **kwargs)
-        return wrapper
+    def counted(frame, *args):
+        calls.append(frame)
+        return folded(frame, *args)
 
     monkeypatch.setattr(decision.FrameTranslation, "_images", no_images)
-    for name in calls:
-        monkeypatch.setattr(decision, name, counted(name))
+    monkeypatch.setattr(decision, "_folded", counted)
     fr = KripkeFrame(["w1", "w2"], [("w1", "w2"), ("w2", "w2")])
     assert not decide_on_frame(fr, [P("[] p -> p")], P("<> ~p"), MVn(3)).holds
-    assert calls == {"evaluate_all": 1, "_rechecked": 0}
-    calls.update(dict.fromkeys(calls, 0))
+    assert calls == [fr]
+    calls.clear()
     assert decide_on_frame(fr, [P("[] (p -> q)"), P("[] p")], P("[] q"), MVn(3)).holds
-    assert calls == {"evaluate_all": 0, "_rechecked": 0}
+    assert calls == []
 
 
 def test_stdmv_frame_paths_build_no_image(monkeypatch):
@@ -915,28 +913,28 @@ def test_frame_table_builds_the_system_of_the_images(case):
 def test_repeated_cardinality_sweep_builds_no_frame_and_evaluates_nothing():
     # the frames and the template read no edge, so they are built once: a
     # second sweep of a holding pair is one fold per frame and its search,
-    # with no frame built, no evaluator pass and the translation memo warm
-    calls = {"frames": 0, "evaluate_all": 0}
-    init, evaluate_all_ = KripkeFrame.__init__, decision.evaluate_all
+    # with no frame built, no re-check and the translation memo warm
+    calls = {"frames": 0, "_folded": 0}
+    init, folded = KripkeFrame.__init__, decision._folded
 
     def counted_init(self, *args, **kwargs):
         calls["frames"] += 1
         init(self, *args, **kwargs)
 
-    def counted_evaluate_all(*args, **kwargs):
-        calls["evaluate_all"] += 1
-        return evaluate_all_(*args, **kwargs)
+    def counted_folded(*args, **kwargs):
+        calls["_folded"] += 1
+        return folded(*args, **kwargs)
 
     gamma, phi = [P("[]p -> p")], P("[][]p -> p")
     for alg in (StdMV(), MVn(3)):
         assert decide_cardinality(2, gamma, phi, alg).holds
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(KripkeFrame, "__init__", counted_init)
-            mp.setattr(decision, "evaluate_all", counted_evaluate_all)
+            mp.setattr(decision, "_folded", counted_folded)
             misses = decision._per_world_vars.cache_info().misses
             assert decide_cardinality(2, gamma, phi, alg).holds
             assert decision._per_world_vars.cache_info().misses - misses <= 1
-        assert calls == {"frames": 0, "evaluate_all": 0}, alg
+        assert calls == {"frames": 0, "_folded": 0}, alg
 
 
 @st.composite
@@ -1151,6 +1149,31 @@ def test_luk_recheck_catches_a_point_that_is_no_countermodel(monkeypatch):
         luk_consequence([], P("(p -> q) \\/ (q -> p)"))
     with pytest.raises(RuntimeError, match="^countermodel failed premise re-check$"):
         luk_consequence([P("p \\/ q")], P("p"))
+
+
+def test_finite_recheck_catches_a_sweep_that_checks_nothing(monkeypatch):
+    # a sweep program without its checks accepts its first leaf, every
+    # variable 0, whatever the query: the re-check must trip, propositionally
+    # and on a frame
+    program = decision._sweep_program
+
+    def unchecked(*args):
+        held, free, vals, code, checks, one = program(*args)
+        return held, free, vals, code, [[] for _ in checks], one
+
+    monkeypatch.setattr(decision, "_sweep_program", unchecked)
+    frame = KripkeFrame(["a", "b"], [("a", "b")])
+    for alg in (MVn(3), G3):
+        with pytest.raises(RuntimeError, match="^countermodel failed premise re-check$"):
+            finite_consequence(alg, [P("p")], P("q"))
+        with pytest.raises(RuntimeError, match="^countermodel failed conclusion re-check$"):
+            finite_consequence(alg, [], P("p -> p"))
+        with pytest.raises(RuntimeError,
+                           match="^folded countermodel failed premise re-check$"):
+            decide_on_frame(frame, [P("p")], P("q"), alg)
+        with pytest.raises(RuntimeError,
+                           match="^folded countermodel failed conclusion re-check$"):
+            finite_consequence(alg, [], P("[]p -> []p"), frame=frame)
 
 
 def test_frame_recheck_catches_a_backend_that_is_wrong(monkeypatch, tmp_path, capsys):

@@ -1,5 +1,6 @@
-"""Every demo script runs to completion and prints something; demo 3's
-translation section prints the named view and the images as pinned."""
+"""Every demo script runs to completion and prints the bytes pinned in
+``demos/expected``; demo 3's translation section prints the named view and
+the images as pinned."""
 
 import os
 import subprocess
@@ -27,6 +28,9 @@ def test_demo_runs(demo):
     done = _run(demo)
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip()
+    # every byte as pinned in demos/expected
+    expected = ROOT / "demos" / "expected" / (demo.stem + ".out")
+    assert done.stdout == expected.read_text(encoding="utf-8")
 
 
 DEMO_3_TRANSLATION = """\

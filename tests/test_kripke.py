@@ -12,11 +12,11 @@ from mvmodal.algebras import (EXP_ZERO, CarrierError, ExpChain, ExpValue, MVn,
                               StdGodel, StdMV, StdProduct)
 from mvmodal.formulas import (ONE, ZERO, And, Box, Diamond, Implies, Or,
                               Times, Var, box_prefix, parse)
-from mvmodal.kripke import (KripkeFrame, KripkeModel, consequence_witness,
-                            evaluate, evaluate_all, extract_chain,
-                            generated_submodel, globally_satisfies, height,
-                            heights, is_transitive, model_from_json,
-                            model_to_json, unravel)
+from mvmodal.kripke import (KripkeFrame, KripkeModel, _fold, _reads, _template,
+                            consequence_witness, evaluate, evaluate_all,
+                            extract_chain, generated_submodel,
+                            globally_satisfies, height, heights, is_transitive,
+                            model_from_json, model_to_json, unravel)
 from helpers import (G3, modal_depth, naive_eval, random_formula,
                      random_mv3_model_data)
 
@@ -220,6 +220,35 @@ def test_evaluate_all_matches_fold(kind, spec, formula, picks):
     m = KripkeModel(KripkeFrame(worlds, [(worlds[a], worlds[b]) for a, b in edges]),
                     alg, valuation)
     assert evaluate_all(m, [formula])[0] == [fold_eval(m, w, formula) for w in m.worlds]
+
+
+@pytest.mark.parametrize("kind", sorted(_CARRIERS))
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(spec=_SMALL_FRAMES, formulas=st.lists(_MODAL, min_size=1, max_size=3),
+       picks=st.lists(st.tuples(st.integers(0, 8), st.integers(0, 8)),
+                      min_size=5, max_size=5))
+@example(spec=(2, set()), formulas=[parse("[] (p -> <> q)"), parse("<> (p * q) \\/ q")],
+         picks=[(1, 2)] * 5)
+@example(spec=_MIXED, formulas=[parse("[] (p -> <> q) * <> [] p"), parse("[] [] q")],
+         picks=[(0, 5), (5, 1), (2, 3), (4, 0), (1, 2)])
+def test_masked_fold_matches_whole_columns(kind, spec, formulas, picks):
+    # _fold computes a node only at the worlds where _reads has it read (on
+    # an edgeless frame a box's body nowhere); the roots must agree with the
+    # fold of every node at every world and with the per-world reference
+    alg, pool = _CARRIERS[kind]
+    n, edges = spec
+    worlds = [f"w{i}" for i in range(n)]
+    m = KripkeModel(KripkeFrame(worlds, [(worlds[a], worlds[b]) for a, b in edges]),
+                    alg, {w: {"p": pool[i % len(pool)], "q": pool[j % len(pool)]}
+                          for w, (i, j) in zip(worlds, picks)})
+    template, roots, _, modal = _template(tuple(formulas))
+    leaves = {p: [m.value(w, p) for w in worlds] for p in ("p", "q")}
+    ops = {cls: getattr(alg, name) for cls, name in _BINARY.items()}
+    ops |= {ZERO: alg.zero, ONE: alg.one}
+    masked = _fold(template, _reads(template, roots, m.frame, modal), m.frame, leaves, ops)
+    whole = _fold(template, _reads(template, roots, m.frame, ()), m.frame, leaves, ops)
+    for f, r in zip(formulas, roots):
+        assert masked[r] == whole[r] == [fold_eval(m, w, f) for w in worlds], f
 
 
 def test_evaluate_all_returns_carrier_values():
