@@ -5,7 +5,9 @@ LPs for the standard MV algebra (:func:`luk_consequence`), and a
 backtracking sweep of one straight-line program for finite algebras
 (:func:`finite_consequence`).  On top of them sit the frame decision, the
 cardinality-bound decision over one frame per isomorphism class, and the
-co-enumerator of non-consequences.  Global consequence over a finite frame
+co-enumerator of non-consequences; over a finite chain the cardinality
+decision first tries to prove a pair on every frame at once, by type
+elimination (:func:`_types_hold`).  Global consequence over a finite frame
 is propositional consequence over the source variables at each world.  Both
 backends read one value-numbered fold of an integer template of the source
 formulas on the frame (:func:`mvmodal.kripke._fold`, :func:`_numbering`),
@@ -664,6 +666,108 @@ def _least_frames(j: int) -> tuple[KripkeFrame, ...]:
                  for mask in _least_masks(j))
 
 
+def _eliminable(j: int, source: tuple[Formula, ...], alg: Algebra) -> bool:
+    """Whether :func:`_types_hold` may decide ``source`` for a sweep at ``j``
+    worlds, read from the input alone, in this order: ``alg`` is MVn or a
+    finite table whose meet is a chain (a meet or join over successors is
+    then attained by one of them); its four tables clear the search guard,
+    before any is built; ``size ** (atoms * max(j, 2))`` clears it, atoms
+    the source variables and the modal subformulas, which is the legend
+    bound of :func:`decide_on_frame`, so no frame of the sweep trips a
+    guard, and which keeps the types' columns below the guard's square
+    root; and there are no more atoms than one frame has source variables.
+    """
+    if isinstance(alg, FiniteTable):
+        if any(m != a and m != b for a, row in enumerate(alg.meet_table)
+               for b, m in enumerate(row)):
+            return False
+    elif not isinstance(alg, MVn):
+        return False
+    guard = FINITE_SEARCH_GUARD
+    if 4 * alg.size * alg.size > guard:
+        return False
+    rows, modal, _ = _per_world_vars(source, j)
+    atoms = len(rows) + len(modal)
+    return alg.size ** (atoms * max(j, 2)) <= guard and atoms <= len(rows) * j
+
+
+def _types_hold(alg: Algebra, source: tuple[Formula, ...], j: int) -> bool:
+    """True if ``source``, premises then conclusion, holds globally on every
+    frame over the chain ``alg``, by Pratt's type elimination (FOCS 1979;
+    Bou, Esteva, Godo and Rodríguez, J. Logic Comput. 21(5), 2011); False
+    if that is not proved.  The template is the sweep's at ``j`` worlds.
+
+    A type gives each atom, a source variable or a modal node, a value: type
+    ``t`` has the base-``size`` digits of ``t``, the modal atoms last, and a
+    node's column over the types is one table lookup per type.  The types
+    whose premises are 1 survive at first.  ``C(t)`` is the survivors ``s``
+    with ``s(body) >= t([]body)`` and ``s(body) <= t(<>body)``, and ``t``
+    survives while every box below 1 and every diamond above 0 has a witness
+    in ``C(t)`` whose body takes that value; both read only ``t``'s modal
+    atoms, so the types of one modal profile survive together.  In any
+    model every world's type survives, as a meet or join over a finite set
+    of a chain is one of its members, so the pair holds once no survivor
+    gives the conclusion a value below 1.  A failing type realized by a dead
+    end, or by a world whose successors are dead ends, answers False."""
+    tables, size = alg.tables(), alg.size
+    meet, one, zero = tables["meet"], tables["one"], tables["zero"]
+    rows, modal, (template, at) = _per_world_vars(source, j)
+    atoms = len(rows) + len(modal)
+    types = size ** atoms
+    atom = iter(zip(*itertools.product(range(size), repeat=atoms)))
+    leaves = dict(zip(rows, atom))
+    cols, bodies = [], []  # per modal atom: is it a box, and its body's column
+    for kind, x, y in template:
+        if y is not None:
+            table = tables[_OPERATION[kind]]
+            cols.append([table[a][b] for a, b in zip(cols[x], cols[y])])
+        elif kind is Box or kind is Diamond:
+            bodies.append((kind is Box, cols[x]))
+            cols.append(next(atom))
+        else:
+            cols.append(leaves[x] if kind is Var
+                        else [one if kind is Const1 else zero] * types)
+
+    def masks(col):  # per value, the types where the column takes it
+        eq = [0] * size
+        for t, v in enumerate(col):
+            eq[v] |= 1 << t
+        return eq
+    alive = functools.reduce(int.__and__, (masks(cols[r])[one] for r in at[:-1]),
+                             (1 << types) - 1)
+    failing = alive & ~masks(cols[at[-1]])[one]
+    period = size ** len(bodies)  # type t has the modal profile t % period
+    first = sum(1 << q * period for q in range(types // period))
+    # a dead end's profile: every box 1 and every diamond 0
+    dead = functools.reduce(lambda p, b: p * size + (one if b[0] else zero), bodies, 0)
+    if failing & first << dead:
+        return False
+    bodies = [(box, masks(col)) for box, col in bodies]
+    profiles = []  # per modal profile: its first survivors and witness masks
+    for p, values in enumerate(itertools.product(range(size), repeat=len(bodies))):
+        if not (members := alive & first << p):
+            continue
+        reach, need = alive, []
+        for (box, eq), v in zip(bodies, values):
+            reach &= sum(e for u, e in enumerate(eq)
+                         if (meet[v][u] == v if box else meet[u][v] == u))
+            if v != (one if box else zero):
+                need.append(eq[v])
+        profiles.append((members, [reach & e for e in need]))
+
+    def realized(within: int) -> int:
+        return sum(members for members, need in profiles
+                   if all(within & e for e in need))
+    if realized(realized(0)) & failing:  # a world whose successors are dead ends
+        return False
+    while alive & failing:
+        kept = realized(alive)
+        if kept == alive:
+            return False
+        alive = kept
+    return True
+
+
 def decide_cardinality(j: int, gamma: Iterable[Formula], phi: Formula,
                        alg: Algebra, *, cap: int = CARDINALITY_CAP_DEFAULT,
                        branch_guard: int = BRANCH_GUARD_DEFAULT) -> Verdict:
@@ -671,18 +775,25 @@ def decide_cardinality(j: int, gamma: Iterable[Formula], phi: Formula,
     the frame decision over one frame per isomorphism class, first failure
     returned.
 
-    Of the ``2^(j*j)`` labeled frames, only those whose edge mask is the least
-    of its class are decided, in increasing mask order.  Isomorphic frames
-    have the same verdict, so the first failing labeled mask is the least of
-    its class; it is visited, and the witness frame and model are those of
-    the sweep over every labeled frame.  The frames and the template are
-    built once; each frame costs one fold (:func:`_fold`) and its search.
+    Over MVn or a finite chain table with few atoms (:func:`_eliminable`),
+    type elimination first tries to prove the pair on every frame at once
+    (:func:`_types_hold`) and holds without deciding any frame; if it does
+    not, the sweep below decides, so every failing verdict, witness and
+    guard trip is the sweep's.  Of the ``2^(j*j)`` labeled frames, only
+    those whose edge mask is the least of its class are decided, in
+    increasing mask order.  Isomorphic frames have the same verdict, so the
+    first failing labeled mask is the least of its class; it is visited,
+    and the witness frame and model are those of the sweep over every
+    labeled frame.  The frames and the template are built once; each frame
+    costs one fold (:func:`_fold`) and its search.
     """
     if j < 1:
         raise ValueError("cardinality must be at least 1")
     if j > cap:
         raise ResourceLimitError(f"cardinality {j} above cap {cap}")
     gamma = tuple(gamma)
+    if _eliminable(j, gamma + (phi,), alg) and _types_hold(alg, gamma + (phi,), j):
+        return Verdict(True)
     for frame in _least_frames(j):
         verdict = decide_on_frame(frame, gamma, phi, alg, branch_guard=branch_guard)
         if not verdict.holds:

@@ -354,8 +354,13 @@ def test_usage_errors(files, capsys):
     assert run(["check", "--frame", files["frame"], "--weird"]) == 2
     assert run(["check", "--cardinality", "9", "--algebra", "std-mv",
                 "--conclusion", "p"]) == 3  # cardinality guard
+    capsys.readouterr()
+    # the table guard trips before any table is built, type elimination's too
     assert run(["check", "--algebra", "mv-1000000", "--cardinality", "1",
                 "--conclusion", "p \\/ ~p"]) == 3  # MV chain table guard
+    assert capsys.readouterr().err == (
+        "resource guard: four 1000000x1000000 operation tables exceed the "
+        "search guard 10000000\n")
     assert run(["coenum", "--instance", files["p0"], "--budget", "1",
                 "--jobs", "2"]) == 2  # the flag is gone
     # --instance must be a list of objects with a string conclusion

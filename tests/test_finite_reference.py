@@ -16,10 +16,11 @@ from hypothesis import strategies as st
 import finite_reference
 from helpers import G3
 from mvmodal import decision
-from mvmodal.algebras import MVn, ResourceLimitError, StdMV
+from mvmodal.algebras import FiniteTable, MVn, ResourceLimitError, StdMV
 from mvmodal.decision import (decide_cardinality, finite_consequence,
                               translate_on_frame)
-from mvmodal.formulas import ONE, ZERO, And, Implies, Or, Times, Var, neg, parse
+from mvmodal.formulas import (ONE, ZERO, And, Box, Diamond, Implies, Or, Times,
+                              Var, neg, parse)
 from mvmodal.kripke import KripkeFrame, Verdict, model_to_json
 
 P = parse
@@ -58,12 +59,21 @@ def test_one_frame_per_isomorphism_class(monkeypatch):
         return decide(frame, *args, **kwargs)
 
     monkeypatch.setattr(decision, "decide_on_frame", counted)
-    # unlabeled digraphs with loops allowed on 1, 2 and 3 nodes
+    # unlabeled digraphs with loops allowed on 1, 2 and 3 nodes; over StdMV
+    # every frame is decided
     for j, classes in ((1, 2), (2, 10), (3, 104)):
         seen.clear()
-        assert decide_cardinality(j, [P("p")], P("[] p"), MVn(3)).holds
+        assert decide_cardinality(j, [P("p")], P("[] p"), StdMV()).holds
         assert len(seen) == classes
         assert len({tuple(sorted(fr.edges)) for fr in seen}) == classes
+    # over MVn(3), type elimination proves p |- []p on every frame
+    for j in (2, 3):
+        seen.clear()
+        assert decide_cardinality(j, [P("p")], P("[] p"), MVn(3)).holds
+        assert seen == []
+    # three atoms are too many for one 2-world frame's two variables
+    assert decide_cardinality(2, [P("[] p -> p")], P("[] [] p -> p"), MVn(3)).holds
+    assert len(seen) == 10
 
 
 _FAILING = {"t": ((), "[] p -> p"), "four": ((), "[] p -> [] [] p"),
@@ -137,6 +147,57 @@ def test_sweep_equals_fresh_translation_per_frame(alg, j):
         if isinstance(got, tuple):
             outcomes.add(got[0].split(",")[0])
     assert outcomes == {"Verdict(holds=True", "Verdict(holds=False"}
+
+
+# the four-element Boolean algebra on two-bit sets: 1 and 2 are incomparable,
+# so a meet over successors need not be one of them
+BOOLEAN = FiniteTable(4, [[a & b for b in range(4)] for a in range(4)],
+                      [[a | b for b in range(4)] for a in range(4)],
+                      [[a & b for b in range(4)] for a in range(4)],
+                      [[(3 & ~a) | b for b in range(4)] for a in range(4)], 0, 3)
+
+_MODAL = st.recursive(
+    st.sampled_from([Var("p"), Var("q"), ZERO, ONE]),
+    lambda sub: st.one_of(
+        st.builds(lambda op, a, b: op(a, b), st.sampled_from([And, Or, Times, Implies]),
+                  sub, sub),
+        st.builds(Box, sub), st.builds(Diamond, sub)),
+    max_leaves=4)
+
+
+def test_type_elimination_matches_the_sweep(monkeypatch):
+    held = []
+    types_hold = decision._types_hold
+
+    def checked(alg, *args):
+        if alg is BOOLEAN:
+            raise AssertionError("type elimination ran on a non-chain lattice")
+        held.append(types_hold(alg, *args))
+        return held[-1]
+
+    monkeypatch.setattr(decision, "_types_hold", checked)
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.sampled_from(["mv-2", "mv-3", "mv-4", "g3", "boolean"]),
+           st.integers(1, 3), st.lists(_MODAL, max_size=2), _MODAL)
+    @example("mv-3", 3, [P("p")], P("[] p"))
+    @example("boolean", 2, [P("p")], P("[] p"))
+    # refuted on three worlds only: a world whose two successors witness its
+    # two boxes (diamonds), each with the other body above (below) its value
+    @example("mv-3", 3, [P("p \\/ q")], P("[] p \\/ [] q"))
+    @example("g3", 3, [P("~p \\/ ~q")], P("~<> p \\/ ~<> q"))
+    # refuted on three worlds only, by a path to a dead end, where an empty
+    # box is 1 (an empty diamond 0) with no witness
+    @example("mv-2", 3, [], P("~<> <> [] 0 \\/ (p /\\ ~p) \\/ (q /\\ ~q)"))
+    @example("mv-2", 3, [], P("~<> <> ~<> 1 \\/ (p /\\ ~p) \\/ (q /\\ ~q)"))
+    def agree(alg, j, gamma, phi):
+        alg = BOOLEAN if alg == "boolean" else ALGEBRAS[alg]
+        assert _outcome(decide_cardinality, j, gamma, phi, alg) == \
+            _outcome(_frame_by_frame, j, gamma, phi, alg)
+
+    agree()
+    assert held.count(True) >= 40 and held.count(False) >= 40, \
+        (held.count(True), held.count(False))
 
 
 def test_translation_legend_is_a_fresh_copy():
