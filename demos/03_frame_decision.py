@@ -8,8 +8,8 @@ MV algebra exact case-split linear programming settles the images; over
 finite chains lexicographic backtracking settles the same fold, compiled to
 a program over the algebra's tables.  The named copy printed
 below, a fresh variable for each boxed/diamonded subformula at each world
-pinned by a delta premise, is built whole, in one pass, on its first read:
-no backend reads it, and the finite search guard counts its variables
+pinned by a delta premise, is one fold of the template, made on its first
+read: no backend reads it, and the finite search guard counts its variables
 without building it unless a cheap bound cannot clear the guard.  Only each
 source variable's per-world variables are kept between decisions.
 """

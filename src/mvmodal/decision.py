@@ -34,7 +34,7 @@ from typing import Iterable, Sequence
 from . import lp
 from .algebras import Algebra, FiniteTable, MVn, ResourceLimitError, StdMV
 from .formulas import (And, Box, Const0, Const1, Diamond, Formula, Implies,
-                       ONE, Or, Times, Var, ZERO, bottom_up, fresh_names,
+                       ONE, Or, Times, Var, ZERO, fresh_names,
                        iff, is_propositional, render, variables)
 from .kripke import (_OPERATION, KripkeFrame, KripkeModel, Verdict, Witness,
                      _POINT, _carrier_columns, _fold, _reads, _template)
@@ -455,8 +455,8 @@ class FrameTranslation:
     images at the successors, ``ONE``/``ZERO`` at a world with none.  The LP
     reads them as a node table (:meth:`_table`).  The named view puts a
     fresh name for each modal subformula at each world instead, pinned by an
-    ``iff`` delta; its five attributes are built in one pass on first read,
-    which only demo 3 and the finite guard's exact count make.
+    ``iff`` delta; its five attributes come from one fold of the template,
+    on first read, which only demo 3 and the finite guard's exact count make.
     """
 
     def __init__(self, frame: KripkeFrame, gamma: tuple[Formula, ...],
@@ -474,38 +474,32 @@ class FrameTranslation:
 
     @functools.cached_property
     def _named(self):
-        """The five named attributes, in one bottom-up pass that makes each
-        modal node's names, legend entries, definitions and deltas."""
-        worlds, rows = self.frame.worlds, self._rows
-        succ = self.frame._index[0]
+        """The five named attributes: :meth:`_formulas` with each modal node
+        a leaf valued by its fresh names, then one loop over the modal nodes
+        that writes each name's legend entry, definition and delta."""
+        worlds, rows, (template, _) = self.frame.worlds, self._rows, self._template
         tag = {Box: "box", Diamond: "dia"}
         fresh = iter(fresh_names(
             [*rows, *(v.name for row in rows.values() for v in row)],
             [f"x{tag[type(mf)]}{k}__w{i}" for k, mf in enumerate(self._modal)
              for i in range(len(worlds))]))
+        names = {i: tuple(Var(next(fresh)) for _ in worlds)
+                 for i, (kind, _, _) in enumerate(template) if kind is Box or kind is Diamond}
+        cols, premises, conclusion = self._formulas(
+            tuple((Var, i, None) if i in names else node for i, node in enumerate(template)),
+            rows | names)
         legend = {v.name: ("var", p, w)
                   for p, row in rows.items() for v, w in zip(row, worlds)}
-        definitions: dict[str, Formula] = {}
-        deltas: dict[str, list[Formula]] = {w: [] for w in worlds}
-
-        def per_world(f: Formula, *images: tuple[Formula, ...]) -> tuple[Formula, ...]:
-            """The named translation of ``f`` at every world."""
-            if isinstance(f, Var):
-                return rows[f.name]
-            if isinstance(f, (Box, Diamond)):
-                op, unit = (And, ONE) if isinstance(f, Box) else (Or, ZERO)
-                names = tuple(Var(next(fresh)) for _ in worlds)
-                for name, w, s in zip(names, worlds, succ):
-                    legend[name.name] = (tag[type(f)], f.body, w)
-                    definitions[name.name] = d = (
-                        functools.reduce(op, [images[0][i] for i in s]) if s else unit)
-                    deltas[w].append(iff(name, d))
-                return names
-            return tuple(map(type(f), *images)) if images else (f,) * len(worlds)
-
-        *premises, conclusion = bottom_up(self._source, per_world)
-        return (tuple(g for image in premises for g in image),
-                functools.reduce(And, conclusion), legend, definitions,
+        definitions, deltas = {}, {w: [] for w in worlds}
+        for (i, row), mf in zip(names.items(), self._modal):  # template post-order
+            op, unit = (And, ONE) if type(mf) is Box else (Or, ZERO)
+            body = cols[template[i][1]]
+            for name, w, s in zip(row, worlds, self.frame._index[0]):
+                legend[name.name] = (tag[type(mf)], mf.body, w)
+                definitions[name.name] = d = (
+                    functools.reduce(op, [body[k] for k in s]) if s else unit)
+                deltas[w].append(iff(name, d))
+        return (premises, functools.reduce(And, conclusion), legend, definitions,
                 {w: tuple(ds) for w, ds in deltas.items()})
 
     def all_premises(self) -> tuple[Formula, ...]:
@@ -519,13 +513,17 @@ class FrameTranslation:
 
     def _images(self) -> tuple[tuple[Formula, ...], tuple[Formula, ...]]:
         """The images of the premises, and the conclusion's image at each
-        world in ``frame.worlds`` order, by :func:`_fold` with the formula
-        constructors."""
-        template, roots = self._template
-        cols = _fold(template, _reads(template, roots, self.frame, self._modal), self.frame,
-                     self._rows, {c: c for c in (*_OPERATION, ZERO, ONE)})  # ops build nodes
-        *premises, conclusion = (cols[r] for r in roots)
-        return tuple(g for col in premises for g in col), tuple(conclusion)
+        world in ``frame.worlds`` order, by :meth:`_formulas`."""
+        return self._formulas(self._template[0], self._rows)[1:]
+
+    def _formulas(self, template: tuple, leaves: dict) -> tuple[list, tuple, tuple]:
+        """:func:`_fold` of ``template`` at every world with the formula
+        constructors as the operations, each leaf ``leaves[key]``: every
+        node's column, the premises' images and the conclusion's column."""
+        cols = _fold(template, [(1 << len(self.frame.worlds)) - 1] * len(template),
+                     self.frame, leaves, {c: c for c in (*_OPERATION, ZERO, ONE)})
+        *premises, conclusion = (cols[r] for r in self._template[1])
+        return cols, tuple(g for col in premises for g in col), tuple(conclusion)
 
     def _table(self) -> tuple[list[tuple], list[int], list[int]]:
         """``_template`` of :meth:`_images` and its roots' indices, built

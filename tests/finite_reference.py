@@ -7,20 +7,26 @@ then the conclusion.  ``decide_cardinality`` decides every labeled frame of
 the given size in increasing mask order, before frames were cut to one per
 isomorphism class.  Both return the first countermodel in the same order as
 the package, so the differential tests require equal verdicts, witnesses
-included.
+included.  ``named_translation`` is the named frame translation as a
+``bottom_up`` rule per node, before it became a fold of the template; its
+modal step reads the frame's successors itself, so it shares no code with
+the fold's successor gather.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from fractions import Fraction
 from typing import Iterable
 
 from mvmodal.algebras import (Algebra, FiniteTable, MVn, ResourceLimitError,
                               mv_chain_tables)
-from mvmodal.decision import (FINITE_SEARCH_GUARD, _folded, _propositional,
-                              decide_on_frame)
-from mvmodal.formulas import Const0, Const1, Formula, Var, postorder
+from mvmodal.decision import (FINITE_SEARCH_GUARD, _folded, _per_world_vars,
+                              _propositional, decide_on_frame)
+from mvmodal.formulas import (ONE, ZERO, And, Box, Const0, Const1, Diamond,
+                              Formula, Or, Var, bottom_up, fresh_names, iff,
+                              postorder)
 from mvmodal.kripke import _OPERATION, KripkeFrame, Verdict
 
 
@@ -99,3 +105,42 @@ def decide_cardinality(j: int, gamma: Iterable[Formula], phi: Formula,
         if not verdict.holds:
             return verdict
     return Verdict(True)
+
+
+def named_translation(frame: KripkeFrame, gamma: Iterable[Formula], phi: Formula):
+    """The named view of ``translate_on_frame``: its ``premises``,
+    ``conclusion``, ``legend``, ``definitions`` and ``deltas``, in one
+    bottom-up pass that makes each modal node's names, legend entries,
+    definitions and deltas."""
+    worlds = frame.worlds
+    rows, modal, _ = _per_world_vars(tuple(gamma) + (phi,), len(worlds))
+    succ = [[worlds.index(u) for u in frame.successors(w)] for w in worlds]
+    tag = {Box: "box", Diamond: "dia"}
+    fresh = iter(fresh_names(
+        [*rows, *(v.name for row in rows.values() for v in row)],
+        [f"x{tag[type(mf)]}{k}__w{i}" for k, mf in enumerate(modal)
+         for i in range(len(worlds))]))
+    legend = {v.name: ("var", p, w)
+              for p, row in rows.items() for v, w in zip(row, worlds)}
+    definitions: dict[str, Formula] = {}
+    deltas: dict[str, list[Formula]] = {w: [] for w in worlds}
+
+    def per_world(f: Formula, *images: tuple[Formula, ...]) -> tuple[Formula, ...]:
+        """The named translation of ``f`` at every world."""
+        if isinstance(f, Var):
+            return rows[f.name]
+        if isinstance(f, (Box, Diamond)):
+            op, unit = (And, ONE) if isinstance(f, Box) else (Or, ZERO)
+            names = tuple(Var(next(fresh)) for _ in worlds)
+            for name, w, s in zip(names, worlds, succ):
+                legend[name.name] = (tag[type(f)], f.body, w)
+                definitions[name.name] = d = (
+                    functools.reduce(op, [images[0][i] for i in s]) if s else unit)
+                deltas[w].append(iff(name, d))
+            return names
+        return tuple(map(type(f), *images)) if images else (f,) * len(worlds)
+
+    *premises, conclusion = bottom_up(tuple(gamma) + (phi,), per_world)
+    return (tuple(g for image in premises for g in image),
+            functools.reduce(And, conclusion), legend, definitions,
+            {w: tuple(ds) for w, ds in deltas.items()})

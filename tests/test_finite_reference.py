@@ -4,7 +4,10 @@ The backtracking search in ``finite_consequence`` and the sweep in
 ``finite_reference`` meet valuations in the same lexicographic order, and
 ``decide_cardinality`` meets the least frame of each isomorphism class where
 the reference meets every labeled frame.  Both sides return the first
-countermodel, so their verdicts must be equal, witnesses included.
+countermodel, so their verdicts must be equal, witnesses included.  The
+named frame translation must equal ``finite_reference.named_translation``
+item for item, and type elimination must not change its answer when a
+chain's indices are permuted.
 """
 
 import json
@@ -16,7 +19,8 @@ from hypothesis import strategies as st
 import finite_reference
 from helpers import G3
 from mvmodal import decision
-from mvmodal.algebras import FiniteTable, MVn, ResourceLimitError, StdMV
+from mvmodal.algebras import (FiniteTable, MVn, ResourceLimitError, StdMV,
+                              mv_chain_tables)
 from mvmodal.decision import (decide_cardinality, finite_consequence,
                               translate_on_frame)
 from mvmodal.formulas import (ONE, ZERO, And, Box, Diamond, Implies, Or, Times,
@@ -156,13 +160,18 @@ BOOLEAN = FiniteTable(4, [[a & b for b in range(4)] for a in range(4)],
                       [[a & b for b in range(4)] for a in range(4)],
                       [[(3 & ~a) | b for b in range(4)] for a in range(4)], 0, 3)
 
-_MODAL = st.recursive(
-    st.sampled_from([Var("p"), Var("q"), ZERO, ONE]),
-    lambda sub: st.one_of(
-        st.builds(lambda op, a, b: op(a, b), st.sampled_from([And, Or, Times, Implies]),
-                  sub, sub),
-        st.builds(Box, sub), st.builds(Diamond, sub)),
-    max_leaves=4)
+
+def _modal_formulas(leaves, max_leaves):
+    return st.recursive(
+        st.sampled_from(leaves),
+        lambda sub: st.one_of(
+            st.builds(lambda op, a, b: op(a, b), st.sampled_from([And, Or, Times, Implies]),
+                      sub, sub),
+            st.builds(Box, sub), st.builds(Diamond, sub)),
+        max_leaves=max_leaves)
+
+
+_MODAL = _modal_formulas([Var("p"), Var("q"), ZERO, ONE], 4)
 
 
 def test_type_elimination_matches_the_sweep(monkeypatch):
@@ -198,6 +207,83 @@ def test_type_elimination_matches_the_sweep(monkeypatch):
     agree()
     assert held.count(True) >= 40 and held.count(False) >= 40, \
         (held.count(True), held.count(False))
+
+
+def _permuted(tables, perm):
+    """The chain ``tables`` as a ``FiniteTable`` with element ``a`` renamed
+    ``perm[a]``, so the index order is no longer the value order."""
+    n = tables["size"]
+    old = [perm.index(a) for a in range(n)]
+
+    def renamed(table):
+        return [[perm[table[old[a]][old[b]]] for b in range(n)] for a in range(n)]
+    return FiniteTable(n, *(renamed(tables[op]) for op in ("meet", "join", "times", "residuum")),
+                       perm[tables["zero"]], perm[tables["one"]])
+
+
+_G3_TABLES = G3.tables()
+_REINDEXED = {"reversed g3": (_G3_TABLES, [2, 1, 0]),
+              "mv-3 201": (mv_chain_tables(3), [2, 0, 1]),
+              "mv-3 120": (mv_chain_tables(3), [1, 2, 0]),
+              "mv-4 3102": (mv_chain_tables(4), [3, 1, 0, 2])}
+
+
+def test_type_elimination_reads_the_order_from_meet():
+    # a box's witness lies above its value and a diamond's below it in the
+    # order of meet; on these tables the index order is another order
+    tables = {name: (_permuted(t, list(range(t["size"]))), _permuted(t, perm))
+              for name, (t, perm) in _REINDEXED.items()}
+    natural, reversed_g3 = tables["reversed g3"]
+    pinned = (P("<> (0 -> q) \\/ [] p"),)
+    assert decision._eliminable(2, pinned, natural)
+    assert decision._types_hold(natural, pinned, 2)
+    assert decision._types_hold(reversed_g3, pinned, 2)
+    gated = []
+
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(st.sampled_from(sorted(tables)), st.integers(1, 3),
+           st.lists(_MODAL, max_size=2), _MODAL)
+    def agree(name, j, gamma, phi):
+        natural, reindexed = tables[name]
+        source = (*gamma, phi)
+        if decision._eliminable(j, source, natural):
+            gated.append(decision._types_hold(natural, source, j))
+            assert decision._types_hold(reindexed, source, j) == gated[-1]
+
+    agree()
+    assert gated.count(True) >= 20 and gated.count(False) >= 20, \
+        (gated.count(True), gated.count(False))
+
+
+_NAMED = _modal_formulas([Var("p"), Var("q"), Var("p__w0"), ZERO, ONE], 6)
+_FRAMES = st.integers(1, 3).flatmap(
+    lambda j: st.tuples(st.just(j), st.integers(0, 2 ** (j * j) - 1)))
+
+
+def _box_chain(depth):
+    f = Var("p")
+    for _ in range(depth):
+        f = Box(f)
+    return f
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_FRAMES, st.lists(_NAMED, max_size=2), _NAMED)
+# a 2000-deep box chain on one edge, and a 2-cycle beside a dead end
+@example((2, 0b10), [_box_chain(2000)], Var("p"))
+@example((3, 0b1010), [P("[] <> p__w0")], P("<> [] (p -> q) /\\ [] 0"))
+def test_named_view_matches_its_reference(frame, gamma, phi):
+    j, mask = frame
+    worlds = [f"w{i + 1}" for i in range(j)]
+    pairs = [(a, b) for a in worlds for b in worlds]
+    frame = KripkeFrame(worlds, [pairs[b] for b in range(j * j) if mask >> b & 1])
+    premises, conclusion, legend, definitions, deltas = \
+        finite_reference.named_translation(frame, gamma, phi)
+    tr = translate_on_frame(frame, gamma, phi)
+    assert tr.premises == premises and tr.conclusion == conclusion
+    assert list(tr.legend.items()) == list(legend.items())
+    assert list(tr.definitions.items()) == list(definitions.items())
+    assert tr.deltas == deltas and list(tr.deltas) == list(deltas)
 
 
 def test_translation_legend_is_a_fresh_copy():
