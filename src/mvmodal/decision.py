@@ -27,7 +27,7 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass
-from operator import attrgetter
+from operator import attrgetter, gt, lt, ne
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -107,14 +107,31 @@ def _row(expr: _Affine, sense: str, rhs: int = 0) -> lp.Constraint:
 _ONE_AFF = _Affine({}, 1)
 _ZERO_AFF = _Affine()
 
-# Hähnle's case split (AMAI 1994): operand forms (a, b) -> (e, low, high),
-# where the regime ``e <= 0`` is explored first
+# Hähnle's case split (AMAI 1994): per connective, the operand forms (a, b)
+# -> (e, low, high), its value being ``low`` where ``e <= 0`` and ``high``
+# where ``e >= 0``, whose regime ``e <= 0`` is explored first; then whether
+# that value is the max of ``low`` and ``high`` (else the min), and whether
+# it falls as its first operand rises (an implication's antecedent)
 _REGIMES = {
-    Times: lambda a, b: (s := a.add(b).sub(_ONE_AFF), _ZERO_AFF, s),
-    Implies: lambda a, b: (d := a.sub(b), _ONE_AFF, _ONE_AFF.sub(d)),
-    And: lambda a, b: (a.sub(b), a, b),
-    Or: lambda a, b: (b.sub(a), a, b),
+    Times: (lambda a, b: (s := a.add(b).sub(_ONE_AFF), _ZERO_AFF, s), True, False),
+    Implies: (lambda a, b: (d := a.sub(b), _ONE_AFF, _ONE_AFF.sub(d)), False, True),
+    And: (lambda a, b: (a.sub(b), a, b), False, False),
+    Or: (lambda a, b: (b.sub(a), a, b), True, False),
 }
+# a node's sign: the search wants it small (read by a conclusion), large
+# (read by a premise), or both; a one-sided node's ``t`` is bounded by its
+# value on that side only, and a point breaks it on the other side
+_SMALL, _LARGE, _BOTH = 1, 2, 3
+_FLIP = (0, _LARGE, _SMALL, _BOTH)
+_SENSE = (None, ">=", "<=", "==")
+_BREAKS = (None, lt, gt, ne)
+
+
+def _implied(d: _Affine, s: int) -> bool:
+    """Whether the [0, 1] bounds give ``d >= 0`` (sign ``s`` small) or ``d
+    <= 0`` (large)."""
+    lo, hi = d.bounds01()
+    return lo >= 0 if s == _SMALL else hi <= 0
 
 
 class _LukSystem:
@@ -123,13 +140,28 @@ class _LukSystem:
     connective's operand indices or a leaf's key (a name or a constant);
     ``premises`` and ``conclusions`` are root indices.
 
-    Premises are pinned to 1 first.  A connective's affine form comes from
-    ``_REGIMES``: ``low`` when the [0, 1] bounds of ``e`` give ``e <= 0``,
-    ``high`` when they give ``e >= 0``, else a split variable ``t`` with the
+    Premises are pinned to 1 first.  Each node gets a sign (:meth:`_signs`):
+    the search wants a conclusion small and a premise large, an implication
+    reads its antecedent with the other sign, and a node may get both.  A
+    connective's affine form comes from ``_REGIMES``: ``low`` when the
+    [0, 1] bounds of ``e`` give ``e <= 0``, ``high`` when they give ``e >=
+    0``, else a variable ``t``.  A node of both signs splits into the
     regimes ``e <= 0, t == low`` and ``e >= 0, t == high``, in that order.
-    ``base_rows``, shared by every search node, are the pinned implications'
-    ``<=`` rows and the other pinned forms' ``== 1`` rows; the [0, 1] box of
-    every variable is the LP's bounds, ``upper``.
+    A node of one sign bounds ``t`` by its value on that side only, ``t >=``
+    it wanted small and ``t <=`` it wanted large (Plaisted and Greenbaum, J.
+    Symbolic Comput. 2(3), 1986).  Where that side is convex, a max wanted
+    small or a min wanted large, that is the two rows ``t >= low, t >=
+    high`` (or ``<=``), less those the [0, 1] bounds imply, and no split;
+    else the one-row regimes ``t >= low | t >= high`` (or ``<=``), in that
+    order.  Every valuation meets the rows with each ``t`` its node's value,
+    and a point that meets them folds, from its source variables, to
+    premises 1 and a conclusion no larger, as each connective is monotone in
+    each operand; :func:`_folded` re-checks it.
+
+    ``base_rows``, shared by every search node, are the pinned
+    implications' ``<=`` rows, the convex rows and the other pinned forms'
+    ``== 1`` rows; the [0, 1] box of every variable is the LP's bounds,
+    ``upper``.
     """
 
     def __init__(self, table: Sequence[tuple], premises: Sequence[int],
@@ -141,8 +173,25 @@ class _LukSystem:
             if kind is Implies:
                 self.implications.setdefault(x, []).append(i)
         self.pinned = bytearray(len(table))
+        self.sign = self._signs()
         self._node_var: dict[int, str] = {}
         self._build()
+
+    def _signs(self) -> bytearray:
+        """Each node's sign, ``_SMALL``, ``_LARGE`` or ``_BOTH``, passed from
+        the roots down the table."""
+        table = self.table
+        sign = bytearray(len(table))
+        for r in self.conclusions:
+            sign[r] |= _SMALL
+        for r in self.premises:
+            sign[r] |= _LARGE
+        for i in range(len(table) - 1, -1, -1):
+            kind, x, y = table[i]
+            if kind in _REGIMES:
+                sign[x] |= _FLIP[sign[i]] if _REGIMES[kind][2] else sign[i]
+                sign[y] |= sign[i]
+        return sign
 
     def _pin(self, roots: Iterable[int]) -> None:
         """Pin nodes to value 1, closing under the exact consequences: a
@@ -165,10 +214,11 @@ class _LukSystem:
             stack += [table[g][2] for g in self.implications.get(i, ()) if pinned[g]]
 
     def _affine_pass(self) -> None:
-        # per split: its node and regimes' rows, and its variable and forms
+        # per split: its node and regimes' rows, and its variable, forms and
+        # sign; per forced row, its node
         self.splits: list[tuple[int, list[list[lp.Constraint]]]] = []
-        self.split_forms: list[tuple[str, _Affine, _Affine, _Affine]] = []
-        self.forced_rows: list[lp.Constraint] = []
+        self.split_forms: list[tuple[str, _Affine, _Affine, _Affine, int]] = []
+        self.forced_rows: list[tuple[int, lp.Constraint]] = []
         pinned, aff = self.pinned, []
         self.affine: list[_Affine] = aff
         for i, (kind, x, y) in enumerate(self.table):
@@ -186,9 +236,10 @@ class _LukSystem:
                     if d.const > 0:
                         raise _Unsat
                 else:
-                    self.forced_rows.append(_row(d, "<="))
+                    self.forced_rows.append((i, _row(d, "<=")))
             else:
-                e, low, high = _REGIMES[kind](aff[x], aff[y])
+                regimes, is_max, _ = _REGIMES[kind]
+                e, low, high = regimes(aff[x], aff[y])
                 lo, hi = e.bounds01()
                 if hi <= 0:
                     a = low
@@ -197,9 +248,19 @@ class _LukSystem:
                 else:
                     var = self._node_var.setdefault(i, f"n:{len(self._node_var)}")
                     a = _Affine({var: 1})
-                    self.splits.append((i, [[_row(e, "<="), _row(a.sub(low), "==")],
-                                            [_row(e, ">="), _row(a.sub(high), "==")]]))
-                    self.split_forms.append((var, e, low, high))
+                    s = self.sign[i]
+                    sides = [a.sub(low), a.sub(high)]
+                    if s == _BOTH:
+                        regimes = [[_row(e, "<="), _row(sides[0], "==")],
+                                   [_row(e, ">="), _row(sides[1], "==")]]
+                    else:
+                        regimes = [[_row(d, _SENSE[s])] for d in sides]
+                    if s != _BOTH and (s == _SMALL) == is_max:  # convex: no split
+                        self.forced_rows += [(i, row) for (row,), d in zip(regimes, sides)
+                                             if not _implied(d, s)]
+                    else:
+                        self.splits.append((i, regimes))
+                        self.split_forms.append((var, e, low, high, s))
             aff.append(a)
 
     def _build(self) -> None:
@@ -215,7 +276,7 @@ class _LukSystem:
             if not new:
                 break
             self._pin(new)
-        self.base_rows = list(self.forced_rows)
+        self.base_rows = [row for _, row in self.forced_rows]
         for a in itertools.compress(self.affine, pinned):
             if a.is_const:
                 if a.const != 1:
@@ -227,28 +288,34 @@ class _LukSystem:
         self.upper = dict.fromkeys(
             sorted({v for a in self.affine for v in a.coeffs}), 1)
 
-    def scope(self, c: int) -> tuple[Sequence[int], dict]:
+    def scope(self, c: int) -> tuple[Sequence[int], list, dict]:
         """The splits under the premises or the conclusion ``c``, last first,
-        and the [0, 1] bounds of the variables their forms read: the rows and
-        ``c``'s form read no other split's ``t``."""
+        the base rows of the nodes under them, and the [0, 1] bounds of the
+        variables their forms read: the rows and ``c``'s form read no other
+        split's ``t``."""
         if len(self.conclusions) == 1:  # every node is under the premises or c
-            return range(len(self.splits) - 1, -1, -1), self.upper
+            return range(len(self.splits) - 1, -1, -1), self.base_rows, self.upper
         # on one world with no edge, a node is read where it is under the roots
         under = _reads(self.table, (*self.premises, c), _POINT, modal=True)
         order = [k for k in range(len(self.splits) - 1, -1, -1)
                  if under[self.splits[k][0]]]
-        return order, dict.fromkeys(sorted(
+        # the pinned forms' rows, under the premises, follow the forced rows
+        rows = [row for i, row in self.forced_rows if under[i]]
+        rows += self.base_rows[len(self.forced_rows):]
+        return order, rows, dict.fromkeys(sorted(
             {v for a in itertools.compress(self.affine, under) for v in a.coeffs}), 1)
 
     def violated(self, den: int, nums: dict, order: Iterable[int]) -> int:
         """The first split index in ``order`` whose variable the point
-        ``nums / den`` does not give its connective's value, ``low`` where
-        ``e <= 0`` and ``high`` where ``e >= 0`` (equal where ``e == 0``), or
-        -1: a split with a regime among the rows solved is never returned."""
+        ``nums / den`` puts on the wrong side of its connective's value,
+        ``low`` where ``e <= 0`` and ``high`` where ``e >= 0``: below it
+        where the node is wanted small, above it where large, and off it
+        where both; or -1.  A split with a regime among the rows solved is
+        never returned."""
         for k in order:
-            var, e, low, high = self.split_forms[k]
+            var, e, low, high, s = self.split_forms[k]
             want = low if e.scaled_at(den, nums) <= 0 else high
-            if nums.get(var, 0) != want.scaled_at(den, nums):
+            if _BREAKS[s](nums.get(var, 0), want.scaled_at(den, nums)):
                 return k
         return -1
 
@@ -262,13 +329,15 @@ def luk_consequence(gamma: Iterable[Formula], phi: Formula, *,
     node table of the formulas (:func:`_template`).  If pinning and [0, 1]
     folding leave ``phi`` the constant 1, it holds with no LP: both are
     exact wherever the premises hold.  Each search node maximizes ``1 -
-    value(phi)`` over its path's regime rows, every variable in [0, 1], so
-    a split not yet branched on is a free ``t``; an optimum that is not
-    positive prunes it.  A point that gives every split's ``t`` its
-    connective's value is a countermodel, re-checked by :func:`_folded`;
-    else the node branches on the first split it gets wrong in reverse
-    post-order (nearest the conclusion) into its two regimes, whose rows
-    give that ``t`` its value, so no path branches twice on one split: the
+    value(phi)`` over the base rows and its path's regime rows, every
+    variable in [0, 1], so a split not yet branched on is a free ``t``; an
+    optimum that is not positive prunes it.  A point that puts no split's
+    ``t`` on the wrong side of its connective's value, the side its sign
+    rules out (:class:`_LukSystem`), is a countermodel at least as bad as
+    its fold, which :func:`_folded` re-checks; else the node branches on
+    the first split it gets wrong in reverse post-order (nearest the
+    conclusion) into its two regimes, whose rows put that ``t`` on the
+    right side, so no path branches twice on one split: the
     MILP rule of branching only on a disjunction the relaxation violates
     (Achterberg, Koch and Martin, Oper. Res. Lett. 33, 2005).  A child LP
     is warm-started from its parent's optimal tableau (``lp.solve_max``'s
@@ -303,11 +372,11 @@ def _luk_countermodel(table: Sequence[tuple], premises: Sequence[int],
         conclusion = system.affine[c]
         if (conclusion.is_const and conclusion.const == 1) or c in conclusions[:i]:
             continue
-        order, upper = system.scope(c)
+        order, rows, upper = system.scope(c)
         objective = {v: -a for v, a in conclusion.coeffs.items()}
         offset = 1 - conclusion.const
         # depth first over (rows, parent result); the first regime goes on last
-        stack: list[tuple[list, lp.LPResult | None]] = [(system.base_rows, None)]
+        stack: list[tuple[list, lp.LPResult | None]] = [(rows, None)]
         while stack:
             rows, parent = stack.pop()
             explored += 1
@@ -783,7 +852,9 @@ def decide_cardinality(j: int, gamma: Iterable[Formula], phi: Formula,
     first failing labeled mask is the least of its class; it is visited,
     and the witness frame and model are those of the sweep over every
     labeled frame.  The frames and the template are built once; each frame
-    costs one fold (:func:`_fold`) and its search.
+    costs one fold (:func:`_fold`) and its search.  With no modal node a
+    frame reads only its worlds' own variables, so every frame has the
+    verdict, search and guard trip of the first, mask 0, decided alone.
     """
     if j < 1:
         raise ValueError("cardinality must be at least 1")
@@ -792,7 +863,10 @@ def decide_cardinality(j: int, gamma: Iterable[Formula], phi: Formula,
     gamma = tuple(gamma)
     if _eliminable(j, gamma + (phi,), alg) and _types_hold(alg, gamma + (phi,), j):
         return Verdict(True)
-    for frame in _least_frames(j):
+    frames = _least_frames(j)
+    if not _per_world_vars(gamma + (phi,), j)[1]:  # no modal node
+        frames = frames[:1]
+    for frame in frames:
         verdict = decide_on_frame(frame, gamma, phi, alg, branch_guard=branch_guard)
         if not verdict.holds:
             return verdict

@@ -96,10 +96,30 @@ MUTANTS = (
            "            if False:",
            (_D + "test_unsolvable_pcp_one_chain_solve_count",)),
     Mutant("the Times regimes are swapped", _DECISION,
-           "Times: lambda a, b: (s := a.add(b).sub(_ONE_AFF), _ZERO_AFF, s),",
-           "Times: lambda a, b: (s := a.add(b).sub(_ONE_AFF), s, _ZERO_AFF),",
-           (_D + "test_every_regime_is_load_bearing",
-            _D + "test_luk_premises")),
+           "Times: (lambda a, b: (s := a.add(b).sub(_ONE_AFF), _ZERO_AFF, s), True, False),",
+           "Times: (lambda a, b: (s := a.add(b).sub(_ONE_AFF), s, _ZERO_AFF), True, False),",
+           (_D + "test_luk_premises",
+            _D + "test_signed_split_decides_as_the_unsigned")),
+    Mutant("an implication's antecedent keeps its parent's sign", _DECISION,
+           "sign[x] |= _FLIP[sign[i]] if _REGIMES[kind][2] else sign[i]",
+           "sign[x] |= sign[i]",
+           (_D + "test_luk_validities",
+            "tests/test_acceptance.py::test_criterion_06_luk_battery")),
+    Mutant("premise roots are signed like conclusions", _DECISION,
+           "            sign[r] |= _LARGE",
+           "            sign[r] |= _SMALL",
+           (_D + "test_luk_premises",
+            _D + "test_signed_split_decides_as_the_unsigned")),
+    Mutant("a one-sided row has the opposite sense", _DECISION,
+           "regimes = [[_row(d, _SENSE[s])] for d in sides]",
+           "regimes = [[_row(d, _SENSE[_FLIP[s]])] for d in sides]",
+           (_D + "test_luk_premises",)),
+    Mutant("a one-sided min-split's first regime also bounds t by high", _DECISION,
+           "                        self.splits.append((i, regimes))",
+           "                        self.splits.append((i, [regimes[0] + regimes[1], regimes[1]]\n"
+           "                                            if s == _SMALL else regimes))",
+           (_D + "test_signed_split_decides_as_the_unsigned",
+            _D + "test_luk_matches_leaf_oracle")),
     Mutant("the case split skips the conclusion-is-1 prune", _DECISION,
            'if res.status == "infeasible" or res.value <= -offset:',
            'if res.status == "infeasible":',

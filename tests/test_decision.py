@@ -138,10 +138,12 @@ def _count_calls(monkeypatch, name="solve_max"):
 
 def test_baseline_pair_stdmv_solve_count(monkeypatch):
     # branching only on violated splits: 104,928 solves when every split
-    # was branched on in a fixed order
+    # was branched on in a fixed order; 883 while every split gave a node
+    # two equality regimes, 573 once a node read from one side only is
+    # bounded on that side
     calls = _count_calls(monkeypatch)
     assert decide_cardinality(3, [P("[]p -> p")], P("[][]p -> p"), StdMV()).holds
-    assert calls[0] <= 10_000
+    assert calls[0] <= 1_000
 
 
 def test_baseline_pair_stdmv_pivot_count(monkeypatch):
@@ -153,27 +155,30 @@ def test_baseline_pair_stdmv_pivot_count(monkeypatch):
     # column keeps its variable's index in Bland's rules, where the row
     # ``v <= 1`` put its slack after every variable, so a few ties go the
     # other way; 8,778 while the LP searched the conjunction of the
-    # conclusion's images at once, not one world at a time
+    # conclusion's images at once, not one world at a time; 1,364 while
+    # every split gave a node two equality regimes, before the signed split
     pivots = _count_calls(monkeypatch, "_pivot")
     assert decide_cardinality(3, [P("[]p -> p")], P("[][]p -> p"), StdMV()).holds
-    assert pivots[0] == 1_364
+    assert pivots[0] == 884
 
 
 def test_k_axiom_stdmv_solve_count(monkeypatch):
     # pinned: the case split branches the same way under every string hash.
     # 274 while every query solved an LP: the frames where the K image folds
-    # to the constant 1 now make no solve
+    # to the constant 1 now make no solve; 268 while every split gave a node
+    # two equality regimes, before the signed split
     calls = _count_calls(monkeypatch)
     assert decide_cardinality(2, [], P("[](p -> q) -> ([]p -> []q)"), StdMV()).holds
-    assert calls[0] == 268
+    assert calls[0] == 36
 
 
 def test_k_axiom_stdmv_cardinality_3_solve_bound(monkeypatch):
     # one search per world of each frame: 802,892 solves while the LP
-    # searched the conjunction of the worlds' images at once
+    # searched the conjunction of the worlds' images at once; 41,685 while
+    # every split gave a node two equality regimes, 1,505 with the signed split
     calls = _count_calls(monkeypatch)
     assert decide_cardinality(3, [], P("[](p -> q) -> ([]p -> []q)"), StdMV()).holds
-    assert calls[0] <= 60_000
+    assert calls[0] <= 2_000
 
 
 def test_pinning_decided_queries_make_no_solve(monkeypatch):
@@ -186,11 +191,14 @@ def test_pinning_decided_queries_make_no_solve(monkeypatch):
 
 
 def test_unsolvable_pcp_one_chain_solve_count(monkeypatch):
-    # "1" against "11" has no solution, so the encoding holds on every chain
+    # "1" against "11" has no solution, so the encoding holds on every chain.
+    # Pinned exactly: pinning changes no verdict, so only this count sees
+    # ``_pin`` stop closing Times and And (17 solves).  At most 60 while
+    # every split gave a node two equality regimes, 13 with the signed split
     gamma, phi = encode(PCPInstance(2, ((Numeral(1, 1), Numeral(3, 2)),)))
     calls = _count_calls(monkeypatch)
     assert decide_on_frame(KripkeFrame(["v1"], []), gamma, phi, StdMV()).holds
-    assert calls[0] <= 60
+    assert calls[0] == 13
 
 
 def test_luk_branch_guard():
@@ -198,16 +206,19 @@ def test_luk_branch_guard():
         luk_consequence([], P("p \\/ ~p"), branch_guard=0)
 
 
-# each entry: (premises, conclusion, regime whose removal flips the verdict)
+# each entry: (premises, conclusion, regime whose removal flips the verdict).
+# The connective of each entry is read where the signed split still splits
+# it: a product or join the search wants large (under an antecedent), an
+# implication or meet it wants small (under a conclusion)
 _MUTATION_BATTERY = [
     ((), "~(p * p)", ("times", 1)),
-    (("~p", "~q"), "(p * q) \\/ r", ("times", 0)),
-    (("~p", "q"), "r \\/ ~(p -> q)", ("implies", 0)),
+    (("~p", "~q"), "~((p * q) \\/ r)", ("times", 0)),
+    (("~p", "q"), "(p -> q) * r", ("implies", 0)),
     ((), "p -> q", ("implies", 1)),
     (("q",), "p /\\ q", ("and", 0)),
     (("p",), "p /\\ q", ("and", 1)),
-    (("~~p", "~q"), "(p \\/ q) * r", ("or", 0)),
-    (("~p", "~~q"), "(p \\/ q) * r", ("or", 1)),
+    (("~~p", "~q"), "~((p \\/ q) * r)", ("or", 0)),
+    (("~p", "~~q"), "~((p \\/ q) * r)", ("or", 1)),
 ]
 
 
@@ -252,6 +263,10 @@ def _drop_regime(monkeypatch, kind, idx):
 
 
 def test_every_regime_is_load_bearing(monkeypatch):
+    # a product the conclusion wants small is bounded by rows, not split
+    system = luk_system([P("~p"), P("~q")], P("(p * q) \\/ r"))
+    assert Times not in [system.table[i][0] for i, _ in system.splits]
+    assert Times in [system.table[i][0] for i, _ in system.forced_rows]
     regimes = [(k, i) for k in ("times", "implies", "and", "or") for i in (0, 1)]
     for dropped in regimes:
         flipped = 0
@@ -424,8 +439,9 @@ def _nested_disjunction(n):
 
 
 def test_deep_case_split_fails_without_backtracking():
-    # one split per disjunction, each first regime feasible: the search
-    # walks straight down 1,099 splits to the all-zero countermodel
+    # a disjunction the conclusion wants small is bounded below by both
+    # operands, two rows and no split, so the first LP, over 2,198 rows,
+    # finds the all-zero countermodel
     n = 1100
     verdict = luk_consequence([], _nested_disjunction(n))
     assert not verdict.holds
@@ -434,8 +450,8 @@ def test_deep_case_split_fails_without_backtracking():
 
 
 def test_deep_case_split_memory():
-    # warm solves share their parent's rows, so memory grows with the
-    # tableau, not with one copy of it per split
+    # a conclusion's disjunctions are rows, not splits: one LP over two
+    # rows per disjunction, whose memory grows with that tableau
     f = _nested_disjunction(300)
     tracemalloc.start()
     try:
@@ -592,12 +608,12 @@ _FORMULA_PQ = st.recursive(
 
 
 @st.composite
-def _pair_on_frame(draw):
+def _pair_on_frame(draw, max_worlds=3):
     gamma = draw(st.lists(_FORMULA_PQ, max_size=2))
     phi = draw(_FORMULA_PQ)
     assume(sum(isinstance(g, (Box, Diamond)) for f in (*gamma, phi)
                for g in postorder([f])) <= 3)
-    j = draw(st.integers(1, 3))
+    j = draw(st.integers(1, max_worlds))
     ws = [f"w{i + 1}" for i in range(j)]
     prs = [(a, b) for a in ws for b in ws]
     mask = draw(st.integers(0, 2 ** (j * j) - 1))
@@ -908,6 +924,45 @@ def test_frame_table_builds_the_system_of_the_images(case):
     except decision._Unsat:
         want = "unsat"
     assert got == want
+
+
+def _certified(verdict, frame, gamma, phi):
+    """A failing verdict's witness, re-evaluated by ``naive_eval``: every
+    premise 1 at every world, and the conclusion at the witness world the
+    claimed value, below 1."""
+    w = verdict.witness
+    if frame is None:
+        worlds, edges, valuation, at = ["w"], (), {"w": w.valuation}, "w"
+    else:
+        worlds, edges, at = frame.worlds, frame.edges, w.world
+        valuation = {x: {v: w.model.value(x, v) for v in w.model.variables}
+                     for x in worlds}
+    assert all(naive_eval(worlds, edges, valuation, x, g) == 1
+               for g in gamma for x in worlds)
+    assert naive_eval(worlds, edges, valuation, at, phi) == w.value < 1
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.lists(_PROP, max_size=2), _PROP, _pair_on_frame(max_worlds=2))
+@example(gamma=[], phi=P("(r -> p) /\\ (q -> (q \\/ p))"),
+         case=(KripkeFrame(["w1"], []), [P("~~q"), P("~p -> p")], P("p /\\ q")))
+def test_signed_split_decides_as_the_unsigned(gamma, phi, case):
+    # the case system built from the signs must decide as the one with
+    # every node read both ways, whose splits are all equality regimes:
+    # luk_consequence over p, q and r, and decide_on_frame on 1-2 worlds.
+    # Both examples fail only at points where a meet the conclusion wants
+    # small takes its first operand, below its second: a first regime that
+    # also bounded ``t`` by the second would make them hold
+    calls = [(None, gamma, phi), case]
+    signed = [luk_consequence(gamma, phi), decide_on_frame(*case, StdMV())]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(decision._LukSystem, "_signs",
+                   lambda self: bytearray([decision._BOTH]) * len(self.table))
+        unsigned = [luk_consequence(gamma, phi), decide_on_frame(*case, StdMV())]
+    for (frame, g, f), a, b in zip(calls, signed, unsigned):
+        assert a.holds == b.holds, (frame, g, f)
+        if not a.holds:
+            _certified(a, frame, g, f)
 
 
 def test_repeated_cardinality_sweep_builds_no_frame_and_evaluates_nothing():

@@ -153,6 +153,39 @@ def test_sweep_equals_fresh_translation_per_frame(alg, j):
     assert outcomes == {"Verdict(holds=True", "Verdict(holds=False"}
 
 
+# modal-free pairs: three holding, two failing, and one whose five
+# variables trip the finite guard at three worlds over MV3
+_MODAL_FREE_PAIRS = [((), "p -> (q -> p)"), (("p", "p -> q"), "q"),
+                     ((), "(p * q) -> (p /\\ q)"), ((), "p \\/ ~p"),
+                     (("p \\/ q",), "p"), ((), "p \\/ (q \\/ (r \\/ (s \\/ t)))")]
+
+
+@pytest.mark.parametrize("alg", ["std-mv", "mv-3"])
+@pytest.mark.parametrize("j", [2, 3])
+def test_modal_free_sweep_decides_one_frame(alg, j, monkeypatch):
+    # with no modal node a frame reads only its worlds' own variables, so
+    # every frame has the verdict, search and guard trip of the least frame,
+    # mask 0, which the sweep decides alone; over MV3 type elimination
+    # proves the holding pairs before any frame
+    alg = StdMV() if alg == "std-mv" else ALGEBRAS[alg]
+    decide_on_frame, calls = decision.decide_on_frame, []
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return decide_on_frame(*args, **kwargs)
+
+    for prem, conc in _MODAL_FREE_PAIRS:
+        gamma, phi = [P(s) for s in prem], P(conc)
+        with monkeypatch.context() as mp:
+            mp.setattr(decision, "decide_on_frame", counted)
+            got = _outcome(decide_cardinality, j, gamma, phi, alg)
+        assert got == _outcome(_frame_by_frame, j, gamma, phi, alg), (prem, conc)
+        if got[0] == "Verdict(holds=True, witness=None)" and isinstance(alg, StdMV):
+            assert len(calls) == 1 and not calls[0].edges, (prem, conc)
+        assert len(calls) <= 1, (prem, conc)
+        calls.clear()
+
+
 # the four-element Boolean algebra on two-bit sets: 1 and 2 are incomparable,
 # so a meet over successors need not be one of them
 BOOLEAN = FiniteTable(4, [[a & b for b in range(4)] for a in range(4)],

@@ -5,12 +5,10 @@ the encoding of an instance exactly when the instance has a solution of
 length 1, and every refutation's generated submodel must extract to
 indices that ``verify_solution`` accepts.  The instances are the base-2
 ones with one or two pairs over the numerals 1, 10 and 11: 9 and 81.  The
-9 one-pair instances are also decided on both 2-chains, ``v1 -> v2`` and
-``v2 -> v1``, against the solutions of length at most 2.
-
-The tests skip the 30 unsolvable instances with two distinct pairs, whose
-case split must be exhausted (up to about 3 s each).  Run this file as a
-script to check all 90:
+tests decide all 90 on one world, and the 9 one-pair instances also on
+both 2-chains, ``v1 -> v2`` and ``v2 -> v1``, against the solutions of
+length at most 2.  Run this file as a script to decide the 81 two-pair
+instances on both 2-chains as well, 252 decisions in all:
 
     PYTHONPATH=src:tests python tests/test_pcp_reduction.py
 """
@@ -29,10 +27,7 @@ NUMERALS = (Numeral(1, 1), Numeral(2, 2), Numeral(3, 2))  # 1, 10 and 11
 PAIRS = list(itertools.product(NUMERALS, NUMERALS))
 INSTANCES = [PCPInstance(2, pairs) for pairs in
              [(pair,) for pair in PAIRS] + list(itertools.product(PAIRS, PAIRS))]
-
-
-def slow(instance: PCPInstance) -> bool:
-    return len(set(instance.pairs)) > 1 and not find_solutions(instance, 1)
+CHAIN_EDGES = [("v1", "v2"), ("v2", "v1")]
 
 
 def spelled(instance: PCPInstance) -> str:
@@ -54,13 +49,12 @@ def check_on_frame(instance: PCPInstance, frame: KripkeFrame, length: int) -> No
         assert verify_solution(instance, indices), (spelled(instance), indices)
 
 
-@pytest.mark.parametrize("instance", [i for i in INSTANCES if not slow(i)],
-                         ids=spelled)
+@pytest.mark.parametrize("instance", INSTANCES, ids=spelled)
 def test_pcp_reduction_on_one_world(instance):
     check_on_one_world(instance)
 
 
-@pytest.mark.parametrize("edge", [("v1", "v2"), ("v2", "v1")], ids="->".join)
+@pytest.mark.parametrize("edge", CHAIN_EDGES, ids="->".join)
 @pytest.mark.parametrize("instance", [i for i in INSTANCES if len(i.pairs) == 1],
                          ids=spelled)
 def test_pcp_reduction_one_pair_on_two_chains(instance, edge):
@@ -70,4 +64,9 @@ def test_pcp_reduction_one_pair_on_two_chains(instance, edge):
 if __name__ == "__main__":
     for instance in INSTANCES:
         check_on_one_world(instance)
-    print(f"all {len(INSTANCES)} instances agree")
+    two_pairs = [i for i in INSTANCES if len(i.pairs) == 2]
+    for instance in two_pairs:
+        for edge in CHAIN_EDGES:
+            check_on_frame(instance, KripkeFrame(["v1", "v2"], [edge]), 2)
+    print(f"all {len(INSTANCES)} instances agree on one world, and the "
+          f"{len(two_pairs)} two-pair ones on both 2-chains")
