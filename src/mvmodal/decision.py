@@ -49,6 +49,10 @@ __all__ = [
 BRANCH_GUARD_DEFAULT = 2 ** 24
 CARDINALITY_CAP_DEFAULT = 3
 FINITE_SEARCH_GUARD = 10 ** 7
+# type elimination decides a pair with a source variable and at most this
+# many types (3 atoms over a 3-chain) even where its atoms outnumber one
+# frame's variables
+_FEW_TYPES = 27
 _NAME = attrgetter("name")
 
 class _Unsat(Exception):
@@ -362,7 +366,9 @@ def _luk_countermodel(table: Sequence[tuple], premises: Sequence[int],
     One case system serves every conclusion.  Each gets the search of
     :func:`luk_consequence` in turn, over its :meth:`_LukSystem.scope`,
     unless it folds to 1 or is an earlier one's node.  The guard counts the
-    search nodes of all the conclusions."""
+    search nodes of all the conclusions.  A point that breaks a split already
+    branched on along its path, which :meth:`_LukSystem.violated` promises
+    never to return, is a fault: it raises ``RuntimeError``."""
     try:
         system = _LukSystem(table, premises, conclusions)
     except _Unsat:
@@ -375,10 +381,11 @@ def _luk_countermodel(table: Sequence[tuple], premises: Sequence[int],
         order, rows, upper = system.scope(c)
         objective = {v: -a for v, a in conclusion.coeffs.items()}
         offset = 1 - conclusion.const
-        # depth first over (rows, parent result); the first regime goes on last
-        stack: list[tuple[list, lp.LPResult | None]] = [(rows, None)]
+        # depth first over (rows, parent result, bit k for each split k
+        # branched on along the path); the first regime goes on last
+        stack: list[tuple[list, lp.LPResult | None, int]] = [(rows, None, 0)]
         while stack:
-            rows, parent = stack.pop()
+            rows, parent, path = stack.pop()
             explored += 1
             if explored > branch_guard:
                 raise ResourceLimitError(
@@ -393,8 +400,11 @@ def _luk_countermodel(table: Sequence[tuple], premises: Sequence[int],
                                 if kind is Var)
                 return i, {x: Fraction(system.affine[v].scaled_at(den, nums), den)
                            for x, v in leaves}
+            if path >> k & 1:
+                raise RuntimeError(f"case split {k} is violated below its own regime")
             _, regimes = system.splits[k]
-            stack += [(rows + regime, res) for regime in reversed(regimes)]
+            path |= 1 << k
+            stack += [(rows + regime, res, path) for regime in reversed(regimes)]
     return None
 
 
@@ -682,7 +692,8 @@ def _folded(frame: KripkeFrame | None, alg: Algebra, held: tuple, phi: Formula,
     without one), re-checked by folding the held template on the algebra's
     carrier (a variable the point lacks is 0): every premise 1 everywhere,
     the conclusion not 1 at ``at``, or else at the first world where it is
-    not.  The witness is the point, or the model on ``frame`` built after."""
+    not.  The witness is the point, or the model on ``frame`` built after
+    from the columns, whose values the re-check has already validated."""
     rows, _, (template, roots) = held
     columns = {p: [alg.require(point.get(v.name, alg.zero)) for v in row]
                for p, row in rows.items()}
@@ -698,8 +709,8 @@ def _folded(frame: KripkeFrame | None, alg: Algebra, held: tuple, phi: Formula,
     value = decode(conclusion[at])
     if frame is None:
         return Verdict(False, Witness(formula=phi, value=value, valuation=point))
-    model = KripkeModel(frame, alg, {w: {p: col[i] for p, col in columns.items()}
-                                     for i, w in enumerate(frame.worlds)})
+    model = KripkeModel._checked(frame, alg, {
+        w: {p: col[i] for p, col in columns.items()} for i, w in enumerate(frame.worlds)})
     return Verdict(False, Witness(world=frame.worlds[at], formula=phi,
                                   value=value, model=model))
 
@@ -742,7 +753,14 @@ def _eliminable(j: int, source: tuple[Formula, ...], alg: Algebra) -> bool:
     the source variables and the modal subformulas, which is the legend
     bound of :func:`decide_on_frame`, so no frame of the sweep trips a
     guard, and which keeps the types' columns below the guard's square
-    root; and there are no more atoms than one frame has source variables.
+    root; and there are no more atoms than one frame has source variables,
+    or there is a source variable and at most ``_FEW_TYPES`` types.  Past
+    those bounds a failing sweep would pay for type columns larger than the
+    frames it then decides; with no source variable a frame has a single
+    valuation, and a failing sweep at j <= 2 is cheaper without the check.
+    Where the check proves nothing it may still settle the sweep's first
+    frame (:func:`decide_cardinality`), and the first two rules keep that
+    frame clear of every guard.
     """
     if isinstance(alg, FiniteTable):
         if any(m != a and m != b for a, row in enumerate(alg.meet_table)
@@ -755,14 +773,17 @@ def _eliminable(j: int, source: tuple[Formula, ...], alg: Algebra) -> bool:
         return False
     rows, modal, _ = _per_world_vars(source, j)
     atoms = len(rows) + len(modal)
-    return alg.size ** (atoms * max(j, 2)) <= guard and atoms <= len(rows) * j
+    return alg.size ** (atoms * max(j, 2)) <= guard and (
+        atoms <= len(rows) * j or (0 < len(rows) and alg.size ** atoms <= _FEW_TYPES))
 
 
-def _types_hold(alg: Algebra, source: tuple[Formula, ...], j: int) -> bool:
+def _types_hold(alg: Algebra, source: tuple[Formula, ...], j: int) -> bool | None:
     """True if ``source``, premises then conclusion, holds globally on every
     frame over the chain ``alg``, by Pratt's type elimination (FOCS 1979;
     Bou, Esteva, Godo and Rodríguez, J. Logic Comput. 21(5), 2011); False
-    if that is not proved.  The template is the sweep's at ``j`` worlds.
+    if it fails on a frame where every world is a dead end; else None: not
+    proved, but it holds on every such frame.  The template is the sweep's
+    at ``j`` worlds.
 
     A type gives each atom, a source variable or a modal node, a value: type
     ``t`` has the base-``size`` digits of ``t``, the modal atoms last, and a
@@ -775,7 +796,12 @@ def _types_hold(alg: Algebra, source: tuple[Formula, ...], j: int) -> bool:
     model every world's type survives, as a meet or join over a finite set
     of a chain is one of its members, so the pair holds once no survivor
     gives the conclusion a value below 1.  A failing type realized by a dead
-    end, or by a world whose successors are dead ends, answers False."""
+    end, whose modal profile has every box 1 and every diamond 0, answers
+    False: every world of an edgeless frame may take it.  Past that test no
+    failing type lives on a dead end, so a frame of dead ends holds, and a
+    failing type realized at the root of a finite tree, built up from the
+    dead ends with a profile's witnesses as a world's successors, or an
+    elimination that stops with a failing survivor, answers None."""
     tables, size = alg.tables(), alg.size
     meet, one, zero = tables["meet"], tables["one"], tables["zero"]
     rows, modal, (template, at) = _per_world_vars(source, j)
@@ -809,15 +835,22 @@ def _types_hold(alg: Algebra, source: tuple[Formula, ...], j: int) -> bool:
     dead = functools.reduce(lambda p, b: p * size + (one if b[0] else zero), bodies, 0)
     if failing & first << dead:
         return False
-    bodies = [(box, masks(col)) for box, col in bodies]
+    # per modal atom: whether it is a box, the types where its body takes
+    # each value, and per value v of the atom the types whose body value a
+    # successor may have, at or above v (a box) or at or below it (a diamond)
+    modal_atoms = []
+    for box, col in bodies:
+        eq = masks(col)
+        modal_atoms.append((box, eq, [sum(e for u, e in enumerate(eq)
+                                          if (meet[v][u] == v if box else meet[u][v] == u))
+                                      for v in range(size)]))
     profiles = []  # per modal profile: its first survivors and witness masks
     for p, values in enumerate(itertools.product(range(size), repeat=len(bodies))):
         if not (members := alive & first << p):
             continue
         reach, need = alive, []
-        for (box, eq), v in zip(bodies, values):
-            reach &= sum(e for u, e in enumerate(eq)
-                         if (meet[v][u] == v if box else meet[u][v] == u))
+        for (box, eq, fits), v in zip(modal_atoms, values):
+            reach &= fits[v]
             if v != (one if box else zero):
                 need.append(eq[v])
         profiles.append((members, [reach & e for e in need]))
@@ -825,12 +858,16 @@ def _types_hold(alg: Algebra, source: tuple[Formula, ...], j: int) -> bool:
     def realized(within: int) -> int:
         return sum(members for members, need in profiles
                    if all(within & e for e in need))
-    if realized(realized(0)) & failing:  # a world whose successors are dead ends
-        return False
+    # the types of the roots of finite trees, from the dead ends up
+    reach, grown = -1, realized(0)
+    while grown != reach:
+        if grown & failing:
+            return None
+        reach, grown = grown, realized(grown)
     while alive & failing:
         kept = realized(alive)
         if kept == alive:
-            return False
+            return None
         alive = kept
     return True
 
@@ -842,30 +879,37 @@ def decide_cardinality(j: int, gamma: Iterable[Formula], phi: Formula,
     the frame decision over one frame per isomorphism class, first failure
     returned.
 
-    Over MVn or a finite chain table with few atoms (:func:`_eliminable`),
-    type elimination first tries to prove the pair on every frame at once
-    (:func:`_types_hold`) and holds without deciding any frame; if it does
-    not, the sweep below decides, so every failing verdict, witness and
-    guard trip is the sweep's.  Of the ``2^(j*j)`` labeled frames, only
-    those whose edge mask is the least of its class are decided, in
-    increasing mask order.  Isomorphic frames have the same verdict, so the
-    first failing labeled mask is the least of its class; it is visited,
-    and the witness frame and model are those of the sweep over every
-    labeled frame.  The frames and the template are built once; each frame
-    costs one fold (:func:`_fold`) and its search.  With no modal node a
-    frame reads only its worlds' own variables, so every frame has the
-    verdict, search and guard trip of the first, mask 0, decided alone.
+    Over MVn or a finite chain table with few atoms or types
+    (:func:`_eliminable`), type elimination first tries to prove the pair on
+    every frame at once (:func:`_types_hold`) and holds without deciding any
+    frame; if it does not, the sweep below decides, so every failing
+    verdict, witness and guard trip is the sweep's.  A failed proof may
+    still settle the first frame, mask 0, where every world is a dead end:
+    then the sweep starts at the next one.  Of the ``2^(j*j)`` labeled
+    frames, only those whose edge mask is the least of its class are
+    decided, in increasing mask order.  Isomorphic frames have the same
+    verdict, so the first failing labeled mask is the least of its class;
+    it is visited, and the witness frame and model are those of the sweep
+    over every labeled frame.  The frames and the template are built once;
+    each frame costs one fold (:func:`_fold`) and its search.  With no
+    modal node a frame reads only its worlds' own variables, so every frame
+    has the verdict, search and guard trip of the first, mask 0, decided
+    alone.
     """
     if j < 1:
         raise ValueError("cardinality must be at least 1")
     if j > cap:
         raise ResourceLimitError(f"cardinality {j} above cap {cap}")
     gamma = tuple(gamma)
-    if _eliminable(j, gamma + (phi,), alg) and _types_hold(alg, gamma + (phi,), j):
+    source = gamma + (phi,)
+    proved = _eliminable(j, source, alg) and _types_hold(alg, source, j)
+    if proved:
         return Verdict(True)
     frames = _least_frames(j)
-    if not _per_world_vars(gamma + (phi,), j)[1]:  # no modal node
+    if not _per_world_vars(source, j)[1]:  # no modal node
         frames = frames[:1]
+    elif proved is None:  # mask 0, every world a dead end, holds
+        frames = frames[1:]
     for frame in frames:
         verdict = decide_on_frame(frame, gamma, phi, alg, branch_guard=branch_guard)
         if not verdict.holds:

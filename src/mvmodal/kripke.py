@@ -113,6 +113,17 @@ class KripkeModel:
         self._val = {w: {p: algebra.require(valuation[w][p]) for p in declared}
                      for w in frame.worlds}
 
+    @classmethod
+    def _checked(cls, frame: KripkeFrame, algebra: Algebra,
+                 valuation: dict[str, dict[str, Value]]) -> "KripkeModel":
+        """The model of a ``valuation`` already known total, one row per world
+        of ``frame`` in its order, each over the same variables, and every
+        value already through ``algebra.require``: kept as it is."""
+        model = cls.__new__(cls)
+        model.frame, model.algebra, model._val = frame, algebra, valuation
+        model.variables = tuple(sorted(valuation[frame.worlds[0]]))
+        return model
+
     @property
     def worlds(self) -> tuple[str, ...]:
         return self.frame.worlds

@@ -62,6 +62,19 @@ MUTANTS = (
            "        if any(m != a and m != b for a, row in enumerate(alg.meet_table)",
            "        if False and any(m != a and m != b for a, row in enumerate(alg.meet_table)",
            (_F + "test_type_elimination_matches_the_sweep",)),
+    Mutant("a failed proof skips mask 0 although a dead end fails", _DECISION,
+           "    if failing & first << dead:\n        return False\n",
+           "    if failing & first << dead:\n        return None\n",
+           (_F + "test_failed_proof_skips_the_dead_end_frame",
+            _F + "test_type_elimination_matches_the_sweep")),
+    Mutant("type elimination admits 64 types", _DECISION,
+           "_FEW_TYPES = 27",
+           "_FEW_TYPES = 64",
+           (_F + "test_one_frame_per_isomorphism_class",)),
+    Mutant("a checked model's variables are not sorted", _KRIPKE,
+           "model.variables = tuple(sorted(valuation[frame.worlds[0]]))",
+           "model.variables = tuple(valuation[frame.worlds[0]])",
+           ("tests/test_kripke.py::test_checked_model_is_the_validated_one",)),
     Mutant("the fold skips further successors", _KRIPKE,
            "            for w, js in further:",
            "            for w, js in further[:0]:",
@@ -98,8 +111,8 @@ MUTANTS = (
     Mutant("the Times regimes are swapped", _DECISION,
            "Times: (lambda a, b: (s := a.add(b).sub(_ONE_AFF), _ZERO_AFF, s), True, False),",
            "Times: (lambda a, b: (s := a.add(b).sub(_ONE_AFF), s, _ZERO_AFF), True, False),",
-           (_D + "test_luk_premises",
-            _D + "test_signed_split_decides_as_the_unsigned")),
+           (_D + "test_every_regime_is_load_bearing",
+            _D + "test_luk_premises")),
     Mutant("an implication's antecedent keeps its parent's sign", _DECISION,
            "sign[x] |= _FLIP[sign[i]] if _REGIMES[kind][2] else sign[i]",
            "sign[x] |= sign[i]",
@@ -113,7 +126,8 @@ MUTANTS = (
     Mutant("a one-sided row has the opposite sense", _DECISION,
            "regimes = [[_row(d, _SENSE[s])] for d in sides]",
            "regimes = [[_row(d, _SENSE[_FLIP[s]])] for d in sides]",
-           (_D + "test_luk_premises",)),
+           (_D + "test_luk_validities",
+            _D + "test_luk_premises")),
     Mutant("a one-sided min-split's first regime also bounds t by high", _DECISION,
            "                        self.splits.append((i, regimes))",
            "                        self.splits.append((i, [regimes[0] + regimes[1], regimes[1]]\n"

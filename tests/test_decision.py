@@ -477,6 +477,27 @@ def test_deep_case_split_memory_1000():
     assert peak < 16 * 2 ** 20
 
 
+def test_deep_warm_chain(monkeypatch):
+    # a premise's disjunctions, nested to the left, are wanted large and
+    # split, so the search down to p0 = 1 solves 300 LPs, all but the first
+    # warm-started from their parent's tableau; peak 9.5 MiB when pinned
+    f = Var("p0")
+    for i in range(1, 300):
+        f = Or(f, Var(f"p{i}"))
+    calls = _count_calls(monkeypatch)
+    tracemalloc.start()
+    try:
+        verdict = luk_consequence([f], Var("q"))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert not verdict.holds and verdict.witness.value == 0
+    assert verdict.witness.valuation == \
+        {"q": 0, "p0": 1} | {f"p{i}": 0 for i in range(1, 300)}
+    assert calls[0] == 300
+    assert peak < 20 * 2 ** 20
+
+
 def test_translate_on_frame_example():
     fr = KripkeFrame(["w1", "w2"], [("w1", "w2")])
     tr = translate_on_frame(fr, [P("[] p")], P("p"))
@@ -942,8 +963,17 @@ def _certified(verdict, frame, gamma, phi):
     assert naive_eval(worlds, edges, valuation, at, phi) == w.value < 1
 
 
+# premises that force a variable's value without pinning it, at most one per
+# variable: ``~~x`` makes x = 1, ``~x -> x`` x >= 1/2 and ``x -> ~x`` x <=
+# 1/2, each by a row, so a meet's operands can be forced apart
+_FORCING = st.tuples(*(st.sampled_from([None, P(f"~~{x}"), P(f"~{x} -> {x}"),
+                                        P(f"{x} -> ~{x}")]) for x in "pqr")
+                     ).map(lambda fs: [f for f in fs if f is not None])
+
+
 @settings(max_examples=300, deadline=None, derandomize=True)
-@given(st.lists(_PROP, max_size=2), _PROP, _pair_on_frame(max_worlds=2))
+@given(st.tuples(_FORCING, st.lists(_PROP, max_size=1)).map(lambda t: t[0] + t[1]), _PROP,
+       _pair_on_frame(max_worlds=2))
 @example(gamma=[], phi=P("(r -> p) /\\ (q -> (q \\/ p))"),
          case=(KripkeFrame(["w1"], []), [P("~~q"), P("~p -> p")], P("p /\\ q")))
 def test_signed_split_decides_as_the_unsigned(gamma, phi, case):
@@ -952,7 +982,8 @@ def test_signed_split_decides_as_the_unsigned(gamma, phi, case):
     # luk_consequence over p, q and r, and decide_on_frame on 1-2 worlds.
     # Both examples fail only at points where a meet the conclusion wants
     # small takes its first operand, below its second: a first regime that
-    # also bounded ``t`` by the second would make them hold
+    # also bounded ``t`` by the second would make them hold.  The forcing
+    # premises reach such meets among the random examples as well
     calls = [(None, gamma, phi), case]
     signed = [luk_consequence(gamma, phi), decide_on_frame(*case, StdMV())]
     with pytest.MonkeyPatch.context() as mp:

@@ -75,9 +75,36 @@ def test_one_frame_per_isomorphism_class(monkeypatch):
         seen.clear()
         assert decide_cardinality(j, [P("p")], P("[] p"), MVn(3)).holds
         assert seen == []
-    # three atoms are too many for one 2-world frame's two variables
+    # three atoms outnumber one 2-world frame's two variables, but over
+    # MVn(3) they make only 27 types, so type elimination proves the pair;
+    # over MVn(4) their 64 types are too many, and the sweep decides
     assert decide_cardinality(2, [P("[] p -> p")], P("[] [] p -> p"), MVn(3)).holds
+    assert seen == []
+    assert decide_cardinality(2, [P("[] p -> p")], P("[] [] p -> p"), MVn(4)).holds
     assert len(seen) == 10
+
+
+def test_failed_proof_skips_the_dead_end_frame(monkeypatch):
+    # p -> []p passes the dead-end test, so type elimination settles mask 0,
+    # where both worlds are dead ends, and the sweep decides masks 1 and 2;
+    # []p -> p fails on a dead end, so mask 0 is decided, and alone
+    masks, decide = [], decision.decide_on_frame
+    frames = decision._least_frames(2)
+
+    def counted(frame, *args, **kwargs):
+        masks.append(decision._least_masks(2)[frames.index(frame)])
+        return decide(frame, *args, **kwargs)
+
+    monkeypatch.setattr(decision, "decide_on_frame", counted)
+    for conclusion, decided in (("p -> [] p", [1, 2]), ("[] p -> p", [0])):
+        masks.clear()
+        verdict = decide_cardinality(2, [], P(conclusion), MVn(3))
+        assert not verdict.holds and masks == decided, conclusion
+        want = finite_reference.decide_cardinality(2, [], P(conclusion), MVn(3))
+        assert json.dumps(model_to_json(verdict.witness.model)) == \
+            json.dumps(model_to_json(want.witness.model)), conclusion
+        assert (verdict.witness.world, verdict.witness.value) == \
+            (want.witness.world, want.witness.value), conclusion
 
 
 _FAILING = {"t": ((), "[] p -> p"), "four": ((), "[] p -> [] [] p"),
@@ -208,16 +235,21 @@ _MODAL = _modal_formulas([Var("p"), Var("q"), ZERO, ONE], 4)
 
 
 def test_type_elimination_matches_the_sweep(monkeypatch):
+    # the gated sweep against the frame-by-frame one, and a failing verdict's
+    # witness against the labeled sweep's; ``checked`` records each answer of
+    # type elimination, and whether only the bound on types admitted the pair
     held = []
     types_hold = decision._types_hold
 
-    def checked(alg, *args):
+    def checked(alg, source, j):
         if alg is BOOLEAN:
             raise AssertionError("type elimination ran on a non-chain lattice")
-        held.append(types_hold(alg, *args))
-        return held[-1]
+        rows, modal, _ = decision._per_world_vars(source, j)
+        held.append((types_hold(alg, source, j), len(rows) + len(modal) > len(rows) * j))
+        return held[-1][0]
 
     monkeypatch.setattr(decision, "_types_hold", checked)
+    tally = {"types only, holds": 0, "types only, fails": 0, "mask 0 skipped": 0}
 
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(st.sampled_from(["mv-2", "mv-3", "mv-4", "g3", "boolean"]),
@@ -234,12 +266,25 @@ def test_type_elimination_matches_the_sweep(monkeypatch):
     @example("mv-2", 3, [], P("~<> <> ~<> 1 \\/ (p /\\ ~p) \\/ (q /\\ ~q)"))
     def agree(alg, j, gamma, phi):
         alg = BOOLEAN if alg == "boolean" else ALGEBRAS[alg]
-        assert _outcome(decide_cardinality, j, gamma, phi, alg) == \
-            _outcome(_frame_by_frame, j, gamma, phi, alg)
+        before = len(held)
+        got = _outcome(decide_cardinality, j, gamma, phi, alg)
+        assert got == _outcome(_frame_by_frame, j, gamma, phi, alg)
+        if len(held) == before or isinstance(got, str):
+            return
+        proved, types_only = held[-1]
+        fails = got[0].startswith("Verdict(holds=False")
+        tally["types only, holds"] += types_only and not fails
+        tally["types only, fails"] += types_only and fails
+        tally["mask 0 skipped"] += proved is None and fails
+        if fails:
+            assert got == _outcome(finite_reference.decide_cardinality, j, gamma, phi, alg)
 
     agree()
-    assert held.count(True) >= 40 and held.count(False) >= 40, \
-        (held.count(True), held.count(False))
+    proved = [p for p, _ in held]
+    assert proved.count(True) >= 40 and len(proved) - proved.count(True) >= 40, \
+        (proved.count(True), len(proved) - proved.count(True))
+    assert tally["types only, holds"] >= 10 and tally["types only, fails"] >= 15 \
+        and tally["mask 0 skipped"] >= 15, tally
 
 
 def _permuted(tables, perm):

@@ -81,6 +81,19 @@ def test_valuation_rows_name_frame_worlds():
         model_from_json(blob)
 
 
+def test_checked_model_is_the_validated_one():
+    # a countermodel's values are validated before its model is built, so
+    # the private constructor keeps them as given; it must still give the
+    # model the public one gives, its variables sorted
+    fr = KripkeFrame(["b", "a"], [("b", "a")])
+    valuation = {"b": {"q": F(1, 2), "p": F(1)}, "a": {"q": F(0), "p": F(1, 2)}}
+    got = KripkeModel._checked(fr, MVn(3), valuation)
+    want = KripkeModel(fr, MVn(3), valuation)
+    assert got.variables == want.variables == ("p", "q")
+    assert repr(got) == repr(want)
+    assert json.dumps(model_to_json(got)) == json.dumps(model_to_json(want))
+
+
 def test_globally_satisfies():
     m = single()
     assert globally_satisfies(m, []).holds
