@@ -34,10 +34,10 @@ from typing import Iterable, Sequence
 from . import lp
 from .algebras import Algebra, FiniteTable, MVn, ResourceLimitError, StdMV
 from .formulas import (And, Box, Const0, Const1, Diamond, Formula, Implies,
-                       ONE, Or, Times, Var, ZERO, fresh_names,
+                       ONE, Or, Times, Var, ZERO, _template, fresh_names,
                        iff, is_propositional, render, variables)
 from .kripke import (_OPERATION, KripkeFrame, KripkeModel, Verdict, Witness,
-                     _POINT, _carrier_columns, _fold, _reads, _template)
+                     _POINT, _carrier_columns, _fold, _reads)
 
 __all__ = [
     "BRANCH_GUARD_DEFAULT", "CARDINALITY_CAP_DEFAULT", "FINITE_SEARCH_GUARD",
@@ -412,10 +412,11 @@ def _propositional(formulas: tuple[Formula, ...]):
     """What :func:`_per_world_vars` holds, on one world, for ``formulas``,
     which must have no modal operator: each variable's one-world row, no
     modal node, and the template with each formula's index."""
-    template, at, names, modal = _template(formulas)
+    template, at, _, modal = _template(formulas)
     if modal:
         bad = next(f for f in formulas if not is_propositional(f))
         raise ValueError(f"modal operator in propositional consequence: {render(bad)}")
+    names = sorted({x for kind, x, _ in template if kind is Var})
     return {p: (Var(p),) for p in names}, (), (template, at)
 
 
@@ -541,9 +542,8 @@ class FrameTranslation:
     def __init__(self, frame: KripkeFrame, gamma: tuple[Formula, ...],
                  phi: Formula):
         self.frame = frame
-        self._source = gamma + (phi,)
         self._rows, self._modal, self._template = _per_world_vars(
-            self._source, len(frame.worlds))
+            gamma + (phi,), len(frame.worlds))
 
     premises = property(lambda self: self._named[0])
     conclusion = property(lambda self: self._named[1])
@@ -618,7 +618,7 @@ class FrameTranslation:
         premises = [k for r in roots[:-1] for k in cols[r]]
         conclusion, nodes, pos, table = cols[roots[-1]], list(numbers), {}, []
         stack = (premises + conclusion)[::-1]
-        while stack:  # the walk of _template
+        while stack:  # _template's walk, over numbered nodes rather than formulas
             if (i := stack.pop()) is None:
                 kind, x, y = nodes[i := stack.pop()]
                 node = (kind, pos[x], pos[y])
@@ -638,7 +638,8 @@ def _per_world_vars(source: tuple[Formula, ...], n: int):
     variable at each of ``n`` worlds, the modal subformulas in post-order
     and the template with each source formula's index (:func:`_template`).
     The memo serves every frame of a cardinality sweep after the first."""
-    template, roots, names, modal = _template(source)
+    template, roots, _, modal = _template(source)
+    names = sorted({x for kind, x, _ in template if kind is Var})
     fresh = iter(fresh_names(names, [f"{p}__w{i}" for p in names for i in range(n)]))
     return ({p: tuple(Var(next(fresh)) for _ in range(n)) for p in names},
             modal, (template, roots))

@@ -16,7 +16,8 @@ Formulas are immutable, hash-consed nodes: building a formula equal to a
 live one returns that very object, so identity and structural equality
 coincide and ``==`` is ``is``.  Each node caches its hash, the hash of its
 field tuple.  Nothing here recurses: every pass over the nodes of a formula
-runs on :func:`postorder`, and every bottom-up map on :func:`bottom_up`.
+runs on the one walk :func:`_template`, through :func:`postorder` for the
+nodes in order and :func:`bottom_up` for a bottom-up map.
 """
 
 from __future__ import annotations
@@ -180,45 +181,65 @@ class Diamond(_Unary):
 ZERO = Const0()
 ONE = Const1()
 
-_EMIT = object()  # stack marker: the node below it has all children listed
+_BINARY = frozenset({And, Or, Times, Implies})
+
+
+def _template(formulas: tuple[Formula, ...]):
+    """The one walk over formula nodes: every node under ``formulas`` once,
+    children before parents, left to right, nodes told apart by ``id``
+    (identity of structure for hash-consed nodes).  Returns per node ``(class,
+    x, y)``, with the indices of a connective's operands or a modal node's
+    body, or a variable's name or the constant itself, its key in
+    ``kripke._fold``'s ``leaves`` or ``ops``; each formula's index; the nodes
+    in walk order; and the modal nodes."""
+    index, template, order, modal = {}, [], [], []
+    stack = list(formulas)[::-1]
+    while stack:
+        f = stack.pop()
+        if f is None:  # the node below has its children indexed
+            f = stack.pop()
+            if (kind := type(f)) is Box or kind is Diamond:
+                modal.append(f)
+                node = (kind, index[id(f.body)], None)
+            else:
+                node = (kind, index[id(f.left)], index[id(f.right)])
+        elif id(f) in index:
+            continue
+        elif (kind := type(f)) in _BINARY:
+            stack += (f, None, f.right, f.left)
+            continue
+        elif kind is Box or kind is Diamond:
+            stack += (f, None, f.body)
+            continue
+        else:
+            Formula._check(f)
+            node = (kind, f.name if kind is Var else f, None)
+        index[id(f)] = len(template)
+        template.append(node)
+        order.append(f)
+    return (tuple(template), tuple([index[id(f)] for f in formulas]), order,
+            tuple(modal))
 
 
 def postorder(roots: Iterable[Formula]) -> list[Formula]:
     """Every node under ``roots`` once, children before parents, left to
-    right.  Iterative; nodes are told apart by ``id``, which is identity of
-    structure for hash-consed nodes."""
-    order: list[Formula] = []
-    seen: set[int] = set()
-    stack = list(roots)[::-1]
-    while stack:
-        f = stack.pop()
-        if f is _EMIT:
-            order.append(stack.pop())
-        elif id(f) not in seen:
-            seen.add(id(f))
-            if isinstance(f, _Binary):
-                stack += (f, _EMIT, f.right, f.left)
-            elif isinstance(f, _Unary):
-                stack += (f, _EMIT, f.body)
-            else:
-                Formula._check(f)
-                order.append(f)
-    return order
+    right: the order of :func:`_template`."""
+    return _template(tuple(roots))[2]
 
 
 def bottom_up(roots: Iterable[Formula], rule: Callable) -> list:
     """Images of ``roots`` under ``rule(f, *images of f's children)``, which
-    is applied once per node, children first."""
-    roots = list(roots)
-    images: dict[int, object] = {}
-    for f in postorder(roots):
-        if isinstance(f, _Binary):
-            images[id(f)] = rule(f, images[id(f.left)], images[id(f.right)])
-        elif isinstance(f, _Unary):
-            images[id(f)] = rule(f, images[id(f.body)])
+    is applied once per node, children first, along :func:`_template`."""
+    template, at, order, _ = _template(tuple(roots))
+    images: list = []
+    for f, (kind, x, y) in zip(order, template):
+        if y is not None:
+            images.append(rule(f, images[x], images[y]))
+        elif kind is Box or kind is Diamond:
+            images.append(rule(f, images[x]))
         else:
-            images[id(f)] = rule(f)
-    return [images[id(f)] for f in roots]
+            images.append(rule(f))
+    return [images[i] for i in at]
 
 
 def rebuild(f: Formula, *children: Formula) -> Formula:
@@ -296,8 +317,8 @@ def _as_power(f: Times) -> tuple[Formula, int] | None:
 
 
 def variables(f: Formula | Iterable[Formula]) -> frozenset[str]:
-    return frozenset(g.name for g in postorder([f] if isinstance(f, Formula) else f)
-                     if isinstance(g, Var))
+    template = _template((f,) if isinstance(f, Formula) else tuple(f))[0]
+    return frozenset(x for kind, x, _ in template if kind is Var)
 
 
 def fresh_names(used: Iterable[str], bases: Iterable[str]) -> list[str]:
@@ -353,7 +374,7 @@ def box_prefix(gamma: Iterable[Formula], k: int) -> tuple[Formula, ...]:
 
 
 def is_propositional(f: Formula) -> bool:
-    return not any(isinstance(g, _Unary) for g in postorder([f]))
+    return not _template((f,))[3]
 
 
 def _spell(f: _Node, parts: Callable) -> str:

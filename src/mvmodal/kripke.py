@@ -5,8 +5,9 @@ defined: an empty meet evaluates to 1 and an empty join to 0.  Models are
 treated as immutable after construction and all queries are pure.
 
 The package has one evaluation core, :func:`_fold`, a walk over an integer
-template of the formulas (:func:`_template`) that computes each node once,
-at the worlds that read it (:func:`_reads`), with a table of operations per
+template of the formulas, built by the package's one walk over formula nodes
+(:func:`~mvmodal.formulas._template`), that computes each node once, at the
+worlds that read it (:func:`_reads`), with a table of operations per
 connective.  Formulas are hash-consed, so a subformula shared by several
 formulas is one node.  :func:`evaluate_all` is the fold over the model's
 algebra; the decision procedures fold the same template to number an LP
@@ -30,7 +31,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 from .algebras import (Algebra, Value, algebra_from_json, algebra_to_json,
                        value_from_json, value_to_json)
 from .formulas import (And, Box, Diamond, Formula, Implies, ONE, Or, Times,
-                       Var, ZERO)
+                       Var, ZERO, _template)
 
 __all__ = [
     "KripkeFrame", "KripkeModel", "Witness", "Verdict",
@@ -102,7 +103,7 @@ class KripkeModel:
             if w not in frame._succ:
                 raise ValueError(f"valuation row for unknown world {w!r}")
         vars_per_world = [frozenset(valuation.get(w, {})) for w in frame.worlds]
-        declared = frozenset().union(*vars_per_world) if vars_per_world else frozenset()
+        declared = frozenset().union(*vars_per_world)
         for w, vs in zip(frame.worlds, vars_per_world):
             if vs != declared:
                 missing = declared - vs
@@ -164,40 +165,6 @@ class Verdict:
 
 
 _OPERATION = {And: "meet", Or: "join", Times: "times", Implies: "residuum"}
-
-
-def _template(formulas: tuple[Formula, ...]):
-    """One walk in the order of :func:`~mvmodal.formulas.postorder`: per
-    node ``(class, x, y)``, with the indices of a connective's operands or a
-    modal node's body, or a variable's name or the constant itself, its key
-    in :func:`_fold`'s ``leaves`` or ``ops``; each formula's index, the
-    sorted variable names and the modal nodes."""
-    index, template, modal = {}, [], []
-    stack = list(formulas)[::-1]
-    while stack:
-        f = stack.pop()
-        if f is None:  # the node below has its children indexed
-            f = stack.pop()
-            if (kind := type(f)) is Box or kind is Diamond:
-                modal.append(f)
-                node = (kind, index[id(f.body)], None)
-            else:
-                node = (kind, index[id(f.left)], index[id(f.right)])
-        elif id(f) in index:
-            continue
-        elif (kind := type(f)) in _OPERATION:
-            stack += (f, None, f.right, f.left)
-            continue
-        elif kind is Box or kind is Diamond:
-            stack += (f, None, f.body)
-            continue
-        else:
-            Formula._check(f)
-            node = (kind, f.name if kind is Var else f, None)
-        index[id(f)] = len(template)
-        template.append(node)
-    return (tuple(template), tuple([index[id(f)] for f in formulas]),
-            sorted({x for kind, x, _ in template if kind is Var}), tuple(modal))
 
 
 def _reads(template: tuple, roots: tuple[int, ...], frame: KripkeFrame,

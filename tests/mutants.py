@@ -39,8 +39,8 @@ class Mutant(NamedTuple):
     tests: tuple[str, ...]
 
 
-_DECISION, _KRIPKE, _LP = ("src/mvmodal/decision.py", "src/mvmodal/kripke.py",
-                           "src/mvmodal/lp.py")
+_DECISION, _KRIPKE, _LP, _FORMULAS = ("src/mvmodal/decision.py", "src/mvmodal/kripke.py",
+                                      "src/mvmodal/lp.py", "src/mvmodal/formulas.py")
 
 _F, _D = "tests/test_finite_reference.py::", "tests/test_decision.py::"
 
@@ -153,6 +153,19 @@ MUTANTS = (
            'len(opt.tableau)) == "infeasible":',
            'len(tableau)) == "infeasible":',
            ("tests/test_lp.py::test_textbook_maximum",)),
+    # a walk that re-expands shared nodes makes a squared power such as
+    # p^1000000000000 exponential, so its killers fail before any such test
+    Mutant("the walk expands a node it has already placed", _FORMULAS,
+           "        elif id(f) in index:\n            continue\n",
+           "",
+           ("tests/test_formulas.py::test_one_walk_matches_a_recursive_reference",
+            _D + "test_frame_table_builds_the_system_of_the_images",
+            "tests/test_lp_warm.py::test_luk_search_same_verdicts_without_start")),
+    Mutant("the walk visits the right operand first", _FORMULAS,
+           "stack += (f, None, f.right, f.left)",
+           "stack += (f, None, f.left, f.right)",
+           ("tests/test_formulas.py::test_one_walk_matches_a_recursive_reference",
+            _D + "test_frame_table_builds_the_system_of_the_images")),
     Mutant("the frontier walk follows first successors only", "src/mvmodal/necessitation.py",
            "        frontier = set().union(*map(model.frame.successors, frontier))",
            "        frontier = set().union(*(model.frame.successors(w)[:1] for w in frontier))",

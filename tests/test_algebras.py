@@ -93,6 +93,14 @@ def test_leq_examples():
     assert leq(ExpChain(), EXP_ZERO, ExpValue(F(100)))
 
 
+def test_equal_infinite_algebras_hash_equal():
+    # StdMV and ExpChain hash by their kind, so fresh instances are one key
+    for make in (StdMV, ExpChain):
+        assert make() == make() and hash(make()) == hash(make())
+        assert {make(): make}[make()] is make
+    assert len({StdMV(), ExpChain(), StdMV(), ExpChain()}) == 2
+
+
 def test_exp_chain_operations():
     chain = ExpChain()
     assert chain.times(ExpValue(F(2)), ExpValue(F(3))) == ExpValue(F(5))

@@ -188,6 +188,15 @@ def test_exponent_identity_hand_cases():
     assert verify_exponent_identity(m, [P("~p"), P("[] p"), P("0")], "t") == []
 
 
+def test_exponent_identity_reports_a_violation():
+    # with no translation, p * p over the product chain is a^(2/3 + 2/3),
+    # while the identity wants a^(1 - 0) for its MV value 0
+    m = KripkeModel(KripkeFrame(["a"], []), StdMV(), {"a": {"p": F(1, 3)}})
+    f = P("p * p")
+    assert verify_exponent_identity(m, [f], "t", translate=lambda g, x: g) == \
+        [(f, "a", ExpValue(F(4, 3)), ExpValue(F(1)))]
+
+
 def test_exponent_identity_random_battery():
     rng = random.Random(8)
     checked = 0

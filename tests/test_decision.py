@@ -1237,6 +1237,25 @@ def test_luk_recheck_catches_a_point_that_is_no_countermodel(monkeypatch):
         luk_consequence([P("p \\/ q")], P("p"))
 
 
+def test_case_split_raises_on_a_broken_promise(monkeypatch, capsys):
+    # violated() promises never to name a split already branched on along
+    # the path; one that always names split 0 breaks that promise on the
+    # first child, which must raise rather than branch again, and the CLI
+    # reports the fault as an internal error
+    f = P("(p -> q) \\/ (q -> p)")
+    assert len(luk_system([], f).splits) == 2
+    monkeypatch.setattr(decision._LukSystem, "violated",
+                        lambda self, den, nums, order: 0)
+    with pytest.raises(RuntimeError,
+                       match="^case split 0 is violated below its own regime$"):
+        luk_consequence([], f)
+    code = run(["check", "--cardinality", "1", "--conclusion", "(p -> q) \\/ (q -> p)"])
+    captured = capsys.readouterr()
+    assert code == 4 and captured.out == ""
+    assert captured.err == \
+        "internal error: RuntimeError: case split 0 is violated below its own regime\n"
+
+
 def test_finite_recheck_catches_a_sweep_that_checks_nothing(monkeypatch):
     # a sweep program without its checks accepts its first leaf, every
     # variable 0, whatever the query: the re-check must trip, propositionally

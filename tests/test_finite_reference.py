@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 import finite_reference
 from helpers import G3
-from mvmodal import decision
+from mvmodal import decision, leq
 from mvmodal.algebras import (FiniteTable, MVn, ResourceLimitError, StdMV,
                               mv_chain_tables)
 from mvmodal.decision import (decide_cardinality, finite_consequence,
@@ -331,6 +331,20 @@ def test_type_elimination_reads_the_order_from_meet():
     agree()
     assert gated.count(True) >= 20 and gated.count(False) >= 20, \
         (gated.count(True), gated.count(False))
+
+
+def test_table_leq_is_the_order_of_meet():
+    # mvmodal.leq on a table holds exactly where meet returns the left
+    # argument: the index order on a natural chain, the renamed order on a
+    # permuted one
+    for t, perm in _REINDEXED.values():
+        n = t["size"]
+        natural, renamed = _permuted(t, list(range(n))), _permuted(t, perm)
+        for alg in (natural, renamed):
+            assert [[leq(alg, a, b) for b in range(n)] for a in range(n)] == \
+                [[alg.meet_table[a][b] == a for b in range(n)] for a in range(n)]
+        assert all(leq(natural, a, b) == (a <= b) and leq(renamed, perm[a], perm[b]) == (a <= b)
+                   for a in range(n) for b in range(n))
 
 
 _NAMED = _modal_formulas([Var("p"), Var("q"), Var("p__w0"), ZERO, ONE], 6)

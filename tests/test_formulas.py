@@ -1,15 +1,15 @@
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mvmodal.bridges import luk2prod_formula, rewrite_to_fragment
 from mvmodal.formulas import (And, Box, Const0, Const1, Diamond, Implies, ONE,
-                              Or, ParseError, Times, Var, ZERO, box_prefix,
-                              fpow, iff, is_propositional, neg, parse,
-                              prop_subformulas, render, subformulas,
-                              substitute, variables)
+                              Or, ParseError, Times, Var, ZERO, bottom_up,
+                              box_prefix, fpow, iff, is_propositional, neg,
+                              parse, postorder, prop_subformulas, render,
+                              subformulas, substitute, variables)
 from helpers import random_formula
 
 p, q, r = Var("p"), Var("q"), Var("r")
@@ -238,3 +238,74 @@ def test_deep_chains_through_formula_passes():
     assert len(subformulas(chain)) == N_DEEP + 8
     assert is_propositional(chain)
     assert luk2prod_formula(rewrite_to_fragment(chain), "x") is lifted
+
+
+def _children(f):
+    if isinstance(f, (Box, Diamond)):
+        return (f.body,)
+    return (f.left, f.right) if isinstance(f, (And, Or, Times, Implies)) else ()
+
+
+def _reference_postorder(roots):
+    order = []
+
+    def visit(f):
+        if f not in order:
+            for g in _children(f):
+                visit(g)
+            order.append(f)
+    for f in roots:
+        visit(f)
+    return order
+
+
+def _reference_prop_subformulas(f):
+    out = {f}
+    if isinstance(f, (And, Or, Times, Implies)):
+        out |= _reference_prop_subformulas(f.left) | _reference_prop_subformulas(f.right)
+    return out
+
+
+_SHARED = st.recursive(
+    st.sampled_from([p, q, ZERO, ONE]),
+    lambda kids: st.one_of(
+        st.builds(Box, kids), st.builds(Diamond, kids),
+        *(st.builds(c, kids, kids) for c in (And, Or, Times, Implies)),
+        st.builds(lambda a: Times(a, Implies(Box(a), a)), kids)),  # shares a
+    max_leaves=10)
+_DEEP_BOXES = p
+for _ in range(1000):
+    _DEEP_BOXES = Box(_DEEP_BOXES)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.lists(_SHARED, min_size=1, max_size=4).map(lambda fs: fs + [fs[0], Times(fs[-1], fs[0])]))
+@example([_DEEP_BOXES, _DEEP_BOXES])
+def test_one_walk_matches_a_recursive_reference(roots):
+    # postorder places each node once, children before parents, left to
+    # right, and bottom_up applies its rule once per node in that order to
+    # the images of the node's children
+    order = postorder(roots)
+    pos = {id(f): k for k, f in enumerate(order)}
+    assert len(pos) == len(order)
+    assert all(pos[id(g)] < k for k, f in enumerate(order) for g in _children(f))
+    calls = []
+
+    def record(f, *images):
+        calls.append((f, images))
+        return len(calls) - 1
+    images = bottom_up(roots, record)
+    assert [f for f, _ in calls] == order
+    assert all(args == tuple(pos[id(g)] for g in _children(f)) for f, args in calls)
+    assert images == [pos[id(f)] for f in roots]
+    if roots[0] is _DEEP_BOXES:  # too deep for the recursive reference
+        assert len(order) == 1001 and order[0] is p and order[-1] is _DEEP_BOXES
+        return
+    assert order == _reference_postorder(roots)
+    assert variables(roots) == {g.name for g in order if isinstance(g, Var)}
+    for f in roots:
+        nodes = _reference_postorder([f])
+        assert variables(f) == {g.name for g in nodes if isinstance(g, Var)}
+        assert subformulas(f) == set(nodes)
+        assert prop_subformulas(f) == _reference_prop_subformulas(f)
+        assert is_propositional(f) == (not any(isinstance(g, (Box, Diamond)) for g in nodes))

@@ -65,6 +65,16 @@ def test_evaluate_deep_formulas():
     assert evaluate(m, "b", chain) == 1
 
 
+def test_equal_frames_hash_equal():
+    # worlds and edges given in other orders, with a repeat, make an equal
+    # frame that finds the same dict entry
+    fr = KripkeFrame(["a", "b", "c"], [("a", "b"), ("b", "c"), ("c", "c")])
+    same = KripkeFrame(["c", "a", "b", "a"], [("c", "c"), ("b", "c"), ("a", "b"), ("a", "b")])
+    assert same == fr and hash(same) == hash(fr)
+    assert {fr: "x"}[same] == "x"
+    assert len({fr, same, KripkeFrame(["a", "b", "c"], [("a", "b")])}) == 2
+
+
 def test_valuation_must_be_total():
     fr = KripkeFrame(["a", "b"], [])
     with pytest.raises(ValueError):
