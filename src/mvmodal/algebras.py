@@ -597,8 +597,6 @@ def value_from_json(alg: Algebra, obj) -> Value:
 def algebra_to_json(alg: Algebra) -> dict:
     if isinstance(alg, MVn):
         return {"kind": "mv-n", "n": alg.n}
-    if isinstance(alg, StdProduct):
-        return {"kind": "std-product"}
     if isinstance(alg, FiniteTable):
         return {"kind": "finite-table", "tables": alg.tables()}
     return {"kind": alg.kind}

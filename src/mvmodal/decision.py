@@ -11,9 +11,9 @@ elimination (:func:`_types_hold`).  Global consequence over a finite frame
 is propositional consequence over the source variables at each world.  Both
 backends read one value-numbered fold of an integer template of the source
 formulas on the frame (:func:`mvmodal.kripke._fold`, :func:`_numbering`),
-the LP as a node table and the sweep as a program; neither builds an image
-formula.  What reads no edge is built once, so a frame of a cardinality
-sweep costs one fold and its search.
+the LP as a node table in the fold's own numbering and the sweep as a
+program; neither builds an image formula.  What reads no edge is built
+once, so a frame of a cardinality sweep costs one fold and its search.
 
 Every countermodel is re-checked once before it is returned
 (:func:`_folded`): the backend's point is folded over the template the
@@ -140,9 +140,9 @@ def _implied(d: _Affine, s: int) -> bool:
 
 class _LukSystem:
     """Case system for standard-MV consequence of one or more conclusions,
-    on a node table in post-order: ``(class, x, y)`` per node, with a
-    connective's operand indices or a leaf's key (a name or a constant);
-    ``premises`` and ``conclusions`` are root indices.
+    on a node table with children before parents: ``(class, x, y)`` per
+    node, with a connective's operand indices or a leaf's key (a name or a
+    constant); ``premises`` and ``conclusions`` are root indices.
 
     Premises are pinned to 1 first.  Each node gets a sign (:meth:`_signs`):
     the search wants a conclusion small and a premise large, an implication
@@ -339,8 +339,8 @@ def luk_consequence(gamma: Iterable[Formula], phi: Formula, *,
     ``t`` on the wrong side of its connective's value, the side its sign
     rules out (:class:`_LukSystem`), is a countermodel at least as bad as
     its fold, which :func:`_folded` re-checks; else the node branches on
-    the first split it gets wrong in reverse post-order (nearest the
-    conclusion) into its two regimes, whose rows put that ``t`` on the
+    the first split it gets wrong, last in the table first (nearest the
+    conclusion), into its two regimes, whose rows put that ``t`` on the
     right side, so no path branches twice on one split: the
     MILP rule of branching only on a disjunction the relaxation violates
     (Achterberg, Koch and Martin, Oper. Res. Lett. 33, 2005).  A child LP
@@ -605,31 +605,20 @@ class FrameTranslation:
         return cols, tuple(g for col in premises for g in col), tuple(conclusion)
 
     def _table(self) -> tuple[list[tuple], list[int], list[int]]:
-        """``_template`` of :meth:`_images` and its roots' indices, built
-        with no formula: :func:`_fold` with :func:`_numbering`, renumbered
-        in post-order from the roots."""
+        """The node table of :meth:`_images` and its roots, built with no
+        formula: the triples of :func:`_fold` with :func:`_numbering`, as
+        numbered, children first.  A variable is numbered only at the worlds
+        that read it, so it is an LP column only there; 0 and 1 always are
+        numbered."""
         template, roots = self._template
+        reads = _reads(template, roots, self.frame, self._modal)
         numbers, number, ops = _numbering(0)
-        leaves = {p: [number(Var, v.name, None) for v in row]
-                  for p, row in self._rows.items()}
+        leaves = {x: [number(Var, v.name, None) if m >> w & 1 else None
+                      for w, v in enumerate(self._rows[x])]
+                  for (kind, x, _), m in zip(template, reads) if kind is Var}
         ops |= {c: number(type(c), c, None) for c in (ZERO, ONE)}
-        cols = _fold(template, _reads(template, roots, self.frame, self._modal), self.frame,
-                     leaves, ops)
-        premises = [k for r in roots[:-1] for k in cols[r]]
-        conclusion, nodes, pos, table = cols[roots[-1]], list(numbers), {}, []
-        stack = (premises + conclusion)[::-1]
-        while stack:  # _template's walk, over numbered nodes rather than formulas
-            if (i := stack.pop()) is None:
-                kind, x, y = nodes[i := stack.pop()]
-                node = (kind, pos[x], pos[y])
-            elif i in pos:
-                continue
-            elif (node := nodes[i])[2] is not None:
-                stack += (i, None, node[2], node[1])
-                continue
-            pos[i] = len(table)
-            table.append(node)
-        return table, [pos[r] for r in premises], [pos[r] for r in conclusion]
+        cols = _fold(template, reads, self.frame, leaves, ops)
+        return list(numbers), [k for r in roots[:-1] for k in cols[r]], cols[roots[-1]]
 
 
 @functools.lru_cache(maxsize=1)

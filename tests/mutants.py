@@ -10,9 +10,9 @@ mutants along instead of dropping them.  Run from the repository root::
     python tests/mutants.py [NAME ...]
 
 Each mutant (or each one named) is applied to a fresh temporary copy of
-``src/`` and ``tests/``, its tests run there with ``pytest -x``, and pytest
-must exit with status 1: a test failed, not an error in collection or
-usage.  A run past ``TIMEOUT_S`` is a survival.  One line per mutant is
+``src/``, ``tests/`` and ``demos/``, its tests run there with ``pytest
+-x``, and pytest must exit with status 1: a test failed, not an error in
+collection or usage.  A run past ``TIMEOUT_S`` is a survival.  One line per mutant is
 printed, and the exit status is 1 if any mutant survived.
 """
 
@@ -113,6 +113,15 @@ MUTANTS = (
            "Times: (lambda a, b: (s := a.add(b).sub(_ONE_AFF), s, _ZERO_AFF), True, False),",
            (_D + "test_every_regime_is_load_bearing",
             _D + "test_luk_premises")),
+    Mutant("the Implies regime's high form is a - b, not 1 - (a - b)", _DECISION,
+           "Implies: (lambda a, b: (d := a.sub(b), _ONE_AFF, _ONE_AFF.sub(d)), False, True),",
+           "Implies: (lambda a, b: (d := a.sub(b), _ONE_AFF, d), False, True),",
+           (_D + "test_luk_validities",
+            _D + "test_every_regime_is_load_bearing")),
+    Mutant("the frame table numbers unread variables", _DECISION,
+           "[number(Var, v.name, None) if m >> w & 1 else None",
+           "[number(Var, v.name, None)",
+           (_D + "test_frame_table_builds_the_system_of_the_images",)),
     Mutant("an implication's antecedent keeps its parent's sign", _DECISION,
            "sign[x] |= _FLIP[sign[i]] if _REGIMES[kind][2] else sign[i]",
            "sign[x] |= sign[i]",
@@ -153,6 +162,12 @@ MUTANTS = (
            'len(opt.tableau)) == "infeasible":',
            'len(tableau)) == "infeasible":',
            ("tests/test_lp.py::test_textbook_maximum",)),
+    # every solve pivots on a negative entry, so without the negation the
+    # simplex loops and only the direct test of the pivot fails in time
+    Mutant("a pivot on a negative entry keeps its row's sign", _LP,
+           "    if p < 0:\n",
+           "    if False:\n",
+           ("tests/test_lp.py::test_pivot_on_a_negative_entry_negates_its_row",)),
     # a walk that re-expands shared nodes makes a squared power such as
     # p^1000000000000 exponential, so its killers fail before any such test
     Mutant("the walk expands a node it has already placed", _FORMULAS,
@@ -164,8 +179,7 @@ MUTANTS = (
     Mutant("the walk visits the right operand first", _FORMULAS,
            "stack += (f, None, f.right, f.left)",
            "stack += (f, None, f.left, f.right)",
-           ("tests/test_formulas.py::test_one_walk_matches_a_recursive_reference",
-            _D + "test_frame_table_builds_the_system_of_the_images")),
+           ("tests/test_formulas.py::test_one_walk_matches_a_recursive_reference",)),
     Mutant("the frontier walk follows first successors only", "src/mvmodal/necessitation.py",
            "        frontier = set().union(*map(model.frame.successors, frontier))",
            "        frontier = set().union(*(model.frame.successors(w)[:1] for w in frontier))",
@@ -188,7 +202,7 @@ def killed(mutant: Mutant) -> bool:
     a hang does not count as a kill."""
     with tempfile.TemporaryDirectory() as tmp:
         copy = Path(tmp)
-        for part in ("src", "tests"):
+        for part in ("src", "tests", "demos"):
             shutil.copytree(ROOT / part, copy / part,
                             ignore=shutil.ignore_patterns("__pycache__", ".hypothesis"))
         shutil.copy(ROOT / "pyproject.toml", copy)

@@ -177,6 +177,12 @@ def test_validate_finite_algebra():
                for v in report.violations)
     trivial = validate_finite_algebra(1, [[0]], [[0]], [[0]], [[0]], 0, 0)
     assert trivial.ok
+    with pytest.raises(ValueError) as e:
+        validate_finite_algebra(0, t["meet"], t["join"], t["times"], t["residuum"], 0, 1)
+    assert str(e.value) == "size 0 is not a positive integer"
+    with pytest.raises(ValueError) as e:
+        validate_finite_algebra(3, t["meet"][:2], t["join"], t["times"], t["residuum"], 0, 2)
+    assert str(e.value) == "meet table is not 3x3"
 
 
 @pytest.mark.parametrize("law, table, a, b, value", [
@@ -369,3 +375,6 @@ def test_json_round_trips():
     assert value_from_json(ExpChain(), "zero") == EXP_ZERO
     assert value_to_json(ExpChain(), EXP_ZERO) == "zero"
     assert value_from_json(ft, 2) == 2
+    with pytest.raises(CarrierError) as e:
+        value_from_json(ExpChain(), {"pow": "1", "x": 2})
+    assert str(e.value) == "bad power-chain value: {'pow': '1', 'x': 2}"

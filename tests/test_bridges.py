@@ -4,7 +4,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from mvmodal.algebras import ExpChain, ExpValue, StdMV
+from mvmodal.algebras import ExpChain, ExpValue, MVn, StdMV
 from mvmodal.bridges import (FOPred, chain_premise, extend_model_pq, finite_to_global,
                              global_to_local_transitive, luk2prod_extended,
                              luk2prod_formula, modal_to_fo, model_l2p,
@@ -90,6 +90,13 @@ def test_extend_model_pq_errors():
     m = KripkeModel(KripkeFrame(["w"], []), StdMV(), {"w": {"p": F(1)}})
     with pytest.raises(ValueError):
         extend_model_pq(m, "w", "p", "q")
+    with pytest.raises(KeyError) as e:
+        extend_model_pq(m, "v", "a", "b")
+    assert e.value.args == ("unknown world 'v'",)
+    mv3 = KripkeModel(KripkeFrame(["w"], []), MVn(3), {"w": {"p": F(1)}})
+    with pytest.raises(ValueError) as e:
+        extend_model_pq(mv3, "w", "a", "b")
+    assert str(e.value) == "the reduction certificate lives over the standard MV algebra"
 
 
 def test_extend_model_pq_random_certificates():
@@ -166,6 +173,12 @@ def test_model_transforms():
     assert back.value("b", "p") == F(1)
     with pytest.raises(ValueError):
         model_l2p(m, "p")
+    with pytest.raises(ValueError) as e:
+        model_l2p(KripkeModel(fr, MVn(3), {"a": {"p": F(1, 2)}, "b": {"p": F(1)}}), "t")
+    assert str(e.value) == "source model must live over the standard MV algebra"
+    with pytest.raises(ValueError) as e:
+        model_p2l(m)
+    assert str(e.value) == "source model must live over the power chain"
 
 
 def test_model_p2l_capping_and_zero():

@@ -913,38 +913,36 @@ def test_stdmv_frame_paths_build_no_image(monkeypatch):
                                   P("[]q \\/ (r * ~p)"), StdMV()).holds
 
 
-def _system_rows(system):
-    """A case system's rows, split names and bounds, in order."""
-    def row(r):
-        return list(r.coeffs.items()), r.sense, r.rhs
-    return ([row(r) for r in system.base_rows],
-            [[[row(r) for r in regime] for regime in regimes]
-             for _, regimes in system.splits],
-            [var for var, *_ in system.split_forms], list(system.upper.items()))
-
-
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(_pair_on_frame())
 def test_frame_table_builds_the_system_of_the_images(case):
-    # the node table of a frame is _template of its image formulas, so the
-    # case system on it has the rows, splits, split names and bounds, in
-    # order, that the propositional constructor builds from the images
+    # the node table of a frame is the fold's own numbering: read back as
+    # formulas, children before parents, it holds each subformula of the
+    # images once (and maybe the unread constants), its roots are the
+    # images, and its case system decides as the images' own
     frame, gamma, phi = case
     tr = translate_on_frame(frame, gamma, phi)
     table, premises, conclusions = tr._table()
     images, image_conclusions = tr._images()
-    template, at, _, _ = decision._template(images + image_conclusions)
-    assert table == list(template)
-    assert premises + conclusions == list(at)
-    try:
-        got = _system_rows(decision._LukSystem(table, premises, conclusions))
-    except decision._Unsat:
-        got = "unsat"
-    try:
-        want = _system_rows(luk_system(images, *image_conclusions))
-    except decision._Unsat:
-        want = "unsat"
-    assert got == want
+    back = []
+    for i, (kind, x, y) in enumerate(table):
+        if y is None:
+            back.append(Var(x) if kind is Var else x)
+        else:
+            assert x < i and y < i
+            back.append(kind(back[x], back[y]))
+    subformulas_of_images = set(postorder(images + image_conclusions))
+    assert len(set(back)) == len(back)
+    assert subformulas_of_images <= set(back) <= subformulas_of_images | {ZERO, ONE}
+    assert [back[r] for r in premises] == list(images)
+    assert [back[r] for r in conclusions] == list(image_conclusions)
+    _, _, (template, at) = decision._propositional(images + image_conclusions)
+
+    def refuted(*system):
+        found = decision._luk_countermodel(*system, decision.BRANCH_GUARD_DEFAULT)
+        return found and found[0]
+    assert refuted(table, premises, conclusions) == refuted(
+        template, at[:len(images)], at[len(images):])
 
 
 def _certified(verdict, frame, gamma, phi):

@@ -42,6 +42,11 @@ def test_parse_errors_carry_position():
         parse("2")
     with pytest.raises(ParseError):
         parse("(p")
+    for text, message in (("p q", "trailing input 'q' (at position 2)"),
+                          ("p^q", "expected 'num', found 'q' (at position 2)")):
+        with pytest.raises(ParseError) as e:
+            parse(text)
+        assert str(e.value) == message
 
 
 def test_render_examples():

@@ -3,6 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from mvmodal import lp
 from mvmodal.lp import Constraint, solve_max
 
 
@@ -14,6 +15,18 @@ def test_textbook_maximum():
     assert res.status == "optimal"
     assert res.value == F(14, 5)
     assert res.point == {"x": F(8, 5), "y": F(6, 5)}
+
+
+def test_pivot_on_a_negative_entry_negates_its_row():
+    # the dual simplex pivots on a negative entry: the row x1 - 2 x3 = -2
+    # becomes 2 x3 - x1 = 2, over its positive entry in the entering column;
+    # the column leaves the other row and the objective (each up to a
+    # positive factor), and the row without it is not rewritten
+    tableau = [{0: -2, 1: 1, 3: -2}, {0: 4, 2: 1, 3: 2}, {0: 1, 4: 1}]
+    obj, basis = {3: 1, 4: 2}, [1, 2, 4]
+    assert lp._pivot(tableau, obj, basis, 0, 3) == [0, 1]
+    assert tableau == [{0: 2, 1: -1, 3: 2}, {0: 2, 1: 1, 2: 1}, {0: 1, 4: 1}]
+    assert obj == {0: -2, 1: 1, 4: 4} and basis == [3, 2, 4]
 
 
 def test_equalities_and_negative_rhs():

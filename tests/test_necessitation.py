@@ -38,6 +38,9 @@ def test_build_nec_model_values():
     assert len(m0.worlds) == 2 and m0.value("0", "x") == F(2, 3)
     me = build_nec_model(2, ExpChain())
     assert me.value("0", "x") == ExpValue(F(3))
+    with pytest.raises(ValueError) as e:
+        build_nec_model(-1, StdMV())
+    assert str(e.value) == "n must be nonnegative"
 
 
 def test_verify_separation_sweep():

@@ -55,6 +55,9 @@ def test_numeral_validation():
         Numeral(3, 1).check_base(2)
     with pytest.raises(ValueError):
         Numeral(1, 0)
+    with pytest.raises(ValueError) as e:
+        Numeral(-1, 1)
+    assert str(e.value) == "numeral value must be nonnegative"
     Numeral(0, 3).check_base(2)  # leading zeros are fine
     with pytest.raises(ValueError):
         PCPInstance(1, ((Numeral(0, 1), Numeral(0, 1)),))
@@ -80,6 +83,12 @@ def test_build_chain_model_rejects_indices_outside_range():
     for seq in ([0], [3], [1, -1]):
         with pytest.raises(ValueError, match=r"out of range 1\.\.2"):
             build_chain_model(P0, seq, StdMV())
+
+
+def test_build_chain_model_needs_an_index():
+    with pytest.raises(ValueError) as e:
+        build_chain_model(P0, [], StdMV())
+    assert str(e.value) == "need a nonempty index sequence"
 
 
 def test_encode_shape():
