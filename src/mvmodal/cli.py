@@ -151,7 +151,14 @@ def _cmd_pcp_encode(args) -> int:
 
 
 def _parse_solution(spec: str) -> list[int]:
-    return [int(s) for s in spec.split(",") if s.strip()]
+    indices = []
+    for s in filter(str.strip, spec.split(",")):
+        try:
+            indices.append(int(s))
+        except ValueError:
+            raise ValueError("--solution takes comma-separated pair indices, "
+                             f"not {s.strip()!r}") from None
+    return indices
 
 
 def _cmd_pcp_model(args) -> int:

@@ -345,9 +345,9 @@ def luk_consequence(gamma: Iterable[Formula], phi: Formula, *,
     MILP rule of branching only on a disjunction the relaxation violates
     (Achterberg, Koch and Martin, Oper. Res. Lett. 33, 2005).  A child LP
     is warm-started from its parent's optimal tableau (``lp.solve_max``'s
-    ``start``), with a cold solve's status and optimum.  The point is read
-    as ints over one denominator; Fractions are built only for the
-    witness.  The guard bounds the number of explored search nodes.
+    ``start``), with a cold solve's status and optimum.  The optimum and the
+    point are read as ints; Fractions are built only for the witness.  The
+    guard bounds the number of explored search nodes.
     """
     held = _propositional(tuple(gamma) + (phi,))
     _, _, (template, at) = held
@@ -391,7 +391,7 @@ def _luk_countermodel(table: Sequence[tuple], premises: Sequence[int],
                 raise ResourceLimitError(
                     f"case-split guard exceeded ({branch_guard} branches)")
             res = lp.solve_max(objective, rows, upper=upper, start=parent)
-            if res.status == "infeasible" or res.value <= -offset:
+            if res.status == "infeasible" or res.optimum.num <= -offset * res.optimum.den:
                 continue
             den, nums = res.scaled_point()
             k = system.violated(den, nums, order)
@@ -427,7 +427,7 @@ def _check_sweep_size(size: int, depth: int, guard: int) -> None:
 
 
 def finite_consequence(alg: Algebra, gamma: Iterable[Formula], phi: Formula, *,
-                       guard: int = FINITE_SEARCH_GUARD,
+                       guard: int | None = None,
                        frame: KripkeFrame | None = None) -> Verdict:
     """Consequence over a finite algebra by backtracking: propositional, or
     global over all models on ``frame``.
@@ -440,14 +440,15 @@ def finite_consequence(alg: Algebra, gamma: Iterable[Formula], phi: Formula, *,
     1, or a conclusion that is already 1, prunes the subtree.  So the first
     leaf that passes every check is the lexicographically first
     countermodel.  The guard bounds ``size ** variables`` and the four
-    operation tables, both before the tables are built.  Without ``frame`` a
-    modal operator is refused.  A countermodel is re-checked by
+    operation tables, both before the tables are built; it is
+    ``FINITE_SEARCH_GUARD`` as it reads at the call unless given.  Without
+    ``frame`` a modal operator is refused.  A countermodel is re-checked by
     :func:`_folded`.
     """
     if not isinstance(alg, (MVn, FiniteTable)):
         raise ValueError("finite_consequence needs a finite algebra")
     held, free, vals, code, checks, one = _sweep_program(
-        alg, tuple(gamma) + (phi,), frame, guard)
+        alg, tuple(gamma) + (phi,), frame, FINITE_SEARCH_GUARD if guard is None else guard)
     depth, last = len(free), alg.size - 1
     d = 0  # the variables assigned
     while True:

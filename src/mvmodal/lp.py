@@ -19,8 +19,9 @@ column may be complemented, ``x = u - x̄``, so a nonbasic column sits at 0
 or at its bound ``u``: the entry ``a`` becomes ``-a`` and the rhs ``rhs -
 a*u``, an integer row again.  Each constraint is one ``<=`` row (``>=``
 negated) with its own slack; an ``==`` row's slack has bound 0, and a
-nonbasic fixed column never enters.  The value and the point are read with
-the complemented columns, the point only when asked for.
+nonbasic fixed column never enters; a constraint of ints is its own row.
+The value is kept as an int numerator and denominator and the point is read
+only when asked for, both with the complemented columns.
 
 A cold solve starts from the empty system with every column of positive
 cost at its bound, so it is dual-feasible (Koberstein, *The dual simplex
@@ -33,16 +34,16 @@ it rewrote); a row above its bound first complements its basic column,
 ``d*x̄_b - sum(a_j*x_j) = d*u - rhs < 0``.  The entering column has the
 least ratio ``obj_j / -a_j`` over the row's negative entries (ties to the
 least column); with none, the system is infeasible.  A warm solve
-(``start``) shares the parent's rows and copies only those its pivots
-change.  ``tests/test_lp_reference.py`` checks status and value against a
-dense tableau that has each bound as a row.
+(``start``) copies the parent's row list, basis and objective row, and
+shares the rest until an appended row or a pivot changes it.
+``tests/test_lp_reference.py`` checks status and value against a dense
+tableau that has each bound as a row.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from math import gcd, lcm
 from operator import is_
 from typing import NamedTuple
@@ -50,34 +51,44 @@ from typing import NamedTuple
 __all__ = ["Constraint", "LPResult", "solve_max"]
 
 
+# Bland's rules never cycle, so a solve that makes more pivots than this is
+# a fault; the most any one solve makes in the tier-1 tests, the four
+# benchmark workloads and tests/test_pcp_reduction.py is 21
+PIVOT_CAP = 100_000
+
+
 @dataclass(frozen=True)
 class Constraint:
-    """``coeffs . x  sense  rhs``.  The coefficients are read once, when the
-    constraint is first solved, so they must not change after that."""
+    """``coeffs . x  sense  rhs``.  The coefficients are read by every solve
+    that appends the constraint, and must not change once it is solved."""
 
     coeffs: dict
     sense: str  # "<=", ">=", "=="
     rhs: int | Fraction
 
-    @cached_property
-    def _row(self) -> tuple[list[tuple[str, int]], int, int, bool]:
-        """The constraint as one integer ``<=`` row ``(coefficients, slack
-        entry, rhs, slack fixed at 0)``, scaled by the lcm of its
-        denominators (the slack's entry), negated for ``>=``."""
+    def _row(self) -> tuple[dict, int, int, int, bool]:
+        """The constraint as ``(coefficients, sign, slack entry, rhs, slack
+        fixed at 0)``: int coefficients and rhs, scaled by the lcm of their
+        denominators (the slack's entry) and with no zero coefficient, whose
+        ``<=`` row is ``sign`` times them.  A row of nonzero ints shares
+        ``coeffs``."""
         if self.sense not in ("<=", ">=", "=="):
             raise ValueError(f"bad sense {self.sense!r}")
-        coeffs = [(v, _exact(a)) for v, a in self.coeffs.items() if a]
-        rhs = _exact(self.rhs)
-        scale = lcm(rhs.denominator, *(a.denominator for _, a in coeffs))
+        coeffs, rhs, fixed = self.coeffs, self.rhs, self.sense == "=="
         sign = -1 if self.sense == ">=" else 1
-        ints = [(v, sign * a.numerator * (scale // a.denominator)) for v, a in coeffs]
-        b = sign * rhs.numerator * (scale // rhs.denominator)
-        return ints, scale, b, self.sense == "=="
+        if type(rhs) is int and all([type(a) is int and a for a in coeffs.values()]):
+            return coeffs, sign, 1, rhs, fixed
+        exact = {v: _exact(a) for v, a in coeffs.items() if a}
+        rhs = _exact(rhs)
+        scale = lcm(rhs.denominator, *(a.denominator for a in exact.values()))
+        ints = {v: a.numerator * (scale // a.denominator) for v, a in exact.items()}
+        return ints, sign, scale, rhs.numerator * (scale // rhs.denominator), fixed
 
 
 class _Optimum(NamedTuple):
-    """The final tableau of an optimal solve, for warm starts.  Rows are
-    never changed in place, so a warm start shares them."""
+    """The final tableau of an optimal solve, for warm starts, and its value
+    ``num / den``.  Nothing in it is changed in place, so a warm start
+    shares all that its appended rows and its pivots leave as it is."""
 
     objective: dict
     upper: dict
@@ -85,31 +96,42 @@ class _Optimum(NamedTuple):
     scale: int
     constraints: tuple  # the constraints solved, a warm start's prefix
     index: dict  # variable name -> column
+    names: dict  # variable column -> name
     tableau: list[dict]
     basis: list[int]
     obj: dict
     bounds: dict  # column -> its upper bound, 0 for an ``==`` row's slack
     flipped: set  # the complemented columns
     width: int  # the next free column
+    num: int  # the value is num / den, den > 0
+    den: int
 
 
 class LPResult:
     """Status, optimal value and optimal point of a solve.
 
-    An optimal result of ``solve_max`` keeps its final tableau in
-    ``optimum`` and builds ``point`` from it the first time it is read,
-    which warm starts from it cannot disturb: they never change its rows
-    in place.  ``repr`` and ``==`` see status, value and point only.
+    An optimal result of ``solve_max`` keeps its final tableau and its value
+    as ints in ``optimum``, and builds ``value`` and ``point`` from them the
+    first time each is read, which warm starts from it cannot disturb: they
+    never change it in place.  ``repr`` and ``==`` see status, value and
+    point only.
     """
 
-    __slots__ = ("status", "value", "optimum", "_point")
+    __slots__ = ("status", "optimum", "_value", "_point")
 
     def __init__(self, status: str, value: Fraction | None = None,
                  point: dict | None = None, optimum: _Optimum | None = None):
         self.status = status  # "optimal" | "infeasible"
-        self.value = value
         self.optimum = optimum
+        self._value = value
         self._point = point
+
+    @property
+    def value(self) -> Fraction | None:
+        """The optimal value, as a Fraction."""
+        if self._value is None and self.optimum is not None:
+            self._value = Fraction(self.optimum.num, self.optimum.den)
+        return self._value
 
     @property
     def point(self) -> dict | None:
@@ -123,11 +145,18 @@ class LPResult:
     def scaled_point(self) -> tuple[int, dict]:
         """The optimal point as ints over one common denominator: ``(den,
         nums)``, where a variable's value is ``nums[name] / den``, or 0 when
-        ``nums`` lacks it."""
+        ``nums`` lacks it.  A basic value is its row's rhs over its basic
+        entry; a complemented column's value is its bound minus that."""
         opt = self.optimum
-        at = {j: v for v, j in opt.index.items()}
-        den, nums = _scaled(opt, at)
-        return den, {at[j]: n for j, n in nums.items()}
+        names, flipped, bounds = opt.names, opt.flipped, opt.bounds
+        rows = [(b, r) for r, b in zip(opt.tableau, opt.basis)
+                if b in names and (0 in r or b in flipped)]
+        den = lcm(1, *[r[b] for b, r in rows])
+        nums = {names[j]: bounds[j] * den for j in flipped if j in names}
+        for b, r in rows:
+            n = r.get(0, 0) * (den // r[b])
+            nums[names[b]] = bounds[b] * den - n if b in flipped else n
+        return den, nums
 
     def __eq__(self, other):
         if not isinstance(other, LPResult):
@@ -149,26 +178,11 @@ def _exact(a) -> Fraction | int:
 
 def _bound(u) -> int:
     """An upper bound as an int; it must be a nonnegative integer."""
-    u = _exact(u)
+    if type(u) is not int:
+        u = _exact(u)
     if u < 0 or u.denominator != 1:
         raise ValueError(f"an upper bound must be a nonnegative integer, not {u!r}")
     return int(u)
-
-
-def _scaled(opt: _Optimum, cols) -> tuple[int, dict]:
-    """The values of the columns ``cols`` as ints over one denominator, the
-    lcm of their rows' basic entries (a column missing from the result is
-    0).  A basic value is its row's rhs over its basic entry; a complemented
-    column's value is its bound minus that."""
-    flipped, bounds = opt.flipped, opt.bounds
-    rows = [(b, r.get(0, 0), r[b]) for r, b in zip(opt.tableau, opt.basis)
-            if b in cols and (0 in r or b in flipped)]
-    den = lcm(1, *(d for _, _, d in rows))
-    nums = {j: bounds[j] * den for j in flipped if j in cols}
-    for b, n, d in rows:
-        n *= den // d
-        nums[b] = bounds[b] * den - n if b in flipped else n
-    return den, nums
 
 
 def _eliminate(r: dict, prow: dict, p: int, f: int) -> dict:
@@ -226,27 +240,21 @@ def _pivot(tableau: list[dict], obj: dict, basis: list[int], row: int,
     return rewrote
 
 
-def _infeasible(r: dict, b: int, bounds: dict) -> bool:
-    """Is the basic value of row ``r`` negative or above its bound?"""
-    x = r.get(0, 0)
-    return x < 0 or (x > 0 and b in bounds and x > bounds[b] * r[b])
-
-
 def _run_dual(tableau: list[dict], obj: dict, basis: list[int], bounds: dict,
-              flipped: set, first: int) -> str:
+              flipped: set, bad: set) -> set | None:
     """Pivot a dual-feasible tableau until every basic value lies in its
-    bounds, by Bland's dual rule (see the module docstring).  The rows
-    before ``first`` are feasible; after that, only the rows a pivot
-    rewrites can change."""
-    bad = {i for i in range(first, len(tableau))
-           if _infeasible(tableau[i], basis[i], bounds)}
+    bounds, by Bland's dual rule (see the module docstring): ``bad`` holds
+    the rows out of them, and only the rows a pivot rewrites can change.
+    Returns the complemented columns then (a new set if any changed), or
+    None if infeasible; more than ``PIVOT_CAP`` pivots raise RuntimeError."""
+    pivots = 0
     while bad:
-        row = min(bad, key=basis.__getitem__)
+        row = min(bad, key=basis.__getitem__) if len(bad) > 1 else next(iter(bad))
         r = tableau[row]
         if r.get(0, 0) > 0:
             b = basis[row]
             r = tableau[row] = _complement(r, b, bounds[b])
-            flipped ^= {b}
+            flipped = flipped ^ {b}
         col = -1
         best_o = best_a = 0
         for j, a in r.items():
@@ -259,11 +267,19 @@ def _run_dual(tableau: list[dict], obj: dict, basis: list[int], bounds: dict,
                     best_o, best_a = o, -a
                     col = j
         if col < 0:
-            return "infeasible"
-        rewrote = _pivot(tableau, obj, basis, row, col)
-        bad.difference_update(rewrote)
-        bad.update(i for i in rewrote if _infeasible(tableau[i], basis[i], bounds))
-    return "optimal"
+            return None
+        pivots += 1
+        if pivots > PIVOT_CAP:
+            raise RuntimeError(f"more than {PIVOT_CAP} pivots in one solve")
+        for i in _pivot(tableau, obj, basis, row, col):
+            # is the rewritten row's basic value below 0 or above its bound?
+            r, b = tableau[i], basis[i]
+            x = r.get(0, 0)
+            if x < 0 or (x > 0 and b in bounds and x > bounds[b] * r[b]):
+                bad.add(i)
+            else:
+                bad.discard(i)
+    return flipped
 
 
 def solve_max(objective: dict, constraints: list[Constraint], *,
@@ -277,24 +293,26 @@ def solve_max(objective: dict, constraints: list[Constraint], *,
     With ``start``, an optimal result of this objective and these bounds
     whose constraints are a prefix of ``constraints`` (the same objects),
     its tableau is re-optimised with the appended rows instead of solving
-    from scratch; any other ``start`` raises ``ValueError``.
+    from scratch; any other ``start`` raises ``ValueError``.  A solve that
+    makes more than ``PIVOT_CAP`` pivots raises ``RuntimeError``.
     """
     upper = {} if upper is None else upper
     if start is None:
         # the empty system, with each column of positive cost at its bound
-        names = sorted({*objective, *upper, *(v for c in constraints for v in c.coeffs)})
-        index = {v: j for j, v in enumerate(names, 1)}
+        names = sorted(set(objective).union(upper, *[c.coeffs for c in constraints]))
+        index = dict(zip(names, range(1, len(names) + 1)))
         costs = {index[v]: e for v, a in objective.items() if (e := _exact(a))}
-        scale = lcm(1, *(a.denominator for a in costs.values()))
+        scale = lcm(1, *[a.denominator for a in costs.values()])
         costs = {j: a.numerator * (scale // a.denominator) for j, a in costs.items()}
-        bounds = {j: _bound(upper[v]) for v, j in index.items() if v in upper}
+        bounds = {index[v]: _bound(u) for v, u in upper.items()}
         flipped = {j for j, c in costs.items() if c > 0}
-        if free := sorted(flipped - bounds.keys()):
-            raise ValueError("a variable of positive cost needs an upper bound: "
-                             + ", ".join(repr(names[j - 1]) for j in free))
-        opt = _Optimum(dict(objective), upper, costs, scale, (), index, [], [],
-                       {j: c if j in flipped else -c for j, c in costs.items()},
-                       bounds, flipped, len(names) + 1)
+        if not flipped <= bounds.keys():
+            raise ValueError("a variable of positive cost needs an upper bound: " + ", ".join(
+                repr(names[j - 1]) for j in sorted(flipped - bounds.keys())))
+        slack = len(names) + 1
+        objective, names, appended = dict(objective), dict(enumerate(names, 1)), constraints
+        tableau, basis, obj = [], [], {j: c if j in flipped else -c for j, c in costs.items()}
+        parent = ()
     else:
         opt = start.optimum
         if (opt is None or objective != opt.objective
@@ -304,47 +322,63 @@ def solve_max(objective: dict, constraints: list[Constraint], *,
             raise ValueError("start must be an optimal result on the same "
                              "objective and bounds whose constraints are a "
                              "prefix of these")
-    appended = constraints[len(opt.constraints):]
-
-    # Column layout: the parent's columns, then the new variables, then one
-    # slack per new row.  The parent's rows are shared as they are.
-    new = sorted({v for c in appended for v in c.coeffs} - opt.index.keys())
-    tableau, basis, obj = list(opt.tableau), list(opt.basis), dict(opt.obj)
-    index, bounds, flipped = opt.index, dict(opt.bounds), set(opt.flipped)
-    if new:
-        index = {**index, **{v: j for j, v in enumerate(new, opt.width)}}
-        bounds.update((index[v], _bound(upper[v])) for v in new if v in upper)
-    where = {b: i for i, b in enumerate(basis)}
-    slack = opt.width + len(new)
-    for coeffs, scale, rhs, fixed in [c._row for c in appended]:
-        row = {slack: scale}
-        for v, a in coeffs:
-            j = index[v]
+        objective, costs, scale, index, names, bounds, flipped = (
+            opt.objective, opt.costs, opt.scale, opt.index, opt.names, opt.bounds, opt.flipped)
+        parent = opt.basis
+        tableau, basis, obj = list(opt.tableau), list(parent), dict(opt.obj)
+        appended, slack = constraints[len(opt.constraints):], opt.width
+        # columns: the parent's, then the new variables, then one slack per new row
+        for c in appended:
+            if not c.coeffs.keys() <= index.keys():
+                new = set().union(*[other.coeffs for other in appended]) - index.keys()
+                new = dict(enumerate(sorted(new), slack))
+                names, index = {**names, **new}, {**index, **{v: j for j, v in new.items()}}
+                bounds = {**bounds, **{j: _bound(upper[v]) for j, v in new.items() if v in upper}}
+                slack += len(new)
+                break
+    bad = set()
+    for c in appended:
+        coeffs, sign, entry, rhs, fixed = c._row()
+        row = {slack: entry}
+        rhs *= sign
+        for v, a in coeffs.items():
+            j, a = index[v], sign * a
             if j in flipped:
                 a = -a
                 rhs += a * bounds[j]
             row[j] = a
         if rhs:
             row[0] = rhs
-        if fixed:
-            bounds[slack] = 0
         # Eliminate the basic columns, so the slack is this row's basic.
         # Only the coefficient columns can be basic: a basic row is zero in
         # every other basic column.
-        for v, _ in coeffs:
-            i = where.get(index[v])
-            if i is not None:
-                r, b = tableau[i], basis[i]
-                row = _eliminate(row, r, r[b], row[b])
+        for v in coeffs:
+            if (j := index[v]) in parent:
+                r = tableau[parent.index(j)]
+                row = _eliminate(row, r, r[j], row[j])
+        if fixed:
+            bounds = {**bounds, slack: 0}
+        # the parent's rows are optimal, so only the appended ones can be
+        # out of bounds: below 0, or above a fixed slack's 0
+        x = row.get(0, 0)
+        if x < 0 or (fixed and x > 0):
+            bad.add(len(tableau))
         tableau.append(row)
         basis.append(slack)
         slack += 1
 
-    # the parent's rows are optimal, so only the appended ones can be infeasible
-    if _run_dual(tableau, obj, basis, bounds, flipped, len(opt.tableau)) == "infeasible":
+    flipped = _run_dual(tableau, obj, basis, bounds, flipped, bad)
+    if flipped is None:
         return LPResult("infeasible")
-    opt = _Optimum(opt.objective, upper, opt.costs, opt.scale, tuple(constraints),
-                   index, tableau, basis, obj, bounds, flipped, slack)
-    den, nums = _scaled(opt, opt.costs)
-    return LPResult("optimal", Fraction(sum(c * nums.get(j, 0) for j, c in opt.costs.items()),
-                                        den * opt.scale), optimum=opt)
+    # the value: each complemented cost column at its bound, less its basic
+    # value, and each other basic cost column at its basic value
+    num, den = 0, 1
+    for j in flipped & costs.keys():
+        num += costs[j] * bounds[j]
+    for r, b in zip(tableau, basis):
+        if b in costs and 0 in r:
+            d, n = r[b], costs[b] * r[0]
+            num, den = num * d + (-n if b in flipped else n) * den, den * d
+    return LPResult("optimal", optimum=_Optimum(
+        objective, upper, costs, scale, tuple(constraints), index, names,
+        tableau, basis, obj, bounds, flipped, slack, num, den * scale))

@@ -144,8 +144,13 @@ MUTANTS = (
            (_D + "test_signed_split_decides_as_the_unsigned",
             _D + "test_luk_matches_leaf_oracle")),
     Mutant("the case split skips the conclusion-is-1 prune", _DECISION,
-           'if res.status == "infeasible" or res.value <= -offset:',
+           'if res.status == "infeasible" or res.optimum.num <= -offset * res.optimum.den:',
            'if res.status == "infeasible":',
+           (_D + "test_luk_validities",
+            _D + "test_k_axiom_stdmv_solve_count")),
+    Mutant("the search's int cutoff <= becomes <", _DECISION,
+           "res.optimum.num <= -offset * res.optimum.den",
+           "res.optimum.num < -offset * res.optimum.den",
            (_D + "test_luk_validities",
             _D + "test_k_axiom_stdmv_solve_count")),
     Mutant("the dual ratio test takes the largest ratio", _LP,
@@ -154,20 +159,28 @@ MUTANTS = (
            ("tests/test_lp.py::test_textbook_maximum",
             "tests/test_lp_reference.py::test_degenerate_vertices_match_reference")),
     Mutant("an appended row is not reduced against the basis", _LP,
-           "                row = _eliminate(row, r, r[b], row[b])",
+           "                row = _eliminate(row, r, r[j], row[j])",
            "                pass",
            ("tests/test_lp_warm.py::test_seeded_generations_match_cold",
             "tests/test_lp_warm.py::test_lazy_point_survives_children")),
     Mutant("a warm start checks no appended row", _LP,
-           'len(opt.tableau)) == "infeasible":',
-           'len(tableau)) == "infeasible":',
+           "            bad.add(len(tableau))\n",
+           "            pass\n",
            ("tests/test_lp.py::test_textbook_maximum",)),
     # every solve pivots on a negative entry, so without the negation the
-    # simplex loops and only the direct test of the pivot fails in time
+    # simplex cycles until the pivot cap stops it
     Mutant("a pivot on a negative entry keeps its row's sign", _LP,
            "    if p < 0:\n",
            "    if False:\n",
-           ("tests/test_lp.py::test_pivot_on_a_negative_entry_negates_its_row",)),
+           ("tests/test_lp.py::test_pivot_on_a_negative_entry_negates_its_row",
+            "tests/test_lp.py::test_textbook_maximum",
+            "tests/test_lp_warm.py::test_seeded_generations_match_cold",
+            "tests/test_lp_reference.py::test_degenerate_vertices_match_reference")),
+    Mutant("the int-row path drops the >= negation", _LP,
+           "            return coeffs, sign, 1, rhs, fixed\n",
+           "            return coeffs, 1, 1, rhs, fixed\n",
+           ("tests/test_lp.py::test_int_rows_are_the_rows_of_their_fractions",
+            _D + "test_luk_validities")),
     # a walk that re-expands shared nodes makes a squared power such as
     # p^1000000000000 exponential, so its killers fail before any such test
     Mutant("the walk expands a node it has already placed", _FORMULAS,

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from mvmodal import lp
 from mvmodal.bridges import luk2prod_formula, rewrite_to_fragment
 from mvmodal.cli import run
 from mvmodal.formulas import bottom_up, parse
@@ -538,6 +539,35 @@ def test_internal_errors_exit_four(files, capsys, tmp_path, monkeypatch):
     assert code == 4
     assert captured.out == ""
     assert captured.err == "internal error: TypeError: unsupported operand type(s)\n"
+
+
+def test_pcp_model_names_a_bad_solution_token(files, capsys):
+    for spec, token in (("x", "x"), ("1, 2,y ", "y"), ("1;2", "1;2")):
+        assert run(["pcp-model", "--instance", files["p0"], "--solution", spec]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: --solution takes comma-separated pair "
+                                f"indices, not {token!r}\n")
+    # blanks around and between the indices are read as before
+    _, spaced = invoke(capsys, ["pcp-model", "--instance", files["p0"],
+                                "--solution", " 1, ,2 ,", "--algebra", "std-mv"])
+    _, plain = invoke(capsys, ["pcp-model", "--instance", files["p0"],
+                               "--solution", "1,2", "--algebra", "std-mv"])
+    assert spaced == plain
+
+
+def test_a_solve_past_the_pivot_cap_exits_four(files, capsys, monkeypatch):
+    # a solve that pivots more than lp.PIVOT_CAP times is a fault in the
+    # simplex, not a verdict; this consequence needs a pivot in its first solve
+    argv = ["check", "--frame", files["frame"], "--algebra", "std-mv",
+            "--conclusion", "p \\/ ~p"]
+    assert run(argv) == 1
+    capsys.readouterr()
+    monkeypatch.setattr(lp, "PIVOT_CAP", 0)
+    assert run(argv) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "internal error: RuntimeError: more than 0 pivots in one solve\n"
 
 
 def test_plain_output(files, capsys):

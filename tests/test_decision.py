@@ -296,6 +296,19 @@ def test_finite_consequence_examples():
         finite_consequence(MVn(5), [], f)
 
 
+def test_finite_consequence_reads_the_guard_at_call_time(monkeypatch):
+    # one rebinding of the module's guard moves the default of a direct call
+    # as it moves the frame decisions' guards; 3^2 valuations pass the
+    # default and trip a guard of 8, and an explicit guard still wins
+    f = P("p -> q")
+    assert not finite_consequence(MVn(3), [], f).holds
+    monkeypatch.setattr(decision, "FINITE_SEARCH_GUARD", 8)
+    with pytest.raises(ResourceLimitError) as trip:
+        finite_consequence(MVn(3), [], f)
+    assert str(trip.value) == "3^2 valuations exceed the search guard 8"
+    assert not finite_consequence(MVn(3), [], f, guard=36).holds
+
+
 def test_large_chain_guards_trip_before_tables(monkeypatch):
     def no_tables(n):
         raise AssertionError(f"built the tables of MVn({n})")

@@ -126,6 +126,23 @@ def test_floats_are_rejected():
                   upper={"x": 1}, start=res)
 
 
+@pytest.mark.parametrize("sense", ["<=", ">=", "=="])
+def test_int_rows_are_the_rows_of_their_fractions(sense):
+    # a constraint of ints is its own integer row: the same row, and the same
+    # tableau, as the constraint of the equal Fractions
+    ints = Constraint({"x": 2, "y": -3}, sense, 4)
+    fractions = Constraint({"x": F(2), "y": F(-3)}, sense, F(4))
+    assert ints._row() == fractions._row()
+    assert Constraint({"x": "2", "y": -3}, sense, "4")._row() == fractions._row()
+    solved = [solve_max({"x": F(1)}, [c], upper={"x": 3, "y": 1}) for c in (ints, fractions)]
+    assert solved[0] == solved[1]
+    assert solved[0].optimum.tableau == solved[1].optimum.tableau
+    # a zero coefficient is dropped from an int row too
+    zero = solve_max({"x": F(1)}, [Constraint({"x": 2, "y": 0}, sense, 4)], upper={"x": 3})
+    assert zero.optimum.tableau == solve_max(
+        {"x": F(1)}, [Constraint({"x": 2}, sense, 4)], upper={"x": 3, "y": 0}).optimum.tableau
+
+
 def test_bounds_are_data():
     # a bounded column of positive cost starts at its bound: no row needed
     res = solve_max({"x": F(1), "y": F(-1)}, [], upper={"x": 2, "y": 1, "z": 1})
@@ -145,3 +162,9 @@ def test_bounds_are_data():
     assert solve_max({"x": 1}, [], upper={"x": 1}, start=res).value == 1
     with pytest.raises(ValueError):
         solve_max({"x": 1}, [], upper={"x": 2}, start=res)
+    # bools are read as the ints 0 and 1, in costs, rows and bounds
+    res = solve_max({"x": True, "y": -1}, [Constraint({"x": True, "y": 1}, "<=", True)],
+                    upper={"x": True})
+    assert res == solve_max({"x": 1, "y": -1}, [Constraint({"x": 1, "y": 1}, "<=", 1)],
+                            upper={"x": 1})
+    assert res.value == 1 and res.point == {"x": 1, "y": 0}

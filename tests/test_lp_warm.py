@@ -235,6 +235,37 @@ def test_lazy_point_repr_and_eq_match_an_eager_result():
     assert infeasible.point is None and infeasible != eager
 
 
+def test_value_read_after_the_int_cutoff_is_the_exact_fraction():
+    # the case split tests its cutoff on the optimum's ints before it reads
+    # ``value``; the Fraction built then, repr and == are as if read first
+    rows = [Constraint({"x": 1}, "<=", F(3, 2)),
+            Constraint({"x": 1, "y": 2}, "<=", 4),
+            Constraint({"y": 3}, "==", 1)]
+    objective, upper = {"x": 2, "y": 1}, {"x": 2, "y": 1}
+    res = solve_max(objective, rows, upper=upper)
+    opt = res.optimum
+    assert opt.den > 0 and not opt.num <= 3 * opt.den and opt.num <= 4 * opt.den
+    assert type(res.value) is F and res.value == F(10, 3)
+    eager = LPResult("optimal", F(10, 3), {"x": F(3, 2), "y": F(1, 3)})
+    assert res == eager and repr(res) == repr(eager)
+
+
+def test_warm_child_names_its_new_variable_in_the_scaled_point():
+    # a new variable's column comes after the parent's slack columns, and
+    # the point still reads it by name
+    objective, upper = {"x": F(1)}, {"x": 2}
+    rows = [Constraint({"x": 1}, "<=", 1)]
+    parent = solve_max(objective, rows, upper=upper)
+    child = solve_max(objective, rows + [Constraint({"x": 1, "y": 1}, ">=", 3)],
+                      upper=upper, start=parent)
+    assert child.optimum.index["y"] == parent.optimum.width
+    den, nums = child.scaled_point()
+    assert {v: F(n, den) for v, n in nums.items()} == {"x": 1, "y": 2}
+    assert child.point == {"x": 1, "y": 2}
+    assert child == solve_max(objective, rows + [Constraint({"x": 1, "y": 1}, ">=", 3)],
+                              upper=upper)
+
+
 def test_bad_sense_is_rejected():
     x = Constraint({"x": F(1)}, "<=", F(1))
     upper = {"x": 1}
