@@ -19,9 +19,8 @@ column may be complemented, ``x = u - x̄``, so a nonbasic column sits at 0
 or at its bound ``u``: the entry ``a`` becomes ``-a`` and the rhs ``rhs -
 a*u``, an integer row again.  Each constraint is one ``<=`` row (``>=``
 negated) with its own slack; an ``==`` row's slack has bound 0, and a
-nonbasic fixed column never enters; a constraint of ints is its own row.
-The value is kept as an int numerator and denominator and the point is read
-only when asked for, both with the complemented columns.
+nonbasic fixed column never enters.  The value is kept as two ints and the
+point is read only when asked for, both with the complemented columns.
 
 A cold solve starts from the empty system with every column of positive
 cost at its bound, so it is dual-feasible (Koberstein, *The dual simplex
@@ -51,9 +50,8 @@ from typing import NamedTuple
 __all__ = ["Constraint", "LPResult", "solve_max"]
 
 
-# Bland's rules never cycle, so a solve that makes more pivots than this is
-# a fault; the most any one solve makes in the tier-1 tests, the four
-# benchmark workloads and tests/test_pcp_reduction.py is 21
+# more pivots than this in one solve are taken for a fault, so a correct but
+# longer solve is refused too; the tests and benchmarks make at most 21
 PIVOT_CAP = 100_000
 
 
@@ -67,11 +65,9 @@ class Constraint:
     rhs: int | Fraction
 
     def _row(self) -> tuple[dict, int, int, int, bool]:
-        """The constraint as ``(coefficients, sign, slack entry, rhs, slack
-        fixed at 0)``: int coefficients and rhs, scaled by the lcm of their
-        denominators (the slack's entry) and with no zero coefficient, whose
-        ``<=`` row is ``sign`` times them.  A row of nonzero ints shares
-        ``coeffs``."""
+        """``(coefficients, sign, slack entry, rhs, slack fixed at 0)``: the
+        ``<=`` row is ``sign`` times the nonzero ints, scaled by the lcm of
+        the denominators (the slack's entry); a row of nonzero ints is ``coeffs``."""
         if self.sense not in ("<=", ">=", "=="):
             raise ValueError(f"bad sense {self.sense!r}")
         coeffs, rhs, fixed = self.coeffs, self.rhs, self.sense == "=="
@@ -87,8 +83,7 @@ class Constraint:
 
 class _Optimum(NamedTuple):
     """The final tableau of an optimal solve, for warm starts, and its value
-    ``num / den``.  Nothing in it is changed in place, so a warm start
-    shares all that its appended rows and its pivots leave as it is."""
+    ``num / den``.  Nothing in it is changed in place, so warm starts share it."""
 
     objective: dict
     upper: dict
@@ -110,10 +105,9 @@ class _Optimum(NamedTuple):
 class LPResult:
     """Status, optimal value and optimal point of a solve.
 
-    An optimal result of ``solve_max`` keeps its final tableau and its value
-    as ints in ``optimum``, and builds ``value`` and ``point`` from them the
-    first time each is read, which warm starts from it cannot disturb: they
-    never change it in place.  ``repr`` and ``==`` see status, value and
+    An optimal result of ``solve_max`` keeps its final tableau and value in
+    ``optimum`` and builds ``value`` and ``point`` from them when first read;
+    warm starts never change them.  ``repr`` and ``==`` see status, value and
     point only.
     """
 
@@ -145,18 +139,10 @@ class LPResult:
     def scaled_point(self) -> tuple[int, dict]:
         """The optimal point as ints over one common denominator: ``(den,
         nums)``, where a variable's value is ``nums[name] / den``, or 0 when
-        ``nums`` lacks it.  A basic value is its row's rhs over its basic
-        entry; a complemented column's value is its bound minus that."""
+        ``nums`` lacks it."""
         opt = self.optimum
-        names, flipped, bounds = opt.names, opt.flipped, opt.bounds
-        rows = [(b, r) for r, b in zip(opt.tableau, opt.basis)
-                if b in names and (0 in r or b in flipped)]
-        den = lcm(1, *[r[b] for b, r in rows])
-        nums = {names[j]: bounds[j] * den for j in flipped if j in names}
-        for b, r in rows:
-            n = r.get(0, 0) * (den // r[b])
-            nums[names[b]] = bounds[b] * den - n if b in flipped else n
-        return den, nums
+        den, nums = _scaled(opt.tableau, opt.basis, opt.bounds, opt.flipped, opt.names)
+        return den, {opt.names[j]: n for j, n in nums.items()}
 
     def __eq__(self, other):
         if not isinstance(other, LPResult):
@@ -169,6 +155,21 @@ class LPResult:
                 f"point={self.point!r})")
 
 
+def _scaled(tableau: list[dict], basis: list[int], bounds: dict, flipped: set,
+            cols) -> tuple[int, dict]:
+    """The values of the columns ``cols`` as ints over one denominator, the
+    lcm of their rows' basic entries (a column missing from the result is
+    0).  A basic value is its row's rhs over its basic entry; a complemented
+    column's value is its bound minus that."""
+    rows = [(b, r) for r, b in zip(tableau, basis) if b in cols and (0 in r or b in flipped)]
+    den = lcm(1, *[r[b] for b, r in rows])
+    nums = {j: bounds[j] * den for j in flipped if j in cols}
+    for b, r in rows:
+        n = r.get(0, 0) * (den // r[b])
+        nums[b] = bounds[b] * den - n if b in flipped else n
+    return den, nums
+
+
 def _exact(a) -> Fraction | int:
     """``a`` as an int or Fraction, so it has a numerator and denominator."""
     if isinstance(a, float):
@@ -178,8 +179,7 @@ def _exact(a) -> Fraction | int:
 
 def _bound(u) -> int:
     """An upper bound as an int; it must be a nonnegative integer."""
-    if type(u) is not int:
-        u = _exact(u)
+    u = _exact(u)
     if u < 0 or u.denominator != 1:
         raise ValueError(f"an upper bound must be a nonnegative integer, not {u!r}")
     return int(u)
@@ -249,7 +249,7 @@ def _run_dual(tableau: list[dict], obj: dict, basis: list[int], bounds: dict,
     None if infeasible; more than ``PIVOT_CAP`` pivots raise RuntimeError."""
     pivots = 0
     while bad:
-        row = min(bad, key=basis.__getitem__) if len(bad) > 1 else next(iter(bad))
+        row = min(bad, key=basis.__getitem__)
         r = tableau[row]
         if r.get(0, 0) > 0:
             b = basis[row]
@@ -309,10 +309,9 @@ def solve_max(objective: dict, constraints: list[Constraint], *,
         if not flipped <= bounds.keys():
             raise ValueError("a variable of positive cost needs an upper bound: " + ", ".join(
                 repr(names[j - 1]) for j in sorted(flipped - bounds.keys())))
-        slack = len(names) + 1
         objective, names, appended = dict(objective), dict(enumerate(names, 1)), constraints
         tableau, basis, obj = [], [], {j: c if j in flipped else -c for j, c in costs.items()}
-        parent = ()
+        slack, parent = len(names) + 1, ()
     else:
         opt = start.optimum
         if (opt is None or objective != opt.objective
@@ -328,14 +327,10 @@ def solve_max(objective: dict, constraints: list[Constraint], *,
         tableau, basis, obj = list(opt.tableau), list(parent), dict(opt.obj)
         appended, slack = constraints[len(opt.constraints):], opt.width
         # columns: the parent's, then the new variables, then one slack per new row
-        for c in appended:
-            if not c.coeffs.keys() <= index.keys():
-                new = set().union(*[other.coeffs for other in appended]) - index.keys()
-                new = dict(enumerate(sorted(new), slack))
-                names, index = {**names, **new}, {**index, **{v: j for j, v in new.items()}}
-                bounds = {**bounds, **{j: _bound(upper[v]) for j, v in new.items() if v in upper}}
-                slack += len(new)
-                break
+        if new := {v for c in appended for v in c.coeffs if v not in index}:
+            new = dict(enumerate(sorted(new), slack))
+            names, index = {**names, **new}, {**index, **{v: j for j, v in new.items()}}
+            slack += len(new)
     bad = set()
     for c in appended:
         coeffs, sign, entry, rhs, fixed = c._row()
@@ -370,15 +365,8 @@ def solve_max(objective: dict, constraints: list[Constraint], *,
     flipped = _run_dual(tableau, obj, basis, bounds, flipped, bad)
     if flipped is None:
         return LPResult("infeasible")
-    # the value: each complemented cost column at its bound, less its basic
-    # value, and each other basic cost column at its basic value
-    num, den = 0, 1
-    for j in flipped & costs.keys():
-        num += costs[j] * bounds[j]
-    for r, b in zip(tableau, basis):
-        if b in costs and 0 in r:
-            d, n = r[b], costs[b] * r[0]
-            num, den = num * d + (-n if b in flipped else n) * den, den * d
+    den, nums = _scaled(tableau, basis, bounds, flipped, costs)
+    num = sum([c * nums.get(j, 0) for j, c in costs.items()])
     return LPResult("optimal", optimum=_Optimum(
         objective, upper, costs, scale, tuple(constraints), index, names,
         tableau, basis, obj, bounds, flipped, slack, num, den * scale))
