@@ -3,8 +3,10 @@
 Exit codes: 0 when a verdict holds or a construction succeeds, 1 when a
 verdict fails (the witness is emitted), 2 on usage or input errors, 3 when a
 resource guard trips, 4 on an internal error (recursion or memory exhausted,
-or a witness that failed its own re-check).  All output is deterministic:
-JSON with sorted keys by default, a human rendering behind --plain.
+a witness that failed its own re-check, or an LP solve past its cap of
+100,000 pivots, a guard against faults that proves nothing).  All output is
+deterministic: JSON with sorted keys by default, a human rendering behind
+--plain.
 """
 
 from __future__ import annotations

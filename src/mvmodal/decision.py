@@ -162,10 +162,12 @@ class _LukSystem:
     premises 1 and a conclusion no larger, as each connective is monotone in
     each operand; :func:`_folded` re-checks it.
 
-    ``base_rows``, shared by every search node, are the pinned
-    implications' ``<=`` rows, the convex rows and the other pinned forms'
-    ``== 1`` rows; the [0, 1] box of every variable is the LP's bounds,
-    ``upper``.
+    ``splits`` holds one record per split, ``(node, e, t - low, t - high,
+    sign)``, and :func:`_split_rows` builds its regimes' rows only when the
+    search branches on it.  ``rows``, shared by every search node, are
+    ``(node, row)`` pairs: the pinned implications' ``<=`` rows and the
+    convex rows in table order, then the other pinned forms' ``== 1`` rows.
+    The [0, 1] box of every variable is the LP's bounds (:meth:`scope`).
     """
 
     def __init__(self, table: Sequence[tuple], premises: Sequence[int],
@@ -218,11 +220,10 @@ class _LukSystem:
             stack += [table[g][2] for g in self.implications.get(i, ()) if pinned[g]]
 
     def _affine_pass(self) -> None:
-        # per split: its node and regimes' rows, and its variable, forms and
-        # sign; per forced row, its node
-        self.splits: list[tuple[int, list[list[lp.Constraint]]]] = []
-        self.split_forms: list[tuple[str, _Affine, _Affine, _Affine, int]] = []
-        self.forced_rows: list[tuple[int, lp.Constraint]] = []
+        # per split: its node, e, side forms t - low and t - high, and sign;
+        # per row: its node
+        self.splits: list[tuple[int, _Affine, _Affine, _Affine, int]] = []
+        self.rows: list[tuple[int, lp.Constraint]] = []
         pinned, aff = self.pinned, []
         self.affine: list[_Affine] = aff
         for i, (kind, x, y) in enumerate(self.table):
@@ -240,7 +241,7 @@ class _LukSystem:
                     if d.const > 0:
                         raise _Unsat
                 else:
-                    self.forced_rows.append((i, _row(d, "<=")))
+                    self.rows.append((i, _row(d, "<=")))
             else:
                 regimes, is_max, _ = _REGIMES[kind]
                 e, low, high = regimes(aff[x], aff[y])
@@ -253,18 +254,13 @@ class _LukSystem:
                     var = self._node_var.setdefault(i, f"n:{len(self._node_var)}")
                     a = _Affine({var: 1})
                     s = self.sign[i]
-                    sides = [a.sub(low), a.sub(high)]
-                    if s == _BOTH:
-                        regimes = [[_row(e, "<="), _row(sides[0], "==")],
-                                   [_row(e, ">="), _row(sides[1], "==")]]
-                    else:
-                        regimes = [[_row(d, _SENSE[s])] for d in sides]
+                    sides = (a.sub(low), a.sub(high))
+                    split = (i, e, *sides, s)
                     if s != _BOTH and (s == _SMALL) == is_max:  # convex: no split
-                        self.forced_rows += [(i, row) for (row,), d in zip(regimes, sides)
-                                             if not _implied(d, s)]
+                        self.rows += [(i, row) for (row,), d in zip(_split_rows(split), sides)
+                                      if not _implied(d, s)]
                     else:
-                        self.splits.append((i, regimes))
-                        self.split_forms.append((var, e, low, high, s))
+                        self.splits.append(split)
             aff.append(a)
 
     def _build(self) -> None:
@@ -280,48 +276,47 @@ class _LukSystem:
             if not new:
                 break
             self._pin(new)
-        self.base_rows = [row for _, row in self.forced_rows]
-        for a in itertools.compress(self.affine, pinned):
+        for i, a in itertools.compress(enumerate(self.affine), pinned):
             if a.is_const:
                 if a.const != 1:
                     raise _Unsat
             else:
-                self.base_rows.append(_row(a, "==", 1))
-        # the [0, 1] box of every variable in play, as the LP's bounds; every
-        # row is built from the affine forms, so they name them all
-        self.upper = dict.fromkeys(
-            sorted({v for a in self.affine for v in a.coeffs}), 1)
+                self.rows.append((i, _row(a, "==", 1)))
 
-    def scope(self, c: int) -> tuple[Sequence[int], list, dict]:
+    def scope(self, c: int) -> tuple[list[int], list, dict]:
         """The splits under the premises or the conclusion ``c``, last first,
-        the base rows of the nodes under them, and the [0, 1] bounds of the
+        the rows of the nodes under them, and the [0, 1] bounds of the
         variables their forms read: the rows and ``c``'s form read no other
         split's ``t``."""
-        if len(self.conclusions) == 1:  # every node is under the premises or c
-            return range(len(self.splits) - 1, -1, -1), self.base_rows, self.upper
         # on one world with no edge, a node is read where it is under the roots
         under = _reads(self.table, (*self.premises, c), _POINT, modal=True)
         order = [k for k in range(len(self.splits) - 1, -1, -1)
                  if under[self.splits[k][0]]]
-        # the pinned forms' rows, under the premises, follow the forced rows
-        rows = [row for i, row in self.forced_rows if under[i]]
-        rows += self.base_rows[len(self.forced_rows):]
-        return order, rows, dict.fromkeys(sorted(
+        return order, [row for i, row in self.rows if under[i]], dict.fromkeys(sorted(
             {v for a in itertools.compress(self.affine, under) for v in a.coeffs}), 1)
 
     def violated(self, den: int, nums: dict, order: Iterable[int]) -> int:
-        """The first split index in ``order`` whose variable the point
-        ``nums / den`` puts on the wrong side of its connective's value,
-        ``low`` where ``e <= 0`` and ``high`` where ``e >= 0``: below it
-        where the node is wanted small, above it where large, and off it
-        where both; or -1.  A split with a regime among the rows solved is
-        never returned."""
+        """The first split index in ``order`` whose side form at the point
+        ``nums / den``, ``t - low`` where ``e <= 0`` and ``t - high`` where
+        ``e >= 0``, is on the wrong side of 0: below it where the node is
+        wanted small, above it where large, and off it where both; or -1.
+        A split with a regime among the rows solved is never returned."""
         for k in order:
-            var, e, low, high, s = self.split_forms[k]
-            want = low if e.scaled_at(den, nums) <= 0 else high
-            if _BREAKS[s](nums.get(var, 0), want.scaled_at(den, nums)):
+            _, e, low, high, s = self.splits[k]
+            side = low if e.scaled_at(den, nums) <= 0 else high
+            if _BREAKS[s](side.scaled_at(den, nums), 0):
                 return k
         return -1
+
+
+def _split_rows(split: tuple) -> list[list[lp.Constraint]]:
+    """The rows of a split's two regimes, in the order the search explores
+    them: ``e <= 0, t == low`` and ``e >= 0, t == high`` for a node of both
+    signs, else ``t >= low | t >= high`` wanted small (``<=`` large)."""
+    _, e, low, high, s = split
+    if s == _BOTH:
+        return [[_row(e, "<="), _row(low, "==")], [_row(e, ">="), _row(high, "==")]]
+    return [[_row(d, _SENSE[s])] for d in (low, high)]
 
 
 def luk_consequence(gamma: Iterable[Formula], phi: Formula, *,
@@ -333,7 +328,7 @@ def luk_consequence(gamma: Iterable[Formula], phi: Formula, *,
     node table of the formulas (:func:`_template`).  If pinning and [0, 1]
     folding leave ``phi`` the constant 1, it holds with no LP: both are
     exact wherever the premises hold.  Each search node maximizes ``1 -
-    value(phi)`` over the base rows and its path's regime rows, every
+    value(phi)`` over the shared rows and its path's regime rows, every
     variable in [0, 1], so a split not yet branched on is a free ``t``; an
     optimum that is not positive prunes it.  A point that puts no split's
     ``t`` on the wrong side of its connective's value, the side its sign
@@ -402,7 +397,7 @@ def _luk_countermodel(table: Sequence[tuple], premises: Sequence[int],
                            for x, v in leaves}
             if path >> k & 1:
                 raise RuntimeError(f"case split {k} is violated below its own regime")
-            _, regimes = system.splits[k]
+            regimes = _split_rows(system.splits[k])
             path |= 1 << k
             stack += [(rows + regime, res, path) for regime in reversed(regimes)]
     return None

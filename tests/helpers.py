@@ -146,9 +146,11 @@ def luk_leaf_oracle(gamma, phi, max_splits: int = 10) -> bool | None:
     conclusion = system.affine[system.conclusions[0]]
     objective = {v: -a for v, a in conclusion.coeffs.items()}
     offset = 1 - conclusion.const
-    for leaf in itertools.product(*(regimes for _, regimes in system.splits)):
-        res = lp.solve_max(objective, system.base_rows + [
-            row for regime in leaf for row in regime], upper=system.upper)
+    rows = [row for _, row in system.rows]
+    upper = dict.fromkeys({v for a in system.affine for v in a.coeffs}, 1)
+    for leaf in itertools.product(*map(decision._split_rows, system.splits)):
+        res = lp.solve_max(objective, rows + [
+            row for regime in leaf for row in regime], upper=upper)
         if res.status == "optimal" and res.value > -offset:
             return False
     return True

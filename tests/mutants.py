@@ -122,6 +122,18 @@ MUTANTS = (
            "[number(Var, v.name, None) if m >> w & 1 else None",
            "[number(Var, v.name, None)",
            (_D + "test_frame_table_builds_the_system_of_the_images",)),
+    Mutant("the And regime's e is b - a, not a - b", _DECISION,
+           "And: (lambda a, b: (a.sub(b), a, b), False, False),",
+           "And: (lambda a, b: (b.sub(a), a, b), False, False),",
+           (_D + "test_luk_matches_leaf_oracle",
+            _D + "test_every_regime_is_load_bearing")),
+    # a min splits where a max wanted small is convex, and a max wanted
+    # large is bounded by both operands
+    Mutant("the Or regime is marked a min", _DECISION,
+           "Or: (lambda a, b: (b.sub(a), a, b), True, False),",
+           "Or: (lambda a, b: (b.sub(a), a, b), False, False),",
+           (_D + "test_luk_validities",
+            _D + "test_every_regime_is_load_bearing")),
     Mutant("an implication's antecedent keeps its parent's sign", _DECISION,
            "sign[x] |= _FLIP[sign[i]] if _REGIMES[kind][2] else sign[i]",
            "sign[x] |= sign[i]",
@@ -133,14 +145,15 @@ MUTANTS = (
            (_D + "test_luk_premises",
             _D + "test_signed_split_decides_as_the_unsigned")),
     Mutant("a one-sided row has the opposite sense", _DECISION,
-           "regimes = [[_row(d, _SENSE[s])] for d in sides]",
-           "regimes = [[_row(d, _SENSE[_FLIP[s]])] for d in sides]",
+           "return [[_row(d, _SENSE[s])] for d in (low, high)]",
+           "return [[_row(d, _SENSE[_FLIP[s]])] for d in (low, high)]",
            (_D + "test_luk_validities",
             _D + "test_luk_premises")),
     Mutant("a one-sided min-split's first regime also bounds t by high", _DECISION,
-           "                        self.splits.append((i, regimes))",
-           "                        self.splits.append((i, [regimes[0] + regimes[1], regimes[1]]\n"
-           "                                            if s == _SMALL else regimes))",
+           "            regimes = _split_rows(system.splits[k])\n",
+           "            regimes = _split_rows(system.splits[k])\n"
+           "            if system.splits[k][-1] == _SMALL:\n"
+           "                regimes = [regimes[0] + regimes[1], regimes[1]]\n",
            (_D + "test_signed_split_decides_as_the_unsigned",
             _D + "test_luk_matches_leaf_oracle")),
     Mutant("the case split skips the conclusion-is-1 prune", _DECISION,

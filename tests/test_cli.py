@@ -1,4 +1,6 @@
+import contextlib
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -7,8 +9,10 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from mvmodal import lp
+from mvmodal import cli, lp
 from mvmodal.bridges import luk2prod_formula, rewrite_to_fragment
 from mvmodal.cli import run
 from mvmodal.formulas import bottom_up, parse
@@ -576,3 +580,126 @@ def test_plain_output(files, capsys):
                                 "--conclusion", "p", "--plain"])
     assert code == 1
     assert out.strip() == "fails at world w1"
+
+
+# the fuzz grammar: formulas, algebra names and file contents, each valid
+# four times in five
+_FORMULAS = ("p", "[]p -> p", "p \\/ ~p", "<>(p * q) -> []q", "(p -> q) /\\ 1", "p^3", "q")
+_BAD_FORMULAS = ("", "p q", "p^q", "(p", "p ->", "[]", "~", "p /\\ /\\ q", "1/2", "p <->")
+_ALGEBRAS = ("std-mv", "mv-3", "exp-chain", "mv-2")
+_BAD_ALGEBRAS = ("std-godel", "std-product", "mv-1", "mv-x", "mv-", "finite-table", "bogus",
+                 "mv-1000000")
+_VALUES = ("0", "1", "1/2", "2/3")
+_BAD_VALUES = ("3/2", "-1", "0.5", 0.5, True, None, "x", {"pow": "1"}, "zero", 1)
+
+
+@st.composite
+def _pick(draw, good, bad):
+    return draw(st.sampled_from(bad if draw(st.integers(0, 4)) == 4 else good))
+
+
+@st.composite
+def _model(draw, worlds):
+    model = {"algebra": {"kind": draw(_pick(("std-mv",), ("mv-n", "std-godel", "bogus")))},
+             "worlds": worlds,
+             "edges": [[a, b] for a in worlds for b in worlds if draw(st.booleans())],
+             "valuation": {w: {"p": draw(_pick(_VALUES, _BAD_VALUES)),
+                               "q": draw(st.sampled_from(_VALUES))} for w in worlds}}
+    if model["algebra"]["kind"] == "mv-n":
+        model["algebra"]["n"] = draw(st.sampled_from((3, "3", 0, "x")))
+    if draw(st.integers(0, 4)) == 4:
+        del model[draw(st.sampled_from(sorted(model)))]
+    elif draw(st.integers(0, 4)) == 4:
+        model["edges"] = [["w0", "nowhere"]]
+    return model
+
+
+@st.composite
+def _file(draw, kind):
+    """A file's JSON value for ``kind``, valid or malformed."""
+    worlds = draw(_pick((["w0"], ["w0", "w1"]), ([], ["w0", "w0"], [1], "w0")))
+    if kind == "model":
+        return draw(_model(worlds))
+    if kind == "frame":
+        frame = {"worlds": worlds, "edges": draw(_pick(
+            ([], [["w0", "w0"]]), ([["w0", "w9"]], [["w0"]], "w0")))}
+        if draw(st.integers(0, 4)) == 4:
+            del frame[draw(st.sampled_from(sorted(frame)))]
+        return frame
+    if kind == "instance":
+        numeral = _pick((["1", 1], ["3", 2], ["2", 2]), (["x", 1], [1, 1], ["1"], "1", ["9", 1]))
+        return {"base": draw(_pick((2,), (3, 1, "2"))),
+                "pairs": draw(st.lists(st.lists(numeral, min_size=2, max_size=2),
+                                       min_size=draw(_pick((1,), (0,))), max_size=2))}
+    return draw(st.lists(st.fixed_dictionaries(
+        {"conclusion": _pick(_FORMULAS, _BAD_FORMULAS + (None,))},
+        optional={"premises": st.lists(_pick(_FORMULAS, _BAD_FORMULAS), max_size=2)}),
+        max_size=2))
+
+
+@st.composite
+def _argv(draw, tmp_path):
+    """An argument list for one of the ten subcommands, with each required
+    flag present, so every exit 2 is an input error, not argparse's usage."""
+
+    def path(kind):
+        name = tmp_path / f"{kind}.json"
+        value = draw(_file(kind))
+        name.write_text(draw(_pick((json.dumps(value),), ("{not json", "[]", "1"))))
+        return str(name)
+
+    formula = _pick(_FORMULAS, _BAD_FORMULAS)
+    algebra = _pick(_ALGEBRAS, _BAD_ALGEBRAS)
+    command = draw(st.sampled_from(sorted(name for name, *_ in cli._COMMANDS)))
+    argv = [command]
+    if command == "eval":
+        argv += ["--model", path("model"), "--conclusion", draw(formula)]
+    elif command == "check":
+        mode = draw(st.sampled_from(("--model", "--frame", "--cardinality")))
+        argv += [mode, path(mode[2:]) if mode != "--cardinality" else str(draw(st.integers(0, 2)))]
+        if mode != "--model" or draw(st.integers(0, 4)) == 4:
+            argv += ["--algebra", draw(algebra)]
+        argv += ["--premises", "; ".join(draw(st.lists(formula, max_size=2))),
+                 "--conclusion", draw(formula)]
+    elif command == "pcp-encode":
+        argv += ["--instance", path("instance")]
+    elif command == "pcp-model":
+        argv += ["--instance", path("instance"), "--algebra", draw(algebra), "--solution",
+                 draw(_pick(("1", "1,2", "2,1,1"), ("", "x", "9", "0")))]
+    elif command == "pcp-extract":
+        argv += ["--instance", path("instance"), "--model", path("model")]
+    elif command == "reduce-fin2glob":
+        argv += ["--premises", draw(formula), "--conclusion", draw(formula)]
+    elif command == "l2p":
+        argv += draw(st.sampled_from((["--conclusion", draw(formula)], ["--model", path("model")],
+                                      ["--conclusion", draw(formula), "--model", path("model")])))
+    elif command == "mod2fo":
+        argv += ["--conclusion", draw(_pick(_FORMULAS + ("p^1000000000000",), _BAD_FORMULAS))]
+    elif command == "nec-demo":
+        argv += ["--n", str(draw(_pick(range(4), (-1,)))), "--algebra", draw(algebra)]
+    else:
+        argv += ["--instance", path("coenum"), "--budget", str(draw(st.integers(0, 2)))]
+    return argv + ["--plain"] * draw(st.booleans())
+
+
+@settings(max_examples=600, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.data())
+def test_fuzzed_arguments_keep_the_exit_contract(tmp_path, data):
+    """Exit 0 or 1 prints JSON that parses, or the ``--plain`` text, and
+    nothing on stderr; exit 2 or 3 prints one line on stderr and nothing on
+    stdout; no run exits 4.  Each example rewrites the files it reads."""
+    argv = data.draw(_argv(tmp_path))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run(argv)
+    out, err = out.getvalue(), err.getvalue()
+    assert code in (0, 1, 2, 3), (argv, code, err)
+    if code in (0, 1):
+        assert err == "" and out.endswith("\n"), (argv, out, err)
+        if "--plain" not in argv:
+            json.loads(out)
+    else:
+        prefix = "error: " if code == 2 else "resource guard: "
+        assert out == "" and err.startswith(prefix) and err.count("\n") == 1 \
+            and err.endswith("\n"), (argv, err)

@@ -240,23 +240,31 @@ def _drop_regime(monkeypatch, kind, idx):
     kept regimes holds there: a point that only the dropped regime explains
     makes the search branch on that split, into the kept regime alone, whose
     rows then hold at every point below."""
-    affine_pass = decision._LukSystem._affine_pass
+    affine_pass, split_rows = decision._LukSystem._affine_pass, decision._split_rows
+
+    class Dropping(tuple):
+        """A split record whose regime ``idx`` is dropped; a convex node's
+        record is never one, so its rows stay."""
 
     def dropping_pass(system):
         affine_pass(system)
-        system.splits = [(f, [r for i, r in enumerate(regimes)
-                              if (system.table[f][0].__name__.lower(), i) != (kind, idx)])
-                         for f, regimes in system.splits]
+        system.splits = [Dropping(split) if system.table[split[0]][0].__name__.lower() == kind
+                         else split for split in system.splits]
+
+    def dropping_rows(split):
+        regimes = split_rows(split)
+        return [r for i, r in enumerate(regimes) if i != idx or type(split) is not Dropping]
 
     def violated(system, den, nums, order):
         point = {v: F(n, den) for v, n in nums.items()}
         for k in order:
-            if not any(_satisfies(point, r) for r in system.splits[k][1]):
+            if not any(_satisfies(point, r) for r in dropping_rows(system.splits[k])):
                 return k
         return -1
 
     bounds01 = decision._Affine.bounds01
     monkeypatch.setattr(decision._LukSystem, "_affine_pass", dropping_pass)
+    monkeypatch.setattr(decision, "_split_rows", dropping_rows)
     monkeypatch.setattr(decision._LukSystem, "violated", violated)
     monkeypatch.setattr(decision._Affine, "bounds01", lambda a: bounds01(a)
                         if a.is_const else (F(-1), F(1)))
@@ -265,8 +273,8 @@ def _drop_regime(monkeypatch, kind, idx):
 def test_every_regime_is_load_bearing(monkeypatch):
     # a product the conclusion wants small is bounded by rows, not split
     system = luk_system([P("~p"), P("~q")], P("(p * q) \\/ r"))
-    assert Times not in [system.table[i][0] for i, _ in system.splits]
-    assert Times in [system.table[i][0] for i, _ in system.forced_rows]
+    assert Times not in [system.table[split[0]][0] for split in system.splits]
+    assert any(system.table[i][0] is Times and row.sense == ">=" for i, row in system.rows)
     regimes = [(k, i) for k in ("times", "implies", "and", "or") for i in (0, 1)]
     for dropped in regimes:
         flipped = 0
@@ -403,8 +411,9 @@ def test_luk_rows_are_integer(rng, premises):
     except decision._Unsat:
         pass  # the premises are contradictory: no rows
     else:
-        rows = system.base_rows + [row for _, regimes in system.splits
-                                   for regime in regimes for row in regime]
+        rows = [row for _, row in system.rows] + [
+            row for split in system.splits for regime in decision._split_rows(split)
+            for row in regime]
         for row in rows:
             assert type(row.rhs) is int, row
             assert all(type(a) is int for a in row.coeffs.values()), row
@@ -419,7 +428,7 @@ def test_luk_rows_do_not_follow_string_hashes():
               "from mvmodal.formulas import parse\n"
               "s = luk_system([parse(t) for t in ('p \\/ q', 'r \\/ s', 'u \\/ v',"
               " '~p \\/ ~u')], parse('q * s'))\n"
-              "print([(sorted(r.coeffs.items()), r.sense, r.rhs) for r in s.base_rows])")
+              "print([(sorted(r.coeffs.items()), r.sense, r.rhs) for _, r in s.rows])")
     src = os.path.dirname(os.path.dirname(decision.__file__))
     path = os.pathsep.join(filter(None, [src, os.path.dirname(__file__),
                                          os.environ.get("PYTHONPATH")]))
@@ -1118,6 +1127,22 @@ def test_frame_consequence_is_closed_under_cut():
             return True
 
     tally = _relation_holds(cut)
+    assert tally["antecedent holds"] >= 100, tally
+
+
+def test_frame_consequence_is_structural():
+    # Gamma |- phi gives sigma Gamma |- sigma phi for a uniform substitution
+    # sigma: a model that makes sigma Gamma 1 everywhere is, through the
+    # values of sigma p and sigma q, one that makes Gamma 1 everywhere; here
+    # sigma p is psi and sigma q is psi with p and q swapped
+    def structurality(holds, gamma, phi, psi):
+        if holds(gamma, phi):
+            sigma = {"p": psi, "q": substitute(psi, {"p": Var("q"), "q": Var("p")})}
+            assert holds([substitute(g, sigma) for g in gamma],
+                         substitute(phi, sigma)) in (True, None)
+            return True
+
+    tally = _relation_holds(structurality)
     assert tally["antecedent holds"] >= 100, tally
 
 

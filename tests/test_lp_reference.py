@@ -12,6 +12,7 @@ its bounds, satisfy every row and attain the value.
 
 import random
 from fractions import Fraction as F
+from unittest.mock import patch
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -115,7 +116,10 @@ def systems(draw):
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(systems())
 def test_hypothesis_matches_reference(system):
-    assert_same(*system)
+    # these systems make at most 5 pivots in a solve, so a cycling simplex
+    # fails at once, not at the package cap
+    with patch.object(lp, "PIVOT_CAP", 1_000):
+        assert_same(*system)
 
 
 @st.composite
@@ -152,12 +156,15 @@ def test_bounded_generations_match_reference(system):
     as a ``<=`` row: the same status and value, and the point lies in its
     bounds, satisfies every row and attains the value."""
     objective, upper, rows, generations = system
-    res = assert_same(objective, rows, upper)
-    for extra in generations:
-        if res.status != "optimal":
-            break
-        rows = rows + extra
-        res = assert_same(objective, rows, upper, start=res)
+    # these systems make at most 4 pivots in a solve, so a cycling simplex
+    # fails at once, not at the package cap
+    with patch.object(lp, "PIVOT_CAP", 1_000):
+        res = assert_same(objective, rows, upper)
+        for extra in generations:
+            if res.status != "optimal":
+                break
+            rows = rows + extra
+            res = assert_same(objective, rows, upper, start=res)
 
 
 def test_above_bound_complements_match_reference(monkeypatch):

@@ -11,6 +11,7 @@ bound, drawn from 1 to 4 where the rows do not already imply one.
 import random
 from fractions import Fraction as F
 from operator import is_
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings
@@ -124,7 +125,10 @@ def extended_systems(draw):
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(extended_systems())
 def test_hypothesis_generations_match_cold(system):
-    check_generations(*system)
+    # these systems make at most 7 pivots in a solve, so a cycling simplex
+    # fails at once, not at the package cap
+    with patch.object(lp, "PIVOT_CAP", 1_000):
+        check_generations(*system)
 
 
 def test_start_must_be_an_optimal_prefix():
