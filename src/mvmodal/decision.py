@@ -168,16 +168,27 @@ class _LukSystem:
     ``(node, row)`` pairs: the pinned implications' ``<=`` rows and the
     convex rows in table order, then the other pinned forms' ``== 1`` rows.
     The [0, 1] box of every variable is the LP's bounds (:meth:`scope`).
+
+    ``readers`` counts, per node, the operand slots that read it.  A
+    conclusion's right spine of implications of sign exactly small, each
+    read by no other node, is no split in its search: by the residuation law
+    ``A1 -> (... -> (An -> B))`` is below 1 exactly where ``a1 + ... + an -
+    (n - 1) > b``, which :meth:`scope` gives as the objective.
     """
 
     def __init__(self, table: Sequence[tuple], premises: Sequence[int],
                  conclusions: Sequence[int]):
         self.table, self.premises, self.conclusions = table, premises, conclusions
-        # per node, the implications whose antecedent it is
+        # per node, the implications whose antecedent it is, and the number
+        # of operand slots that read it
         self.implications: dict[int, list[int]] = {}
-        for i, (kind, x, _) in enumerate(table):
-            if kind is Implies:
-                self.implications.setdefault(x, []).append(i)
+        self.readers = [0] * len(table)
+        for i, (kind, x, y) in enumerate(table):
+            if kind in _REGIMES:
+                self.readers[x] += 1
+                self.readers[y] += 1
+                if kind is Implies:
+                    self.implications.setdefault(x, []).append(i)
         self.pinned = bytearray(len(table))
         self.sign = self._signs()
         self._node_var: dict[int, str] = {}
@@ -283,17 +294,39 @@ class _LukSystem:
             else:
                 self.rows.append((i, _row(a, "==", 1)))
 
-    def scope(self, c: int) -> tuple[list[int], list, dict]:
+    def scope(self, c: int) -> tuple[list[int], list, dict, _Affine]:
         """The splits under the premises or the conclusion ``c``, last first,
-        the rows of the nodes under them, and the [0, 1] bounds of the
-        variables their forms read: the rows and ``c``'s form read no other
-        split's ``t``."""
+        the rows of the nodes under them, the [0, 1] bounds of the variables
+        their forms read, and the objective form, positive exactly where
+        ``c`` is below 1.
+
+        The objective reads ``c``'s right spine ``A1 -> (A2 -> ... (An ->
+        B))``: from ``c``, each node that is an implication split of sign
+        exactly small, and that no node reads but the one above it on the
+        spine (``c`` none), gives its antecedent and passes to its
+        consequent.  By the residuation law (Hájek, *Metamathematics of Fuzzy
+        Logic*, 1998, ch. 3), ``c`` is below 1 exactly where ``a1 + ... + an
+        - (n - 1) - b`` is positive, so the walked splits leave ``order`` and
+        their ``t`` columns the bounds, which another reader would see free;
+        with n = 0 the form is ``1 - c``.  An antecedent's form is at most
+        its value and ``B``'s at least its value at a point ``violated``
+        accepts, so a positive form there still puts ``c`` below 1.  The
+        rows and the form read no other split's ``t``."""
         # on one world with no edge, a node is read where it is under the roots
-        under = _reads(self.table, (*self.premises, c), _POINT, modal=True)
-        order = [k for k in range(len(self.splits) - 1, -1, -1)
-                 if under[self.splits[k][0]]]
-        return order, [row for i, row in self.rows if under[i]], dict.fromkeys(sorted(
-            {v for a in itertools.compress(self.affine, under) for v in a.coeffs}), 1)
+        table, splits, affine = self.table, self.splits, self.affine
+        under = _reads(table, (*self.premises, c), _POINT, modal=True)
+        split_nodes = {split[0] for split in splits}
+        antecedents, node = [], c
+        while (node in split_nodes and table[node][0] is Implies and self.sign[node] == _SMALL
+               and self.readers[node] == (node != c)):
+            under[node] = 0
+            _, x, node = table[node]
+            antecedents.append(affine[x])
+        form = functools.reduce(_Affine.add, antecedents, _Affine({}, 1 - len(antecedents)))
+        order = [k for k in range(len(splits) - 1, -1, -1) if under[splits[k][0]]]
+        upper = dict.fromkeys(sorted(
+            {v for a in itertools.compress(affine, under) for v in a.coeffs}), 1)
+        return order, [row for i, row in self.rows if under[i]], upper, form.sub(affine[node])
 
     def violated(self, den: int, nums: dict, order: Iterable[int]) -> int:
         """The first split index in ``order`` whose side form at the point
@@ -327,10 +360,15 @@ def luk_consequence(gamma: Iterable[Formula], phi: Formula, *,
     Decided exactly by a depth-first case split over rational LPs on the
     node table of the formulas (:func:`_template`).  If pinning and [0, 1]
     folding leave ``phi`` the constant 1, it holds with no LP: both are
-    exact wherever the premises hold.  Each search node maximizes ``1 -
-    value(phi)`` over the shared rows and its path's regime rows, every
-    variable in [0, 1], so a split not yet branched on is a free ``t``; an
-    optimum that is not positive prunes it.  A point that puts no split's
+    exact wherever the premises hold.  Each search node maximizes a linear
+    form that is positive exactly where ``phi`` is below 1 over the shared
+    rows and its path's regime rows, every variable in [0, 1], so a split
+    not yet branched on is a free ``t``; an optimum that is not positive
+    prunes it.  The form is ``1 - value(phi)``, or for ``phi = A1 -> (... ->
+    (An -> B))`` read right down its spine ``a1 + ... + an - (n - 1) - b``,
+    by the residuation law of Łukasiewicz logic (Hájek, *Metamathematics of
+    Fuzzy Logic*, 1998, ch. 3): the spine's implications are no case splits
+    (:meth:`_LukSystem.scope`).  A point that puts no split's
     ``t`` on the wrong side of its connective's value, the side its sign
     rules out (:class:`_LukSystem`), is a countermodel at least as bad as
     its fold, which :func:`_folded` re-checks; else the node branches on
@@ -373,9 +411,8 @@ def _luk_countermodel(table: Sequence[tuple], premises: Sequence[int],
         conclusion = system.affine[c]
         if (conclusion.is_const and conclusion.const == 1) or c in conclusions[:i]:
             continue
-        order, rows, upper = system.scope(c)
-        objective = {v: -a for v, a in conclusion.coeffs.items()}
-        offset = 1 - conclusion.const
+        order, rows, upper, form = system.scope(c)
+        objective, offset = form.coeffs, form.const
         # depth first over (rows, parent result, bit k for each split k
         # branched on along the path); the first regime goes on last
         stack: list[tuple[list, lp.LPResult | None, int]] = [(rows, None, 0)]

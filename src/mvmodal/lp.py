@@ -161,9 +161,15 @@ def _scaled(tableau: list[dict], basis: list[int], bounds: dict, flipped: set,
     lcm of their rows' basic entries (a column missing from the result is
     0).  A basic value is its row's rhs over its basic entry; a complemented
     column's value is its bound minus that."""
-    rows = [(b, r) for r, b in zip(tableau, basis) if b in cols and (0 in r or b in flipped)]
-    den = lcm(1, *[r[b] for b, r in rows])
-    nums = {j: bounds[j] * den for j in flipped if j in cols}
+    # plain loops: a comprehension is a function frame before Python 3.12
+    rows, den, nums = [], 1, {}
+    for r, b in zip(tableau, basis):
+        if b in cols and (0 in r or b in flipped):
+            rows.append((b, r))
+            den = lcm(den, r[b])
+    for j in flipped:
+        if j in cols:
+            nums[j] = bounds[j] * den
     for b, r in rows:
         n = r.get(0, 0) * (den // r[b])
         nums[b] = bounds[b] * den - n if b in flipped else n

@@ -166,6 +166,21 @@ MUTANTS = (
            "res.optimum.num < -offset * res.optimum.den",
            (_D + "test_luk_validities",
             _D + "test_k_axiom_stdmv_solve_count")),
+    # the spine's reader check: a node on it that another node reads leaves
+    # its ``t`` free in that node's rows, so the re-check fails
+    Mutant("the spine follows a consequent with two readers", _DECISION,
+           "and self.readers[node] == (node != c)):",
+           "and self.readers[node] <= 2 * (node != c)):",
+           (_D + "test_spine_stops_at_a_node_with_another_reader",)),
+    Mutant("the spine starts at a conclusion that a premise reads", _DECISION,
+           "and self.readers[node] == (node != c)):",
+           "and self.readers[node] <= 1):",
+           (_D + "test_spine_stops_at_a_node_with_another_reader",)),
+    Mutant("the spine's constant is n, not n - 1", _DECISION,
+           "_Affine({}, 1 - len(antecedents))",
+           "_Affine({}, 1 - len(antecedents) - bool(antecedents))",
+           (_D + "test_luk_refutations_with_witnesses",
+            _D + "test_implication_spine_matches_leaf_oracle_and_its_product")),
     Mutant("the dual ratio test takes the largest ratio", _LP,
            "if col < 0 or d < 0 or (d == 0 and j < col):",
            "if col < 0 or d > 0 or (d == 0 and j < col):",

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import json
 import os
@@ -123,6 +124,32 @@ def test_luk_matches_leaf_oracle(seed, premises):
         assert value == verdict.witness.value < 1
 
 
+def test_spine_stops_at_a_node_with_another_reader():
+    # the consequent ``q -> q * q`` is also read under the antecedent, so the
+    # spine is the root alone and the consequent's split stays; a root that a
+    # premise reads is no spine, and its split stays.  Both hold: following
+    # either node into the objective left a ``t`` that some row still reads
+    # free, and the search's point then failed the re-check (RuntimeError)
+    shared = P("((q /\\ (q -> q * q)) -> 0) -> (q -> q * q)")
+    assert luk_consequence([], shared).holds
+    gamma, read = [P("~(p -> p * p)")], P("p -> p * p")
+    assert luk_consequence(gamma, read).holds
+    system = luk_system([], shared)
+    c = system.conclusions[0]
+    order, _, upper, form = system.scope(c)
+    kept = {system.splits[k][0] for k in order}
+    assert kept == {split[0] for split in system.splits} - {c}
+    assert system.table[c][2] in kept
+    assert upper.keys() >= form.coeffs.keys()
+    assert upper.keys().isdisjoint(system.affine[c].coeffs)
+    system = luk_system(gamma, read)
+    c = system.conclusions[0]
+    order, _, _, form = system.scope(c)
+    assert c in {system.splits[k][0] for k in order}
+    assert (form.coeffs, form.const) == ({v: -a for v, a in system.affine[c].coeffs.items()},
+                                         1 - system.affine[c].const)
+
+
 def _count_calls(monkeypatch, name="solve_max"):
     """Count the calls of the ``lp`` function ``name`` from here on."""
     calls = [0]
@@ -140,7 +167,8 @@ def test_baseline_pair_stdmv_solve_count(monkeypatch):
     # branching only on violated splits: 104,928 solves when every split
     # was branched on in a fixed order; 883 while every split gave a node
     # two equality regimes, 573 once a node read from one side only is
-    # bounded on that side
+    # bounded on that side, 215 since the conclusion's right spine is the
+    # objective
     calls = _count_calls(monkeypatch)
     assert decide_cardinality(3, [P("[]p -> p")], P("[][]p -> p"), StdMV()).holds
     assert calls[0] <= 1_000
@@ -156,26 +184,32 @@ def test_baseline_pair_stdmv_pivot_count(monkeypatch):
     # ``v <= 1`` put its slack after every variable, so a few ties go the
     # other way; 8,778 while the LP searched the conjunction of the
     # conclusion's images at once, not one world at a time; 1,364 while
-    # every split gave a node two equality regimes, before the signed split
+    # every split gave a node two equality regimes, before the signed split;
+    # 884 while each implication on the conclusion's right spine was a split,
+    # before the spine became the objective (each world's image ``[][]p ->
+    # p`` is one implication, now searched with no split of its own)
     pivots = _count_calls(monkeypatch, "_pivot")
     assert decide_cardinality(3, [P("[]p -> p")], P("[][]p -> p"), StdMV()).holds
-    assert pivots[0] == 884
+    assert pivots[0] == 526
 
 
 def test_k_axiom_stdmv_solve_count(monkeypatch):
     # pinned: the case split branches the same way under every string hash.
     # 274 while every query solved an LP: the frames where the K image folds
     # to the constant 1 now make no solve; 268 while every split gave a node
-    # two equality regimes, before the signed split
+    # two equality regimes, before the signed split; 36 while the two
+    # implications of the axiom's right spine were splits, before the spine
+    # became the objective ``[](p -> q) + []p - 1 - []q``
     calls = _count_calls(monkeypatch)
     assert decide_cardinality(2, [], P("[](p -> q) -> ([]p -> []q)"), StdMV()).holds
-    assert calls[0] == 36
+    assert calls[0] == 20
 
 
 def test_k_axiom_stdmv_cardinality_3_solve_bound(monkeypatch):
     # one search per world of each frame: 802,892 solves while the LP
     # searched the conjunction of the worlds' images at once; 41,685 while
-    # every split gave a node two equality regimes, 1,505 with the signed split
+    # every split gave a node two equality regimes, 1,505 with the signed
+    # split, 965 since the conclusion's right spine is the objective
     calls = _count_calls(monkeypatch)
     assert decide_cardinality(3, [], P("[](p -> q) -> ([]p -> []q)"), StdMV()).holds
     assert calls[0] <= 2_000
@@ -195,10 +229,12 @@ def test_unsolvable_pcp_one_chain_solve_count(monkeypatch):
     # Pinned exactly: pinning changes no verdict, so only this count sees
     # ``_pin`` stop closing Times and And (17 solves).  At most 60 while
     # every split gave a node two equality regimes, 13 with the signed split
+    # while the conclusion's right-spine implication was a split, 11 since
+    # the spine is the objective
     gamma, phi = encode(PCPInstance(2, ((Numeral(1, 1), Numeral(3, 2)),)))
     calls = _count_calls(monkeypatch)
     assert decide_on_frame(KripkeFrame(["v1"], []), gamma, phi, StdMV()).holds
-    assert calls[0] == 13
+    assert calls[0] == 11
 
 
 def test_luk_branch_guard():
@@ -209,12 +245,13 @@ def test_luk_branch_guard():
 # each entry: (premises, conclusion, regime whose removal flips the verdict).
 # The connective of each entry is read where the signed split still splits
 # it: a product or join the search wants large (under an antecedent), an
-# implication or meet it wants small (under a conclusion)
+# implication or meet it wants small (under a conclusion).  Each implication
+# is off the conclusion's right spine, whose splits the objective replaces
 _MUTATION_BATTERY = [
     ((), "~(p * p)", ("times", 1)),
     (("~p", "~q"), "~((p * q) \\/ r)", ("times", 0)),
     (("~p", "q"), "(p -> q) * r", ("implies", 0)),
-    ((), "p -> q", ("implies", 1)),
+    ((), "r \\/ (p -> q)", ("implies", 1)),
     (("q",), "p /\\ q", ("and", 0)),
     (("p",), "p /\\ q", ("and", 1)),
     (("~~p", "~q"), "~((p \\/ q) * r)", ("or", 0)),
@@ -383,6 +420,38 @@ def test_luk_agrees_with_mvn_chains():
                 assert fin, (prem, conc, n)
             if not fin:
                 assert not luk
+
+
+_SPINE_PART = st.recursive(
+    st.sampled_from([Var("p"), Var("q"), Var("r")]),
+    lambda sub: st.builds(lambda op, a, b: op(a, b),
+                          st.sampled_from([And, Or, Times, Implies]), sub, sub),
+    max_leaves=4)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.lists(_PROP, max_size=2), st.lists(_SPINE_PART, min_size=2, max_size=5),
+       st.integers(2, 5))
+def test_implication_spine_matches_leaf_oracle_and_its_product(gamma, parts, chain):
+    """A conclusion ``A1 -> (... -> (An -> B))``, n = 1-4, is decided with
+    its right spine as the objective: the verdict agrees with solving every
+    leaf of the case split cold, and with the one implication ``A1 * ... *
+    An -> B``; a refutation over MVn is one over [0, 1], and its witness
+    passes the reference evaluator."""
+    *antecedents, b = parts
+    phi = functools.reduce(lambda c, a: Implies(a, c), reversed(antecedents), b)
+    verdict = luk_consequence(gamma, phi)
+    assert verdict.holds == luk_consequence(
+        gamma, Implies(functools.reduce(Times, antecedents), b)).holds
+    if not finite_consequence(MVn(chain), gamma, phi).holds:
+        assert not verdict.holds
+    if not verdict.holds:
+        val = {"w": verdict.witness.valuation}
+        assert all(naive_eval(["w"], (), val, "w", g) == 1 for g in gamma)
+        assert naive_eval(["w"], (), val, "w", phi) == verdict.witness.value < 1
+    expected = luk_leaf_oracle(gamma, phi)
+    assume(expected is not None)
+    assert verdict.holds == expected
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
