@@ -10,8 +10,10 @@ a program over the algebra's tables.  The named copy printed
 below, a fresh variable for each boxed/diamonded subformula at each world
 pinned by a delta premise, is one fold of the template, made on its first
 read: no backend reads it, and the finite search guard counts its variables
-without building it unless a cheap bound cannot clear the guard.  Only each
-source variable's per-world variables are kept between decisions.
+without building it unless a cheap bound cannot clear the guard.  Only the
+names of each source variable's per-world variables are kept between
+decisions, and no decision makes a formula of them: only the printed views
+do.
 """
 
 from mvmodal import (KripkeFrame, MVn, StdMV, decide_cardinality,

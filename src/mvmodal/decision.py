@@ -8,12 +8,15 @@ cardinality-bound decision over one frame per isomorphism class, and the
 co-enumerator of non-consequences; over a finite chain the cardinality
 decision first tries to prove a pair on every frame at once, by type
 elimination (:func:`_types_hold`).  Global consequence over a finite frame
-is propositional consequence over the source variables at each world.  Both
-backends read one value-numbered fold of an integer template of the source
-formulas on the frame (:func:`mvmodal.kripke._fold`, :func:`_numbering`),
-the LP as a node table in the fold's own numbering and the sweep as a
-program; neither builds an image formula.  What reads no edge is built
-once, so a frame of a cardinality sweep costs one fold and its search.
+is propositional consequence over the source variables at each world, each
+such per-world variable a fresh name: an LP column to the case split, a
+place in the name order to the sweep.  Both backends read one
+value-numbered fold of an integer template of the source formulas on the
+frame (:func:`mvmodal.kripke._fold`, :func:`_numbering`), the LP as a node
+table in the fold's own numbering and the sweep as a program, so a decision
+builds no formula node; only :class:`FrameTranslation`'s formula views turn
+names into variables.  What reads no edge is built once, so a frame of a
+cardinality sweep costs one fold and its search.
 
 Every countermodel is re-checked once before it is returned
 (:func:`_folded`): the backend's point is folded over the template the
@@ -27,7 +30,7 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass
-from operator import attrgetter, gt, lt, ne
+from operator import gt, lt, ne
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -53,7 +56,6 @@ FINITE_SEARCH_GUARD = 10 ** 7
 # many types (3 atoms over a 3-chain) even where its atoms outnumber one
 # frame's variables
 _FEW_TYPES = 27
-_NAME = attrgetter("name")
 
 class _Unsat(Exception):
     """Premises force a contradiction; the consequence holds vacuously."""
@@ -169,24 +171,25 @@ class _LukSystem:
     convex rows in table order, then the other pinned forms' ``== 1`` rows.
     The [0, 1] box of every variable is the LP's bounds (:meth:`scope`).
 
-    ``readers`` counts, per node, the operand slots that read it.  A
-    conclusion's right spine of implications of sign exactly small, each
-    read by no other node, is no split in its search: by the residuation law
-    ``A1 -> (... -> (An -> B))`` is below 1 exactly where ``a1 + ... + an -
-    (n - 1) > b``, which :meth:`scope` gives as the objective.
+    ``readers`` holds, per node, the node of each operand slot that reads
+    it.  A conclusion's right spine of implications of sign exactly small,
+    each read by no other node under its roots, is no split in its search:
+    by the residuation law ``A1 -> (... -> (An -> B))`` is below 1 exactly
+    where ``a1 + ... + an - (n - 1) > b``, which :meth:`scope` gives as the
+    objective.
     """
 
     def __init__(self, table: Sequence[tuple], premises: Sequence[int],
                  conclusions: Sequence[int]):
         self.table, self.premises, self.conclusions = table, premises, conclusions
-        # per node, the implications whose antecedent it is, and the number
-        # of operand slots that read it
+        # per node, the implications whose antecedent it is, and the node
+        # of each operand slot that reads it
         self.implications: dict[int, list[int]] = {}
-        self.readers = [0] * len(table)
+        self.readers: list[list[int]] = [[] for _ in table]
         for i, (kind, x, y) in enumerate(table):
             if kind in _REGIMES:
-                self.readers[x] += 1
-                self.readers[y] += 1
+                self.readers[x].append(i)
+                self.readers[y].append(i)
                 if kind is Implies:
                     self.implications.setdefault(x, []).append(i)
         self.pinned = bytearray(len(table))
@@ -302,13 +305,16 @@ class _LukSystem:
 
         The objective reads ``c``'s right spine ``A1 -> (A2 -> ... (An ->
         B))``: from ``c``, each node that is an implication split of sign
-        exactly small, and that no node reads but the one above it on the
-        spine (``c`` none), gives its antecedent and passes to its
-        consequent.  By the residuation law (Hájek, *Metamathematics of Fuzzy
-        Logic*, 1998, ch. 3), ``c`` is below 1 exactly where ``a1 + ... + an
-        - (n - 1) - b`` is positive, so the walked splits leave ``order`` and
-        their ``t`` columns the bounds, which another reader would see free;
-        with n = 0 the form is ``1 - c``.  An antecedent's form is at most
+        exactly small, and that no node under the premises and ``c`` reads
+        but the one above it on the spine (``c`` none), gives its antecedent
+        and passes to its consequent; a reader outside, such as another
+        world's conclusion image, writes no row here.  The readers are
+        counted before the walked splits leave ``under``.  By the
+        residuation law (Hájek, *Metamathematics of Fuzzy Logic*, 1998, ch.
+        3), ``c`` is below 1 exactly where ``a1 + ... + an - (n - 1) - b`` is
+        positive, so the walked splits leave ``order`` and their ``t``
+        columns the bounds, which another reader would see free; with n = 0
+        the form is ``1 - c``.  An antecedent's form is at most
         its value and ``B``'s at least its value at a point ``violated``
         accepts, so a positive form there still puts ``c`` below 1.  The
         rows and the form read no other split's ``t``."""
@@ -316,13 +322,15 @@ class _LukSystem:
         table, splits, affine = self.table, self.splits, self.affine
         under = _reads(table, (*self.premises, c), _POINT, modal=True)
         split_nodes = {split[0] for split in splits}
-        antecedents, node = [], c
+        spine, node = [], c
         while (node in split_nodes and table[node][0] is Implies and self.sign[node] == _SMALL
-               and self.readers[node] == (node != c)):
-            under[node] = 0
-            _, x, node = table[node]
-            antecedents.append(affine[x])
-        form = functools.reduce(_Affine.add, antecedents, _Affine({}, 1 - len(antecedents)))
+               and sum(under[r] for r in self.readers[node]) == (node != c)):
+            spine.append(node)
+            node = table[node][2]
+        for s in spine:
+            under[s] = 0
+        form = functools.reduce(_Affine.add, (affine[table[s][1]] for s in spine),
+                                _Affine({}, 1 - len(spine)))
         order = [k for k in range(len(splits) - 1, -1, -1) if under[splits[k][0]]]
         upper = dict.fromkeys(sorted(
             {v for a in itertools.compress(affine, under) for v in a.coeffs}), 1)
@@ -449,7 +457,7 @@ def _propositional(formulas: tuple[Formula, ...]):
         bad = next(f for f in formulas if not is_propositional(f))
         raise ValueError(f"modal operator in propositional consequence: {render(bad)}")
     names = sorted({x for kind, x, _ in template if kind is Var})
-    return {p: (Var(p),) for p in names}, (), (template, at)
+    return {p: (p,) for p in names}, (), (template, at)
 
 
 def _check_sweep_size(size: int, depth: int, guard: int) -> None:
@@ -503,7 +511,7 @@ def finite_consequence(alg: Algebra, gamma: Iterable[Formula], phi: Formula, *,
             return Verdict(True)
         vals[d - 1] += 1
     carrier = alg.carrier()
-    point = {v.name: carrier[k] for v, k in zip(free, vals)}
+    point = {v: carrier[k] for v, k in zip(free, vals)}
     return _folded(frame, alg, held, phi, point)
 
 
@@ -520,8 +528,8 @@ def _sweep_program(alg: Algebra, roots: tuple[Formula, ...],
     rows, modal, (template, at) = held
     frame = frame or _POINT
     reads = _reads(template, at, frame, modal)
-    free = sorted((v for (kind, x, _), m in zip(template, reads) if kind is Var
-                   for w, v in enumerate(rows[x]) if m >> w & 1), key=_NAME)
+    free = sorted(v for (kind, x, _), m in zip(template, reads) if kind is Var
+                  for w, v in enumerate(rows[x]) if m >> w & 1)
     size, depth = alg.size, len(free)
     _check_sweep_size(size, depth, guard)
     if 4 * size * size > guard:
@@ -570,6 +578,9 @@ class FrameTranslation:
     fresh name for each modal subformula at each world instead, pinned by an
     ``iff`` delta; its five attributes come from one fold of the template,
     on first read, which only demo 3 and the finite guard's exact count make.
+    The per-world variables are names, and only these formula views, the
+    named view and :meth:`inlined`, make :class:`~mvmodal.formulas.Var`
+    nodes of them.
     """
 
     def __init__(self, frame: KripkeFrame, gamma: tuple[Formula, ...],
@@ -587,30 +598,29 @@ class FrameTranslation:
     @functools.cached_property
     def _named(self):
         """The five named attributes: :meth:`_formulas` with each modal node
-        a leaf valued by its fresh names, then one loop over the modal nodes
+        a leaf named by its fresh names, then one loop over the modal nodes
         that writes each name's legend entry, definition and delta."""
         worlds, rows, (template, _) = self.frame.worlds, self._rows, self._template
         tag = {Box: "box", Diamond: "dia"}
         fresh = iter(fresh_names(
-            [*rows, *(v.name for row in rows.values() for v in row)],
+            [*rows, *itertools.chain(*rows.values())],
             [f"x{tag[type(mf)]}{k}__w{i}" for k, mf in enumerate(self._modal)
              for i in range(len(worlds))]))
-        names = {i: tuple(Var(next(fresh)) for _ in worlds)
+        names = {i: tuple(next(fresh) for _ in worlds)
                  for i, (kind, _, _) in enumerate(template) if kind is Box or kind is Diamond}
         cols, premises, conclusion = self._formulas(
             tuple((Var, i, None) if i in names else node for i, node in enumerate(template)),
             rows | names)
-        legend = {v.name: ("var", p, w)
-                  for p, row in rows.items() for v, w in zip(row, worlds)}
+        legend = {v: ("var", p, w) for p, row in rows.items() for v, w in zip(row, worlds)}
         definitions, deltas = {}, {w: [] for w in worlds}
         for (i, row), mf in zip(names.items(), self._modal):  # template post-order
             op, unit = (And, ONE) if type(mf) is Box else (Or, ZERO)
             body = cols[template[i][1]]
             for name, w, s in zip(row, worlds, self.frame._index[0]):
-                legend[name.name] = (tag[type(mf)], mf.body, w)
-                definitions[name.name] = d = (
+                legend[name] = (tag[type(mf)], mf.body, w)
+                definitions[name] = d = (
                     functools.reduce(op, [body[k] for k in s]) if s else unit)
-                deltas[w].append(iff(name, d))
+                deltas[w].append(iff(Var(name), d))
         return (premises, functools.reduce(And, conclusion), legend, definitions,
                 {w: tuple(ds) for w, ds in deltas.items()})
 
@@ -630,10 +640,13 @@ class FrameTranslation:
 
     def _formulas(self, template: tuple, leaves: dict) -> tuple[list, tuple, tuple]:
         """:func:`_fold` of ``template`` at every world with the formula
-        constructors as the operations, each leaf ``leaves[key]``: every
-        node's column, the premises' images and the conclusion's column."""
+        constructors as the operations, each leaf the variables named
+        ``leaves[key]``: every node's column, the premises' images and the
+        conclusion's column.  Only here does a per-world name become a
+        :class:`~mvmodal.formulas.Var`."""
         cols = _fold(template, [(1 << len(self.frame.worlds)) - 1] * len(template),
-                     self.frame, leaves, {c: c for c in (*_OPERATION, ZERO, ONE)})
+                     self.frame, {k: tuple(map(Var, row)) for k, row in leaves.items()},
+                     {c: c for c in (*_OPERATION, ZERO, ONE)})
         *premises, conclusion = (cols[r] for r in self._template[1])
         return cols, tuple(g for col in premises for g in col), tuple(conclusion)
 
@@ -646,7 +659,7 @@ class FrameTranslation:
         template, roots = self._template
         reads = _reads(template, roots, self.frame, self._modal)
         numbers, number, ops = _numbering(0)
-        leaves = {x: [number(Var, v.name, None) if m >> w & 1 else None
+        leaves = {x: [number(Var, v, None) if m >> w & 1 else None
                       for w, v in enumerate(self._rows[x])]
                   for (kind, x, _), m in zip(template, reads) if kind is Var}
         ops |= {c: number(type(c), c, None) for c in (ZERO, ONE)}
@@ -656,14 +669,16 @@ class FrameTranslation:
 
 @functools.lru_cache(maxsize=1)
 def _per_world_vars(source: tuple[Formula, ...], n: int):
-    """What of the translation reads no edge: each source variable's
-    variable at each of ``n`` worlds, the modal subformulas in post-order
-    and the template with each source formula's index (:func:`_template`).
-    The memo serves every frame of a cardinality sweep after the first."""
+    """What of the translation reads no edge: each source variable's fresh
+    name at each of ``n`` worlds, the modal subformulas in post-order and
+    the template with each source formula's index (:func:`_template`).  A
+    name is no :class:`~mvmodal.formulas.Var` until a formula view of
+    :class:`FrameTranslation` reads it.  The memo serves every frame of a
+    cardinality sweep after the first."""
     template, roots, _, modal = _template(source)
     names = sorted({x for kind, x, _ in template if kind is Var})
     fresh = iter(fresh_names(names, [f"{p}__w{i}" for p in names for i in range(n)]))
-    return ({p: tuple(Var(next(fresh)) for _ in range(n)) for p in names},
+    return ({p: tuple(next(fresh) for _ in range(n)) for p in names},
             modal, (template, roots))
 
 
@@ -718,7 +733,7 @@ def _folded(frame: KripkeFrame | None, alg: Algebra, held: tuple, phi: Formula,
     not.  The witness is the point, or the model on ``frame`` built after
     from the columns, whose values the re-check has already validated."""
     rows, _, (template, roots) = held
-    columns = {p: [alg.require(point.get(v.name, alg.zero)) for v in row]
+    columns = {p: [alg.require(point.get(v, alg.zero)) for v in row]
                for p, row in rows.items()}
     (*premises, conclusion), decode, one = _carrier_columns(
         alg, template, roots, frame or _POINT, columns)

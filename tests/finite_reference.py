@@ -117,18 +117,17 @@ def named_translation(frame: KripkeFrame, gamma: Iterable[Formula], phi: Formula
     succ = [[worlds.index(u) for u in frame.successors(w)] for w in worlds]
     tag = {Box: "box", Diamond: "dia"}
     fresh = iter(fresh_names(
-        [*rows, *(v.name for row in rows.values() for v in row)],
+        [*rows, *itertools.chain(*rows.values())],
         [f"x{tag[type(mf)]}{k}__w{i}" for k, mf in enumerate(modal)
          for i in range(len(worlds))]))
-    legend = {v.name: ("var", p, w)
-              for p, row in rows.items() for v, w in zip(row, worlds)}
+    legend = {v: ("var", p, w) for p, row in rows.items() for v, w in zip(row, worlds)}
     definitions: dict[str, Formula] = {}
     deltas: dict[str, list[Formula]] = {w: [] for w in worlds}
 
     def per_world(f: Formula, *images: tuple[Formula, ...]) -> tuple[Formula, ...]:
         """The named translation of ``f`` at every world."""
         if isinstance(f, Var):
-            return rows[f.name]
+            return tuple(map(Var, rows[f.name]))
         if isinstance(f, (Box, Diamond)):
             op, unit = (And, ONE) if isinstance(f, Box) else (Or, ZERO)
             names = tuple(Var(next(fresh)) for _ in worlds)

@@ -104,6 +104,13 @@ MUTANTS = (
            "level.append(lv := max(level[a], level[b]))",
            "level.append(lv := level[a])",
            (_F + "test_backtracking_matches_sweep",)),
+    # the per-world variables are names, and the sweep assigns them in
+    # their sort order, so its first countermodel is the least one
+    Mutant("the sweep's per-world names are not sorted", _DECISION,
+           "    free = sorted(v for (kind, x, _), m in zip(template, reads) if kind is Var\n",
+           "    free = list(v for (kind, x, _), m in zip(template, reads) if kind is Var\n",
+           (_F + "test_backtracking_matches_sweep",
+            _D + "test_image_sweep_matches_named_sweep")),
     Mutant("_LukSystem._pin does not close Times and And", _DECISION,
            "            if kind is Times or kind is And:",
            "            if False:",
@@ -119,8 +126,8 @@ MUTANTS = (
            (_D + "test_luk_validities",
             _D + "test_every_regime_is_load_bearing")),
     Mutant("the frame table numbers unread variables", _DECISION,
-           "[number(Var, v.name, None) if m >> w & 1 else None",
-           "[number(Var, v.name, None)",
+           "[number(Var, v, None) if m >> w & 1 else None",
+           "[number(Var, v, None)",
            (_D + "test_frame_table_builds_the_system_of_the_images",)),
     Mutant("the And regime's e is b - a, not a - b", _DECISION,
            "And: (lambda a, b: (a.sub(b), a, b), False, False),",
@@ -169,16 +176,21 @@ MUTANTS = (
     # the spine's reader check: a node on it that another node reads leaves
     # its ``t`` free in that node's rows, so the re-check fails
     Mutant("the spine follows a consequent with two readers", _DECISION,
-           "and self.readers[node] == (node != c)):",
-           "and self.readers[node] <= 2 * (node != c)):",
+           "sum(under[r] for r in self.readers[node]) == (node != c)):",
+           "sum(under[r] for r in self.readers[node]) <= 2 * (node != c)):",
            (_D + "test_spine_stops_at_a_node_with_another_reader",)),
     Mutant("the spine starts at a conclusion that a premise reads", _DECISION,
-           "and self.readers[node] == (node != c)):",
-           "and self.readers[node] <= 1):",
+           "sum(under[r] for r in self.readers[node]) == (node != c)):",
+           "sum(under[r] for r in self.readers[node]) <= 1):",
            (_D + "test_spine_stops_at_a_node_with_another_reader",)),
+    # a reader outside the premises and ``c`` writes no row in its search
+    Mutant("scope counts readers outside its roots", _DECISION,
+           "sum(under[r] for r in self.readers[node])",
+           "len(self.readers[node])",
+           (_D + "test_spine_counts_only_the_readers_under_its_roots",)),
     Mutant("the spine's constant is n, not n - 1", _DECISION,
-           "_Affine({}, 1 - len(antecedents))",
-           "_Affine({}, 1 - len(antecedents) - bool(antecedents))",
+           "_Affine({}, 1 - len(spine))",
+           "_Affine({}, 1 - len(spine) - bool(spine))",
            (_D + "test_luk_refutations_with_witnesses",
             _D + "test_implication_spine_matches_leaf_oracle_and_its_product")),
     Mutant("the dual ratio test takes the largest ratio", _LP,

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from mvmodal import algebras, decision, lp
+from mvmodal import algebras, decision, formulas, lp
 from mvmodal.algebras import (ExpChain, FiniteTable, MVn, ResourceLimitError,
                               StdMV, StdProduct, mv_chain_tables)
 from mvmodal.decision import (coenumerate_nonconsequences, decide_cardinality,
@@ -22,8 +22,9 @@ from mvmodal.formulas import (ONE, ZERO, And, Box, Diamond, Implies, Or,
                               Times, Var, fresh_names, iff, parse, postorder,
                               render, subformulas, substitute, variables)
 from mvmodal.cli import run
-from mvmodal.kripke import (KripkeFrame, KripkeModel, Verdict, Witness, evaluate,
-                            evaluate_all, globally_satisfies, model_to_json)
+from mvmodal.kripke import (KripkeFrame, KripkeModel, Verdict, Witness,
+                            consequence_witness, evaluate, evaluate_all,
+                            generated_submodel, globally_satisfies, model_to_json)
 from mvmodal.pcp import Numeral, PCPInstance, encode
 from helpers import (G3, MV3, luk_implies, luk_leaf_oracle, luk_system,
                      luk_times, naive_eval, random_formula)
@@ -148,6 +149,20 @@ def test_spine_stops_at_a_node_with_another_reader():
     assert c in {system.splits[k][0] for k in order}
     assert (form.coeffs, form.const) == ({v: -a for v, a in system.affine[c].coeffs.items()},
                                          1 - system.affine[c].const)
+
+
+def test_spine_counts_only_the_readers_under_its_roots(monkeypatch):
+    # w0's conclusion image is the implication at w1, which w1's image, the
+    # meet of the implication at both worlds, also reads.  w0's search holds
+    # no row of w1's image, so the implication is a spine there: 1 solve,
+    # where counting every reader in the table made 3, with the same witness
+    calls = _count_calls(monkeypatch)
+    frame = KripkeFrame(["w0", "w1"], [("w0", "w1"), ("w1", "w0"), ("w1", "w1")])
+    verdict = decide_on_frame(frame, [], P("[]((q /\\ p) -> (r \\/ r))"), StdMV())
+    assert calls[0] == 1
+    assert (verdict.holds, verdict.witness.world, verdict.witness.value) == (False, "w0", 0)
+    assert model_to_json(verdict.witness.model)["valuation"] == {
+        "w0": {"p": "0", "q": "0", "r": "0"}, "w1": {"p": "1", "q": "1", "r": "0"}}
 
 
 def _count_calls(monkeypatch, name="solve_max"):
@@ -916,7 +931,7 @@ def _image_sweep(frame, gamma, phi, alg):
         return res
     point = res.witness.valuation
     model = KripkeModel(frame, alg, {
-        w: {p: point.get(row[i].name, alg.zero) for p, row in tr._rows.items()}
+        w: {p: point.get(row[i], alg.zero) for p, row in tr._rows.items()}
         for i, w in enumerate(frame.worlds)})
     *_, conclusion = evaluate_all(model, tuple(gamma) + (phi,))
     at = next(i for i, v in enumerate(conclusion) if v != alg.one)
@@ -1002,6 +1017,36 @@ def test_stdmv_frame_paths_build_no_image(monkeypatch):
     assert decide_cardinality(2, [P("[]p -> p")], P("[][]p -> p"), StdMV()).holds
     assert not decide_cardinality(2, [P("[](p -> q)"), P("<>r")],
                                   P("[]q \\/ (r * ~p)"), StdMV()).holds
+
+
+def test_a_decision_builds_no_formula_node(monkeypatch):
+    # per-world variables are names, so on formulas parsed beforehand no
+    # backend interns a node: counted as ``_intern`` misses, which a node
+    # made and dropped within the call would also be.  The variable names
+    # are used nowhere else, so no node of theirs is alive from another test
+    gamma, phi = [P("[](u7 -> v7)"), P("<>w7")], P("[]v7 \\/ (w7 * ~u7)")
+    flat_gamma, flat_phi = [P("u7 -> v7 * w7")], P("v7 \\/ ~u7")
+    pair = [P("[]u7 -> u7")], P("[][]u7 -> u7")
+    frame = KripkeFrame(["w1", "w2"], [("w1", "w2"), ("w2", "w2")])
+    decision._per_world_vars.cache_clear()
+    made = []
+    intern = formulas._Node._intern.__func__
+
+    def counting(cls, key, fields):
+        ref = cls._live.get(key)
+        if ref is None or ref() is None:
+            made.append((cls.__name__, fields))
+        return intern(cls, key, fields)
+
+    monkeypatch.setattr(formulas._Node, "_intern", classmethod(counting))
+    verdicts = [luk_consequence(flat_gamma, flat_phi),
+                finite_consequence(MVn(3), flat_gamma, flat_phi),
+                finite_consequence(MVn(3), gamma, phi, frame=frame),
+                *(decide_on_frame(frame, gamma, phi, alg) for alg in (StdMV(), MVn(3), G3)),
+                decide_cardinality(2, gamma, phi, StdMV()),
+                decide_cardinality(2, *pair, StdMV())]
+    assert made == []
+    assert [v.holds for v in verdicts] == [False] * 7 + [True]
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
@@ -1213,6 +1258,45 @@ def test_frame_consequence_is_structural():
 
     tally = _relation_holds(structurality)
     assert tally["antecedent holds"] >= 100, tally
+
+
+def test_refutations_survive_generated_subframes_and_bounded_morphisms():
+    # values are invariant under generated submodels and bounded morphisms
+    # (Blackburn, de Rijke and Venema, *Modal Logic*, 2001, sec. 2.1), as a
+    # box is a meet and a diamond a join over successors.  So a failing
+    # verdict's model cut to what its witness world reaches is still a
+    # countermodel there, and its subframe fails too; and G x {a, b}, with
+    # (u, i) -> (v, j) exactly when u -> v, projects onto G by a surjective
+    # bounded morphism, so a pair refuted on G is refuted on it
+    tally = {"refuted": 0, "skipped": 0}
+
+    @settings(max_examples=400, deadline=None, derandomize=True, database=None)
+    @given(_relation_case(), st.sampled_from(["std-mv", "mv-3"]))
+    def check(case, alg):
+        frame, gamma, phi, _ = case
+        alg = StdMV() if alg == "std-mv" else MVn(3)
+        doubled = KripkeFrame(
+            [w + i for w in frame.worlds for i in "ab"],
+            [(u + i, v + j) for u in frame.worlds for v in frame.successors(u)
+             for i in "ab" for j in "ab"])
+        try:
+            verdict = decide_on_frame(frame, gamma, phi, alg)
+            if verdict.holds:
+                return
+            world = verdict.witness.world
+            sub = generated_submodel(verdict.witness.model, world)
+            assert not consequence_witness(sub, gamma, phi).holds
+            assert evaluate(sub, world, phi) == verdict.witness.value
+            assert not decide_on_frame(sub.frame, gamma, phi, alg).holds
+            assert not decide_on_frame(doubled, gamma, phi, alg).holds
+        except ResourceLimitError:
+            tally["skipped"] += 1
+            return
+        tally["refuted"] += 1
+
+    check()
+    print(tally)
+    assert tally["refuted"] >= 100, tally
 
 
 def test_refutations_and_holding_verdicts_transfer_between_algebras():

@@ -299,21 +299,23 @@ def test_power_implication_bound():
 
 
 def test_constancy_and_monotone_powers_on_countermodels():
-    # z is constant on every countermodel; x and y are powers of it with
-    # exponents strictly increasing in height
+    # z is constant on every countermodel; x and y at height h are the powers
+    # of it that the digit strings of the first h + 1 indices name, strictly
+    # decreasing in height
     for sol in find_solutions(P0, 4):
         for alg in (StdMV(), ExpChain()):
             m = build_countermodel(P0, sol, alg)
             zs = {m.value(w, "z") for w in m.worlds}
             assert len(zs) == 1
             hs = heights(m.frame)
-            from mvmodal.pcp import _exponent_of
             ordered = sorted(m.worlds, key=lambda w: hs[w])
             alpha = zs.pop()
-            for var in ("x", "y"):
-                exps = [_exponent_of(alg, alpha, m.value(w, var))
-                        for w in ordered]
-                assert all(a < b for a, b in zip(exps, exps[1:]))
+            for side, var in enumerate(("x", "y")):
+                values = [m.value(w, var) for w in ordered]
+                words = [digit_concat([P0.pairs[i - 1][side] for i in sol[:h]], P0.base)
+                         for h in range(1, len(sol) + 1)]
+                assert values == [alg.power(alpha, n.value) for n in words]
+                assert all(alg.leq(b, a) and b != a for a, b in zip(values, values[1:]))
 
 
 def test_instance_json_round_trip():
